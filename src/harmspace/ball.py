@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, lpmv, roots_jacobi
 
-from .quadrature import panel_nodes
+from .quadrature import gauss_rule
 from .util import gamma_ratio
 
 
@@ -53,7 +53,7 @@ def sphere_grid(n: int, resolution: int):
     if n == 3:
         nt = resolution
         nph = 2 * resolution
-        xg, wg = np.polynomial.legendre.leggauss(nt)
+        xg, wg = gauss_rule(nt)
         ph = 2 * np.pi * np.arange(nph) / nph
         st = np.sqrt(1 - xg**2)
         pts = np.stack(

@@ -275,7 +275,7 @@ def _cmd_norm(args, extras):
                 value = no.triebel_norm(f, args.p, args.q, args.alpha, region, spec)
             else:
                 value = no.sup_norm(f, args.lam, region)[0]
-    except ValueError as e:
+    except (ValueError, NotImplementedError) as e:
         raise UsageError(str(e))
     summary = _resolved_config(args)
     summary["value"] = value

@@ -186,6 +186,24 @@ def whitney_cubes(region: Region, n: int) -> list:
     return cubes
 
 
+def clipped_corners(cubes: list, region: Region):
+    """Corner arrays (lo, hi), each (B, n+1), of the cubes' boxes clipped
+    to the region, in the cubes' order; boxes of zero volume are dropped.
+    The corners equal those of cube.box().clipped(region)."""
+    if not cubes:
+        return np.empty((0, 0)), np.empty((0, 0))
+    side = 2.0 ** np.array([c.level for c in cubes], dtype=float)
+    idx = np.array([c.index for c in cubes], dtype=float)
+    lo = np.column_stack([idx * side[:, None], side])
+    hi = np.column_stack([(idx + 1) * side[:, None], 2 * side])
+    n = idx.shape[1]
+    lo = np.maximum(lo, [-region.x_max] * n + [region.t_min])
+    hi = np.minimum(hi, [region.x_max] * n + [region.t_max])
+    lo = np.minimum(lo, hi)  # empty overlap collapses to zero volume
+    keep = np.all(hi > lo, axis=1)
+    return lo[keep], hi[keep]
+
+
 def weighted_measure(box: Box, lam: float) -> float:
     """m_lambda(box) = integral of t^lambda over the box, closed form.
 

@@ -25,8 +25,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature as quad
-from .geometry import Region, WhitneyCube, weighted_measure, whitney_cubes
+from .geometry import (
+    Region, WhitneyCube, clipped_corners, weighted_measure, whitney_cubes,
+)
 from .quadrature import QuadSpec, sphere_area
+
+
+def _check_finite(**params):
+    """Reject NaN and infinite parameters by name.  Tests such as p <= 0
+    are false for NaN, which would otherwise reach the quadrature."""
+    for name, v in params.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 def _slice_values_radial(f, region: Region, spec: QuadSpec):
@@ -37,7 +47,7 @@ def _slice_values_radial(f, region: Region, spec: QuadSpec):
 
 def slice_norm(f, q: float, t: float, region: Region, spec: QuadSpec) -> float:
     """M_q(f, t) over the truncated slice."""
-    if q <= 0:
+    if not q > 0:  # NaN included
         raise ValueError("exponent must be positive")
     if not np.isfinite(q):
         raise NotImplementedError("sup slice norms are not provided")
@@ -47,19 +57,15 @@ def slice_norm(f, q: float, t: float, region: Region, spec: QuadSpec) -> float:
         return float((w @ vals**q) ** (1.0 / q))
     if f.n > 2:
         raise ValueError("non-radial slice norms limited to n <= 2")
-    xs, ws = [], []
-    for i in range(f.n):
-        xi, wi = quad.box_axis_quadrature(region, spec)
-        xs.append(xi)
-        ws.append(wi)
-    grids = np.meshgrid(*xs, indexing="ij")
-    wg = np.meshgrid(*ws, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids] + [np.full(grids[0].size, t)])
-    w = np.ones(pts.shape[0])
-    for g in wg:
-        w *= g.ravel()
+    X, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * f.n)
+    pts = np.column_stack([X, np.full(X.shape[0], t)])
     vals = np.abs(f.values(pts))
     return float((w @ vals**q) ** (1.0 / q))
+
+
+# Points per field evaluation on the cubes path (a chunk always holds at
+# least one box): bounds the chunk arrays whatever the number of boxes.
+_CUBE_CHUNK_POINTS = 1 << 15
 
 
 def bergman_norm(
@@ -68,10 +74,14 @@ def bergman_norm(
     """||f||_{A^p_alpha} over the region.
 
     method "cubes": tensor quadrature per Whitney box, boxes clipped to
-    the region (n <= 2).  method "layers": dyadic-layer t panels crossed
-    with a radial grid (radial fields, any n).  "auto" picks layers for
+    the region (n <= 2).  The field is evaluated on chunks of boxes
+    holding at most _CUBE_CHUNK_POINTS = 32768 points (one box when a box
+    alone has more), so memory does not grow with the number of boxes.
+    method "layers": dyadic-layer t panels crossed with a radial grid
+    (radial fields, any n).  "auto" picks layers for
     radial fields with n >= 3, cubes otherwise.
     """
+    _check_finite(p=p, alpha=alpha)
     if p <= 0:
         raise ValueError("exponent must be positive")
     if alpha <= -1:
@@ -81,14 +91,17 @@ def bergman_norm(
     if method == "cubes":
         if f.n > 2:
             raise ValueError("cube path limited to n <= 2")
+        lo, hi = clipped_corners(whitney_cubes(region, f.n), region)
+        k = spec.cube_order ** (f.n + 1)
+        step = max(1, _CUBE_CHUNK_POINTS // k)
         total = 0.0
-        for cube in whitney_cubes(region, f.n):
-            box = cube.box().clipped(region)
-            if box.volume == 0.0:
-                continue
-            pts, w = quad.cube_tensor_nodes(box, spec.cube_order)
-            vals = np.abs(f.values(pts))
-            total += float(w @ (vals**p * pts[:, -1] ** alpha))
+        for a in range(0, lo.shape[0], step):
+            box = slice(a, a + step)
+            pts, w = quad.box_tensor_rule(lo[box], hi[box], spec.cube_order)
+            g = np.abs(f.values(pts)) ** p * pts[..., -1] ** alpha
+            # per-box dot products, added in box order
+            for v in np.matmul(w[:, None, :], g[:, :, None]).ravel().tolist():
+                total += v
         return total ** (1.0 / p)
     if not f.is_radial:
         raise ValueError("layer path needs a radial field")
@@ -103,10 +116,11 @@ def mixed_norm(
     f, outer_p: float, inner_q: float, alpha: float, region: Region, spec: QuadSpec
 ) -> float:
     """||f||_{B(outer_p, inner_q, alpha)} over the region."""
-    if outer_p <= 0 or inner_q <= 0:
+    if not (outer_p > 0 and inner_q > 0):  # NaN included
         raise ValueError("exponents must be positive")
     if not (np.isfinite(outer_p) and np.isfinite(inner_q)):
         raise NotImplementedError("infinite exponents: only the sup norm is provided")
+    _check_finite(alpha=alpha)
     t, wt = quad.t_quadrature(region, spec)
     if f.is_radial:
         r, wr = _slice_values_radial(f, region, spec)
@@ -125,6 +139,7 @@ def triebel_norm(
     f, p: float, q: float, alpha: float, region: Region, spec: QuadSpec
 ) -> float:
     """||f||_{F(p, q, alpha)} over the region (inner t integral first)."""
+    _check_finite(p=p, q=q, alpha=alpha)
     if p <= 0 or q <= 0:
         raise ValueError("exponents must be positive")
     t, wt = quad.t_quadrature(region, spec)
@@ -135,17 +150,7 @@ def triebel_norm(
         return float((wr @ inner ** (p / q)) ** (1.0 / p))
     if f.n > 2:
         raise ValueError("non-radial Triebel norms limited to n <= 2")
-    xs, ws = [], []
-    for i in range(f.n):
-        xi, wi = quad.box_axis_quadrature(region, spec)
-        xs.append(xi)
-        ws.append(wi)
-    grids = np.meshgrid(*xs, indexing="ij")
-    wg = np.meshgrid(*ws, indexing="ij")
-    X = np.column_stack([g.ravel() for g in grids])
-    wx = np.ones(X.shape[0])
-    for g in wg:
-        wx *= g.ravel()
+    X, wx = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * f.n)
     pts = np.concatenate(
         [np.repeat(X, t.size, axis=0), np.tile(t, X.shape[0])[:, None]], axis=1
     )
@@ -161,6 +166,7 @@ def sup_norm(f, lam: float, region: Region, rounds: int = 4, grid: int = 48):
     grid, then `rounds` of local refinement around the argmax.  Returns
     (value, argmax point as (x..., t) array).
     """
+    _check_finite(lam=lam)
     if not f.is_radial and f.n > 2:
         raise ValueError("sup norm sampling limited to radial fields for n > 2")
 
@@ -215,6 +221,7 @@ def whitney_discrete_norm(
     Comparable to bergman_norm with weight t^(alpha p - 1) within
     two-sided constants on positive smooth fields.
     """
+    _check_finite(p=p, alpha=alpha)
     if p <= 0:
         raise ValueError("exponent must be positive")
     total = 0.0
@@ -244,7 +251,8 @@ def lemma2_ratio(
     pts = np.column_stack([g.ravel() for g in grids])
     lhs = cube.eta ** (alpha * p - 1) * float(np.max(np.abs(f.values(pts)))) ** p
     big = cube.enlarged(enlarge)
-    qpts, qw = quad.cube_tensor_nodes(big, spec.cube_order)
+    qpts, qw = quad.box_tensor_rule([big.lo], [big.hi], spec.cube_order)
+    qpts, qw = qpts[0], qw[0]
     integral = float(qw @ (np.abs(f.values(qpts)) ** p * qpts[:, -1] ** (alpha * p - 1)))
     return lhs * big.volume / integral
 

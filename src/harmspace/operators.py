@@ -97,7 +97,9 @@ class KernelIntegralField(Field):
     def _eval_flat(self, pts):
         nodes, wpay = self._flat
         out = np.empty(pts.shape[0])
-        chunk = max(1, int(4e6 // max(1, nodes.shape[0])))
+        # about 1e6 kernel values (8 MB per temporary) per block; callers
+        # such as the cubes path of bergman_norm pass many points at once
+        chunk = max(1, int(1e6 // max(1, nodes.shape[0])))
         for a in range(0, pts.shape[0], chunk):
             blk = pts[a : a + chunk]
             diff = blk[:, None, :-1] - nodes[None, :, :-1]
@@ -382,16 +384,7 @@ def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
     X = region.x_max
     t, wt = quad.t_quadrature(region, spec)
     taus = 0.5 * (t[:, None] + t[None, :])  # mean heights over t-pairs
-    ax_nodes = []
-    for _ in range(n):
-        u, wu = quad.box_axis_quadrature(region, spec)
-        ax_nodes.append((u, wu))
-    grids = np.meshgrid(*[a[0] for a in ax_nodes], indexing="ij")
-    wg = np.meshgrid(*[a[1] for a in ax_nodes], indexing="ij")
-    U = np.column_stack([g.ravel() for g in grids])
-    wU = np.ones(U.shape[0])
-    for g in wg:
-        wU *= g.ravel()
+    U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * n)
     overlap = np.prod(2 * X - 2 * np.abs(U), axis=1)
     taus_flat = taus.ravel()
     if E._ax is not None:

@@ -18,12 +18,13 @@ so and nowhere else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box, Region
+from .geometry import Region
 
 
 def sphere_area(n: int) -> float:
@@ -51,21 +52,65 @@ class QuadSpec:
             cube_order=self.cube_order * factor,
         )
 
-    def coarsened(self) -> "QuadSpec":
-        return replace(
-            self,
-            order=max(3, self.order // 2),
-            t_order=max(3, self.t_order // 2),
-            min_panel=self.min_panel * 2,
-            cube_order=max(2, self.cube_order),
-        )
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule(order: int):
+    """Gauss-Legendre nodes/weights on [-1, 1], built once per order.
+
+    The rule is that of Golub & Welsch (1969), which is what leggauss
+    computes, so caching it is exact.  The arrays are shared by every
+    caller and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def panel_nodes(a: float, b: float, order: int):
-    """Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes/weights on [a, b] (fresh arrays)."""
+    x, w = gauss_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def tensor_rule(axes):
+    """Tensor product of 1-D rules [(x_0, w_0), (x_1, w_1), ...].
+
+    Axis 0 varies slowest (meshgrid "ij" order) and the weight is the
+    product w_0 * w_1 * ... taken in axis order.  Every x_i, w_i may carry
+    the same leading batch shape (..., k_i); the result is points
+    (..., K, d) and weights (..., K) with K = prod k_i and d = len(axes).
+    """
+    d = len(axes)
+    batch = np.shape(axes[0][0])[:-1]
+    sizes = tuple(np.shape(x)[-1] for x, _ in axes)
+    pts = np.empty(batch + sizes + (d,))
+    w = np.ones(batch + sizes)
+    for i, (x, wi) in enumerate(axes):
+        shape = batch + (1,) * i + (sizes[i],) + (1,) * (d - 1 - i)
+        pts[..., i] = np.reshape(x, shape)
+        w *= np.reshape(wi, shape)
+    K = math.prod(sizes)
+    return pts.reshape(batch + (K, d)), w.reshape(batch + (K,))
+
+
+def box_tensor_rule(lo, hi, order: int):
+    """Gauss-Legendre tensors on B boxes at once; exact jacobians.
+
+    lo, hi: corner arrays of shape (B, d).  Returns points (B, k, d) and
+    weights (B, k) with k = order^d, each box's nodes in the order of a
+    single-box tensor_rule over its panel_nodes axes.
+    """
+    x, w = gauss_rule(order)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    axes = [
+        (mid[:, i, None] + half[:, i, None] * x, half[:, i, None] * w)
+        for i in range(lo.shape[1])
+    ]
+    return tensor_rule(axes)
 
 
 def composite_nodes(breaks, order: int):
@@ -171,26 +216,8 @@ def flat_box_nodes(region: Region, n: int, spec: QuadSpec, centers=None):
     for i in range(n):
         x, w = box_axis_quadrature(region, spec, centers=[c[i] for c in centers])
         axes.append((x, w))
-    tn, tw = t_quadrature(region, spec)
-    grids = np.meshgrid(*[a[0] for a in axes], tn, indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], tw, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w *= g.ravel()
-    return pts, w
-
-
-def cube_tensor_nodes(box: Box, order: int):
-    """Per-dimension Gauss-Legendre tensor on a box; exact jacobian."""
-    axes = [panel_nodes(a, b, order) for a, b in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w *= g.ravel()
-    return pts, w
+    axes.append(t_quadrature(region, spec))
+    return tensor_rule(axes)
 
 
 class AxisymmetricNodes:

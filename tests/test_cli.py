@@ -66,6 +66,22 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_finite_norm_exponents_exit_two(tmp_path, capsys):
+    base = ["norm", "--space", "bergman", "--field", "test-fn:1", "--n", "2",
+            "--x-max", "1"]
+    cases = [["--p", "nan", "--alpha", "0.5"], ["--p", "2", "--alpha", "nan"],
+             ["--p", "inf", "--alpha", "0.5"]]
+    for extra in cases:
+        assert run(tmp_path, *base, *extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    # infinite mixed-norm exponents are unsupported: a usage error too
+    assert run(tmp_path, "norm", "--space", "mixed", "--field", "poisson",
+               "--n", "2", "--p", "inf") == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_failure_exits_one(tmp_path, capsys):
     code = run(tmp_path, "verify", "thm5-trace", "--budget", "smoke",
                "--k-order", "0")

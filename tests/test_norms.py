@@ -7,8 +7,10 @@ import pytest
 from scipy import integrate
 
 from harmspace import norms as no
+from harmspace import fields as fl
+from harmspace import quadrature as quad
 from harmspace.fields import BergmanField, PoissonField, PowerField
-from harmspace.geometry import Region
+from harmspace.geometry import Region, whitney_cubes
 from harmspace.quadrature import QuadSpec
 
 SPEC = QuadSpec(order=8, t_order=6)
@@ -90,6 +92,27 @@ def test_sup_norm_power_field_is_one():
 
 def test_exponent_validation():
     f = _poisson(2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            no.bergman_norm(f, bad, 0.5, REGION, SPEC)
+        with pytest.raises(ValueError):
+            no.bergman_norm(f, 2.0, bad, REGION, SPEC)
+        with pytest.raises(ValueError):
+            no.mixed_norm(f, 2.0, 2.0, bad, REGION, SPEC)
+        with pytest.raises(ValueError):
+            no.triebel_norm(f, bad, 2.0, 1.0, REGION, SPEC)
+        with pytest.raises(ValueError):
+            no.triebel_norm(f, 2.0, bad, 1.0, REGION, SPEC)
+        with pytest.raises(ValueError):
+            no.triebel_norm(f, 2.0, 2.0, bad, REGION, SPEC)
+        with pytest.raises(ValueError):
+            no.sup_norm(f, bad, REGION)
+    with pytest.raises(ValueError):
+        no.slice_norm(f, math.nan, 1.0, REGION, SPEC)
+    with pytest.raises(ValueError):
+        no.mixed_norm(f, math.nan, 2.0, 1.0, REGION, SPEC)
+    with pytest.raises(ValueError):
+        no.mixed_norm(f, 2.0, math.nan, 1.0, REGION, SPEC)
     with pytest.raises(ValueError):
         no.slice_norm(f, 0.0, 1.0, REGION, SPEC)
     with pytest.raises(NotImplementedError):
@@ -143,3 +166,88 @@ def test_norm_row_contract():
     assert row["quasi"] is True
     row2 = no.norm_row("mixed", f, REGION, 2.0, SPEC, outer_p=2.0, inner_q=1.5)
     assert row2["quasi"] is False
+
+
+def _cubes_per_box_loop(f, p, alpha, region, spec):
+    """The cubes path as one Gauss tensor per clipped box, added in order."""
+    total = 0.0
+    for cube in no.whitney_cubes(region, f.n):
+        box = cube.box().clipped(region)
+        if box.volume == 0.0:
+            continue
+        axes = [quad.panel_nodes(a, b, spec.cube_order) for a, b in zip(box.lo, box.hi)]
+        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+        pts = np.column_stack([g.ravel() for g in grids])
+        w = np.ones(pts.shape[0])
+        for g in wgrids:
+            w *= g.ravel()
+        total += float(w @ (np.abs(f.values(pts)) ** p * pts[:, -1] ** alpha))
+    return total ** (1.0 / p)
+
+
+def test_batched_cubes_path_matches_per_box_loop(monkeypatch):
+    # cubes of a larger region, clipped to a smaller one: some boxes are
+    # cut and some collapse to zero volume
+    region = Region(1.7, 0.3, 2.5)
+    monkeypatch.setattr(
+        no, "whitney_cubes", lambda reg, n: whitney_cubes(Region(3.0, 0.1, 6.0), n))
+    for n in (1, 2):
+        boxes = [c.box() for c in no.whitney_cubes(region, n)]
+        vols = [b.clipped(region).volume for b in boxes]
+        assert 0.0 in vols
+        assert any(0.0 < v < b.volume for v, b in zip(vols, boxes))
+        w = np.zeros(n + 1)
+        w[0], w[-1] = 0.3, 0.7
+        for f in (PoissonField(n, w), BergmanField(1, n, w)):
+            for p, a in ((2.0, 0.5), (1.5, -0.3)):
+                for spec in (SPEC, QuadSpec(cube_order=3)):
+                    got = no.bergman_norm(f, p, a, region, spec, method="cubes")
+                    want = _cubes_per_box_loop(f, p, a, region, spec)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_cubes_path_value_is_independent_of_chunk_size(monkeypatch):
+    # a budget of one box per chunk gives the default budget's value exactly
+    f = _poisson(2)
+    region = Region(2.0, 0.25, 2.0)
+    whole = no.bergman_norm(f, 2.0, 0.5, region, SPEC, method="cubes")
+    monkeypatch.setattr(no, "_CUBE_CHUNK_POINTS", 1)
+    assert no.bergman_norm(f, 2.0, 0.5, region, SPEC, method="cubes") == whole
+
+
+def test_gauss_rule_is_read_only():
+    x, w = quad.gauss_rule(4)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_panel_nodes_returns_fresh_arrays():
+    ref_x, ref_w = np.polynomial.legendre.leggauss(5)
+    x, w = quad.panel_nodes(-1.0, 1.0, 5)
+    x[:] = 7.0
+    w[:] = 7.0
+    x2, w2 = quad.panel_nodes(-1.0, 1.0, 5)
+    assert np.array_equal(x2, ref_x) and np.array_equal(w2, ref_w)
+    assert np.array_equal(quad.gauss_rule(5)[0], ref_x)
+
+
+def test_cubes_path_builds_each_gauss_rule_once(monkeypatch):
+    # the region of `norm --x-max 2 --n 2`: about 5k Whitney boxes
+    region = Region(2.0, 2.0 ** -4, 8.0)
+    assert len(whitney_cubes(region, 2)) > 5000
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quad.gauss_rule.cache_clear()
+    f = fl.dilated(fl.TestField, 1, 2, 1.0)
+    for spec in (SPEC, SPEC.refined(2)):
+        no.bergman_norm(f, 2.0, 0.5, region, spec, method="cubes")
+    assert sorted(calls) == [4, 8]
