@@ -176,9 +176,6 @@ class Expansion:
             )
         return cls(n, blocks)
 
-    def copy_with(self, blocks) -> "Expansion":
-        return Expansion(self.n, blocks)
-
     def values(self, r, points) -> np.ndarray:
         """f(r * points) for radii r broadcastable against len(points)."""
         pts = np.asarray(points, dtype=float)

@@ -34,6 +34,9 @@ class AtomicMeasure:
         self.label = label
         if self.x.shape[0] != self.t.size or self.t.size != self.weight.size:
             raise ValueError("atom arrays disagree in length")
+        for name, arr in (("x", self.x), ("t", self.t), ("weight", self.weight)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"atom {name} values must be finite")
         if np.any(self.t <= 0):
             raise ValueError("atoms must lie in the open half-space")
         if np.any(self.weight < 0):

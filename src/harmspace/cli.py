@@ -25,17 +25,13 @@ from . import ball as bl
 from . import carleson as ca
 from . import norms as no
 from . import util, verify
-from .fields import BergmanField, PoissonField, PowerField, TestField
+from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
 from .geometry import Region, cubes_to_json, weighted_measure, whitney_cubes
 from .quadrature import QuadSpec
 
 
 class UsageError(Exception):
     """Bad invocation: maps to exit code 2."""
-
-
-def _axis_point(n, height):
-    return np.array([0.0] * n + [float(height)])
 
 
 def _floats_csv(text):
@@ -209,17 +205,17 @@ def _parse_field(spec, n):
     try:
         if name == "poisson":
             height = float(parts[0]) if parts else 1.0
-            return PoissonField(n, _axis_point(n, height))
+            return dilated(PoissonField, None, n, height)
         if name == "bergman-q":
             if not parts:
                 raise UsageError("bergman-q needs an order, e.g. bergman-q:2")
             height = float(parts[1]) if len(parts) > 1 else 1.0
-            return BergmanField(int(parts[0]), n, _axis_point(n, height))
+            return dilated(BergmanField, int(parts[0]), n, height)
         if name == "test-fn":
             if not parts:
                 raise UsageError("test-fn needs an order, e.g. test-fn:1")
             height = float(parts[1]) if len(parts) > 1 else 1.0
-            return TestField(int(parts[0]), n, _axis_point(n, height))
+            return dilated(TestField, int(parts[0]), n, height)
         if name == "power":
             if not parts:
                 raise UsageError("power needs an exponent, e.g. power:1.5")

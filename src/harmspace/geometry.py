@@ -70,10 +70,6 @@ class Box:
             v *= b - a
         return v
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= np.asarray(self.lo)) and np.all(p <= np.asarray(self.hi)))
-
     def intersection_volume(self, other: "Box") -> float:
         v = 1.0
         for a0, b0, a1, b1 in zip(self.lo, self.hi, other.lo, other.hi):

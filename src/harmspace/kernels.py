@@ -73,9 +73,15 @@ def _add(d, key, val):
 
 
 def _eval_poly(terms, tau, D):
+    # accumulates in place: the same operations, in the same order, as
+    # acc = acc + c * tau**a * D**b starting from acc = 0.0
     acc = 0.0
-    for a, b, c in terms:
-        acc = acc + c * tau**a * D**b
+    for i, (a, b, c) in enumerate(terms):
+        term = c * tau**a * D**b
+        if i == 0:
+            acc = acc + term
+        else:
+            acc += term
     return acc
 
 
@@ -88,7 +94,10 @@ def bergman_from_sq(l: int, n: int, sq, tau):
     tau = np.asarray(tau, dtype=float)
     terms = poisson_deriv_poly(l + 1, n)
     scale = (-2.0) ** (l + 1) / math.factorial(l) * poisson_constant(n)
-    return scale * _eval_poly(terms, tau, sq) * (sq + tau * tau) ** (-(n + 1) / 2 - (l + 1))
+    out = _eval_poly(terms, tau, sq)
+    out *= scale
+    out *= (sq + tau * tau) ** (-(n + 1) / 2 - (l + 1))
+    return out
 
 
 def bergman_q(l: int, n: int, z, w):
@@ -203,16 +212,3 @@ def profile_excursion(l: int, n: int, delta: float, z, w):
     n_sp = z.shape[-1] - 1
     return np.abs(deriv_polynomial_eval(l, n_sp if n is None else n, u)) > delta
 
-
-def polynomial_tables_json(l_max: int, n: int) -> dict:
-    """Exact integer tables for external checking."""
-    return {
-        "n": n,
-        "poisson_derivative_numerators": {
-            str(m): [[a, b, c] for a, b, c in poisson_deriv_poly(m, n)]
-            for m in range(l_max + 2)
-        },
-        "test_profile_coefficients": {
-            str(l): list(deriv_polynomial(l, n)) for l in range(l_max + 1)
-        },
-    }

@@ -91,6 +91,8 @@ def bergman_norm(
     if method == "cubes":
         if f.n > 2:
             raise ValueError("cube path limited to n <= 2")
+        if region.degenerate:
+            raise ValueError("degenerate t range")
         lo, hi = clipped_corners(whitney_cubes(region, f.n), region)
         k = spec.cube_order ** (f.n + 1)
         step = max(1, _CUBE_CHUNK_POINTS // k)

@@ -25,12 +25,23 @@ from .norms import bergman_norm
 from .quadrature import AxisymmetricNodes, QuadSpec
 
 
+# Kernel values per block in every kernel loop: 32k float64 values, so
+# each temporary of a block (256 KB) stays in cache.
+_BLOCK_VALUES = 1 << 15
+
+
 class KernelIntegralField(Field):
     """z |-> sum_i W_i Q_k(z, w_i) payload_i over stored nodes.
 
     Two node layouts: "flat" (points (N, n+1), weights (N,)) and
     "axisym" (AxisymmetricNodes plus payload of shape (n_uv, n_s)).
     Radial about the origin in the axisym layout.
+
+    The payload may also be a stack, (P, N) or (P, n_uv, n_s): the P
+    fields then share every kernel value, and values() and
+    radial_values() carry a leading axis of length P.  Each stacked value
+    equals, bit for bit, the value of the field built from that payload
+    alone.
     """
 
     harmonic = True  # harmonic in z: finite combination of Q_k(., w_i)
@@ -39,23 +50,37 @@ class KernelIntegralField(Field):
         self.n = n
         self.k = k_order
         self.label = label
+        self.stacked = False
         self._flat = None
         self._ax = None
 
     @classmethod
     def from_flat(cls, n, k_order, points, weights, payload, label="kernel-integral"):
-        f = cls(n, k_order, label)
-        f._flat = (
-            np.asarray(points, dtype=float),
-            np.asarray(weights, dtype=float) * np.asarray(payload, dtype=float),
-        )
-        return f
+        payload = np.asarray(payload, dtype=float)
+        wpay = np.asarray(weights, dtype=float) * payload
+        points = np.asarray(points, dtype=float)
+        return cls._weighted(n, k_order, points, wpay, payload.ndim == 2, label)
 
     @classmethod
     def from_axisym(cls, n, k_order, nodes: AxisymmetricNodes, payload, label="kernel-integral"):
+        payload = np.asarray(payload, dtype=float)
+        wpay = nodes.w_uv[:, None] * payload
+        wpay *= nodes.w_s
+        return cls._weighted(n, k_order, nodes, wpay, payload.ndim == 3, label)
+
+    @classmethod
+    def _weighted(cls, n, k_order, nodes, wpay, stacked, label):
+        """Field over payloads already multiplied by the node weights.
+
+        nodes: AxisymmetricNodes, or the (N, n+1) points of the flat layout.
+        """
         f = cls(n, k_order, label)
-        f.radial_center = np.zeros(n)
-        f._ax = (nodes, nodes.w_uv[:, None] * payload * nodes.w_s[None, :])
+        f.stacked = stacked
+        if isinstance(nodes, AxisymmetricNodes):
+            f.radial_center = np.zeros(n)
+            f._ax = (nodes, wpay.reshape((-1,) + wpay.shape[-2:]))
+        else:
+            f._flat = (nodes, wpay.reshape(-1, wpay.shape[-1]))
         return f
 
     def node_count(self) -> int:
@@ -63,6 +88,10 @@ class KernelIntegralField(Field):
             return self._flat[0].shape[0]
         nodes, _ = self._ax
         return nodes.size
+
+    def _shaped(self, out, shape):
+        """(P, m) results to (P, *shape), or to shape for a single payload."""
+        return out.reshape(out.shape[:1] + shape) if self.stacked else out[0].reshape(shape)
 
     def values(self, points):
         pts = np.asarray(points, dtype=float)
@@ -72,7 +101,7 @@ class KernelIntegralField(Field):
             out = self._eval_axial(d, flat[:, -1])
         else:
             out = self._eval_flat(flat)
-        return out.reshape(pts.shape[:-1])
+        return self._shaped(out, pts.shape[:-1])
 
     def radial_values(self, r, t):
         if self._ax is None:
@@ -81,31 +110,52 @@ class KernelIntegralField(Field):
         t = np.asarray(t, dtype=float)
         R, T = np.broadcast_arrays(r, t)
         out = self._eval_axial(R.ravel(), T.ravel())
-        return out.reshape(R.shape)
+        return self._shaped(out, R.shape)
 
     def _eval_axial(self, d, t):
+        """(P, m) values at axis distances d and heights t.
+
+        Per point, the kernel table over all (u, v, s) nodes is filled one
+        block of rows at a time; its products with each payload are then
+        added up by one np.sum over the whole table, the summation the
+        unblocked table had, so the values do not depend on the block.
+        """
         nodes, wpay = self._ax
-        out = np.empty(d.size)
+        n_pay, n_uv, n_s = wpay.shape
+        rows = max(1, _BLOCK_VALUES // n_s)
+        prod = np.empty((n_uv, n_s))
+        kern = np.empty((n_uv, n_s)) if n_pay > 1 else None
+        out = np.empty((n_pay, d.size))
         for i in range(d.size):
             if t[i] <= 0:
                 raise ValueError("evaluation points must satisfy t > 0")
             D = nodes.dist_sq_to(d[i])[:, None]
             tau = t[i] + nodes.s[None, :]
-            out[i] = np.sum(kernels.bergman_from_sq(self.k, self.n, D, tau) * wpay)
+            for a in range(0, n_uv, rows):
+                blk = slice(a, a + rows)
+                K = kernels.bergman_from_sq(self.k, self.n, D[blk], tau)
+                if kern is not None:
+                    kern[blk] = K
+                np.multiply(K, wpay[0, blk], out=prod[blk])
+            out[0, i] = np.sum(prod)
+            for j in range(1, n_pay):
+                np.multiply(kern, wpay[j], out=prod)
+                out[j, i] = np.sum(prod)
         return out
 
     def _eval_flat(self, pts):
         nodes, wpay = self._flat
-        out = np.empty(pts.shape[0])
-        # about 1e6 kernel values (8 MB per temporary) per block; callers
-        # such as the cubes path of bergman_norm pass many points at once
-        chunk = max(1, int(1e6 // max(1, nodes.shape[0])))
+        out = np.empty((wpay.shape[0], pts.shape[0]))
+        # callers such as the cubes path of bergman_norm pass many points
+        chunk = max(1, _BLOCK_VALUES // max(1, nodes.shape[0]))
         for a in range(0, pts.shape[0], chunk):
             blk = pts[a : a + chunk]
             diff = blk[:, None, :-1] - nodes[None, :, :-1]
             D = np.sum(diff * diff, axis=2)
             tau = blk[:, None, -1] + nodes[None, :, -1]
-            out[a : a + chunk] = kernels.bergman_from_sq(self.k, self.n, D, tau) @ wpay
+            K = kernels.bergman_from_sq(self.k, self.n, D, tau)
+            for j, w in enumerate(wpay):
+                out[j, a : a + chunk] = K @ w
         return out
 
 
@@ -200,8 +250,8 @@ def v_set_member(f, eps: float, lam: float, points) -> np.ndarray:
     return pts[..., -1] ** lam * np.abs(f.values(pts)) >= eps
 
 
-def distance_split(f, eps: float, lam: float, m_order: int, region: Region,
-                   spec: QuadSpec, offsets=(0.0,)):
+def distance_split(f, eps, lam: float, m_order: int, region: Region,
+                   spec: QuadSpec, offsets=(0.0,), parts=(1, 2)):
     """Split f = f1 + f2 through the reproducing integral at order m_order.
 
     f1 integrates Q_m f s^m over the complement of V_{eps,lam} inside the
@@ -210,34 +260,56 @@ def distance_split(f, eps: float, lam: float, m_order: int, region: Region,
     theorem-level drivers additionally enforce m_order > alpha/p.
     `offsets` refines the spatial grid near the radii where the split
     fields will be evaluated.
+
+    Only the parts named in `parts` (1 for f1, 2 for f2) are built.  For
+    a number eps, returns one field per part, in order.  For a sequence
+    of eps, returns one stacked KernelIntegralField whose kernel values
+    are shared: its payload e * len(parts) + j is part parts[j] at eps[e].
     """
     if m_order <= lam - 1:
         raise ValueError("need m_order > lam - 1")
+    if not parts or not set(parts) <= {1, 2}:
+        raise ValueError("parts must be drawn from (1, 2)")
+    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     kind, nodes, gv = _integration_nodes(f, region, spec, offsets)
     if kind == "axisym":
-        mask = (
-            nodes.s[None, :] ** lam
-            * np.abs(f.radial_values(nodes.center_radius()[:, None], nodes.s[None, :]))
-            >= eps
+        s, weights = nodes.s[None, :], (nodes.w_uv[:, None], nodes.w_s)
+    else:
+        nodes, w = nodes
+        s, weights = nodes[:, -1], (w,)
+    level = np.abs(gv)
+    level *= s**lam
+    gv *= s**m_order  # gv is a fresh evaluation: reuse it for the payload f s^m
+    stack = np.empty((eps_arr.size * len(parts),) + gv.shape)
+    k = 0
+    for e in eps_arr:
+        inside = level >= e
+        for part in parts:
+            np.multiply(gv, inside if part == 2 else ~inside, out=stack[k])
+            k += 1
+    del level, gv
+    for w in weights:
+        stack *= w
+    if np.ndim(eps) == 0:
+        return tuple(
+            KernelIntegralField._weighted(
+                f.n, m_order, nodes, wpay, False, f"split{part}({f.label})"
+            )
+            for wpay, part in zip(stack, parts)
         )
-        pay = gv * nodes.s[None, :] ** m_order
-        f1 = KernelIntegralField.from_axisym(
-            f.n, m_order, nodes, pay * (~mask), f"split1({f.label})"
-        )
-        f2 = KernelIntegralField.from_axisym(
-            f.n, m_order, nodes, pay * mask, f"split2({f.label})"
-        )
-        return f1, f2
-    pts, w = nodes
-    mask = pts[:, -1] ** lam * np.abs(gv) >= eps
-    pay = gv * pts[:, -1] ** m_order
-    f1 = KernelIntegralField.from_flat(
-        f.n, m_order, pts, w, pay * (~mask), f"split1({f.label})"
+    return KernelIntegralField._weighted(
+        f.n, m_order, nodes, stack, True, f"split({f.label})"
     )
-    f2 = KernelIntegralField.from_flat(
-        f.n, m_order, pts, w, pay * mask, f"split2({f.label})"
-    )
-    return f1, f2
+
+
+def _field_grids(f, eps_values):
+    """(single, fields, eps grids) for one field or a sequence of fields."""
+    single = isinstance(f, Field)
+    fields = [f] if single else list(f)
+    grids = [eps_values] if single else list(eps_values)
+    if len(grids) != len(fields):
+        raise ValueError("need one eps grid per field")
+    return single, fields, [np.asarray(e, dtype=float).ravel() for e in grids]
 
 
 def divergence_proxy(
@@ -255,36 +327,51 @@ def divergence_proxy(
     t_max); superlevel sets sit at s bounded away from 0, so the band
     below t_min is a fixed convergent layer that would only blur the
     growth signal.
+
+    `f` may also be a sequence of fields with the same n and scale (which
+    fix every node and the kernel tensor), and `eps_values` then one eps
+    grid per field.  The fields share one kernel evaluation, and the
+    result is a list of (I table, growth table), one per field.
     """
-    eps_values = np.asarray(eps_values, dtype=float)
-    table = np.zeros((eps_values.size, len(scales)))
+    single, fields, grids = _field_grids(f, eps_values)
+    n, scale = fields[0].n, fields[0].scale
+    if any(g.n != n or g.scale != scale for g in fields):
+        raise ValueError("fields must share n and scale")
+    table = np.zeros((sum(e.size for e in grids), len(scales)))
     for si, R in enumerate(scales):
         reg = Region(region.x_max * R, region.t_min, region.t_max * R)
-        nodes = AxisymmetricNodes(reg, f.n, spec)
+        nodes = AxisymmetricNodes(reg, n, spec)
         svals = nodes.s
-        fv = np.abs(f.radial_values(nodes.center_radius()[:, None], svals[None, :]))
-        masks = (svals[None, :] ** lam * fv)[None, :, :] >= eps_values[:, None, None]
+        masks = np.concatenate([
+            (svals[None, :] ** lam * np.abs(g.radial_values(
+                nodes.center_radius()[:, None], svals[None, :])))[None]
+            >= e[:, None, None]
+            for g, e in zip(fields, grids)
+        ])
         wgt = nodes.w_uv[:, None] * nodes.w_s[None, :] * svals[None, :] ** (m_order - lam)
+        # inner integrals of all eps at once: masked weights times |Q|
+        A = (masks * wgt).reshape(masks.shape[0], -1)
         # outer grid: radial x layered t over the same region
         t, wt = quad.t_quadrature(reg, spec)
-        r, wr = quad.radial_quadrature(f.scale, reg.x_max, spec)
-        surf = quad.sphere_area(f.n) * r ** (f.n - 1)
-        inner = np.zeros((eps_values.size, r.size, t.size))
+        r, wr = quad.radial_quadrature(scale, reg.x_max, spec)
+        surf = quad.sphere_area(n) * r ** (n - 1)
+        tau = t[None, None, :] + svals[None, :, None]
+        n_s = svals.size
+        rows = max(1, _BLOCK_VALUES // (n_s * t.size))
+        inner = np.zeros((A.shape[0], r.size, t.size))
         for i, ri in enumerate(r):
             D = nodes.dist_sq_to(ri)[:, None, None]
-            tau = t[None, None, :] + svals[None, :, None]
-            kern = np.abs(kernels.bergman_from_sq(m_order, f.n, D, tau)) * wgt[:, :, None]
-            for ei in range(eps_values.size):
-                inner[ei, i, :] = np.sum(kern * masks[ei][:, :, None], axis=(0, 1))
-        for ei in range(eps_values.size):
-            outer = (wr * surf) @ (inner[ei] ** p) @ (wt * t**alpha)
-            table[ei, si] = outer
-    growth = np.full((eps_values.size, len(scales) - 1), np.nan)
-    for ei in range(eps_values.size):
-        for si in range(len(scales) - 1):
-            a, b = table[ei, si], table[ei, si + 1]
-            growth[ei, si] = np.inf if a == 0 and b > 0 else (1.0 if a == 0 else b / a)
-    return table, growth
+            for a in range(0, D.shape[0], rows):
+                kern = np.abs(kernels.bergman_from_sq(m_order, n, D[a : a + rows], tau))
+                inner[:, i, :] += A[:, a * n_s : (a + rows) * n_s] @ kern.reshape(-1, t.size)
+        table[:, si] = ((wr * surf) @ inner**p) @ (wt * t**alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = table[:, 1:] / table[:, :-1]
+    growth[table[:, :-1] == 0] = 1.0
+    growth[(table[:, :-1] == 0) & (table[:, 1:] > 0)] = np.inf
+    bounds = np.cumsum([e.size for e in grids])[:-1]
+    out = list(zip(np.split(table, bounds), np.split(growth, bounds)))
+    return out[0] if single else out
 
 
 def d2_estimate(
@@ -296,20 +383,25 @@ def d2_estimate(
 
     lam is pinned to (alpha + n + 1)/p.  An eps is classified divergent
     when the last region-doubling growth factor is >= threshold.
-    Returns (d2, per-eps classification, I table, growth table).
+    Returns (d2, per-eps classification, I table, growth table).  Like
+    divergence_proxy, takes a sequence of fields with one eps grid each,
+    sharing the kernel evaluation, and then returns a list of results.
     """
-    lam = (alpha + f.n + 1) / p
+    single, fields, grids = _field_grids(f, eps_values)
+    lam = (alpha + fields[0].n + 1) / p
     if m_order <= max(lam - 1, alpha / p):
         raise ValueError("need m_order > max(lam - 1, alpha/p)")
-    eps_values = np.sort(np.asarray(eps_values, dtype=float))
-    table, growth = divergence_proxy(
-        f, eps_values, lam, p, alpha, m_order, region, spec, scales=scales
+    grids = [np.sort(e) for e in grids]
+    parts = divergence_proxy(
+        fields, grids, lam, p, alpha, m_order, region, spec, scales=scales
     )
-    divergent = growth[:, -1] >= threshold
-    finite = np.nonzero(~divergent)[0]
-    if finite.size == 0:
-        return float("inf"), divergent, table, growth
-    return float(eps_values[finite[0]]), divergent, table, growth
+    out = []
+    for e, (table, growth) in zip(grids, parts):
+        divergent = growth[:, -1] >= threshold
+        finite = np.nonzero(~divergent)[0]
+        d2 = float(e[finite[0]]) if finite.size else float("inf")
+        out.append((d2, divergent, table, growth))
+    return out[0] if single else out
 
 
 def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
@@ -337,7 +429,7 @@ def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
         out = kern[0] @ base
         return np.asarray(z_slots[0])[:, 1] ** a_vec[0] * out
     if m == 2:
-        out = np.einsum("iw,jw,w->ij", kern[0], kern[1], base)
+        out = (kern[0] * base) @ kern[1].T
         t1 = np.asarray(z_slots[0])[:, 1] ** a_vec[0]
         t2 = np.asarray(z_slots[1])[:, 1] ** a_vec[1]
         return t1[:, None] * out * t2[None, :]

@@ -139,7 +139,3 @@ def _csv_cell(v):
     if isinstance(v, (np.integer,)):
         return int(v)
     return v
-
-
-def as_float_list(arr) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]

@@ -143,13 +143,15 @@ def experiment_ids():
     return list(EXPERIMENTS)
 
 
-def _coerce(default, value):
+def _coerce(key, default, value):
     if isinstance(default, bool):
         return bool(value)
     if isinstance(default, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(default, float):
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {key!r} must be finite, got {value}")
     return value
 
 
@@ -164,7 +166,7 @@ def run_experiment(exp_id, budget="standard", seed=0, overrides=None):
     for key, val in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for {exp_id}")
-        params[key] = _coerce(params[key], val)
+        params[key] = _coerce(key, params[key], val)
     rng = np.random.default_rng([seed, zlib.crc32(exp_id.encode())])
     checks, consts, arts = exp.fn(BUDGETS[budget], rng, params)
     verdict = "pass" if all(c["ok"] for c in checks) else "fail"
@@ -249,12 +251,14 @@ def _source_nodes(n, region, spec):
 
 
 def _sup_on_grid(fld, lam, region, grid):
-    """Weighted sup of a radial field on a log-height lattice."""
+    """Weighted sup of a radial field on a log-height lattice; an array
+    of sups, one per payload, for a stacked KernelIntegralField."""
     t = np.exp(np.linspace(math.log(region.t_min * 1.01),
                            math.log(region.t_max * 0.99), grid))
     r = np.linspace(0.0, region.x_max * 0.98, grid)
     vals = np.abs(fld.radial_values(r[:, None], t[None, :])) * t[None, :] ** lam
-    return float(vals.max())
+    sup = vals.max(axis=(-2, -1))
+    return sup if sup.ndim else float(sup)
 
 
 # ================================================================ geometry
@@ -1146,27 +1150,32 @@ def _exp_thm7(b, rng, p):
     fsup = _sup_on_grid(f, lam, sup_region, 48)
     consts["field_sup"] = fsup
 
+    # f1 and f2 as one stacked field: both parts share each kernel table
     recon_offsets = (0.0, 1.0, 2.0, 3.0)
-    f1, f2 = op.distance_split(f, 0.2 * fsup, lam, mo, split_region,
-                               split_spec, recon_offsets)
+    pair = op.distance_split(f, [0.2 * fsup], lam, mo, split_region,
+                             split_spec, recon_offsets)
     dirs = rng.normal(size=(8, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(0.0, 3.0, 8)
     ts = np.exp(rng.uniform(math.log(0.5), math.log(4.0), 8))
     pts = np.column_stack([dirs * radii[:, None], ts])
-    recon = np.abs((f1.values(pts) + f2.values(pts)) / f.values(pts) - 1.0)
+    v1, v2 = pair.values(pts)
+    del pair
+    recon = np.abs((v1 + v2) / f.values(pts) - 1.0)
     checks.append(_below("split-reconstruction", float(recon.max()), 1e-3))
     consts["reconstruction_err"] = float(recon.max())
 
     small_spec = QuadSpec(order=5, t_order=4, min_panel=0.25)
     sup_offsets = (0.0, 2.0, 4.0, 8.0)
+    fracs = (0.05, 0.1, 0.2, 0.4, 0.8)
+    eps_panel = [frac * fsup for frac in fracs]
+    panel = op.distance_split(f, eps_panel, lam, mo, sup_region, small_spec,
+                              sup_offsets, parts=(1,))
+    sups = _sup_on_grid(panel, lam, sup_region, b.grid)
+    del panel
     ratios = []
     rows = []
-    for frac in (0.05, 0.1, 0.2, 0.4, 0.8):
-        eps = frac * fsup
-        g1, _ = op.distance_split(f, eps, lam, mo, sup_region, small_spec,
-                                  sup_offsets)
-        val = _sup_on_grid(g1, lam, sup_region, b.grid)
+    for frac, eps, val in zip(fracs, eps_panel, sups):
         ratios.append(val / eps)
         rows.append([frac, eps, val, val / eps])
     checks.append(_true("sup-over-eps-finite",
@@ -1176,10 +1185,13 @@ def _exp_thm7(b, rng, p):
     arts["eps_panel"] = {"header": ["frac", "eps", "offset_sup", "ratio"],
                          "rows": rows}
 
+    # the refined split sets this experiment's peak memory, so the stacked
+    # fields above are gone by now and only part 1 is built
     eps_mid = 0.2 * fsup
-    g1r, _ = op.distance_split(f, eps_mid, lam, mo, sup_region,
-                               small_spec.refined(2), sup_offsets)
+    (g1r,) = op.distance_split(f, eps_mid, lam, mo, sup_region,
+                               small_spec.refined(2), sup_offsets, parts=(1,))
     v_ref = _sup_on_grid(g1r, lam, sup_region, b.grid)
+    del g1r
     checks.append(_close("sup-bound-stability", v_ref / (ratios[2] * eps_mid),
                          1.0, 0.05))
 
@@ -1188,9 +1200,13 @@ def _exp_thm7(b, rng, p):
     base = Region(8.0, 2.0 ** -4, 8.0)
     spec7 = QuadSpec(order=max(5, b.order - 2), t_order=b.t_order)
     eps_grid = 0.999 * 2.0 ** np.arange(-2.0, 2.1)
+    eps_grid_f = np.array([0.1, 0.2, 0.4, 0.8]) * fsup
     pw = PowerField(n, lam)
-    d2p, div_p, table_p, growth_p = op.d2_estimate(
-        pw, eps_grid, pe, alpha, mo, base, spec7, scales=b.scales)
+    # both fields share the nodes, kernel order and radial grid, so one
+    # kernel evaluation serves the two estimates
+    (d2p, div_p, _, growth_p), (d2f, div_f, _, growth_f) = op.d2_estimate(
+        [pw, f], [eps_grid, eps_grid_f], pe, alpha, mo, base, spec7,
+        scales=b.scales)
     checks.append(_close("power-grid-distance", d2p, float(eps_grid[3]), 0.0))
     checks.append(_true("power-divergent-below-one",
                         bool(np.all(div_p[eps_grid < 1.0]))))
@@ -1199,9 +1215,6 @@ def _exp_thm7(b, rng, p):
         "rows": [[float(e), bool(d), float(growth_p[i, -1])]
                  for i, (e, d) in enumerate(zip(eps_grid, div_p))]}
 
-    eps_grid_f = np.array([0.1, 0.2, 0.4, 0.8]) * fsup
-    d2f, div_f, _, growth_f = op.d2_estimate(
-        f, eps_grid_f, pe, alpha, mo, base, spec7, scales=b.scales)
     checks.append(_true("member-never-divergent", not bool(np.any(div_f))))
     checks.append(_close("member-grid-distance", d2f, float(eps_grid_f.min()), 0.0))
     arts["member_divergence"] = {

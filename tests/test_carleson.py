@@ -15,6 +15,12 @@ def test_atom_validation():
         ca.AtomicMeasure([[0.0]], [0.0], [1.0])
     with pytest.raises(ValueError):
         ca.AtomicMeasure([[0.0]], [1.0], [-1.0])
+    # NaN passes a "< 0" test, so non-finite values need their own check
+    for x, t, w in (([[np.nan]], [1.0], [1.0]), ([[0.0]], [np.inf], [1.0]),
+                    ([[0.0]], [np.nan], [1.0]), ([[0.0]], [1.0], [np.nan]),
+                    ([[0.0]], [1.0], [np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            ca.AtomicMeasure(x, t, w)
 
 
 def test_mass_in_box_boundary_inclusive():

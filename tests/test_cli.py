@@ -182,3 +182,31 @@ def test_verify_output_bytes_deterministic(tmp_path, capsys):
         return summary, csvs
 
     assert run_into("a") == run_into("b")
+
+
+def test_degenerate_t_range_on_cubes_path_exits_two(tmp_path, capsys):
+    base = ["norm", "--space", "bergman", "--field", "test-fn:1", "--n", "2",
+            "--p", "2", "--alpha", "0.5", "--x-max", "1"]
+    for lo, hi in (("8", "1"), ("2", "2")):
+        assert run(tmp_path, *base, "--t-min", lo, "--t-max", hi) == 2, (lo, hi)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "degenerate" in err
+    assert not (tmp_path / "norm-summary.json").exists()
+
+
+def test_non_finite_inputs_exit_two(tmp_path, capsys):
+    atoms = [{"x": [0.0], "t": 1.0, "w": 1.0}, {"x": [0.5], "t": 0.5, "w": 2.0}]
+    for key, bad in (("w", float("nan")), ("t", float("inf")), ("x", [float("nan")])):
+        broken = [dict(atoms[0]), atoms[1]]
+        broken[0][key] = bad
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps({"atoms": broken}))  # NaN/Infinity tokens
+        assert run(tmp_path, "carleson", "--measure", str(path),
+                   "--condition", "single", "--x-max", "1") == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+    for value in ("nan", "inf", "-inf"):
+        assert run(tmp_path, "verify", "lemma4", "--budget", "smoke",
+                   "--gamma", value) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err

@@ -1,13 +1,17 @@
 """Extension, trace, split, and slot operators: oracles and guards."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from harmspace import operators as op
 from harmspace import fields as fl
+from harmspace import kernels
+from harmspace import operators as op
+from harmspace import quadrature as quad
 from harmspace.geometry import Region
-from harmspace.quadrature import QuadSpec
+from harmspace.quadrature import AxisymmetricNodes, QuadSpec
 
 
 def _testfield(l, n, height=1.0):
@@ -188,3 +192,177 @@ def test_trace_product_norm_guards():
 
     with pytest.raises(TypeError):
         op.trace_product_norm_p(Wrong(), 1.0, (0.5,), region, spec)
+
+
+# ------------------------------------------- blocked and shared kernel loops
+
+
+def _per_point_axial(fld, d, t):
+    """Unblocked reference: one whole kernel table per point and payload."""
+    nodes, wpay = fld._ax
+    out = np.empty((wpay.shape[0], d.size))
+    for j, w in enumerate(wpay):
+        for i in range(d.size):
+            D = nodes.dist_sq_to(d[i])[:, None]
+            tau = t[i] + nodes.s[None, :]
+            out[j, i] = np.sum(kernels.bergman_from_sq(fld.k, fld.n, D, tau) * w)
+    return out
+
+
+def _old_split_axisym(g, eps, lam, m, region, spec, offsets):
+    """f1 and f2 built the way distance_split built them one eps at a time."""
+    nodes = AxisymmetricNodes(region, g.n, spec, offsets)
+    s = nodes.s[None, :]
+    gv = g.radial_values(nodes.center_radius()[:, None], s)
+    mask = s ** lam * np.abs(g.radial_values(nodes.center_radius()[:, None], s)) >= eps
+    pay = gv * s ** m
+    return (op.KernelIntegralField.from_axisym(g.n, m, nodes, pay * (~mask)),
+            op.KernelIntegralField.from_axisym(g.n, m, nodes, pay * mask))
+
+
+def test_kernel_in_place_accumulation_matches_expression():
+    rng = np.random.default_rng(3)
+    D = rng.uniform(0.0, 50.0, (40, 1))
+    D[0] = 0.0
+    tau = rng.uniform(0.05, 20.0, (1, 30))
+    for l in range(4):
+        for n in (1, 2, 3):
+            terms = kernels.poisson_deriv_poly(l + 1, n)
+            scale = (-2.0) ** (l + 1) / math.factorial(l) * kernels.poisson_constant(n)
+            acc = 0.0
+            for a, b, c in terms:
+                acc = acc + c * tau**a * D**b
+            want = scale * acc * (D + tau * tau) ** (-(n + 1) / 2 - (l + 1))
+            assert np.array_equal(kernels.bergman_from_sq(l, n, D, tau), want)
+
+
+def test_blocked_eval_axial_matches_per_point_reference(monkeypatch):
+    g = _testfield(2, 3)
+    region = Region(4.0, 0.125, 4.0)
+    spec = QuadSpec(order=4, t_order=3)
+    fld = op.distance_split(g, [0.01, 0.1], 2.0, 3, region, spec)
+    nodes, wpay = fld._ax
+    assert wpay.shape[0] == 4
+    d = np.array([0.0, 0.7, 2.5])
+    t = np.array([0.3, 1.0, 2.2])
+    want = _per_point_axial(fld, d, t)
+    assert np.array_equal(fld._eval_axial(d, t), want)
+    # one row per block, then blocks of 66 rows with a partial last block
+    for block in (1, 1000):
+        monkeypatch.setattr(op, "_BLOCK_VALUES", block)
+        assert np.array_equal(fld._eval_axial(d, t), want)
+    single = op.KernelIntegralField.from_axisym(3, 3, nodes, g.radial_values(
+        nodes.center_radius()[:, None], nodes.s[None, :]))
+    assert np.array_equal(single._eval_axial(d, t), _per_point_axial(single, d, t))
+
+
+def test_stacked_split_matches_separately_built_fields():
+    g = _testfield(2, 3)
+    region = Region(4.0, 0.125, 4.0)
+    spec = QuadSpec(order=4, t_order=3)
+    lam, m, offsets = 2.0, 3, (0.0, 1.0)
+    eps = [0.01, 0.05, 0.2]
+    stack = op.distance_split(g, eps, lam, m, region, spec, offsets)
+    ones = op.distance_split(g, eps, lam, m, region, spec, offsets, parts=(1,))
+    pts = np.array([[0.0, 0.0, 0.0, 1.0], [0.5, -0.3, 0.2, 0.4],
+                    [1.0, 1.0, 0.0, 2.0]])
+    r, t = np.array([0.0, 1.5])[:, None], np.array([0.5, 2.0])[None, :]
+    vals, rad = stack.values(pts), stack.radial_values(r, t)
+    assert vals.shape == (6, 3) and rad.shape == (6, 2, 2)
+    for e_i, e in enumerate(eps):
+        f1, f2 = _old_split_axisym(g, e, lam, m, region, spec, offsets)
+        new1, new2 = op.distance_split(g, e, lam, m, region, spec, offsets)
+        for j, fld in enumerate((f1, f2)):
+            assert np.array_equal(vals[2 * e_i + j], fld.values(pts))
+            assert np.array_equal(rad[2 * e_i + j], fld.radial_values(r, t))
+        assert np.array_equal(new1.values(pts), f1.values(pts))
+        assert np.array_equal(new2.values(pts), f2.values(pts))
+        assert np.array_equal(ones.values(pts)[e_i], f1.values(pts))
+    with pytest.raises(ValueError):
+        op.distance_split(g, eps, lam, m, region, spec, parts=(3,))
+
+
+def test_stacked_split_flat_layout():
+    g = fl.PoissonField(1, np.array([0.0, 1.0]))
+    region = Region(4.0, 0.125, 4.0)
+    spec = QuadSpec(order=5, t_order=4)
+    stack = op.distance_split(g, [0.02, 0.1], 1.0, 2, region, spec)
+    pts = np.array([[0.0, 1.0], [0.5, 0.3], [-1.0, 2.0]])
+    vals = stack.values(pts)
+    for e_i, e in enumerate((0.02, 0.1)):
+        f1, f2 = op.distance_split(g, e, 1.0, 2, region, spec)
+        assert np.array_equal(vals[2 * e_i], f1.values(pts))
+        assert np.array_equal(vals[2 * e_i + 1], f2.values(pts))
+    assert np.allclose(vals[0] + vals[1], vals[2] + vals[3], rtol=1e-13)
+
+
+def _old_divergence_proxy(f, eps_values, lam, p, alpha, m_order, region, spec, scales):
+    """The per-eps masked-reduction loop that divergence_proxy replaced."""
+    eps_values = np.asarray(eps_values, dtype=float)
+    table = np.zeros((eps_values.size, len(scales)))
+    for si, R in enumerate(scales):
+        reg = Region(region.x_max * R, region.t_min, region.t_max * R)
+        nodes = AxisymmetricNodes(reg, f.n, spec)
+        svals = nodes.s
+        fv = np.abs(f.radial_values(nodes.center_radius()[:, None], svals[None, :]))
+        masks = (svals[None, :] ** lam * fv)[None, :, :] >= eps_values[:, None, None]
+        wgt = nodes.w_uv[:, None] * nodes.w_s[None, :] * svals[None, :] ** (m_order - lam)
+        t, wt = quad.t_quadrature(reg, spec)
+        r, wr = quad.radial_quadrature(f.scale, reg.x_max, spec)
+        surf = quad.sphere_area(f.n) * r ** (f.n - 1)
+        inner = np.zeros((eps_values.size, r.size, t.size))
+        for i, ri in enumerate(r):
+            D = nodes.dist_sq_to(ri)[:, None, None]
+            tau = t[None, None, :] + svals[None, :, None]
+            kern = np.abs(kernels.bergman_from_sq(m_order, f.n, D, tau)) * wgt[:, :, None]
+            for ei in range(eps_values.size):
+                inner[ei, i, :] = np.sum(kern * masks[ei][:, :, None], axis=(0, 1))
+        for ei in range(eps_values.size):
+            table[ei, si] = (wr * surf) @ (inner[ei] ** p) @ (wt * t**alpha)
+    return table
+
+
+def test_divergence_proxy_matches_masked_loop():
+    n, pe, alpha, mo = 3, 1.0, -0.5, 4
+    lam = (alpha + n + 1) / pe
+    f = _testfield(4, n)
+    pw = fl.PowerField(n, lam)
+    region, spec, scales = Region(4.0, 0.125, 4.0), QuadSpec(order=4, t_order=3), (1.0, 2.0)
+    eps_f, eps_p = [0.05, 0.2, 1e9], [0.5, 0.999, 2.0]
+    table, growth = op.divergence_proxy(f, eps_f, lam, pe, alpha, mo, region, spec, scales)
+    want = _old_divergence_proxy(f, eps_f, lam, pe, alpha, mo, region, spec, scales)
+    assert np.allclose(table, want, rtol=1e-13, atol=0.0)
+    assert list(growth[2]) == [1.0]  # empty superlevel set: 0 -> 0
+    assert np.allclose(growth[:2, 0], want[:2, 1] / want[:2, 0], rtol=1e-13, atol=0.0)
+    # two fields with one kernel evaluation: the same tables
+    (tf, _), (tp, _) = op.divergence_proxy(
+        [f, pw], [eps_f, eps_p], lam, pe, alpha, mo, region, spec, scales)
+    assert np.allclose(tf, want, rtol=1e-13, atol=0.0)
+    want_p = _old_divergence_proxy(pw, eps_p, lam, pe, alpha, mo, region, spec, scales)
+    assert np.allclose(tp, want_p, rtol=1e-13, atol=0.0)
+    both = op.d2_estimate([pw, f], [eps_p, eps_f], pe, alpha, mo, region, spec,
+                          scales=scales)
+    assert [b[0] for b in both] == [
+        op.d2_estimate(pw, eps_p, pe, alpha, mo, region, spec, scales=scales)[0],
+        op.d2_estimate(f, eps_f, pe, alpha, mo, region, spec, scales=scales)[0]]
+    with pytest.raises(ValueError):
+        op.divergence_proxy([f, fl.PowerField(2, lam)], [eps_f, eps_p], lam, pe,
+                            alpha, mo, region, spec, scales)
+
+
+def test_sab_apply_two_slots_matches_einsum():
+    f = fl.BergmanField(3, 1, np.array([0.0, 1.0]))
+    region = Region(4.0, 0.125, 4.0)
+    spec = QuadSpec(order=5, t_order=4)
+    z1 = np.array([[0.0, 1.0], [0.5, 0.3], [2.0, 3.0]])
+    z2 = np.array([[-1.0, 0.5], [0.2, 2.0]])
+    a_vec, b_vec = [0.5, 0.0], [3.0, 4.0]
+    got = op.sab_apply(f, a_vec, b_vec, [z1, z2], region, spec)
+    pts, w = quad.flat_box_nodes(region, 1, spec)
+    base = w * f.values(pts) * pts[:, -1] ** (-2 + sum(b_vec))
+    kern = [((z[:, None, 0] - pts[None, :, 0]) ** 2
+             + (z[:, None, 1] + pts[None, :, 1]) ** 2) ** (-(a + b) / 2)
+            for z, a, b in zip((z1, z2), a_vec, b_vec)]
+    want = (z1[:, 1:] ** a_vec[0]) * np.einsum("iw,jw,w->ij", *kern, base) \
+        * (z2[:, 1] ** a_vec[1])[None, :]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)

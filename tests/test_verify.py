@@ -36,6 +36,9 @@ def test_run_experiment_rejects_unknowns():
         vf.run_experiment("whitney", budget="huge")
     with pytest.raises(ValueError):
         vf.run_experiment("whitney", budget="smoke", overrides={"bogus": 1})
+    for bad in ("nan", float("inf"), "-inf"):
+        with pytest.raises(ValueError, match="finite"):
+            vf.run_experiment("lemma4", budget="smoke", overrides={"gamma": bad})
 
 
 def test_override_coercion_echoed_in_params():
