@@ -34,6 +34,19 @@ class UsageError(Exception):
     """Bad invocation: maps to exit code 2."""
 
 
+# Largest array, in bytes, that a command may build from sizes given on
+# its command line.  A request is checked against it before anything is
+# allocated and, if over, rejected as a usage error.
+MAX_ARRAY_BYTES = 1 << 28
+
+
+def _check_array_bytes(what, nbytes):
+    if nbytes > MAX_ARRAY_BYTES:
+        raise UsageError(
+            f"{what} would take {nbytes / 2**20:.4g} MiB, over the"
+            f" {MAX_ARRAY_BYTES / 2**20:g} MiB budget for one array")
+
+
 def _floats_csv(text):
     try:
         return tuple(float(v) for v in str(text).split(","))
@@ -355,14 +368,22 @@ def _cmd_ball(args, extras):
         raise UsageError(f"unrecognized arguments: {extras}")
     if args.dry_run:
         return _dry_run(args)
+    if args.resolution < 0:
+        raise UsageError("--resolution must be >= 0 (0 picks the default)")
     summary = _resolved_config(args)
     traces = []
 
     if args.operation == "multiplier-check":
+        if args.cap < 0:
+            raise UsageError("--cap must be >= 0")
+        res = args.resolution or 4 * args.cap + 8
+        # complex128: the symbol's 2 cap + 1 coefficients on the circle and
+        # the (res, res) Poisson-slice matrix
+        _check_array_bytes(f"a degree-{args.cap} symbol", 16 * (2 * args.cap + 1))
+        _check_array_bytes(f"the {res} x {res} slice matrix", 16 * res * res)
         c = _parse_symbol(args.symbol, args.cap)
         if args.s <= 1.0:
             raise UsageError("need s > 1 for the dual exponent")
-        res = args.resolution or 4 * args.cap + 8
         pts, w = bl.sphere_grid(2, res)
         sup, slope, rows = verify.slice_functional(
             c, args.s / (args.s - 1.0), args.beta, args.lam_order,
@@ -428,6 +449,8 @@ def _cmd_whitney(args, extras):
         raise UsageError(f"unrecognized arguments: {extras}")
     if args.dry_run:
         return _dry_run(args)
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
     region = _region_from(args)
     cubes = whitney_cubes(region, args.n)
     levels = {}

@@ -73,16 +73,30 @@ def _add(d, key, val):
 
 
 def _eval_poly(terms, tau, D):
-    # accumulates in place: the same operations, in the same order, as
-    # acc = acc + c * tau**a * D**b starting from acc = 0.0
+    # the same operations, in the same order, as acc = acc + c * tau**a * D**b
+    # starting from acc = 0.0.  A missing variable's power is 1.0 and a
+    # product with 1.0 is exact, so such a term is built in the shape of
+    # the variable it has; acc grows to the full shape when a term needs it
     acc = 0.0
-    for i, (a, b, c) in enumerate(terms):
-        term = c * tau**a * D**b
-        if i == 0:
-            acc = acc + term
+    for a, b, c in terms:
+        if b == 0:
+            term = c * tau**a
+        elif a == 0:
+            term = c * D**b
         else:
+            term = c * tau**a * D**b
+        if np.shape(acc) == np.broadcast_shapes(np.shape(acc), np.shape(term)):
             acc += term
+        else:
+            acc = acc + term
     return acc
+
+
+def _bergman_factors(l: int, n: int):
+    """(terms of R_{l+1}, scale, exponent) of
+    Q_l = scale R_{l+1}(tau, D) (D + tau^2)^exponent."""
+    scale = (-2.0) ** (l + 1) / math.factorial(l) * poisson_constant(n)
+    return poisson_deriv_poly(l + 1, n), scale, -(n + 1) / 2 - (l + 1)
 
 
 def bergman_from_sq(l: int, n: int, sq, tau):
@@ -92,12 +106,68 @@ def bergman_from_sq(l: int, n: int, sq, tau):
     """
     sq = np.asarray(sq, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    terms = poisson_deriv_poly(l + 1, n)
-    scale = (-2.0) ** (l + 1) / math.factorial(l) * poisson_constant(n)
+    terms, scale, expo = _bergman_factors(l, n)
     out = _eval_poly(terms, tau, sq)
     out *= scale
-    out *= (sq + tau * tau) ** (-(n + 1) / 2 - (l + 1))
+    out *= (sq + tau * tau) ** expo
     return out
+
+
+class BergmanRows:
+    """Q_l against one fixed tau, for one block of D rows at a time.
+
+    block(D) equals bergman_from_sq(l, n, D[:, None], tau.ravel()[None, :])
+    bit for bit: the same operations on the same operands, in the same
+    order.  The D-free factors c tau^a and tau^2 are laid out once, as
+    contiguous (rows, n_tau) tiles, so a block costs contiguous passes,
+    passes that broadcast a column of D along the rows, and one np.power,
+    all in two buffers that every block reuses.
+    """
+
+    def __init__(self, l: int, n: int, tau, rows: int):
+        tau = np.asarray(tau, dtype=float).reshape(1, -1)
+        tile = (rows, tau.shape[1])
+
+        def laid_out(row):
+            return np.ascontiguousarray(np.broadcast_to(row, tile))
+
+        terms, self._scale, self._expo = _bergman_factors(l, n)
+        # (b, c, tile of c tau^a, or None for a = 0: a term c D^b)
+        self._terms = [(b, c, None if a == 0 else laid_out(c * tau**a))
+                       for a, b, c in terms]
+        self._tau2 = laid_out(tau * tau)
+        self._acc = np.empty(tile)
+        self._tmp = np.empty(tile)
+
+    def block(self, D):
+        """Q_l at r <= rows values of D against every tau: (r, n_tau).
+
+        The result lives in a buffer that the next call overwrites.
+        """
+        D = np.asarray(D, dtype=float).reshape(-1, 1)
+        r = D.shape[0]
+        buf, tmp = self._acc[:r], self._tmp[:r]
+        # acc starts as 0.0 and stays a column while only D-terms came;
+        # the tau^(l+2) term, which every R_{l+1} has, makes it full
+        acc = 0.0
+        for b, c, ct in self._terms:
+            if ct is None:
+                term = c * D**b
+            elif b == 0:
+                term = ct[:r]
+            else:
+                term = np.multiply(ct[:r], D**b, out=tmp)
+            if acc is buf:
+                acc += term
+            elif term.shape == buf.shape:
+                acc = np.add(acc, term, out=buf)
+            else:
+                acc = acc + term
+        acc *= self._scale
+        np.add(D, self._tau2[:r], out=tmp)
+        np.power(tmp, self._expo, out=tmp)
+        acc *= tmp
+        return acc
 
 
 def bergman_q(l: int, n: int, z, w):

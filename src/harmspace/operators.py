@@ -15,6 +15,8 @@ on the axis).  All operators take an explicit Region and QuadSpec.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -83,12 +85,6 @@ class KernelIntegralField(Field):
             f._flat = (nodes, wpay.reshape(-1, wpay.shape[-1]))
         return f
 
-    def node_count(self) -> int:
-        if self._flat is not None:
-            return self._flat[0].shape[0]
-        nodes, _ = self._ax
-        return nodes.size
-
     def _shaped(self, out, shape):
         """(P, m) results to (P, *shape), or to shape for a single payload."""
         return out.reshape(out.shape[:1] + shape) if self.stacked else out[0].reshape(shape)
@@ -129,11 +125,11 @@ class KernelIntegralField(Field):
         for i in range(d.size):
             if t[i] <= 0:
                 raise ValueError("evaluation points must satisfy t > 0")
-            D = nodes.dist_sq_to(d[i])[:, None]
-            tau = t[i] + nodes.s[None, :]
+            D = nodes.dist_sq_to(d[i])
+            q = kernels.BergmanRows(self.k, self.n, t[i] + nodes.s, rows)
             for a in range(0, n_uv, rows):
                 blk = slice(a, a + rows)
-                K = kernels.bergman_from_sq(self.k, self.n, D[blk], tau)
+                K = q.block(D[blk])
                 if kern is not None:
                     kern[blk] = K
                 np.multiply(K, wpay[0, blk], out=prod[blk])
@@ -159,33 +155,67 @@ class KernelIntegralField(Field):
         return out
 
 
-def _integration_nodes(g, region: Region, spec: QuadSpec, offsets=(0.0,)):
-    """(kind, ...) node bundle for integrating kernels against g.
+def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
+                   offsets=(0.0,), eps=None, lam: float = 0.0, parts=()):
+    """Nodes and weighted payloads for integrating kernels against g.
 
-    `offsets` lists axis positions where the spatial grid refines; keep
-    them near the radii at which the resulting field will be evaluated.
+    Without eps the stack holds the one payload g s^k.  With a sequence
+    eps it holds, for each eps in turn and each part in `parts`, g s^k on
+    the complement (part 1) or on the superlevel set (part 2) of
+    {s^lam |g| >= eps}.  Every payload is multiplied by the node weights.
+    The stack is filled one block of node rows at a time, so nothing else
+    is built at its size.
+
+    n >= 2 uses AxisymmetricNodes, one row per (u, v) node and one column
+    per s node, and needs g radial about the origin; `offsets` lists the
+    axis positions where the spatial grid refines, so keep them near the
+    radii at which the field will be evaluated.  n = 1 uses the flat
+    tensor nodes (points (N, 2)), one row per node.
     """
     if g.n >= 2:
         if not g.is_radial or np.any(np.asarray(g.radial_center) != 0):
             raise ValueError("n >= 2 integration needs g radial about the origin")
         nodes = AxisymmetricNodes(region, g.n, spec, offsets)
-        gv = g.radial_values(nodes.center_radius()[:, None], nodes.s[None, :])
-        return "axisym", nodes, gv
-    pts, w = quad.flat_box_nodes(region, 1, spec)
-    return "flat", (pts, w), g.values(pts)
+        radius, s_row = nodes.center_radius()[:, None], nodes.s[None, :]
+        shape = (radius.size, s_row.size)
+
+        def block(blk):
+            return g.radial_values(radius[blk], s_row), s_row, (nodes.w_uv[blk, None], nodes.w_s)
+    else:
+        nodes, w = quad.flat_box_nodes(region, 1, spec)
+        shape = w.shape
+
+        def block(blk):
+            return g.values(nodes[blk]), nodes[blk, -1], (w[blk],)
+    stack = np.empty((1 if eps is None else len(eps) * len(parts),) + shape)
+    rows = max(1, _BLOCK_VALUES // math.prod(shape[1:]))
+    for a in range(0, shape[0], rows):
+        blk = slice(a, a + rows)
+        gv, s, weights = block(blk)
+        out = stack[:, blk]
+        if eps is None:
+            np.multiply(gv, s**k_order, out=out[0])
+        else:
+            level = np.abs(gv)
+            level *= s**lam
+            gv *= s**k_order  # gv is a fresh evaluation: reuse it for g s^k
+            k = 0
+            for e in eps:
+                inside = level >= e
+                for part in parts:
+                    np.multiply(gv, inside if part == 2 else ~inside, out=out[k])
+                    k += 1
+        for wt in weights:
+            out *= wt
+    return nodes, stack
 
 
 def extension_field(g, k_order: int, region: Region, spec: QuadSpec,
                     offsets=(0.0,)) -> KernelIntegralField:
     """The mean-slot representative E(zeta) = int Q_k(zeta, w) g(w) s^k dw."""
-    kind, nodes, gv = _integration_nodes(g, region, spec, offsets)
-    label = f"extend{k_order}({g.label})"
-    if kind == "axisym":
-        payload = gv * nodes.s[None, :] ** k_order
-        return KernelIntegralField.from_axisym(g.n, k_order, nodes, payload, label)
-    pts, w = nodes
-    return KernelIntegralField.from_flat(
-        g.n, k_order, pts, w, gv * pts[:, -1] ** k_order, label
+    nodes, stack = _payload_stack(g, k_order, region, spec, offsets)
+    return KernelIntegralField._weighted(
+        g.n, k_order, nodes, stack[0], False, f"extend{k_order}({g.label})"
     )
 
 
@@ -244,12 +274,6 @@ class ProductMultiField:
         return out
 
 
-def v_set_member(f, eps: float, lam: float, points) -> np.ndarray:
-    """Membership in V_{eps,lam}(f) = { t^lam |f| >= eps }."""
-    pts = np.asarray(points, dtype=float)
-    return pts[..., -1] ** lam * np.abs(f.values(pts)) >= eps
-
-
 def distance_split(f, eps, lam: float, m_order: int, region: Region,
                    spec: QuadSpec, offsets=(0.0,), parts=(1, 2)):
     """Split f = f1 + f2 through the reproducing integral at order m_order.
@@ -271,25 +295,7 @@ def distance_split(f, eps, lam: float, m_order: int, region: Region,
     if not parts or not set(parts) <= {1, 2}:
         raise ValueError("parts must be drawn from (1, 2)")
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    kind, nodes, gv = _integration_nodes(f, region, spec, offsets)
-    if kind == "axisym":
-        s, weights = nodes.s[None, :], (nodes.w_uv[:, None], nodes.w_s)
-    else:
-        nodes, w = nodes
-        s, weights = nodes[:, -1], (w,)
-    level = np.abs(gv)
-    level *= s**lam
-    gv *= s**m_order  # gv is a fresh evaluation: reuse it for the payload f s^m
-    stack = np.empty((eps_arr.size * len(parts),) + gv.shape)
-    k = 0
-    for e in eps_arr:
-        inside = level >= e
-        for part in parts:
-            np.multiply(gv, inside if part == 2 else ~inside, out=stack[k])
-            k += 1
-    del level, gv
-    for w in weights:
-        stack *= w
+    nodes, stack = _payload_stack(f, m_order, region, spec, offsets, eps_arr, lam, parts)
     if np.ndim(eps) == 0:
         return tuple(
             KernelIntegralField._weighted(
@@ -355,14 +361,15 @@ def divergence_proxy(
         t, wt = quad.t_quadrature(reg, spec)
         r, wr = quad.radial_quadrature(scale, reg.x_max, spec)
         surf = quad.sphere_area(n) * r ** (n - 1)
-        tau = t[None, None, :] + svals[None, :, None]
         n_s = svals.size
         rows = max(1, _BLOCK_VALUES // (n_s * t.size))
+        # one kernel row per (u, v) node: all (s, t) pairs, s slowest
+        q = kernels.BergmanRows(m_order, n, t[None, :] + svals[:, None], rows)
         inner = np.zeros((A.shape[0], r.size, t.size))
         for i, ri in enumerate(r):
-            D = nodes.dist_sq_to(ri)[:, None, None]
-            for a in range(0, D.shape[0], rows):
-                kern = np.abs(kernels.bergman_from_sq(m_order, n, D[a : a + rows], tau))
+            D = nodes.dist_sq_to(ri)
+            for a in range(0, D.size, rows):
+                kern = np.abs(q.block(D[a : a + rows]))
                 inner[:, i, :] += A[:, a * n_s : (a + rows) * n_s] @ kern.reshape(-1, t.size)
         table[:, si] = ((wr * surf) @ inner**p) @ (wt * t**alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -495,10 +502,16 @@ def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
 
 
 def sup_product_ratio(multi: MeanExtension, s_vec, g_sup: float, pairs) -> float:
-    """sup over slot samples of |f(z_1..z_m)| prod t_j^(s_j) / ||g||_sup."""
+    """sup over slot samples of |f(z_1..z_m)| prod t_j^(s_j) / ||g||_sup.
+
+    pairs: the samples, each a list of m slot points; they are evaluated
+    together, one point per sample in each slot array.
+    """
+    pairs = [[np.asarray(z, dtype=float) for z in z_list] for z_list in pairs]
+    vals = multi.values_multi([np.stack(slot) for slot in zip(*pairs)])
     best = 0.0
-    for z_list in pairs:
-        v = abs(float(multi.values_multi([np.asarray(z) for z in z_list])))
+    for val, z_list in zip(vals, pairs):
+        v = abs(float(val))
         for z, s in zip(z_list, s_vec):
             v *= float(np.asarray(z)[-1]) ** s
         best = max(best, v)

@@ -1,6 +1,7 @@
 """In-process CLI runs: exit codes, artifacts, config precedence."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -210,3 +211,32 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys):
                    "--gamma", value) == 2, value
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
+
+
+def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the guard must reject the request before this")
+
+    # nothing may be built: the guard reads the sizes off the command line
+    monkeypatch.setattr(bl, "sphere_grid", unreachable)
+    monkeypatch.setattr(bl.Multiplier, "diagonal", unreachable)
+    cases = [
+        ["ball", "multiplier-check", "--cap", "100000"],  # 2.33 TiB matrix
+        ["ball", "multiplier-check", "--cap", "1", "--resolution", "5000"],
+        ["ball", "multiplier-check", "--cap", str(10**8), "--resolution", "8"],
+        ["ball", "multiplier-check", "--cap", "-1"],
+        ["ball", "multiplier-check", "--resolution", "-5"],
+        ["whitney", "--n", "0"],
+    ]
+    for argv in cases:
+        assert run(tmp_path, *argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    assert not list(tmp_path.iterdir())
+    # a matrix of exactly the budget passes the guard and reaches sphere_grid
+    side = math.isqrt(cli.MAX_ARRAY_BYTES // 16)
+    assert 16 * side * side == cli.MAX_ARRAY_BYTES
+    with pytest.raises(AssertionError, match="guard"):
+        run(tmp_path, "ball", "multiplier-check", "--cap", "1", "--resolution", str(side))
+    assert run(tmp_path, "ball", "multiplier-check", "--cap", "1",
+               "--resolution", str(side + 1)) == 2

@@ -135,3 +135,65 @@ def test_reflected_distance():
     w = np.array([0.5, 0.25])
     assert kr.reflected_distance_sq(z, w) == pytest.approx(
         0.25 + 2.25 ** 2, rel=1e-15)
+
+
+# ----------------------------------- shape-aware and per-row kernel evaluation
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, so even a zero must keep its sign."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _old_eval_poly(terms, tau, D):
+    """The full-shape loop that _eval_poly replaced."""
+    acc = 0.0
+    for i, (a, b, c) in enumerate(terms):
+        term = c * tau**a * D**b
+        if i == 0:
+            acc = acc + term
+        else:
+            acc += term
+    return acc
+
+
+def _kernel_operands():
+    rng = np.random.default_rng(5)
+    D = rng.uniform(0.0, 50.0, (37, 1))
+    D[0] = D[17] = 0.0
+    tau = rng.uniform(0.05, 20.0, (1, 23))
+    return D, tau
+
+
+def test_eval_poly_matches_full_shape_loop():
+    D, tau = _kernel_operands()
+    full = [np.broadcast_to(x, (37, 23)).copy() for x in (D, tau)]
+    for l in range(6):
+        for n in (1, 2, 3):
+            terms = kr.poisson_deriv_poly(l + 1, n)
+            for Dx, tx in ((D, tau), full, (D[5, 0], tau[0, 3])):
+                assert _same_bits(kr._eval_poly(terms, tx, Dx),
+                                  _old_eval_poly(terms, tx, Dx))
+    # a term in tau alone may come first: acc must still grow to full shape
+    terms = ((2, 0, -3), (0, 1, 1), (1, 1, 4))
+    assert _same_bits(kr._eval_poly(terms, tau, D), _old_eval_poly(terms, tau, D))
+
+
+def test_bergman_rows_match_bergman_from_sq():
+    D, tau = _kernel_operands()
+    for l in range(6):
+        for n in (1, 2, 3):
+            # one-row blocks, a partial last block (37 = 2 * 16 + 5), and
+            # one block larger than the rows it gets
+            for rows in (1, 16, 64):
+                q = kr.BergmanRows(l, n, tau, rows)
+                for a in range(0, D.shape[0], rows):
+                    blk = D[a : a + rows]
+                    assert _same_bits(q.block(blk[:, 0]),
+                                      kr.bergman_from_sq(l, n, blk, tau))
+    # a 2-D tau is one flattened row of the table
+    tau2 = tau.reshape(1, 23)[:, :20].reshape(4, 5)
+    q = kr.BergmanRows(4, 3, tau2, 8)
+    assert _same_bits(q.block(D[:8]),
+                      kr.bergman_from_sq(4, 3, D[:8, :, None], tau2[None]).reshape(8, 20))

@@ -70,14 +70,6 @@ def test_product_multi_trace():
         op.ProductMultiField([])
 
 
-def test_v_set_membership_power_field():
-    f = fl.PowerField(2, 1.5)
-    pts = np.array([[0.0, 0.0, 0.5], [1.0, -2.0, 4.0]])
-    # t^1.5 |f| = 1 everywhere: in V iff eps <= 1
-    assert op.v_set_member(f, 0.5, 1.5, pts).all()
-    assert not op.v_set_member(f, 1.5, 1.5, pts).any()
-
-
 def test_distance_split_partitions_the_integral():
     g = _testfield(0, 2)
     region = Region(8.0, 0.125, 8.0)
@@ -101,7 +93,6 @@ def test_distance_split_partitions_the_integral():
 def test_kernel_integral_field_guards():
     g = _testfield(0, 2)
     E = op.extension_field(g, 2, Region(4.0, 0.25, 4.0), QuadSpec(order=4, t_order=3))
-    assert E.node_count() > 0
     with pytest.raises(ValueError):
         E.values(np.array([[0.0, 0.0, -1.0]]))
     flat = op.KernelIntegralField.from_flat(
@@ -366,3 +357,121 @@ def test_sab_apply_two_slots_matches_einsum():
     want = (z1[:, 1:] ** a_vec[0]) * np.einsum("iw,jw,w->ij", *kern, base) \
         * (z2[:, 1] ** a_vec[1])[None, :]
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# -------------------------------------- streamed payloads and batched slots
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, so even a zero must keep its sign."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _payload(fld):
+    return (fld._ax if fld._ax is not None else fld._flat)[1]
+
+
+def _old_split_stack(f, eps, lam, m, region, spec, offsets, parts):
+    """The weighted payload stack as distance_split built it from full tables."""
+    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
+    if f.n >= 2:
+        nodes = AxisymmetricNodes(region, f.n, spec, offsets)
+        gv = f.radial_values(nodes.center_radius()[:, None], nodes.s[None, :])
+        s, weights = nodes.s[None, :], (nodes.w_uv[:, None], nodes.w_s)
+    else:
+        nodes, w = quad.flat_box_nodes(region, 1, spec)
+        gv = f.values(nodes)
+        s, weights = nodes[:, -1], (w,)
+    level = np.abs(gv)
+    level *= s**lam
+    gv *= s**m
+    stack = np.empty((eps_arr.size * len(parts),) + gv.shape)
+    k = 0
+    for e in eps_arr:
+        inside = level >= e
+        for part in parts:
+            np.multiply(gv, inside if part == 2 else ~inside, out=stack[k])
+            k += 1
+    for w in weights:
+        stack *= w
+    return stack
+
+
+def _old_extension(g, k, region, spec, offsets):
+    """extension_field as it was built from full tables."""
+    if g.n >= 2:
+        nodes = AxisymmetricNodes(region, g.n, spec, offsets)
+        gv = g.radial_values(nodes.center_radius()[:, None], nodes.s[None, :])
+        return op.KernelIntegralField.from_axisym(g.n, k, nodes, gv * nodes.s[None, :] ** k)
+    pts, w = quad.flat_box_nodes(region, 1, spec)
+    return op.KernelIntegralField.from_flat(g.n, k, pts, w, g.values(pts) * pts[:, -1] ** k)
+
+
+def test_streamed_split_matches_full_table_construction(monkeypatch):
+    cases = [
+        (_testfield(2, 3), Region(4.0, 0.125, 4.0), QuadSpec(order=4, t_order=3),
+         2.0, 3, (0.0, 1.0)),
+        (fl.PoissonField(1, np.array([0.0, 1.0])), Region(4.0, 0.125, 4.0),
+         QuadSpec(order=5, t_order=4), 1.0, 2, (0.0,)),
+    ]
+    for g, region, spec, lam, m, offsets in cases:
+        # the default block, then one node row per block
+        for block in (op._BLOCK_VALUES, 1):
+            monkeypatch.setattr(op, "_BLOCK_VALUES", block)
+            for eps in (0.05, [0.01, 0.05, 0.2]):
+                for parts in ((1,), (1, 2)):
+                    want = _old_split_stack(g, eps, lam, m, region, spec, offsets, parts)
+                    got = op.distance_split(g, eps, lam, m, region, spec, offsets, parts)
+                    if np.ndim(eps) == 0:
+                        got = np.stack([_payload(fld) for fld in got])
+                    else:
+                        got = _payload(got)
+                    assert _same_bits(got.reshape(want.shape), want), (block, eps, parts)
+            E = op.extension_field(g, m, region, spec, offsets)
+            want = _payload(_old_extension(g, m, region, spec, offsets))
+            assert _same_bits(_payload(E), want)
+
+
+def test_split_peak_memory_stays_near_the_payload():
+    import tracemalloc
+
+    g = _testfield(4, 3)
+    region, spec = Region(16.0, 2.0 ** -5, 16.0), QuadSpec(order=8, t_order=6)
+    offsets = (0.0, 2.0, 4.0, 8.0)
+    op.distance_split(g, 0.01, 2.5, 4, region, spec, offsets, parts=(1,))  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        (f1,) = op.distance_split(g, 0.01, 2.5, 4, region, spec, offsets, parts=(1,))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    payload = _payload(f1).nbytes
+    assert payload > 4e6  # far above the block temporaries
+    assert peak < 1.5 * payload
+
+
+def _old_sup_product_ratio(multi, s_vec, g_sup, pairs):
+    """The per-pair loop that sup_product_ratio replaced."""
+    best = 0.0
+    for z_list in pairs:
+        v = abs(float(multi.values_multi([np.asarray(z) for z in z_list])))
+        for z, s in zip(z_list, s_vec):
+            v *= float(np.asarray(z)[-1]) ** s
+        best = max(best, v)
+    return best / g_sup
+
+
+def test_batched_sup_product_ratio_matches_per_pair_loop():
+    g = _testfield(0, 2)
+    ext = op.MeanExtension(g, 2, 2, Region(8.0, 0.125, 8.0), QuadSpec(order=5, t_order=4))
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([rng.uniform(-2.0, 2.0, (8, 2)), rng.uniform(0.3, 3.0, 8)])
+    pairs = [(pts[i], pts[(i + 3) % 8]) for i in range(8)]
+    s_vec = (0.5, 0.25)
+    assert op.sup_product_ratio(ext, s_vec, 1.7, pairs) == \
+        _old_sup_product_ratio(ext, s_vec, 1.7, pairs)
+    for pair in pairs:
+        assert op.sup_product_ratio(ext, s_vec, 1.0, [pair]) == \
+            _old_sup_product_ratio(ext, s_vec, 1.0, [pair])
