@@ -23,8 +23,17 @@ import math
 import numpy as np
 from scipy.special import gammaln, lpmv, roots_jacobi
 
+from .norms import _check_finite
 from .quadrature import gauss_rule
 from .util import gamma_ratio
+
+
+def _check_positive(**params):
+    """Reject parameters, by name, that are not finite and positive."""
+    _check_finite(**params)
+    for name, v in params.items():
+        if v <= 0:
+            raise ValueError(f"{name} must be positive, got {v}")
 
 
 def dim_harmonics(n: int, k: int) -> int:
@@ -46,6 +55,8 @@ def sphere_grid(n: int, resolution: int):
     n = 2: uniform angles (trapezoid; exact through trig degree
     resolution-1).  n = 3: Gauss-Legendre in cos(theta) x uniform phi.
     """
+    if resolution < 1:
+        raise ValueError(f"sphere grid resolution must be >= 1, got {resolution}")
     if n == 2:
         ang = 2 * np.pi * np.arange(resolution) / resolution
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -186,12 +197,6 @@ class Expansion:
             out = out + r**k * np.tensordot(c, Y, axes=(0, 0))
         return out
 
-    def cap_extended(self, cap: int) -> "Expansion":
-        blocks = [c.copy() for c in self.coeffs]
-        for k in range(len(blocks), cap + 1):
-            blocks.append(np.zeros(dim_harmonics(self.n, k), dtype=complex))
-        return Expansion(self.n, blocks)
-
     def l2_moment(self, r: float) -> float:
         """sqrt(sum_k r^(2k) |b_k|^2): M_2(f, r) by Parseval."""
         return math.sqrt(
@@ -238,10 +243,6 @@ class Multiplier:
             n, [np.full(dim_harmonics(n, k), vals[k]) for k in range(cap + 1)]
         )
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(np.allclose(b, b[0]) for b in self.blocks)
-
     def diagonal_values(self) -> np.ndarray:
         return np.array([b[0] for b in self.blocks])
 
@@ -274,8 +275,7 @@ def convolve(f: Expansion, g: Expansion) -> Expansion:
 
 def fractional_derivative(t: float, f: Expansion) -> Expansion:
     """Lambda_t f: diagonal gamma-ratio multiplier of order t > 0."""
-    if t <= 0:
-        raise ValueError("order must be positive")
+    _check_positive(order=t)
     vals = np.array(
         [gamma_ratio(k + f.n / 2, t) / math.gamma(t) for k in range(f.cap + 1)]
     )
@@ -283,6 +283,7 @@ def fractional_derivative(t: float, f: Expansion) -> Expansion:
 
 
 def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
+    _check_positive(order=t)
     vals = [gamma_ratio(k + n / 2, t) / math.gamma(t) for k in range(cap + 1)]
     return Multiplier.diagonal(n, cap, vals)
 
@@ -320,27 +321,53 @@ def radial_jacobi_quadrature(a_exp: float, n: int, count: int):
     return r, w * scale * r ** (n - 1)
 
 
-def volume_norm(
-    f: Expansion, p: float, alpha: float, resolution: int = 24, radial: int = 40
-) -> float:
-    """||f||^p = int_B |f|^p (1-|x|^2)^alpha dx -> ^(1/p), normalized sigma.
+def _abs_values(f: Expansion, r, points) -> np.ndarray:
+    return np.abs(f.values(r, points))
+
+
+def _volume_integral(f, values, p, alpha, resolution, radial) -> float:
+    """(int_B values(f, r, x')^p (1-|x|^2)^alpha dx)^(1/p), normalized sigma.
 
     Volume element r^(n-1) dr dsigma(x'); the (1-r)^alpha endpoint factor
     is handled by Gauss-Jacobi so alpha in (-1, 0) costs nothing.
     """
-    if p <= 0:
-        raise ValueError("exponent must be positive")
+    _check_positive(p=p)
+    _check_finite(alpha=alpha)
     if alpha <= -1:
         raise ValueError("weight must have alpha > -1")
     pts, w = sphere_grid(f.n, resolution)
     r, wr = radial_jacobi_quadrature(alpha, f.n, radial)
-    vals = np.abs(f.values(r[:, None], pts[None, :, :]))
+    vals = values(f, r[:, None], pts[None, :, :])
     smooth = (1.0 + r) ** alpha  # (1-r^2)^a = (1-r)^a (1+r)^a
     return float((wr * smooth) @ (vals**p @ w)) ** (1.0 / p)
 
 
+def _mixed_integral(f, values, p, q, alpha, resolution, radial) -> float:
+    """(int_0^1 M_q^p (1-r^2)^(alpha p - 1) r^(n-1) dr)^(1/p), where M_q
+    is the q-mean of values(f, r, x') over the sphere."""
+    _check_positive(p=p, q=q)
+    _check_finite(alpha=alpha)
+    if alpha * p - 1 <= -1:
+        raise ValueError("need alpha p > 0")
+    pts, w = sphere_grid(f.n, resolution)
+    r, wr = radial_jacobi_quadrature(alpha * p - 1, f.n, radial)
+    vals = values(f, r[:, None], pts[None, :, :])
+    mq = (vals**q @ w) ** (1.0 / q)
+    smooth = (1.0 + r) ** (alpha * p - 1)
+    return float((wr * smooth) @ mq**p) ** (1.0 / p)
+
+
+def volume_norm(
+    f: Expansion, p: float, alpha: float, resolution: int = 24, radial: int = 40
+) -> float:
+    """||f||^p = int_B |f|^p (1-|x|^2)^alpha dx -> ^(1/p), normalized sigma."""
+    return _volume_integral(f, _abs_values, p, alpha, resolution, radial)
+
+
 def slice_norm_ball(f: Expansion, q: float, r: float, resolution: int = 24) -> float:
     """M_q(f, r) under the normalized measure."""
+    _check_positive(q=q)
+    _check_finite(r=r)
     pts, w = sphere_grid(f.n, resolution)
     vals = np.abs(f.values(np.asarray(r), pts))
     return float((w @ vals**q) ** (1.0 / q))
@@ -350,20 +377,14 @@ def mixed_norm_ball(
     f: Expansion, p: float, q: float, alpha: float, resolution: int = 24, radial: int = 40
 ) -> float:
     """||f||_{B(p,q,alpha)}^p = int_0^1 M_q(f,r)^p (1-r^2)^(alpha p - 1) r^(n-1) dr."""
-    if alpha * p - 1 <= -1:
-        raise ValueError("need alpha p > 0")
-    pts, w = sphere_grid(f.n, resolution)
-    r, wr = radial_jacobi_quadrature(alpha * p - 1, f.n, radial)
-    vals = np.abs(f.values(r[:, None], pts[None, :, :]))
-    mq = (vals**q @ w) ** (1.0 / q)
-    smooth = (1.0 + r) ** (alpha * p - 1)
-    return float((wr * smooth) @ mq**p) ** (1.0 / p)
+    return _mixed_integral(f, _abs_values, p, q, alpha, resolution, radial)
 
 
 def sup_mixed_norm_ball(
     f: Expansion, q: float, alpha: float, resolution: int = 24, rho_count: int = 24
 ) -> float:
     """||f||_{infty,q,alpha} = sup_r (1-r^2)^alpha M_q(f, r) on a rho grid."""
+    _check_finite(alpha=alpha)
     rhos = 1.0 - 2.0 ** (-np.arange(rho_count) / 2.0)
     best = 0.0
     for rho in rhos:
@@ -443,11 +464,7 @@ def grad_volume_norm(
     f: Expansion, p: float, alpha: float, resolution: int = 24, radial: int = 40
 ) -> float:
     """DA-type norm: |f(0)| + ( int |grad f|^p (1-|x|^2)^alpha dx )^(1/p)."""
-    pts, w = sphere_grid(f.n, resolution)
-    r, wr = radial_jacobi_quadrature(alpha, f.n, radial)
-    vals = gradient_values(f, r[:, None], pts[None, :, :])
-    smooth = (1.0 + r) ** alpha
-    integ = float((wr * smooth) @ (vals**p @ w)) ** (1.0 / p)
+    integ = _volume_integral(f, gradient_values, p, alpha, resolution, radial)
     return abs(complex(f.coeffs[0][0])) + integ
 
 
@@ -455,12 +472,5 @@ def grad_mixed_norm(
     f: Expansion, p: float, q: float, alpha: float, resolution: int = 24, radial: int = 40
 ) -> float:
     """DB-type norm: |f(0)| + mixed norm of |grad f| with weight alpha."""
-    if alpha * p - 1 <= -1:
-        raise ValueError("need alpha p > 0")
-    pts, w = sphere_grid(f.n, resolution)
-    r, wr = radial_jacobi_quadrature(alpha * p - 1, f.n, radial)
-    vals = gradient_values(f, r[:, None], pts[None, :, :])
-    mq = (vals**q @ w) ** (1.0 / q)
-    smooth = (1.0 + r) ** (alpha * p - 1)
-    integ = float((wr * smooth) @ mq**p) ** (1.0 / p)
+    integ = _mixed_integral(f, gradient_values, p, q, alpha, resolution, radial)
     return abs(complex(f.coeffs[0][0])) + integ

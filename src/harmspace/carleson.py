@@ -217,16 +217,6 @@ def excursion_mass(mu: AtomicMeasure, w, l: int, delta: float) -> float:
     return float(mu.weight[inside][keep].sum())
 
 
-def excursion_fraction(w, l: int, n: int, delta: float, grid: int = 24) -> float:
-    """Lebesgue fraction |T_w| / |Q_w| via a tensor grid (n <= 3)."""
-    box = qw_box(w)
-    axes = [np.linspace(a, b, grid) for a, b in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    keep = kernels.profile_excursion(l, n, delta, pts, np.asarray(w, float))
-    return float(np.mean(keep))
-
-
 def lemma6_cover(w, l: int, n: int, delta: float, grid: int = 16, lattice: int = 5):
     """Greedy finite cover of Q_w by excursion sets of nearby boxes.
 
@@ -279,26 +269,6 @@ def lemma6_cover(w, l: int, n: int, delta: float, grid: int = 16, lattice: int =
     else:
         multiplicity = 0
     return fraction, chosen, multiplicity
-
-
-def lemma6_transfer(mu: AtomicMeasure, centers, l: int, delta: float, theta: float):
-    """Excursion-mass bound transferred to full boxes on a center panel.
-
-    Returns (K, K_full, rows): K = sup excursion_mass/s^theta over the
-    panel, K_full the same with the full box mass.  The covering argument
-    says K_full <= N K for the covering multiplicity N; callers assert
-    against the N their cover reports.
-    """
-    rows = []
-    for w in centers:
-        w = np.asarray(w, dtype=float)
-        s = w[-1]
-        te = excursion_mass(mu, w, l, delta) / s**theta
-        qe = mu.mass_in_box(qw_box(w)) / s**theta
-        rows.append((w, te, qe))
-    K = max((r[1] for r in rows), default=0.0)
-    K_full = max((r[2] for r in rows), default=0.0)
-    return K, K_full, rows
 
 
 def embedding_ratio(

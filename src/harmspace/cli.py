@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -210,6 +211,26 @@ def _cmd_verify(args, extras):
 _HALF_SPACES = ("slice", "bergman", "mixed", "tl", "sup")
 _BALL_SPACES = ("slice", "volume", "mixed", "sup", "hardy")
 
+# The ball norms of `norm --space` (the first five) and `ball functional
+# --kind`, from the flags the two commands share.
+_BALL_NORMS = {
+    "slice": lambda f, a, res: bl.slice_norm_ball(f, a.q, a.t, resolution=res),
+    "volume": lambda f, a, res: bl.volume_norm(f, a.p, a.alpha, res, a.radial),
+    "mixed": lambda f, a, res: bl.mixed_norm_ball(f, a.p, a.q, a.alpha, res, a.radial),
+    "sup": lambda f, a, res: bl.sup_mixed_norm_ball(f, a.q, a.alpha, res),
+    "hardy": lambda f, a, res: bl.hardy_norm(f, a.t, resolution=res),
+    "grad-volume": lambda f, a, res: bl.grad_volume_norm(f, a.p, a.alpha, res, a.radial),
+    "grad-mixed": lambda f, a, res: bl.grad_mixed_norm(f, a.p, a.q, a.alpha, res,
+                                                       a.radial),
+}
+
+
+def _ball_norm(kind, f, args, res):
+    try:
+        return _BALL_NORMS[kind](f, args, res)
+    except (ValueError, NotImplementedError) as e:
+        raise UsageError(str(e))
+
 
 def _parse_field(spec, n):
     """Builtin families: poisson, bergman-q, test-fn, power, expansion-file."""
@@ -250,29 +271,19 @@ def _cmd_norm(args, extras):
     if args.dry_run:
         return _dry_run(args)
     f = _parse_field(args.field, args.n)
-    try:
-        if isinstance(f, bl.Expansion):
-            if args.space not in _BALL_SPACES:
-                raise UsageError(
-                    f"space {args.space!r} undefined on the ball"
-                    f" (use one of {_BALL_SPACES})")
-            res, rad = args.resolution, args.radial
-            if args.space == "slice":
-                value = bl.slice_norm_ball(f, args.q, args.t, resolution=res)
-            elif args.space == "volume":
-                value = bl.volume_norm(f, args.p, args.alpha, res, rad)
-            elif args.space == "mixed":
-                value = bl.mixed_norm_ball(f, args.p, args.q, args.alpha, res, rad)
-            elif args.space == "sup":
-                value = bl.sup_mixed_norm_ball(f, args.q, args.alpha, res)
-            else:
-                value = bl.hardy_norm(f, args.t, resolution=res)
-        else:
-            if args.space not in _HALF_SPACES:
-                raise UsageError(
-                    f"space {args.space!r} undefined on the half-space"
-                    f" (use one of {_HALF_SPACES})")
-            region = _region_from(args)
+    if isinstance(f, bl.Expansion):
+        if args.space not in _BALL_SPACES:
+            raise UsageError(
+                f"space {args.space!r} undefined on the ball"
+                f" (use one of {_BALL_SPACES})")
+        value = _ball_norm(args.space, f, args, args.resolution)
+    else:
+        if args.space not in _HALF_SPACES:
+            raise UsageError(
+                f"space {args.space!r} undefined on the half-space"
+                f" (use one of {_HALF_SPACES})")
+        region = _region_from(args)
+        try:
             spec = QuadSpec(order=args.order, t_order=args.t_order)
             if args.space == "slice":
                 value = no.slice_norm(f, args.q, args.t, region, spec)
@@ -284,8 +295,8 @@ def _cmd_norm(args, extras):
                 value = no.triebel_norm(f, args.p, args.q, args.alpha, region, spec)
             else:
                 value = no.sup_norm(f, args.lam, region)[0]
-    except (ValueError, NotImplementedError) as e:
-        raise UsageError(str(e))
+        except (ValueError, NotImplementedError) as e:
+            raise UsageError(str(e))
     summary = _resolved_config(args)
     summary["value"] = value
     header = ["space", "field", "n", "p", "q", "alpha", "lam", "t", "value"]
@@ -382,37 +393,27 @@ def _cmd_ball(args, extras):
         _check_array_bytes(f"a degree-{args.cap} symbol", 16 * (2 * args.cap + 1))
         _check_array_bytes(f"the {res} x {res} slice matrix", 16 * res * res)
         c = _parse_symbol(args.symbol, args.cap)
-        if args.s <= 1.0:
-            raise UsageError("need s > 1 for the dual exponent")
+        if not 1.0 < args.s < math.inf:
+            raise UsageError("need a finite s > 1 for the dual exponent")
+        if not math.isfinite(args.beta):
+            raise UsageError("--beta must be finite")
+        # past level mant_dig, the radius 1 - 2**-i rounds to 1.0
+        if not 1 <= args.rho_levels <= sys.float_info.mant_dig:
+            raise UsageError(f"--rho-levels must be in 1..{sys.float_info.mant_dig}")
         pts, w = bl.sphere_grid(2, res)
-        sup, slope, rows = verify.slice_functional(
-            c, args.s / (args.s - 1.0), args.beta, args.lam_order,
-            args.rho_levels, pts, w)
-        kind = ("finite" if slope > -0.05 else
-                "divergent" if slope <= -0.2 else "inconclusive")
+        try:
+            sup, slope, rows = verify.slice_functional(
+                c, args.s / (args.s - 1.0), args.beta, args.lam_order,
+                args.rho_levels, pts, w)
+        except ValueError as e:  # a derivative order that is not positive
+            raise UsageError(str(e))
+        kind = verify.trend_class(slope)
         summary.update(functional=sup, trend=slope, classification=kind)
         traces.append(("ball-multiplier-trace", ["rho", "value"], rows))
         print(f"functional={sup!r} trend={slope:+.4f} -> {kind}")
     elif args.operation == "functional":
         f = _load_expansion(args.expansion)
-        res, rad = args.resolution or 24, args.radial
-        try:
-            if args.kind == "volume":
-                value = bl.volume_norm(f, args.p, args.alpha, res, rad)
-            elif args.kind == "mixed":
-                value = bl.mixed_norm_ball(f, args.p, args.q, args.alpha, res, rad)
-            elif args.kind == "sup":
-                value = bl.sup_mixed_norm_ball(f, args.q, args.alpha, res)
-            elif args.kind == "hardy":
-                value = bl.hardy_norm(f, args.t, resolution=res)
-            elif args.kind == "slice":
-                value = bl.slice_norm_ball(f, args.q, args.t, resolution=res)
-            elif args.kind == "grad-volume":
-                value = bl.grad_volume_norm(f, args.p, args.alpha, res, rad)
-            else:
-                value = bl.grad_mixed_norm(f, args.p, args.q, args.alpha, res, rad)
-        except ValueError as e:
-            raise UsageError(str(e))
+        value = _ball_norm(args.kind, f, args, args.resolution or 24)
         summary["value"] = value
         traces.append(("ball-functional-trace",
                        ["kind", "p", "q", "alpha", "t", "value"],
@@ -420,7 +421,10 @@ def _cmd_ball(args, extras):
         print(repr(value))
     elif args.operation == "lambda":
         f = _load_expansion(args.expansion)
-        out = bl.multiplier_lambda(f.n, f.cap, args.t).apply(f)
+        try:
+            out = bl.multiplier_lambda(f.n, f.cap, args.t).apply(f)
+        except ValueError as e:
+            raise UsageError(str(e))
         summary["expansion"] = out.to_json()
         traces.append(_expansion_trace("ball-lambda-trace", out))
         print(f"applied order-{args.t:g} derivative multiplier"
@@ -561,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--rho-levels", type=int, default=8)
     b.add_argument("--expansion", default=None, help="expansion JSON file")
     b.add_argument("--kind", default="volume",
-                   choices=["volume", "mixed", "sup", "hardy", "slice",
-                            "grad-volume", "grad-mixed"])
+                   choices=list(_BALL_NORMS))
     b.add_argument("--left", default=None, help="left expansion file")
     b.add_argument("--right", default=None, help="right expansion file")
     b.add_argument("--p", type=float, default=2.0)

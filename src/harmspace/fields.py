@@ -130,30 +130,6 @@ class PowerField(Field):
         return np.broadcast_to(t ** (-self.lam), np.broadcast_shapes(r.shape, t.shape)).copy()
 
 
-class SumField(Field):
-    def __init__(self, a: Field, b: Field, coeff_a=1.0, coeff_b=1.0):
-        if a.n != b.n:
-            raise ValueError("dimension mismatch")
-        self.n = a.n
-        self.a, self.b = a, b
-        self.ca, self.cb = float(coeff_a), float(coeff_b)
-        self.harmonic = a.harmonic and b.harmonic
-        same_center = (
-            a.is_radial
-            and b.is_radial
-            and np.array_equal(a.radial_center, b.radial_center)
-        )
-        self.radial_center = a.radial_center if same_center else None
-        self.scale = min(a.scale, b.scale)
-        self.label = f"sum({a.label},{b.label})"
-
-    def values(self, points):
-        return self.ca * self.a.values(points) + self.cb * self.b.values(points)
-
-    def radial_values(self, r, t):
-        return self.ca * self.a.radial_values(r, t) + self.cb * self.b.radial_values(r, t)
-
-
 class ProductField(Field):
     """Pointwise product; harmonic only by accident, used for integrands."""
 

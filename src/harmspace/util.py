@@ -103,16 +103,6 @@ def fit_loglog(x, y):
     return float(slope), float(intercept), float(resid)
 
 
-def geometric_grid(lo: float, hi: float, ratio: float = 2.0) -> np.ndarray:
-    """Breakpoints lo = b_0 < ... < b_k = hi with b_{i+1}/b_i <= ratio."""
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    if ratio <= 1:
-        raise ValueError("ratio must exceed 1")
-    count = max(1, math.ceil(math.log(hi / lo) / math.log(ratio)))
-    return lo * (hi / lo) ** (np.arange(count + 1) / count)
-
-
 def dump_json(obj, path) -> None:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

@@ -183,8 +183,6 @@ def run_experiment(exp_id, budget="standard", seed=0, overrides=None):
 
 def run_suite(ids=None, budget="standard", seed=0, threads=1, overrides=None):
     """Run several experiments; reports come back in registry order."""
-    if budget not in BUDGETS:
-        raise ValueError(f"unknown budget {budget!r}")
     if not ids or list(ids) == ["all"]:
         chosen = list(EXPERIMENTS)
     else:
@@ -237,6 +235,29 @@ def _axis_point(n, t):
     return np.r_[np.zeros(n), float(t)]
 
 
+def _by_level(cubes):
+    """Cubes grouped by dyadic level, each group in enumeration order."""
+    by_level = {}
+    for c in cubes:
+        by_level.setdefault(c.level, []).append(c)
+    return by_level
+
+
+def _laplacian_decay(name, fn, z0, h, scale_floor, rounding):
+    """Halving the step 2h -> h divides the Laplacian residual of a harmonic
+    fn by 3.2..4.8 (second order), unless it is already at rounding level."""
+    r1 = abs(util.discrete_laplacian(fn, z0, 2 * h))
+    r2 = abs(util.discrete_laplacian(fn, z0, h))
+    if r2 / max(abs(fn(z0)), scale_floor) < rounding:
+        return _true(name, True, note="residual at rounding floor")
+    return _within(name, r1 / r2, 3.2, 4.8)
+
+
+def _coeff_gap(xs, ys):
+    """Largest coefficient difference between two lists of degree blocks."""
+    return max(float(np.max(np.abs(a - c))) for a, c in zip(xs, ys))
+
+
 def _source_nodes(n, region, spec):
     """Flattened (squared distance to the axis origin, height, weight)."""
     if n == 1:
@@ -271,9 +292,7 @@ def _exp_whitney(b, rng, p):
     for n, x_max in ((1, 20.0), (2, 2.0)):
         region = Region(x_max, 2.0 ** -4, 32.0)
         cubes = whitney_cubes(region, n)
-        by_level = {}
-        for c in cubes:
-            by_level.setdefault(c.level, []).append(c)
+        by_level = _by_level(cubes)
         levels = sorted(by_level)
         checks.append(_true(f"n{n}-levels", levels == list(range(-4, 5)),
                             got=[levels[0], levels[-1]]))
@@ -391,13 +410,7 @@ def _exp_kernels(b, rng, p):
                 probes.append((f"testfn{l}-n{n}",
                                lambda q, n=n, l=l, w=w: kernels.test_fn(l, n, w, q), z0))
     for name, fn, z0 in probes:
-        r1 = abs(util.discrete_laplacian(fn, z0, 0.08))
-        r2 = abs(util.discrete_laplacian(fn, z0, 0.04))
-        scale = max(abs(fn(z0)), 1e-12)
-        if r2 / scale < 1e-11:
-            checks.append(_true(f"laplacian-{name}", True, note="residual at rounding floor"))
-        else:
-            checks.append(_within(f"laplacian-{name}", r1 / r2, 3.2, 4.8))
+        checks.append(_laplacian_decay(f"laplacian-{name}", fn, z0, 0.04, 1e-12, 1e-11))
 
     # boundary kernel integrates to one
     spec = QuadSpec(order=max(8, b.order), t_order=b.t_order)
@@ -433,10 +446,7 @@ def _exp_lemma2(b, rng, p):
                 BergmanField(1, n, _axis_point(n, 1.0))]
         if n == 2:
             flds.append(TestField(1, 2, _axis_point(2, 1.0)))
-        cubes = whitney_cubes(region, n)
-        by_level = {}
-        for c in cubes:
-            by_level.setdefault(c.level, []).append(c)
+        by_level = _by_level(whitney_cubes(region, n))
         sel = []
         for lev in sorted(by_level):
             group = sorted(by_level[lev])
@@ -465,6 +475,27 @@ def _exp_lemma2(b, rng, p):
 # ===================================================== kernel decay fits
 
 
+def _scaling_fit(b, series, target, name, shift=0.0, extra=()):
+    """Log-log slope of series(x, spec) against x + shift on a dyadic grid:
+    on target, stable under spec.refined(2), small residual; then `extra`.
+    Returns (checks, consts, arts, intercept)."""
+    half = b.fit_points // 2
+    x = 2.0 ** np.arange(-half, b.fit_points - half)
+    spec = QuadSpec(order=b.order, t_order=b.t_order)
+    vals = series(x, spec)
+    slope, icept, resid = util.fit_loglog(x + shift, vals)
+    slope2 = util.fit_loglog(x + shift, series(x, spec.refined(2)))[0]
+    checks = [
+        _close("slope", slope, target, 0.1),
+        _below("slope-drift", abs(slope2 - slope), 0.05),
+        _below("fit-residual", resid, 0.05),
+        *extra,
+    ]
+    arts = {"fit": {"header": [name, "value"],
+                    "rows": [[float(v + shift), float(y)] for v, y in zip(x, vals)]}}
+    return checks, {"slope": slope}, arts, icept
+
+
 def _lemma4_guard(n, gamma, delta):
     if delta <= -1.0:
         raise ValueError("need delta > -1")
@@ -477,12 +508,9 @@ def _lemma4_guard(n, gamma, delta):
 def _exp_lemma4(b, rng, p):
     n, m, gamma, delta = p["n"], p["m_order"], p["gamma"], p["delta"]
     _lemma4_guard(n, gamma, delta)
-    target = delta - gamma + n + 1
     region = Region(4096.0, 2.0 ** -12, 4096.0)
-    half = b.fit_points // 2
-    tg = 2.0 ** np.arange(-half, b.fit_points - half)
 
-    def series(spec):
+    def series(tg, spec):
         dsq, s, w = _source_nodes(n, region, spec)
         out = []
         for t in tg:
@@ -490,20 +518,11 @@ def _exp_lemma4(b, rng, p):
             out.append(float(w @ (q ** (gamma / (n + m + 1)) * s ** delta)))
         return np.array(out)
 
-    spec = QuadSpec(order=b.order, t_order=b.t_order)
-    vals = series(spec)
-    slope, icept, resid = util.fit_loglog(tg, vals)
-    slope2 = util.fit_loglog(tg, series(spec.refined(2)))[0]
-    checks = [
-        _close("slope", slope, target, 0.1),
-        _below("slope-drift", abs(slope2 - slope), 0.05),
-        _below("fit-residual", resid, 0.05),
-        _raises("precondition-reject",
-                lambda: _lemma4_guard(n, n + 1 + delta, delta)),
-    ]
-    consts = {"slope": slope, "prefactor": math.exp(icept)}
-    arts = {"fit": {"header": ["t", "value"],
-                    "rows": [[float(t), float(v)] for t, v in zip(tg, vals)]}}
+    reject = _raises("precondition-reject",
+                     lambda: _lemma4_guard(n, n + 1 + delta, delta))
+    checks, consts, arts, icept = _scaling_fit(
+        b, series, delta - gamma + n + 1, "t", extra=(reject,))
+    consts["prefactor"] = math.exp(icept)
     return checks, consts, arts
 
 
@@ -519,31 +538,19 @@ def _lemma5_guard(n, alpha, gamma):
 def _exp_lemma5(b, rng, p):
     n, alpha, gamma = p["n"], p["alpha"], p["gamma"]
     _lemma5_guard(n, alpha, gamma)
-    target = alpha + n + 1 - 2.0 * gamma
     region = Region(4096.0, 2.0 ** -12, 4096.0)
-    half = b.fit_points // 2
-    sg = 2.0 ** np.arange(-half, b.fit_points - half)
 
-    def series(spec):
+    def series(sg, spec):
         dsq, t, w = _source_nodes(n, region, spec)
         return np.array([
             float(w @ (t ** alpha * (dsq + (t + s) ** 2) ** -gamma)) for s in sg
         ])
 
-    spec = QuadSpec(order=b.order, t_order=b.t_order)
-    vals = series(spec)
-    slope, icept, resid = util.fit_loglog(sg, vals)
-    slope2 = util.fit_loglog(sg, series(spec.refined(2)))[0]
-    checks = [
-        _close("slope", slope, target, 0.1),
-        _below("slope-drift", abs(slope2 - slope), 0.05),
-        _below("fit-residual", resid, 0.05),
-        _raises("precondition-reject",
-                lambda: _lemma5_guard(n, alpha, (n + alpha + 1.0) / 2.0)),
-    ]
-    consts = {"slope": slope, "prefactor": math.exp(icept)}
-    arts = {"fit": {"header": ["s", "value"],
-                    "rows": [[float(s), float(v)] for s, v in zip(sg, vals)]}}
+    reject = _raises("precondition-reject",
+                     lambda: _lemma5_guard(n, alpha, (n + alpha + 1.0) / 2.0))
+    checks, consts, arts, icept = _scaling_fit(
+        b, series, alpha + n + 1 - 2.0 * gamma, "s", extra=(reject,))
+    consts["prefactor"] = math.exp(icept)
     return checks, consts, arts
 
 
@@ -618,25 +625,11 @@ def _exp_eq14(b, rng, p):
         raise ValueError("slice integral diverges for these exponents")
     f = dilated(TestField, l, n, s)
     region = Region(512.0, 2.0 ** -10, 1024.0)
-    half = b.fit_points // 2
-    tg = 2.0 ** np.arange(-half, b.fit_points - half)
-    target = n / pe - (n - 1 + l)
 
-    def series(spec):
+    def series(tg, spec):
         return np.array([no.slice_norm(f, pe, t, region, spec) for t in tg])
 
-    spec = QuadSpec(order=b.order, t_order=b.t_order)
-    vals = series(spec)
-    slope, _, resid = util.fit_loglog(tg + s, vals)
-    slope2 = util.fit_loglog(tg + s, series(spec.refined(2)))[0]
-    checks = [
-        _close("slope", slope, target, 0.1),
-        _below("slope-drift", abs(slope2 - slope), 0.05),
-        _below("fit-residual", resid, 0.05),
-    ]
-    arts = {"fit": {"header": ["t_plus_s", "value"],
-                    "rows": [[float(t + s), float(v)] for t, v in zip(tg, vals)]}}
-    return checks, {"slope": slope}, arts
+    return _scaling_fit(b, series, n / pe - (n - 1 + l), "t_plus_s", shift=s)[:3]
 
 
 @_experiment("eq15-scaling", "mixed-norm scaling of the dilated decaying family",
@@ -650,29 +643,15 @@ def _exp_eq15(b, rng, p):
     e1 = n / qe - (n - 1 + l)
     if (e1 + alpha) * pe >= 0:
         raise ValueError("outer height integral diverges at infinity")
-    target = e1 + alpha
     region = Region(512.0, 2.0 ** -10, 2.0 ** 10)
-    half = b.fit_points // 2
-    sg = 2.0 ** np.arange(-half, b.fit_points - half)
 
-    def series(spec):
+    def series(sg, spec):
         return np.array([
             no.mixed_norm(dilated(TestField, l, n, s), pe, qe, alpha, region, spec)
             for s in sg
         ])
 
-    spec = QuadSpec(order=b.order, t_order=b.t_order)
-    vals = series(spec)
-    slope, _, resid = util.fit_loglog(sg, vals)
-    slope2 = util.fit_loglog(sg, series(spec.refined(2)))[0]
-    checks = [
-        _close("slope", slope, target, 0.1),
-        _below("slope-drift", abs(slope2 - slope), 0.05),
-        _below("fit-residual", resid, 0.05),
-    ]
-    arts = {"fit": {"header": ["s", "value"],
-                    "rows": [[float(s), float(v)] for s, v in zip(sg, vals)]}}
-    return checks, {"slope": slope}, arts
+    return _scaling_fit(b, series, e1 + alpha, "s")[:3]
 
 
 @_experiment("thm4-scaling", "weighted volume-norm scaling of the dilated family",
@@ -684,30 +663,16 @@ def _exp_thm4_scaling(b, rng, p):
         raise ValueError("volume weight must be integrable at zero")
     if pe * (n - 1 + l - alpha) <= n:
         raise ValueError("volume integral diverges for these exponents")
-    target = n - pe * (n - 1 + l - alpha)
     region = Region(512.0, 2.0 ** -10, 2.0 ** 10)
-    half = b.fit_points // 2
-    sg = 2.0 ** np.arange(-half, b.fit_points - half)
 
-    def series(spec):
+    def series(sg, spec):
         return np.array([
             no.bergman_norm(dilated(TestField, l, n, s), pe, weight, region,
                             spec, method="layers") ** pe
             for s in sg
         ])
 
-    spec = QuadSpec(order=b.order, t_order=b.t_order)
-    vals = series(spec)
-    slope, _, resid = util.fit_loglog(sg, vals)
-    slope2 = util.fit_loglog(sg, series(spec.refined(2)))[0]
-    checks = [
-        _close("slope", slope, target, 0.1),
-        _below("slope-drift", abs(slope2 - slope), 0.05),
-        _below("fit-residual", resid, 0.05),
-    ]
-    arts = {"fit": {"header": ["s", "value"],
-                    "rows": [[float(s), float(v)] for s, v in zip(sg, vals)]}}
-    return checks, {"slope": slope}, arts
+    return _scaling_fit(b, series, n - pe * (n - 1 + l - alpha), "s")[:3]
 
 
 # ===================================================== norm cross identities
@@ -753,12 +718,15 @@ def _exp_norm_identities(b, rng, p):
 # ==================================================== box-condition panels
 
 
-def _carleson_panel(region, n):
-    """Six measures with documented expected classification (True = growing)."""
+def _carleson_panel(b):
+    """Region, norm spec, six measures with documented expected
+    classification (True = growing), cubes, cubes by level, levels."""
+    n = 1
+    region = Region(8.0, 2.0 ** -5, 8.0)
+    spec = QuadSpec(order=b.order, t_order=b.t_order,
+                    cube_order=max(3, b.cube_order))
     cubes = whitney_cubes(region, n)
-    by_level = {}
-    for c in cubes:
-        by_level.setdefault(c.level, []).append(c)
+    by_level = _by_level(cubes)
     levels = list(range(0, -5, -1))
 
     def ray(x_target, label):
@@ -780,7 +748,7 @@ def _carleson_panel(region, n):
     step = xs[1] - xs[0]
     slc = ca.AtomicMeasure(pts, np.full(len(xs), 1.5), np.full(len(xs), step ** n),
                            label="boundary-slice")
-    return [
+    return region, spec, [
         (zero, False),
         (atom, False),
         (dens, False),
@@ -790,7 +758,13 @@ def _carleson_panel(region, n):
     ], cubes, by_level, levels
 
 
-def _growth_classify(ratios, factor=10.0):
+_GROWTH_FACTOR = 10.0
+
+_PANEL_HEADER = ["measure", "condition_grows", "condition_growth",
+                 "embedding_grows", "embedding_growth"]
+
+
+def _growth_classify(ratios):
     """Deep-level dominance over shallow levels flags a growing sequence."""
     shallow = max(ratios[:2])
     deep = max(ratios[-2:])
@@ -799,7 +773,7 @@ def _growth_classify(ratios, factor=10.0):
     if shallow == 0.0:
         return True, float("inf")
     g = deep / shallow
-    return g >= factor, g
+    return g >= _GROWTH_FACTOR, g
 
 
 def _mass_cube_sequence(mu, by_level, levels):
@@ -827,13 +801,10 @@ def _restrict_measure(mu, box):
                             label=mu.label)
 
 
-def _embedding_ratios(mu, seq, l, pe, s_vec, region, spec, cache):
-    """Per cube: the test-family mass inside it over the factor norms.
-
-    The test factors are centered at the cube, and the mass is the
-    measure restricted to the cube, so each level probes its own box the
-    way the box condition does.
-    """
+def _embedding_ratios(mu, seq, l, mass, norm, cache):
+    """Per cube: mass(sub, f) / norm(f), for mu restricted to the cube and
+    the test field centered at it, so each level probes its own box the
+    way the box condition does.  cache keeps norm(f) by center."""
     out = []
     for cube in seq:
         sub = _restrict_measure(mu, cube.box())
@@ -843,11 +814,48 @@ def _embedding_ratios(mu, seq, l, pe, s_vec, region, spec, cache):
         w = tuple(float(v) for v in cube.center)
         f = BergmanField(l, mu.n, np.asarray(w))
         if w not in cache:
-            cache[w] = [no.bergman_norm(f, pe, s, region, spec, method="cubes") ** pe
-                        for s in s_vec]
-        lhs = sub.integrate(lambda pts: np.abs(f.values(pts)) ** (pe * len(s_vec)))
-        out.append(lhs / float(np.prod(cache[w])))
+            cache[w] = norm(f)
+        out.append(mass(sub, f) / cache[w])
     return out
+
+
+def _panel_checks(tag, mu, expect, rep, emb, levels, checks, consts, rows):
+    """Condition and embedding classify one measure alike and as expected;
+    appends checks, constant and panel row, each prefixed by a tag."""
+    pre = f"{tag}-" if tag else ""
+    lm = rep.level_maxima()
+    cond_bad, cond_g = _growth_classify([lm.get(j, 0.0) for j in levels])
+    emb_bad, emb_g = _growth_classify(emb)
+    checks.append(_true(f"{pre}classes-agree-{mu.label}", cond_bad == emb_bad,
+                        condition=cond_bad, embedding=emb_bad))
+    checks.append(_true(f"{pre}expected-{mu.label}", cond_bad == expect))
+    if expect:
+        checks.append(_above(f"{pre}cond-growth-{mu.label}", cond_g, _GROWTH_FACTOR))
+        checks.append(_above(f"{pre}emb-growth-{mu.label}", emb_g, _GROWTH_FACTOR))
+    consts[f"{tag}_constant_{mu.label}" if tag else f"constant_{mu.label}"] = rep.constant
+    row = [mu.label, bool(cond_bad), float(cond_g), bool(emb_bad), float(emb_g)]
+    rows.append([tag, *row] if tag else row)
+
+
+def _box_condition_panel(b, l, pe, s_vec, condition):
+    """condition(mu, cubes) against the mass ratios of the product of
+    len(s_vec) test fields over their weighted volume norms."""
+    region, spec, panel, cubes, by_level, levels = _carleson_panel(b)
+
+    def mass(sub, f):
+        return sub.integrate(lambda pts: np.abs(f.values(pts)) ** (pe * len(s_vec)))
+
+    def norm(f):
+        return float(np.prod([no.bergman_norm(f, pe, s, region, spec, method="cubes") ** pe
+                              for s in s_vec]))
+
+    checks, consts, rows, cache = [], {}, [], {}
+    for mu, expect in panel:
+        seq = _mass_cube_sequence(mu, by_level, levels)
+        emb = _embedding_ratios(mu, seq, l, mass, norm, cache)
+        _panel_checks("", mu, expect, condition(mu, cubes), emb, levels,
+                      checks, consts, rows)
+    return checks, consts, {"panel": {"header": _PANEL_HEADER, "rows": rows}}
 
 
 @_experiment("thm2-equivalence", "vector box condition vs product-family mass ratios",
@@ -858,34 +866,8 @@ def _exp_thm2(b, rng, p):
     s_vec = (p["s1"], p["s2"])[:m]
     if pe * (n + 1 + l) <= n + 1 + max(s_vec):
         raise ValueError("test family falls outside the product space")
-    region = Region(8.0, 2.0 ** -5, 8.0)
-    spec = QuadSpec(order=b.order, t_order=b.t_order,
-                    cube_order=max(3, b.cube_order))
-    panel, cubes, by_level, levels = _carleson_panel(region, n)
-    checks, consts, arts = [], {}, {}
-    rows = []
-    cache = {}
-    for mu, expect in panel:
-        rep = ca.condition_vector(mu, cubes, m, s_vec)
-        lm = rep.level_maxima()
-        cond = [lm.get(j, 0.0) for j in levels]
-        cond_bad, cond_g = _growth_classify(cond)
-        seq = _mass_cube_sequence(mu, by_level, levels)
-        emb = _embedding_ratios(mu, seq, l, pe, s_vec, region, spec, cache)
-        emb_bad, emb_g = _growth_classify(emb)
-        checks.append(_true(f"classes-agree-{mu.label}", cond_bad == emb_bad,
-                            condition=cond_bad, embedding=emb_bad))
-        checks.append(_true(f"expected-{mu.label}", cond_bad == expect))
-        if expect:
-            checks.append(_above(f"cond-growth-{mu.label}", cond_g, 10.0))
-            checks.append(_above(f"emb-growth-{mu.label}", emb_g, 10.0))
-        consts[f"constant_{mu.label}"] = rep.constant
-        rows.append([mu.label, bool(cond_bad), float(cond_g),
-                     bool(emb_bad), float(emb_g)])
-    arts["panel"] = {"header": ["measure", "condition_grows", "condition_growth",
-                               "embedding_grows", "embedding_growth"],
-                     "rows": rows}
-    return checks, consts, arts
+    return _box_condition_panel(
+        b, l, pe, s_vec, lambda mu, cubes: ca.condition_vector(mu, cubes, m, s_vec))
 
 
 @_experiment("thm3-carleson", "single-function box condition vs mass ratios",
@@ -895,34 +877,8 @@ def _exp_thm3(b, rng, p):
     pe, alpha, l = p["p_exp"], p["alpha"], p["l"]
     if n + alpha >= pe * (n + 1 + l) - 1:
         raise ValueError("test family falls outside the weighted volume space")
-    region = Region(8.0, 2.0 ** -5, 8.0)
-    spec = QuadSpec(order=b.order, t_order=b.t_order,
-                    cube_order=max(3, b.cube_order))
-    panel, cubes, by_level, levels = _carleson_panel(region, n)
-    checks, consts, arts = [], {}, {}
-    rows = []
-    cache = {}
-    for mu, expect in panel:
-        rep = ca.condition_single(mu, cubes, alpha)
-        lm = rep.level_maxima()
-        cond = [lm.get(j, 0.0) for j in levels]
-        cond_bad, cond_g = _growth_classify(cond)
-        seq = _mass_cube_sequence(mu, by_level, levels)
-        emb = _embedding_ratios(mu, seq, l, pe, (alpha,), region, spec, cache)
-        emb_bad, emb_g = _growth_classify(emb)
-        checks.append(_true(f"classes-agree-{mu.label}", cond_bad == emb_bad,
-                            condition=cond_bad, embedding=emb_bad))
-        checks.append(_true(f"expected-{mu.label}", cond_bad == expect))
-        if expect:
-            checks.append(_above(f"cond-growth-{mu.label}", cond_g, 10.0))
-            checks.append(_above(f"emb-growth-{mu.label}", emb_g, 10.0))
-        consts[f"constant_{mu.label}"] = rep.constant
-        rows.append([mu.label, bool(cond_bad), float(cond_g),
-                     bool(emb_bad), float(emb_g)])
-    arts["panel"] = {"header": ["measure", "condition_grows", "condition_growth",
-                               "embedding_grows", "embedding_growth"],
-                     "rows": rows}
-    return checks, consts, arts
+    return _box_condition_panel(
+        b, l, pe, (alpha,), lambda mu, cubes: ca.condition_single(mu, cubes, alpha))
 
 
 @_experiment("thm4-carleson", "mixed and tent box conditions vs mass ratios",
@@ -932,56 +888,26 @@ def _exp_thm4_carleson(b, rng, p):
     pe, qe, alpha, l = p["p_exp"], p["q_exp"], p["alpha"], p["l"]
     if pe * (n + 1 + l) <= n + alpha * pe:
         raise ValueError("test family falls outside the tent space")
-    region = Region(8.0, 2.0 ** -5, 8.0)
-    spec = QuadSpec(order=b.order, t_order=b.t_order,
-                    cube_order=max(3, b.cube_order))
-    panel, cubes, by_level, levels = _carleson_panel(region, n)
-    checks, consts, arts = [], {}, {}
-    rows = []
-    norm_cache = {}
+    region, spec, panel, cubes, by_level, levels = _carleson_panel(b)
+    # (tag, condition report, mass, norm, norm cache) per condition
+    conditions = (
+        ("mixed", lambda mu: ca.condition_mixed(mu, cubes, pe, qe, alpha),
+         lambda sub, f: sub.integrate(lambda pts: np.abs(f.values(pts)) ** qe) ** (1.0 / qe),
+         lambda f: no.mixed_norm(f, qe, pe, alpha, region, spec), {}),
+        ("tent", lambda mu: ca.condition_tent(mu, cubes, pe, alpha),
+         lambda sub, f: sub.integrate(lambda pts: np.abs(f.values(pts)) ** pe),
+         lambda f: no.triebel_norm(f, pe, 2.0, alpha, region, spec) ** pe, {}),
+    )
+    checks, consts, rows = [], {}, []
     for mu, expect in panel:
-        rep_m = ca.condition_mixed(mu, cubes, pe, qe, alpha)
-        rep_t = ca.condition_tent(mu, cubes, pe, alpha)
         seq = _mass_cube_sequence(mu, by_level, levels)
-        emb_m, emb_t = [], []
-        for cube in seq:
-            sub = _restrict_measure(mu, cube.box())
-            if sub is None or sub.total_mass() == 0.0:
-                emb_m.append(0.0)
-                emb_t.append(0.0)
-                continue
-            w = tuple(float(v) for v in cube.center)
-            f = BergmanField(l, n, np.asarray(w))
-            if w not in norm_cache:
-                norm_cache[w] = (
-                    no.mixed_norm(f, qe, pe, alpha, region, spec),
-                    no.triebel_norm(f, pe, 2.0, alpha, region, spec) ** pe,
-                )
-            nm, nt = norm_cache[w]
-            mass_q = sub.integrate(lambda pts, f=f: np.abs(f.values(pts)) ** qe)
-            mass_p = sub.integrate(lambda pts, f=f: np.abs(f.values(pts)) ** pe)
-            emb_m.append(mass_q ** (1.0 / qe) / nm)
-            emb_t.append(mass_p / nt)
-        for tag, rep, emb in (("mixed", rep_m, emb_m), ("tent", rep_t, emb_t)):
-            lm = rep.level_maxima()
-            cond = [lm.get(j, 0.0) for j in levels]
-            cond_bad, cond_g = _growth_classify(cond)
-            emb_bad, emb_g = _growth_classify(emb)
-            checks.append(_true(f"{tag}-classes-agree-{mu.label}",
-                                cond_bad == emb_bad,
-                                condition=cond_bad, embedding=emb_bad))
-            checks.append(_true(f"{tag}-expected-{mu.label}", cond_bad == expect))
-            if expect:
-                checks.append(_above(f"{tag}-cond-growth-{mu.label}", cond_g, 10.0))
-                checks.append(_above(f"{tag}-emb-growth-{mu.label}", emb_g, 10.0))
-            consts[f"{tag}_constant_{mu.label}"] = rep.constant
-            rows.append([tag, mu.label, bool(cond_bad), float(cond_g),
-                         bool(emb_bad), float(emb_g)])
-    arts["panel"] = {"header": ["condition", "measure", "condition_grows",
-                               "condition_growth", "embedding_grows",
-                               "embedding_growth"],
-                     "rows": rows}
-    return checks, consts, arts
+        for tag, condition, mass, norm, cache in conditions:
+            emb = _embedding_ratios(mu, seq, l, mass, norm, cache)
+            _panel_checks(tag, mu, expect, condition(mu), emb, levels,
+                          checks, consts, rows)
+    return checks, consts, {"panel": {"header": ["condition", *_PANEL_HEADER],
+                                      "rows": rows}}
+
 
 
 # ======================================================= trace round trips
@@ -1273,13 +1199,7 @@ def _exp_ball_basis(b, rng, p):
                                           (np.asarray(q) / rr)[None, :])[0]))
 
         q0 = np.full(n, 0.3 / math.sqrt(n))
-        r1 = abs(util.discrete_laplacian(as_fn, q0, 0.05))
-        r2 = abs(util.discrete_laplacian(as_fn, q0, 0.025))
-        scale = max(abs(as_fn(q0)), 1e-9)
-        if r2 / scale < 1e-9:
-            checks.append(_true(f"laplacian-n{n}", True, note="residual at rounding floor"))
-        else:
-            checks.append(_within(f"laplacian-n{n}", r1 / r2, 3.2, 4.8))
+        checks.append(_laplacian_decay(f"laplacian-n{n}", as_fn, q0, 0.025, 1e-9, 1e-9))
 
     z4 = bl.zonal_values(4, 6, np.array([1.0, 0.3]))
     checks.append(_close("zonal-at-one-n4", float(z4[6, 0]),
@@ -1328,22 +1248,19 @@ def _exp_ball_norms(b, rng, p):
                                 for x, y in zip(f.coeffs, g.coeffs)])
         lhsL = bl.fractional_derivative(t1, comb)
         rhsL = [2.0 * x + 3.0 * y for x, y in zip(fd_f.coeffs, fd_g.coeffs)]
-        dmax = max(float(np.max(np.abs(a - c))) for a, c in zip(lhsL.coeffs, rhsL))
-        checks.append(_below(f"derivative-linear-n{n}", dmax, 1e-12))
+        checks.append(_below(f"derivative-linear-n{n}", _coeff_gap(lhsL.coeffs, rhsL), 1e-12))
 
         c = bl.Multiplier.diagonal(n, cap,
                                    1.0 / (1.0 + np.arange(cap + 1.0)) ** 2)
         lhsC = bl.fractional_derivative(t1, c.apply(f))
         rhsC = c.apply(bl.fractional_derivative(t1, f))
-        dmax = max(float(np.max(np.abs(a - c2)))
-                   for a, c2 in zip(lhsC.coeffs, rhsC.coeffs))
-        checks.append(_below(f"derivative-commutes-n{n}", dmax, 1e-12))
+        checks.append(_below(f"derivative-commutes-n{n}",
+                             _coeff_gap(lhsC.coeffs, rhsC.coeffs), 1e-12))
 
         two = bl.fractional_derivative(t2, bl.fractional_derivative(t1, f))
         one = bl.fractional_derivative(t1 + t2, f)
         scale = max(float(np.max(np.abs(a))) for a in one.coeffs)
-        gap = max(float(np.max(np.abs(a - c2)))
-                  for a, c2 in zip(two.coeffs, one.coeffs)) / scale
+        gap = _coeff_gap(two.coeffs, one.coeffs) / scale
         checks.append(_above(f"derivative-non-semigroup-n{n}", gap, 1e-3))
         lvals = bl.multiplier_lambda(n, cap, t1).diagonal_values()
         checks.append(_true(f"derivative-injective-n{n}",
@@ -1351,18 +1268,15 @@ def _exp_ball_norms(b, rng, p):
 
         ab = bl.convolve(f, g)
         ba = bl.convolve(g, f)
-        dmax = max(float(np.max(np.abs(a - c2))) for a, c2 in zip(ab.coeffs, ba.coeffs))
-        checks.append(_below(f"convolve-commutes-n{n}", dmax, 1e-12))
+        checks.append(_below(f"convolve-commutes-n{n}", _coeff_gap(ab.coeffs, ba.coeffs), 1e-12))
         lhsA = bl.convolve(bl.convolve(f, g), h)
         rhsA = bl.convolve(f, bl.convolve(g, h))
-        dmax = max(float(np.max(np.abs(a - c2)))
-                   for a, c2 in zip(lhsA.coeffs, rhsA.coeffs))
-        checks.append(_below(f"convolve-associates-n{n}", dmax, 1e-12))
+        checks.append(_below(f"convolve-associates-n{n}",
+                             _coeff_gap(lhsA.coeffs, rhsA.coeffs), 1e-12))
         viaC = c.apply(f)
         viaG = bl.convolve(f, c.g_function())
-        dmax = max(float(np.max(np.abs(a - c2)))
-                   for a, c2 in zip(viaC.coeffs, viaG.coeffs))
-        checks.append(_close(f"convolve-is-multiplier-n{n}", dmax, 0.0, 0.0))
+        checks.append(_close(f"convolve-is-multiplier-n{n}",
+                             _coeff_gap(viaC.coeffs, viaG.coeffs), 0.0, 0.0))
 
     # boundary-slice identity for the convolution against the Poisson slice
     K = 16
@@ -1389,6 +1303,20 @@ def _exp_ball_norms(b, rng, p):
 def _lambda_scaled(c, order):
     lv = bl.multiplier_lambda(c.n, c.cap, order).diagonal_values()
     return bl.Multiplier(c.n, [lv[k] * blk for k, blk in enumerate(c.blocks)])
+
+
+FINITE_TREND = -0.05
+DIVERGENT_TREND = -0.2
+
+
+def trend_class(slope):
+    """A slice_functional trend at or above FINITE_TREND has settled as
+    rho -> 1; one at or below DIVERGENT_TREND still climbs."""
+    if slope >= FINITE_TREND:
+        return "finite"
+    if slope <= DIVERGENT_TREND:
+        return "divergent"
+    return "inconclusive"
 
 
 def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, pts, w):
@@ -1420,6 +1348,25 @@ def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, pts, w):
     return sup, slope, [[float(r), float(v)] for r, v in rows]
 
 
+def _symbol_trends(n, K, decay_exp, functional, checks, consts, arts):
+    """The functional of (1 + k)^decay_exp is stable from cap K to 2K and
+    trends finite; that of 1 + k trends divergent.  Returns the symbol at
+    caps K and 2K, its functional at 2K and the divergent trace rows."""
+    decay = (1.0 + np.arange(2 * K + 1.0)) ** decay_exp
+    c_half = bl.Multiplier.diagonal(n, K, decay[: K + 1])
+    c_full = bl.Multiplier.diagonal(n, 2 * K, decay)
+    N_half = functional(c_half)[0]
+    N, slope, rows = functional(c_full)
+    _, slope_bad, rows_bad = functional(
+        bl.Multiplier.diagonal(n, 2 * K, 1.0 + np.arange(2 * K + 1.0)))
+    checks.append(_close("functional-cap-stable", N_half / N, 1.0, 0.05))
+    checks.append(_above("finite-trend", slope, FINITE_TREND))
+    checks.append(_below("divergent-trend", slope_bad, DIVERGENT_TREND))
+    consts["functional"] = N
+    arts["trace"] = {"header": ["rho", "value"], "rows": rows}
+    return c_half, c_full, N, rows_bad
+
+
 def _ball_weighted_sup(f, beta, pts, levels):
     best = 0.0
     for i in range(0, levels + 1):
@@ -1442,29 +1389,16 @@ def _exp_thm8(b, rng, p):
     pts, w = bl.sphere_grid(n, res)
     checks, consts, arts = [], {}, {}
 
-    decay = (1.0 + np.arange(2 * K + 1.0)) ** -2.0
-    c_full = bl.Multiplier.diagonal(n, 2 * K, decay)
-    c_half = bl.Multiplier.diagonal(n, K, decay[: K + 1])
-    NK, slK, rowsK = slice_functional(c_half, sp, beta, None, b.rho_levels, pts, w)
-    N2, sl2, rows2 = slice_functional(c_full, sp, beta, None, b.rho_levels, pts, w)
-    checks.append(_close("functional-cap-stable", NK / N2, 1.0, 0.05))
-    checks.append(_above("finite-trend", sl2, -0.05))
-    consts["functional"] = N2
-    arts["trace"] = {"header": ["rho", "value"], "rows": rows2}
+    def functional(c):
+        return slice_functional(c, sp, beta, None, b.rho_levels, pts, w)
 
-    c_bad = bl.Multiplier.diagonal(n, 2 * K, 1.0 + np.arange(2 * K + 1.0))
-    Nb, sl_bad, rows_bad = slice_functional(c_bad, sp, beta, None,
-                                             b.rho_levels, pts, w)
-    checks.append(_below("divergent-trend", sl_bad, -0.2))
+    c_half, _, N2, rows_bad = _symbol_trends(n, K, -2.0, functional, checks, consts, arts)
     arts["trace_divergent"] = {"header": ["rho", "value"], "rows": rows_bad}
 
-    N0 = slice_functional(bl.Multiplier.diagonal(n, K, np.zeros(K + 1)),
-                           sp, beta, None, b.rho_levels, pts, w)[0]
+    N0 = functional(bl.Multiplier.diagonal(n, K, np.zeros(K + 1)))[0]
     checks.append(_close("zero-symbol", N0, 0.0, 0.0))
-    N1, sl1, _ = slice_functional(bl.Multiplier.diagonal(n, 2 * K,
-                                                          np.ones(2 * K + 1)),
-                                   sp, beta, None, b.rho_levels, pts, w)
-    checks.append(_above("identity-trend", sl1, -0.05))
+    sl1 = functional(bl.Multiplier.diagonal(n, 2 * K, np.ones(2 * K + 1)))[1]
+    checks.append(_above("identity-trend", sl1, FINITE_TREND))
 
     ratios = []
     rrows = []
@@ -1509,20 +1443,9 @@ def _exp_thm9(b, rng, p):
     pts, w = bl.sphere_grid(n, res)
     checks, consts, arts = [], {}, {}
 
-    decay = (1.0 + np.arange(2 * K + 1.0)) ** -2.5
-    c_full = bl.Multiplier.diagonal(n, 2 * K, decay)
-    c_half = bl.Multiplier.diagonal(n, K, decay[: K + 1])
-    MK = slice_functional(c_half, qp, e9, mo + 1.0, b.rho_levels, pts, w)[0]
-    M2, sl2, rows2 = slice_functional(c_full, qp, e9, mo + 1.0,
-                                       b.rho_levels, pts, w)
-    checks.append(_close("functional-cap-stable", MK / M2, 1.0, 0.05))
-    checks.append(_above("finite-trend", sl2, -0.05))
-    consts["functional"] = M2
-    arts["trace"] = {"header": ["rho", "value"], "rows": rows2}
-
-    c_bad = bl.Multiplier.diagonal(n, 2 * K, 1.0 + np.arange(2 * K + 1.0))
-    sl_bad = slice_functional(c_bad, qp, e9, mo + 1.0, b.rho_levels, pts, w)[1]
-    checks.append(_below("divergent-trend", sl_bad, -0.2))
+    c_half, c_full, M2, _ = _symbol_trends(
+        n, K, -2.5, lambda c: slice_functional(c, qp, e9, mo + 1.0, b.rho_levels, pts, w),
+        checks, consts, arts)
 
     # conjugate-exponent sensitivity, reported only
     Mq = slice_functional(c_full, q, e9, mo + 1.0, b.rho_levels, pts, w)[0]
@@ -1577,8 +1500,8 @@ def _exp_thm10(b, rng, p):
     Kv, slKv, rowsK = slice_functional(c, sp, eK, mo + 1.0, b.rho_levels, pts, w)
     consts["gradient_functional"] = Lv
     consts["volume_functional"] = Kv
-    checks.append(_above("gradient-finite-trend", slL, -0.05))
-    checks.append(_above("volume-finite-trend", slKv, -0.05))
+    checks.append(_above("gradient-finite-trend", slL, FINITE_TREND))
+    checks.append(_above("volume-finite-trend", slKv, FINITE_TREND))
     arts["trace_gradient"] = {"header": ["rho", "value"], "rows": rowsL}
     arts["trace_volume"] = {"header": ["rho", "value"], "rows": rowsK}
 
@@ -1589,7 +1512,7 @@ def _exp_thm10(b, rng, p):
 
     c_bad = bl.Multiplier.diagonal(n, 2 * K, 1.0 + np.arange(2 * K + 1.0))
     sl_bad = slice_functional(c_bad, sp, eL, mo + 1.0, b.rho_levels, pts, w)[1]
-    checks.append(_below("divergent-trend", sl_bad, -0.2))
+    checks.append(_below("divergent-trend", sl_bad, DIVERGENT_TREND))
 
     ratios = []
     for i in range(b.panel):

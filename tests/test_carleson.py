@@ -134,23 +134,11 @@ def test_excursion_mass_bounds():
     assert ca.excursion_mass(outside, w, 1, 0.0) == 0.0
 
 
-def test_excursion_fraction_monotone_in_delta():
-    w = np.array([0.0, 0.0, 1.0])
-    fr = [ca.excursion_fraction(w, 1, 2, d, grid=12) for d in (0.0, 0.05, 0.2)]
-    assert all(0.0 <= v <= 1.0 for v in fr)
-    assert fr[0] >= fr[1] >= fr[2]
-
-
-def test_lemma6_cover_and_transfer():
+def test_lemma6_cover():
     w = np.array([0.0, 0.25])
     frac, chosen, mult = ca.lemma6_cover(w, 1, 1, 0.05, grid=10, lattice=3)
     assert 0.0 <= frac <= 1.0
     assert mult >= (1 if chosen else 0)
-    mu = ca.AtomicMeasure([[0.0], [0.1]], [0.25, 0.3], [1.0, 1.0])
-    centers = [w, np.array([0.1, 0.5])]
-    K, K_full, rows = ca.lemma6_transfer(mu, centers, 1, 0.05, theta=1.5)
-    assert len(rows) == 2
-    assert K <= K_full  # excursion set is a subset of the full box
 
 
 def test_embedding_ratio_lhs_exact():

@@ -9,7 +9,7 @@ import pytest
 
 from harmspace import ball as bl
 from harmspace import carleson as ca
-from harmspace import cli
+from harmspace import cli, verify
 from harmspace.geometry import Region, cubes_to_json, whitney_cubes
 
 
@@ -240,3 +240,61 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
         run(tmp_path, "ball", "multiplier-check", "--cap", "1", "--resolution", str(side))
     assert run(tmp_path, "ball", "multiplier-check", "--cap", "1",
                "--resolution", str(side + 1)) == 2
+
+
+def test_ball_exponents_and_orders_exit_two(tmp_path, capsys):
+    f2, f4 = tmp_path / "f2.json", tmp_path / "f4.json"
+    f2.write_text(json.dumps(bl.Expansion.random(2, 4, seed=1).to_json()))
+    f4.write_text(json.dumps(bl.Expansion.random(4, 2, seed=1).to_json()))
+    field = ["--field", f"expansion-file:{f2}"]
+    exp = ["--expansion", str(f2)]
+    cases = [
+        ["norm", "--space", "slice", *field, "--q", "0"],
+        ["norm", "--space", "mixed", *field, "--q", "0"],
+        ["norm", "--space", "slice", *field, "--t", "nan"],
+        ["norm", "--space", "sup", *field, "--alpha", "nan"],
+        ["norm", "--space", "volume", *field, "--resolution", "0"],
+        ["ball", "functional", *exp, "--kind", "slice", "--q", "0"],
+        ["ball", "functional", *exp, "--kind", "grad-mixed", "--q", "0"],
+        ["ball", "functional", *exp, "--kind", "grad-volume", "--p", "0"],
+        ["ball", "functional", *exp, "--kind", "volume", "--p", "nan"],
+        ["ball", "functional", "--expansion", str(f4), "--kind", "volume"],
+        ["ball", "lambda", *exp, "--t", "0"],
+        ["ball", "lambda", *exp, "--t", "inf"],
+        ["ball", "multiplier-check", "--cap", "4", "--s", "nan"],
+        ["ball", "multiplier-check", "--cap", "4", "--beta", "nan"],
+        ["ball", "multiplier-check", "--cap", "4", "--lam-order", "0"],
+    ]
+    out = tmp_path / "out"
+    for argv in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    assert not out.exists()
+
+
+def test_rho_levels_guard_exits_two(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the guard must reject the request before this")
+
+    # past level 53 the radius 1 - 2**-i rounds to 1.0; 100000 levels would
+    # run until killed, so the functional must never be reached
+    monkeypatch.setattr(verify, "slice_functional", unreachable)
+    for levels in ("-1", "0", "54", "100000"):
+        assert run(tmp_path, "ball", "multiplier-check", "--rho-levels", levels) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, levels
+    assert not list(tmp_path.iterdir())
+    for levels in ("1", "53"):
+        with pytest.raises(AssertionError, match="guard"):
+            run(tmp_path, "ball", "multiplier-check", "--rho-levels", levels)
+
+
+def test_multiplier_check_classifies_like_the_check_rows(tmp_path, monkeypatch):
+    for slope, kind in ((verify.FINITE_TREND, "finite"),
+                        (verify.DIVERGENT_TREND, "divergent"),
+                        (-0.1, "inconclusive")):
+        monkeypatch.setattr(verify, "slice_functional",
+                            lambda *args, slope=slope: (1.0, slope, [[0.5, 1.0]]))
+        assert run(tmp_path, "ball", "multiplier-check", "--cap", "2") == 0
+        assert read_summary(tmp_path, "ball")["classification"] == kind

@@ -77,15 +77,6 @@ def test_fit_loglog_property(slope, pref):
     assert got == pytest.approx(slope, abs=1e-9)
 
 
-def test_geometric_grid_endpoints_and_growth():
-    g = util.geometric_grid(0.25, 4.0, 2.0)
-    assert g[0] == pytest.approx(0.25) and g[-1] == pytest.approx(4.0)
-    assert np.all(g[1:] / g[:-1] <= 2.0 + 1e-12)
-    assert np.allclose(np.diff(np.log(g)), np.log(g[1] / g[0]))
-    with pytest.raises(ValueError):
-        util.geometric_grid(4.0, 0.25, 2.0)
-
-
 def test_dump_json_canonical(tmp_path):
     p = tmp_path / "x.json"
     util.dump_json({"b": 1.5, "a": [1, 2]}, p)

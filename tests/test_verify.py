@@ -120,3 +120,13 @@ def test_failure_is_an_honest_verdict():
     assert rep["verdict"] == "fail"
     bad = [c for c in rep["checks"] if not c["ok"]]
     assert bad and all(c["name"].startswith("roundtrip") for c in bad)
+
+
+def test_trend_class_matches_the_check_rows():
+    # thm8's finite-trend row passes at slope >= FINITE_TREND and its
+    # divergent-trend row at slope <= DIVERGENT_TREND: same boundaries here
+    assert vf.trend_class(-0.05) == "finite"
+    assert vf.trend_class(-0.2) == "divergent"
+    assert vf.trend_class(-0.1) == "inconclusive"
+    assert vf._above("finite-trend", -0.05, vf.FINITE_TREND)["ok"]
+    assert vf._below("divergent-trend", -0.2, vf.DIVERGENT_TREND)["ok"]
