@@ -31,7 +31,8 @@ class Region:
     t_max: float
 
     def __post_init__(self):
-        if self.x_max <= 0 or self.t_min <= 0 or self.t_max <= 0:
+        # written so that NaN fails too
+        if not (self.x_max > 0 and self.t_min > 0 and self.t_max > 0):
             raise ValueError("region extents must be positive")
 
     @property
@@ -159,6 +160,18 @@ def _index_range(extent: float, side: float):
     return range(k_min, k_max + 1)
 
 
+def _layers(region: Region):
+    """(level j, per-axis index range) of each layer of boxes meeting the
+    region, by increasing level; none for a degenerate region."""
+    if region.degenerate:
+        return
+    j_lo = math.floor(math.log2(region.t_min))
+    j_hi = math.ceil(math.log2(region.t_max))
+    for j in range(j_lo, j_hi + 1):
+        if 2.0**j < region.t_max and 2.0 ** (j + 1) > region.t_min:
+            yield j, _index_range(region.x_max, 2.0**j)
+
+
 def whitney_cubes(region: Region, n: int) -> list:
     """All decomposition boxes whose interior meets the region.
 
@@ -166,20 +179,24 @@ def whitney_cubes(region: Region, n: int) -> list:
     """
     if n < 1:
         raise ValueError("spatial dimension must be >= 1")
-    if region.degenerate:
-        return []
-    j_lo = math.floor(math.log2(region.t_min))
-    j_hi = math.ceil(math.log2(region.t_max))
-    cubes = []
-    for j in range(j_lo, j_hi + 1):
-        t0, t1 = 2.0**j, 2.0 ** (j + 1)
-        if not (t0 < region.t_max and t1 > region.t_min):
-            continue
-        per_axis = _index_range(region.x_max, 2.0**j)
-        for idx in itertools.product(per_axis, repeat=n):
-            cubes.append(WhitneyCube(j, idx))
+    cubes = [WhitneyCube(j, idx) for j, per_axis in _layers(region)
+             for idx in itertools.product(per_axis, repeat=n)]
     cubes.sort()
     return cubes
+
+
+def whitney_count(region: Region, n: int) -> float:
+    """len(whitney_cubes(region, n)), counted without building a box.
+
+    A float, exact below 2**53, and inf where the count or one layer's
+    index range overflows (a huge or unbounded region, a large n).
+    """
+    if n < 1:
+        raise ValueError("spatial dimension must be >= 1")
+    try:
+        return float(sum(float(len(per_axis)) ** n for _, per_axis in _layers(region)))
+    except OverflowError:
+        return math.inf
 
 
 def clipped_corners(cubes: list, region: Region):

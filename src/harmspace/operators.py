@@ -32,18 +32,58 @@ from .quadrature import AxisymmetricNodes, QuadSpec
 _BLOCK_VALUES = 1 << 15
 
 
+def _pairwise_leaves(n):
+    """numpy's pairwise-sum tree over n values, cut into leaves.
+
+    np.sum of a contiguous run of m > 128 values adds the sum of its
+    first h values to the sum of the rest, h = m // 2 less m // 2 % 8, and
+    adds shorter runs in one unrolled loop (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 4.2).  Runs of at most
+    _BLOCK_VALUES values, and never fewer than 128, are leaves here, so
+    np.sum of a leaf is numpy's sum of that run.  Returns (tree, leaves):
+    leaves lists each leaf's (lo, hi) in order, and the tree is a leaf's
+    index or a (left, right) pair of trees.
+    """
+    leaf = max(_BLOCK_VALUES, 128)
+    leaves = []
+
+    def split(lo, hi):
+        if hi - lo <= leaf:
+            leaves.append((lo, hi))
+            return len(leaves) - 1
+        half = (hi - lo) // 2
+        mid = lo + half - half % 8
+        return split(lo, mid), split(mid, hi)
+
+    return split(0, n), leaves
+
+
+def _tree_add(tree, sums):
+    """Add the leaf sums, sums[leaf index], in the order of the tree."""
+    if not isinstance(tree, tuple):
+        return sums[tree]
+    return _tree_add(tree[0], sums) + _tree_add(tree[1], sums)
+
+
 class KernelIntegralField(Field):
     """z |-> sum_i W_i Q_k(z, w_i) payload_i over stored nodes.
 
-    Two node layouts: "flat" (points (N, n+1), weights (N,)) and
-    "axisym" (AxisymmetricNodes plus payload of shape (n_uv, n_s)).
-    Radial about the origin in the axisym layout.
+    Built by _weighted from payloads already multiplied by the node
+    weights W_i, in one of two layouts: "flat" (points (N, n+1), payload
+    (N,)) and "axisym" (AxisymmetricNodes, payload (n_uv, n_s)), radial
+    about the origin.
 
     The payload may also be a stack, (P, N) or (P, n_uv, n_s): the P
     fields then share every kernel value, and values() and
     radial_values() carry a leading axis of length P.  Each stacked value
     equals, bit for bit, the value of the field built from that payload
     alone.
+
+    No kernel table is built at full size.  The flat layout evaluates a
+    block of points at a time; the axisym layout reduces each point's
+    kernel-payload products as they are made, leaf by leaf of numpy's
+    pairwise summation (see _eval_axial), so an evaluation needs a few
+    blocks of _BLOCK_VALUES values beyond the payload.
     """
 
     harmonic = True  # harmonic in z: finite combination of Q_k(., w_i)
@@ -55,20 +95,6 @@ class KernelIntegralField(Field):
         self.stacked = False
         self._flat = None
         self._ax = None
-
-    @classmethod
-    def from_flat(cls, n, k_order, points, weights, payload, label="kernel-integral"):
-        payload = np.asarray(payload, dtype=float)
-        wpay = np.asarray(weights, dtype=float) * payload
-        points = np.asarray(points, dtype=float)
-        return cls._weighted(n, k_order, points, wpay, payload.ndim == 2, label)
-
-    @classmethod
-    def from_axisym(cls, n, k_order, nodes: AxisymmetricNodes, payload, label="kernel-integral"):
-        payload = np.asarray(payload, dtype=float)
-        wpay = nodes.w_uv[:, None] * payload
-        wpay *= nodes.w_s
-        return cls._weighted(n, k_order, nodes, wpay, payload.ndim == 3, label)
 
     @classmethod
     def _weighted(cls, n, k_order, nodes, wpay, stacked, label):
@@ -111,32 +137,37 @@ class KernelIntegralField(Field):
     def _eval_axial(self, d, t):
         """(P, m) values at axis distances d and heights t.
 
-        Per point, the kernel table over all (u, v, s) nodes is filled one
-        block of rows at a time; its products with each payload are then
-        added up by one np.sum over the whole table, the summation the
-        unblocked table had, so the values do not depend on the block.
+        Per point, the kernel-payload products over all (u, v, s) nodes
+        are never stored at full size.  np.sum of the full table would add
+        them by pairwise summation; the table is cut into the leaves of
+        that summation tree (_pairwise_leaves), each leaf's products are
+        made from the kernel rows that cover it and added by np.sum, and
+        the leaf sums are added back in tree order.  Every payload of a
+        stack shares a leaf's kernel values, and each value equals the
+        np.sum of the full table bit for bit, whatever the block size.
         """
         nodes, wpay = self._ax
         n_pay, n_uv, n_s = wpay.shape
-        rows = max(1, _BLOCK_VALUES // n_s)
-        prod = np.empty((n_uv, n_s))
-        kern = np.empty((n_uv, n_s)) if n_pay > 1 else None
+        tree, leaves = _pairwise_leaves(n_uv * n_s)
+        longest = max(hi - lo for lo, hi in leaves)
+        rows = longest // n_s + 2  # most rows one leaf can touch
+        wflat = wpay.reshape(n_pay, -1)
+        prod = np.empty(longest)
+        sums = np.empty((len(leaves), n_pay))
         out = np.empty((n_pay, d.size))
         for i in range(d.size):
             if t[i] <= 0:
                 raise ValueError("evaluation points must satisfy t > 0")
             D = nodes.dist_sq_to(d[i])
             q = kernels.BergmanRows(self.k, self.n, t[i] + nodes.s, rows)
-            for a in range(0, n_uv, rows):
-                blk = slice(a, a + rows)
-                K = q.block(D[blk])
-                if kern is not None:
-                    kern[blk] = K
-                np.multiply(K, wpay[0, blk], out=prod[blk])
-            out[0, i] = np.sum(prod)
-            for j in range(1, n_pay):
-                np.multiply(kern, wpay[j], out=prod)
-                out[j, i] = np.sum(prod)
+            for li, (lo, hi) in enumerate(leaves):
+                r0, r1 = lo // n_s, -(-hi // n_s)  # the rows the leaf touches
+                K = q.block(D[r0:r1]).ravel()[lo - r0 * n_s : hi - r0 * n_s]
+                part = prod[: hi - lo]
+                for j in range(n_pay):
+                    np.multiply(K, wflat[j, lo:hi], out=part)
+                    sums[li, j] = np.sum(part)
+            out[:, i] = _tree_add(tree, sums)
         return out
 
     def _eval_flat(self, pts):
@@ -427,20 +458,47 @@ def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
     pts, w = quad.flat_box_nodes(region, 1, spec)
     fv = f.values(pts)
     base = w * fv * pts[:, -1] ** (-2 + float(np.sum(b_vec)))
-    kern = []
-    for j, z in enumerate(z_slots):
-        z = np.asarray(z, dtype=float)
-        dsq = (z[:, None, 0] - pts[None, :, 0]) ** 2 + (z[:, None, 1] + pts[None, :, 1]) ** 2
-        kern.append(dsq ** (-(a_vec[j] + b_vec[j]) / 2))
+    z_slots = [np.asarray(z, dtype=float) for z in z_slots]
+    rows = max(1, _BLOCK_VALUES // pts.shape[0])
+    expo = [-(a + b) / 2 for a, b in zip(a_vec, b_vec)]
+    t_pow = [z[:, 1] ** a for z, a in zip(z_slots, a_vec)]
     if m == 1:
-        out = kern[0] @ base
-        return np.asarray(z_slots[0])[:, 1] ** a_vec[0] * out
-    if m == 2:
-        out = (kern[0] * base) @ kern[1].T
-        t1 = np.asarray(z_slots[0])[:, 1] ** a_vec[0]
-        t2 = np.asarray(z_slots[1])[:, 1] ** a_vec[1]
-        return t1[:, None] * out * t2[None, :]
-    raise ValueError("m <= 2 supported")
+        out = _slot_kernel(z_slots[0], pts, expo[0], rows) @ base
+        out *= t_pow[0]
+        return out
+    if m != 2:
+        raise ValueError("m <= 2 supported")
+    z0, z1 = z_slots
+    kern1 = _slot_kernel(z1, pts, expo[1], rows)
+    shared = expo[0] == expo[1] and np.array_equal(z0, z1)
+    out = np.empty((z0.shape[0], z1.shape[0]))
+    # every matmul packs kern1 anew: blocks of at least 128 slot-0 rows
+    # keep that packing a small share of the matmul's arithmetic
+    prows = max(rows, 128)
+    for a in range(0, z0.shape[0], prows):
+        blk = slice(a, a + prows)
+        if shared:
+            k0 = kern1[blk] * base
+        else:
+            k0 = _slot_kernel(z0[blk], pts, expo[0], rows)
+            k0 *= base
+        np.matmul(k0, kern1.T, out=out[blk])
+    out *= t_pow[0][:, None]
+    out *= t_pow[1][None, :]
+    return out
+
+
+def _slot_kernel(z, pts, expo, rows):
+    """|z_i - wbar_k|^(2 expo) for slot points z (P, 2) and nodes pts (N, 2),
+    made `rows` slot points at a time; equal, bit for bit, to the one
+    broadcast expression over all of z."""
+    out = np.empty((z.shape[0], pts.shape[0]))
+    for a in range(0, z.shape[0], rows):
+        blk = z[a : a + rows]
+        dsq = (blk[:, None, 0] - pts[None, :, 0]) ** 2
+        dsq += (blk[:, None, 1] + pts[None, :, 1]) ** 2
+        out[a : a + rows] = dsq ** expo
+    return out
 
 
 def trace_product_norm_p(

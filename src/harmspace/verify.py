@@ -1040,7 +1040,9 @@ def _exp_prop1(b, rng, p):
         S = op.sab_apply(f, a_vec, b_vec, [zpts, zpts], inner_region, spec_in)
         w1 = zw * zpts[:, -1] ** s_vec[0]
         w2 = zw * zpts[:, -1] ** s_vec[1]
-        return float(w1 @ np.abs(S) ** pe @ w2)
+        np.abs(S, out=S)
+        S **= pe
+        return float(w1 @ S @ w2)
 
     L = lhs_value(slot, inner)
     R = no.bergman_norm(f, pe, lam, inner, spec_in, method="cubes") ** pe

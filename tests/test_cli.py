@@ -242,6 +242,66 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
                "--resolution", str(side + 1)) == 2
 
 
+def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the guard must reject the request before this")
+
+    f2, f3 = tmp_path / "f2.json", tmp_path / "f3.json"
+    f2.write_text(json.dumps(bl.Expansion.random(2, 4, seed=1).to_json()))
+    f3.write_text(json.dumps(bl.Expansion.random(3, 2, seed=1).to_json()))
+    monkeypatch.setattr(cli, "whitney_cubes", unreachable)
+    monkeypatch.setattr(bl, "sphere_grid", unreachable)
+    cases = [
+        ["whitney", "--n", "3"],  # 2.4 million boxes
+        ["whitney", "--n", "40"],
+        ["whitney", "--n", "1", "--t-min", "1e-300"],
+        ["whitney", "--n", "1", "--x-max", "inf"],
+        # complex (radial, resolution) tables on n = 2, (radial, 2 res^2) on n = 3
+        ["norm", "--space", "volume", "--field", f"expansion-file:{f2}",
+         "--resolution", str(10**8)],
+        ["norm", "--space", "slice", "--field", f"expansion-file:{f3}",
+         "--resolution", "5000"],
+        ["ball", "functional", "--expansion", str(f3), "--kind", "grad-mixed",
+         "--radial", str(10**8)],
+        ["ball", "functional", "--expansion", str(f2), "--kind", "mixed",
+         "--radial", "20000", "--resolution", "1000"],
+    ]
+    out = tmp_path / "out"
+    for argv in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MiB" in err, argv
+    assert cli.main(["whitney", "--n", "1", "--x-max", "nan", "--out", str(out)]) == 2
+    assert "extents" in capsys.readouterr().err
+    assert not out.exists()
+    # a table of exactly the budget passes the guard and reaches sphere_grid
+    cols = cli.MAX_ARRAY_BYTES // 16 // 32
+    assert 16 * 32 * cols == cli.MAX_ARRAY_BYTES
+    argv = ["ball", "functional", "--expansion", str(f2), "--kind", "volume",
+            "--radial", "32", "--out", str(out)]
+    with pytest.raises(AssertionError, match="guard"):
+        cli.main(argv + ["--resolution", str(cols)])
+    assert cli.main(argv + ["--resolution", str(cols + 1)]) == 2
+
+
+def test_ball_norm_overflow_exits_two(tmp_path, capsys):
+    f2 = tmp_path / "f2.json"
+    f2.write_text(json.dumps(bl.Expansion.random(2, 6, seed=0).to_json()))
+    out = tmp_path / "out"
+    # r**6 overflows at r = 1e308: no NaN report and no traceback
+    for argv in (["norm", "--space", "slice", "--field", f"expansion-file:{f2}",
+                  "--t", "1e308"],
+                 ["ball", "functional", "--expansion", str(f2), "--kind", "hardy",
+                  "--t", "1e308"]):
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "Warning" not in captured.err and "nan" not in captured.out
+    assert not out.exists()
+    assert cli.main(["norm", "--space", "slice", "--field", f"expansion-file:{f2}",
+                     "--t", "0.5", "--out", str(out)]) == 0
+
+
 def test_ball_exponents_and_orders_exit_two(tmp_path, capsys):
     f2, f4 = tmp_path / "f2.json", tmp_path / "f4.json"
     f2.write_text(json.dumps(bl.Expansion.random(2, 4, seed=1).to_json()))

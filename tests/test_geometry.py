@@ -14,6 +14,7 @@ from harmspace.geometry import (
     overlap_counts,
     sample_region,
     weighted_measure,
+    whitney_count,
     whitney_cubes,
 )
 
@@ -24,6 +25,26 @@ def test_region_validation():
     with pytest.raises(ValueError):
         Region(1.0, -0.5, 1.0)
     assert Region(1.0, 2.0, 1.0).degenerate
+    for extents in ((math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.5, math.nan)):
+        with pytest.raises(ValueError):
+            Region(*extents)
+
+
+def test_whitney_count_matches_enumeration():
+    regions = [Region(4.0, 2.0 ** -4, 4.0), Region(1.0, 0.3, 5.0),
+               Region(0.1, 0.25, 4.0), Region(0.7, 0.11, 0.9), Region(3.0, 2.0, 1.0)]
+    for region in regions:
+        for n in (1, 2):
+            assert whitney_count(region, n) == len(whitney_cubes(region, n)), (region, n)
+    # counted, not built: 2.4 million boxes, and one layer of 2**-40-sided ones
+    assert whitney_count(Region(4.0, 2.0 ** -4, 4.0), 3) == 2396736
+    assert whitney_count(Region(4.0, 2.0 ** -40, 2.0 ** -39), 1) == 2.0 ** 43
+    # unbounded, overflowing and huge-n requests count as inf
+    for region, n in ((Region(math.inf, 1.0, 2.0), 1), (Region(1.0, 1.0, math.inf), 1),
+                      (Region(1e308, 1e-300, 2.0), 1), (Region(4.0, 1.0, 2.0), 10**9)):
+        assert whitney_count(region, n) == math.inf
+    with pytest.raises(ValueError):
+        whitney_count(Region(1.0, 0.5, 1.0), 0)
 
 
 def test_level_counts_hand_tiling():

@@ -20,6 +20,23 @@ def _testfield(l, n, height=1.0):
     return fl.TestField(l, n, w)
 
 
+def _field_from_flat(n, k, points, weights, payload):
+    """KernelIntegralField over flat nodes from a payload not yet weighted."""
+    payload = np.asarray(payload, dtype=float)
+    wpay = np.asarray(weights, dtype=float) * payload
+    return op.KernelIntegralField._weighted(
+        n, k, np.asarray(points, dtype=float), wpay, payload.ndim == 2, "kernel-integral")
+
+
+def _field_from_axisym(n, k, nodes, payload):
+    """KernelIntegralField over axisymmetric nodes from a payload not yet weighted."""
+    payload = np.asarray(payload, dtype=float)
+    wpay = nodes.w_uv[:, None] * payload
+    wpay *= nodes.w_s
+    return op.KernelIntegralField._weighted(
+        n, k, nodes, wpay, payload.ndim == 3, "kernel-integral")
+
+
 def test_extension_reproduces_source():
     g = _testfield(0, 3)
     region = Region(32.0, 2.0 ** -6, 32.0)
@@ -95,7 +112,7 @@ def test_kernel_integral_field_guards():
     E = op.extension_field(g, 2, Region(4.0, 0.25, 4.0), QuadSpec(order=4, t_order=3))
     with pytest.raises(ValueError):
         E.values(np.array([[0.0, 0.0, -1.0]]))
-    flat = op.KernelIntegralField.from_flat(
+    flat = _field_from_flat(
         1, 2, np.array([[0.0, 1.0]]), [1.0], [1.0])
     with pytest.raises(NotImplementedError):
         flat.radial_values(np.array([0.0]), np.array([1.0]))
@@ -207,8 +224,8 @@ def _old_split_axisym(g, eps, lam, m, region, spec, offsets):
     gv = g.radial_values(nodes.center_radius()[:, None], s)
     mask = s ** lam * np.abs(g.radial_values(nodes.center_radius()[:, None], s)) >= eps
     pay = gv * s ** m
-    return (op.KernelIntegralField.from_axisym(g.n, m, nodes, pay * (~mask)),
-            op.KernelIntegralField.from_axisym(g.n, m, nodes, pay * mask))
+    return (_field_from_axisym(g.n, m, nodes, pay * (~mask)),
+            _field_from_axisym(g.n, m, nodes, pay * mask))
 
 
 def test_kernel_in_place_accumulation_matches_expression():
@@ -242,7 +259,7 @@ def test_blocked_eval_axial_matches_per_point_reference(monkeypatch):
     for block in (1, 1000):
         monkeypatch.setattr(op, "_BLOCK_VALUES", block)
         assert np.array_equal(fld._eval_axial(d, t), want)
-    single = op.KernelIntegralField.from_axisym(3, 3, nodes, g.radial_values(
+    single = _field_from_axisym(3, 3, nodes, g.radial_values(
         nodes.center_radius()[:, None], nodes.s[None, :]))
     assert np.array_equal(single._eval_axial(d, t), _per_point_axial(single, d, t))
 
@@ -403,9 +420,9 @@ def _old_extension(g, k, region, spec, offsets):
     if g.n >= 2:
         nodes = AxisymmetricNodes(region, g.n, spec, offsets)
         gv = g.radial_values(nodes.center_radius()[:, None], nodes.s[None, :])
-        return op.KernelIntegralField.from_axisym(g.n, k, nodes, gv * nodes.s[None, :] ** k)
+        return _field_from_axisym(g.n, k, nodes, gv * nodes.s[None, :] ** k)
     pts, w = quad.flat_box_nodes(region, 1, spec)
-    return op.KernelIntegralField.from_flat(g.n, k, pts, w, g.values(pts) * pts[:, -1] ** k)
+    return _field_from_flat(g.n, k, pts, w, g.values(pts) * pts[:, -1] ** k)
 
 
 def test_streamed_split_matches_full_table_construction(monkeypatch):
@@ -475,3 +492,76 @@ def test_batched_sup_product_ratio_matches_per_pair_loop():
     for pair in pairs:
         assert op.sup_product_ratio(ext, s_vec, 1.0, [pair]) == \
             _old_sup_product_ratio(ext, s_vec, 1.0, [pair])
+
+
+# ------------------------------------------------- streamed kernel reductions
+
+
+def _tree_sum(table):
+    """np.sum of a table rebuilt from np.sum of each pairwise-sum leaf."""
+    flat = table.ravel()
+    tree, leaves = op._pairwise_leaves(flat.size)
+    assert leaves[0][0] == 0 and leaves[-1][1] == flat.size
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert max(hi - lo for lo, hi in leaves) <= max(op._BLOCK_VALUES, 128)
+    return op._tree_add(tree, np.array([np.sum(flat[lo:hi]) for lo, hi in leaves]))
+
+
+def test_streamed_tree_sum_equals_np_sum(monkeypatch):
+    rng = np.random.default_rng(11)
+    # the axisym tables of thm7 and thm5, and a table below one leaf
+    shapes = [(34950, 144), (30096, 78), (26224, 66), (6235, 36), (37, 5)]
+    tables = [rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 8, s) for s in shapes]
+    # the default leaf, the 128-value floor (a 1-value leaf never ends its
+    # split), and leaves of 1000 values
+    for block in (op._BLOCK_VALUES, 1, 1000):
+        monkeypatch.setattr(op, "_BLOCK_VALUES", block)
+        for table in tables:
+            assert _same_bits(_tree_sum(table), np.sum(table)), (block, table.shape)
+
+
+def test_stacked_axial_evaluation_allocates_well_under_one_table():
+    import tracemalloc
+
+    g = _testfield(4, 3)
+    region, spec = Region(16.0, 2.0 ** -5, 16.0), QuadSpec(order=8, t_order=6)
+    fld = op.distance_split(g, [0.01, 0.1], 2.5, 4, region, spec, (0.0, 2.0, 4.0, 8.0))
+    table = _payload(fld)[0].nbytes
+    assert _payload(fld).shape[0] == 4 and table > 8e6
+    d, t = np.array([0.5, 3.0]), np.array([1.0, 2.0])
+    want = fld._eval_axial(d, t)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = fld._eval_axial(d, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(got, want)
+    # a full kernel table and a full product table took 2.3 tables
+    assert peak < 0.4 * table
+
+
+def test_shared_slot_sab_apply_allocates_well_under_one_table():
+    import tracemalloc
+
+    f = fl.BergmanField(9, 1, np.array([0.0, 1.0]))
+    z, _ = quad.flat_box_nodes(Region(32.0, 2.0 ** -6, 32.0), 1,
+                               QuadSpec(order=3, t_order=2, min_panel=0.5))
+    region, spec = Region(8.0, 2.0 ** -4, 8.0), QuadSpec(order=5, t_order=3)
+    args = ([0.0, 0.0], [5.0, 5.0], [z, z], region, spec)
+    pts, _ = quad.flat_box_nodes(region, 1, spec)
+    table = 8 * z.shape[0] * pts.shape[0]
+    assert table > 8e6
+    want = op.sab_apply(f, *args)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = op.sab_apply(f, *args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(got, want)
+    # beyond the result and the one slot kernel both slots share, where
+    # six full tables were built before
+    assert peak - got.nbytes - table < 0.5 * table
