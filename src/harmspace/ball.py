@@ -275,11 +275,7 @@ def convolve(f: Expansion, g: Expansion) -> Expansion:
 
 def fractional_derivative(t: float, f: Expansion) -> Expansion:
     """Lambda_t f: diagonal gamma-ratio multiplier of order t > 0."""
-    _check_positive(order=t)
-    vals = np.array(
-        [gamma_ratio(k + f.n / 2, t) / math.gamma(t) for k in range(f.cap + 1)]
-    )
-    return Expansion(f.n, [v * c for v, c in zip(vals, f.coeffs)])
+    return multiplier_lambda(f.n, f.cap, t).apply(f)
 
 
 def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
@@ -325,21 +321,37 @@ def _abs_values(f: Expansion, r, points) -> np.ndarray:
     return np.abs(f.values(r, points))
 
 
-def _volume_integral(f, values, p, alpha, resolution, radial) -> float:
-    """(int_B values(f, r, x')^p (1-|x|^2)^alpha dx)^(1/p), normalized sigma.
+def _power_mean(vals, w, p):
+    """(vals^p @ w)^(1/p) over the last axis of vals >= 0, taken as
+    m ((vals / m)^p @ w)^(1/p) with m near the largest value of each row,
+    so that the power cannot underflow (or overflow) for a large p."""
+    top = np.max(vals, axis=-1, keepdims=True)
+    # m is the power of two just above the row's largest value, which
+    # scales without rounding, unless p is so large that (1/2)^p could
+    # underflow: then the largest value itself
+    m = top if p > 512 else np.ldexp(1.0, np.frexp(top)[1])
+    m = np.where((top > 0) & (top < np.inf), m, 1.0)  # zero or inf: unscaled
+    return m[..., 0] * ((vals / m) ** p @ w) ** (1.0 / p)
 
-    Volume element r^(n-1) dr dsigma(x'); the (1-r)^alpha endpoint factor
-    is handled by Gauss-Jacobi so alpha in (-1, 0) costs nothing.
-    """
+
+def _radial_mean(f, values, p, q, a_exp, resolution, radial) -> float:
+    """(int_0^1 M_q^p (1-r)^a (1+r)^a r^(n-1) dr)^(1/p), where M_q is the
+    q-mean of values(f, r, x') over the sphere: the Gauss-Jacobi rule
+    takes the (1-r)^a endpoint factor, so a in (-1, 0) costs nothing."""
+    pts, w = sphere_grid(f.n, resolution)
+    r, wr = radial_jacobi_quadrature(a_exp, f.n, radial)
+    mq = _power_mean(values(f, r[:, None], pts[None, :, :]), w, q)
+    return float(_power_mean(mq, wr * (1.0 + r) ** a_exp, p))
+
+
+def _volume_integral(f, values, p, alpha, resolution, radial) -> float:
+    """(int_B values(f, r, x')^p (1-|x|^2)^alpha dx)^(1/p), normalized sigma:
+    the mixed integral with q = p, volume element r^(n-1) dr dsigma(x')."""
     _check_positive(p=p)
     _check_finite(alpha=alpha)
     if alpha <= -1:
         raise ValueError("weight must have alpha > -1")
-    pts, w = sphere_grid(f.n, resolution)
-    r, wr = radial_jacobi_quadrature(alpha, f.n, radial)
-    vals = values(f, r[:, None], pts[None, :, :])
-    smooth = (1.0 + r) ** alpha  # (1-r^2)^a = (1-r)^a (1+r)^a
-    return float((wr * smooth) @ (vals**p @ w)) ** (1.0 / p)
+    return _radial_mean(f, values, p, p, alpha, resolution, radial)
 
 
 def _mixed_integral(f, values, p, q, alpha, resolution, radial) -> float:
@@ -349,12 +361,7 @@ def _mixed_integral(f, values, p, q, alpha, resolution, radial) -> float:
     _check_finite(alpha=alpha)
     if alpha * p - 1 <= -1:
         raise ValueError("need alpha p > 0")
-    pts, w = sphere_grid(f.n, resolution)
-    r, wr = radial_jacobi_quadrature(alpha * p - 1, f.n, radial)
-    vals = values(f, r[:, None], pts[None, :, :])
-    mq = (vals**q @ w) ** (1.0 / q)
-    smooth = (1.0 + r) ** (alpha * p - 1)
-    return float((wr * smooth) @ mq**p) ** (1.0 / p)
+    return _radial_mean(f, values, p, q, alpha * p - 1, resolution, radial)
 
 
 def volume_norm(
@@ -369,8 +376,7 @@ def slice_norm_ball(f: Expansion, q: float, r: float, resolution: int = 24) -> f
     _check_positive(q=q)
     _check_finite(r=r)
     pts, w = sphere_grid(f.n, resolution)
-    vals = np.abs(f.values(np.asarray(r), pts))
-    return float((w @ vals**q) ** (1.0 / q))
+    return float(_power_mean(np.abs(f.values(np.asarray(r), pts)), w, q))
 
 
 def mixed_norm_ball(

@@ -16,10 +16,15 @@ a threshold, and the finite-cover mass transfer) lives here too.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import kernels
-from .geometry import Box, Region, whitney_cubes, weighted_measure
+from .geometry import (
+    MASK_PAIRS, Box, Region, box_centers, box_corners, box_volumes, in_boxes,
+    weighted_measures, whitney_cubes,
+)
 from .quadrature import QuadSpec
 from .norms import bergman_norm
 
@@ -46,18 +51,46 @@ class AtomicMeasure:
     def n(self) -> int:
         return self.x.shape[1]
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.column_stack([self.x, self.t])
+        """The atoms' (x, t) rows, (m, n+1); built once, read-only."""
+        pts = np.column_stack([self.x, self.t])
+        pts.flags.writeable = False
+        return pts
 
     def total_mass(self) -> float:
         return float(self.weight.sum())
 
+    def in_box(self, box: Box) -> np.ndarray:
+        """Mask of the atoms in the closed box."""
+        return in_boxes(self.points, box.lo, box.hi)
+
     def mass_in_box(self, box: Box) -> float:
-        lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-        pts = self.points
-        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-        return float(self.weight[inside].sum())
+        return float(self.weight[self.in_box(box)].sum())
+
+    def masses_in_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """mass_in_box of each closed box [lo, hi] (corner arrays), bit for
+        bit: each non-empty box sums the same selected weights, in atom
+        order, with the same np.sum.  A chunk of boxes is tested only
+        against the atoms whose t lies in the chunk's t range."""
+        out = np.zeros(len(lo))
+        step = max(1, MASK_PAIRS // max(1, self.t.size))
+        for a in range(0, len(lo), step):
+            blo, bhi = lo[a : a + step], hi[a : a + step]
+            near = np.flatnonzero((self.t >= blo[:, -1].min()) & (self.t <= bhi[:, -1].max()))
+            mask = in_boxes(self.points[near], blo, bhi)
+            w = self.weight[near]
+            for r in np.flatnonzero(mask.any(axis=1)).tolist():
+                out[a + r] = w[mask[r]].sum()
+        return out
+
+    def restricted(self, box: Box):
+        """The atoms in the closed box as a measure; None if there are none."""
+        inside = self.in_box(box)
+        if not np.any(inside):
+            return None
+        return AtomicMeasure(self.x[inside], self.t[inside], self.weight[inside],
+                             label=self.label)
 
     def integrate(self, fn) -> float:
         """Exact integral of fn over the measure; fn maps (m, n+1) points."""
@@ -91,13 +124,11 @@ class AtomicMeasure:
         """Cube-center atoms carrying m_lam(box): the discrete stand-in
         for the weight t^lam dz."""
         cubes = whitney_cubes(region, n)
-        xs, ts, ws = [], [], []
-        for c in cubes:
-            ctr = c.center
-            xs.append(ctr[:-1])
-            ts.append(ctr[-1])
-            ws.append(weighted_measure(c.box(), lam))
-        return cls(xs, ts, ws, label or f"m_lambda-{lam:g}")
+        if not cubes:
+            raise ValueError("degenerate region: no boxes to carry the weight")
+        ctr = box_centers(cubes)
+        return cls(ctr[:, :-1], ctr[:, -1], weighted_measures(*box_corners(cubes), lam),
+                   label or f"m_lambda-{lam:g}")
 
 
 class CubeConditionReport:
@@ -138,12 +169,12 @@ class CubeConditionReport:
         }
 
 
-def _cube_report(condition, params, mu: AtomicMeasure, cubes, gauge_fn):
-    rows = []
-    for c in cubes:
-        mass = mu.mass_in_box(c.box())
-        gauge = gauge_fn(c)
-        rows.append((c.level, c.index, mass, gauge, mass / gauge))
+def _cube_report(condition, params, mu: AtomicMeasure, cubes, base, e):
+    """Rows (level, index, mass, gauge, ratio) with gauge = base^e per box,
+    base an array: the box volumes, or the etas (the centre heights)."""
+    masses = mu.masses_in_boxes(*box_corners(cubes)).tolist()
+    gauges = [v**e for v in base.tolist()]
+    rows = [(c.level, c.index, m, g, m / g) for c, m, g in zip(cubes, masses, gauges)]
     return CubeConditionReport(condition, params, rows, mu.n)
 
 
@@ -154,20 +185,16 @@ def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionRe
         raise ValueError("s_vec must have length m")
     n = mu.n
     e = m + sum(s_vec) / (n + 1)
-    return _cube_report(
-        "vector", {"m": m, "s": s_vec, "exponent": e}, mu, cubes,
-        lambda c: c.box().volume**e,
-    )
+    return _cube_report("vector", {"m": m, "s": s_vec, "exponent": e}, mu, cubes,
+                        box_volumes(*box_corners(cubes)), e)
 
 
 def condition_single(mu: AtomicMeasure, cubes, alpha: float) -> CubeConditionReport:
     """mass / |box|^(1 + alpha/(n+1)); the single-weight corollary."""
     n = mu.n
     e = 1 + alpha / (n + 1)
-    return _cube_report(
-        "single", {"alpha": alpha, "exponent": e}, mu, cubes,
-        lambda c: c.box().volume**e,
-    )
+    return _cube_report("single", {"alpha": alpha, "exponent": e}, mu, cubes,
+                        box_volumes(*box_corners(cubes)), e)
 
 
 def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditionReport:
@@ -177,10 +204,8 @@ def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditio
     if alpha <= 0:
         raise ValueError("need alpha > 0")
     e = mu.n * q / p + alpha * q
-    return _cube_report(
-        "mixed", {"p": p, "q": q, "alpha": alpha, "exponent": e}, mu, cubes,
-        lambda c: c.eta**e,
-    )
+    return _cube_report("mixed", {"p": p, "q": q, "alpha": alpha, "exponent": e},
+                        mu, cubes, box_centers(cubes)[:, -1], e)
 
 
 def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeConditionReport:
@@ -190,10 +215,8 @@ def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeCondition
     if tau is not None and not (0 < tau <= p):
         raise ValueError("need 0 < tau <= p")
     e = mu.n + alpha * p
-    return _cube_report(
-        "tent", {"p": p, "alpha": alpha, "tau": tau, "exponent": e}, mu, cubes,
-        lambda c: c.eta**e,
-    )
+    return _cube_report("tent", {"p": p, "alpha": alpha, "tau": tau, "exponent": e},
+                        mu, cubes, box_centers(cubes)[:, -1], e)
 
 
 def qw_box(w) -> Box:
@@ -207,13 +230,11 @@ def qw_box(w) -> Box:
 
 def excursion_mass(mu: AtomicMeasure, w, l: int, delta: float) -> float:
     """Measure of {z in Q_w : |P_l(u)| > delta} (atoms only: exact)."""
-    box = qw_box(w)
-    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    pts = mu.points
-    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    inside = mu.in_box(qw_box(w))
     if not np.any(inside):
         return 0.0
-    keep = kernels.profile_excursion(l, mu.n, delta, pts[inside], np.asarray(w, float))
+    keep = kernels.profile_excursion(l, mu.n, delta, mu.points[inside],
+                                     np.asarray(w, float))
     return float(mu.weight[inside][keep].sum())
 
 

@@ -71,12 +71,6 @@ class Box:
             v *= b - a
         return v
 
-    def intersection_volume(self, other: "Box") -> float:
-        v = 1.0
-        for a0, b0, a1, b1 in zip(self.lo, self.hi, other.lo, other.hi):
-            v *= max(0.0, min(b0, b1) - max(a0, a1))
-        return v
-
     def clipped(self, region: Region) -> "Box":
         n = self.dim - 1
         lo = [max(a, -region.x_max) for a in self.lo[:n]] + [max(self.lo[n], region.t_min)]
@@ -135,21 +129,17 @@ class WhitneyCube:
         return Box(lo, hi)
 
     def enlarged(self, factor: float = DEFAULT_ENLARGE) -> Box:
-        if not (1.0 <= factor < MAX_ENLARGE):
-            raise ValueError(f"enlargement factor must lie in [1, {MAX_ENLARGE})")
+        _check_enlarge(factor)
         c = self.center
         half = np.append(
             np.full(self.n, 0.5 * self.side * factor), 0.5 * self.side * factor
         )
         return Box(tuple(c - half), tuple(c + half))
 
-    def record(self) -> dict:
-        return {
-            "level": self.level,
-            "index": list(self.index),
-            "center": [float(v) for v in self.center],
-            "side": self.side,
-        }
+
+def _check_enlarge(factor: float) -> None:
+    if not (1.0 <= factor < MAX_ENLARGE):
+        raise ValueError(f"enlargement factor must lie in [1, {MAX_ENLARGE})")
 
 
 def _index_range(extent: float, side: float):
@@ -175,14 +165,14 @@ def _layers(region: Region):
 def whitney_cubes(region: Region, n: int) -> list:
     """All decomposition boxes whose interior meets the region.
 
-    Returned sorted by (level, index); a degenerate region gives [].
+    Sorted by (level, index), the order in which they are made: levels
+    increase and itertools.product runs through the indices
+    lexicographically.  A degenerate region gives [].
     """
     if n < 1:
         raise ValueError("spatial dimension must be >= 1")
-    cubes = [WhitneyCube(j, idx) for j, per_axis in _layers(region)
-             for idx in itertools.product(per_axis, repeat=n)]
-    cubes.sort()
-    return cubes
+    return [WhitneyCube(j, idx) for j, per_axis in _layers(region)
+            for idx in itertools.product(per_axis, repeat=n)]
 
 
 def whitney_count(region: Region, n: int) -> float:
@@ -199,17 +189,58 @@ def whitney_count(region: Region, n: int) -> float:
         return math.inf
 
 
+# ----------------------------------------------------- corner arrays
+#
+# Whole-array forms of the per-box geometry, one row per cube in the
+# cubes' order.  Each array is made with the same float operations as the
+# WhitneyCube property it stands for, so its values equal those of box(),
+# center and enlarged() bit for bit.  Powers of per-box values stay Python
+# float ``**`` (``[v ** e for v in a.tolist()]``): numpy's vectorised pow
+# differs from it in the last bit on some values.
+
+
+def cube_arrays(cubes: list):
+    """(level, index, side) of the cubes: int (B,), int (B, n), float
+    (B,) with side = 2^level."""
+    b, n = len(cubes), cubes[0].n if cubes else 0
+    level = np.fromiter((c.level for c in cubes), np.int64, count=b)
+    index = np.fromiter(itertools.chain.from_iterable(c.index for c in cubes),
+                        np.int64, count=b * n).reshape(b, n)
+    return level, index, np.ldexp(1.0, level)
+
+
+def box_corners(cubes: list):
+    """Corner arrays (lo, hi), each (B, n+1), of cube.box()."""
+    _, index, side = cube_arrays(cubes)
+    lo = np.column_stack([index * side[:, None], side])
+    hi = np.column_stack([(index + 1) * side[:, None], 2 * side])
+    return lo, hi
+
+
+def _centers(index, side):
+    return np.column_stack([(index + 0.5) * side[:, None], 1.5 * side])
+
+
+def box_centers(cubes: list) -> np.ndarray:
+    """cube.center of each cube, (B, n+1): ((k + 1/2) side, 3/2 side)."""
+    return _centers(*cube_arrays(cubes)[1:])
+
+
+def enlarged_corners(cubes: list, factor: float = DEFAULT_ENLARGE):
+    """Corner arrays (lo, hi) of cube.enlarged(factor)."""
+    _check_enlarge(factor)
+    _, index, side = cube_arrays(cubes)
+    c = _centers(index, side)
+    half = (0.5 * side * factor)[:, None]
+    return c - half, c + half
+
+
 def clipped_corners(cubes: list, region: Region):
-    """Corner arrays (lo, hi), each (B, n+1), of the cubes' boxes clipped
-    to the region, in the cubes' order; boxes of zero volume are dropped.
-    The corners equal those of cube.box().clipped(region)."""
-    if not cubes:
-        return np.empty((0, 0)), np.empty((0, 0))
-    side = 2.0 ** np.array([c.level for c in cubes], dtype=float)
-    idx = np.array([c.index for c in cubes], dtype=float)
-    lo = np.column_stack([idx * side[:, None], side])
-    hi = np.column_stack([(idx + 1) * side[:, None], 2 * side])
-    n = idx.shape[1]
+    """Corner arrays (lo, hi) of the cubes' boxes clipped to the region,
+    in the cubes' order; boxes of zero volume are dropped.  The corners
+    equal those of cube.box().clipped(region)."""
+    lo, hi = box_corners(cubes)
+    n = lo.shape[1] - 1
     lo = np.maximum(lo, [-region.x_max] * n + [region.t_min])
     hi = np.minimum(hi, [region.x_max] * n + [region.t_max])
     lo = np.minimum(lo, hi)  # empty overlap collapses to zero volume
@@ -217,41 +248,79 @@ def clipped_corners(cubes: list, region: Region):
     return lo[keep], hi[keep]
 
 
-def weighted_measure(box: Box, lam: float) -> float:
-    """m_lambda(box) = integral of t^lambda over the box, closed form.
+def box_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Box.volume of each box: the sides multiplied axis by axis."""
+    v = np.ones(lo.shape[0])
+    for a in range(lo.shape[1]):
+        v = v * (hi[:, a] - lo[:, a])
+    return v
 
-    Only lambda > -1 is accepted; the boxes used here sit away from t = 0,
-    but the toolkit never needs the extended range.
+
+def weighted_measures(lo: np.ndarray, hi: np.ndarray, lam: float) -> np.ndarray:
+    """m_lambda of each box [lo, hi] = integral of t^lambda over it,
+    closed form: |spatial box| (t1^(lambda+1) - t0^(lambda+1)) / (lambda+1).
+
+    Only a finite lambda > -1 is accepted; the boxes used here sit away
+    from t = 0, but the toolkit never needs the extended range.
     """
-    if lam <= -1:
-        raise ValueError("weight exponent must exceed -1")
-    n = box.dim - 1
-    spatial = 1.0
-    for a, b in zip(box.lo[:n], box.hi[:n]):
-        spatial *= b - a
-    t0, t1 = box.lo[n], box.hi[n]
-    return spatial * (t1 ** (lam + 1) - t0 ** (lam + 1)) / (lam + 1)
+    if not -1 < lam < math.inf:  # NaN included
+        raise ValueError(f"weight exponent must be finite and exceed -1, got {lam}")
+    e = lam + 1
+    t1 = np.array([t ** e for t in hi[:, -1].tolist()])
+    t0 = np.array([t ** e for t in lo[:, -1].tolist()])
+    return box_volumes(lo[:, :-1], hi[:, :-1]) * (t1 - t0) / e
 
 
-def overlap_counts(points: np.ndarray, boxes: list) -> np.ndarray:
-    """Number of closed boxes containing each point (chunked brute force)."""
+def weighted_measure(box: Box, lam: float) -> float:
+    """weighted_measures of the one box."""
+    return float(weighted_measures(np.array([box.lo]), np.array([box.hi]), lam)[0])
+
+
+def in_boxes(points: np.ndarray, lo, hi) -> np.ndarray:
+    """Which points lie in the closed boxes [lo, hi]: a mask (m,) for one
+    box (lo, hi of shape (d,)), (B, m) for corner arrays of shape (B, d)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    inside = True
+    for a in range(lo.shape[-1]):  # axis by axis: no reduction over a short axis
+        x = points[:, a]
+        inside = inside & (x >= lo[..., a, None]) & (x <= hi[..., a, None])
+    return inside
+
+
+# Box-point pairs tested in one in_boxes mask by overlap_counts and
+# AtomicMeasure.masses_in_boxes: bounds the masks' memory.  At 2^20 the
+# masks raised cube-quadrature's peak RSS by 1.3 MB; 2^18 adds nothing.
+MASK_PAIRS = 1 << 18
+
+
+def overlap_counts(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Number of the closed boxes [lo, hi] (corner arrays) holding each point.
+
+    The boxes are taken one t-slab (one distinct t range) at a time, and
+    only the points whose t lies in that range are tested against them:
+    the others lie in none of its boxes, so the counts are exact.
+    """
     pts = np.asarray(points, dtype=float)
-    los = np.array([b.lo for b in boxes])
-    his = np.array([b.hi for b in boxes])
     counts = np.zeros(len(pts), dtype=int)
-    chunk = max(1, int(2e6 // max(1, len(boxes))))
-    for start in range(0, len(pts), chunk):
-        p = pts[start : start + chunk]
-        inside = np.all(
-            (p[:, None, :] >= los[None, :, :]) & (p[:, None, :] <= his[None, :, :]),
-            axis=2,
-        )
-        counts[start : start + chunk] = inside.sum(axis=1)
+    slabs, slab_of = np.unique(np.column_stack([lo[:, -1], hi[:, -1]]), axis=0,
+                               return_inverse=True)
+    slab_of = slab_of.ravel()
+    for s, (t0, t1) in enumerate(slabs):
+        sel = np.flatnonzero((pts[:, -1] >= t0) & (pts[:, -1] <= t1))
+        slo, shi = lo[slab_of == s, :-1], hi[slab_of == s, :-1]
+        step = max(1, MASK_PAIRS // len(slo))
+        for a in range(0, len(sel), step):
+            rows = sel[a : a + step]
+            counts[rows] += in_boxes(pts[rows, :-1], slo, shi).sum(axis=0)
     return counts
 
 
 def cubes_to_json(cubes: list) -> list:
-    return [c.record() for c in cubes]
+    """One record per cube: level, index, center and side."""
+    level, index, side = cube_arrays(cubes)
+    return [{"level": j, "index": k, "center": c, "side": s} for j, k, c, s
+            in zip(level.tolist(), index.tolist(), _centers(index, side).tolist(),
+                   side.tolist())]
 
 
 def sample_region(region: Region, n: int, count: int, seed: int, margin: float = 0.0):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .geometry import (
-    Region, WhitneyCube, clipped_corners, weighted_measure, whitney_cubes,
+    Region, WhitneyCube, clipped_corners, whitney_cubes,
 )
 from .quadrature import QuadSpec, sphere_area
 

@@ -35,9 +35,15 @@ from . import util
 from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
 from .geometry import (
     Region,
+    box_centers,
+    box_corners,
+    box_volumes,
+    clipped_corners,
+    cube_arrays,
+    enlarged_corners,
     overlap_counts,
     sample_region,
-    weighted_measure,
+    weighted_measures,
     whitney_cubes,
 )
 from .quadrature import QuadSpec
@@ -299,43 +305,44 @@ def _exp_whitney(b, rng, p):
         for j in levels:
             count_rows.append([n, j, len(by_level[j])])
 
-        ratios = np.array([c.diameter / c.boundary_distance for c in cubes])
+        level, _, side = cube_arrays(cubes)
+        lo, hi = box_corners(cubes)
+        ratios = side * math.sqrt(n + 1) / side  # diameter / boundary distance
         target = math.sqrt(n + 1)
         checks.append(_close(f"n{n}-diam-over-dist",
                              float(np.max(np.abs(ratios - target))), 0.0, 1e-13))
 
+        # pairwise intersections of the first 40 boxes of each level
         worst = 0.0
-        for group in by_level.values():
-            boxes = [c.box() for c in sorted(group)[:40]]
-            for i in range(len(boxes)):
-                for k in range(i + 1, len(boxes)):
-                    worst = max(worst, boxes[i].intersection_volume(boxes[k]))
+        for j in levels:
+            rows = np.flatnonzero(level == j)[:40]
+            i, k = np.triu_indices(len(rows), 1)
+            ilo = np.maximum(lo[rows][i], lo[rows][k])
+            ihi = np.maximum(ilo, np.minimum(hi[rows][i], hi[rows][k]))
+            worst = max(worst, float(box_volumes(ilo, ihi).max(initial=0.0)))
         checks.append(_close(f"n{n}-same-level-overlap", worst, 0.0, 0.0))
 
         tiled = all(by_level[j][0].t_hi == by_level[j + 1][0].t_lo
                     for j in range(-4, 4))
         checks.append(_true(f"n{n}-height-slabs-tile", tiled))
 
-        vol = sum(c.box().clipped(region).volume for c in cubes)
+        vol = sum(box_volumes(*clipped_corners(cubes, region)).tolist())
         full = (2.0 * x_max) ** n * (32.0 - 2.0 ** -4)
         checks.append(_close(f"n{n}-cover-volume", vol / full, 1.0, 1e-12))
 
-        boxes = [c.enlarged() for c in cubes]
         pts = sample_region(region, n, 300 * b.grid, seed=int(rng.integers(2 ** 31)))
-        probe = []
-        for c in sorted(by_level[0])[:8]:
-            bx = c.box()
-            probe.append(np.asarray(bx.lo) + 1e-6)
-            probe.append(np.asarray(bx.hi) - 1e-6)
-        pts = np.vstack([pts, np.array(probe)])
-        counts = overlap_counts(pts, boxes)
+        first = np.flatnonzero(level == 0)[:8]
+        probe = np.stack([lo[first] + 1e-6, hi[first] - 1e-6], axis=1)
+        pts = np.vstack([pts, probe.reshape(-1, n + 1)])
+        counts = overlap_counts(pts, *enlarged_corners(cubes))
         bound = 4 if n == 1 else 2 ** (n + 1)
         checks.append(_below(f"n{n}-enlarged-overlap", int(counts.max()), bound))
         consts[f"n{n}_overlap_max"] = int(counts.max())
 
+        eta = box_centers(cubes)[:, -1].tolist()
         for lam in (-0.5, 0.0, 1.0, 2.0):
-            r = np.array([weighted_measure(c.box(), lam) / c.eta ** (n + 1 + lam)
-                          for c in cubes])
+            e = n + 1 + lam
+            r = weighted_measures(lo, hi, lam) / np.array([v ** e for v in eta])
             checks.append(_close(f"n{n}-measure-ratio-lam{lam}",
                                  float(r.max() / r.min() - 1.0), 0.0, 1e-12))
             consts[f"n{n}_measure_over_eta_lam{lam}"] = float(r.mean())
@@ -780,25 +787,15 @@ def _mass_cube_sequence(mu, by_level, levels):
     """Per level, the box holding the most mass (fallback: nearest the axis)."""
     seq = []
     for j in levels:
-        group = sorted(by_level[j])
-        masses = np.array([mu.mass_in_box(c.box()) for c in group])
+        group = by_level[j]
+        masses = mu.masses_in_boxes(*box_corners(group))
         if masses.max() > 0:
             k = int(np.argmax(masses))
         else:
-            centers = np.array([abs(c.center[0] - c.side / 2.0) for c in group])
-            k = int(np.argmin(centers))
+            side = cube_arrays(group)[2]
+            k = int(np.argmin(np.abs(box_centers(group)[:, 0] - side / 2.0)))
         seq.append(group[k])
     return seq
-
-
-def _restrict_measure(mu, box):
-    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    pts = mu.points
-    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-    if not np.any(inside):
-        return None
-    return ca.AtomicMeasure(mu.x[inside], mu.t[inside], mu.weight[inside],
-                            label=mu.label)
 
 
 def _embedding_ratios(mu, seq, l, mass, norm, cache):
@@ -807,7 +804,7 @@ def _embedding_ratios(mu, seq, l, mass, norm, cache):
     way the box condition does.  cache keeps norm(f) by center."""
     out = []
     for cube in seq:
-        sub = _restrict_measure(mu, cube.box())
+        sub = mu.restricted(cube.box())
         if sub is None or sub.total_mass() == 0.0:
             out.append(0.0)
             continue

@@ -18,6 +18,8 @@ from harmspace import cli
 from harmspace import verify as vf
 from harmspace.geometry import (
     Region,
+    box_corners,
+    enlarged_corners,
     overlap_counts,
     sample_region,
     weighted_measure,
@@ -66,7 +68,7 @@ def test_box_cover_geometry_is_exact():
         full = (2.0 * x_max) ** n * (32.0 - 2.0 ** -4)
         assert abs(vol / full - 1.0) <= 1e-12
         pts = sample_region(region, n, 2500, seed=7)
-        counts = overlap_counts(pts, [c.box() for c in cubes])
+        counts = overlap_counts(pts, *box_corners(cubes))
         assert counts.min() == 1 and counts.max() == 1
 
         dev = max(abs(c.diameter / c.boundary_distance - math.sqrt(n + 1))
@@ -78,8 +80,7 @@ def test_box_cover_geometry_is_exact():
         for c in sorted(c for c in cubes if c.level == 0)[:8]:
             probes.append(np.asarray(c.box().lo) + 1e-6)
             probes.append(np.asarray(c.box().hi) - 1e-6)
-        counts = overlap_counts(np.vstack([pts, probes]),
-                                [c.enlarged() for c in cubes])
+        counts = overlap_counts(np.vstack([pts, probes]), *enlarged_corners(cubes))
         overlap_seen[n] = int(counts.max())
         assert overlap_seen[n] <= (4 if n == 1 else 2 ** (n + 1))
 

@@ -216,3 +216,26 @@ def test_grad_volume_norm_linear_closed_form():
     fx = bl.Expansion(2, [np.array([0.0]), np.array([1 / math.sqrt(2), 0.0])])
     got = bl.grad_volume_norm(fx, 1.0, 0.7)
     assert got == pytest.approx(0.5 * beta_fn(1.0, 1.7), rel=1e-13)
+
+
+def test_ball_norms_scale_without_underflow_at_large_exponents():
+    # |c f|^q underflows for q = 400 unless the largest value is factored out
+    c = 1e-3
+    for n in (2, 3):
+        f = bl.Expansion.random(n, 4, seed=n)
+        g = bl.Expansion(n, [c * b for b in f.coeffs])
+        for norm in (lambda h, q: bl.slice_norm_ball(h, q, 0.9),
+                     lambda h, q: bl.hardy_norm(h, q),
+                     lambda h, q: bl.volume_norm(h, q, 0.5),
+                     lambda h, q: bl.mixed_norm_ball(h, 2.0, q, 0.5),
+                     lambda h, q: bl.sup_mixed_norm_ball(h, q, 0.5)):
+            for q in (2.0, 400.0, 1e300):
+                small, big = norm(g, q), norm(f, q)
+                assert small > 0
+                assert small == pytest.approx(c * big, rel=1e-12, abs=0)
+    # a large outer exponent as well (the Jacobi weight grows with it)
+    assert bl.mixed_norm_ball(g, 400.0, 300.0, 0.5) == pytest.approx(
+        c * bl.mixed_norm_ball(f, 400.0, 300.0, 0.5), rel=1e-12, abs=0)
+    zero = bl.Expansion.zero(2, 3)
+    assert bl.slice_norm_ball(zero, 400.0, 0.5) == 0.0
+    assert bl.volume_norm(zero, 400.0, 0.5) == 0.0

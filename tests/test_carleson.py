@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from harmspace import carleson as ca
-from harmspace.geometry import Region, whitney_cubes
+from harmspace.geometry import Region, box_corners, weighted_measure, whitney_cubes
 from harmspace.quadrature import QuadSpec
 
 
@@ -152,3 +152,77 @@ def test_embedding_ratio_lhs_exact():
     expect = float(np.sum(mu.weight * np.abs(f.values(mu.points)) ** 2))
     assert lhs == pytest.approx(expect, rel=1e-14)
     assert ratio == pytest.approx(lhs / rhs, rel=1e-14)
+
+
+# ------------------------------------------- array paths, bit for bit
+
+def _lattice_measure(n, seed):
+    """Atoms on box corners, on shared faces and inside, with several atoms
+    (more than numpy's 8-way unrolled sum) in some boxes."""
+    rng = np.random.default_rng(seed)
+    corners = rng.integers(-8, 8, size=(40, n)) * 0.25
+    faces = corners + np.where(rng.random((40, n)) < 0.5, 0.0, 0.125)
+    x = np.vstack([corners, faces, rng.uniform(-2.0, 2.0, size=(60, n)),
+                   np.full((12, n), 0.0625)])
+    t = np.concatenate([rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], size=80),
+                        np.exp(rng.uniform(np.log(0.25), np.log(4.0), 60)),
+                        np.full(12, 0.75)])
+    return ca.AtomicMeasure(x, t, rng.exponential(1.0, len(t)))
+
+
+def test_masses_in_boxes_equal_mass_in_box(monkeypatch):
+    for n in (1, 2, 3):
+        mu = _lattice_measure(n, seed=n)
+        cubes = whitney_cubes(Region(2.0, 0.25, 4.0), n)
+        lo, hi = box_corners(cubes)
+        want = [mu.mass_in_box(c.box()) for c in cubes]
+        assert mu.masses_in_boxes(lo, hi).tolist() == want
+        # small chunks: atoms on the edges of each chunk's t range
+        monkeypatch.setattr(ca, "MASK_PAIRS", 7 * len(mu.t))
+        assert mu.masses_in_boxes(lo, hi).tolist() == want
+        monkeypatch.undo()
+        assert sum(m > 0 for m in want) > 10 and max(want) > 0
+        # boxes that share a face or a corner both hold the atom on it
+        held = [np.count_nonzero(mu.in_box(c.box())) for c in cubes]
+        assert sum(held) > len(mu.t)
+
+
+def test_restricted_keeps_the_atoms_of_the_closed_box():
+    mu = _lattice_measure(2, seed=5)
+    for c in whitney_cubes(Region(2.0, 0.25, 4.0), 2)[::37]:
+        sub = mu.restricted(c.box())
+        if sub is None:
+            assert mu.mass_in_box(c.box()) == 0.0
+            continue
+        assert sub.total_mass() == float(np.sum(mu.weight[mu.in_box(c.box())]))
+        assert sub.mass_in_box(c.box()) == mu.mass_in_box(c.box())
+
+
+def test_cube_report_rows_equal_the_per_box_reference():
+    for n in (1, 2):
+        mu = _lattice_measure(n, seed=10 + n)
+        cubes = whitney_cubes(Region(2.0, 0.25, 4.0), n)
+        volume, eta = (lambda c, e: c.box().volume ** e), (lambda c, e: c.eta ** e)
+        cases = [(ca.condition_vector(mu, cubes, 2, (0.31, 0.77)), volume),
+                 (ca.condition_mixed(mu, cubes, 1.3, 2.9, 0.61), eta)]
+        # numpy's vectorised pow differs from Python's on some of these
+        for alpha in np.linspace(0.1, 6.0, 30):
+            cases += [(ca.condition_single(mu, cubes, alpha), volume),
+                      (ca.condition_tent(mu, cubes, 1.7, alpha, 1.0), eta)]
+        for rep, gauge in cases:
+            e = rep.params["exponent"]
+            want = []
+            for c in cubes:
+                mass, g = mu.mass_in_box(c.box()), gauge(c, e)
+                want.append((c.level, c.index, mass, g, mass / g))
+            assert rep.rows == want, rep.condition
+
+
+def test_discretized_weight_atoms_are_the_cube_centers():
+    region = Region(2.0, 0.25, 4.0)
+    cubes = whitney_cubes(region, 2)
+    mu = ca.AtomicMeasure.discretized_weight(region, 2, 1.5)
+    assert mu.points.tolist() == [c.center.tolist() for c in cubes]
+    assert mu.weight.tolist() == [weighted_measure(c.box(), 1.5) for c in cubes]
+    with pytest.raises(ValueError):
+        ca.AtomicMeasure.discretized_weight(Region(1.0, 4.0, 2.0), 1, 0.0)

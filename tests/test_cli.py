@@ -288,10 +288,12 @@ def test_ball_norm_overflow_exits_two(tmp_path, capsys):
     f2 = tmp_path / "f2.json"
     f2.write_text(json.dumps(bl.Expansion.random(2, 6, seed=0).to_json()))
     out = tmp_path / "out"
-    # r**6 overflows at r = 1e308: no NaN report and no traceback
+    # r**6 overflows at r = 1e308: no NaN report and no traceback.  (The
+    # hardy kind's --t is its exponent, not a radius: its norm at 1e308 is
+    # finite, see test_hardy_functional_of_a_small_expansion_at_a_large_order.)
     for argv in (["norm", "--space", "slice", "--field", f"expansion-file:{f2}",
                   "--t", "1e308"],
-                 ["ball", "functional", "--expansion", str(f2), "--kind", "hardy",
+                 ["ball", "functional", "--expansion", str(f2), "--kind", "slice",
                   "--t", "1e308"]):
         assert cli.main(argv + ["--out", str(out)]) == 2, argv
         captured = capsys.readouterr()
@@ -358,3 +360,23 @@ def test_multiplier_check_classifies_like_the_check_rows(tmp_path, monkeypatch):
                             lambda *args, slope=slope: (1.0, slope, [[0.5, 1.0]]))
         assert run(tmp_path, "ball", "multiplier-check", "--cap", "2") == 0
         assert read_summary(tmp_path, "ball")["classification"] == kind
+
+
+def test_hardy_functional_of_a_small_expansion_at_a_large_order(tmp_path):
+    # |f| about 0.01: |f|^400 underflows unless the norm scales it first
+    f = bl.Expansion.random(2, 4, seed=0)
+    small = bl.Expansion(2, [0.01 * b for b in f.coeffs])
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(small.to_json()))
+    values = {}
+    for t in ("2", "400", "1e300"):
+        assert run(tmp_path, "ball", "functional", "--expansion", str(path),
+                   "--kind", "hardy", "--t", t) == 0
+        values[t] = read_summary(tmp_path, "ball")["value"]
+    assert 0 < values["2"] < values["400"] <= values["1e300"] < 1
+
+
+def test_whitney_weight_exponent_out_of_range_exits_two(tmp_path, capsys):
+    for lam in ("-1", "-2", "nan", "inf"):
+        assert run(tmp_path, "whitney", "--n", "1", "--lam", lam) == 2, lam
+        assert capsys.readouterr().err.startswith("error:")

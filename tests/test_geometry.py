@@ -10,10 +10,18 @@ from harmspace.geometry import (
     MAX_ENLARGE,
     Box,
     Region,
+    WhitneyCube,
+    box_centers,
+    box_corners,
+    box_volumes,
+    clipped_corners,
+    cube_arrays,
     cubes_to_json,
+    enlarged_corners,
     overlap_counts,
     sample_region,
     weighted_measure,
+    weighted_measures,
     whitney_count,
     whitney_cubes,
 )
@@ -70,12 +78,10 @@ def test_interiors_disjoint_and_volumes_tile():
     for n in (1, 2):
         cubes = whitney_cubes(region, n)
         boxes = [c.box() for c in cubes]
-        paired = sum(
-            boxes[i].intersection_volume(boxes[j])
-            for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-        )
-        assert paired == 0.0
+        lo, hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+        i, j = np.triu_indices(len(boxes), 1)
+        sides = np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j])
+        assert np.clip(sides, 0.0, None).prod(axis=1).max() == 0.0
         covered = (2.0 * region.x_max) ** n * (region.t_max - region.t_min)
         assert sum(b.volume for b in boxes) == pytest.approx(covered, rel=1e-12)
 
@@ -93,9 +99,8 @@ def test_overlap_bound_small_case():
     region = Region(2.0, 0.25, 2.0)
     for n, bound in ((1, 4), (2, 8)):
         cubes = whitney_cubes(region, n)
-        boxes = [c.enlarged() for c in cubes]
         pts = sample_region(region, n, 400, seed=11)
-        counts = overlap_counts(pts, boxes)
+        counts = overlap_counts(pts, *enlarged_corners(cubes))
         assert counts.min() >= 1  # enlarged boxes still cover
         assert counts.max() <= bound
 
@@ -141,3 +146,101 @@ def test_measure_respects_dyadic_scaling(lam, level):
     base = weighted_measure(Box((0.0, 1.0), (1.0, 2.0)), lam)
     got = weighted_measure(Box(lo, hi), lam)
     assert got == pytest.approx(base * 2.0 ** (level * (2 + lam)), rel=1e-10)
+
+
+# ---------------------------------------------- corner arrays, bit for bit
+
+_ARRAY_CUBES = {
+    n: whitney_cubes(Region(1.0, 0.3, 3.0), n)
+    + [WhitneyCube(-3, (-5, 7, -1)[:n]), WhitneyCube(4, (-1000, 3, -2**20)[:n]),
+       WhitneyCube(-9, (-(2**30),) * n)]
+    for n in (1, 2, 3)
+}
+
+
+def test_corner_arrays_equal_the_scalar_boxes():
+    for n, cubes in _ARRAY_CUBES.items():
+        assert any(min(c.index) < 0 for c in cubes)
+        lo, hi = box_corners(cubes)
+        ctr = box_centers(cubes)
+        level, index, side = cube_arrays(cubes)
+        assert lo.shape == hi.shape == ctr.shape == (len(cubes), n + 1)
+        for b, c in enumerate(cubes):
+            box = c.box()
+            assert lo[b].tolist() == list(box.lo) and hi[b].tolist() == list(box.hi)
+            assert ctr[b].tolist() == c.center.tolist()
+            assert (level[b], tuple(index[b].tolist()), side[b]) == (c.level, c.index, c.side)
+        for factor in (1.0, 1.25, MAX_ENLARGE - 1e-9):
+            elo, ehi = enlarged_corners(cubes, factor)
+            for b, c in enumerate(cubes):
+                big = c.enlarged(factor)
+                assert elo[b].tolist() == list(big.lo)
+                assert ehi[b].tolist() == list(big.hi)
+        with pytest.raises(ValueError):
+            enlarged_corners(cubes, MAX_ENLARGE)
+
+
+def test_volumes_and_measures_equal_the_per_box_formulas():
+    def measure(box, lam):  # the closed form, one box at a time
+        spatial = 1.0
+        for a, b in zip(box.lo[:-1], box.hi[:-1]):
+            spatial *= b - a
+        return spatial * (box.hi[-1] ** (lam + 1) - box.lo[-1] ** (lam + 1)) / (lam + 1)
+
+    region = Region(1.0, 0.3, 3.0)
+    for n, cubes in _ARRAY_CUBES.items():
+        boxes = [c.box() for c in cubes]
+        lo, hi = box_corners(cubes)
+        assert box_volumes(lo, hi).tolist() == [b.volume for b in boxes]
+        for lam in (-0.5, 0, 1.0, 2.5, 3.7):
+            want = [measure(b, lam) for b in boxes]
+            assert weighted_measures(lo, hi, lam).tolist() == want
+            assert [weighted_measure(b, lam) for b in boxes] == want
+        rng = np.random.default_rng(n)  # boxes with t off the dyadic grid too
+        rlo = rng.uniform(0.05, 3.0, size=(2000, n + 1))
+        rhi = rlo + rng.uniform(0.0, 2.0, size=(2000, n + 1))
+        rboxes = [Box(tuple(a), tuple(b)) for a, b in zip(rlo.tolist(), rhi.tolist())]
+        for lam in (-0.37, 0.5, 1.5, 2.0, 6.1):
+            assert weighted_measures(rlo, rhi, lam).tolist() == [measure(b, lam) for b in rboxes]
+        clipped = [b.clipped(region) for b in boxes]
+        clo, chi = clipped_corners(cubes, region)
+        kept = [b for b in clipped if b.volume > 0]
+        assert clo.tolist() == [list(b.lo) for b in kept]
+        assert chi.tolist() == [list(b.hi) for b in kept]
+    with pytest.raises(ValueError):
+        weighted_measures(lo, hi, -1.0)
+
+
+def test_json_records_equal_the_scalar_properties():
+    for cubes in _ARRAY_CUBES.values():
+        want = [{"level": c.level, "index": list(c.index),
+                 "center": [float(v) for v in c.center], "side": c.side} for c in cubes]
+        assert cubes_to_json(cubes) == want
+    assert cubes_to_json([]) == []
+
+
+def test_cubes_come_sorted():
+    for n in (1, 2, 3):
+        cubes = whitney_cubes(Region(1.0, 0.3, 3.0), n)
+        assert cubes == sorted(cubes)
+
+
+def test_slab_overlap_counts_equal_brute_force():
+    def brute(pts, lo, hi):
+        return np.sum(np.all((pts[:, None] >= lo[None]) & (pts[:, None] <= hi[None]),
+                             axis=2), axis=1)
+
+    region = Region(1.0, 0.3, 3.0)
+    for n in (1, 2, 3):
+        cubes = whitney_cubes(region, n)
+        for lo, hi in (box_corners(cubes), enlarged_corners(cubes)):
+            # probes on every slab's top and bottom, at box corners and faces
+            rng = np.random.default_rng(n)
+            pick = rng.integers(len(lo), size=60)
+            mixed = np.where(rng.random((60, n + 1)) < 0.5, lo[pick], hi[pick])
+            mixed[:, :n] += rng.choice([0.0, 0.0, 1e-9, -1e-9], size=(60, n))
+            probes = np.concatenate([lo[pick], hi[pick], mixed])
+            pts = np.vstack([probes, sample_region(region, n, 300, seed=n)])
+            got = overlap_counts(pts, lo, hi)
+            assert got.tolist() == brute(pts, lo, hi).tolist()
+            assert got[:120].min() >= 1  # every corner lies in its own box
