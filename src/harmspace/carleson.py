@@ -22,8 +22,8 @@ import numpy as np
 
 from . import kernels
 from .geometry import (
-    MASK_PAIRS, Box, Region, box_centers, box_corners, box_volumes, in_boxes,
-    weighted_measures, whitney_cubes,
+    MASK_PAIRS, Box, Region, box_centers, box_corners, box_volumes, cube_arrays,
+    in_boxes, weighted_measures, whitney_cubes,
 )
 from .quadrature import QuadSpec
 from .norms import bergman_norm
@@ -126,8 +126,10 @@ class AtomicMeasure:
         cubes = whitney_cubes(region, n)
         if not cubes:
             raise ValueError("degenerate region: no boxes to carry the weight")
-        ctr = box_centers(cubes)
-        return cls(ctr[:, :-1], ctr[:, -1], weighted_measures(*box_corners(cubes), lam),
+        _, index, side = cube_arrays(cubes)
+        ctr = box_centers(index, side)
+        return cls(ctr[:, :-1], ctr[:, -1],
+                   weighted_measures(*box_corners(index, side), lam),
                    label or f"m_lambda-{lam:g}")
 
 
@@ -169,10 +171,17 @@ class CubeConditionReport:
         }
 
 
-def _cube_report(condition, params, mu: AtomicMeasure, cubes, base, e):
-    """Rows (level, index, mass, gauge, ratio) with gauge = base^e per box,
-    base an array: the box volumes, or the etas (the centre heights)."""
-    masses = mu.masses_in_boxes(*box_corners(cubes)).tolist()
+def _corners(cubes):
+    """(lo, hi, side) of the cubes' boxes."""
+    _, index, side = cube_arrays(cubes)
+    return (*box_corners(index, side), side)
+
+
+def _cube_report(condition, params, mu: AtomicMeasure, cubes, lo, hi, base, e):
+    """Rows (level, index, mass, gauge, ratio) of the cubes, whose boxes
+    have corners (lo, hi), with gauge = base^e per box, base an array: the
+    box volumes, or the etas (the centre heights, 3/2 side)."""
+    masses = mu.masses_in_boxes(lo, hi).tolist()
     gauges = [v**e for v in base.tolist()]
     rows = [(c.level, c.index, m, g, m / g) for c, m, g in zip(cubes, masses, gauges)]
     return CubeConditionReport(condition, params, rows, mu.n)
@@ -185,16 +194,18 @@ def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionRe
         raise ValueError("s_vec must have length m")
     n = mu.n
     e = m + sum(s_vec) / (n + 1)
+    lo, hi, _ = _corners(cubes)
     return _cube_report("vector", {"m": m, "s": s_vec, "exponent": e}, mu, cubes,
-                        box_volumes(*box_corners(cubes)), e)
+                        lo, hi, box_volumes(lo, hi), e)
 
 
 def condition_single(mu: AtomicMeasure, cubes, alpha: float) -> CubeConditionReport:
     """mass / |box|^(1 + alpha/(n+1)); the single-weight corollary."""
     n = mu.n
     e = 1 + alpha / (n + 1)
+    lo, hi, _ = _corners(cubes)
     return _cube_report("single", {"alpha": alpha, "exponent": e}, mu, cubes,
-                        box_volumes(*box_corners(cubes)), e)
+                        lo, hi, box_volumes(lo, hi), e)
 
 
 def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditionReport:
@@ -204,8 +215,9 @@ def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditio
     if alpha <= 0:
         raise ValueError("need alpha > 0")
     e = mu.n * q / p + alpha * q
+    lo, hi, side = _corners(cubes)
     return _cube_report("mixed", {"p": p, "q": q, "alpha": alpha, "exponent": e},
-                        mu, cubes, box_centers(cubes)[:, -1], e)
+                        mu, cubes, lo, hi, 1.5 * side, e)
 
 
 def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeConditionReport:
@@ -215,8 +227,9 @@ def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeCondition
     if tau is not None and not (0 < tau <= p):
         raise ValueError("need 0 < tau <= p")
     e = mu.n + alpha * p
+    lo, hi, side = _corners(cubes)
     return _cube_report("tent", {"p": p, "alpha": alpha, "tau": tau, "exponent": e},
-                        mu, cubes, box_centers(cubes)[:, -1], e)
+                        mu, cubes, lo, hi, 1.5 * side, e)
 
 
 def qw_box(w) -> Box:

@@ -475,23 +475,21 @@ def _cmd_whitney(args, extras):
     # 49k and 37k boxes), the CSV rows being made as they are written.
     count = whitney_count(region, args.n)
     _check_array_bytes(f"{count:.4g} boxes", count * 1024 * (args.n + 2))
-    cubes = whitney_cubes(region, args.n)
-    level, _, side = cube_arrays(cubes)
+    level, index, side = cube_arrays(whitney_cubes(region, args.n))
     header = (["level", "side"] + [f"center_{i}" for i in range(args.n)]
               + ["center_t"])
-    cols = [side[:, None], box_centers(cubes)]
+    cols = [side[:, None], box_centers(index, side)]
     if args.lam is not None:
         header.append("weighted_measure")
         try:
-            cols.append(weighted_measures(*box_corners(cubes), args.lam)[:, None])
+            cols.append(weighted_measures(*box_corners(index, side), args.lam)[:, None])
         except ValueError as e:
             raise UsageError(str(e))
     levels, counts = np.unique(level, return_counts=True)
     summary = _resolved_config(args)
-    summary.update(count=len(cubes),
+    summary.update(count=len(level),
                    levels={str(j): k for j, k in zip(levels.tolist(), counts.tolist())},
-                   cubes=cubes_to_json(cubes))
-    del cubes  # the records and the arrays hold all the rest needs
+                   cubes=cubes_to_json(level, index, side))
     rows = ([j, *r] for j, r in zip(level.tolist(), map(np.ndarray.tolist, np.hstack(cols))))
     paths = _emit(args, summary, [("whitney-cubes", header, rows)])
     print(f"{len(level)} boxes across levels "

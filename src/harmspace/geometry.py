@@ -192,11 +192,13 @@ def whitney_count(region: Region, n: int) -> float:
 # ----------------------------------------------------- corner arrays
 #
 # Whole-array forms of the per-box geometry, one row per cube in the
-# cubes' order.  Each array is made with the same float operations as the
-# WhitneyCube property it stands for, so its values equal those of box(),
-# center and enlarged() bit for bit.  Powers of per-box values stay Python
-# float ``**`` (``[v ** e for v in a.tolist()]``): numpy's vectorised pow
-# differs from it in the last bit on some values.
+# cubes' order, all made from the (level, index, side) arrays that
+# cube_arrays builds once from the cube list.  Each array is made with the
+# same float operations as the WhitneyCube property it stands for, so its
+# values equal those of box(), center and enlarged() bit for bit.  Powers
+# of per-box values stay Python float ``**`` (``[v ** e for v in
+# a.tolist()]``): numpy's vectorised pow differs from it in the last bit
+# on some values.
 
 
 def cube_arrays(cubes: list):
@@ -209,37 +211,31 @@ def cube_arrays(cubes: list):
     return level, index, np.ldexp(1.0, level)
 
 
-def box_corners(cubes: list):
+def box_corners(index: np.ndarray, side: np.ndarray):
     """Corner arrays (lo, hi), each (B, n+1), of cube.box()."""
-    _, index, side = cube_arrays(cubes)
     lo = np.column_stack([index * side[:, None], side])
     hi = np.column_stack([(index + 1) * side[:, None], 2 * side])
     return lo, hi
 
 
-def _centers(index, side):
+def box_centers(index: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """cube.center of each cube, (B, n+1): ((k + 1/2) side, 3/2 side)."""
     return np.column_stack([(index + 0.5) * side[:, None], 1.5 * side])
 
 
-def box_centers(cubes: list) -> np.ndarray:
-    """cube.center of each cube, (B, n+1): ((k + 1/2) side, 3/2 side)."""
-    return _centers(*cube_arrays(cubes)[1:])
-
-
-def enlarged_corners(cubes: list, factor: float = DEFAULT_ENLARGE):
+def enlarged_corners(index: np.ndarray, side: np.ndarray,
+                     factor: float = DEFAULT_ENLARGE):
     """Corner arrays (lo, hi) of cube.enlarged(factor)."""
     _check_enlarge(factor)
-    _, index, side = cube_arrays(cubes)
-    c = _centers(index, side)
+    c = box_centers(index, side)
     half = (0.5 * side * factor)[:, None]
     return c - half, c + half
 
 
-def clipped_corners(cubes: list, region: Region):
-    """Corner arrays (lo, hi) of the cubes' boxes clipped to the region,
-    in the cubes' order; boxes of zero volume are dropped.  The corners
-    equal those of cube.box().clipped(region)."""
-    lo, hi = box_corners(cubes)
+def clipped_corners(lo: np.ndarray, hi: np.ndarray, region: Region):
+    """The boxes [lo, hi] clipped to the region, in their order; boxes of
+    zero volume are dropped.  The corners equal those of
+    Box.clipped(region)."""
     n = lo.shape[1] - 1
     lo = np.maximum(lo, [-region.x_max] * n + [region.t_min])
     hi = np.minimum(hi, [region.x_max] * n + [region.t_max])
@@ -269,11 +265,6 @@ def weighted_measures(lo: np.ndarray, hi: np.ndarray, lam: float) -> np.ndarray:
     t1 = np.array([t ** e for t in hi[:, -1].tolist()])
     t0 = np.array([t ** e for t in lo[:, -1].tolist()])
     return box_volumes(lo[:, :-1], hi[:, :-1]) * (t1 - t0) / e
-
-
-def weighted_measure(box: Box, lam: float) -> float:
-    """weighted_measures of the one box."""
-    return float(weighted_measures(np.array([box.lo]), np.array([box.hi]), lam)[0])
 
 
 def in_boxes(points: np.ndarray, lo, hi) -> np.ndarray:
@@ -315,11 +306,10 @@ def overlap_counts(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return counts
 
 
-def cubes_to_json(cubes: list) -> list:
-    """One record per cube: level, index, center and side."""
-    level, index, side = cube_arrays(cubes)
+def cubes_to_json(level: np.ndarray, index: np.ndarray, side: np.ndarray) -> list:
+    """One record per cube of the cube_arrays: level, index, center and side."""
     return [{"level": j, "index": k, "center": c, "side": s} for j, k, c, s
-            in zip(level.tolist(), index.tolist(), _centers(index, side).tolist(),
+            in zip(level.tolist(), index.tolist(), box_centers(index, side).tolist(),
                    side.tolist())]
 
 

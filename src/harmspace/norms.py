@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .geometry import (
-    Region, WhitneyCube, clipped_corners, whitney_cubes,
+    Region, WhitneyCube, box_corners, clipped_corners, cube_arrays, whitney_cubes,
 )
 from .quadrature import QuadSpec, sphere_area
 
@@ -93,7 +93,8 @@ def bergman_norm(
             raise ValueError("cube path limited to n <= 2")
         if region.degenerate:
             raise ValueError("degenerate t range")
-        lo, hi = clipped_corners(whitney_cubes(region, f.n), region)
+        _, index, side = cube_arrays(whitney_cubes(region, f.n))
+        lo, hi = clipped_corners(*box_corners(index, side), region)
         k = spec.cube_order ** (f.n + 1)
         step = max(1, _CUBE_CHUNK_POINTS // k)
         total = 0.0

@@ -305,9 +305,10 @@ def _exp_whitney(b, rng, p):
         for j in levels:
             count_rows.append([n, j, len(by_level[j])])
 
-        level, _, side = cube_arrays(cubes)
-        lo, hi = box_corners(cubes)
-        ratios = side * math.sqrt(n + 1) / side  # diameter / boundary distance
+        level, index, side = cube_arrays(cubes)
+        lo, hi = box_corners(index, side)
+        # diameter / distance to t = 0, which the bottom face attains
+        ratios = np.linalg.norm(hi - lo, axis=1) / lo[:, -1]
         target = math.sqrt(n + 1)
         checks.append(_close(f"n{n}-diam-over-dist",
                              float(np.max(np.abs(ratios - target))), 0.0, 1e-13))
@@ -326,7 +327,7 @@ def _exp_whitney(b, rng, p):
                     for j in range(-4, 4))
         checks.append(_true(f"n{n}-height-slabs-tile", tiled))
 
-        vol = sum(box_volumes(*clipped_corners(cubes, region)).tolist())
+        vol = sum(box_volumes(*clipped_corners(lo, hi, region)).tolist())
         full = (2.0 * x_max) ** n * (32.0 - 2.0 ** -4)
         checks.append(_close(f"n{n}-cover-volume", vol / full, 1.0, 1e-12))
 
@@ -334,12 +335,12 @@ def _exp_whitney(b, rng, p):
         first = np.flatnonzero(level == 0)[:8]
         probe = np.stack([lo[first] + 1e-6, hi[first] - 1e-6], axis=1)
         pts = np.vstack([pts, probe.reshape(-1, n + 1)])
-        counts = overlap_counts(pts, *enlarged_corners(cubes))
+        counts = overlap_counts(pts, *enlarged_corners(index, side))
         bound = 4 if n == 1 else 2 ** (n + 1)
         checks.append(_below(f"n{n}-enlarged-overlap", int(counts.max()), bound))
         consts[f"n{n}_overlap_max"] = int(counts.max())
 
-        eta = box_centers(cubes)[:, -1].tolist()
+        eta = box_centers(index, side)[:, -1].tolist()
         for lam in (-0.5, 0.0, 1.0, 2.0):
             e = n + 1 + lam
             r = weighted_measures(lo, hi, lam) / np.array([v ** e for v in eta])
@@ -456,7 +457,7 @@ def _exp_lemma2(b, rng, p):
         by_level = _by_level(whitney_cubes(region, n))
         sel = []
         for lev in sorted(by_level):
-            group = sorted(by_level[lev])
+            group = by_level[lev]
             sel.append(group[len(group) // 2])
             sel.append(group[0])
         for f in flds:
@@ -471,7 +472,7 @@ def _exp_lemma2(b, rng, p):
 
     # the extremal ratio is a quadrature-stable quantity
     f0 = PoissonField(1, _axis_point(1, 1.0))
-    cube1 = sorted(c for c in whitney_cubes(region, 1) if c.level == -2)[0]
+    cube1 = next(c for c in whitney_cubes(region, 1) if c.level == -2)
     r_a = no.lemma2_ratio(f0, 1.0, alpha, cube1, spec)
     r_b = no.lemma2_ratio(f0, 1.0, alpha, cube1, spec.refined(2))
     checks.append(_close("ratio-refinement-drift", r_a / r_b, 1.0, 5e-3))
@@ -788,12 +789,12 @@ def _mass_cube_sequence(mu, by_level, levels):
     seq = []
     for j in levels:
         group = by_level[j]
-        masses = mu.masses_in_boxes(*box_corners(group))
+        _, index, side = cube_arrays(group)
+        masses = mu.masses_in_boxes(*box_corners(index, side))
         if masses.max() > 0:
             k = int(np.argmax(masses))
         else:
-            side = cube_arrays(group)[2]
-            k = int(np.argmin(np.abs(box_centers(group)[:, 0] - side / 2.0)))
+            k = int(np.argmin(np.abs(box_centers(index, side)[:, 0] - side / 2.0)))
         seq.append(group[k])
     return seq
 

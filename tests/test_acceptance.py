@@ -19,10 +19,11 @@ from harmspace import verify as vf
 from harmspace.geometry import (
     Region,
     box_corners,
+    cube_arrays,
     enlarged_corners,
     overlap_counts,
     sample_region,
-    weighted_measure,
+    weighted_measures,
     whitney_cubes,
 )
 
@@ -68,7 +69,8 @@ def test_box_cover_geometry_is_exact():
         full = (2.0 * x_max) ** n * (32.0 - 2.0 ** -4)
         assert abs(vol / full - 1.0) <= 1e-12
         pts = sample_region(region, n, 2500, seed=7)
-        counts = overlap_counts(pts, *box_corners(cubes))
+        _, index, side = cube_arrays(cubes)
+        counts = overlap_counts(pts, *box_corners(index, side))
         assert counts.min() == 1 and counts.max() == 1
 
         dev = max(abs(c.diameter / c.boundary_distance - math.sqrt(n + 1))
@@ -80,14 +82,14 @@ def test_box_cover_geometry_is_exact():
         for c in sorted(c for c in cubes if c.level == 0)[:8]:
             probes.append(np.asarray(c.box().lo) + 1e-6)
             probes.append(np.asarray(c.box().hi) - 1e-6)
-        counts = overlap_counts(np.vstack([pts, probes]), *enlarged_corners(cubes))
+        counts = overlap_counts(np.vstack([pts, probes]), *enlarged_corners(index, side))
         overlap_seen[n] = int(counts.max())
         assert overlap_seen[n] <= (4 if n == 1 else 2 ** (n + 1))
 
         # weighted box measure is the exact power of the side length
         for lam in (-0.5, 0.0, 1.0, 2.0):
-            r = np.array([weighted_measure(c.box(), lam)
-                          / c.eta ** (n + 1 + lam) for c in cubes])
+            r = (weighted_measures(*box_corners(index, side), lam)
+                 / np.array([c.eta ** (n + 1 + lam) for c in cubes]))
             assert r.max() / r.min() - 1.0 <= 1e-12
     _done(t0, 10.0, "box cover geometry",
           f"disjoint, covering, diam/dist exact; overlap max {overlap_seen}")

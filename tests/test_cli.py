@@ -10,7 +10,7 @@ import pytest
 from harmspace import ball as bl
 from harmspace import carleson as ca
 from harmspace import cli, verify
-from harmspace.geometry import Region, cubes_to_json, whitney_cubes
+from harmspace.geometry import Region, cube_arrays, cubes_to_json, whitney_cubes
 
 
 def run(tmp_path, *argv):
@@ -30,7 +30,7 @@ def test_whitney_command_writes_summary_and_csv(tmp_path, capsys):
     assert "timestamp" in summary
     cubes = whitney_cubes(Region(4.0, 2.0 ** -4, 4.0), 1)
     assert summary["count"] == len(cubes)
-    assert summary["cubes"] == json.loads(json.dumps(cubes_to_json(cubes)))
+    assert summary["cubes"] == json.loads(json.dumps(cubes_to_json(*cube_arrays(cubes))))
     lines = (tmp_path / "whitney-cubes.csv").read_text().strip().splitlines()
     assert len(lines) == len(cubes) + 1
     assert lines[0] == "level,side,center_0,center_t,weighted_measure"

@@ -20,11 +20,15 @@ from harmspace.geometry import (
     enlarged_corners,
     overlap_counts,
     sample_region,
-    weighted_measure,
     weighted_measures,
     whitney_count,
     whitney_cubes,
 )
+
+
+def _arrays(cubes):
+    """The (index, side) arrays the corner helpers take."""
+    return cube_arrays(cubes)[1:]
 
 
 def test_region_validation():
@@ -100,29 +104,30 @@ def test_overlap_bound_small_case():
     for n, bound in ((1, 4), (2, 8)):
         cubes = whitney_cubes(region, n)
         pts = sample_region(region, n, 400, seed=11)
-        counts = overlap_counts(pts, *enlarged_corners(cubes))
+        counts = overlap_counts(pts, *enlarged_corners(*_arrays(cubes)))
         assert counts.min() >= 1  # enlarged boxes still cover
         assert counts.max() <= bound
 
 
 def test_weighted_measure_closed_form():
     # int_{box} t^lam = side^n (t2^(lam+1) - t1^(lam+1)) / (lam+1)
-    box = Box((0.0, 0.0, 0.5), (0.25, 0.25, 1.0))
+    lo, hi = np.array([[0.0, 0.0, 0.5]]), np.array([[0.25, 0.25, 1.0]])
     for lam in (0.0, 1.0, 2.5):
         want = 0.25 ** 2 * (1.0 ** (lam + 1) - 0.5 ** (lam + 1)) / (lam + 1)
-        assert weighted_measure(box, lam) == pytest.approx(want, rel=1e-12)
+        assert weighted_measures(lo, hi, lam)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_measure_scaling_constant_across_levels():
     lam = 1.5
     cubes = whitney_cubes(Region(4.0, 2.0 ** -4, 4.0), 1)
-    ratios = {weighted_measure(c.box(), lam) / c.eta ** (2 + lam) for c in cubes}
+    ratios = set((weighted_measures(*box_corners(*_arrays(cubes)), lam)
+                  / [c.eta ** (2 + lam) for c in cubes]).tolist())
     assert max(ratios) - min(ratios) < 1e-13 * max(ratios)
 
 
 def test_json_records_contract():
     cubes = whitney_cubes(Region(1.0, 0.5, 1.0), 2)
-    rec = cubes_to_json(cubes)[0]
+    rec = cubes_to_json(*cube_arrays(cubes))[0]
     assert set(rec) == {"level", "index", "center", "side"}
     assert len(rec["index"]) == 2 and len(rec["center"]) == 3
 
@@ -141,10 +146,9 @@ def test_sample_region_deterministic():
 )
 def test_measure_respects_dyadic_scaling(lam, level):
     # one box per level against the level-0 box, exact power law in the side
-    lo = (0.0, 2.0 ** level)
-    hi = (2.0 ** level, 2.0 ** (level + 1))
-    base = weighted_measure(Box((0.0, 1.0), (1.0, 2.0)), lam)
-    got = weighted_measure(Box(lo, hi), lam)
+    lo = np.array([[0.0, 1.0], [0.0, 2.0 ** level]])
+    hi = np.array([[1.0, 2.0], [2.0 ** level, 2.0 ** (level + 1)]])
+    base, got = weighted_measures(lo, hi, lam)
     assert got == pytest.approx(base * 2.0 ** (level * (2 + lam)), rel=1e-10)
 
 
@@ -161,9 +165,9 @@ _ARRAY_CUBES = {
 def test_corner_arrays_equal_the_scalar_boxes():
     for n, cubes in _ARRAY_CUBES.items():
         assert any(min(c.index) < 0 for c in cubes)
-        lo, hi = box_corners(cubes)
-        ctr = box_centers(cubes)
         level, index, side = cube_arrays(cubes)
+        lo, hi = box_corners(index, side)
+        ctr = box_centers(index, side)
         assert lo.shape == hi.shape == ctr.shape == (len(cubes), n + 1)
         for b, c in enumerate(cubes):
             box = c.box()
@@ -171,13 +175,13 @@ def test_corner_arrays_equal_the_scalar_boxes():
             assert ctr[b].tolist() == c.center.tolist()
             assert (level[b], tuple(index[b].tolist()), side[b]) == (c.level, c.index, c.side)
         for factor in (1.0, 1.25, MAX_ENLARGE - 1e-9):
-            elo, ehi = enlarged_corners(cubes, factor)
+            elo, ehi = enlarged_corners(index, side, factor)
             for b, c in enumerate(cubes):
                 big = c.enlarged(factor)
                 assert elo[b].tolist() == list(big.lo)
                 assert ehi[b].tolist() == list(big.hi)
         with pytest.raises(ValueError):
-            enlarged_corners(cubes, MAX_ENLARGE)
+            enlarged_corners(index, side, MAX_ENLARGE)
 
 
 def test_volumes_and_measures_equal_the_per_box_formulas():
@@ -190,12 +194,11 @@ def test_volumes_and_measures_equal_the_per_box_formulas():
     region = Region(1.0, 0.3, 3.0)
     for n, cubes in _ARRAY_CUBES.items():
         boxes = [c.box() for c in cubes]
-        lo, hi = box_corners(cubes)
+        lo, hi = box_corners(*_arrays(cubes))
         assert box_volumes(lo, hi).tolist() == [b.volume for b in boxes]
         for lam in (-0.5, 0, 1.0, 2.5, 3.7):
             want = [measure(b, lam) for b in boxes]
             assert weighted_measures(lo, hi, lam).tolist() == want
-            assert [weighted_measure(b, lam) for b in boxes] == want
         rng = np.random.default_rng(n)  # boxes with t off the dyadic grid too
         rlo = rng.uniform(0.05, 3.0, size=(2000, n + 1))
         rhi = rlo + rng.uniform(0.0, 2.0, size=(2000, n + 1))
@@ -203,7 +206,7 @@ def test_volumes_and_measures_equal_the_per_box_formulas():
         for lam in (-0.37, 0.5, 1.5, 2.0, 6.1):
             assert weighted_measures(rlo, rhi, lam).tolist() == [measure(b, lam) for b in rboxes]
         clipped = [b.clipped(region) for b in boxes]
-        clo, chi = clipped_corners(cubes, region)
+        clo, chi = clipped_corners(lo, hi, region)
         kept = [b for b in clipped if b.volume > 0]
         assert clo.tolist() == [list(b.lo) for b in kept]
         assert chi.tolist() == [list(b.hi) for b in kept]
@@ -215,8 +218,8 @@ def test_json_records_equal_the_scalar_properties():
     for cubes in _ARRAY_CUBES.values():
         want = [{"level": c.level, "index": list(c.index),
                  "center": [float(v) for v in c.center], "side": c.side} for c in cubes]
-        assert cubes_to_json(cubes) == want
-    assert cubes_to_json([]) == []
+        assert cubes_to_json(*cube_arrays(cubes)) == want
+    assert cubes_to_json(*cube_arrays([])) == []
 
 
 def test_cubes_come_sorted():
@@ -233,7 +236,7 @@ def test_slab_overlap_counts_equal_brute_force():
     region = Region(1.0, 0.3, 3.0)
     for n in (1, 2, 3):
         cubes = whitney_cubes(region, n)
-        for lo, hi in (box_corners(cubes), enlarged_corners(cubes)):
+        for lo, hi in (box_corners(*_arrays(cubes)), enlarged_corners(*_arrays(cubes))):
             # probes on every slab's top and bottom, at box corners and faces
             rng = np.random.default_rng(n)
             pick = rng.integers(len(lo), size=60)
