@@ -14,6 +14,9 @@ derivative acts diagonally with the gamma-ratio multiplier
 Note Lambda_t Lambda_u != Lambda_{t+u}: gamma ratios at shifted bases do
 not telescope, so this family is not a semigroup in t; linearity and
 injectivity are what the property tests assert.
+
+The norms take a sphere-grid resolution, or a SphereGrid built already,
+whose basis rows they then share with the grid's other users.
 """
 
 from __future__ import annotations
@@ -118,6 +121,47 @@ def basis_matrix(n: int, k: int, points) -> np.ndarray:
     raise NotImplementedError("basis provided for n in {2, 3}")
 
 
+class SphereGrid:
+    """The points and weights of sphere_grid(n, resolution), with each
+    degree's basis rows on those points.
+
+    A degree's rows are built on first use and kept as long as the grid
+    is, so a caller that evaluates several expansions, radii or symbols on
+    one grid builds each degree once.  There is no module-level cache: a
+    grid made inside a call is dropped with it.
+    """
+
+    def __init__(self, n: int, resolution: int):
+        self.n = n
+        self.points, self.weights = sphere_grid(n, resolution)
+        self._rows = {}
+
+    def rows(self, k: int) -> np.ndarray:
+        """basis_matrix(n, k, points), built on the first request."""
+        if k not in self._rows:
+            self._rows[k] = basis_matrix(self.n, k, self.points)
+        return self._rows[k]
+
+
+def _basis_on(n: int, points):
+    """(point array, k -> degree-k basis rows on it): a SphereGrid serves
+    the rows it keeps; on a plain point array each degree is built anew."""
+    if isinstance(points, SphereGrid):
+        if points.n != n:
+            raise ValueError("dimension mismatch")
+        return points.points, points.rows
+    pts = np.asarray(points, dtype=float)
+    return pts, lambda k: basis_matrix(n, k, pts)
+
+
+def _sphere(n: int, resolution):
+    """(points, weights) for a resolution, or (grid, its weights) for a
+    SphereGrid, which the evaluations then take in place of its points."""
+    if isinstance(resolution, SphereGrid):
+        return resolution, resolution.weights
+    return sphere_grid(n, resolution)
+
+
 def zonal_values(n: int, k_max: int, cosg) -> np.ndarray:
     """Z_k(cos gamma), k = 0..k_max, stacked on axis 0.
 
@@ -188,13 +232,13 @@ class Expansion:
         return cls(n, blocks)
 
     def values(self, r, points) -> np.ndarray:
-        """f(r * points) for radii r broadcastable against len(points)."""
-        pts = np.asarray(points, dtype=float)
+        """f(r * points) for radii r broadcastable against len(points);
+        points may be a SphereGrid, whose basis rows are then shared."""
+        pts, rows = _basis_on(self.n, points)
         r = np.asarray(r, dtype=float)
         out = np.zeros(np.broadcast_shapes(r.shape, pts.shape[:-1]), dtype=complex)
         for k, c in enumerate(self.coeffs):
-            Y = basis_matrix(self.n, k, pts)
-            out = out + r**k * np.tensordot(c, Y, axes=(0, 0))
+            out = out + r**k * np.tensordot(c, rows(k), axes=(0, 0))
         return out
 
     def l2_moment(self, r: float) -> float:
@@ -284,20 +328,36 @@ def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
     return Multiplier.diagonal(n, cap, vals)
 
 
-def conv_poisson_matrix(c: Multiplier, rho: float, xpts, ypts) -> np.ndarray:
-    """h(x', y') = sum_k rho^k sum_j c_k^j Y_j(x') Y_j(y'): shape (mx, my).
+def conv_poisson_matrix(c: Multiplier, rhos, xpts, ypts) -> list:
+    """[h_rho for rho in rhos], h_rho(x', y') = sum_k rho^k sum_j c_k^j
+    Y_j(x') Y_j(y') of shape (mx, my); the points may be SphereGrids.
 
-    This is (g_c * P_{x'})(rho y'): the Poisson slice of the multiplier
+    h_rho is (g_c * P_{x'})(rho y'): the Poisson slice of the multiplier
     symbol.  Symmetric in x' and y' for any blocks; for diagonal blocks it
-    is zonal: h = sum_k rho^k c_k Z_k(x'.y').
+    is zonal: h = sum_k rho^k c_k Z_k(x'.y').  Each degree's term
+    E_k = sum_j c_k^j Y_j Y_j is built once and added, as rho^k E_k, to
+    one running sum per radius, in degree order.
     """
-    out = None
+    rhos = [float(rho) for rho in rhos]
+    _, rows_x = _basis_on(c.n, xpts)
+    _, rows_y = _basis_on(c.n, ypts)
+    sums = []
     for k, b in enumerate(c.blocks):
-        Yx = basis_matrix(c.n, k, xpts)
-        Yy = basis_matrix(c.n, k, ypts)
-        term = rho**k * np.einsum("j,jx,jy->xy", b, Yx, Yy)
-        out = term if out is None else out + term
-    return out
+        Yx = rows_x(k)
+        Yy = Yx if ypts is xpts else rows_y(k)
+        E = np.einsum("j,jx,jy->xy", b, Yx, Yy)
+        if k == 0:
+            sums = [rho**k * E for rho in rhos]
+        else:
+            for out, rho in zip(sums, rhos):
+                out += rho**k * E
+    return sums
+
+
+# Up to this weight exponent a, the Gauss-Jacobi rule's scale 2^-(a+1) is
+# a normal float64 and its total weight 2^(a+1) / (a+1) is finite; from
+# about a = 1034 on, scipy's weights overflow and the rule is NaN or fails.
+MAX_WEIGHT_EXPONENT = 1021.0
 
 
 def radial_jacobi_quadrature(a_exp: float, n: int, count: int):
@@ -310,6 +370,9 @@ def radial_jacobi_quadrature(a_exp: float, n: int, count: int):
     """
     if a_exp <= -1:
         raise ValueError("weight exponent must exceed -1")
+    if a_exp > MAX_WEIGHT_EXPONENT:
+        raise ValueError(f"weight exponent must be at most {MAX_WEIGHT_EXPONENT:g},"
+                         f" got {a_exp:g}")
     xi, w = roots_jacobi(count, a_exp, 0.0)
     r = 0.5 * (xi + 1.0)
     # (1 - xi)^a dxi = (2(1-r))^a 2 dr
@@ -342,9 +405,9 @@ def _radial_mean(f, values, p, q, a_exp, resolution, radial) -> float:
     """(int_0^1 M_q^p (1-r)^a (1+r)^a r^(n-1) dr)^(1/p), where M_q is the
     q-mean of values(f, r, x') over the sphere: the Gauss-Jacobi rule
     takes the (1-r)^a endpoint factor, so a in (-1, 0) costs nothing."""
-    pts, w = sphere_grid(f.n, resolution)
+    pts, w = _sphere(f.n, resolution)
     r, wr = radial_jacobi_quadrature(a_exp, f.n, radial)
-    mq = _power_mean(values(f, r[:, None], pts[None, :, :]), w, q)
+    mq = _power_mean(values(f, r[:, None], pts), w, q)
     return float(_power_mean(mq, wr * (1.0 + r) ** a_exp, p))
 
 
@@ -379,7 +442,7 @@ def slice_norm_ball(f: Expansion, q: float, r: float, resolution: int = 24) -> f
     """M_q(f, r) under the normalized measure."""
     _check_positive(q=q)
     _check_finite(r=r)
-    pts, w = sphere_grid(f.n, resolution)
+    pts, w = _sphere(f.n, resolution)
     return float(_power_mean(np.abs(f.values(np.asarray(r), pts)), w, q))
 
 
@@ -396,9 +459,10 @@ def sup_mixed_norm_ball(
     """||f||_{infty,q,alpha} = sup_r (1-r^2)^alpha M_q(f, r) on a rho grid."""
     _check_finite(alpha=alpha)
     rhos = 1.0 - 2.0 ** (-np.arange(rho_count) / 2.0)
+    grid = resolution if isinstance(resolution, SphereGrid) else SphereGrid(f.n, resolution)
     best = 0.0
     for rho in rhos:
-        best = max(best, (1 - rho * rho) ** alpha * slice_norm_ball(f, q, rho, resolution))
+        best = max(best, (1 - rho * rho) ** alpha * slice_norm_ball(f, q, rho, grid))
     return best
 
 
@@ -413,7 +477,7 @@ def gradient_values(f: Expansion, r, points) -> np.ndarray:
     n = 2 uses d/dx, d/dy of r^k trig terms via the degree shift; n = 3
     uses the spherical frame (radial, theta, phi components).
     """
-    pts = np.asarray(points, dtype=float)
+    pts, _ = _basis_on(f.n, points)
     r = np.asarray(r, dtype=float)
     shape = np.broadcast_shapes(r.shape, pts.shape[:-1])
     if f.n == 2:

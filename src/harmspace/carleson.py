@@ -177,12 +177,26 @@ def _corners(cubes):
     return (*box_corners(index, side), side)
 
 
+def _gauge(v, e):
+    """v**e in Python floats, inf where that overflows."""
+    try:
+        return v**e
+    except OverflowError:
+        return np.inf
+
+
 def _cube_report(condition, params, mu: AtomicMeasure, cubes, lo, hi, base, e):
     """Rows (level, index, mass, gauge, ratio) of the cubes, whose boxes
     have corners (lo, hi), with gauge = base^e per box, base an array: the
     box volumes, or the etas (the centre heights, 3/2 side)."""
     masses = mu.masses_in_boxes(lo, hi).tolist()
-    gauges = [v**e for v in base.tolist()]
+    gauges = [_gauge(v, e) for v in base.tolist()]
+    bad = next((i for i, g in enumerate(gauges) if not 0.0 < g < np.inf), None)
+    if bad is not None:
+        raise ValueError(
+            f"the region's box at level {cubes[bad].level} (heights {lo[bad, -1]:g}"
+            f" to {hi[bad, -1]:g}) has gauge {gauges[bad]!r} at exponent {e:g}: its"
+            " boxes are too small or too large for float64")
     rows = [(c.level, c.index, m, g, m / g) for c, m, g in zip(cubes, masses, gauges)]
     return CubeConditionReport(condition, params, rows, mu.n)
 

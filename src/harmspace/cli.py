@@ -36,9 +36,9 @@ class UsageError(Exception):
     """Bad invocation: maps to exit code 2."""
 
 
-# Largest array, in bytes, that a command may build from sizes given on
-# its command line.  A request is checked against it before anything is
-# allocated and, if over, rejected as a usage error.
+# Largest memory, in bytes, that the arrays a command sizes from its
+# command line may take at once.  A request is checked against it before
+# anything is allocated and, if over, rejected as a usage error.
 MAX_ARRAY_BYTES = 1 << 28
 
 
@@ -46,7 +46,7 @@ def _check_array_bytes(what, nbytes):
     if nbytes > MAX_ARRAY_BYTES:
         raise UsageError(
             f"{what} would take {nbytes / 2**20:.4g} MiB, over the"
-            f" {MAX_ARRAY_BYTES / 2**20:g} MiB budget for one array")
+            f" {MAX_ARRAY_BYTES / 2**20:g} MiB array budget")
 
 
 def _floats_csv(text):
@@ -230,11 +230,23 @@ _RADIAL_KINDS = ("volume", "mixed", "grad-volume", "grad-mixed")
 
 
 def _ball_norm(kind, f, args, res):
+    if kind in _RADIAL_KINDS:
+        # the radial Gauss-Jacobi rule's weight exponent
+        mixed = kind.endswith("mixed")
+        a_exp = args.alpha * args.p - 1 if mixed else args.alpha
+        if a_exp > bl.MAX_WEIGHT_EXPONENT:
+            flags = "--alpha times --p, less 1," if mixed else "--alpha"
+            raise UsageError(f"{flags} is the radial weight exponent and must be at"
+                             f" most {bl.MAX_WEIGHT_EXPONENT:g}, got {a_exp:g}")
     # complex128 values on (radial nodes) x (sphere grid: res points on
-    # the circle, res x 2 res on the 2-sphere)
+    # the circle, res x 2 res on the 2-sphere); the sup kind, which takes
+    # its slices at 24 radii, also keeps every degree's float64 basis rows
     rows = args.radial if kind in _RADIAL_KINDS else 1
     cols = res if f.n == 2 else 2 * res * res
-    _check_array_bytes(f"the {rows} x {cols} value table", 16 * rows * cols)
+    basis = sum(c.size for c in f.coeffs) if kind == "sup" else 0
+    kept = f" and {basis} basis rows" if basis else ""
+    _check_array_bytes(f"the {rows} x {cols} value table{kept}",
+                       16 * rows * cols + 8 * basis * cols)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = _BALL_NORMS[kind](f, args, res)
@@ -401,24 +413,30 @@ def _cmd_ball(args, extras):
     if args.operation == "multiplier-check":
         if args.cap < 0:
             raise UsageError("--cap must be >= 0")
+        # past level mant_dig, the radius 1 - 2**-i rounds to 1.0
+        if not 1 <= args.rho_levels <= sys.float_info.mant_dig:
+            raise UsageError(f"--rho-levels must be in 1..{sys.float_info.mant_dig}")
         res = args.resolution or 4 * args.cap + 8
-        # complex128: the symbol's 2 cap + 1 coefficients on the circle and
-        # the (res, res) Poisson-slice matrix
-        _check_array_bytes(f"a degree-{args.cap} symbol", 16 * (2 * args.cap + 1))
-        _check_array_bytes(f"the {res} x {res} slice matrix", 16 * res * res)
+        levels, coeffs = args.rho_levels, 2 * args.cap + 1
+        # held at once: the symbol's coefficients on the circle and its
+        # Lambda-scaled copy (complex128); the grid's points, weights and
+        # basis rows (float64); and the (res, res) complex128 Poisson-slice
+        # tables: one running sum per level, a degree's term and its rho^k
+        # multiple
+        _check_array_bytes(
+            f"a degree-{args.cap} symbol with {levels} levels of {res} x {res}"
+            " slice matrices",
+            2 * 16 * coeffs + 24 * res + 8 * coeffs * res + 16 * (levels + 2) * res * res)
         c = _parse_symbol(args.symbol, args.cap)
         if not 1.0 < args.s < math.inf:
             raise UsageError("need a finite s > 1 for the dual exponent")
         if not math.isfinite(args.beta):
             raise UsageError("--beta must be finite")
-        # past level mant_dig, the radius 1 - 2**-i rounds to 1.0
-        if not 1 <= args.rho_levels <= sys.float_info.mant_dig:
-            raise UsageError(f"--rho-levels must be in 1..{sys.float_info.mant_dig}")
-        pts, w = bl.sphere_grid(2, res)
+        grid = bl.SphereGrid(2, res)
         try:
             sup, slope, rows = verify.slice_functional(
                 c, args.s / (args.s - 1.0), args.beta, args.lam_order,
-                args.rho_levels, pts, w)
+                args.rho_levels, grid)
         except ValueError as e:  # a derivative order that is not positive
             raise UsageError(str(e))
         kind = verify.trend_class(slope)

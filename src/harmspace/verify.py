@@ -1161,8 +1161,9 @@ def _exp_ball_basis(b, rng, p):
     for n in (2, 3):
         cap = b.cap if n == 2 else min(b.cap, 16)
         res = 4 * cap if n == 2 else cap + 8
-        pts, w = bl.sphere_grid(n, res)
-        Bm = np.vstack([bl.basis_matrix(n, k, pts) for k in range(cap + 1)])
+        grid = bl.SphereGrid(n, res)
+        pts, w = grid.points, grid.weights
+        Bm = np.vstack([grid.rows(k) for k in range(cap + 1)])
         gram = (Bm * w) @ Bm.T
         checks.append(_below(f"gram-n{n}",
                              float(np.max(np.abs(gram - np.eye(len(gram))))), 1e-8))
@@ -1171,7 +1172,7 @@ def _exp_ball_basis(b, rng, p):
         cosg = pts @ x0
         Z = bl.zonal_values(n, cap, cosg)
         for k in (1, cap // 2, cap):
-            Bk = bl.basis_matrix(n, k, pts)
+            Bk = grid.rows(k)
             bsum = Bk.T @ Bk[:, 7]
             checks.append(_below(f"addition-n{n}-k{k}",
                                  float(np.max(np.abs(bsum - Z[k]))), 1e-8))
@@ -1189,7 +1190,7 @@ def _exp_ball_basis(b, rng, p):
 
         f = bl.Expansion.random(n, cap, seed=int(rng.integers(2 ** 31)), decay=1.2)
         for r in (0.4, 0.9):
-            lhs = bl.slice_norm_ball(f, 2.0, r, resolution=res)
+            lhs = bl.slice_norm_ball(f, 2.0, r, resolution=grid)
             rhs = f.l2_moment(r)
             checks.append(_close(f"parseval-n{n}-r{r}", lhs / rhs, 1.0, 1e-8))
 
@@ -1219,25 +1220,26 @@ def _exp_ball_norms(b, rng, p):
         f = bl.Expansion.random(n, cap, seed=int(rng.integers(2 ** 31)), decay=1.5)
         g = bl.Expansion.random(n, cap, seed=int(rng.integers(2 ** 31)), decay=1.0)
         h = bl.Expansion.random(n, cap, seed=int(rng.integers(2 ** 31)), decay=1.0)
+        grid = bl.SphereGrid(n, res)
 
-        da = bl.grad_volume_norm(f, 1.0, al, resolution=res, radial=40)
-        db = bl.grad_mixed_norm(f, 1.0, 1.0, al + 1.0, resolution=res, radial=40)
+        da = bl.grad_volume_norm(f, 1.0, al, resolution=grid, radial=40)
+        db = bl.grad_mixed_norm(f, 1.0, 1.0, al + 1.0, resolution=grid, radial=40)
         checks.append(_close(f"gradient-norms-agree-n{n}", da / db, 1.0, 1e-3))
         consts[f"gradient_ratio_n{n}"] = da / db
 
-        va = bl.volume_norm(f, 2.0, al, resolution=res)
-        vb = bl.mixed_norm_ball(f, 2.0, 2.0, (al + 1.0) / 2.0, resolution=res)
+        va = bl.volume_norm(f, 2.0, al, resolution=grid)
+        vb = bl.mixed_norm_ball(f, 2.0, 2.0, (al + 1.0) / 2.0, resolution=grid)
         checks.append(_close(f"volume-eq-mixed-n{n}", va / vb, 1.0, 1e-10))
 
-        slices = [bl.slice_norm_ball(f, 2.0, r, resolution=res)
+        slices = [bl.slice_norm_ball(f, 2.0, r, resolution=grid)
                   for r in (0.2, 0.5, 0.8, 1.0)]
         checks.append(_true(f"slice-monotone-n{n}",
                             all(slices[i] <= slices[i + 1] * (1 + 1e-12)
                                 for i in range(3))))
-        hardy = bl.hardy_norm(f, 2.0, resolution=res)
+        hardy = bl.hardy_norm(f, 2.0, resolution=grid)
         checks.append(_close(f"hardy-is-boundary-slice-n{n}",
                              hardy / slices[-1], 1.0, 1e-12))
-        sup = bl.sup_mixed_norm_ball(f, 2.0, al, resolution=res)
+        sup = bl.sup_mixed_norm_ball(f, 2.0, al, resolution=grid)
         checks.append(_below(f"sup-dominates-slice-n{n}",
                              (1 - 0.25) ** al * slices[1], sup * (1 + 1e-12)))
 
@@ -1281,15 +1283,15 @@ def _exp_ball_norms(b, rng, p):
     # boundary-slice identity for the convolution against the Poisson slice
     K = 16
     res2 = 4 * K + 8
-    pts2, w2 = bl.sphere_grid(2, res2)
+    grid2 = bl.SphereGrid(2, res2)
     diag = rng.normal(size=K + 1) * (1.0 + np.arange(K + 1.0)) ** -1.5
     c2 = bl.Multiplier.diagonal(2, K, diag)
     fK = bl.Expansion.random(2, K, seed=int(rng.integers(2 ** 31)), decay=1.2)
     rho = 0.75
-    M = bl.conv_poisson_matrix(c2, rho, pts2, pts2)
-    fv = fK.values(np.array(rho), pts2)
-    lhs = M @ (w2 * fv)
-    rhs = c2.apply(fK).values(np.array(rho * rho), pts2)
+    [M] = bl.conv_poisson_matrix(c2, [rho], grid2, grid2)
+    fv = fK.values(np.array(rho), grid2)
+    lhs = M @ (grid2.weights * fv)
+    rhs = c2.apply(fK).values(np.array(rho * rho), grid2)
     err = float(np.max(np.abs(lhs - rhs))) / float(np.max(np.abs(rhs)))
     checks.append(_below("slice-convolution-identity", err, 1e-4))
     checks.append(_below("conv-matrix-symmetry",
@@ -1319,22 +1321,22 @@ def trend_class(slope):
     return "inconclusive"
 
 
-def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, pts, w):
+def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, grid):
     """Weighted boundary-slice functional of a coefficient symbol.
 
     Per radius 1 - 2^-i: sup over the outer point of
     (1-rho)^weight_exp (int |D(g*P_x)(rho y)|^s' dx)^(1/s'), where D is an
-    optional fractional derivative of the stated order.  Returns the sup,
-    the log-log trend slope in (1-rho) over the last rows unaffected by
-    the symbol's degree cap, and the trace rows.  Negative trend means
-    the value still climbs as rho -> 1.
+    optional fractional derivative of the stated order and the integral
+    runs over the SphereGrid grid.  Returns the sup, the log-log trend
+    slope in (1-rho) over the last rows unaffected by the symbol's degree
+    cap, and the trace rows.  Negative trend means the value still climbs
+    as rho -> 1.
     """
     cc = c if lam_order is None else _lambda_scaled(c, lam_order)
+    rhos = [1.0 - 2.0 ** -i for i in range(1, rho_levels + 1)]
     rows = []
-    for i in range(1, rho_levels + 1):
-        rho = 1.0 - 2.0 ** -i
-        M = bl.conv_poisson_matrix(cc, rho, pts, pts)
-        integ = (w @ np.abs(M) ** s_prime) ** (1.0 / s_prime)
+    for rho, M in zip(rhos, bl.conv_poisson_matrix(cc, rhos, grid, grid)):
+        integ = (grid.weights @ np.abs(M) ** s_prime) ** (1.0 / s_prime)
         rows.append((rho, (1.0 - rho) ** weight_exp * float(integ.max())))
     vals = np.array([v for _, v in rows])
     sup = float(vals.max())
@@ -1367,11 +1369,11 @@ def _symbol_trends(n, K, decay_exp, functional, checks, consts, arts):
     return c_half, c_full, N, rows_bad
 
 
-def _ball_weighted_sup(f, beta, pts, levels):
+def _ball_weighted_sup(f, beta, grid, levels):
     best = 0.0
     for i in range(0, levels + 1):
         rho = 1.0 - 2.0 ** -i
-        vals = np.abs(f.values(np.array(rho), pts))
+        vals = np.abs(f.values(np.array(rho), grid))
         best = max(best, (1.0 - rho * rho) ** beta * float(vals.max()))
     return best
 
@@ -1386,11 +1388,11 @@ def _exp_thm8(b, rng, p):
     sp = s / (s - 1.0)
     K = 16
     res = 4 * (2 * K) + 8
-    pts, w = bl.sphere_grid(n, res)
+    grid = bl.SphereGrid(n, res)
     checks, consts, arts = [], {}, {}
 
     def functional(c):
-        return slice_functional(c, sp, beta, None, b.rho_levels, pts, w)
+        return slice_functional(c, sp, beta, None, b.rho_levels, grid)
 
     c_half, _, N2, rows_bad = _symbol_trends(n, K, -2.0, functional, checks, consts, arts)
     arts["trace_divergent"] = {"header": ["rho", "value"], "rows": rows_bad}
@@ -1406,8 +1408,8 @@ def _exp_thm8(b, rng, p):
     for i in range(b.panel):
         fE = bl.Expansion.random(n, K, seed=int(rng.integers(2 ** 31)), decay=1.2)
         cf = c_half.apply(fE)
-        lhs = _ball_weighted_sup(cf, beta, pts, b.rho_levels)
-        rhs = N2 * bl.hardy_norm(fE, s, resolution=res)
+        lhs = _ball_weighted_sup(cf, beta, grid, b.rho_levels)
+        rhs = N2 * bl.hardy_norm(fE, s, resolution=grid)
         ratio = lhs / rhs if rhs > 0 else 0.0
         ratios.append(ratio)
         rrows.append([i, lhs, rhs, ratio])
@@ -1420,9 +1422,9 @@ def _exp_thm8(b, rng, p):
                            "rows": rrows}
 
     fE, cf = worst
-    pts2, _ = bl.sphere_grid(n, res + res // 2)
-    lhs_fine = _ball_weighted_sup(cf, beta, pts2, b.rho_levels + 2)
-    lhs_base = _ball_weighted_sup(cf, beta, pts, b.rho_levels)
+    lhs_fine = _ball_weighted_sup(cf, beta, bl.SphereGrid(n, res + res // 2),
+                                  b.rho_levels + 2)
+    lhs_base = _ball_weighted_sup(cf, beta, grid, b.rho_levels)
     checks.append(_close("sup-grid-stability", lhs_fine / lhs_base, 1.0, 0.05))
     return checks, consts, arts
 
@@ -1440,15 +1442,15 @@ def _exp_thm9(b, rng, p):
     e9 = mo + 1.0 + be - al
     K = 16
     res = 4 * (2 * K) + 8
-    pts, w = bl.sphere_grid(n, res)
+    grid, coarse = bl.SphereGrid(n, res), bl.SphereGrid(n, res // 4)
     checks, consts, arts = [], {}, {}
 
     c_half, c_full, M2, _ = _symbol_trends(
-        n, K, -2.5, lambda c: slice_functional(c, qp, e9, mo + 1.0, b.rho_levels, pts, w),
+        n, K, -2.5, lambda c: slice_functional(c, qp, e9, mo + 1.0, b.rho_levels, grid),
         checks, consts, arts)
 
     # conjugate-exponent sensitivity, reported only
-    Mq = slice_functional(c_full, q, e9, mo + 1.0, b.rho_levels, pts, w)[0]
+    Mq = slice_functional(c_full, q, e9, mo + 1.0, b.rho_levels, grid)[0]
     consts["functional_at_q"] = Mq
 
     rows = []
@@ -1461,13 +1463,13 @@ def _exp_thm9(b, rng, p):
         for ir in range(1, b.rho_levels + 1):
             rho = 1.0 - 2.0 ** -ir
             lhs = ((1.0 - rho) ** (mo + 1.0 + be)
-                   * float(np.max(np.abs(dcf.values(np.array(rho), pts)))))
+                   * float(np.max(np.abs(dcf.values(np.array(rho), grid)))))
             rhs = ((1.0 - rho) ** al
-                   * bl.slice_norm_ball(fE, q, rho, resolution=res // 4))
+                   * bl.slice_norm_ball(fE, q, rho, resolution=coarse))
             rows.append([i, rho, lhs, rhs, lhs / rhs])
             fits.append(lhs / rhs)
-        lhs_sup = _ball_weighted_sup(cf, be, pts, b.rho_levels)
-        src = bl.mixed_norm_ball(fE, pe, q, al, resolution=res // 4)
+        lhs_sup = _ball_weighted_sup(cf, be, grid, b.rho_levels)
+        src = bl.mixed_norm_ball(fE, pe, q, al, resolution=coarse)
         end_ratios.append(lhs_sup / (M2 * src))
     checks.append(_true("slice-table-finite", bool(np.all(np.isfinite(fits)))))
     checks.append(_true("end-ratio-finite", bool(np.all(np.isfinite(end_ratios)))))
@@ -1489,15 +1491,15 @@ def _exp_thm10(b, rng, p):
     sp = s / (s - 1.0)
     K = 16
     res = 4 * (2 * K) + 8
-    pts, w = bl.sphere_grid(n, res)
+    grid, coarse = bl.SphereGrid(n, res), bl.SphereGrid(n, res // 4)
     checks, consts, arts = [], {}, {}
 
     decay = (1.0 + np.arange(2 * K + 1.0)) ** -2.5
     c = bl.Multiplier.diagonal(n, 2 * K, decay)
     eL = mo + 2.0 + be - al
     eK = mo + 1.0 + be - al
-    Lv, slL, rowsL = slice_functional(c, sp, eL, mo + 1.0, b.rho_levels, pts, w)
-    Kv, slKv, rowsK = slice_functional(c, sp, eK, mo + 1.0, b.rho_levels, pts, w)
+    Lv, slL, rowsL = slice_functional(c, sp, eL, mo + 1.0, b.rho_levels, grid)
+    Kv, slKv, rowsK = slice_functional(c, sp, eK, mo + 1.0, b.rho_levels, grid)
     consts["gradient_functional"] = Lv
     consts["volume_functional"] = Kv
     checks.append(_above("gradient-finite-trend", slL, FINITE_TREND))
@@ -1507,11 +1509,11 @@ def _exp_thm10(b, rng, p):
 
     # the two functionals agree exactly across the weight shift
     eL_shift = mo + 2.0 + be - (al + 1.0)
-    Lshift = slice_functional(c, sp, eL_shift, mo + 1.0, b.rho_levels, pts, w)[0]
+    Lshift = slice_functional(c, sp, eL_shift, mo + 1.0, b.rho_levels, grid)[0]
     checks.append(_close("weight-shift-coherence", Kv / Lshift, 1.0, 1e-12))
 
     c_bad = bl.Multiplier.diagonal(n, 2 * K, 1.0 + np.arange(2 * K + 1.0))
-    sl_bad = slice_functional(c_bad, sp, eL, mo + 1.0, b.rho_levels, pts, w)[1]
+    sl_bad = slice_functional(c_bad, sp, eL, mo + 1.0, b.rho_levels, grid)[1]
     checks.append(_below("divergent-trend", sl_bad, DIVERGENT_TREND))
 
     ratios = []
@@ -1521,9 +1523,9 @@ def _exp_thm10(b, rng, p):
         target = 0.0
         for ir in range(0, b.rho_levels + 1):
             rho = 1.0 - 2.0 ** -ir
-            ms = bl.slice_norm_ball(cf, s, rho, resolution=res // 4)
+            ms = bl.slice_norm_ball(cf, s, rho, resolution=coarse)
             target = max(target, (1.0 - rho) ** be * ms)
-        src = bl.grad_mixed_norm(fE, 1.0, 1.0, al, resolution=res // 4, radial=32)
+        src = bl.grad_mixed_norm(fE, 1.0, 1.0, al, resolution=coarse, radial=32)
         ratios.append(target / (Lv * src))
     checks.append(_true("ratio-table-finite", bool(np.all(np.isfinite(ratios)))))
     consts["sufficiency_constant"] = float(max(ratios))

@@ -173,7 +173,7 @@ def test_conv_poisson_matrix_zonal_reduction():
     c = bl.Multiplier.diagonal(2, cap, diag)
     pts, _ = bl.sphere_grid(2, 20)
     rho = 0.7
-    M = bl.conv_poisson_matrix(c, rho, pts, pts)
+    [M] = bl.conv_poisson_matrix(c, [rho], pts, pts)
     assert np.abs(M - M.T).max() < 1e-12
     Z = bl.zonal_values(2, cap, pts @ pts.T)
     zonal = sum(rho**k * diag[k] * Z[k] for k in range(cap + 1))
@@ -239,3 +239,102 @@ def test_ball_norms_scale_without_underflow_at_large_exponents():
     zero = bl.Expansion.zero(2, 3)
     assert bl.slice_norm_ball(zero, 400.0, 0.5) == 0.0
     assert bl.volume_norm(zero, 400.0, 0.5) == 0.0
+
+
+def _conv_poisson_per_level(c, rho, xpts, ypts):
+    # the one-radius formula conv_poisson_matrix replaced: both basis tables
+    # and the degree's term built afresh for every radius
+    out = None
+    for k, b in enumerate(c.blocks):
+        Yx = bl.basis_matrix(c.n, k, xpts)
+        Yy = bl.basis_matrix(c.n, k, ypts)
+        term = rho**k * np.einsum("j,jx,jy->xy", b, Yx, Yy)
+        out = term if out is None else out + term
+    return out
+
+
+def test_multi_radius_conv_matrix_is_bit_identical_to_per_level():
+    rhos = [1.0 - 2.0 ** -i for i in range(1, 9)]
+    rng = np.random.default_rng(5)
+    for n, cap, res in ((2, 12, 56), (3, 6, 9)):
+        dims = [bl.dim_harmonics(n, k) for k in range(cap + 1)]
+        diagonal = bl.Multiplier.diagonal(n, cap, (1.0 + np.arange(cap + 1.0)) ** -2)
+        full = bl.Multiplier(n, [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                                 for d in dims])
+        grid = bl.SphereGrid(n, res)
+        other = bl.sphere_grid(n, res - 1)[0]
+        for c in (diagonal, full):
+            for xpts, ypts in ((grid, grid), (grid.points, grid.points),
+                               (grid.points, other)):
+                got = bl.conv_poisson_matrix(c, rhos, xpts, ypts)
+                assert len(got) == len(rhos)
+                px = getattr(xpts, "points", xpts)
+                py = getattr(ypts, "points", ypts)
+                for rho, M in zip(rhos, got):
+                    assert np.array_equal(M, _conv_poisson_per_level(c, rho, px, py))
+    # the single radius of the ball-norms slice-convolution identity
+    K = 16
+    diag = np.random.default_rng(0).normal(size=K + 1) * (1.0 + np.arange(K + 1.0)) ** -1.5
+    c2 = bl.Multiplier.diagonal(2, K, diag)
+    grid2 = bl.SphereGrid(2, 4 * K + 8)
+    [M] = bl.conv_poisson_matrix(c2, [0.75], grid2, grid2)
+    assert np.array_equal(M, _conv_poisson_per_level(c2, 0.75, grid2.points, grid2.points))
+
+
+def test_values_on_a_shared_grid_are_bit_identical_to_fresh_ones():
+    for n, res in ((2, 40), (3, 10)):
+        grid = bl.SphereGrid(n, res)
+        f = bl.Expansion.random(n, 8, seed=1)
+        g = bl.Expansion.random(n, 5, seed=2)
+        r = np.array([0.0, 0.3, 0.9, 1.0])[:, None]
+        for h in (f, g, f):  # the second use of each degree reads kept rows
+            assert np.array_equal(h.values(r, grid), h.values(r, grid.points))
+            assert np.array_equal(h.values(np.array(0.6), grid),
+                                  h.values(np.array(0.6), grid.points))
+        assert np.array_equal(grid.rows(3), bl.basis_matrix(n, 3, grid.points))
+        assert bl.slice_norm_ball(f, 3.0, 0.7, grid) == bl.slice_norm_ball(f, 3.0, 0.7, res)
+        assert bl.volume_norm(f, 2.0, 0.5, grid) == bl.volume_norm(f, 2.0, 0.5, res)
+    with pytest.raises(ValueError):
+        bl.Expansion.random(2, 2, seed=0).values(0.5, bl.SphereGrid(3, 4))
+
+
+def _lambda_tol(a, t):
+    # gamma_ratio works in log space, exp(gammaln(a + t) - gammaln(a)), so its
+    # relative error grows like eps * gammaln: 1.1e-14 at n = 3, k = 16 and
+    # 2.5e-14 at k = 40.  A Lambda shifted by one degree is off by about 1/a.
+    return max(1e-14, 4 * np.finfo(float).eps * (abs(math.lgamma(a + t)) + abs(math.lgamma(a))))
+
+
+def test_lambda_of_order_one_is_the_degree_shift():
+    # Gamma(a + 1) / (Gamma(a) Gamma(1)) = a, a = k + n/2
+    for n in (2, 3):
+        vals = np.real(bl.multiplier_lambda(n, 40, 1.0).diagonal_values())
+        for k, v in enumerate(vals):
+            a = k + n / 2
+            assert abs(v / a - 1.0) <= _lambda_tol(a, 1.0), (n, k)
+
+
+def test_lambda_matches_a_50_digit_gamma_ratio():
+    import mpmath
+
+    mpmath.mp.dps = 50
+    for n in (2, 3):
+        for t in (0.5, 2.5):
+            vals = np.real(bl.multiplier_lambda(n, 40, t).diagonal_values())
+            for k, v in enumerate(vals):
+                a = mpmath.mpf(k) + mpmath.mpf(n) / 2
+                ref = mpmath.gamma(a + t) / (mpmath.gamma(a) * mpmath.gamma(t))
+                assert abs(v / float(ref) - 1.0) <= _lambda_tol(k + n / 2, t), (n, t, k)
+
+
+def test_volume_norm_of_one_degree_closed_form():
+    # |f|^2 = r^(2k) |b|^2 on average over the sphere, and
+    # int_0^1 r^(2k + n - 1) (1 - r^2)^alpha dr = B(k + n/2, alpha + 1) / 2
+    for n in (2, 3):
+        for k, alpha in ((1, 0.7), (3, 0.0), (4, -0.4)):
+            blocks = [np.zeros(bl.dim_harmonics(n, j)) for j in range(k + 1)]
+            blocks[k] = np.linspace(0.5, 1.5, bl.dim_harmonics(n, k)) * (1 - 0.5j)
+            f = bl.Expansion(n, blocks)
+            b2 = float(np.sum(np.abs(blocks[k]) ** 2))
+            exact = math.sqrt(b2 * beta_fn(k + n / 2, alpha + 1) / 2)
+            assert bl.volume_norm(f, 2.0, alpha) == pytest.approx(exact, rel=1e-12)

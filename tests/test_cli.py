@@ -224,6 +224,10 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
         ["ball", "multiplier-check", "--cap", "100000"],  # 2.33 TiB matrix
         ["ball", "multiplier-check", "--cap", "1", "--resolution", "5000"],
         ["ball", "multiplier-check", "--cap", str(10**8), "--resolution", "8"],
+        # one slice matrix of exactly the budget, but 8 levels hold 10 at once
+        ["ball", "multiplier-check", "--cap", "1", "--resolution", "4096"],
+        # a 160 MB symbol: with its scaled copy and basis rows, 960 MB
+        ["ball", "multiplier-check", "--cap", str(5 * 10**6), "--resolution", "8"],
         ["ball", "multiplier-check", "--cap", "-1"],
         ["ball", "multiplier-check", "--resolution", "-5"],
         ["whitney", "--n", "0"],
@@ -233,13 +237,19 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv
     assert not list(tmp_path.iterdir())
-    # a matrix of exactly the budget passes the guard and reaches sphere_grid
-    side = math.isqrt(cli.MAX_ARRAY_BYTES // 16)
-    assert 16 * side * side == cli.MAX_ARRAY_BYTES
+    # the guard counts what is held at once: the symbol and its scaled copy
+    # (complex), the grid's points, weights and basis rows (float), and
+    # levels + 2 complex (res, res) slice matrices
+    def predicted(cap, res, levels):
+        coeffs = 2 * cap + 1
+        return 32 * coeffs + 24 * res + 8 * coeffs * res + 16 * (levels + 2) * res * res
+
+    # a request just within the budget passes the guard and reaches sphere_grid
+    assert predicted(1, 2047, 2) <= cli.MAX_ARRAY_BYTES < predicted(1, 2048, 2)
+    argv = ["ball", "multiplier-check", "--cap", "1", "--rho-levels", "2"]
     with pytest.raises(AssertionError, match="guard"):
-        run(tmp_path, "ball", "multiplier-check", "--cap", "1", "--resolution", str(side))
-    assert run(tmp_path, "ball", "multiplier-check", "--cap", "1",
-               "--resolution", str(side + 1)) == 2
+        run(tmp_path, *argv, "--resolution", "2047")
+    assert run(tmp_path, *argv, "--resolution", "2048") == 2
 
 
 def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, monkeypatch):
@@ -265,6 +275,9 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
          "--radial", str(10**8)],
         ["ball", "functional", "--expansion", str(f2), "--kind", "mixed",
          "--radial", "20000", "--resolution", "1000"],
+        # a 122 MiB value table, but the sup kind also keeps 9 basis rows
+        ["ball", "functional", "--expansion", str(f3), "--kind", "sup",
+         "--resolution", "2000"],
     ]
     out = tmp_path / "out"
     for argv in cases:
@@ -380,3 +393,48 @@ def test_whitney_weight_exponent_out_of_range_exits_two(tmp_path, capsys):
     for lam in ("-1", "-2", "nan", "inf"):
         assert run(tmp_path, "whitney", "--n", "1", "--lam", lam) == 2, lam
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_carleson_gauge_out_of_float_range_exits_two(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"atoms": [{"x": [0.0, 0.0], "t": 1e-300, "w": 1.0}]}))
+    out = tmp_path / "out"
+    # box volumes near 1e-900 underflow to 0: no ZeroDivisionError traceback
+    assert cli.main(["carleson", "--measure", str(m), "--x-max", "1e-300",
+                     "--t-min", "1e-300", "--t-max", "2e-300", "--condition", "single",
+                     "--alpha", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "region" in err and "gauge" in err
+    # and boxes of side 1e199 overflow their tent gauge to inf (ratio 0.0 before)
+    m.write_text(json.dumps({"atoms": [{"x": [0.0, 0.0], "t": 1e200, "w": 1.0}]}))
+    assert cli.main(["carleson", "--measure", str(m), "--x-max", "1e200",
+                     "--t-min", "1e199", "--t-max", "2e200", "--condition", "tent",
+                     "--p", "2", "--alpha", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "region" in err and "inf" in err
+    assert not out.exists()
+
+
+def test_ball_weight_exponent_over_the_limit_exits_two(tmp_path, capsys):
+    f3 = tmp_path / "f3.json"
+    f3.write_text(json.dumps(bl.Expansion.random(3, 2, seed=1).to_json()))
+    out = tmp_path / "out"
+    limit = f"{bl.MAX_WEIGHT_EXPONENT:g}"
+    for kind in ("mixed", "grad-mixed"):
+        for flag in ("--p", "--alpha"):
+            argv = ["ball", "functional", "--expansion", str(f3), "--kind", kind,
+                    flag, "1e300", "--out", str(out)]
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag in err and limit in err, argv
+    assert cli.main(["norm", "--space", "mixed", "--field", f"expansion-file:{f3}",
+                     "--alpha", "1e300", "--out", str(out)]) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert cli.main(["ball", "functional", "--expansion", str(f3), "--kind", "volume",
+                     "--alpha", "1e300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and limit in err
+    assert not out.exists()
+    # at the limit the rule is still finite: mixed with alpha p - 1 = 1021
+    assert cli.main(["ball", "functional", "--expansion", str(f3), "--kind", "mixed",
+                     "--p", "1", "--alpha", "1022", "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harmspace import ball as bl
 from harmspace import util
 from harmspace import verify as vf
 
@@ -130,3 +131,22 @@ def test_trend_class_matches_the_check_rows():
     assert vf.trend_class(-0.1) == "inconclusive"
     assert vf._above("finite-trend", -0.05, vf.FINITE_TREND)["ok"]
     assert vf._below("divergent-trend", -0.2, vf.DIVERGENT_TREND)["ok"]
+
+
+def test_slice_functional_builds_one_term_per_degree(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counting(spec, *ops, **kw):
+        calls.append(spec)
+        return einsum(spec, *ops, **kw)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    cap = 12
+    c = bl.Multiplier.diagonal(2, cap, (1.0 + np.arange(cap + 1.0)) ** -2)
+    grid = bl.SphereGrid(2, 4 * cap + 8)
+    for levels in (1, 3, 8):
+        calls.clear()
+        _, _, rows = vf.slice_functional(c, 2.0, 1.0, None, levels, grid)
+        assert len(rows) == levels
+        assert calls == ["j,jx,jy->xy"] * (cap + 1), levels
