@@ -177,12 +177,19 @@ def _corners(cubes):
     return (*box_corners(index, side), side)
 
 
-def _gauge(v, e):
-    """v**e in Python floats, inf where that overflows."""
+def _gauges(base, e):
+    """[v**e for v in base] in Python floats, with inf where one overflows."""
     try:
-        return v**e
+        return [v**e for v in base]
     except OverflowError:
-        return np.inf
+        pass
+    out = []
+    for v in base:
+        try:
+            out.append(v**e)
+        except OverflowError:
+            out.append(np.inf)
+    return out
 
 
 def _cube_report(condition, params, mu: AtomicMeasure, cubes, lo, hi, base, e):
@@ -190,12 +197,14 @@ def _cube_report(condition, params, mu: AtomicMeasure, cubes, lo, hi, base, e):
     have corners (lo, hi), with gauge = base^e per box, base an array: the
     box volumes, or the etas (the centre heights, 3/2 side)."""
     masses = mu.masses_in_boxes(lo, hi).tolist()
-    gauges = [_gauge(v, e) for v in base.tolist()]
-    bad = next((i for i, g in enumerate(gauges) if not 0.0 < g < np.inf), None)
-    if bad is not None:
+    gauges = _gauges(base.tolist(), e)
+    values = np.array(gauges)
+    bad = np.flatnonzero(~((values > 0.0) & (values < np.inf)))
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"the region's box at level {cubes[bad].level} (heights {lo[bad, -1]:g}"
-            f" to {hi[bad, -1]:g}) has gauge {gauges[bad]!r} at exponent {e:g}: its"
+            f"the region's box at level {cubes[i].level} (heights {lo[i, -1]:g}"
+            f" to {hi[i, -1]:g}) has gauge {gauges[i]!r} at exponent {e:g}: its"
             " boxes are too small or too large for float64")
     rows = [(c.level, c.index, m, g, m / g) for c, m, g in zip(cubes, masses, gauges)]
     return CubeConditionReport(condition, params, rows, mu.n)
