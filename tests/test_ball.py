@@ -300,8 +300,9 @@ def test_values_on_a_shared_grid_are_bit_identical_to_fresh_ones():
 
 def _lambda_tol(a, t):
     # gamma_ratio works in log space, exp(gammaln(a + t) - gammaln(a)), so its
-    # relative error grows like eps * gammaln: 1.1e-14 at n = 3, k = 16 and
-    # 2.5e-14 at k = 40.  A Lambda shifted by one degree is off by about 1/a.
+    # relative error grows like eps * gammaln: Lambda_1 is off 1.1e-14 at
+    # n = 3, k = 16, and Lambda_0.5 3.4e-14 at n = 2, k = 37.  A Lambda
+    # shifted by one degree is off by about 1/a.
     return max(1e-14, 4 * np.finfo(float).eps * (abs(math.lgamma(a + t)) + abs(math.lgamma(a))))
 
 
