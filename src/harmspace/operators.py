@@ -69,12 +69,13 @@ class KernelIntegralField(Field):
     """z |-> sum_i W_i Q_k(z, w_i) payload_i over stored nodes.
 
     Built by _weighted from payloads already multiplied by the node
-    weights W_i, in one of two layouts: "flat" (points (N, n+1), payload
-    (N,)) and "axisym" (AxisymmetricNodes, payload (n_uv, n_s)), radial
-    about the origin.
+    weights W_i, in one of two layouts: "flat" (n = 1: node axes x (n_x,)
+    and s (n_s,), payload (n_x n_s,) over their tensor in "ij" order) and
+    "axisym" (AxisymmetricNodes, payload (n_uv, n_s)), radial about the
+    origin.  Both evaluate only at finite points with t > 0.
 
-    The payload may also be a stack, (P, N) or (P, n_uv, n_s): the P
-    fields then share every kernel value, and values() and
+    The payload may also be a stack, (P, n_x n_s) or (P, n_uv, n_s): the
+    P fields then share every kernel value, and values() and
     radial_values() carry a leading axis of length P.  Each stacked value
     equals, bit for bit, the value of the field built from that payload
     alone.
@@ -100,7 +101,7 @@ class KernelIntegralField(Field):
     def _weighted(cls, n, k_order, nodes, wpay, stacked, label):
         """Field over payloads already multiplied by the node weights.
 
-        nodes: AxisymmetricNodes, or the (N, n+1) points of the flat layout.
+        nodes: AxisymmetricNodes, or the (x, s) node axes of the flat layout.
         """
         f = cls(n, k_order, label)
         f.stacked = stacked
@@ -108,7 +109,7 @@ class KernelIntegralField(Field):
             f.radial_center = np.zeros(n)
             f._ax = (nodes, wpay.reshape((-1,) + wpay.shape[-2:]))
         else:
-            f._flat = (nodes, wpay.reshape(-1, wpay.shape[-1]))
+            f._flat = (nodes, wpay.reshape(-1, nodes[0].size * nodes[1].size))
         return f
 
     def _shaped(self, out, shape):
@@ -117,7 +118,10 @@ class KernelIntegralField(Field):
 
     def values(self, points):
         pts = np.asarray(points, dtype=float)
+        if pts.shape[-1:] != (self.n + 1,):
+            raise ValueError(f"points must have shape (..., {self.n + 1})")
         flat = pts.reshape(-1, pts.shape[-1])
+        _check_points(flat[:, :-1], flat[:, -1])
         if self._ax is not None:
             d = np.linalg.norm(flat[:, :-1], axis=1)
             out = self._eval_axial(d, flat[:, -1])
@@ -128,9 +132,8 @@ class KernelIntegralField(Field):
     def radial_values(self, r, t):
         if self._ax is None:
             raise NotImplementedError("radial path needs axisym nodes")
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        R, T = np.broadcast_arrays(r, t)
+        R, T = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        _check_points(R, T)
         out = self._eval_axial(R.ravel(), T.ravel())
         return self._shaped(out, R.shape)
 
@@ -156,8 +159,6 @@ class KernelIntegralField(Field):
         sums = np.empty((len(leaves), n_pay))
         out = np.empty((n_pay, d.size))
         for i in range(d.size):
-            if t[i] <= 0:
-                raise ValueError("evaluation points must satisfy t > 0")
             D = nodes.dist_sq_to(d[i])
             q = kernels.BergmanRows(self.k, self.n, t[i] + nodes.s, rows)
             for li, (lo, hi) in enumerate(leaves):
@@ -171,19 +172,33 @@ class KernelIntegralField(Field):
         return out
 
     def _eval_flat(self, pts):
-        nodes, wpay = self._flat
+        """(P, m) values at points (m, 2), a chunk of points at a time.
+
+        D = (x - y)^2 varies along the x nodes only and tau = t + s along
+        the s nodes only, so the c tau^a and D^b terms of bergman_from_sq
+        stay (chunk, 1, n_s) and (chunk, n_x, 1); only the products of both
+        and the power of D + tau^2 are full size.  Each value equals, bit for
+        bit, that of full (chunk, n_x n_s) tables of D and tau.
+        """
+        (x, s), wpay = self._flat
         out = np.empty((wpay.shape[0], pts.shape[0]))
         # callers such as the cubes path of bergman_norm pass many points
-        chunk = max(1, _BLOCK_VALUES // max(1, nodes.shape[0]))
+        chunk = max(1, _BLOCK_VALUES // wpay.shape[1])
         for a in range(0, pts.shape[0], chunk):
             blk = pts[a : a + chunk]
-            diff = blk[:, None, :-1] - nodes[None, :, :-1]
-            D = np.sum(diff * diff, axis=2)
-            tau = blk[:, None, -1] + nodes[None, :, -1]
-            K = kernels.bergman_from_sq(self.k, self.n, D, tau)
+            diff = blk[:, 0, None, None] - x[None, :, None]
+            tau = blk[:, 1, None, None] + s[None, None, :]
+            K = kernels.bergman_from_sq(self.k, self.n, diff * diff, tau)
+            K = K.reshape(blk.shape[0], -1)
             for j, w in enumerate(wpay):
                 out[j, a : a + chunk] = K @ w
         return out
+
+
+def _check_points(coords, t):
+    """Reject evaluation points that are not finite or have t <= 0."""
+    if not (np.isfinite(coords).all() and np.isfinite(t).all() and (t > 0).all()):
+        raise ValueError("evaluation points must be finite with t > 0")
 
 
 def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
@@ -201,7 +216,8 @@ def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
     per s node, and needs g radial about the origin; `offsets` lists the
     axis positions where the spatial grid refines, so keep them near the
     radii at which the field will be evaluated.  n = 1 uses the flat
-    tensor nodes (points (N, 2)), one row per node.
+    layout: the node axes of box_axis_quadrature (rows) and t_quadrature
+    (columns), weighted by their tensor_rule weights.
     """
     if g.n >= 2:
         if not g.is_radial or np.any(np.asarray(g.radial_center) != 0):
@@ -213,11 +229,14 @@ def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
         def block(blk):
             return g.radial_values(radius[blk], s_row), s_row, (nodes.w_uv[blk, None], nodes.w_s)
     else:
-        nodes, w = quad.flat_box_nodes(region, 1, spec)
-        shape = w.shape
+        axes = (quad.box_axis_quadrature(region, spec), quad.t_quadrature(region, spec))
+        nodes = tuple(x for x, _ in axes)
+        shape = tuple(x.size for x in nodes)
+        pts, w = quad.tensor_rule(axes)
+        pts, w = pts.reshape(shape + (2,)), w.reshape(shape)
 
         def block(blk):
-            return g.values(nodes[blk]), nodes[blk, -1], (w[blk],)
+            return g.values(pts[blk]), nodes[1], (w[blk],)
     stack = np.empty((1 if eps is None else len(eps) * len(parts),) + shape)
     rows = max(1, _BLOCK_VALUES // math.prod(shape[1:]))
     for a in range(0, shape[0], rows):
@@ -268,8 +287,6 @@ class MeanExtension:
         if len(z_list) != self.m:
             raise ValueError("wrong number of slots")
         mean = sum(np.asarray(z, dtype=float) for z in z_list) / self.m
-        if np.any(mean[..., -1] <= 0):
-            raise ValueError("slot means must stay in the half-space")
         return self.field.values(mean)
 
     def trace(self) -> Field:

@@ -20,12 +20,20 @@ def _testfield(l, n, height=1.0):
     return fl.TestField(l, n, w)
 
 
-def _field_from_flat(n, k, points, weights, payload):
-    """KernelIntegralField over flat nodes from a payload not yet weighted."""
+def _field_from_flat(k, axes, payload):
+    """KernelIntegralField over the n = 1 tensor of two 1-D rules, axes =
+    ((x, w_x), (s, w_s)), from a payload not yet weighted: (N,) or (P, N)
+    over the points of quad.tensor_rule(axes)."""
     payload = np.asarray(payload, dtype=float)
-    wpay = np.asarray(weights, dtype=float) * payload
+    _, w = quad.tensor_rule(axes)
+    nodes = tuple(np.asarray(x, dtype=float) for x, _ in axes)
     return op.KernelIntegralField._weighted(
-        n, k, np.asarray(points, dtype=float), wpay, payload.ndim == 2, "kernel-integral")
+        1, k, nodes, w * payload, payload.ndim == 2, "kernel-integral")
+
+
+def _flat_axes(region, spec):
+    """The two 1-D rules whose tensor is quad.flat_box_nodes(region, 1, spec)."""
+    return quad.box_axis_quadrature(region, spec), quad.t_quadrature(region, spec)
 
 
 def _field_from_axisym(n, k, nodes, payload):
@@ -35,6 +43,18 @@ def _field_from_axisym(n, k, nodes, payload):
     wpay *= nodes.w_s
     return op.KernelIntegralField._weighted(
         n, k, nodes, wpay, payload.ndim == 3, "kernel-integral")
+
+
+def test_extension_reproduces_source_n1():
+    # the flat layout; the truncation error falls about tenfold per
+    # doubling of the region and reads at most 1.7e-5 at these points
+    g = fl.BergmanField(2, 1, (0.0, 1.0))
+    region = Region(64.0, 2.0 ** -7, 64.0)
+    spec = QuadSpec(order=8, t_order=6, min_panel=0.25)
+    E = op.extension_field(g, 2, region, spec)
+    pts = np.array([[0.0, 1.0], [0.5, 0.7], [1.0, 2.0], [-1.5, 1.3], [0.2, 0.4]])
+    rel = np.abs(E.values(pts) / g.values(pts) - 1.0)
+    assert rel.max() < 1e-4
 
 
 def test_extension_reproduces_source():
@@ -112,10 +132,31 @@ def test_kernel_integral_field_guards():
     E = op.extension_field(g, 2, Region(4.0, 0.25, 4.0), QuadSpec(order=4, t_order=3))
     with pytest.raises(ValueError):
         E.values(np.array([[0.0, 0.0, -1.0]]))
-    flat = _field_from_flat(
-        1, 2, np.array([[0.0, 1.0]]), [1.0], [1.0])
+    flat = _field_from_flat(2, (([0.0], [1.0]), ([1.0], [1.0])), [1.0])
     with pytest.raises(NotImplementedError):
         flat.radial_values(np.array([0.0]), np.array([1.0]))
+
+
+def test_kernel_integral_field_rejects_points_off_the_half_space():
+    region, spec = Region(4.0, 0.25, 4.0), QuadSpec(order=4, t_order=3)
+    flat = op.extension_field(fl.BergmanField(2, 1, (0.0, 1.0)), 2, region, spec)
+    axial = op.extension_field(_testfield(0, 2), 2, region, spec)
+    bad = [(-1, -1.0), (-1, 0.0), (-1, np.nan), (-1, np.inf), (0, np.inf), (0, np.nan)]
+    for fld in (flat, axial):
+        good = np.zeros(fld.n + 1)
+        good[-1] = 1.0
+        assert np.isfinite(fld.values(good))
+        for axis, value in bad:
+            z = np.array([good, good])
+            z[1, axis] = value
+            with pytest.raises(ValueError):
+                fld.values(z)
+        with pytest.raises(ValueError):
+            fld.values(np.ones((2, fld.n + 2)))
+    for r, t in [(0.5, -1.0), (0.5, 0.0), (0.5, np.nan), (0.5, np.inf), (np.inf, 1.0),
+                 (np.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            axial.radial_values(np.array([0.0, r]), np.array([1.0, t]))
 
 
 def test_sab_apply_scipy_oracle():
@@ -421,8 +462,9 @@ def _old_extension(g, k, region, spec, offsets):
         nodes = AxisymmetricNodes(region, g.n, spec, offsets)
         gv = g.radial_values(nodes.center_radius()[:, None], nodes.s[None, :])
         return _field_from_axisym(g.n, k, nodes, gv * nodes.s[None, :] ** k)
-    pts, w = quad.flat_box_nodes(region, 1, spec)
-    return _field_from_flat(g.n, k, pts, w, g.values(pts) * pts[:, -1] ** k)
+    axes = _flat_axes(region, spec)
+    pts, _ = quad.tensor_rule(axes)
+    return _field_from_flat(k, axes, g.values(pts) * pts[:, -1] ** k)
 
 
 def test_streamed_split_matches_full_table_construction(monkeypatch):
@@ -565,3 +607,56 @@ def test_shared_slot_sab_apply_allocates_well_under_one_table():
     # beyond the result and the one slot kernel both slots share, where
     # six full tables were built before
     assert peak - got.nbytes - table < 0.5 * table
+
+
+# ------------------------------------------- factored flat-layout kernel tables
+
+
+def _old_eval_flat(fld, pts):
+    """The flat-layout loop over full (chunk, N) tables of D and tau."""
+    (x, s), wpay = fld._flat
+    nodes, _ = quad.tensor_rule(((x, np.ones(x.size)), (s, np.ones(s.size))))
+    out = np.empty((wpay.shape[0], pts.shape[0]))
+    chunk = max(1, op._BLOCK_VALUES // max(1, nodes.shape[0]))
+    for a in range(0, pts.shape[0], chunk):
+        blk = pts[a : a + chunk]
+        diff = blk[:, None, :-1] - nodes[None, :, :-1]
+        D = np.sum(diff * diff, axis=2)
+        tau = blk[:, None, -1] + nodes[None, :, -1]
+        K = kernels.bergman_from_sq(fld.k, fld.n, D, tau)
+        for j, w in enumerate(wpay):
+            out[j, a : a + chunk] = K @ w
+    return out
+
+
+def test_factored_eval_flat_matches_full_tables(monkeypatch):
+    rng = np.random.default_rng(5)
+    region, spec = Region(4.0, 0.125, 4.0), QuadSpec(order=5, t_order=4)
+    axes = _flat_axes(region, spec)
+    pts = np.column_stack([rng.uniform(-5.0, 5.0, 300), rng.uniform(0.01, 6.0, 300)])
+    pts[:3] = [[0.0, 1.0], [axes[0][0][7], 0.5], [4.0, 4.0]]  # D = 0 on a node
+    g = fl.PoissonField(1, np.array([0.0, 1.0]))
+    fields = [
+        op.extension_field(fl.BergmanField(2, 1, (0.0, 1.0)), 2, region, spec),
+        op.distance_split(g, [0.02, 0.1], 1.0, 2, region, spec),
+        _field_from_flat(0, axes, rng.standard_normal((3, axes[0][0].size * axes[1][0].size))),
+        # a 1 x n_s and a 1 x 1 tensor
+        _field_from_flat(5, (([0.3], [2.0]), axes[1]), rng.standard_normal(axes[1][0].size)),
+        _field_from_flat(1, (([0.3], [2.0]), ([0.7], [0.5])), [1.5]),
+    ]
+    # the default block (the 300 points span several chunks), a block that
+    # leaves a partial last chunk, and one below the node count: one point
+    # per chunk
+    for block in (op._BLOCK_VALUES, 5000, 7):
+        monkeypatch.setattr(op, "_BLOCK_VALUES", block)
+        for fld in fields:
+            want = _old_eval_flat(fld, pts)
+            assert _same_bits(fld._eval_flat(pts), want), (block, fld.label)
+            assert _same_bits(fld.values(pts), want if fld.stacked else want[0])
+    # a node count above the default block: one point per chunk
+    monkeypatch.undo()
+    x, s = np.linspace(-4.0, 4.0, 301), np.geomspace(0.01, 8.0, 120)
+    big = _field_from_flat(3, ((x, np.full(301, 0.02)), (s, s / 40.0)),
+                           rng.standard_normal((2, x.size * s.size)))
+    assert x.size * s.size > op._BLOCK_VALUES
+    assert _same_bits(big._eval_flat(pts[:4]), _old_eval_flat(big, pts[:4]))
