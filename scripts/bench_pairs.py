@@ -1,7 +1,7 @@
 """Alternated before/after pairs of perfbench runs.
 
     python3 scripts/bench_pairs.py --parent REV --pairs 10 --workload W
-        [--workload W2 ...] [--seed 0 --seed 7 ...] [--seconds 20] [--out BENCH.json]
+        [--workload W2 ...] [--seed 0 --seed 7 ...] [--out BENCH.json]
 
 It may be started from any directory.  "The change" is this
 checkout's working tree; "the parent" is the committed tree of REV,
@@ -9,13 +9,15 @@ unpacked with ``git archive`` under ``.bench-pairs/`` (ignored by git),
 as a benchmark of committed files sees it: no untracked or edited file
 leaks into it, and no worktree is registered in ``.git``.
 
-Each pair runs ``perfbench/run.py`` once in each tree, in new processes,
-alternating which tree runs first, and a win is a lower value for the
-change; every workload runs its pairs at every seed given.  The JSON written to --out (rewritten after every pair, so an
-interrupted run keeps what it measured) holds every pair, and per
-workload and metric the medians, quartiles, wins and losses, and whether
-the gain is resolved: at least nine wins in ten and a median gain wider
-than the parent's interquartile range.  ``setup_s`` runs the same set-up
+Each pair runs the benchmark command of ``BENCHMARK.json`` once in each
+tree, for the ``run_seconds`` it sets, in new processes, alternating
+which tree runs first, and a win is a lower value for the change; every
+workload runs its pairs at every seed given.  The JSON written to --out
+(rewritten after every pair, so an interrupted run keeps what it
+measured) holds every pair, and per workload and metric the medians,
+quartiles, wins and losses, and whether the gain is resolved: at least
+ten pairs, at least nine wins in ten and a median gain wider than the
+parent's interquartile range.  ``setup_s`` runs the same set-up
 code in every workload, so it is also pooled over all workloads' pairs,
 where a workload's ten pairs alone cannot resolve a change of a few
 percent.
@@ -35,6 +37,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(ROOT, ".bench-pairs")
 METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
+MIN_PAIRS = 10           # fewer pairs never resolve a gain
 
 
 def _git(*args):
@@ -83,7 +86,7 @@ def _compare(pairs, metric):
     return {"parent": parent, "change": change, "pairs": len(pairs),
             "change_wins": wins, "change_losses": sum(a > b for a, b in zip(after, before)),
             "median_change_rel": change["median"] / parent["median"] - 1.0,
-            "gain_resolved": wins >= 0.9 * len(pairs)
+            "gain_resolved": len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
             and parent["median"] - change["median"] > parent["iqr"]}
 
 
@@ -106,10 +109,8 @@ def _parse(argv):
                    help="a perfbench workload; repeat for several")
     p.add_argument("--seed", type=int, action="append",
                    help="a workload seed (default 0); repeat for several")
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", default="BENCH_pairs.json",
                    help="JSON record, relative to the repository root")
-    p.add_argument("--change", default="", help="one line naming the change")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
@@ -125,8 +126,9 @@ def main(argv=None):
     sha = _git("rev-parse", "--verify", args.parent + "^{commit}")
     parent_tree = _unpack_parent(sha)
     out = os.path.join(ROOT, args.out)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
     record = {
-        "change": args.change,
         "parent": sha,
         "change_tree": _git("describe", "--always", "--dirty"),
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -140,8 +142,8 @@ def main(argv=None):
     }
     trees = {"parent": parent_tree, "change": ROOT}
     for workload, seed in [(w, s) for w in args.workload for s in args.seed]:
-        command = [sys.executable, "perfbench/run.py", "--workload", workload,
-                   "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
+        command = [sys.executable, *bench["command"][1:], "--workload", workload,
+                   "--seed", str(seed), "--seconds", f"{bench['run_seconds']:g}"]
         entry = {"workload": workload, "seed": seed,
                  "command": " ".join(["python3"] + command[1:]), "pairs": []}
         record["workloads"].append(entry)

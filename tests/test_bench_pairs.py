@@ -30,6 +30,12 @@ def test_compare_counts_wins_and_resolves_only_wide_gains():
     # nor is one that loses two pairs in ten
     two_lost = pairs[:8] + [_pair(1.0, 1.1), _pair(1.0, 1.2)]
     assert not bench_pairs._compare(two_lost, "wall_s")["gain_resolved"]
+    # nor does a short or interrupted run, however wide its gain
+    for short in (pairs[:2], pairs[:9]):
+        got = bench_pairs._compare(short, "wall_s")
+        assert got["change_wins"] == len(short)
+        assert got["parent"]["median"] - got["change"]["median"] > got["parent"]["iqr"]
+        assert not got["gain_resolved"]
 
 
 def test_summary_pools_setup_over_workloads():
