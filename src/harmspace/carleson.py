@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .geometry import (
-    MASK_PAIRS, Box, Region, box_centers, box_corners, box_volumes, cube_arrays,
+    MASK_PAIRS, Box, Region, WhitneyBoxes, box_centers, box_corners, box_volumes,
     in_boxes, weighted_measures, whitney_cubes,
 )
 from .quadrature import QuadSpec
@@ -124,12 +124,10 @@ class AtomicMeasure:
         """Cube-center atoms carrying m_lam(box): the discrete stand-in
         for the weight t^lam dz."""
         cubes = whitney_cubes(region, n)
-        if not cubes:
+        if not len(cubes):
             raise ValueError("degenerate region: no boxes to carry the weight")
-        _, index, side = cube_arrays(cubes)
-        ctr = box_centers(index, side)
-        return cls(ctr[:, :-1], ctr[:, -1],
-                   weighted_measures(*box_corners(index, side), lam),
+        ctr = box_centers(cubes)
+        return cls(ctr[:, :-1], ctr[:, -1], weighted_measures(*box_corners(cubes), lam),
                    label or f"m_lambda-{lam:g}")
 
 
@@ -171,12 +169,6 @@ class CubeConditionReport:
         }
 
 
-def _corners(cubes):
-    """(lo, hi, side) of the cubes' boxes."""
-    _, index, side = cube_arrays(cubes)
-    return (*box_corners(index, side), side)
-
-
 def _gauges(base, e):
     """[v**e for v in base] in Python floats, with inf where one overflows."""
     try:
@@ -192,9 +184,10 @@ def _gauges(base, e):
     return out
 
 
-def _cube_report(condition, params, mu: AtomicMeasure, cubes, lo, hi, base, e):
-    """Rows (level, index, mass, gauge, ratio) of the cubes, whose boxes
-    have corners (lo, hi), with gauge = base^e per box, base an array: the
+def _cube_report(condition, params, mu: AtomicMeasure, cubes: WhitneyBoxes, lo, hi,
+                 base, e):
+    """Rows (level, index tuple, mass, gauge, ratio) of the boxes, whose
+    corners are (lo, hi), with gauge = base^e per box, base an array: the
     box volumes, or the etas (the centre heights, 3/2 side)."""
     masses = mu.masses_in_boxes(lo, hi).tolist()
     gauges = _gauges(base.tolist(), e)
@@ -203,56 +196,61 @@ def _cube_report(condition, params, mu: AtomicMeasure, cubes, lo, hi, base, e):
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"the region's box at level {cubes[i].level} (heights {lo[i, -1]:g}"
+            f"the region's box at level {cubes.level[i]} (heights {lo[i, -1]:g}"
             f" to {hi[i, -1]:g}) has gauge {gauges[i]!r} at exponent {e:g}: its"
             " boxes are too small or too large for float64")
-    rows = [(c.level, c.index, m, g, m / g) for c, m, g in zip(cubes, masses, gauges)]
+    rows = [(j, k, m, g, m / g) for j, k, m, g in zip(
+        cubes.level.tolist(), map(tuple, cubes.index.tolist()), masses, gauges)]
     return CubeConditionReport(condition, params, rows, mu.n)
 
 
 def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionReport:
-    """mass / |box|^(m + sum(s)/(n+1)); the m-fold product condition."""
+    """mass / |box|^(m + sum(s)/(n+1)) over the boxes of the WhitneyBoxes
+    record cubes; the m-fold product condition."""
     s_vec = list(s_vec)
     if len(s_vec) != m:
         raise ValueError("s_vec must have length m")
     n = mu.n
     e = m + sum(s_vec) / (n + 1)
-    lo, hi, _ = _corners(cubes)
+    lo, hi = box_corners(cubes)
     return _cube_report("vector", {"m": m, "s": s_vec, "exponent": e}, mu, cubes,
                         lo, hi, box_volumes(lo, hi), e)
 
 
 def condition_single(mu: AtomicMeasure, cubes, alpha: float) -> CubeConditionReport:
-    """mass / |box|^(1 + alpha/(n+1)); the single-weight corollary."""
+    """mass / |box|^(1 + alpha/(n+1)) over the boxes of the WhitneyBoxes
+    record cubes; the single-weight corollary."""
     n = mu.n
     e = 1 + alpha / (n + 1)
-    lo, hi, _ = _corners(cubes)
+    lo, hi = box_corners(cubes)
     return _cube_report("single", {"alpha": alpha, "exponent": e}, mu, cubes,
                         lo, hi, box_volumes(lo, hi), e)
 
 
 def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditionReport:
-    """mass / eta^(n q/p + alpha q) for the mixed-norm embedding."""
+    """mass / eta^(n q/p + alpha q) over the boxes of the WhitneyBoxes
+    record cubes, eta = 3/2 side; the mixed-norm embedding."""
     if not (0 < p <= q):
         raise ValueError("need 0 < p <= q")
     if alpha <= 0:
         raise ValueError("need alpha > 0")
     e = mu.n * q / p + alpha * q
-    lo, hi, side = _corners(cubes)
+    lo, hi = box_corners(cubes)
     return _cube_report("mixed", {"p": p, "q": q, "alpha": alpha, "exponent": e},
-                        mu, cubes, lo, hi, 1.5 * side, e)
+                        mu, cubes, lo, hi, 1.5 * cubes.side, e)
 
 
 def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeConditionReport:
-    """mass / eta^(n + alpha p) for the tent-space embedding."""
+    """mass / eta^(n + alpha p) over the boxes of the WhitneyBoxes record
+    cubes, eta = 3/2 side; the tent-space embedding."""
     if p <= 0 or alpha <= 0:
         raise ValueError("need p > 0 and alpha > 0")
     if tau is not None and not (0 < tau <= p):
         raise ValueError("need 0 < tau <= p")
     e = mu.n + alpha * p
-    lo, hi, side = _corners(cubes)
+    lo, hi = box_corners(cubes)
     return _cube_report("tent", {"p": p, "alpha": alpha, "tau": tau, "exponent": e},
-                        mu, cubes, lo, hi, 1.5 * side, e)
+                        mu, cubes, lo, hi, 1.5 * cubes.side, e)
 
 
 def qw_box(w) -> Box:

@@ -27,8 +27,8 @@ from . import carleson as ca
 from . import norms as no
 from . import util, verify
 from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
-from .geometry import (Region, box_centers, box_corners, cube_arrays, cubes_to_json,
-                       weighted_measures, whitney_count, whitney_cubes)
+from .geometry import (Region, box_centers, box_corners, cubes_to_json, weighted_measures,
+                       whitney_count, whitney_cubes)
 from .quadrature import QuadSpec
 
 
@@ -47,6 +47,13 @@ def _check_array_bytes(what, nbytes):
         raise UsageError(
             f"{what} would take {nbytes / 2**20:.4g} MiB, over the"
             f" {MAX_ARRAY_BYTES / 2**20:g} MiB array budget")
+
+
+def _check_whitney_bytes(region, n, per_box):
+    """Reject a region whose decomposition at n would take more than the
+    budget at per_box bytes a box; counted, not built."""
+    count = whitney_count(region, n)
+    _check_array_bytes(f"{count:.4g} boxes", count * per_box)
 
 
 def _floats_csv(text):
@@ -309,6 +316,14 @@ def _cmd_norm(args, extras):
                 f"space {args.space!r} undefined on the half-space"
                 f" (use one of {_HALF_SPACES})")
         region = _region_from(args)
+        # leggauss builds an order x order float64 companion matrix per order
+        for flag, order in (("--order", args.order), ("--t-order", args.t_order)):
+            _check_array_bytes(f"the {flag} {order} Gauss rule's matrix", 8 * order * order)
+        if args.space == "bergman" and f.n <= 2:
+            # the cubes path, which holds the boxes' arrays and corners and
+            # their clipped copies: about 110 and 150 bytes a box at n = 1, 2
+            # (ru_maxrss at 0.25 to 1 million boxes)
+            _check_whitney_bytes(region, f.n, 48 * (f.n + 2))
         try:
             spec = QuadSpec(order=args.order, t_order=args.t_order)
             if args.space == "slice":
@@ -347,6 +362,10 @@ def _cmd_carleson(args, extras):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{args.measure} is not a valid measure file: {e}")
     region = _region_from(args)
+    # the boxes' arrays and corners, their masses and gauges, and the
+    # report's Python rows: about 450, 490 and 540 bytes a box at n = 1, 2, 3
+    # (ru_maxrss with a 400-atom measure at 0.1 to 1 million boxes)
+    _check_whitney_bytes(region, mu.n, 64 * (mu.n + 8))
     cubes = whitney_cubes(region, mu.n)
     try:
         if args.condition == "vector":
@@ -491,23 +510,23 @@ def _cmd_whitney(args, extras):
     # Peak memory is the summary's JSON text being built from the records:
     # about 1.9, 2.2 and 2.4 KB a box at n = 1, 2, 3 (ru_maxrss at 82k,
     # 49k and 37k boxes), the CSV rows being made as they are written.
-    count = whitney_count(region, args.n)
-    _check_array_bytes(f"{count:.4g} boxes", count * 1024 * (args.n + 2))
-    level, index, side = cube_arrays(whitney_cubes(region, args.n))
+    _check_whitney_bytes(region, args.n, 1024 * (args.n + 2))
+    cubes = whitney_cubes(region, args.n)
+    level = cubes.level
     header = (["level", "side"] + [f"center_{i}" for i in range(args.n)]
               + ["center_t"])
-    cols = [side[:, None], box_centers(index, side)]
+    cols = [cubes.side[:, None], box_centers(cubes)]
     if args.lam is not None:
         header.append("weighted_measure")
         try:
-            cols.append(weighted_measures(*box_corners(index, side), args.lam)[:, None])
+            cols.append(weighted_measures(*box_corners(cubes), args.lam)[:, None])
         except ValueError as e:
             raise UsageError(str(e))
     levels, counts = np.unique(level, return_counts=True)
     summary = _resolved_config(args)
     summary.update(count=len(level),
                    levels={str(j): k for j, k in zip(levels.tolist(), counts.tolist())},
-                   cubes=cubes_to_json(level, index, side))
+                   cubes=cubes_to_json(cubes))
     rows = ([j, *r] for j, r in zip(level.tolist(), map(np.ndarray.tolist, np.hstack(cols))))
     paths = _emit(args, summary, [("whitney-cubes", header, rows)])
     print(f"{len(level)} boxes across levels "

@@ -7,11 +7,15 @@ satisfies diam(box) / dist(box, boundary) = sqrt(n+1) exactly and the
 boxes have pairwise disjoint interiors.  Enlarging each box by a factor
 below 4/3 about its center keeps the enlargement inside the half-space
 and produces a cover of finite overlap.
+
+The decomposition is held as arrays only: whitney_cubes returns a
+WhitneyBoxes record of the boxes' levels and indices, and the corner,
+centre, volume and weighted-measure functions below work on whole arrays
+of boxes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,81 +64,29 @@ class Box:
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("box has negative extent")
 
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
 
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
+@dataclass(frozen=True, eq=False)
+class WhitneyBoxes:
+    """Boxes of the layered decomposition, one row each: level j (int64,
+    (B,)), spatial index k in Z^n (int64, (B, n)) and side 2^j (float,
+    (B,)).  The box of a row is [k 2^j, (k+1) 2^j] x [2^j, 2^(j+1)].
 
-    def clipped(self, region: Region) -> "Box":
-        n = self.dim - 1
-        lo = [max(a, -region.x_max) for a in self.lo[:n]] + [max(self.lo[n], region.t_min)]
-        hi = [min(b, region.x_max) for b in self.hi[:n]] + [min(self.hi[n], region.t_max)]
-        lo = [min(a, b) for a, b in zip(lo, hi)]  # empty overlap collapses to zero volume
-        return Box(tuple(lo), tuple(hi))
+    len() is the number of boxes; indexing with a slice, a mask or an
+    index array gives those boxes, in that order.
+    """
 
+    level: np.ndarray
+    index: np.ndarray
+    side: np.ndarray
 
-@dataclass(frozen=True, order=True)
-class WhitneyCube:
-    """One box of the layered decomposition: level j, spatial index k in Z^n."""
+    def __len__(self) -> int:
+        return len(self.level)
 
-    level: int
-    index: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.index)
-
-    @property
-    def side(self) -> float:
-        return 2.0**self.level
-
-    @property
-    def t_lo(self) -> float:
-        return 2.0**self.level
-
-    @property
-    def t_hi(self) -> float:
-        return 2.0 ** (self.level + 1)
-
-    @property
-    def center(self) -> np.ndarray:
-        """(xi, eta) with eta = 1.5 * 2^level."""
-        s = self.side
-        xi = (np.asarray(self.index, dtype=float) + 0.5) * s
-        return np.append(xi, 1.5 * s)
-
-    @property
-    def eta(self) -> float:
-        return 1.5 * self.side
-
-    @property
-    def diameter(self) -> float:
-        return self.side * math.sqrt(self.n + 1)
-
-    @property
-    def boundary_distance(self) -> float:
-        # dist to {t = 0} is attained on the bottom face
-        return self.t_lo
-
-    def box(self) -> Box:
-        s = self.side
-        lo = tuple(k * s for k in self.index) + (self.t_lo,)
-        hi = tuple((k + 1) * s for k in self.index) + (self.t_hi,)
-        return Box(lo, hi)
-
-    def enlarged(self, factor: float = DEFAULT_ENLARGE) -> Box:
-        _check_enlarge(factor)
-        c = self.center
-        half = np.append(
-            np.full(self.n, 0.5 * self.side * factor), 0.5 * self.side * factor
-        )
-        return Box(tuple(c - half), tuple(c + half))
+    def __getitem__(self, rows) -> "WhitneyBoxes":
+        index = self.index[rows]
+        if index.ndim != 2:
+            raise TypeError("select boxes with a slice, a mask or an index array")
+        return WhitneyBoxes(self.level[rows], index, self.side[rows])
 
 
 def _check_enlarge(factor: float) -> None:
@@ -143,11 +95,14 @@ def _check_enlarge(factor: float) -> None:
 
 
 def _index_range(extent: float, side: float):
-    """Integers k with (k*side, (k+1)*side) meeting (-extent, extent)."""
+    """Integers k with (k*side, (k+1)*side) meeting (-extent, extent).
+
+    side is a power of two, so q = extent / side is exact; the set is
+    symmetric under k -> -1 - k, so no second rounded bound is needed.
+    """
     q = extent / side
-    k_max = math.ceil(q) - 1          # largest k with k*side < extent
-    k_min = math.floor(-q - 1.0) + 1  # smallest k with (k+1)*side > -extent
-    return range(k_min, k_max + 1)
+    k_max = math.ceil(q) - 1  # largest k with k*side < extent
+    return range(-1 - k_max, k_max + 1)
 
 
 def _layers(region: Region):
@@ -162,17 +117,23 @@ def _layers(region: Region):
             yield j, _index_range(region.x_max, 2.0**j)
 
 
-def whitney_cubes(region: Region, n: int) -> list:
+def whitney_cubes(region: Region, n: int) -> WhitneyBoxes:
     """All decomposition boxes whose interior meets the region.
 
-    Sorted by (level, index), the order in which they are made: levels
-    increase and itertools.product runs through the indices
-    lexicographically.  A degenerate region gives [].
+    Ordered by level, then lexicographically by index (the first axis
+    varies slowest), one layer at a time.  A degenerate region gives no
+    boxes: index of shape (0, n).
     """
     if n < 1:
         raise ValueError("spatial dimension must be >= 1")
-    return [WhitneyCube(j, idx) for j, per_axis in _layers(region)
-            for idx in itertools.product(per_axis, repeat=n)]
+    levels, indices = [np.zeros(0, np.int64)], [np.zeros((0, n), np.int64)]
+    for j, per_axis in _layers(region):
+        k = np.arange(per_axis.start, per_axis.stop, dtype=np.int64)
+        grid = np.meshgrid(*[k] * n, indexing="ij")
+        indices.append(np.stack(grid, axis=-1).reshape(-1, n))
+        levels.append(np.full(len(indices[-1]), j, np.int64))
+    level = np.concatenate(levels)
+    return WhitneyBoxes(level, np.concatenate(indices), np.ldexp(1.0, level))
 
 
 def whitney_count(region: Region, n: int) -> float:
@@ -191,51 +152,40 @@ def whitney_count(region: Region, n: int) -> float:
 
 # ----------------------------------------------------- corner arrays
 #
-# Whole-array forms of the per-box geometry, one row per cube in the
-# cubes' order, all made from the (level, index, side) arrays that
-# cube_arrays builds once from the cube list.  Each array is made with the
-# same float operations as the WhitneyCube property it stands for, so its
-# values equal those of box(), center and enlarged() bit for bit.  Powers
-# of per-box values stay Python float ``**`` (``[v ** e for v in
-# a.tolist()]``): numpy's vectorised pow differs from it in the last bit
-# on some values.
+# Whole-array geometry of a WhitneyBoxes record, one row per box in its
+# order.  Callers that need bit-for-bit agreement with a per-box formula
+# keep powers of per-box values in Python float ``**`` (``[v ** e for v
+# in a.tolist()]``): numpy's vectorised pow differs from it in the last
+# bit on some values.
 
 
-def cube_arrays(cubes: list):
-    """(level, index, side) of the cubes: int (B,), int (B, n), float
-    (B,) with side = 2^level."""
-    b, n = len(cubes), cubes[0].n if cubes else 0
-    level = np.fromiter((c.level for c in cubes), np.int64, count=b)
-    index = np.fromiter(itertools.chain.from_iterable(c.index for c in cubes),
-                        np.int64, count=b * n).reshape(b, n)
-    return level, index, np.ldexp(1.0, level)
-
-
-def box_corners(index: np.ndarray, side: np.ndarray):
-    """Corner arrays (lo, hi), each (B, n+1), of cube.box()."""
-    lo = np.column_stack([index * side[:, None], side])
-    hi = np.column_stack([(index + 1) * side[:, None], 2 * side])
+def box_corners(cubes: WhitneyBoxes):
+    """Corner arrays (lo, hi), each (B, n+1): (k side, side) and
+    ((k + 1) side, 2 side)."""
+    side = cubes.side
+    lo = np.column_stack([cubes.index * side[:, None], side])
+    hi = np.column_stack([(cubes.index + 1) * side[:, None], 2 * side])
     return lo, hi
 
 
-def box_centers(index: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """cube.center of each cube, (B, n+1): ((k + 1/2) side, 3/2 side)."""
-    return np.column_stack([(index + 0.5) * side[:, None], 1.5 * side])
+def box_centers(cubes: WhitneyBoxes) -> np.ndarray:
+    """Centres (xi, eta) of the boxes, (B, n+1): ((k + 1/2) side, 3/2 side)."""
+    side = cubes.side
+    return np.column_stack([(cubes.index + 0.5) * side[:, None], 1.5 * side])
 
 
-def enlarged_corners(index: np.ndarray, side: np.ndarray,
-                     factor: float = DEFAULT_ENLARGE):
-    """Corner arrays (lo, hi) of cube.enlarged(factor)."""
+def enlarged_corners(cubes: WhitneyBoxes, factor: float = DEFAULT_ENLARGE):
+    """Corner arrays (lo, hi) of the boxes scaled by factor about their
+    centres: centre -/+ factor side / 2 on every axis."""
     _check_enlarge(factor)
-    c = box_centers(index, side)
-    half = (0.5 * side * factor)[:, None]
+    c = box_centers(cubes)
+    half = (0.5 * cubes.side * factor)[:, None]
     return c - half, c + half
 
 
 def clipped_corners(lo: np.ndarray, hi: np.ndarray, region: Region):
     """The boxes [lo, hi] clipped to the region, in their order; boxes of
-    zero volume are dropped.  The corners equal those of
-    Box.clipped(region)."""
+    zero volume are dropped."""
     n = lo.shape[1] - 1
     lo = np.maximum(lo, [-region.x_max] * n + [region.t_min])
     hi = np.minimum(hi, [region.x_max] * n + [region.t_max])
@@ -245,7 +195,8 @@ def clipped_corners(lo: np.ndarray, hi: np.ndarray, region: Region):
 
 
 def box_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Box.volume of each box: the sides multiplied axis by axis."""
+    """Volume of each box [lo, hi]: the sides multiplied axis by axis,
+    starting from 1.0."""
     v = np.ones(lo.shape[0])
     for a in range(lo.shape[1]):
         v = v * (hi[:, a] - lo[:, a])
@@ -306,11 +257,11 @@ def overlap_counts(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return counts
 
 
-def cubes_to_json(level: np.ndarray, index: np.ndarray, side: np.ndarray) -> list:
-    """One record per cube of the cube_arrays: level, index, center and side."""
+def cubes_to_json(cubes: WhitneyBoxes) -> list:
+    """One record per box: level, index, center and side."""
     return [{"level": j, "index": k, "center": c, "side": s} for j, k, c, s
-            in zip(level.tolist(), index.tolist(), box_centers(index, side).tolist(),
-                   side.tolist())]
+            in zip(cubes.level.tolist(), cubes.index.tolist(),
+                   box_centers(cubes).tolist(), cubes.side.tolist())]
 
 
 def sample_region(region: Region, n: int, count: int, seed: int, margin: float = 0.0):

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import quadrature as quad
 from .geometry import (
-    Region, WhitneyCube, box_corners, clipped_corners, cube_arrays, whitney_cubes,
+    Region, WhitneyBoxes, box_corners, box_volumes, clipped_corners, enlarged_corners,
+    whitney_cubes,
 )
 from .quadrature import QuadSpec, sphere_area
 
@@ -93,8 +94,7 @@ def bergman_norm(
             raise ValueError("cube path limited to n <= 2")
         if region.degenerate:
             raise ValueError("degenerate t range")
-        _, index, side = cube_arrays(whitney_cubes(region, f.n))
-        lo, hi = clipped_corners(*box_corners(index, side), region)
+        lo, hi = clipped_corners(*box_corners(whitney_cubes(region, f.n)), region)
         k = spec.cube_order ** (f.n + 1)
         step = max(1, _CUBE_CHUNK_POINTS // k)
         total = 0.0
@@ -227,37 +227,48 @@ def whitney_discrete_norm(
     _check_finite(p=p, alpha=alpha)
     if p <= 0:
         raise ValueError("exponent must be positive")
+    cubes = whitney_cubes(region, f.n)
+    lo, hi = box_corners(cubes)
+    etas, volumes = (1.5 * cubes.side).tolist(), box_volumes(lo, hi).tolist()
     total = 0.0
-    for cube in whitney_cubes(region, f.n):
-        box = cube.box()
-        axes = [np.linspace(a, b, samples) for a, b in zip(box.lo, box.hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
-        m = float(np.max(np.abs(f.values(pts))))
-        total += cube.eta ** (alpha * p - 1) * m**p * box.volume
+    for blo, bhi, eta, volume in zip(lo.tolist(), hi.tolist(), etas, volumes):
+        m = _box_grid_max(f, blo, bhi, samples)
+        total += eta ** (alpha * p - 1) * m**p * volume
     return total ** (1.0 / p)
 
 
+def _box_grid_max(f, lo, hi, samples):
+    """max |f| over the tensor grid of `samples` points per axis, corners
+    included, on the box [lo, hi]: one field evaluation."""
+    axes = [np.linspace(a, b, samples) for a, b in zip(lo, hi)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    return float(np.max(np.abs(f.values(pts))))
+
+
 def lemma2_ratio(
-    f, p: float, alpha: float, cube: WhitneyCube, spec: QuadSpec, enlarge: float = 1.25
+    f, p: float, alpha: float, cube: WhitneyBoxes, spec: QuadSpec, enlarge: float = 1.25
 ) -> float:
     """Pointwise-vs-average ratio on one Whitney box.
 
+    cube is a one-box WhitneyBoxes record, such as cubes[[i]] or
+    cubes[i:i + 1].
     ratio = eta^(alpha p - 1) max_{box}|f|^p
             / ( (1/|box*|) int_{box*} |f|^p t^(alpha p - 1) dz )
-    with box* the enlarged box.  Bounded by a constant independent of the
-    box for harmonic f; callers fit and report the constant.
+    with box* the box enlarged by `enlarge` about its centre.  Bounded by
+    a constant independent of the box for harmonic f; callers fit and
+    report the constant.
     """
-    box = cube.box()
-    axes = [np.linspace(a, b, 4) for a, b in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    lhs = cube.eta ** (alpha * p - 1) * float(np.max(np.abs(f.values(pts)))) ** p
-    big = cube.enlarged(enlarge)
-    qpts, qw = quad.box_tensor_rule([big.lo], [big.hi], spec.cube_order)
+    if len(cube) != 1:
+        raise ValueError(f"lemma2_ratio takes one box, got {len(cube)}")
+    lo, hi = box_corners(cube)
+    eta = (1.5 * cube.side).tolist()[0]
+    lhs = eta ** (alpha * p - 1) * _box_grid_max(f, lo[0].tolist(), hi[0].tolist(), 4) ** p
+    big_lo, big_hi = enlarged_corners(cube, enlarge)
+    qpts, qw = quad.box_tensor_rule(big_lo, big_hi, spec.cube_order)
     qpts, qw = qpts[0], qw[0]
     integral = float(qw @ (np.abs(f.values(qpts)) ** p * qpts[:, -1] ** (alpha * p - 1)))
-    return lhs * big.volume / integral
+    return lhs * box_volumes(big_lo, big_hi)[0] / integral
 
 
 def discrete_vs_integral(f, p: float, alpha: float, region: Region, spec: QuadSpec):

@@ -472,7 +472,8 @@ def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
     m = len(a_vec)
     if len(b_vec) != m or len(z_slots) != m:
         raise ValueError("slot count mismatch")
-    pts, w = quad.flat_box_nodes(region, 1, spec)
+    pts, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec),
+                               quad.t_quadrature(region, spec)])
     fv = f.values(pts)
     base = w * fv * pts[:, -1] ** (-2 + float(np.sum(b_vec)))
     z_slots = [np.asarray(z, dtype=float) for z in z_slots]

@@ -205,21 +205,6 @@ def box_axis_quadrature(region: Region, spec: QuadSpec, centers=(0.0,)):
     return composite_nodes(merge_breaks(groups, lo, hi), spec.order)
 
 
-def flat_box_nodes(region: Region, n: int, spec: QuadSpec, centers=None):
-    """Flattened (points, weights) for the box region, n <= 2 workhorse.
-
-    centers: sequence of spatial points the per-axis grids refine toward.
-    """
-    if centers is None:
-        centers = [np.zeros(n)]
-    axes = []
-    for i in range(n):
-        x, w = box_axis_quadrature(region, spec, centers=[c[i] for c in centers])
-        axes.append((x, w))
-    axes.append(t_quadrature(region, spec))
-    return tensor_rule(axes)
-
-
 class AxisymmetricNodes:
     """Quadrature for integrals over {|y| <= x_max, t_min <= s <= t_max}
     of integrands depending on (|y|, |y - x|, s) with x on the node axis.

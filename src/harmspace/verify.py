@@ -34,12 +34,12 @@ from . import quadrature as quad
 from . import util
 from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
 from .geometry import (
+    Box,
     Region,
     box_centers,
     box_corners,
     box_volumes,
     clipped_corners,
-    cube_arrays,
     enlarged_corners,
     overlap_counts,
     sample_region,
@@ -241,14 +241,6 @@ def _axis_point(n, t):
     return np.r_[np.zeros(n), float(t)]
 
 
-def _by_level(cubes):
-    """Cubes grouped by dyadic level, each group in enumeration order."""
-    by_level = {}
-    for c in cubes:
-        by_level.setdefault(c.level, []).append(c)
-    return by_level
-
-
 def _laplacian_decay(name, fn, z0, h, scale_floor, rounding):
     """Halving the step 2h -> h divides the Laplacian residual of a harmonic
     fn by 3.2..4.8 (second order), unless it is already at rounding level."""
@@ -267,7 +259,8 @@ def _coeff_gap(xs, ys):
 def _source_nodes(n, region, spec):
     """Flattened (squared distance to the axis origin, height, weight)."""
     if n == 1:
-        pts, w = quad.flat_box_nodes(region, 1, spec)
+        pts, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec),
+                                   quad.t_quadrature(region, spec)])
         return pts[:, 0] ** 2, pts[:, 1], w
     nd = quad.AxisymmetricNodes(region, n, spec)
     dsq = nd.dist_sq_to(0.0)
@@ -298,15 +291,13 @@ def _exp_whitney(b, rng, p):
     for n, x_max in ((1, 20.0), (2, 2.0)):
         region = Region(x_max, 2.0 ** -4, 32.0)
         cubes = whitney_cubes(region, n)
-        by_level = _by_level(cubes)
-        levels = sorted(by_level)
+        level = cubes.level
+        levels, sizes = (a.tolist() for a in np.unique(level, return_counts=True))
         checks.append(_true(f"n{n}-levels", levels == list(range(-4, 5)),
                             got=[levels[0], levels[-1]]))
-        for j in levels:
-            count_rows.append([n, j, len(by_level[j])])
+        count_rows += [[n, j, k] for j, k in zip(levels, sizes)]
 
-        level, index, side = cube_arrays(cubes)
-        lo, hi = box_corners(index, side)
+        lo, hi = box_corners(cubes)
         # diameter / distance to t = 0, which the bottom face attains
         ratios = np.linalg.norm(hi - lo, axis=1) / lo[:, -1]
         target = math.sqrt(n + 1)
@@ -323,7 +314,7 @@ def _exp_whitney(b, rng, p):
             worst = max(worst, float(box_volumes(ilo, ihi).max(initial=0.0)))
         checks.append(_close(f"n{n}-same-level-overlap", worst, 0.0, 0.0))
 
-        tiled = all(by_level[j][0].t_hi == by_level[j + 1][0].t_lo
+        tiled = all(hi[level == j][0, -1] == lo[level == j + 1][0, -1]
                     for j in range(-4, 4))
         checks.append(_true(f"n{n}-height-slabs-tile", tiled))
 
@@ -335,12 +326,12 @@ def _exp_whitney(b, rng, p):
         first = np.flatnonzero(level == 0)[:8]
         probe = np.stack([lo[first] + 1e-6, hi[first] - 1e-6], axis=1)
         pts = np.vstack([pts, probe.reshape(-1, n + 1)])
-        counts = overlap_counts(pts, *enlarged_corners(index, side))
+        counts = overlap_counts(pts, *enlarged_corners(cubes))
         bound = 4 if n == 1 else 2 ** (n + 1)
         checks.append(_below(f"n{n}-enlarged-overlap", int(counts.max()), bound))
         consts[f"n{n}_overlap_max"] = int(counts.max())
 
-        eta = box_centers(index, side)[:, -1].tolist()
+        eta = box_centers(cubes)[:, -1].tolist()
         for lam in (-0.5, 0.0, 1.0, 2.0):
             e = n + 1 + lam
             r = weighted_measures(lo, hi, lam) / np.array([v ** e for v in eta])
@@ -348,12 +339,14 @@ def _exp_whitney(b, rng, p):
                                  float(r.max() / r.min() - 1.0), 0.0, 1e-12))
             consts[f"n{n}_measure_over_eta_lam{lam}"] = float(r.mean())
 
-    sample = whitney_cubes(Region(2.0, 0.5, 2.0), 1)[0]
+    sample = whitney_cubes(Region(2.0, 0.5, 2.0), 1)[:1]
     checks.append(_true("degenerate-region-empty",
-                        whitney_cubes(Region(1.0, 4.0, 2.0), 1) == []))
-    checks.append(_raises("enlarge-factor-cap", lambda: sample.enlarged(4.0 / 3.0)))
+                        whitney_cubes(Region(1.0, 4.0, 2.0), 1).index.shape == (0, 1)))
+    checks.append(_raises("enlarge-factor-cap",
+                          lambda: enlarged_corners(sample, 4.0 / 3.0)))
     checks.append(_close("enlarge-identity",
-                         sample.enlarged(1.0).volume, sample.box().volume, 0.0))
+                         box_volumes(*enlarged_corners(sample, 1.0))[0],
+                         box_volumes(*box_corners(sample))[0], 0.0))
     arts["level_counts"] = {"header": ["n", "level", "count"], "rows": count_rows}
     return checks, consts, arts
 
@@ -454,15 +447,15 @@ def _exp_lemma2(b, rng, p):
                 BergmanField(1, n, _axis_point(n, 1.0))]
         if n == 2:
             flds.append(TestField(1, 2, _axis_point(2, 1.0)))
-        by_level = _by_level(whitney_cubes(region, n))
+        cubes = whitney_cubes(region, n)
         sel = []
-        for lev in sorted(by_level):
-            group = by_level[lev]
-            sel.append(group[len(group) // 2])
-            sel.append(group[0])
+        for lev in np.unique(cubes.level):
+            group = np.flatnonzero(cubes.level == lev)
+            sel += [group[len(group) // 2], group[0]]
         for f in flds:
             for q in (0.7, 1.0, 2.0):
-                vals = np.array([no.lemma2_ratio(f, q, alpha, c, spec) for c in sel])
+                vals = np.array([no.lemma2_ratio(f, q, alpha, cubes[[i]], spec)
+                                 for i in sel])
                 checks.append(_true(
                     f"finite-n{n}-{f.label}-p{q}",
                     bool(np.all(np.isfinite(vals)) and np.all(vals > 0))))
@@ -472,7 +465,8 @@ def _exp_lemma2(b, rng, p):
 
     # the extremal ratio is a quadrature-stable quantity
     f0 = PoissonField(1, _axis_point(1, 1.0))
-    cube1 = next(c for c in whitney_cubes(region, 1) if c.level == -2)
+    cubes = whitney_cubes(region, 1)
+    cube1 = cubes[np.flatnonzero(cubes.level == -2)[:1]]
     r_a = no.lemma2_ratio(f0, 1.0, alpha, cube1, spec)
     r_b = no.lemma2_ratio(f0, 1.0, alpha, cube1, spec.refined(2))
     checks.append(_close("ratio-refinement-drift", r_a / r_b, 1.0, 5e-3))
@@ -728,13 +722,12 @@ def _exp_norm_identities(b, rng, p):
 
 def _carleson_panel(b):
     """Region, norm spec, six measures with documented expected
-    classification (True = growing), cubes, cubes by level, levels."""
+    classification (True = growing), cubes, levels."""
     n = 1
     region = Region(8.0, 2.0 ** -5, 8.0)
     spec = QuadSpec(order=b.order, t_order=b.t_order,
                     cube_order=max(3, b.cube_order))
     cubes = whitney_cubes(region, n)
-    by_level = _by_level(cubes)
     levels = list(range(0, -5, -1))
 
     def ray(x_target, label):
@@ -763,7 +756,7 @@ def _carleson_panel(b):
         (slc, False),
         (ray(0.0, "ray-origin"), True),
         (ray(0.7, "ray-offset"), True),
-    ], cubes, by_level, levels
+    ], cubes, levels
 
 
 _GROWTH_FACTOR = 10.0
@@ -784,32 +777,34 @@ def _growth_classify(ratios):
     return g >= _GROWTH_FACTOR, g
 
 
-def _mass_cube_sequence(mu, by_level, levels):
-    """Per level, the box holding the most mass (fallback: nearest the axis)."""
+def _mass_cube_sequence(mu, cubes, levels):
+    """Per level, the box holding the most mass (fallback: nearest the
+    axis), as a WhitneyBoxes record in the order of levels."""
     seq = []
     for j in levels:
-        group = by_level[j]
-        _, index, side = cube_arrays(group)
-        masses = mu.masses_in_boxes(*box_corners(index, side))
+        rows = np.flatnonzero(cubes.level == j)
+        group = cubes[rows]
+        masses = mu.masses_in_boxes(*box_corners(group))
         if masses.max() > 0:
             k = int(np.argmax(masses))
         else:
-            k = int(np.argmin(np.abs(box_centers(index, side)[:, 0] - side / 2.0)))
-        seq.append(group[k])
-    return seq
+            k = int(np.argmin(np.abs(box_centers(group)[:, 0] - group.side / 2.0)))
+        seq.append(rows[k])
+    return cubes[np.array(seq)]
 
 
 def _embedding_ratios(mu, seq, l, mass, norm, cache):
-    """Per cube: mass(sub, f) / norm(f), for mu restricted to the cube and
-    the test field centered at it, so each level probes its own box the
-    way the box condition does.  cache keeps norm(f) by center."""
+    """Per box of seq: mass(sub, f) / norm(f), for mu restricted to the box
+    and the test field centered at it, so each level probes its own box
+    the way the box condition does.  cache keeps norm(f) by center."""
     out = []
-    for cube in seq:
-        sub = mu.restricted(cube.box())
+    lo, hi = box_corners(seq)
+    for blo, bhi, ctr in zip(lo.tolist(), hi.tolist(), box_centers(seq).tolist()):
+        sub = mu.restricted(Box(tuple(blo), tuple(bhi)))
         if sub is None or sub.total_mass() == 0.0:
             out.append(0.0)
             continue
-        w = tuple(float(v) for v in cube.center)
+        w = tuple(ctr)
         f = BergmanField(l, mu.n, np.asarray(w))
         if w not in cache:
             cache[w] = norm(f)
@@ -838,7 +833,7 @@ def _panel_checks(tag, mu, expect, rep, emb, levels, checks, consts, rows):
 def _box_condition_panel(b, l, pe, s_vec, condition):
     """condition(mu, cubes) against the mass ratios of the product of
     len(s_vec) test fields over their weighted volume norms."""
-    region, spec, panel, cubes, by_level, levels = _carleson_panel(b)
+    region, spec, panel, cubes, levels = _carleson_panel(b)
 
     def mass(sub, f):
         return sub.integrate(lambda pts: np.abs(f.values(pts)) ** (pe * len(s_vec)))
@@ -849,7 +844,7 @@ def _box_condition_panel(b, l, pe, s_vec, condition):
 
     checks, consts, rows, cache = [], {}, [], {}
     for mu, expect in panel:
-        seq = _mass_cube_sequence(mu, by_level, levels)
+        seq = _mass_cube_sequence(mu, cubes, levels)
         emb = _embedding_ratios(mu, seq, l, mass, norm, cache)
         _panel_checks("", mu, expect, condition(mu, cubes), emb, levels,
                       checks, consts, rows)
@@ -886,7 +881,7 @@ def _exp_thm4_carleson(b, rng, p):
     pe, qe, alpha, l = p["p_exp"], p["q_exp"], p["alpha"], p["l"]
     if pe * (n + 1 + l) <= n + alpha * pe:
         raise ValueError("test family falls outside the tent space")
-    region, spec, panel, cubes, by_level, levels = _carleson_panel(b)
+    region, spec, panel, cubes, levels = _carleson_panel(b)
     # (tag, condition report, mass, norm, norm cache) per condition
     conditions = (
         ("mixed", lambda mu: ca.condition_mixed(mu, cubes, pe, qe, alpha),
@@ -898,7 +893,7 @@ def _exp_thm4_carleson(b, rng, p):
     )
     checks, consts, rows = [], {}, []
     for mu, expect in panel:
-        seq = _mass_cube_sequence(mu, by_level, levels)
+        seq = _mass_cube_sequence(mu, cubes, levels)
         for tag, condition, mass, norm, cache in conditions:
             emb = _embedding_ratios(mu, seq, l, mass, norm, cache)
             _panel_checks(tag, mu, expect, condition(mu), emb, levels,
@@ -1034,7 +1029,8 @@ def _exp_prop1(b, rng, p):
     f = BergmanField(p["l"], n, (0.0, 1.0))
 
     def lhs_value(slot_region, inner_region):
-        zpts, zw = quad.flat_box_nodes(slot_region, n, slot_spec)
+        zpts, zw = quad.tensor_rule([quad.box_axis_quadrature(slot_region, slot_spec),
+                                     quad.t_quadrature(slot_region, slot_spec)])
         S = op.sab_apply(f, a_vec, b_vec, [zpts, zpts], inner_region, spec_in)
         w1 = zw * zpts[:, -1] ** s_vec[0]
         w2 = zw * zpts[:, -1] ** s_vec[1]

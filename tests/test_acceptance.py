@@ -18,8 +18,10 @@ from harmspace import cli
 from harmspace import verify as vf
 from harmspace.geometry import (
     Region,
+    box_centers,
     box_corners,
-    cube_arrays,
+    box_volumes,
+    clipped_corners,
     enlarged_corners,
     overlap_counts,
     sample_region,
@@ -38,9 +40,7 @@ def _done(t0, limit, label, detail):
     assert elapsed < limit, f"{label} took {elapsed:.1f}s (ceiling {limit}s)"
 
 
-def _pairwise_max_overlap(cubes):
-    lo = np.array([c.box().lo for c in cubes])
-    hi = np.array([c.box().hi for c in cubes])
+def _pairwise_max_overlap(lo, hi):
     worst = 0.0
     for start in range(0, len(lo), 256):
         rows = slice(start, min(start + 256, len(lo)))
@@ -59,37 +59,35 @@ def test_box_cover_geometry_is_exact():
     for n, x_max in ((1, 20.0), (2, 2.0)):
         region = Region(x_max, 2.0 ** -4, 32.0)
         cubes = whitney_cubes(region, n)
-        assert sorted({c.level for c in cubes}) == list(range(-4, 5))
+        assert np.unique(cubes.level).tolist() == list(range(-4, 5))
+        lo, hi = box_corners(cubes)
 
         # interiors are pairwise disjoint: every intersection has zero volume
-        assert _pairwise_max_overlap(cubes) == 0.0
+        assert _pairwise_max_overlap(lo, hi) == 0.0
 
         # the boxes cover the region exactly, and each sample point once
-        vol = sum(c.box().clipped(region).volume for c in cubes)
+        vol = sum(box_volumes(*clipped_corners(lo, hi, region)).tolist())
         full = (2.0 * x_max) ** n * (32.0 - 2.0 ** -4)
         assert abs(vol / full - 1.0) <= 1e-12
         pts = sample_region(region, n, 2500, seed=7)
-        _, index, side = cube_arrays(cubes)
-        counts = overlap_counts(pts, *box_corners(index, side))
+        counts = overlap_counts(pts, lo, hi)
         assert counts.min() == 1 and counts.max() == 1
 
-        dev = max(abs(c.diameter / c.boundary_distance - math.sqrt(n + 1))
-                  for c in cubes)
+        # diameter over the distance to t = 0, which the bottom face attains
+        dev = np.max(np.abs(np.linalg.norm(hi - lo, axis=1) / lo[:, -1] - math.sqrt(n + 1)))
         assert dev <= 1e-13
 
         # bounded overlap of the 1.25-enlarged boxes, corner probes included
-        probes = []
-        for c in sorted(c for c in cubes if c.level == 0)[:8]:
-            probes.append(np.asarray(c.box().lo) + 1e-6)
-            probes.append(np.asarray(c.box().hi) - 1e-6)
-        counts = overlap_counts(np.vstack([pts, probes]), *enlarged_corners(index, side))
+        first = np.flatnonzero(cubes.level == 0)[:8]
+        probes = np.stack([lo[first] + 1e-6, hi[first] - 1e-6], axis=1).reshape(-1, n + 1)
+        counts = overlap_counts(np.vstack([pts, probes]), *enlarged_corners(cubes))
         overlap_seen[n] = int(counts.max())
         assert overlap_seen[n] <= (4 if n == 1 else 2 ** (n + 1))
 
         # weighted box measure is the exact power of the side length
         for lam in (-0.5, 0.0, 1.0, 2.0):
-            r = (weighted_measures(*box_corners(index, side), lam)
-                 / np.array([c.eta ** (n + 1 + lam) for c in cubes]))
+            r = (weighted_measures(lo, hi, lam)
+                 / np.array([eta ** (n + 1 + lam) for eta in box_centers(cubes)[:, -1].tolist()]))
             assert r.max() / r.min() - 1.0 <= 1e-12
     _done(t0, 10.0, "box cover geometry",
           f"disjoint, covering, diam/dist exact; overlap max {overlap_seen}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from harmspace import carleson as ca
-from harmspace.geometry import Region, box_corners, cube_arrays, whitney_cubes
+from harmspace.geometry import Box, Region, box_corners, whitney_cubes
 from harmspace.quadrature import QuadSpec
 
 
@@ -23,13 +23,20 @@ def test_atom_validation():
             ca.AtomicMeasure(x, t, w)
 
 
+def _boxes(cubes):
+    """The cubes' boxes as Box objects, in order."""
+    lo, hi = box_corners(cubes)
+    return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
 def test_mass_in_box_boundary_inclusive():
     # an atom sitting on the shared face of two closed boxes counts in both
     mu = ca.AtomicMeasure.point_mass([0.5], 1.0, 2.0)
     cubes = whitney_cubes(Region(4.0, 0.25, 4.0), 1)
-    holding = [c for c in cubes if mu.mass_in_box(c.box()) > 0]
-    assert {c.level for c in holding} == {-1, 0}
-    assert all(mu.mass_in_box(c.box()) == 2.0 for c in holding)
+    masses = [mu.mass_in_box(b) for b in _boxes(cubes)]
+    holding = [m > 0 for m in masses]
+    assert set(cubes.level[holding].tolist()) == {-1, 0}
+    assert {m for m in masses if m > 0} == {2.0}
 
 
 def test_integrate_is_exact_sum():
@@ -102,7 +109,7 @@ def test_report_shapes_and_csv():
     rep = ca.condition_single(mu, cubes, alpha=1.0)
     assert len(rep.rows) == len(cubes)
     lm = rep.level_maxima()
-    assert set(lm) == {c.level for c in cubes}
+    assert set(lm) == set(cubes.level.tolist())
     assert max(lm.values()) == rep.constant
     rows = list(rep.csv_rows())
     assert len(rows) == len(cubes)
@@ -174,8 +181,8 @@ def test_masses_in_boxes_equal_mass_in_box(monkeypatch):
     for n in (1, 2, 3):
         mu = _lattice_measure(n, seed=n)
         cubes = whitney_cubes(Region(2.0, 0.25, 4.0), n)
-        lo, hi = box_corners(*cube_arrays(cubes)[1:])
-        want = [mu.mass_in_box(c.box()) for c in cubes]
+        lo, hi = box_corners(cubes)
+        want = [mu.mass_in_box(b) for b in _boxes(cubes)]
         assert mu.masses_in_boxes(lo, hi).tolist() == want
         # small chunks: atoms on the edges of each chunk's t range
         monkeypatch.setattr(ca, "MASK_PAIRS", 7 * len(mu.t))
@@ -183,26 +190,35 @@ def test_masses_in_boxes_equal_mass_in_box(monkeypatch):
         monkeypatch.undo()
         assert sum(m > 0 for m in want) > 10 and max(want) > 0
         # boxes that share a face or a corner both hold the atom on it
-        held = [np.count_nonzero(mu.in_box(c.box())) for c in cubes]
+        held = [np.count_nonzero(mu.in_box(b)) for b in _boxes(cubes)]
         assert sum(held) > len(mu.t)
 
 
 def test_restricted_keeps_the_atoms_of_the_closed_box():
     mu = _lattice_measure(2, seed=5)
-    for c in whitney_cubes(Region(2.0, 0.25, 4.0), 2)[::37]:
-        sub = mu.restricted(c.box())
+    for box in _boxes(whitney_cubes(Region(2.0, 0.25, 4.0), 2)[::37]):
+        sub = mu.restricted(box)
         if sub is None:
-            assert mu.mass_in_box(c.box()) == 0.0
+            assert mu.mass_in_box(box) == 0.0
             continue
-        assert sub.total_mass() == float(np.sum(mu.weight[mu.in_box(c.box())]))
-        assert sub.mass_in_box(c.box()) == mu.mass_in_box(c.box())
+        assert sub.total_mass() == float(np.sum(mu.weight[mu.in_box(box)]))
+        assert sub.mass_in_box(box) == mu.mass_in_box(box)
 
 
 def test_cube_report_rows_equal_the_per_box_reference():
     for n in (1, 2):
         mu = _lattice_measure(n, seed=10 + n)
         cubes = whitney_cubes(Region(2.0, 0.25, 4.0), n)
-        volume, eta = (lambda c, e: c.box().volume ** e), (lambda c, e: c.eta ** e)
+        boxes = _boxes(cubes)
+
+        # per-box references in Python floats, from the closed forms
+        def volume(j, e):
+            s = 2.0 ** j
+            return (s ** n * s) ** e  # |box| = side^n times the slab height side
+
+        def eta(j, e):
+            return (1.5 * 2.0 ** j) ** e
+
         cases = [(ca.condition_vector(mu, cubes, 2, (0.31, 0.77)), volume),
                  (ca.condition_mixed(mu, cubes, 1.3, 2.9, 0.61), eta)]
         # numpy's vectorised pow differs from Python's on some of these
@@ -212,9 +228,9 @@ def test_cube_report_rows_equal_the_per_box_reference():
         for rep, gauge in cases:
             e = rep.params["exponent"]
             want = []
-            for c in cubes:
-                mass, g = mu.mass_in_box(c.box()), gauge(c, e)
-                want.append((c.level, c.index, mass, g, mass / g))
+            for j, k, box in zip(cubes.level.tolist(), cubes.index.tolist(), boxes):
+                mass, g = mu.mass_in_box(box), gauge(j, e)
+                want.append((j, tuple(k), mass, g, mass / g))
             assert rep.rows == want, rep.condition
 
 
@@ -222,10 +238,11 @@ def test_discretized_weight_atoms_are_the_cube_centers():
     region = Region(2.0, 0.25, 4.0)
     cubes = whitney_cubes(region, 2)
     mu = ca.AtomicMeasure.discretized_weight(region, 2, 1.5)
-    assert mu.points.tolist() == [c.center.tolist() for c in cubes]
+    sides = [2.0 ** j for j in cubes.level.tolist()]
+    assert mu.points.tolist() == [[(k + 0.5) * s for k in ks] + [1.5 * s]
+                                  for ks, s in zip(cubes.index.tolist(), sides)]
     # the closed form side^2 (t1^e - t0^e) / e, e = lambda + 1, box by box
     e = 2.5
-    assert mu.weight.tolist() == [c.side * c.side * (c.t_hi ** e - c.t_lo ** e) / e
-                                  for c in cubes]
+    assert mu.weight.tolist() == [s * s * ((2.0 * s) ** e - s ** e) / e for s in sides]
     with pytest.raises(ValueError):
         ca.AtomicMeasure.discretized_weight(Region(1.0, 4.0, 2.0), 1, 0.0)

@@ -10,7 +10,8 @@ import pytest
 from harmspace import ball as bl
 from harmspace import carleson as ca
 from harmspace import cli, verify
-from harmspace.geometry import Region, cube_arrays, cubes_to_json, whitney_cubes
+from harmspace import norms as no
+from harmspace.geometry import Region, cubes_to_json, whitney_count, whitney_cubes
 
 
 def run(tmp_path, *argv):
@@ -30,7 +31,7 @@ def test_whitney_command_writes_summary_and_csv(tmp_path, capsys):
     assert "timestamp" in summary
     cubes = whitney_cubes(Region(4.0, 2.0 ** -4, 4.0), 1)
     assert summary["count"] == len(cubes)
-    assert summary["cubes"] == json.loads(json.dumps(cubes_to_json(*cube_arrays(cubes))))
+    assert summary["cubes"] == json.loads(json.dumps(cubes_to_json(cubes)))
     lines = (tmp_path / "whitney-cubes.csv").read_text().strip().splitlines()
     assert len(lines) == len(cubes) + 1
     assert lines[0] == "level,side,center_0,center_t,weighted_measure"
@@ -295,6 +296,74 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
     with pytest.raises(AssertionError, match="guard"):
         cli.main(argv + ["--resolution", str(cols)])
     assert cli.main(argv + ["--resolution", str(cols + 1)]) == 2
+
+
+def test_oversized_carleson_and_cubes_norm_requests_exit_two(tmp_path, capsys,
+                                                             monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the guard must reject the request before this")
+
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"atoms": [{"x": [0.1, 0.2], "t": 0.5, "w": 1.0}]}))
+    monkeypatch.setattr(cli, "whitney_cubes", unreachable)
+    monkeypatch.setattr(no, "whitney_cubes", unreachable)
+    carleson = ["carleson", "--measure", str(m), "--condition", "single", "--alpha", "1"]
+    bergman = ["norm", "--space", "bergman", "--field", "test-fn:1", "--n", "2",
+               "--p", "2", "--alpha", "0.5"]
+    out = tmp_path / "out"
+    cases = [
+        carleson + ["--x-max", "1e4"],  # 1.4e11 boxes
+        carleson + ["--x-max", "1", "--t-min", "1e-300"],
+        carleson + ["--x-max", "inf"],
+        bergman + ["--x-max", "1e4"],
+        bergman + ["--x-max", "inf"],
+        ["norm", "--space", "bergman", "--field", "poisson", "--n", "1", "--p", "2",
+         "--alpha", "0.5", "--t-min", "1e-300"],
+    ]
+    for argv in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "boxes" in err and "MiB" in err, argv
+    assert not out.exists()
+    # the budget is 640 bytes a box for carleson at n = 2, 192 for the cubes
+    # path: a region just within it passes the guard and reaches whitney_cubes
+    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (17, 18, 32, 33)]
+    assert count[0] * 640 <= cli.MAX_ARRAY_BYTES < count[1] * 640
+    assert count[2] * 192 <= cli.MAX_ARRAY_BYTES < count[3] * 192
+    for argv, fits, over in ((carleson, "17", "18"), (bergman, "32", "33")):
+        with pytest.raises(AssertionError, match="guard"):
+            cli.main(argv + ["--x-max", fits, "--out", str(out)])
+        assert cli.main(argv + ["--x-max", over, "--out", str(out)]) == 2
+    # the layers path (a radial field, n >= 3) builds no boxes
+    assert cli.main(["norm", "--space", "bergman", "--field", "poisson", "--n", "3",
+                     "--p", "2", "--alpha", "0.5", "--x-max", "1e4",
+                     "--out", str(out)]) == 0
+
+
+def test_oversized_gauss_orders_exit_two(tmp_path, capsys, monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+
+    def guarded(deg):
+        if deg > 1000:
+            raise AssertionError(f"the guard let order {deg} through")
+        return leggauss(deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", guarded)
+    slice_norm = ["norm", "--space", "slice", "--field", "poisson", "--n", "2",
+                  "--q", "2", "--t", "1"]
+    out = tmp_path / "out"
+    # an order-k rule's companion matrix is 8 k^2 bytes
+    assert 8 * 5792 ** 2 <= cli.MAX_ARRAY_BYTES < 8 * 5793 ** 2
+    for flags in (["--order", "5793"], ["--t-order", "5793"], ["--order", str(10**12)],
+                  ["--t-order", str(10**9)]):
+        for argv in (slice_norm, ["norm", "--space", "bergman", "--field", "poisson",
+                                  "--n", "2", "--p", "2", "--alpha", "0.5"]):
+            assert cli.main(argv + flags + ["--out", str(out)]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flags[0] in err and "MiB" in err
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="order 5792"):
+        cli.main(slice_norm + ["--order", "5792", "--out", str(out)])
 
 
 def test_ball_norm_overflow_exits_two(tmp_path, capsys):

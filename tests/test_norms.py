@@ -10,7 +10,7 @@ from harmspace import norms as no
 from harmspace import fields as fl
 from harmspace import quadrature as quad
 from harmspace.fields import BergmanField, PoissonField, PowerField
-from harmspace.geometry import Region, whitney_cubes
+from harmspace.geometry import Region, box_corners, whitney_cubes
 from harmspace.quadrature import QuadSpec
 
 SPEC = QuadSpec(order=8, t_order=6)
@@ -147,14 +147,58 @@ def test_discrete_vs_integral_comparable():
 
 
 def test_lemma2_ratio_bounded_over_levels():
-    from harmspace.geometry import whitney_cubes
-
     f = _poisson(2)
-    ratios = [
-        no.lemma2_ratio(f, 2.0, 1.0, c, SPEC)
-        for c in whitney_cubes(Region(2.0, 0.25, 2.0), 2)[::7]
-    ]
+    cubes = whitney_cubes(Region(2.0, 0.25, 2.0), 2)
+    ratios = [no.lemma2_ratio(f, 2.0, 1.0, cubes[[i]], SPEC)
+              for i in range(0, len(cubes), 7)]
     assert all(0.0 < r < 50.0 for r in ratios)
+    with pytest.raises(ValueError, match="one box"):
+        no.lemma2_ratio(f, 2.0, 1.0, cubes[:2], SPEC)
+
+
+def test_lemma2_ratio_equals_the_per_box_formula():
+    # eta^(alpha p - 1) max|f|^p over a 4^(n+1) corner grid, times the
+    # enlarged box's volume over the Gauss integral of |f|^p t^(alpha p - 1)
+    # on it; the box and its enlargement from the closed forms
+    # the field peaks at x = (0.3, -0.2), inside the boxes above it and off
+    # their sample grids, so the grid's size shows in the max
+    f, p, alpha, enlarge = PoissonField(2, np.array([0.3, -0.2, 1.0])), 1.5, 0.8, 1.2
+    cubes = whitney_cubes(Region(2.0, 0.25, 2.0), 2)
+    lo, hi = box_corners(cubes)
+    above = np.flatnonzero(np.all((lo[:, :2] < [0.3, -0.2]) & (hi[:, :2] > [0.3, -0.2]), axis=1))
+    assert len(above) == 3  # one box per level
+    for i in [0, 17, len(cubes) - 1, *above]:
+        j, k = int(cubes.level[i]), cubes.index[i].tolist()
+        s = 2.0 ** j
+        axes = [np.linspace(a * s, (a + 1) * s, 4) for a in k] + [np.linspace(s, 2 * s, 4)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        lhs = (1.5 * s) ** (alpha * p - 1) * float(np.max(np.abs(f.values(grid)))) ** p
+        center = [(a + 0.5) * s for a in k] + [1.5 * s]
+        half = 0.5 * s * enlarge
+        pts, w = quad.box_tensor_rule([[c - half for c in center]],
+                                      [[c + half for c in center]], SPEC.cube_order)
+        integral = float(w[0] @ (np.abs(f.values(pts[0])) ** p
+                                 * pts[0][:, -1] ** (alpha * p - 1)))
+        want = lhs * (2.0 * half) ** 3 / integral
+        got = no.lemma2_ratio(f, p, alpha, cubes[i:i + 1], SPEC, enlarge)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_whitney_discrete_norm_equals_the_per_box_sum():
+    # sum over the boxes of eta^(alpha p - 1) max|f|^p |box|, the max over a
+    # 3^(n+1) corner grid, from the closed forms
+    f, p, alpha = _poisson(2), 2.0, 1.0
+    region = Region(2.0, 0.25, 2.0)
+    cubes = whitney_cubes(region, 2)
+    total = 0.0
+    for j, k in zip(cubes.level.tolist(), cubes.index.tolist()):
+        s = 2.0 ** j
+        axes = [np.linspace(a * s, (a + 1) * s, 3) for a in k] + [np.linspace(s, 2 * s, 3)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        m = float(np.max(np.abs(f.values(grid))))
+        total += (1.5 * s) ** (alpha * p - 1) * m ** p * s ** 3
+    got = no.whitney_discrete_norm(f, p, alpha, region)
+    assert got == pytest.approx(total ** (1.0 / p), rel=1e-13, abs=0.0)
 
 
 def test_norm_row_contract():
@@ -171,11 +215,13 @@ def test_norm_row_contract():
 def _cubes_per_box_loop(f, p, alpha, region, spec):
     """The cubes path as one Gauss tensor per clipped box, added in order."""
     total = 0.0
-    for cube in no.whitney_cubes(region, f.n):
-        box = cube.box().clipped(region)
-        if box.volume == 0.0:
-            continue
-        axes = [quad.panel_nodes(a, b, spec.cube_order) for a, b in zip(box.lo, box.hi)]
+    lo, hi = box_corners(no.whitney_cubes(region, f.n))
+    for blo, bhi in zip(lo.tolist(), hi.tolist()):
+        blo = [max(a, -region.x_max) for a in blo[:-1]] + [max(blo[-1], region.t_min)]
+        bhi = [min(b, region.x_max) for b in bhi[:-1]] + [min(bhi[-1], region.t_max)]
+        if any(a >= b for a, b in zip(blo, bhi)):
+            continue  # the box misses the region
+        axes = [quad.panel_nodes(a, b, spec.cube_order) for a, b in zip(blo, bhi)]
         grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
         pts = np.column_stack([g.ravel() for g in grids])
@@ -193,10 +239,12 @@ def test_batched_cubes_path_matches_per_box_loop(monkeypatch):
     monkeypatch.setattr(
         no, "whitney_cubes", lambda reg, n: whitney_cubes(Region(3.0, 0.1, 6.0), n))
     for n in (1, 2):
-        boxes = [c.box() for c in no.whitney_cubes(region, n)]
-        vols = [b.clipped(region).volume for b in boxes]
-        assert 0.0 in vols
-        assert any(0.0 < v < b.volume for v, b in zip(vols, boxes))
+        lo, hi = box_corners(no.whitney_cubes(region, n))
+        clo = np.maximum(lo, [-region.x_max] * n + [region.t_min])
+        chi = np.minimum(hi, [region.x_max] * n + [region.t_max])
+        inside = np.all(chi > clo, axis=1)
+        cut = inside & np.any((clo > lo) | (chi < hi), axis=1)
+        assert not inside.all() and cut.any()
         w = np.zeros(n + 1)
         w[0], w[-1] = 0.3, 0.7
         for f in (PoissonField(n, w), BergmanField(1, n, w)):

@@ -32,8 +32,13 @@ def _field_from_flat(k, axes, payload):
 
 
 def _flat_axes(region, spec):
-    """The two 1-D rules whose tensor is quad.flat_box_nodes(region, 1, spec)."""
+    """The (x, t) rules of the flat (n = 1) layout over the box region."""
     return quad.box_axis_quadrature(region, spec), quad.t_quadrature(region, spec)
+
+
+def _flat_nodes(region, spec):
+    """Flattened (points, weights) of the tensor of the _flat_axes rules."""
+    return quad.tensor_rule(_flat_axes(region, spec))
 
 
 def _field_from_axisym(n, k, nodes, payload):
@@ -407,7 +412,7 @@ def test_sab_apply_two_slots_matches_einsum():
     z2 = np.array([[-1.0, 0.5], [0.2, 2.0]])
     a_vec, b_vec = [0.5, 0.0], [3.0, 4.0]
     got = op.sab_apply(f, a_vec, b_vec, [z1, z2], region, spec)
-    pts, w = quad.flat_box_nodes(region, 1, spec)
+    pts, w = _flat_nodes(region, spec)
     base = w * f.values(pts) * pts[:, -1] ** (-2 + sum(b_vec))
     kern = [((z[:, None, 0] - pts[None, :, 0]) ** 2
              + (z[:, None, 1] + pts[None, :, 1]) ** 2) ** (-(a + b) / 2)
@@ -438,7 +443,7 @@ def _old_split_stack(f, eps, lam, m, region, spec, offsets, parts):
         gv = f.radial_values(nodes.center_radius()[:, None], nodes.s[None, :])
         s, weights = nodes.s[None, :], (nodes.w_uv[:, None], nodes.w_s)
     else:
-        nodes, w = quad.flat_box_nodes(region, 1, spec)
+        nodes, w = _flat_nodes(region, spec)
         gv = f.values(nodes)
         s, weights = nodes[:, -1], (w,)
     level = np.abs(gv)
@@ -588,11 +593,11 @@ def test_shared_slot_sab_apply_allocates_well_under_one_table():
     import tracemalloc
 
     f = fl.BergmanField(9, 1, np.array([0.0, 1.0]))
-    z, _ = quad.flat_box_nodes(Region(32.0, 2.0 ** -6, 32.0), 1,
-                               QuadSpec(order=3, t_order=2, min_panel=0.5))
+    z, _ = _flat_nodes(Region(32.0, 2.0 ** -6, 32.0),
+                       QuadSpec(order=3, t_order=2, min_panel=0.5))
     region, spec = Region(8.0, 2.0 ** -4, 8.0), QuadSpec(order=5, t_order=3)
     args = ([0.0, 0.0], [5.0, 5.0], [z, z], region, spec)
-    pts, _ = quad.flat_box_nodes(region, 1, spec)
+    pts, _ = _flat_nodes(region, spec)
     table = 8 * z.shape[0] * pts.shape[0]
     assert table > 8e6
     want = op.sab_apply(f, *args)  # warm caches
