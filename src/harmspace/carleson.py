@@ -132,40 +132,62 @@ class AtomicMeasure:
 
 
 class CubeConditionReport:
-    """Per-box ratios mass/gauge and their sup for one condition."""
+    """Per-box ratios mass/gauge and their sup for one condition, as
+    columns: the boxes' level (B,) and index (B, n) arrays, and float64
+    mass, gauge and ratio = mass / gauge, all in box order."""
 
-    def __init__(self, condition, params, rows, n):
+    def __init__(self, condition, params, level, index, mass, gauge, n):
         self.condition = condition
         self.params = params
-        self.rows = rows  # (level, index, mass, gauge, ratio)
+        self.level = level
+        self.index = index
+        self.mass = mass
+        self.gauge = gauge
+        with np.errstate(over="ignore"):
+            self.ratio = mass / gauge
         self.n = n
 
-    @property
-    def constant(self) -> float:
-        return max((r[4] for r in self.rows), default=0.0)
+    def __len__(self) -> int:
+        return len(self.level)
 
     @property
     def argmax(self):
-        return max(self.rows, key=lambda r: r[4], default=None)
+        """Position of the first box with the largest ratio; None if none."""
+        return int(np.argmax(self.ratio)) if len(self) else None
+
+    @property
+    def constant(self) -> float:
+        i = self.argmax
+        return 0.0 if i is None else float(self.ratio[i])
 
     def level_maxima(self) -> dict:
-        out: dict = {}
-        for lev, _, _, _, ratio in self.rows:
-            out[lev] = max(out.get(lev, 0.0), ratio)
-        return out
+        """{level: max(0.0, the largest ratio of the level's boxes)}, in
+        increasing level."""
+        if not len(self):
+            return {}
+        low = int(self.level.min())
+        slot = self.level - low
+        top = np.zeros(int(slot.max()) + 1)
+        np.maximum.at(top, slot, self.ratio)
+        held = np.flatnonzero(np.bincount(slot))
+        top = top[held]
+        return dict(zip((held + low).tolist(), np.where(top > 0.0, top, 0.0).tolist()))
 
-    def csv_rows(self):
-        for lev, idx, mass, gauge, ratio in self.rows:
-            yield [self.condition, lev, "/".join(map(str, idx)), mass, gauge, ratio]
+    def csv_columns(self) -> list:
+        """Columns condition, level, index (i_1/.../i_n), mass, gauge, ratio."""
+        digits = [list(map(str, c)) for c in self.index.T.tolist()]
+        index = list(map("/".join, zip(*digits))) if digits else [""] * len(self)
+        return [[self.condition] * len(self), self.level, index, self.mass,
+                self.gauge, self.ratio]
 
     def summary(self) -> dict:
-        arg = self.argmax
+        i = self.argmax
         return {
             "condition": self.condition,
             "params": self.params,
             "constant": self.constant,
-            "argmax_level": None if arg is None else arg[0],
-            "boxes": len(self.rows),
+            "argmax_level": None if i is None else int(self.level[i]),
+            "boxes": len(self),
         }
 
 
@@ -186,22 +208,19 @@ def _gauges(base, e):
 
 def _cube_report(condition, params, mu: AtomicMeasure, cubes: WhitneyBoxes, lo, hi,
                  base, e):
-    """Rows (level, index tuple, mass, gauge, ratio) of the boxes, whose
-    corners are (lo, hi), with gauge = base^e per box, base an array: the
-    box volumes, or the etas (the centre heights, 3/2 side)."""
-    masses = mu.masses_in_boxes(lo, hi).tolist()
-    gauges = _gauges(base.tolist(), e)
-    values = np.array(gauges)
-    bad = np.flatnonzero(~((values > 0.0) & (values < np.inf)))
+    """The report over the boxes, whose corners are (lo, hi), with gauge =
+    base^e per box, base an array: the box volumes, or the etas (the centre
+    heights, 3/2 side)."""
+    gauge = np.array(_gauges(base.tolist(), e))
+    bad = np.flatnonzero(~((gauge > 0.0) & (gauge < np.inf)))
     if bad.size:
         i = bad[0]
         raise ValueError(
             f"the region's box at level {cubes.level[i]} (heights {lo[i, -1]:g}"
-            f" to {hi[i, -1]:g}) has gauge {gauges[i]!r} at exponent {e:g}: its"
-            " boxes are too small or too large for float64")
-    rows = [(j, k, m, g, m / g) for j, k, m, g in zip(
-        cubes.level.tolist(), map(tuple, cubes.index.tolist()), masses, gauges)]
-    return CubeConditionReport(condition, params, rows, mu.n)
+            f" to {hi[i, -1]:g}) has gauge {float(gauge[i])!r} at exponent {e:g}:"
+            " its boxes are too small or too large for float64")
+    return CubeConditionReport(condition, params, cubes.level, cubes.index,
+                               mu.masses_in_boxes(lo, hi), gauge, mu.n)
 
 
 def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionReport:

@@ -146,7 +146,8 @@ def _parse_override_tokens(extras):
 
 
 def _emit(args, summary, traces=()):
-    """Write the one JSON summary plus CSV traces; return their paths."""
+    """Write the one JSON summary plus CSV traces, each (name, header,
+    columns); return their paths."""
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     summary = dict(summary)
@@ -154,9 +155,9 @@ def _emit(args, summary, traces=()):
     spath = os.path.join(outdir, f"{args.command}-summary.json")
     util.dump_json(summary, spath)
     paths = [spath]
-    for name, header, rows in traces:
+    for name, header, columns in traces:
         cpath = os.path.join(outdir, f"{name}.csv")
-        util.dump_csv(cpath, header, rows)
+        util.dump_csv(cpath, header, columns)
         paths.append(cpath)
     return paths
 
@@ -203,7 +204,8 @@ def _cmd_verify(args, extras):
     for rep in summary["reports"]:
         for name, art in rep["artifacts"].items():
             if isinstance(art, dict) and "header" in art and "rows" in art:
-                traces.append((f"{rep['id']}-{name}", art["header"], art["rows"]))
+                traces.append((f"{rep['id']}-{name}", art["header"],
+                               util.row_columns(art["rows"], len(art["header"]))))
     paths = _emit(args, summary, traces)
     for rep in summary["reports"]:
         print(f"{rep['id']}: {rep['verdict']}")
@@ -318,6 +320,8 @@ def _cmd_norm(args, extras):
         region = _region_from(args)
         # leggauss builds an order x order float64 companion matrix per order
         for flag, order in (("--order", args.order), ("--t-order", args.t_order)):
+            if order < 1:
+                raise UsageError(f"{flag} must be >= 1, got {order}")
             _check_array_bytes(f"the {flag} {order} Gauss rule's matrix", 8 * order * order)
         if args.space == "bergman" and f.n <= 2:
             # the cubes path, which holds the boxes' arrays and corners and
@@ -343,7 +347,7 @@ def _cmd_norm(args, extras):
     header = ["space", "field", "n", "p", "q", "alpha", "lam", "t", "value"]
     row = [args.space, args.field, args.n, args.p, args.q, args.alpha,
            args.lam, args.t, value]
-    paths = _emit(args, summary, [("norm-trace", header, [row])])
+    paths = _emit(args, summary, [("norm-trace", header, [[v] for v in row])])
     print(repr(value))
     print(f"wrote {paths[0]}")
     return 0
@@ -362,10 +366,11 @@ def _cmd_carleson(args, extras):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{args.measure} is not a valid measure file: {e}")
     region = _region_from(args)
-    # the boxes' arrays and corners, their masses and gauges, and the
-    # report's Python rows: about 450, 490 and 540 bytes a box at n = 1, 2, 3
-    # (ru_maxrss with a 400-atom measure at 0.1 to 1 million boxes)
-    _check_whitney_bytes(region, mu.n, 64 * (mu.n + 8))
+    # the boxes' arrays and corners, and the report's mass, gauge and ratio
+    # columns with the CSV cells made from them: about 220, 290 and 370
+    # bytes a box at n = 1, 2, 3 (ru_maxrss with a 400-atom measure at 0.26
+    # to 1.4 million boxes)
+    _check_whitney_bytes(region, mu.n, 64 * (mu.n + 4))
     cubes = whitney_cubes(region, mu.n)
     try:
         if args.condition == "vector":
@@ -383,8 +388,8 @@ def _cmd_carleson(args, extras):
     summary.update(rep.summary())
     summary["level_maxima"] = {str(k): v for k, v in rep.level_maxima().items()}
     header = ["condition", "level", "index", "mass", "gauge", "ratio"]
-    paths = _emit(args, summary, [("carleson-trace", header, rep.csv_rows())])
-    print(f"constant={rep.constant!r} over {len(rep.rows)} boxes")
+    paths = _emit(args, summary, [("carleson-trace", header, rep.csv_columns())])
+    print(f"constant={rep.constant!r} over {len(rep)} boxes")
     print(f"wrote {paths[0]}")
     return 0
 
@@ -415,8 +420,8 @@ def _parse_symbol(spec, cap):
 
 
 def _expansion_trace(name, f):
-    rows = [[k, float(np.max(np.abs(c)))] for k, c in enumerate(f.coeffs)]
-    return (name, ["degree", "max_abs_coeff"], rows)
+    top = [float(np.max(np.abs(c))) for c in f.coeffs]
+    return (name, ["degree", "max_abs_coeff"], [range(len(top)), top])
 
 
 def _cmd_ball(args, extras):
@@ -460,7 +465,8 @@ def _cmd_ball(args, extras):
             raise UsageError(str(e))
         kind = verify.trend_class(slope)
         summary.update(functional=sup, trend=slope, classification=kind)
-        traces.append(("ball-multiplier-trace", ["rho", "value"], rows))
+        traces.append(("ball-multiplier-trace", ["rho", "value"],
+                       util.row_columns(rows, 2)))
         print(f"functional={sup!r} trend={slope:+.4f} -> {kind}")
     elif args.operation == "functional":
         f = _load_expansion(args.expansion)
@@ -468,7 +474,8 @@ def _cmd_ball(args, extras):
         summary["value"] = value
         traces.append(("ball-functional-trace",
                        ["kind", "p", "q", "alpha", "t", "value"],
-                       [[args.kind, args.p, args.q, args.alpha, args.t, value]]))
+                       [[v] for v in (args.kind, args.p, args.q, args.alpha, args.t,
+                                      value)]))
         print(repr(value))
     elif args.operation == "lambda":
         f = _load_expansion(args.expansion)
@@ -507,19 +514,19 @@ def _cmd_whitney(args, extras):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     region = _region_from(args)
-    # Peak memory is the summary's JSON text being built from the records:
-    # about 1.9, 2.2 and 2.4 KB a box at n = 1, 2, 3 (ru_maxrss at 82k,
-    # 49k and 37k boxes), the CSV rows being made as they are written.
-    _check_whitney_bytes(region, args.n, 1024 * (args.n + 2))
+    # Peak memory is the summary's records with their JSON text, or with
+    # the CSV cells: about 1.2, 1.3 and 1.5 KB a box at n = 1, 2, 3
+    # (ru_maxrss at 37k to 350k boxes).
+    _check_whitney_bytes(region, args.n, 256 * (args.n + 5))
     cubes = whitney_cubes(region, args.n)
     level = cubes.level
     header = (["level", "side"] + [f"center_{i}" for i in range(args.n)]
               + ["center_t"])
-    cols = [cubes.side[:, None], box_centers(cubes)]
+    cols = [level, cubes.side, *box_centers(cubes).T]
     if args.lam is not None:
         header.append("weighted_measure")
         try:
-            cols.append(weighted_measures(*box_corners(cubes), args.lam)[:, None])
+            cols.append(weighted_measures(*box_corners(cubes), args.lam))
         except ValueError as e:
             raise UsageError(str(e))
     levels, counts = np.unique(level, return_counts=True)
@@ -527,8 +534,7 @@ def _cmd_whitney(args, extras):
     summary.update(count=len(level),
                    levels={str(j): k for j, k in zip(levels.tolist(), counts.tolist())},
                    cubes=cubes_to_json(cubes))
-    rows = ([j, *r] for j, r in zip(level.tolist(), map(np.ndarray.tolist, np.hstack(cols))))
-    paths = _emit(args, summary, [("whitney-cubes", header, rows)])
+    paths = _emit(args, summary, [("whitney-cubes", header, cols)])
     print(f"{len(level)} boxes across levels "
           f"{levels[0]}..{levels[-1]}" if len(level) else "0 boxes")
     print(f"wrote {paths[0]}")

@@ -1,11 +1,20 @@
 """Shared numerical helpers: gamma ratios, finite differences, log-log fits,
-deterministic report serialization."""
+and the deterministic report writers.
+
+``dump_json``/``dumps_json`` write exactly what ``json.dumps(obj,
+sort_keys=True, indent=2, allow_nan=False)`` writes, and ``dump_csv``
+writes a table given column by column.  Both format a column of floats
+at once, calling ``float.__repr__`` once per distinct value: a list of
+numbers in JSON, each key of a list of like records (``cubes_to_json``)
+through one per-record template, and each float column of a CSV.
+"""
 
 from __future__ import annotations
 
 import csv
-import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -103,29 +112,216 @@ def fit_loglog(x, y):
     return float(slope), float(intercept), float(resid)
 
 
-def dump_json(obj, path) -> None:
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+# ------------------------------------------------------- report writers
+
+_INDENT = "  "
+_NUMBERS = {int, float}
+_NON_FINITE = {"nan", "inf", "-inf"}  # float.__repr__ of the non-finite floats
+# Fewer values than this are formatted one by one: below it numpy's fixed
+# cost (about 20 us a call) exceeds the float.__repr__ calls it saves.
+_DEDUPE_MIN = 64
+
+
+def _float_texts(values) -> list:
+    """float.__repr__ of each value of a sequence or 1-d array, as float64,
+    in order; from _DEDUPE_MIN values on, called once per distinct bit
+    pattern, so 0.0 and -0.0 stay apart."""
+    if len(values) < _DEDUPE_MIN:
+        return [float.__repr__(float(v)) for v in values]
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    bits, where = np.unique(a.view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, where.tolist()))
+
+
+def _json_float(v) -> str:
+    if math.isfinite(v):
+        return float.__repr__(v)
+    raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+
+
+def _numbers(values) -> bool:
+    return set(map(type, values)) <= _NUMBERS
+
+
+def _json_numbers(values) -> list:
+    """JSON texts of a sequence of exact ints and floats."""
+    kinds = set(map(type, values))
+    if float not in kinds:
+        return list(map(int.__repr__, values))
+    if int in kinds:
+        return [int.__repr__(v) if type(v) is int else _json_float(v) for v in values]
+    texts = _float_texts(values)
+    if not _NON_FINITE.isdisjoint(texts):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return texts
+
+
+def _json_records(records, level):
+    """JSON texts of a list of dicts at indent level, through one template,
+    when every dict has the same str keys and each key's values are all
+    numbers or all lists of numbers of one length; None otherwise."""
+    if set(map(type, records)) != {dict}:
+        return None
+    keyset = records[0].keys()
+    keys = sorted(keyset) if set(map(type, keyset)) == {str} else None
+    if not keys or not all(map(keyset.__eq__, map(dict.keys, records))):
+        return None
+    # every value is checked before any is formatted, so that a record list
+    # json.dumps would reject with a TypeError never raises ValueError here
+    flat = []  # per key: (its values, flattened, and the list width or 0)
+    for key in keys:
+        values = [d[key] for d in records]
+        if _numbers(values):
+            flat.append((values, 0))
+            continue
+        if not set(map(type, values)) <= {list, tuple}:
+            return None
+        width = len(values[0])
+        if not width or set(map(len, values)) != {width}:
+            return None
+        values = list(chain.from_iterable(values))
+        if not _numbers(values):
+            return None
+        flat.append((values, width))
+    inner, item = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
+    pieces, columns, text = [], [], "{"
+    for key, (values, width) in zip(keys, flat):
+        text += ("," if columns else "") + inner + encode_basestring_ascii(key) + ": "
+        cells = _json_numbers(values)
+        if not width:
+            pieces.append(text)
+            columns.append(cells)
+            text = ""
+            continue
+        for j in range(width):
+            pieces.append(text + ("," if j else "[") + item)
+            columns.append(cells[j::width])
+            text = ""
+        text = inner + "]"
+    template = "".join(p.replace("%", "%%") + "%s" for p in pieces)
+    template += (text + "\n" + _INDENT * level + "}").replace("%", "%%")
+    return [template % row for row in zip(*columns)]
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _json_float(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError("keys must be str, int, float, bool or None, not"
+                        f" {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_encode(o, level, out):
+    """Append the JSON text of o at indent level to the list out."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        texts = _json_numbers(o) if _numbers(o) else _json_records(o, level + 1)
+        if texts is not None:
+            out.append("[" + inner + ("," + inner).join(texts))
+        else:
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                _json_encode(v, level + 1, out)
+                sep = "," + inner
+        out.append("\n" + _INDENT * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + _json_key(key) + ": ")
+            _json_encode(value, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + _INDENT * level + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Canonical JSON text: exactly json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False), with the same ValueError on a non-finite float and
+    TypeError on a value or key JSON cannot hold (numpy integers included)
+    or keys that do not sort.  Circular structures are not detected."""
+    out: list = []
+    _json_encode(obj, 0, out)
+    return "".join(out)
 
 
-def dump_csv(path, header, rows) -> None:
-    """CSV writer with repr-stable float formatting."""
+def dump_json(obj, path) -> None:
+    """Canonical JSON (see dumps_json) with a trailing newline."""
+    Path(path).write_text(dumps_json(obj) + "\n")
+
+
+def _csv_cells(column) -> list:
+    """The cells of one CSV column: floats as float.__repr__, numpy integers
+    as ints, anything else as it is, for csv.writer to format and quote."""
+    if isinstance(column, np.ndarray):
+        if column.ndim != 1:
+            raise ValueError(f"a CSV column must be 1-d, got shape {column.shape}")
+        if column.dtype.kind == "f":
+            return _float_texts(column)
+        if column.dtype.kind != "O":
+            return column.tolist()  # Python ints, bools and strings
+    cells = list(column)
+    at = []
+    for i, v in enumerate(cells):
+        if isinstance(v, (float, np.floating)):
+            at.append(i)
+        elif isinstance(v, np.integer):
+            cells[i] = int(v)
+    for i, text in zip(at, _float_texts([cells[i] for i in at])):
+        cells[i] = text
+    return cells
+
+
+def row_columns(rows, width) -> list:
+    """The width columns of a table given row by row; a row of any other
+    length raises ValueError."""
+    rows = list(rows)
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"a CSV row has {len(row)} cells, not {width}: {row!r}")
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def dump_csv(path, header, columns) -> None:
+    """CSV of a table given column by column: one column per header name,
+    each a sequence or 1-d array, all of one length (else ValueError)."""
+    cells = [_csv_cells(c) for c in columns]
+    if len(cells) != len(header) or len({len(c) for c in cells}) > 1:
+        raise ValueError(f"{len(header)} header names for columns of lengths"
+                         f" {[len(c) for c in cells]}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_csv_cell(v) for v in row])
-
-
-def _csv_cell(v):
-    # np.float64 subclasses float, so coerce before repr
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+        w.writerows(zip(*cells))

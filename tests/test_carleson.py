@@ -71,7 +71,7 @@ def test_condition_single_hand_computed():
     cubes = whitney_cubes(Region(4.0, 0.25, 4.0), 1)
     rep = ca.condition_single(mu, cubes, alpha=1.0)
     assert rep.constant == 2.0
-    assert rep.argmax[0] == 0
+    assert rep.level[rep.argmax] == 0
     assert rep.params["exponent"] == 1.5
 
 
@@ -107,13 +107,14 @@ def test_report_shapes_and_csv():
     cubes = whitney_cubes(region, 1)
     mu = ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0)
     rep = ca.condition_single(mu, cubes, alpha=1.0)
-    assert len(rep.rows) == len(cubes)
+    assert len(rep) == len(cubes)
     lm = rep.level_maxima()
     assert set(lm) == set(cubes.level.tolist())
     assert max(lm.values()) == rep.constant
-    rows = list(rep.csv_rows())
-    assert len(rows) == len(cubes)
-    assert all(r[0] == "single" and len(r) == 6 for r in rows)
+    cols = rep.csv_columns()
+    assert len(cols) == 6 and all(len(c) == len(cubes) for c in cols)
+    assert set(cols[0]) == {"single"}
+    assert cols[2] == [str(k) for k in cubes.index[:, 0].tolist()]
     s = rep.summary()
     assert s["condition"] == "single"
     assert s["boxes"] == len(cubes)
@@ -205,33 +206,97 @@ def test_restricted_keeps_the_atoms_of_the_closed_box():
         assert sub.mass_in_box(box) == mu.mass_in_box(box)
 
 
+def _reference_rows(mu, cubes, boxes, gauge):
+    """(level, index tuple, mass, gauge, ratio) per box in Python floats:
+    mass_in_box of each Box, gauge(level) from a closed form."""
+    rows = []
+    for j, k, box in zip(cubes.level.tolist(), cubes.index.tolist(), boxes):
+        mass, g = mu.mass_in_box(box), gauge(j)
+        rows.append((j, tuple(k), mass, g, mass / g))
+    return rows
+
+
+def _report_rows(rep):
+    """The report's columns as row tuples of Python values."""
+    return list(zip(rep.level.tolist(), map(tuple, rep.index.tolist()),
+                    rep.mass.tolist(), rep.gauge.tolist(), rep.ratio.tolist()))
+
+
+def _row_statistics(condition, params, rows):
+    """(constant, argmax position, level maxima, summary) from row tuples,
+    as the report computed them when it kept one tuple per box."""
+    constant = max((r[4] for r in rows), default=0.0)
+    arg = max(range(len(rows)), key=lambda i: rows[i][4], default=None)
+    maxima: dict = {}
+    for lev, _, _, _, ratio in rows:
+        maxima[lev] = max(maxima.get(lev, 0.0), ratio)
+    summary = {"condition": condition, "params": params, "constant": constant,
+               "argmax_level": None if arg is None else rows[arg][0],
+               "boxes": len(rows)}
+    return constant, arg, maxima, summary
+
+
+def _gauges_by_level(n, e):
+    """Closed-form gauges of a level-j box: |box|^e and eta^e, eta = 3/2 side."""
+    return (lambda j: ((2.0 ** j) ** n * 2.0 ** j) ** e,
+            lambda j: (1.5 * 2.0 ** j) ** e)
+
+
+def test_report_statistics_equal_the_row_reference():
+    small = whitney_cubes(Region(4.0, 0.25, 4.0), 1)
+    cases = [
+        (ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0), small),
+        (ca.AtomicMeasure.point_mass([0.1], 100.0, 2.0), small),  # no mass at all
+        # equal atoms in two boxes of one level: the first box is the argmax
+        (ca.AtomicMeasure([[-2.5], [2.5]], [1.5, 1.5], [1.0, 1.0]), small),
+        # a -0.0 weight in the first box: its ratio -0.0 is the first maximum
+        (ca.AtomicMeasure([[-3.9], [2.5]], [0.3, 1.5], [-0.0, 0.0]), small),
+        (ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0),
+         whitney_cubes(Region(1.0, 2.0, 1.0), 1)),  # no boxes
+    ]
+    # a seeded 400-atom measure on the region of the benchmark's carleson calls
+    rng = np.random.default_rng(400)
+    cases.append((ca.AtomicMeasure(
+        rng.uniform(-2.0, 2.0, size=(400, 2)),
+        np.exp(rng.uniform(np.log(2.0 ** -4), np.log(4.0), 400)),
+        rng.exponential(1.0, 400)), whitney_cubes(Region(2.0, 2.0 ** -4, 4.0), 2)))
+    for mu, cubes in cases:
+        boxes = _boxes(cubes)
+        for rep in (ca.condition_vector(mu, cubes, 2, (0.5, 0.5)),
+                    ca.condition_single(mu, cubes, 1.5),
+                    ca.condition_mixed(mu, cubes, 2.0, 3.0, 0.5),
+                    ca.condition_tent(mu, cubes, 2.0, 0.5, 1.0)):
+            volume, eta = _gauges_by_level(mu.n, rep.params["exponent"])
+            gauge = volume if rep.condition in ("vector", "single") else eta
+            rows = _reference_rows(mu, cubes, boxes, gauge)
+            constant, arg, maxima, summary = _row_statistics(rep.condition, rep.params,
+                                                             rows)
+            assert _report_rows(rep) == rows
+            assert len(rep) == len(rows)
+            assert repr(rep.constant) == repr(constant) and type(rep.constant) is float
+            assert rep.argmax == arg
+            got = rep.level_maxima()
+            assert list(got) == list(maxima)
+            assert [repr(v) for v in got.values()] == [repr(v) for v in maxima.values()]
+            assert repr(rep.summary()) == repr(summary)
+
+
 def test_cube_report_rows_equal_the_per_box_reference():
     for n in (1, 2):
         mu = _lattice_measure(n, seed=10 + n)
         cubes = whitney_cubes(Region(2.0, 0.25, 4.0), n)
         boxes = _boxes(cubes)
-
-        # per-box references in Python floats, from the closed forms
-        def volume(j, e):
-            s = 2.0 ** j
-            return (s ** n * s) ** e  # |box| = side^n times the slab height side
-
-        def eta(j, e):
-            return (1.5 * 2.0 ** j) ** e
-
-        cases = [(ca.condition_vector(mu, cubes, 2, (0.31, 0.77)), volume),
-                 (ca.condition_mixed(mu, cubes, 1.3, 2.9, 0.61), eta)]
+        # gauges from the closed forms: 0 is |box|^e, 1 is eta^e
+        cases = [(ca.condition_vector(mu, cubes, 2, (0.31, 0.77)), 0),
+                 (ca.condition_mixed(mu, cubes, 1.3, 2.9, 0.61), 1)]
         # numpy's vectorised pow differs from Python's on some of these
         for alpha in np.linspace(0.1, 6.0, 30):
-            cases += [(ca.condition_single(mu, cubes, alpha), volume),
-                      (ca.condition_tent(mu, cubes, 1.7, alpha, 1.0), eta)]
-        for rep, gauge in cases:
-            e = rep.params["exponent"]
-            want = []
-            for j, k, box in zip(cubes.level.tolist(), cubes.index.tolist(), boxes):
-                mass, g = mu.mass_in_box(box), gauge(j, e)
-                want.append((j, tuple(k), mass, g, mass / g))
-            assert rep.rows == want, rep.condition
+            cases += [(ca.condition_single(mu, cubes, alpha), 0),
+                      (ca.condition_tent(mu, cubes, 1.7, alpha, 1.0), 1)]
+        for rep, kind in cases:
+            gauge = _gauges_by_level(n, rep.params["exponent"])[kind]
+            want = _reference_rows(mu, cubes, boxes, gauge)
+            assert _report_rows(rep) == want, rep.condition
 
 
 def test_discretized_weight_atoms_are_the_cube_centers():

@@ -153,7 +153,7 @@ def test_carleson_command_matches_library(tmp_path, capsys):
     summary = read_summary(tmp_path, "carleson")
     assert summary["constant"] == pytest.approx(rep.constant, rel=1e-14)
     lines = (tmp_path / "carleson-trace.csv").read_text().strip().splitlines()
-    assert len(lines) == len(rep.rows) + 1
+    assert len(lines) == len(rep) + 1
     capsys.readouterr()
 
 
@@ -288,6 +288,12 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
     assert cli.main(["whitney", "--n", "1", "--x-max", "nan", "--out", str(out)]) == 2
     assert "extents" in capsys.readouterr().err
     assert not out.exists()
+    # whitney's budget is 1792 bytes a box at n = 2
+    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (10.25, 10.5)]
+    assert count[0] * 1792 <= cli.MAX_ARRAY_BYTES < count[1] * 1792
+    with pytest.raises(AssertionError, match="guard"):
+        cli.main(["whitney", "--n", "2", "--x-max", "10.25", "--out", str(out)])
+    assert cli.main(["whitney", "--n", "2", "--x-max", "10.5", "--out", str(out)]) == 2
     # a table of exactly the budget passes the guard and reaches sphere_grid
     cols = cli.MAX_ARRAY_BYTES // 16 // 32
     assert 16 * 32 * cols == cli.MAX_ARRAY_BYTES
@@ -325,12 +331,12 @@ def test_oversized_carleson_and_cubes_norm_requests_exit_two(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("error:") and "boxes" in err and "MiB" in err, argv
     assert not out.exists()
-    # the budget is 640 bytes a box for carleson at n = 2, 192 for the cubes
+    # the budget is 384 bytes a box for carleson at n = 2, 192 for the cubes
     # path: a region just within it passes the guard and reaches whitney_cubes
-    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (17, 18, 32, 33)]
-    assert count[0] * 640 <= cli.MAX_ARRAY_BYTES < count[1] * 640
+    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (22, 23, 32, 33)]
+    assert count[0] * 384 <= cli.MAX_ARRAY_BYTES < count[1] * 384
     assert count[2] * 192 <= cli.MAX_ARRAY_BYTES < count[3] * 192
-    for argv, fits, over in ((carleson, "17", "18"), (bergman, "32", "33")):
+    for argv, fits, over in ((carleson, "22", "23"), (bergman, "32", "33")):
         with pytest.raises(AssertionError, match="guard"):
             cli.main(argv + ["--x-max", fits, "--out", str(out)])
         assert cli.main(argv + ["--x-max", over, "--out", str(out)]) == 2
@@ -364,6 +370,25 @@ def test_oversized_gauss_orders_exit_two(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     with pytest.raises(AssertionError, match="order 5792"):
         cli.main(slice_norm + ["--order", "5792", "--out", str(out)])
+
+
+def test_gauss_orders_below_one_exit_two(tmp_path, capsys):
+    slice_norm = ["norm", "--space", "slice", "--field", "poisson", "--n", "2",
+                  "--q", "2", "--t", "1"]
+    # the cubes path, which reads neither order
+    cubes_norm = ["norm", "--space", "bergman", "--field", "poisson", "--n", "2",
+                  "--p", "2", "--alpha", "0.5"]
+    out = tmp_path / "out"
+    for argv in (slice_norm, cubes_norm):
+        for flag in ("--order", "--t-order"):
+            for k in ("0", "-1", "-8"):
+                assert cli.main(argv + [flag, k, "--out", str(out)]) == 2, (argv, flag, k)
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {flag} must be >= 1, got {k}"), err
+    assert not out.exists()
+    for argv in (slice_norm, cubes_norm):
+        assert cli.main(argv + ["--order", "1", "--t-order", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_ball_norm_overflow_exits_two(tmp_path, capsys):

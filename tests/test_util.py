@@ -1,5 +1,6 @@
 """Finite differences, log-log fitting, and stable serialization."""
 
+import csv
 import json
 import math
 
@@ -90,8 +91,198 @@ def test_dump_json_canonical(tmp_path):
 
 def test_dump_csv_repr_stable(tmp_path):
     p = tmp_path / "t.csv"
-    util.dump_csv(p, ["a", "b"], [[0.1, np.float64(2.0)], [1, "x"]])
+    util.dump_csv(p, ["a", "b"], [[0.1, 1], [np.float64(2.0), "x"]])  # columns
     lines = p.read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "0.1,2.0"
     assert float(lines[1].split(",")[0]) == 0.1
+
+
+# ------------------------------------------- report writers, byte for byte
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16, 1e-7])
+_FLOAT = st.one_of(st.floats(), _SPECIAL)  # NaN and infinities included
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SPECIAL)
+_NUMBER = st.one_of(st.integers(), _FINITE)
+_TEXT = st.text(alphabet=st.sampled_from(list('ab %"\\,\n\r\'\u00e9\u2603\U0001f600')),
+                max_size=6)
+
+
+def _repeated(elements, length=st.integers(1, 150)):
+    """Lists of a few drawn items repeated in a drawn order: long enough for
+    the writers' deduplicating path (util._DEDUPE_MIN items and more)."""
+    @st.composite
+    def build(draw):
+        pool = draw(st.lists(elements, min_size=1, max_size=5))
+        n = draw(length)
+        picks = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        return [pool[i % len(pool)] for i in picks]
+    return build()
+
+
+@st.composite
+def _records(draw):
+    """A list of dicts with one set of keys, each key's values numbers or
+    lists of one width; sometimes broken so the writer must fall back."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    widths = {k: draw(st.integers(-1, 3)) for k in keys}  # 0 a number, -1 []
+
+    def value(k):
+        w = widths[k]
+        return draw(_NUMBER) if w == 0 else draw(st.lists(_NUMBER, min_size=max(w, 0),
+                                                          max_size=max(w, 0)))
+
+    base = [{k: value(k) for k in keys} for _ in range(draw(st.integers(1, 4)))]
+    recs = [dict(base[i % len(base)]) for i in range(draw(st.sampled_from([1, 3, 100])))]
+    flaw = draw(st.sampled_from(["none", "none", "drop-key", "ragged", "bool",
+                                 "numpy", "nan", "tuple"]))
+    d, k = recs[-1], keys[0]
+    if flaw == "drop-key":
+        del d[k]
+    elif flaw == "ragged":
+        d[k] = [1.5] * (widths[k] + 2)
+    elif flaw == "bool":
+        d[k] = True
+    elif flaw == "numpy":
+        d[k] = draw(st.sampled_from([np.float64(0.5), np.int64(3)]))
+    elif flaw == "nan":
+        d[k] = float("nan") if widths[k] == 0 else [float("inf")] * max(widths[k], 1)
+    elif flaw == "tuple" and isinstance(d[k], list):
+        d[k] = tuple(d[k])
+    return recs
+
+
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOAT, _TEXT, st.text(max_size=4),
+    st.builds(np.float64, _FINITE), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    # number lists, bools and np.float64 mixed in
+    st.lists(_NUMBER, min_size=1, max_size=6), st.lists(_FLOAT, min_size=1, max_size=4),
+    _repeated(_FINITE), _repeated(_FLOAT), _repeated(_NUMBER),
+    st.lists(st.one_of(_NUMBER, st.booleans()), min_size=1, max_size=4),
+    st.lists(st.one_of(_FINITE, st.builds(np.float64, _FINITE)), min_size=1, max_size=4),
+    _records(), st.just([]), st.just({}))
+_KEY = st.one_of(_TEXT, st.integers(), _FINITE)
+_JSON_OBJECTS = st.recursive(
+    _LEAF, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                   st.dictionaries(_KEY, inner, max_size=4),
+                                   st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _outcome(fn, obj):
+    """fn(obj), or the type of the TypeError or ValueError it raises."""
+    try:
+        return fn(obj)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+def _reference_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSON_OBJECTS)
+def test_dumps_json_equals_json_dumps(obj):
+    assert _outcome(util.dumps_json, obj) == _outcome(_reference_json, obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_records())
+def test_dumps_json_equals_json_dumps_on_record_lists(records):
+    for obj in (records, {"r": records, "%s": [records]}):
+        assert _outcome(util.dumps_json, obj) == _outcome(_reference_json, obj)
+
+
+def test_dumps_json_equals_json_dumps_on_a_whitney_summary():
+    from harmspace.geometry import Region, cubes_to_json, whitney_cubes
+    cubes = whitney_cubes(Region(2.0, 2.0 ** -4, 4.0), 2)
+    obj = {"count": len(cubes), "cubes": cubes_to_json(cubes), "%key\"": [-0.0, 5e-324]}
+    assert util.dumps_json(obj) == _reference_json(obj)
+    # json.dumps meets the TypeError of the first record before the NaN
+    # of the second
+    for bad in (np.int64(1), [1.0, np.int64(1)], {"a": [{"x": 1.0}, {"x": np.nan}]},
+                [{"a": 1.0, "b": np.int64(1)}, {"a": np.nan, "b": 2}], {1: 1, "a": 2}):
+        assert _outcome(util.dumps_json, bad) == _outcome(_reference_json, bad)
+
+
+def _csv_cell(v):
+    """The row writer's cell: floats by repr, numpy integers as ints."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
+
+
+def _reference_csv(path, header, rows):
+    """The row-by-row writer the column writer replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_csv_cell(v) for v in row])
+
+
+_CELL = st.one_of(st.none(), st.booleans(), st.integers(), _FLOAT, _TEXT,
+                  st.builds(np.float64, _FLOAT),
+                  st.builds(np.float32, st.floats(width=32)),
+                  st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+                  st.builds(np.bool_, st.booleans()))
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns, rows) of one table; columns are float, float32,
+    int64 or bool arrays, or lists of any cells."""
+    nrows = draw(st.sampled_from([0, 1, 3, 6, 63, 64, 65, 150]))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "float32", "int", "bool", "cells"]))
+        element = {"float": _FLOAT, "float32": st.floats(width=32),
+                   "int": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
+                   "cells": _CELL}[kind]
+        col = draw(_repeated(element, st.just(nrows))) if nrows else []
+        if kind != "cells":
+            col = np.array(col, dtype={"float": float, "float32": np.float32,
+                                       "int": np.int64, "bool": bool}[kind])
+        cols.append(col)
+    rows = [[c[i] for c in cols] for i in range(nrows)]
+    return [f"h{i}" for i in range(len(cols))], cols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_dump_csv_equals_the_row_writer(tmp_path_factory, table):
+    header, cols, rows = table
+    d = tmp_path_factory.mktemp("csv")
+    util.dump_csv(d / "new.csv", header, cols)
+    _reference_csv(d / "old.csv", header, rows)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    # the row form of the same table, through row_columns
+    util.dump_csv(d / "rows.csv", header, util.row_columns(rows, len(header)))
+    assert (d / "rows.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def test_dump_csv_quoting_and_ragged_tables(tmp_path):
+    cols = [["a,b", 'say "hi"', "two\nlines", "", None],
+            [np.nan, -np.inf, -0.0, np.float64(5e-324), 1e308],
+            np.array([1, -2, 3, 2**62, 0], dtype=np.int64),
+            [True, np.bool_(False), np.int64(-7), 2**70, np.float32(0.1)]]
+    rows = [list(r) for r in zip(*cols)]
+    util.dump_csv(tmp_path / "new.csv", list("abcd"), cols)
+    _reference_csv(tmp_path / "old.csv", list("abcd"), rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a one-column table whose cell is empty: csv.writer writes ""
+    util.dump_csv(tmp_path / "one.csv", ["a"], [["", "x"]])
+    assert (tmp_path / "one.csv").read_text() == 'a\n""\nx\n'
+    with pytest.raises(ValueError):
+        util.dump_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        util.dump_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2]])
+    with pytest.raises(ValueError):
+        util.dump_csv(tmp_path / "bad.csv", ["a"], [np.zeros((2, 2))])
+    with pytest.raises(ValueError):
+        util.row_columns([[1, 2], [3]], 2)
+    assert util.row_columns([], 3) == [(), (), ()]
