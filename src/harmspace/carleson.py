@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .geometry import (
-    MASK_PAIRS, Box, Region, WhitneyBoxes, box_centers, box_corners, box_volumes,
+    MASK_PAIRS, Region, WhitneyBoxes, box_centers, box_corners, box_volumes,
     in_boxes, weighted_measures, whitney_cubes,
 )
 from .quadrature import QuadSpec
@@ -61,17 +61,10 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(self.weight.sum())
 
-    def in_box(self, box: Box) -> np.ndarray:
-        """Mask of the atoms in the closed box."""
-        return in_boxes(self.points, box.lo, box.hi)
-
-    def mass_in_box(self, box: Box) -> float:
-        return float(self.weight[self.in_box(box)].sum())
-
     def masses_in_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """mass_in_box of each closed box [lo, hi] (corner arrays), bit for
-        bit: each non-empty box sums the same selected weights, in atom
-        order, with the same np.sum.  A chunk of boxes is tested only
+        """Mass of each closed box [lo, hi] (corner arrays, (B, n+1)): the
+        np.sum, in atom order, of the weights of the atoms in the box, and
+        0.0 for a box that holds none.  A chunk of boxes is tested only
         against the atoms whose t lies in the chunk's t range."""
         out = np.zeros(len(lo))
         step = max(1, MASK_PAIRS // max(1, self.t.size))
@@ -84,9 +77,10 @@ class AtomicMeasure:
                 out[a + r] = w[mask[r]].sum()
         return out
 
-    def restricted(self, box: Box):
-        """The atoms in the closed box as a measure; None if there are none."""
-        inside = self.in_box(box)
+    def restricted(self, lo, hi):
+        """The atoms in the closed box [lo, hi] as a measure; None if there
+        are none."""
+        inside = in_boxes(self.points, lo, hi)
         if not np.any(inside):
             return None
         return AtomicMeasure(self.x[inside], self.t[inside], self.weight[inside],
@@ -272,18 +266,19 @@ def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeCondition
                         mu, cubes, lo, hi, 1.5 * cubes.side, e)
 
 
-def qw_box(w) -> Box:
-    """Closed cube centered at w = (y, s) with side s (all n+1 axes)."""
+def qw_box(w):
+    """Corners (lo, hi), each (n+1,), of the closed cube Q_w centered at
+    w = (y, s) with side s on all n+1 axes."""
     w = np.asarray(w, dtype=float)
     s = w[-1]
     if s <= 0:
         raise ValueError("center must lie in the open half-space")
-    return Box(tuple(w - s / 2), tuple(w + s / 2))
+    return w - s / 2, w + s / 2
 
 
 def excursion_mass(mu: AtomicMeasure, w, l: int, delta: float) -> float:
     """Measure of {z in Q_w : |P_l(u)| > delta} (atoms only: exact)."""
-    inside = mu.in_box(qw_box(w))
+    inside = in_boxes(mu.points, *qw_box(w))
     if not np.any(inside):
         return 0.0
     keep = kernels.profile_excursion(l, mu.n, delta, mu.points[inside],
@@ -301,8 +296,7 @@ def lemma6_cover(w, l: int, n: int, delta: float, grid: int = 16, lattice: int =
     """
     w = np.asarray(w, dtype=float)
     s = w[-1]
-    box = qw_box(w)
-    axes = [np.linspace(a, b, grid) for a, b in zip(box.lo, box.hi)]
+    axes = [np.linspace(a, b, grid) for a, b in zip(*qw_box(w))]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
 
@@ -316,8 +310,7 @@ def lemma6_cover(w, l: int, n: int, delta: float, grid: int = 16, lattice: int =
                 candidates.append(np.append(c, tp))
     masks = []
     for cand in candidates:
-        bb = qw_box(cand)
-        lo, hi = np.asarray(bb.lo), np.asarray(bb.hi)
+        lo, hi = qw_box(cand)
         inside = np.all((pts > lo) & (pts < hi), axis=1)  # open: interior sets
         if not np.any(inside):
             masks.append(None)
@@ -352,7 +345,6 @@ def embedding_ratio(
     s_vec,
     region: Region,
     spec: QuadSpec,
-    norm_method: str = "auto",
 ):
     """Exact L^p(mu) mass of a product field over its Bergman norms.
 
@@ -366,7 +358,7 @@ def embedding_ratio(
     lhs = float(mu.weight @ vals)
     rhs = 1.0
     for f, s in zip(factors, s_vec):
-        nv = bergman_norm(f, p, s, region, spec, method=norm_method)
+        nv = bergman_norm(f, p, s, region, spec)
         if nv == 0:
             raise ValueError("factor with zero norm")
         rhs *= nv**p

@@ -305,6 +305,9 @@ def _cmd_norm(args, extras):
         raise UsageError(f"unrecognized arguments: {extras}")
     if args.dry_run:
         return _dry_run(args)
+    # an expansion-file field takes its dimension from the file
+    if args.n < 1 and str(args.field).partition(":")[0] != "expansion-file":
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     f = _parse_field(args.field, args.n)
     if isinstance(f, bl.Expansion):
         if args.space not in _BALL_SPACES:

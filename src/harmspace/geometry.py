@@ -11,7 +11,7 @@ and produces a cover of finite overlap.
 The decomposition is held as arrays only: whitney_cubes returns a
 WhitneyBoxes record of the boxes' levels and indices, and the corner,
 centre, volume and weighted-measure functions below work on whole arrays
-of boxes.
+of boxes.  Any other box is a pair of corner arrays (lo, hi) as well.
 """
 
 from __future__ import annotations
@@ -49,20 +49,6 @@ class Region:
 
     def key(self) -> str:
         return f"x{self.x_max:g}-t{self.t_min:g}-{self.t_max:g}"
-
-
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-aligned box; coordinates ordered (x_1 .. x_n, t)."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValueError("lo/hi length mismatch")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("box has negative extent")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +215,7 @@ def in_boxes(points: np.ndarray, lo, hi) -> np.ndarray:
     return inside
 
 
-# Box-point pairs tested in one in_boxes mask by overlap_counts and
+# Pairs of a box and a point tested in one in_boxes mask by overlap_counts and
 # AtomicMeasure.masses_in_boxes: bounds the masks' memory.  At 2^20 the
 # masks raised cube-quadrature's peak RSS by 1.3 MB; 2^18 adds nothing.
 MASK_PAIRS = 1 << 18

@@ -153,11 +153,10 @@ def triebel_norm(
         return float((wr @ inner ** (p / q)) ** (1.0 / p))
     if f.n > 2:
         raise ValueError("non-radial Triebel norms limited to n <= 2")
-    X, wx = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * f.n)
-    pts = np.concatenate(
-        [np.repeat(X, t.size, axis=0), np.tile(t, X.shape[0])[:, None]], axis=1
-    )
-    vals = np.abs(f.values(pts)).reshape(X.shape[0], t.size)
+    x_axes = [quad.box_axis_quadrature(region, spec)] * f.n
+    _, wx = quad.tensor_rule(x_axes)
+    pts, _ = quad.tensor_rule(x_axes + [(t, wt)])
+    vals = np.abs(f.values(pts)).reshape(wx.size, t.size)
     inner = (vals**q * t ** (alpha * q - 1)) @ wt
     return float((wx @ inner ** (p / q)) ** (1.0 / p))
 

@@ -333,61 +333,47 @@ def distance_split(f, eps, lam: float, m_order: int, region: Region,
     `offsets` refines the spatial grid near the radii where the split
     fields will be evaluated.
 
-    Only the parts named in `parts` (1 for f1, 2 for f2) are built.  For
-    a number eps, returns one field per part, in order.  For a sequence
-    of eps, returns one stacked KernelIntegralField whose kernel values
-    are shared: its payload e * len(parts) + j is part parts[j] at eps[e].
+    Only the parts named in `parts` (1 for f1, 2 for f2) are built, for
+    each eps of the sequence eps.  Returns one stacked KernelIntegralField
+    whose payloads share every kernel value: its payload e * len(parts) + j
+    is part parts[j] at eps[e].
     """
     if m_order <= lam - 1:
         raise ValueError("need m_order > lam - 1")
     if not parts or not set(parts) <= {1, 2}:
         raise ValueError("parts must be drawn from (1, 2)")
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    nodes, stack = _payload_stack(f, m_order, region, spec, offsets, eps_arr, lam, parts)
-    if np.ndim(eps) == 0:
-        return tuple(
-            KernelIntegralField._weighted(
-                f.n, m_order, nodes, wpay, False, f"split{part}({f.label})"
-            )
-            for wpay, part in zip(stack, parts)
-        )
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != 1:
+        raise ValueError("eps must be a sequence of levels")
+    nodes, stack = _payload_stack(f, m_order, region, spec, offsets, eps, lam, parts)
     return KernelIntegralField._weighted(
         f.n, m_order, nodes, stack, True, f"split({f.label})"
     )
 
 
-def _field_grids(f, eps_values):
-    """(single, fields, eps grids) for one field or a sequence of fields."""
-    single = isinstance(f, Field)
-    fields = [f] if single else list(f)
-    grids = [eps_values] if single else list(eps_values)
-    if len(grids) != len(fields):
-        raise ValueError("need one eps grid per field")
-    return single, fields, [np.asarray(e, dtype=float).ravel() for e in grids]
-
-
 def divergence_proxy(
-    f, eps_values, lam: float, p: float, alpha: float, m_order: int,
+    fields, eps_values, lam: float, p: float, alpha: float, m_order: int,
     region: Region, spec: QuadSpec, scales=(1.0, 2.0, 4.0),
 ):
     """Truncated inner-outer integrals of the distance criterion.
 
-    For each eps and region scale R computes
+    fields is a sequence of fields f, radial about the origin, with the
+    same n and scale (which fix every node and the kernel tensor), and
+    eps_values one eps grid per field.  For each f, each eps of its grid
+    and each region scale R computes
         I(eps, R) = int_{region_R} ( int_{V cap region_R}
                      |Q_m(z, w)| s^(m - lam) dw )^p t^alpha dz
-    with f radial about the origin.  Returns (I table, growth table):
-    growth[eps][i] = I(eps, scale_{i+1}) / I(eps, scale_i), the region-
-    doubling divergence proxy.  Regions scale outward only (x_max and
-    t_max); superlevel sets sit at s bounded away from 0, so the band
+    with V the superlevel set of f.  All fields share one kernel
+    evaluation.  Returns a list with one (I table, growth table) per
+    field: growth[eps][i] = I(eps, scale_{i+1}) / I(eps, scale_i), the
+    region-doubling divergence proxy.  Regions scale outward only (x_max
+    and t_max); superlevel sets sit at s bounded away from 0, so the band
     below t_min is a fixed convergent layer that would only blur the
     growth signal.
-
-    `f` may also be a sequence of fields with the same n and scale (which
-    fix every node and the kernel tensor), and `eps_values` then one eps
-    grid per field.  The fields share one kernel evaluation, and the
-    result is a list of (I table, growth table), one per field.
     """
-    single, fields, grids = _field_grids(f, eps_values)
+    grids = [np.asarray(e, dtype=float).ravel() for e in eps_values]
+    if len(grids) != len(fields):
+        raise ValueError("need one eps grid per field")
     n, scale = fields[0].n, fields[0].scale
     if any(g.n != n or g.scale != scale for g in fields):
         raise ValueError("fields must share n and scale")
@@ -425,28 +411,27 @@ def divergence_proxy(
     growth[table[:, :-1] == 0] = 1.0
     growth[(table[:, :-1] == 0) & (table[:, 1:] > 0)] = np.inf
     bounds = np.cumsum([e.size for e in grids])[:-1]
-    out = list(zip(np.split(table, bounds), np.split(growth, bounds)))
-    return out[0] if single else out
+    return list(zip(np.split(table, bounds), np.split(growth, bounds)))
 
 
 def d2_estimate(
-    f, eps_values, p: float, alpha: float, m_order: int,
+    fields, eps_values, p: float, alpha: float, m_order: int,
     region: Region, spec: QuadSpec, threshold: float = 1.2,
     scales=(1.0, 2.0, 4.0),
 ):
-    """Smallest grid eps whose truncated integral stops growing.
+    """Per field, the smallest grid eps whose truncated integral stops
+    growing.
 
-    lam is pinned to (alpha + n + 1)/p.  An eps is classified divergent
-    when the last region-doubling growth factor is >= threshold.
-    Returns (d2, per-eps classification, I table, growth table).  Like
-    divergence_proxy, takes a sequence of fields with one eps grid each,
-    sharing the kernel evaluation, and then returns a list of results.
+    Like divergence_proxy, takes a sequence of fields with one eps grid
+    each, which share the kernel evaluation.  lam is pinned to
+    (alpha + n + 1)/p.  An eps is classified divergent when the last
+    region-doubling growth factor is >= threshold.  Returns a list with
+    one (d2, per-eps classification, I table, growth table) per field.
     """
-    single, fields, grids = _field_grids(f, eps_values)
     lam = (alpha + fields[0].n + 1) / p
     if m_order <= max(lam - 1, alpha / p):
         raise ValueError("need m_order > max(lam - 1, alpha/p)")
-    grids = [np.sort(e) for e in grids]
+    grids = [np.sort(np.asarray(e, dtype=float).ravel()) for e in eps_values]
     parts = divergence_proxy(
         fields, grids, lam, p, alpha, m_order, region, spec, scales=scales
     )
@@ -456,7 +441,7 @@ def d2_estimate(
         finite = np.nonzero(~divergent)[0]
         d2 = float(e[finite[0]]) if finite.size else float("inf")
         out.append((d2, divergent, table, growth))
-    return out[0] if single else out
+    return out
 
 
 def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
@@ -519,9 +504,7 @@ def _slot_kernel(z, pts, expo, rows):
     return out
 
 
-def trace_product_norm_p(
-    multi, p: float, s_vec, region: Region, spec: QuadSpec, norm_method="auto"
-):
+def trace_product_norm_p(multi, p: float, s_vec, region: Region, spec: QuadSpec):
     """Both sides of the trace inequality for an m-slot field.
 
     LHS = int |Tr f|^p dm_lam over the region, lam = (m-1)(n+1) + sum s.
@@ -534,15 +517,15 @@ def trace_product_norm_p(
     tr = multi.trace()
     n = tr.n
     lam = (m - 1) * (n + 1) + float(np.sum(s_vec))
-    lhs = bergman_norm(tr, p, lam, region, spec, method=norm_method) ** p
+    lhs = bergman_norm(tr, p, lam, region, spec) ** p
     if isinstance(multi, ProductMultiField):
         rhs = 1.0
         for f, s in zip(multi.factors, s_vec):
-            rhs *= bergman_norm(f, p, s, region, spec, method=norm_method) ** p
+            rhs *= bergman_norm(f, p, s, region, spec) ** p
         return lhs, rhs
     if isinstance(multi, MeanExtension):
         if m == 1:
-            return lhs, bergman_norm(multi.field, p, s_vec[0], region, spec, method=norm_method) ** p
+            return lhs, bergman_norm(multi.field, p, s_vec[0], region, spec) ** p
         if m != 2 or n > 2:
             raise ValueError("mean-extension slot integral implemented for m=2, n<=2")
         return lhs, _mean_slot_integral_m2(multi.field, p, s_vec, region, spec)

@@ -34,7 +34,6 @@ from . import quadrature as quad
 from . import util
 from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
 from .geometry import (
-    Box,
     Region,
     box_centers,
     box_corners,
@@ -259,15 +258,13 @@ def _coeff_gap(xs, ys):
 def _source_nodes(n, region, spec):
     """Flattened (squared distance to the axis origin, height, weight)."""
     if n == 1:
-        pts, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec),
-                                   quad.t_quadrature(region, spec)])
-        return pts[:, 0] ** 2, pts[:, 1], w
-    nd = quad.AxisymmetricNodes(region, n, spec)
-    dsq = nd.dist_sq_to(0.0)
-    flat_d = np.repeat(dsq, nd.s.size)
-    flat_s = np.tile(nd.s, dsq.size)
-    flat_w = (nd.w_uv[:, None] * nd.w_s[None, :]).ravel()
-    return flat_d, flat_s, flat_w
+        x, w_x = quad.box_axis_quadrature(region, spec)
+        axes = [(x**2, w_x), quad.t_quadrature(region, spec)]
+    else:
+        nd = quad.AxisymmetricNodes(region, n, spec)
+        axes = [(nd.dist_sq_to(0.0), nd.w_uv), (nd.s, nd.w_s)]
+    pts, w = quad.tensor_rule(axes)
+    return pts[:, 0], pts[:, 1], w
 
 
 def _sup_on_grid(fld, lam, region, grid):
@@ -579,8 +576,7 @@ def _exp_lemma6(b, rng, p):
 
             # covering inequality on the grid counting measure: the box mass
             # is sandwiched between the excursion total and mult times it
-            box = ca.qw_box(w)
-            lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+            lo, hi = ca.qw_box(w)
             axes = [np.linspace(lo[i] + 1e-9, hi[i] - 1e-9, b.grid)
                     for i in range(n + 1)]
             mesh = np.meshgrid(*axes, indexing="ij")
@@ -588,8 +584,7 @@ def _exp_lemma6(b, rng, p):
             counts = np.zeros(len(gpts))
             for c in chosen:
                 cw = np.asarray(c)
-                bb = ca.qw_box(cw)
-                blo, bhi = np.asarray(bb.lo), np.asarray(bb.hi)
+                blo, bhi = ca.qw_box(cw)
                 inside = np.all((gpts >= blo) & (gpts <= bhi), axis=1)
                 mask = np.zeros(len(gpts), dtype=bool)
                 mask[inside] = kernels.profile_excursion(li, n, delta,
@@ -609,7 +604,8 @@ def _exp_lemma6(b, rng, p):
     w = _axis_point(n, 1.0)
     _, chosen, _ = ca.lemma6_cover(w, l0, n, delta, grid=b.grid, lattice=5)
     tmass = sum(ca.excursion_mass(mu, np.asarray(c), l0, delta) for c in chosen)
-    qmass = mu.mass_in_box(ca.qw_box(w))
+    lo, hi = ca.qw_box(w)
+    qmass = float(mu.masses_in_boxes(lo[None], hi[None])[0])
     consts["atomic_transfer_ratio"] = tmass / qmass if qmass else float("inf")
     arts["covers"] = {"header": ["l", "s", "fraction", "boxes", "multiplicity"],
                       "rows": rows}
@@ -799,8 +795,8 @@ def _embedding_ratios(mu, seq, l, mass, norm, cache):
     the way the box condition does.  cache keeps norm(f) by center."""
     out = []
     lo, hi = box_corners(seq)
-    for blo, bhi, ctr in zip(lo.tolist(), hi.tolist(), box_centers(seq).tolist()):
-        sub = mu.restricted(Box(tuple(blo), tuple(bhi)))
+    for blo, bhi, ctr in zip(lo, hi, box_centers(seq).tolist()):
+        sub = mu.restricted(blo, bhi)
         if sub is None or sub.total_mass() == 0.0:
             out.append(0.0)
             continue
@@ -1112,9 +1108,9 @@ def _exp_thm7(b, rng, p):
     # the refined split sets this experiment's peak memory, so the stacked
     # fields above are gone by now and only part 1 is built
     eps_mid = 0.2 * fsup
-    (g1r,) = op.distance_split(f, eps_mid, lam, mo, sup_region,
-                               small_spec.refined(2), sup_offsets, parts=(1,))
-    v_ref = _sup_on_grid(g1r, lam, sup_region, b.grid)
+    g1r = op.distance_split(f, [eps_mid], lam, mo, sup_region,
+                            small_spec.refined(2), sup_offsets, parts=(1,))
+    v_ref = _sup_on_grid(g1r, lam, sup_region, b.grid)[0]
     del g1r
     checks.append(_close("sup-bound-stability", v_ref / (ratios[2] * eps_mid),
                          1.0, 0.05))

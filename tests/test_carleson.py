@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from harmspace import carleson as ca
-from harmspace.geometry import Box, Region, box_corners, whitney_cubes
+from harmspace.geometry import Region, box_corners, in_boxes, whitney_cubes
 from harmspace.quadrature import QuadSpec
 
 
@@ -24,16 +24,21 @@ def test_atom_validation():
 
 
 def _boxes(cubes):
-    """The cubes' boxes as Box objects, in order."""
-    lo, hi = box_corners(cubes)
-    return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    """The cubes' boxes as (lo, hi) corner rows, in order."""
+    return list(zip(*box_corners(cubes)))
+
+
+def _mass_in_box(mu, box):
+    """Per-box mass reference: the np.sum of the weights of the atoms in
+    the closed box (lo, hi), in atom order."""
+    return float(mu.weight[in_boxes(mu.points, *box)].sum())
 
 
 def test_mass_in_box_boundary_inclusive():
     # an atom sitting on the shared face of two closed boxes counts in both
     mu = ca.AtomicMeasure.point_mass([0.5], 1.0, 2.0)
     cubes = whitney_cubes(Region(4.0, 0.25, 4.0), 1)
-    masses = [mu.mass_in_box(b) for b in _boxes(cubes)]
+    masses = [_mass_in_box(mu, b) for b in _boxes(cubes)]
     holding = [m > 0 for m in masses]
     assert set(cubes.level[holding].tolist()) == {-1, 0}
     assert {m for m in masses if m > 0} == {2.0}
@@ -123,9 +128,9 @@ def test_report_shapes_and_csv():
 
 
 def test_qw_box_geometry():
-    box = ca.qw_box([1.0, -2.0, 0.5])
-    assert box.lo == (0.75, -2.25, 0.25)
-    assert box.hi == (1.25, -1.75, 0.75)
+    lo, hi = ca.qw_box([1.0, -2.0, 0.5])
+    assert lo.tolist() == [0.75, -2.25, 0.25]
+    assert hi.tolist() == [1.25, -1.75, 0.75]
     with pytest.raises(ValueError):
         ca.qw_box([0.0, -1.0])
 
@@ -134,7 +139,8 @@ def test_excursion_mass_bounds():
     w = np.array([0.0, 0.0, 1.0])
     inside = ca.AtomicMeasure.point_mass([0.05, 0.0], 1.1, 3.0)
     outside = ca.AtomicMeasure.point_mass([5.0, 0.0], 1.1, 3.0)
-    full = inside.mass_in_box(ca.qw_box(w))
+    lo, hi = ca.qw_box(w)
+    full = inside.masses_in_boxes(lo[None], hi[None])[0]
     assert full == 3.0
     masses = [ca.excursion_mass(inside, w, 1, d) for d in (0.0, 0.01, 0.1, 1.0)]
     assert all(0.0 <= m <= full for m in masses)
@@ -183,7 +189,7 @@ def test_masses_in_boxes_equal_mass_in_box(monkeypatch):
         mu = _lattice_measure(n, seed=n)
         cubes = whitney_cubes(Region(2.0, 0.25, 4.0), n)
         lo, hi = box_corners(cubes)
-        want = [mu.mass_in_box(b) for b in _boxes(cubes)]
+        want = [_mass_in_box(mu, b) for b in _boxes(cubes)]
         assert mu.masses_in_boxes(lo, hi).tolist() == want
         # small chunks: atoms on the edges of each chunk's t range
         monkeypatch.setattr(ca, "MASK_PAIRS", 7 * len(mu.t))
@@ -191,27 +197,27 @@ def test_masses_in_boxes_equal_mass_in_box(monkeypatch):
         monkeypatch.undo()
         assert sum(m > 0 for m in want) > 10 and max(want) > 0
         # boxes that share a face or a corner both hold the atom on it
-        held = [np.count_nonzero(mu.in_box(b)) for b in _boxes(cubes)]
+        held = [np.count_nonzero(in_boxes(mu.points, *b)) for b in _boxes(cubes)]
         assert sum(held) > len(mu.t)
 
 
 def test_restricted_keeps_the_atoms_of_the_closed_box():
     mu = _lattice_measure(2, seed=5)
     for box in _boxes(whitney_cubes(Region(2.0, 0.25, 4.0), 2)[::37]):
-        sub = mu.restricted(box)
+        sub = mu.restricted(*box)
         if sub is None:
-            assert mu.mass_in_box(box) == 0.0
+            assert _mass_in_box(mu, box) == 0.0
             continue
-        assert sub.total_mass() == float(np.sum(mu.weight[mu.in_box(box)]))
-        assert sub.mass_in_box(box) == mu.mass_in_box(box)
+        assert sub.total_mass() == _mass_in_box(mu, box)
+        assert _mass_in_box(sub, box) == _mass_in_box(mu, box)
 
 
 def _reference_rows(mu, cubes, boxes, gauge):
     """(level, index tuple, mass, gauge, ratio) per box in Python floats:
-    mass_in_box of each Box, gauge(level) from a closed form."""
+    _mass_in_box of each box, gauge(level) from a closed form."""
     rows = []
     for j, k, box in zip(cubes.level.tolist(), cubes.index.tolist(), boxes):
-        mass, g = mu.mass_in_box(box), gauge(j)
+        mass, g = _mass_in_box(mu, box), gauge(j)
         rows.append((j, tuple(k), mass, g, mass / g))
     return rows
 

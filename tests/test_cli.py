@@ -174,16 +174,20 @@ def test_ball_convolve_round_trips_expansion(tmp_path, capsys):
 
 
 def test_verify_output_bytes_deterministic(tmp_path, capsys):
-    def run_into(sub):
+    def run_into(sub, threads):
         d = tmp_path / sub
-        assert run(d, "verify", "whitney", "kernels", "--budget", "smoke") == 0
+        assert run(d, "verify", "whitney", "kernels", "--budget", "smoke",
+                   "--threads", threads) == 0
         capsys.readouterr()
         summary = [ln for ln in (d / "verify-summary.json").read_text().splitlines()
                    if '"timestamp"' not in ln]
         csvs = {p.name: p.read_bytes() for p in d.iterdir() if p.suffix == ".csv"}
         return summary, csvs
 
-    assert run_into("a") == run_into("b")
+    first = run_into("a", "1")
+    assert first == run_into("b", "1")
+    # experiments run on two threads write the same bytes
+    assert first == run_into("c", "2")
 
 
 def test_degenerate_t_range_on_cubes_path_exits_two(tmp_path, capsys):
@@ -232,11 +236,16 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
         ["ball", "multiplier-check", "--cap", "-1"],
         ["ball", "multiplier-check", "--resolution", "-5"],
         ["whitney", "--n", "0"],
+        ["norm", "--space", "bergman", "--field", "poisson", "--n", "0"],
+        ["norm", "--space", "bergman", "--field", "poisson", "--n", "-1"],
+        ["norm", "--space", "slice", "--field", "poisson", "--n", "0"],
     ]
     for argv in cases:
         assert run(tmp_path, *argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv
+        if "--n" in argv:
+            assert err.startswith("error: --n must be >= 1"), err
     assert not list(tmp_path.iterdir())
     # the guard counts what is held at once: the symbol and its scaled copy
     # (complex), the grid's points, weights and basis rows (float), and
@@ -409,6 +418,9 @@ def test_ball_norm_overflow_exits_two(tmp_path, capsys):
     assert not out.exists()
     assert cli.main(["norm", "--space", "slice", "--field", f"expansion-file:{f2}",
                      "--t", "0.5", "--out", str(out)]) == 0
+    # the file, not --n, sets an expansion's dimension
+    assert cli.main(["norm", "--space", "slice", "--field", f"expansion-file:{f2}",
+                     "--t", "0.5", "--n", "0", "--out", str(out)]) == 0
 
 
 def test_ball_exponents_and_orders_exit_two(tmp_path, capsys):

@@ -119,17 +119,19 @@ def test_distance_split_partitions_the_integral():
     pts = np.array([[0.3, 0.0, 1.0], [0.0, 1.0, 0.5]])
     # eps = 0 puts every node in the superlevel set: f1 vanishes and f2
     # carries the whole reproducing integral
-    f1, f2 = op.distance_split(g, 0.0, 2.0, 3, region, spec)
+    f1, f2 = op.distance_split(g, [0.0], 2.0, 3, region, spec).values(pts)
     E = op.extension_field(g, 3, region, spec)
-    assert np.abs(f1.values(pts)).max() == 0.0
-    assert np.array_equal(f2.values(pts), E.values(pts))
+    assert np.abs(f1).max() == 0.0
+    assert np.array_equal(f2, E.values(pts))
     # moderate eps: the two halves still sum to the full integral
-    h1, h2 = op.distance_split(g, 0.05, 2.0, 3, region, spec)
-    total = h1.values(pts) + h2.values(pts)
-    assert np.allclose(total, E.values(pts), rtol=1e-13)
-    assert np.abs(h1.values(pts)).max() > 0.0
+    h1, h2 = op.distance_split(g, [0.05], 2.0, 3, region, spec).values(pts)
+    assert np.allclose(h1 + h2, E.values(pts), rtol=1e-13)
+    assert np.abs(h1).max() > 0.0
     with pytest.raises(ValueError):
-        op.distance_split(g, 0.1, 2.0, 1, region, spec)  # m_order <= lam - 1
+        op.distance_split(g, [0.1], 2.0, 1, region, spec)  # m_order <= lam - 1
+    for eps in (0.1, [[0.1]]):  # a number or a table is not a sequence of levels
+        with pytest.raises(ValueError):
+            op.distance_split(g, eps, 2.0, 3, region, spec)
 
 
 def test_kernel_integral_field_guards():
@@ -206,14 +208,14 @@ def test_d2_estimate_power_field_grid_step():
     lam = (alpha + n + 1) / pe
     pw = fl.PowerField(n, lam)
     eps = 0.999 * 2.0 ** np.arange(-1.0, 1.1)
-    d2, div, table, growth = op.d2_estimate(
-        pw, eps, pe, alpha, 3, Region(4.0, 0.125, 4.0),
+    [(d2, div, table, growth)] = op.d2_estimate(
+        [pw], [eps], pe, alpha, 3, Region(4.0, 0.125, 4.0),
         QuadSpec(order=5, t_order=4), scales=(1.0, 2.0))
     assert list(div) == [True, True, False]
     assert d2 == eps[2]  # first grid point above the unit threshold
     assert table[2].max() == 0.0
     with pytest.raises(ValueError):
-        op.d2_estimate(pw, eps, pe, alpha, 1, Region(4.0, 0.125, 4.0),
+        op.d2_estimate([pw], [eps], pe, alpha, 1, Region(4.0, 0.125, 4.0),
                        QuadSpec(order=5, t_order=4))
 
 
@@ -223,8 +225,8 @@ def test_divergence_proxy_scales_outward_only():
     n = 2
     f = _testfield(4, n)
     lam, mo = 3.5, 4
-    table, growth = op.divergence_proxy(
-        f, [10.0], lam, 1.0, -0.5, mo, Region(4.0, 0.125, 4.0),
+    [(table, growth)] = op.divergence_proxy(
+        [f], [[10.0]], lam, 1.0, -0.5, mo, Region(4.0, 0.125, 4.0),
         QuadSpec(order=5, t_order=4), scales=(1.0, 2.0))
     assert np.all(np.isfinite(growth))
     assert growth[0, -1] < 1.2
@@ -325,12 +327,12 @@ def test_stacked_split_matches_separately_built_fields():
     assert vals.shape == (6, 3) and rad.shape == (6, 2, 2)
     for e_i, e in enumerate(eps):
         f1, f2 = _old_split_axisym(g, e, lam, m, region, spec, offsets)
-        new1, new2 = op.distance_split(g, e, lam, m, region, spec, offsets)
+        one = op.distance_split(g, [e], lam, m, region, spec, offsets)
         for j, fld in enumerate((f1, f2)):
             assert np.array_equal(vals[2 * e_i + j], fld.values(pts))
             assert np.array_equal(rad[2 * e_i + j], fld.radial_values(r, t))
-        assert np.array_equal(new1.values(pts), f1.values(pts))
-        assert np.array_equal(new2.values(pts), f2.values(pts))
+            assert np.array_equal(one.values(pts)[j], fld.values(pts))
+            assert np.array_equal(one.radial_values(r, t)[j], fld.radial_values(r, t))
         assert np.array_equal(ones.values(pts)[e_i], f1.values(pts))
     with pytest.raises(ValueError):
         op.distance_split(g, eps, lam, m, region, spec, parts=(3,))
@@ -344,9 +346,8 @@ def test_stacked_split_flat_layout():
     pts = np.array([[0.0, 1.0], [0.5, 0.3], [-1.0, 2.0]])
     vals = stack.values(pts)
     for e_i, e in enumerate((0.02, 0.1)):
-        f1, f2 = op.distance_split(g, e, 1.0, 2, region, spec)
-        assert np.array_equal(vals[2 * e_i], f1.values(pts))
-        assert np.array_equal(vals[2 * e_i + 1], f2.values(pts))
+        one = op.distance_split(g, [e], 1.0, 2, region, spec).values(pts)
+        assert np.array_equal(vals[2 * e_i : 2 * e_i + 2], one)
     assert np.allclose(vals[0] + vals[1], vals[2] + vals[3], rtol=1e-13)
 
 
@@ -383,7 +384,8 @@ def test_divergence_proxy_matches_masked_loop():
     pw = fl.PowerField(n, lam)
     region, spec, scales = Region(4.0, 0.125, 4.0), QuadSpec(order=4, t_order=3), (1.0, 2.0)
     eps_f, eps_p = [0.05, 0.2, 1e9], [0.5, 0.999, 2.0]
-    table, growth = op.divergence_proxy(f, eps_f, lam, pe, alpha, mo, region, spec, scales)
+    [(table, growth)] = op.divergence_proxy([f], [eps_f], lam, pe, alpha, mo, region,
+                                            spec, scales)
     want = _old_divergence_proxy(f, eps_f, lam, pe, alpha, mo, region, spec, scales)
     assert np.allclose(table, want, rtol=1e-13, atol=0.0)
     assert list(growth[2]) == [1.0]  # empty superlevel set: 0 -> 0
@@ -397,8 +399,8 @@ def test_divergence_proxy_matches_masked_loop():
     both = op.d2_estimate([pw, f], [eps_p, eps_f], pe, alpha, mo, region, spec,
                           scales=scales)
     assert [b[0] for b in both] == [
-        op.d2_estimate(pw, eps_p, pe, alpha, mo, region, spec, scales=scales)[0],
-        op.d2_estimate(f, eps_f, pe, alpha, mo, region, spec, scales=scales)[0]]
+        op.d2_estimate([pw], [eps_p], pe, alpha, mo, region, spec, scales=scales)[0][0],
+        op.d2_estimate([f], [eps_f], pe, alpha, mo, region, spec, scales=scales)[0][0]]
     with pytest.raises(ValueError):
         op.divergence_proxy([f, fl.PowerField(2, lam)], [eps_f, eps_p], lam, pe,
                             alpha, mo, region, spec, scales)
@@ -483,14 +485,11 @@ def test_streamed_split_matches_full_table_construction(monkeypatch):
         # the default block, then one node row per block
         for block in (op._BLOCK_VALUES, 1):
             monkeypatch.setattr(op, "_BLOCK_VALUES", block)
-            for eps in (0.05, [0.01, 0.05, 0.2]):
+            for eps in ([0.05], [0.01, 0.05, 0.2]):
                 for parts in ((1,), (1, 2)):
                     want = _old_split_stack(g, eps, lam, m, region, spec, offsets, parts)
-                    got = op.distance_split(g, eps, lam, m, region, spec, offsets, parts)
-                    if np.ndim(eps) == 0:
-                        got = np.stack([_payload(fld) for fld in got])
-                    else:
-                        got = _payload(got)
+                    got = _payload(op.distance_split(g, eps, lam, m, region, spec,
+                                                     offsets, parts))
                     assert _same_bits(got.reshape(want.shape), want), (block, eps, parts)
             E = op.extension_field(g, m, region, spec, offsets)
             want = _payload(_old_extension(g, m, region, spec, offsets))
@@ -503,11 +502,11 @@ def test_split_peak_memory_stays_near_the_payload():
     g = _testfield(4, 3)
     region, spec = Region(16.0, 2.0 ** -5, 16.0), QuadSpec(order=8, t_order=6)
     offsets = (0.0, 2.0, 4.0, 8.0)
-    op.distance_split(g, 0.01, 2.5, 4, region, spec, offsets, parts=(1,))  # warm caches
+    op.distance_split(g, [0.01], 2.5, 4, region, spec, offsets, parts=(1,))  # warm caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        (f1,) = op.distance_split(g, 0.01, 2.5, 4, region, spec, offsets, parts=(1,))
+        f1 = op.distance_split(g, [0.01], 2.5, 4, region, spec, offsets, parts=(1,))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

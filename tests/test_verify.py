@@ -75,6 +75,14 @@ def test_run_suite_preserves_registry_order():
     assert out["n_pass"] == 2 and out["n_fail"] == 0
 
 
+def test_run_suite_on_two_threads_equals_one_thread():
+    ids = ["whitney", "kernels", "lemma4"]
+    one = vf.run_suite(ids, budget="smoke", threads=1)
+    two = vf.run_suite(ids, budget="smoke", threads=2)
+    assert [r["id"] for r in two["reports"]] == ids
+    assert util.dumps_json(two) == util.dumps_json(one)
+
+
 def test_run_suite_rejects_bad_input():
     with pytest.raises(KeyError):
         vf.run_suite(["whitney", "nope"], budget="smoke")
