@@ -16,8 +16,9 @@ workload runs its pairs at every seed given.  The JSON written to --out
 (rewritten after every pair, so an interrupted run keeps what it
 measured) holds every pair, and per workload and metric the medians,
 quartiles, wins and losses, and whether the gain is resolved: at least
-ten pairs, at least nine wins in ten and a median gain wider than the
-parent's interquartile range.  ``setup_s`` runs the same set-up
+ten pairs, at least nine wins in ten, a median gain wider than the
+parent's interquartile range, and every run of the comparison correct
+with no failed operation.  ``setup_s`` runs the same set-up
 code in every workload, so it is also pooled over all workloads' pairs,
 where a workload's ten pairs alone cannot resolve a change of a few
 percent.
@@ -77,8 +78,15 @@ def _stats(values):
             "min": min(values), "max": max(values)}
 
 
+def _all_correct(pairs):
+    """Whether every run of pairs, on both sides, was correct with no failure."""
+    return all(p[side]["correct"] is True and p[side]["failed"] == 0
+               for p in pairs for side in ("parent", "change"))
+
+
 def _compare(pairs, metric):
-    """Parent and change statistics of metric over pairs, with the win count."""
+    """Parent and change statistics of metric over pairs, with the win count.
+    A gain resolves only if every run of the comparison was correct."""
     before = [p["parent"][metric] for p in pairs]
     after = [p["change"][metric] for p in pairs]
     parent, change = _stats(before), _stats(after)
@@ -87,15 +95,15 @@ def _compare(pairs, metric):
             "change_wins": wins, "change_losses": sum(a > b for a, b in zip(after, before)),
             "median_change_rel": change["median"] / parent["median"] - 1.0,
             "gain_resolved": len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
-            and parent["median"] - change["median"] > parent["iqr"]}
+            and parent["median"] - change["median"] > parent["iqr"]
+            and _all_correct(pairs)}
 
 
 def _summary(record):
     for entry in record["workloads"]:
         if len(entry["pairs"]) >= 2:
             entry["metrics"] = {m: _compare(entry["pairs"], m) for m in METRICS}
-            entry["all_correct"] = all(p[side]["correct"] and p[side]["failed"] == 0
-                                       for p in entry["pairs"] for side in ("parent", "change"))
+            entry["all_correct"] = _all_correct(entry["pairs"])
     pooled = [p for entry in record["workloads"] for p in entry["pairs"]]
     if len(pooled) >= 2:
         record["setup_s_pooled"] = _compare(pooled, "setup_s")

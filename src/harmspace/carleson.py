@@ -267,75 +267,125 @@ def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeCondition
 
 
 def qw_box(w):
-    """Corners (lo, hi), each (n+1,), of the closed cube Q_w centered at
-    w = (y, s) with side s on all n+1 axes."""
+    """Corners (lo, hi) of the closed cube Q_w centered at w = (y, s) with
+    side s on all n+1 axes: each (n+1,) for one center, (k, n+1) for an
+    array of k centers."""
     w = np.asarray(w, dtype=float)
-    s = w[-1]
-    if s <= 0:
+    s = w[..., -1:]
+    if np.any(s <= 0):
         raise ValueError("center must lie in the open half-space")
     return w - s / 2, w + s / 2
 
 
-def excursion_mass(mu: AtomicMeasure, w, l: int, delta: float) -> float:
-    """Measure of {z in Q_w : |P_l(u)| > delta} (atoms only: exact)."""
-    inside = in_boxes(mu.points, *qw_box(w))
-    if not np.any(inside):
-        return 0.0
-    keep = kernels.profile_excursion(l, mu.n, delta, mu.points[inside],
-                                     np.asarray(w, float))
-    return float(mu.weight[inside][keep].sum())
+def _excursions_in(l: int, n: int, delta: float, pts, centers, inside):
+    """Narrow inside, the (c, P) in-box mask of centers against pts, in
+    place to the excursion sets {|P_l(u)| > delta}; profile_excursion runs
+    only on the (center, point) pairs inside, gathered with np.nonzero."""
+    rows, cols = np.nonzero(inside)
+    inside[inside] = kernels.profile_excursion(
+        l, n, delta, np.take(pts, cols, axis=0), np.take(centers, rows, axis=0))
+    return inside
+
+
+def excursion_masks(l: int, n: int, delta: float, axes, centers,
+                    interior: bool = False) -> np.ndarray:
+    """Boolean matrix (C, P) over the tensor grid of the n+1 1-D axes (axis
+    0 slowest, P points): row c marks the grid points that lie in the closed
+    cube Q_w of w = centers[c] (in its open cube with interior=True) and
+    where |P_l(u)| > delta, u built from the w-reflection.
+
+    Each entry is the value that one profile_excursion call per center
+    gives.  The box test factors over the axes, and a chunk of centers
+    holds at most MASK_PAIRS (center, point) pairs.
+    """
+    centers = np.asarray(centers, dtype=float)
+    lo, hi = qw_box(centers)
+    above, below = (np.greater, np.less) if interior else (np.greater_equal, np.less_equal)
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    out = np.empty((len(centers), len(pts)), dtype=bool)
+    step = max(1, MASK_PAIRS // max(1, len(pts)))
+    for a in range(0, len(centers), step):
+        inside = True
+        for i, x in enumerate(axes):
+            shape = [-1] + [1] * (n + 1)
+            shape[i + 1] = len(x)
+            hit = above(x, lo[a : a + step, i, None]) & below(x, hi[a : a + step, i, None])
+            inside = inside & hit.reshape(shape)
+        inside = inside.reshape(-1, len(pts))
+        out[a : a + step] = _excursions_in(l, n, delta, pts, centers[a : a + step], inside)
+    return out
+
+
+def excursion_mass(mu: AtomicMeasure, centers, l: int, delta: float) -> np.ndarray:
+    """Measure of {z in Q_w : |P_l(u)| > delta} for each center w of
+    centers (k, n+1), as an array (k,): the np.sum, in atom order, of the
+    weights of the atoms in the set (exact for atoms).  A chunk of centers
+    holds at most MASK_PAIRS (center, atom) pairs."""
+    centers = np.asarray(centers, dtype=float)
+    lo, hi = qw_box(centers)
+    out = np.zeros(len(centers))
+    step = max(1, MASK_PAIRS // max(1, mu.t.size))
+    for a in range(0, len(centers), step):
+        inside = in_boxes(mu.points, lo[a : a + step], hi[a : a + step])
+        sets = _excursions_in(l, mu.n, delta, mu.points, centers[a : a + step], inside)
+        out[a : a + step] = [mu.weight[m].sum() for m in sets]
+    return out
+
+
+# Booleans that lemma6_cover's mask matrix (candidates by sample points) may
+# hold; the lemma6 experiment reaches 373M at deep with n = 3.
+MAX_COVER_CELLS = 1 << 29
 
 
 def lemma6_cover(w, l: int, n: int, delta: float, grid: int = 16, lattice: int = 5):
     """Greedy finite cover of Q_w by excursion sets of nearby boxes.
 
-    Candidate centers w' = (y', s') run over s' in {s/2, s, 2s} and a
-    lattice of y' around y with spacing s'/2.  Returns (cover fraction,
-    list of chosen centers, multiplicity) where multiplicity is the max
-    number of chosen excursion sets containing one sample point.
+    Candidate centers w' = (y', s') run over s' in {s/2, s, 2s} (outermost),
+    then y' on a lattice of lattice^n points spanning [y - s, y + s], then
+    heights s', 0.75 s', 1.25 s' (innermost).  Each candidate's excursion
+    set in its open box, sampled on a grid^(n+1) lattice of Q_w, is one row
+    of a mask matrix (excursion_masks).  The greedy step takes the first
+    candidate that covers the most uncovered points; the gains are exact
+    integers, updated by the points each step covers.  Returns (cover
+    fraction, chosen centers (k, n+1), multiplicity), where multiplicity
+    is the max number of chosen excursion sets containing one sample
+    point.  A matrix over MAX_COVER_CELLS raises ValueError before anything
+    is built.
     """
+    cells = 9 * lattice**n * grid ** (n + 1)
+    if cells > MAX_COVER_CELLS:
+        raise ValueError(f"the cover's mask matrix would hold {cells:.4g} booleans,"
+                         f" over the limit of {MAX_COVER_CELLS:.4g}")
     w = np.asarray(w, dtype=float)
     s = w[-1]
     axes = [np.linspace(a, b, grid) for a, b in zip(*qw_box(w))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
 
-    candidates = []
-    for sp in (0.5 * s, s, 2.0 * s):
-        offsets = np.linspace(-s, s, lattice)
-        mesh = np.meshgrid(*([offsets] * n), indexing="ij")
-        centers = np.column_stack([g.ravel() for g in mesh]) + w[:-1]
-        for c in centers:
-            for tp in (sp, 0.75 * sp, 1.25 * sp):
-                candidates.append(np.append(c, tp))
-    masks = []
-    for cand in candidates:
-        lo, hi = qw_box(cand)
-        inside = np.all((pts > lo) & (pts < hi), axis=1)  # open: interior sets
-        if not np.any(inside):
-            masks.append(None)
-            continue
-        m = np.zeros(len(pts), dtype=bool)
-        m[inside] = kernels.profile_excursion(l, n, delta, pts[inside], cand)
-        masks.append(m)
+    offsets = np.linspace(-s, s, lattice)
+    mesh = np.meshgrid(*([offsets] * n), indexing="ij")
+    lat = np.column_stack([g.ravel() for g in mesh]) + w[:-1]
+    cands = np.empty((3, len(lat), 3, n + 1))
+    cands[..., :-1] = lat[:, None, :]
+    cands[..., -1] = np.multiply.outer([0.5 * s, s, 2.0 * s], [1.0, 0.75, 1.25])[:, None, :]
+    cands = cands.reshape(-1, n + 1)
+    masks = excursion_masks(l, n, delta, axes, cands, interior=True)
 
-    uncovered = np.ones(len(pts), dtype=bool)
+    uncovered = np.ones(masks.shape[1], dtype=bool)
+    gains = masks.sum(axis=1)
+    step = max(1, MASK_PAIRS // len(masks))
     chosen = []
-    chosen_masks = []
     while np.any(uncovered):
-        gains = [0 if m is None else int(np.sum(m & uncovered)) for m in masks]
         best = int(np.argmax(gains))
         if gains[best] == 0:
             break
-        chosen.append(candidates[best])
-        chosen_masks.append(masks[best])
-        uncovered &= ~masks[best]
+        chosen.append(best)
+        newly = np.flatnonzero(masks[best] & uncovered)
+        uncovered[newly] = False
+        # every candidate's gain loses the points it held among the newly covered
+        for a in range(0, len(newly), step):
+            gains -= masks[:, newly[a : a + step]].sum(axis=1)
     fraction = 1.0 - float(np.mean(uncovered))
-    if chosen_masks:
-        multiplicity = int(np.max(np.sum(np.array(chosen_masks), axis=0)))
-    else:
-        multiplicity = 0
-    return fraction, chosen, multiplicity
+    multiplicity = int(masks[chosen].sum(axis=0).max()) if chosen else 0
+    return fraction, cands[chosen], multiplicity
 
 
 def embedding_ratio(

@@ -215,9 +215,10 @@ def in_boxes(points: np.ndarray, lo, hi) -> np.ndarray:
     return inside
 
 
-# Pairs of a box and a point tested in one in_boxes mask by overlap_counts and
-# AtomicMeasure.masses_in_boxes: bounds the masks' memory.  At 2^20 the
-# masks raised cube-quadrature's peak RSS by 1.3 MB; 2^18 adds nothing.
+# Pairs of a box and a point tested in one mask by overlap_counts,
+# AtomicMeasure.masses_in_boxes and the carleson excursion sets: bounds the
+# masks' memory.  At 2^20 the masks raised cube-quadrature's peak RSS by
+# 1.3 MB; 2^18 adds nothing.
 MASK_PAIRS = 1 << 18
 
 

@@ -255,16 +255,35 @@ def _coeff_gap(xs, ys):
     return max(float(np.max(np.abs(a - c))) for a, c in zip(xs, ys))
 
 
-def _source_nodes(n, region, spec):
-    """Flattened (squared distance to the axis origin, height, weight)."""
+# Values per block of the source rule in lemma4 and lemma5.  Every n = 1
+# rule is one block (the largest, deep's refined rule, has 391,680 nodes);
+# at n = 2 the rules reach 132.9M nodes.
+SOURCE_BLOCK = 1 << 19
+
+
+def _source_series(n, region, spec, xs, integrand):
+    """[sum over the source rule of w * integrand(x, dsq, s) for x in xs].
+
+    The rule is the tensor product of (squared distance to the axis origin,
+    weight) and (height, weight) node axes; integrand sees dsq as a column
+    (rows, 1) and s as a row, and each block of rows holds at most
+    SOURCE_BLOCK values.  The block sums add up in row order.
+    """
     if n == 1:
-        x, w_x = quad.box_axis_quadrature(region, spec)
-        axes = [(x**2, w_x), quad.t_quadrature(region, spec)]
+        x, w_d = quad.box_axis_quadrature(region, spec)
+        dsq = x**2
+        s, w_s = quad.t_quadrature(region, spec)
     else:
         nd = quad.AxisymmetricNodes(region, n, spec)
-        axes = [(nd.dist_sq_to(0.0), nd.w_uv), (nd.s, nd.w_s)]
-    pts, w = quad.tensor_rule(axes)
-    return pts[:, 0], pts[:, 1], w
+        dsq, w_d, s, w_s = nd.dist_sq_to(0.0), nd.w_uv, nd.s, nd.w_s
+    out = [0.0] * len(xs)
+    step = max(1, SOURCE_BLOCK // len(s))
+    for a in range(0, len(dsq), step):
+        w = (w_d[a : a + step, None] * w_s).ravel()
+        col = dsq[a : a + step, None]
+        for i, x in enumerate(xs):
+            out[i] += float(w @ integrand(x, col, s).ravel())
+    return np.array(out)
 
 
 def _sup_on_grid(fld, lam, region, grid):
@@ -509,13 +528,12 @@ def _exp_lemma4(b, rng, p):
     _lemma4_guard(n, gamma, delta)
     region = Region(4096.0, 2.0 ** -12, 4096.0)
 
+    def integrand(t, dsq, s):
+        q = np.abs(kernels.bergman_from_sq(m, n, dsq, t + s))
+        return q ** (gamma / (n + m + 1)) * s ** delta
+
     def series(tg, spec):
-        dsq, s, w = _source_nodes(n, region, spec)
-        out = []
-        for t in tg:
-            q = np.abs(kernels.bergman_from_sq(m, n, dsq, t + s))
-            out.append(float(w @ (q ** (gamma / (n + m + 1)) * s ** delta)))
-        return np.array(out)
+        return _source_series(n, region, spec, tg, integrand)
 
     reject = _raises("precondition-reject",
                      lambda: _lemma4_guard(n, n + 1 + delta, delta))
@@ -539,11 +557,11 @@ def _exp_lemma5(b, rng, p):
     _lemma5_guard(n, alpha, gamma)
     region = Region(4096.0, 2.0 ** -12, 4096.0)
 
+    def integrand(s, dsq, t):
+        return t ** alpha * (dsq + (t + s) ** 2) ** -gamma
+
     def series(sg, spec):
-        dsq, t, w = _source_nodes(n, region, spec)
-        return np.array([
-            float(w @ (t ** alpha * (dsq + (t + s) ** 2) ** -gamma)) for s in sg
-        ])
+        return _source_series(n, region, spec, sg, integrand)
 
     reject = _raises("precondition-reject",
                      lambda: _lemma5_guard(n, alpha, (n + alpha + 1.0) / 2.0))
@@ -579,19 +597,9 @@ def _exp_lemma6(b, rng, p):
             lo, hi = ca.qw_box(w)
             axes = [np.linspace(lo[i] + 1e-9, hi[i] - 1e-9, b.grid)
                     for i in range(n + 1)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            gpts = np.column_stack([m.ravel() for m in mesh])
-            counts = np.zeros(len(gpts))
-            for c in chosen:
-                cw = np.asarray(c)
-                blo, bhi = ca.qw_box(cw)
-                inside = np.all((gpts >= blo) & (gpts <= bhi), axis=1)
-                mask = np.zeros(len(gpts), dtype=bool)
-                mask[inside] = kernels.profile_excursion(li, n, delta,
-                                                         gpts[inside], cw)
-                counts += mask
-            total = float(counts.sum())
-            npts = float(len(gpts))
+            sets = ca.excursion_masks(li, n, delta, axes, chosen)
+            total = float(sets.sum())
+            npts = float(sets.shape[1])
             checks.append(_above(f"transfer-lower-{tag}", total, npts))
             checks.append(_below(f"transfer-upper-{tag}", total, mult * npts))
             rows.append([li, s, frac, len(chosen), mult])
@@ -603,7 +611,7 @@ def _exp_lemma6(b, rng, p):
     mu = ca.AtomicMeasure.discretized_weight(Region(4.0, 2.0 ** -4, 4.0), n, 0.0)
     w = _axis_point(n, 1.0)
     _, chosen, _ = ca.lemma6_cover(w, l0, n, delta, grid=b.grid, lattice=5)
-    tmass = sum(ca.excursion_mass(mu, np.asarray(c), l0, delta) for c in chosen)
+    tmass = sum(ca.excursion_mass(mu, chosen, l0, delta).tolist())
     lo, hi = ca.qw_box(w)
     qmass = float(mu.masses_in_boxes(lo[None], hi[None])[0])
     consts["atomic_transfer_ratio"] = tmass / qmass if qmass else float("inf")

@@ -38,6 +38,27 @@ def test_compare_counts_wins_and_resolves_only_wide_gains():
         assert not got["gain_resolved"]
 
 
+def test_incorrect_or_failing_runs_never_resolve_a_gain():
+    pairs = [_pair(1.0 + 0.01 * i, 0.7 + 0.01 * i, (0.5 + 0.01 * i, 0.3 + 0.01 * i))
+             for i in range(10)]
+    clean = {"workloads": [{"pairs": pairs}]}
+    bench_pairs._summary(clean)
+    assert clean["workloads"][0]["all_correct"]
+    assert clean["workloads"][0]["metrics"]["wall_s"]["gain_resolved"]
+    assert clean["setup_s_pooled"]["gain_resolved"]
+    for side in ("parent", "change"):
+        for field, bad in (("correct", False), ("failed", 1)):
+            spoiled = [dict(p, **{side: dict(p[side])}) for p in pairs]
+            spoiled[3][side][field] = bad
+            got = bench_pairs._compare(spoiled, "wall_s")
+            assert got["change_wins"] == 10
+            assert not got["gain_resolved"], (side, field)
+            record = {"workloads": [{"pairs": spoiled}]}
+            bench_pairs._summary(record)
+            assert not record["workloads"][0]["all_correct"]
+            assert not record["setup_s_pooled"]["gain_resolved"]
+
+
 def test_summary_pools_setup_over_workloads():
     record = {"workloads": [
         {"pairs": [_pair(1.0, 0.9, (0.5, 0.4)) for _ in range(3)]},

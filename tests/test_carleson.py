@@ -1,10 +1,12 @@
 """Atomic measures and box conditions: exact masses, hand-sized gauges."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from harmspace import carleson as ca
-from harmspace.geometry import Region, box_corners, in_boxes, whitney_cubes
+from harmspace import carleson as ca, kernels
+from harmspace.geometry import MASK_PAIRS, Region, box_corners, in_boxes, whitney_cubes
 from harmspace.quadrature import QuadSpec
 
 
@@ -131,8 +133,14 @@ def test_qw_box_geometry():
     lo, hi = ca.qw_box([1.0, -2.0, 0.5])
     assert lo.tolist() == [0.75, -2.25, 0.25]
     assert hi.tolist() == [1.25, -1.75, 0.75]
+    # an array of centers gives corner arrays, one row per center
+    lo2, hi2 = ca.qw_box([[1.0, -2.0, 0.5], [0.0, 0.0, 2.0]])
+    assert lo2.tolist() == [lo.tolist(), [-1.0, -1.0, 1.0]]
+    assert hi2.tolist() == [hi.tolist(), [1.0, 1.0, 3.0]]
     with pytest.raises(ValueError):
         ca.qw_box([0.0, -1.0])
+    with pytest.raises(ValueError):
+        ca.qw_box([[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_excursion_mass_bounds():
@@ -142,17 +150,146 @@ def test_excursion_mass_bounds():
     lo, hi = ca.qw_box(w)
     full = inside.masses_in_boxes(lo[None], hi[None])[0]
     assert full == 3.0
-    masses = [ca.excursion_mass(inside, w, 1, d) for d in (0.0, 0.01, 0.1, 1.0)]
+    masses = [ca.excursion_mass(inside, w[None], 1, d)[0] for d in (0.0, 0.01, 0.1, 1.0)]
     assert all(0.0 <= m <= full for m in masses)
     assert all(a >= b for a, b in zip(masses, masses[1:]))
-    assert ca.excursion_mass(outside, w, 1, 0.0) == 0.0
+    assert ca.excursion_mass(outside, w[None], 1, 0.0).tolist() == [0.0]
 
 
 def test_lemma6_cover():
     w = np.array([0.0, 0.25])
     frac, chosen, mult = ca.lemma6_cover(w, 1, 1, 0.05, grid=10, lattice=3)
     assert 0.0 <= frac <= 1.0
-    assert mult >= (1 if chosen else 0)
+    assert chosen.shape == (len(chosen), 2)
+    assert mult >= (1 if len(chosen) else 0)
+
+
+def _excursion_loop(l, n, delta, pts, w, interior):
+    """One center's excursion set: its box test on every point, then
+    profile_excursion on the points inside; None if no point is inside."""
+    lo, hi = ca.qw_box(w)
+    if interior:
+        inside = np.all((pts > lo) & (pts < hi), axis=1)
+    else:
+        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    if not np.any(inside):
+        return None
+    m = np.zeros(len(pts), dtype=bool)
+    m[inside] = kernels.profile_excursion(l, n, delta, pts[inside], w)
+    return m
+
+
+def _grid(axes):
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _lemma6_cover_loop(w, l, n, delta, grid, lattice):
+    """The cover built one candidate at a time, each gain a fresh count:
+    the reference for the mask-matrix cover.  Also returns the number of
+    candidates whose open box holds no sample point."""
+    w = np.asarray(w, dtype=float)
+    s = w[-1]
+    pts = _grid([np.linspace(a, b, grid) for a, b in zip(*ca.qw_box(w))])
+    candidates = []
+    for sp in (0.5 * s, s, 2.0 * s):
+        offsets = np.linspace(-s, s, lattice)
+        centers = _grid([offsets] * n) + w[:-1]
+        for c in centers:
+            for tp in (sp, 0.75 * sp, 1.25 * sp):
+                candidates.append(np.append(c, tp))
+    masks = [_excursion_loop(l, n, delta, pts, c, True) for c in candidates]
+    uncovered = np.ones(len(pts), dtype=bool)
+    chosen, chosen_masks = [], []
+    while np.any(uncovered):
+        gains = [0 if m is None else int(np.sum(m & uncovered)) for m in masks]
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            break
+        chosen.append(candidates[best])
+        chosen_masks.append(masks[best])
+        uncovered &= ~masks[best]
+    fraction = 1.0 - float(np.mean(uncovered))
+    mult = int(np.max(np.sum(np.array(chosen_masks), axis=0))) if chosen_masks else 0
+    return (fraction, np.array(chosen).reshape(-1, n + 1), mult,
+            sum(m is None for m in masks))
+
+
+_COVER_CASES = [
+    # (n, l, w, grid, lattice); every lattice-5 case has candidates whose
+    # open box holds no sample point, and P_1 vanishes for n = 1, so the
+    # first case covers nothing
+    (1, 1, [0.0, 0.25], 10, 3),
+    (1, 2, [0.0, 1.0], 12, 5),
+    (1, 3, [0.4, 2.0], 9, 3),
+    (2, 1, [0.0, 0.0, 1.0], 8, 5),
+    (2, 2, [0.4, 0.4, 2.0], 7, 3),
+    (3, 1, [0.0, 0.0, 0.0, 0.25], 5, 5),
+    (3, 2, [0.4, 0.4, 0.4, 2.0], 6, 3),
+]
+
+
+@pytest.mark.parametrize("n, l, w, grid, lattice", _COVER_CASES)
+def test_lemma6_cover_equals_the_per_candidate_loop(n, l, w, grid, lattice):
+    delta = kernels.default_delta(l, n) if l > 1 or n > 1 else 0.05
+    frac, chosen, mult = ca.lemma6_cover(w, l, n, delta, grid=grid, lattice=lattice)
+    ref_frac, ref_chosen, ref_mult, empty = _lemma6_cover_loop(w, l, n, delta, grid, lattice)
+    assert (frac, mult) == (ref_frac, ref_mult)
+    assert np.array_equal(chosen, ref_chosen)
+    if lattice == 5:
+        assert empty > 0
+    # the chosen centers' closed excursion sets on a shrunken grid (the
+    # transfer check of lemma6), and their atomic masses
+    lo, hi = ca.qw_box(np.asarray(w))
+    axes = [np.linspace(a + 1e-9, b - 1e-9, grid) for a, b in zip(lo, hi)]
+    gpts = _grid(axes)
+    sets = ca.excursion_masks(l, n, delta, axes, chosen)
+    for c, row in zip(chosen, sets):
+        ref = _excursion_loop(l, n, delta, gpts, c, False)
+        assert np.array_equal(row, np.zeros(len(gpts), bool) if ref is None else ref)
+    mu = ca.AtomicMeasure.discretized_weight(Region(2.0, 2.0 ** -3, 4.0), n, 0.0)
+    mass = ca.excursion_mass(mu, chosen, l, delta)
+    ref = [0.0 if m is None else float(mu.weight[m].sum())
+           for m in (_excursion_loop(l, n, delta, mu.points, c, False) for c in chosen)]
+    assert mass.tolist() == ref
+
+
+def test_excursion_masks_in_chunks_equal_one_pass(monkeypatch):
+    w = np.array([0.0, 0.0, 1.0])
+    axes = [np.linspace(a, b, 6) for a, b in zip(*ca.qw_box(w))]
+    centers = np.array([[0.1, -0.2, 0.9], [0.0, 0.0, 0.5], [0.3, 0.3, 1.5], [5.0, 0.0, 1.0]])
+    whole = ca.excursion_masks(2, 2, 0.01, axes, centers, interior=True)
+    monkeypatch.setattr(ca, "MASK_PAIRS", 1)  # one center per chunk
+    assert np.array_equal(ca.excursion_masks(2, 2, 0.01, axes, centers, interior=True), whole)
+    assert not whole[-1].any() and whole[:-1].any()
+
+
+def test_lemma6_cover_over_the_cell_limit_raises_before_building(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the limit must reject the cover before this")
+
+    monkeypatch.setattr(ca, "excursion_masks", unreachable)
+    # lemma6 at smoke with n = 4: 5,625 candidates by 12^5 points, 1.4G cells
+    w = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="mask matrix"):
+        ca.lemma6_cover(w, 1, 4, 0.1, grid=12, lattice=5)
+    # deep with n = 3 stays within it
+    assert 9 * 5**3 * 24**4 <= ca.MAX_COVER_CELLS
+
+
+def test_lemma6_cover_peak_memory_is_the_mask_matrix():
+    # lemma6 at deep with n = 2: 225 candidates by 24^3 points
+    n, grid, lattice = 2, 24, 5
+    cells = 9 * lattice**n * grid ** (n + 1)
+    w = np.array([0.0, 0.0, 1.0])
+    delta = kernels.default_delta(1, n)
+    tracemalloc.start()
+    try:
+        ca.lemma6_cover(w, 1, n, delta, grid=grid, lattice=lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (C, P) booleans plus the temporaries of one chunk of MASK_PAIRS pairs
+    assert peak < cells + 48 * MASK_PAIRS
 
 
 def test_embedding_ratio_lhs_exact():

@@ -218,6 +218,17 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+def test_lemma6_over_its_cover_limit_exits_two(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the limit must reject the request before this")
+
+    monkeypatch.setattr(ca, "excursion_masks", unreachable)
+    assert run(tmp_path, "verify", "lemma6", "--budget", "smoke", "--n", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mask matrix" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the guard must reject the request before this")

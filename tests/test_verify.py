@@ -1,13 +1,17 @@
 """Harness contracts: registry, budgets, determinism, report shape."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from harmspace import ball as bl
+from harmspace import quadrature as quad
 from harmspace import util
 from harmspace import verify as vf
+from harmspace.geometry import Region
 
 REGISTRY = [
     "whitney", "kernels", "lemma2", "lemma4", "lemma5", "lemma6",
@@ -50,6 +54,31 @@ def test_override_coercion_echoed_in_params():
     assert rep["params"]["gamma"] == 4.5
     assert rep["params"]["budget"] == "smoke"
     assert rep["params"]["seed"] == 0
+
+
+def test_lemma4_source_rule_memory_is_bounded_at_n2(monkeypatch):
+    # at n = 2 the refined smoke rule has 16.6M nodes (133 MB per float
+    # array); two fit points keep the run short
+    smoke = dataclasses.replace(vf.BUDGETS["smoke"], fit_points=2)
+    monkeypatch.setitem(vf.BUDGETS, "smoke", smoke)
+    tracemalloc.start()
+    try:
+        vf.run_experiment("lemma4", budget="smoke", overrides={"n": 2, "gamma": 4.5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * vf.SOURCE_BLOCK  # a dozen float blocks, 50 MB
+
+
+def test_every_n1_source_rule_is_one_block():
+    # the n = 1 lemma4/lemma5 reports rely on it: one dot per fit point
+    region = Region(4096.0, 2.0 ** -12, 4096.0)
+    for b in vf.BUDGETS.values():
+        spec = quad.QuadSpec(order=b.order, t_order=b.t_order)
+        for sp in (spec, spec.refined(2)):
+            size = (len(quad.box_axis_quadrature(region, sp)[0])
+                    * len(quad.t_quadrature(region, sp)[0]))
+            assert size <= vf.SOURCE_BLOCK
 
 
 def test_report_schema_and_verdict():
