@@ -283,6 +283,8 @@ class Multiplier:
         vals = np.asarray(values, dtype=complex).ravel()
         if vals.size != cap + 1:
             raise ValueError("need one value per degree")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("multiplier values must be finite")
         return cls(
             n, [np.full(dim_harmonics(n, k), vals[k]) for k in range(cap + 1)]
         )
@@ -324,7 +326,10 @@ def fractional_derivative(t: float, f: Expansion) -> Expansion:
 
 def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
     _check_positive(order=t)
-    vals = [gamma_ratio(k + n / 2, t) / math.gamma(t) for k in range(cap + 1)]
+    try:
+        vals = [gamma_ratio(k + n / 2, t) / math.gamma(t) for k in range(cap + 1)]
+    except OverflowError:  # a gamma past the float64 range
+        raise ValueError(f"the order-{t:g} multiplier overflows float64")
     return Multiplier.diagonal(n, cap, vals)
 
 

@@ -205,6 +205,8 @@ def _cube_report(condition, params, mu: AtomicMeasure, cubes: WhitneyBoxes, lo, 
     """The report over the boxes, whose corners are (lo, hi), with gauge =
     base^e per box, base an array: the box volumes, or the etas (the centre
     heights, 3/2 side)."""
+    if not np.isfinite(e):
+        raise ValueError(f"the {condition} gauge exponent must be finite, got {e}")
     gauge = np.array(_gauges(base.tolist(), e))
     bad = np.flatnonzero(~((gauge > 0.0) & (gauge < np.inf)))
     if bad.size:

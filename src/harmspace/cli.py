@@ -2,11 +2,13 @@
 
 One invocation resolves one run configuration and produces one JSON
 summary plus zero or more CSV traces in the output directory.  A JSON
-config file supplies defaults that explicit flags override; unknown
-config keys are rejected.  Every command honors --dry-run, which prints
-the resolved configuration and writes nothing.
+config file supplies defaults that explicit flags override: its values
+are parsed as flags ahead of the command line's; unknown config keys are
+rejected.  Every command honors --dry-run, which prints the resolved
+configuration and writes nothing.
 
-Exit codes: 0 success, 1 verification check failure, 2 usage error.
+Exit codes: 0 success, 1 verification check failure, 2 usage error (main
+maps every ValueError and NotImplementedError to it).
 The default output directory comes from $HARMSPACE_OUT, else the
 working directory.
 """
@@ -32,8 +34,9 @@ from .geometry import (Region, box_centers, box_corners, cubes_to_json, weighted
 from .quadrature import QuadSpec
 
 
-class UsageError(Exception):
-    """Bad invocation: maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad invocation.  main maps it, and every other ValueError or
+    NotImplementedError (the library's rejections), to exit code 2."""
 
 
 # Largest memory, in bytes, that the arrays a command sizes from its
@@ -63,13 +66,6 @@ def _floats_csv(text):
         raise UsageError(f"expected comma-separated floats, got {text!r}")
 
 
-def _region_from(args):
-    try:
-        return Region(args.x_max, args.t_min, args.t_max)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -81,8 +77,9 @@ def _load_json(path):
 
 
 def _load_expansion(path):
+    data = _load_json(path)
     try:
-        return bl.Expansion.from_json(_load_json(path))
+        return bl.Expansion.from_json(data)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{path} is not a valid expansion file: {e}")
 
@@ -91,39 +88,54 @@ def _load_expansion(path):
 
 
 def _resolved_config(args, extra=None):
+    """The run's flags as a report holds them: each float must be finite."""
     skip = {"command", "config", "dry_run", "func"}
     out = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    for key, value in out.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite to be"
+                             f" reported, got {value}")
     out["command"] = args.command
     if extra:
         out.update(extra)
     return out
 
 
-def _apply_config_file(args, raw_argv):
-    """Merge the JSON config under explicitly passed flags."""
-    if not args.config:
-        return
+def _parse_with_config(parser, argv, args):
+    """Parse argv again with the config file's values as `--key=value`
+    tokens right after the subcommand, so every value gets its flag's type
+    and choices, and a flag on the command line, which comes later, wins."""
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    legal = set(vars(args)) - {"command", "config", "dry_run", "func"}
-    unknown = set(cfg) - legal
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flags = {a.dest: a for a in sub._actions
+             if a.option_strings and a.dest not in ("help", "config", "dry_run")}
+    special = {"ids", "overrides"} & set(vars(args))
+    unknown = set(cfg) - set(flags) - special
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
     for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in raw_argv:
-            continue  # explicit flag wins
-        if key == "ids" and getattr(args, "ids", None):
-            continue  # positional ids win
-        if key == "overrides":
-            if not isinstance(value, dict):
-                raise UsageError("config key 'overrides' must be an object")
-            merged = dict(value)
-            merged.update(args.overrides or {})
-            args.overrides = merged
+        if key in special:
             continue
-        setattr(args, key, value)
+        if value is None:  # leaves a flag that defaults to None unset
+            if flags[key].default is not None:
+                raise UsageError(f"config key {key!r} cannot be null")
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        tokens.append(f"{flags[key].option_strings[0]}={text}")
+    at = argv.index(args.command) + 1
+    args, extras = parser.parse_known_args(argv[:at] + tokens + argv[at:])
+    if "ids" in cfg and not args.ids:  # positional ids win
+        if not (isinstance(cfg["ids"], list) and all(isinstance(i, str) for i in cfg["ids"])):
+            raise UsageError("config key 'ids' must be a list of experiment ids")
+        args.ids = cfg["ids"]
+    if "overrides" in cfg:  # under the command line's --key value pairs
+        if not isinstance(cfg["overrides"], dict):
+            raise UsageError("config key 'overrides' must be an object")
+        args.overrides = dict(cfg["overrides"])
+    return args, extras
 
 
 def _parse_override_tokens(extras):
@@ -191,12 +203,8 @@ def _cmd_verify(args, extras):
     if args.dry_run:
         return _dry_run(args, {"ids": ids})
 
-    try:
-        summary = verify.run_suite(ids, budget=args.budget, seed=args.seed,
-                                   threads=args.threads,
-                                   overrides=args.overrides)
-    except ValueError as e:
-        raise UsageError(str(e))
+    summary = verify.run_suite(ids, budget=args.budget, seed=args.seed,
+                               threads=args.threads, overrides=args.overrides)
     summary["command"] = "verify"
     summary["ids"] = ids
     summary["overrides"] = args.overrides or {}
@@ -218,7 +226,15 @@ def _cmd_verify(args, extras):
 # -------------------------------------------------------------- norm
 
 
-_HALF_SPACES = ("slice", "bergman", "mixed", "tl", "sup")
+# The half-space norms of `norm --space`, from its flags.
+_HALF_SPACE_NORMS = {
+    "slice": lambda f, a, region, spec: no.slice_norm(f, a.q, a.t, region, spec),
+    "bergman": lambda f, a, region, spec: no.bergman_norm(f, a.p, a.alpha, region, spec),
+    "mixed": lambda f, a, region, spec: no.mixed_norm(f, a.p, a.q, a.alpha, region, spec),
+    "tl": lambda f, a, region, spec: no.triebel_norm(f, a.p, a.q, a.alpha, region, spec),
+    "sup": lambda f, a, region, spec: no.sup_norm(f, a.lam, region)[0],
+}
+_HALF_SPACES = tuple(_HALF_SPACE_NORMS)
 _BALL_SPACES = ("slice", "volume", "mixed", "sup", "hardy")
 
 # The ball norms of `norm --space` (the first five) and `ball functional
@@ -236,6 +252,21 @@ _BALL_NORMS = {
 
 
 _RADIAL_KINDS = ("volume", "mixed", "grad-volume", "grad-mixed")
+
+
+def _finite_norm(kind, norm, *params):
+    """norm(*params), the one value of `norm` and `ball functional`; float64
+    overflow shows in the value, and a value that is not finite is a usage
+    error."""
+    try:
+        with np.errstate(all="ignore"):
+            value = norm(*params)
+    except OverflowError:  # a Python float power past the float64 range
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"the {kind} norm is not finite in float64 at these"
+                         f" parameters (got {value})")
+    return value
 
 
 def _ball_norm(kind, f, args, res):
@@ -256,43 +287,33 @@ def _ball_norm(kind, f, args, res):
     kept = f" and {basis} basis rows" if basis else ""
     _check_array_bytes(f"the {rows} x {cols} value table{kept}",
                        16 * rows * cols + 8 * basis * cols)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = _BALL_NORMS[kind](f, args, res)
-    except (ValueError, NotImplementedError) as e:
-        raise UsageError(str(e))
-    if not math.isfinite(value):
-        raise UsageError(f"the {kind} norm is not finite in float64 at these"
-                         f" parameters (got {value})")
-    return value
+    return _finite_norm(kind, _BALL_NORMS[kind], f, args, res)
+
+
+_FIELD_NEEDS = {"bergman-q": "an order, e.g. bergman-q:2",
+                "test-fn": "an order, e.g. test-fn:1",
+                "power": "an exponent, e.g. power:1.5",
+                "expansion-file": "a path"}
 
 
 def _parse_field(spec, n):
     """Builtin families: poisson, bergman-q, test-fn, power, expansion-file."""
     name, _, rest = str(spec).partition(":")
     parts = rest.split(":") if rest else []
+    if name in _FIELD_NEEDS and not parts:
+        raise UsageError(f"{name} needs {_FIELD_NEEDS[name]}")
+    if name == "expansion-file":
+        return _load_expansion(rest)
     try:
         if name == "poisson":
             height = float(parts[0]) if parts else 1.0
             return dilated(PoissonField, None, n, height)
-        if name == "bergman-q":
-            if not parts:
-                raise UsageError("bergman-q needs an order, e.g. bergman-q:2")
+        if name in ("bergman-q", "test-fn"):
             height = float(parts[1]) if len(parts) > 1 else 1.0
-            return dilated(BergmanField, int(parts[0]), n, height)
-        if name == "test-fn":
-            if not parts:
-                raise UsageError("test-fn needs an order, e.g. test-fn:1")
-            height = float(parts[1]) if len(parts) > 1 else 1.0
-            return dilated(TestField, int(parts[0]), n, height)
+            cls = BergmanField if name == "bergman-q" else TestField
+            return dilated(cls, int(parts[0]), n, height)
         if name == "power":
-            if not parts:
-                raise UsageError("power needs an exponent, e.g. power:1.5")
             return PowerField(n, float(parts[0]))
-        if name == "expansion-file":
-            if not parts:
-                raise UsageError("expansion-file needs a path")
-            return _load_expansion(":".join(parts))
     except (TypeError, ValueError) as e:
         raise UsageError(f"malformed field spec {spec!r}: {e}")
     raise UsageError(
@@ -300,11 +321,7 @@ def _parse_field(spec, n):
         f" power, expansion-file)")
 
 
-def _cmd_norm(args, extras):
-    if extras:
-        raise UsageError(f"unrecognized arguments: {extras}")
-    if args.dry_run:
-        return _dry_run(args)
+def _cmd_norm(args):
     # an expansion-file field takes its dimension from the file
     if args.n < 1 and str(args.field).partition(":")[0] != "expansion-file":
         raise UsageError(f"--n must be >= 1, got {args.n}")
@@ -320,7 +337,7 @@ def _cmd_norm(args, extras):
             raise UsageError(
                 f"space {args.space!r} undefined on the half-space"
                 f" (use one of {_HALF_SPACES})")
-        region = _region_from(args)
+        region = Region(args.x_max, args.t_min, args.t_max)
         # leggauss builds an order x order float64 companion matrix per order
         for flag, order in (("--order", args.order), ("--t-order", args.t_order)):
             if order < 1:
@@ -331,20 +348,9 @@ def _cmd_norm(args, extras):
             # their clipped copies: about 110 and 150 bytes a box at n = 1, 2
             # (ru_maxrss at 0.25 to 1 million boxes)
             _check_whitney_bytes(region, f.n, 48 * (f.n + 2))
-        try:
-            spec = QuadSpec(order=args.order, t_order=args.t_order)
-            if args.space == "slice":
-                value = no.slice_norm(f, args.q, args.t, region, spec)
-            elif args.space == "bergman":
-                value = no.bergman_norm(f, args.p, args.alpha, region, spec)
-            elif args.space == "mixed":
-                value = no.mixed_norm(f, args.p, args.q, args.alpha, region, spec)
-            elif args.space == "tl":
-                value = no.triebel_norm(f, args.p, args.q, args.alpha, region, spec)
-            else:
-                value = no.sup_norm(f, args.lam, region)[0]
-        except (ValueError, NotImplementedError) as e:
-            raise UsageError(str(e))
+        spec = QuadSpec(order=args.order, t_order=args.t_order)
+        value = _finite_norm(args.space, _HALF_SPACE_NORMS[args.space], f, args,
+                             region, spec)
     summary = _resolved_config(args)
     summary["value"] = value
     header = ["space", "field", "n", "p", "q", "alpha", "lam", "t", "value"]
@@ -359,34 +365,28 @@ def _cmd_norm(args, extras):
 # ------------------------------------------------------------ carleson
 
 
-def _cmd_carleson(args, extras):
-    if extras:
-        raise UsageError(f"unrecognized arguments: {extras}")
-    if args.dry_run:
-        return _dry_run(args)
+def _cmd_carleson(args):
+    data = _load_json(args.measure)
     try:
-        mu = ca.AtomicMeasure.from_json(_load_json(args.measure))
+        mu = ca.AtomicMeasure.from_json(data)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{args.measure} is not a valid measure file: {e}")
-    region = _region_from(args)
+    region = Region(args.x_max, args.t_min, args.t_max)
     # the boxes' arrays and corners, and the report's mass, gauge and ratio
     # columns with the CSV cells made from them: about 220, 290 and 370
     # bytes a box at n = 1, 2, 3 (ru_maxrss with a 400-atom measure at 0.26
     # to 1.4 million boxes)
     _check_whitney_bytes(region, mu.n, 64 * (mu.n + 4))
     cubes = whitney_cubes(region, mu.n)
-    try:
-        if args.condition == "vector":
-            s_vec = _floats_csv(args.s)
-            rep = ca.condition_vector(mu, cubes, len(s_vec), s_vec)
-        elif args.condition == "single":
-            rep = ca.condition_single(mu, cubes, args.alpha)
-        elif args.condition == "mixed":
-            rep = ca.condition_mixed(mu, cubes, args.p, args.q, args.alpha)
-        else:
-            rep = ca.condition_tent(mu, cubes, args.p, args.alpha, args.tau)
-    except ValueError as e:
-        raise UsageError(str(e))
+    if args.condition == "vector":
+        s_vec = _floats_csv(args.s)
+        rep = ca.condition_vector(mu, cubes, len(s_vec), s_vec)
+    elif args.condition == "single":
+        rep = ca.condition_single(mu, cubes, args.alpha)
+    elif args.condition == "mixed":
+        rep = ca.condition_mixed(mu, cubes, args.p, args.q, args.alpha)
+    else:
+        rep = ca.condition_tent(mu, cubes, args.p, args.alpha, args.tau)
     summary = _resolved_config(args)
     summary.update(rep.summary())
     summary["level_maxima"] = {str(k): v for k, v in rep.level_maxima().items()}
@@ -404,17 +404,17 @@ def _parse_symbol(spec, cap):
     """decay:E -> (1+k)^-E, growth:E -> (1+k)^E, identity, zero, file:PATH."""
     name, _, rest = str(spec).partition(":")
     k = np.arange(cap + 1.0)
+    vals = _load_json(rest) if name == "file" else None
     try:
-        if name == "decay":
-            return bl.Multiplier.diagonal(2, cap, (1.0 + k) ** -float(rest))
-        if name == "growth":
-            return bl.Multiplier.diagonal(2, cap, (1.0 + k) ** float(rest))
+        if name in ("decay", "growth"):
+            with np.errstate(over="ignore"):  # Multiplier rejects an inf value
+                power = float(rest) if name == "growth" else -float(rest)
+                return bl.Multiplier.diagonal(2, cap, (1.0 + k) ** power)
         if name == "identity":
             return bl.Multiplier.diagonal(2, cap, np.ones(cap + 1))
         if name == "zero":
             return bl.Multiplier.diagonal(2, cap, np.zeros(cap + 1))
         if name == "file":
-            vals = _load_json(rest)
             return bl.Multiplier.diagonal(2, cap, np.asarray(vals, dtype=complex))
     except (TypeError, ValueError) as e:
         raise UsageError(f"malformed symbol spec {spec!r}: {e}")
@@ -427,11 +427,7 @@ def _expansion_trace(name, f):
     return (name, ["degree", "max_abs_coeff"], [range(len(top)), top])
 
 
-def _cmd_ball(args, extras):
-    if extras:
-        raise UsageError(f"unrecognized arguments: {extras}")
-    if args.dry_run:
-        return _dry_run(args)
+def _cmd_ball(args):
     if args.resolution < 0:
         raise UsageError("--resolution must be >= 0 (0 picks the default)")
     summary = _resolved_config(args)
@@ -457,15 +453,10 @@ def _cmd_ball(args, extras):
         c = _parse_symbol(args.symbol, args.cap)
         if not 1.0 < args.s < math.inf:
             raise UsageError("need a finite s > 1 for the dual exponent")
-        if not math.isfinite(args.beta):
-            raise UsageError("--beta must be finite")
         grid = bl.SphereGrid(2, res)
-        try:
-            sup, slope, rows = verify.slice_functional(
-                c, args.s / (args.s - 1.0), args.beta, args.lam_order,
-                args.rho_levels, grid)
-        except ValueError as e:  # a derivative order that is not positive
-            raise UsageError(str(e))
+        sup, slope, rows = verify.slice_functional(
+            c, args.s / (args.s - 1.0), args.beta, args.lam_order,
+            args.rho_levels, grid)
         kind = verify.trend_class(slope)
         summary.update(functional=sup, trend=slope, classification=kind)
         traces.append(("ball-multiplier-trace", ["rho", "value"],
@@ -482,10 +473,7 @@ def _cmd_ball(args, extras):
         print(repr(value))
     elif args.operation == "lambda":
         f = _load_expansion(args.expansion)
-        try:
-            out = bl.multiplier_lambda(f.n, f.cap, args.t).apply(f)
-        except ValueError as e:
-            raise UsageError(str(e))
+        out = bl.multiplier_lambda(f.n, f.cap, args.t).apply(f)
         summary["expansion"] = out.to_json()
         traces.append(_expansion_trace("ball-lambda-trace", out))
         print(f"applied order-{args.t:g} derivative multiplier"
@@ -493,10 +481,7 @@ def _cmd_ball(args, extras):
     else:
         f = _load_expansion(args.left)
         g = _load_expansion(args.right)
-        try:
-            out = bl.convolve(f, g)
-        except ValueError as e:
-            raise UsageError(str(e))
+        out = bl.convolve(f, g)
         summary["expansion"] = out.to_json()
         traces.append(_expansion_trace("ball-convolve-trace", out))
         print(f"convolved through degree {out.cap}")
@@ -509,14 +494,10 @@ def _cmd_ball(args, extras):
 # ------------------------------------------------------------- whitney
 
 
-def _cmd_whitney(args, extras):
-    if extras:
-        raise UsageError(f"unrecognized arguments: {extras}")
-    if args.dry_run:
-        return _dry_run(args)
+def _cmd_whitney(args):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    region = _region_from(args)
+    region = Region(args.x_max, args.t_min, args.t_max)
     # Peak memory is the summary's records with their JSON text, or with
     # the CSV cells: about 1.2, 1.3 and 1.5 KB a box at n = 1, 2, 3
     # (ru_maxrss at 37k to 350k boxes).
@@ -528,10 +509,7 @@ def _cmd_whitney(args, extras):
     cols = [level, cubes.side, *box_centers(cubes).T]
     if args.lam is not None:
         header.append("weighted_measure")
-        try:
-            cols.append(weighted_measures(*box_corners(cubes), args.lam))
-        except ValueError as e:
-            raise UsageError(str(e))
+        cols.append(weighted_measures(*box_corners(cubes), args.lam))
     levels, counts = np.unique(level, return_counts=True)
     summary = _resolved_config(args)
     summary.update(count=len(level),
@@ -577,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget", choices=sorted(verify.BUDGETS), default="standard")
     v.add_argument("--threads", type=int, default=1)
     _add_common(v)
-    v.set_defaults(func=_cmd_verify, overrides=None)
+    v.set_defaults(overrides=None)
 
     m = subs.add_parser("norm", help="compute one norm of one field")
     m.add_argument("--space", required=True,
@@ -653,20 +631,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args, extras = parser.parse_known_args(raw)
+    args, extras = parser.parse_known_args(argv)
     try:
+        if args.config:
+            args, extras = _parse_with_config(parser, argv, args)
         if args.command == "ball":
-            if args.operation == "functional" and not args.expansion:
-                raise UsageError("functional needs --expansion FILE")
-            if args.operation == "lambda" and not args.expansion:
-                raise UsageError("lambda needs --expansion FILE")
+            if args.operation in ("functional", "lambda") and not args.expansion:
+                raise UsageError(f"{args.operation} needs --expansion FILE")
             if args.operation == "convolve" and not (args.left and args.right):
                 raise UsageError("convolve needs --left and --right files")
-        _apply_config_file(args, raw)
-        return args.func(args, extras)
-    except UsageError as e:
+        if args.command == "verify":  # the one command that reads leftover --key value
+            return _cmd_verify(args, extras)
+        if extras:
+            raise UsageError(f"unrecognized arguments: {extras}")
+        return _dry_run(args) if args.dry_run else args.func(args)
+    except (ValueError, NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

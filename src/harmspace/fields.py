@@ -46,6 +46,8 @@ class _Centered(Field):
         w = np.asarray(w, dtype=float)
         if w.shape != (n + 1,):
             raise ValueError("source point must have shape (n+1,)")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"source point must be finite, got {w.tolist()}")
         if w[-1] <= 0:
             raise ValueError("source must lie in the open half-space")
         self.n = n
@@ -117,6 +119,8 @@ class PowerField(Field):
     def __init__(self, n, lam):
         self.n = n
         self.lam = float(lam)
+        if not np.isfinite(self.lam):
+            raise ValueError(f"power exponent must be finite, got {self.lam}")
         self.radial_center = np.zeros(n)
         self.label = f"power-n{n}-lam{lam:g}"
 

@@ -194,14 +194,19 @@ def weighted_measures(lo: np.ndarray, hi: np.ndarray, lam: float) -> np.ndarray:
     closed form: |spatial box| (t1^(lambda+1) - t0^(lambda+1)) / (lambda+1).
 
     Only a finite lambda > -1 is accepted; the boxes used here sit away
-    from t = 0, but the toolkit never needs the extended range.
+    from t = 0, but the toolkit never needs the extended range.  A measure
+    past the float64 range raises ValueError.
     """
     if not -1 < lam < math.inf:  # NaN included
         raise ValueError(f"weight exponent must be finite and exceed -1, got {lam}")
     e = lam + 1
-    t1 = np.array([t ** e for t in hi[:, -1].tolist()])
-    t0 = np.array([t ** e for t in lo[:, -1].tolist()])
-    return box_volumes(lo[:, :-1], hi[:, :-1]) * (t1 - t0) / e
+    try:
+        t1 = np.array([t ** e for t in hi[:, -1].tolist()])
+        t0 = np.array([t ** e for t in lo[:, -1].tolist()])
+        with np.errstate(over="raise"):
+            return box_volumes(lo[:, :-1], hi[:, :-1]) * (t1 - t0) / e
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"a weighted measure overflows float64 at weight exponent {lam}")
 
 
 def in_boxes(points: np.ndarray, lo, hi) -> np.ndarray:

@@ -545,18 +545,14 @@ def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
     U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * n)
     overlap = np.prod(2 * X - 2 * np.abs(U), axis=1)
     taus_flat = taus.ravel()
+    tpair = np.outer(wt * t ** s_vec[0], wt * t ** s_vec[1]).ravel()
     if E._ax is not None:
         d = np.linalg.norm(U, axis=1)
         vals = np.abs(E.radial_values(d[:, None], taus_flat[None, :])) ** p
     else:
         # flat layout (n = 1): evaluate on the (u, tau) product directly
-        P = np.column_stack(
-            [np.repeat(U[:, 0], taus_flat.size), np.tile(taus_flat, U.shape[0])]
-        )
+        P, _ = quad.tensor_rule([(U[:, 0], wU), (taus_flat, tpair)])
         vals = np.abs(E.values(P)).reshape(U.shape[0], taus_flat.size) ** p
-    tw1 = wt * t ** s_vec[0]
-    tw2 = wt * t ** s_vec[1]
-    tpair = np.outer(tw1, tw2).ravel()
     return float((wU * overlap) @ vals @ tpair)
 
 

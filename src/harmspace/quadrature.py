@@ -172,6 +172,8 @@ def t_breaks(region: Region, splits: int = 1) -> np.ndarray:
     `splits` log-equal parts.  Aligned with the Whitney layers."""
     if region.degenerate:
         raise ValueError("degenerate t range")
+    if region.t_max == math.inf:
+        raise ValueError("the t layers need a finite t_max")
     j_lo = math.floor(math.log2(region.t_min))
     j_hi = math.ceil(math.log2(region.t_max))
     dyadic = 2.0 ** np.arange(j_lo, j_hi + 1)
@@ -241,10 +243,6 @@ class AxisymmetricNodes:
         self.v = np.concatenate(v_all)
         self.w_uv = np.concatenate(w_all)
         self.s, self.w_s = t_quadrature(region, spec)
-
-    @property
-    def size(self) -> int:
-        return self.u.size * self.s.size
 
     def center_radius(self) -> np.ndarray:
         """|y| at the (u, v) nodes."""

@@ -151,6 +151,8 @@ def experiment_ids():
 def _coerce(key, default, value):
     if isinstance(default, bool):
         return bool(value)
+    if isinstance(default, (int, float)) and not isinstance(value, (str, int, float)):
+        raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
     if isinstance(default, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(default, float):
@@ -577,6 +579,8 @@ def _exp_lemma5(b, rng, p):
 @_experiment("lemma6", "excursion sets of nearby boxes cover a full box", l=1, n=2)
 def _exp_lemma6(b, rng, p):
     n, l0 = p["n"], p["l"]
+    if n < 1:
+        raise ValueError(f"lemma6 needs n >= 1, got n = {n}")
     checks, consts, arts = [], {}, {}
     rows = []
     for li in (l0, l0 + 1):

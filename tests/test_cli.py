@@ -1,11 +1,15 @@
 """In-process CLI runs: exit codes, artifacts, config precedence."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmspace import ball as bl
 from harmspace import carleson as ca
@@ -62,10 +66,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["ball", "multiplier-check", "--symbol", "wiggle:2"],
         ["carleson", "--measure", str(tmp_path / "absent.json"),
          "--condition", "single"],
+        ["verify", "lemma6", "--budget", "smoke", "--n", "0"],
+        ["verify", "lemma6", "--budget", "smoke", "--n", "-1"],
     ]
     for argv in cases:
         assert run(tmp_path, *argv) == 2, argv
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if "lemma6" in argv:
+            assert "lemma6 needs n >= 1" in err, err
 
 
 def test_non_finite_norm_exponents_exit_two(tmp_path, capsys):
@@ -456,6 +465,11 @@ def test_ball_exponents_and_orders_exit_two(tmp_path, capsys):
         ["ball", "multiplier-check", "--cap", "4", "--s", "nan"],
         ["ball", "multiplier-check", "--cap", "4", "--beta", "nan"],
         ["ball", "multiplier-check", "--cap", "4", "--lam-order", "0"],
+        ["ball", "multiplier-check", "--cap", "4", "--lam-order", "1e308"],
+        ["ball", "lambda", *exp, "--t", "1e308"],
+        ["ball", "multiplier-check", "--cap", "4", "--symbol", "decay:nan"],
+        ["ball", "multiplier-check", "--cap", "4", "--symbol", "growth:inf"],
+        ["ball", "multiplier-check", "--cap", "4", "--symbol", "growth:1e308"],
     ]
     out = tmp_path / "out"
     for argv in cases:
@@ -555,3 +569,133 @@ def test_ball_weight_exponent_over_the_limit_exits_two(tmp_path, capsys):
     # at the limit the rule is still finite: mixed with alpha p - 1 = 1021
     assert cli.main(["ball", "functional", "--expansion", str(f3), "--kind", "mixed",
                      "--p", "1", "--alpha", "1022", "--out", str(out)]) == 0
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "x_max": 7}))
+    # a flag beats the config in either form, and a config value gets its
+    # flag's type
+    for argv in (["--n=1", "--x-max=3"], ["--n", "1", "--x-max", "3"]):
+        assert run(tmp_path, "whitney", *argv, "--config", str(cfg), "--dry-run") == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert (resolved["n"], resolved["x_max"]) == (1, 3.0), argv
+    assert run(tmp_path, "whitney", "--config", str(cfg), "--n", "1", "--dry-run") == 0
+    assert json.loads(capsys.readouterr().out)["x_max"] == 7.0
+    # null leaves a flag that defaults to None unset, and no other
+    cfg.write_text(json.dumps({"lam": None}))
+    assert run(tmp_path, "whitney", "--n", "1", "--config", str(cfg), "--dry-run") == 0
+    assert json.loads(capsys.readouterr().out)["lam"] is None
+    cfg.write_text(json.dumps({"x_max": None}))
+    assert run(tmp_path, "whitney", "--n", "1", "--config", str(cfg)) == 2
+    assert "'x_max' cannot be null" in capsys.readouterr().err
+    # a value its flag's type or choices reject is an argparse usage error
+    for command, bad in ((["norm", "--space", "sup", "--field", "poisson"], {"n": "x"}),
+                         (["verify", "whitney"], {"threads": [2]}),
+                         (["verify", "whitney"], {"budget": "enormous"})):
+        cfg.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as e:
+            run(tmp_path, *command, "--config", str(cfg))
+        assert e.value.code == 2, bad
+        assert "invalid" in capsys.readouterr().err
+    assert not (tmp_path / "whitney-summary.json").exists()
+
+
+def test_non_finite_field_parameters_exit_two(tmp_path, capsys):
+    for space, field in (("sup", "power:nan"), ("bergman", "poisson:nan"),
+                         ("mixed", "test-fn:1:inf"), ("slice", "bergman-q:1:-inf"),
+                         ("sup", "power:inf")):
+        assert run(tmp_path, "norm", "--space", space, "--field", field, "--n", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed field spec") and "finite" in err, err
+    # a finite field whose norm overflows float64
+    assert run(tmp_path, "norm", "--space", "sup", "--field", "poisson", "--n", "2",
+               "--lam", "1e308") == 2
+    assert "not finite in float64" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# The argv grammar of the fuzz below: every exponent and region extent comes
+# from the edge values, and every size stays small, so that whatever the
+# guards let through runs in milliseconds.  The test is derandomized, so
+# that every run of the suite draws the same examples.
+_EDGES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e308", "0.5", "1.5", "2"]
+_REGION_FLAGS = ["--x-max", "--t-min", "--t-max"]
+_FIELDS = ["poisson", "poisson:{}", "bergman-q:1:{}", "test-fn:1:{}", "power:{}",
+           "bergman-q:x", "power", "expansion-file:{file}"]
+_CONFIG_VALUES = [None, "x", [1.0], True, {}, 0, -1, 1e-300, 1e308, float("nan"), 2.0]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["norm", "whitney", "carleson", "ball functional"]))
+    edge = st.sampled_from(_EDGES)
+    flags = []
+    if command == "norm":
+        spaces = sorted(set(cli._HALF_SPACES) | set(cli._BALL_SPACES))
+        field = draw(st.sampled_from(_FIELDS)).replace("{}", draw(edge))
+        flags += [("--space", draw(st.sampled_from(spaces))), ("--field", field),
+                  ("--n", draw(st.sampled_from(["1", "2", "3", "0"]))),
+                  ("--order", draw(st.sampled_from(["1", "2", "0"]))),
+                  ("--t-order", draw(st.sampled_from(["1", "2"]))),
+                  ("--resolution", draw(st.sampled_from(["4", "0"]))),
+                  ("--radial", "4")]
+        exponents = ["--p", "--q", "--alpha", "--lam", "--t"]
+    elif command == "whitney":
+        flags += [("--n", draw(st.sampled_from(["1", "2", "0", "-1"])))]
+        exponents = ["--lam"]
+    elif command == "carleson":
+        flags += [("--measure", "{measure}"),
+                  ("--condition", draw(st.sampled_from(["vector", "single", "mixed",
+                                                        "tent"]))),
+                  ("--s", f"{draw(edge)},{draw(edge)}")]
+        exponents = ["--p", "--q", "--alpha", "--tau"]
+    else:
+        flags += [("--expansion", "{file}"),
+                  ("--kind", draw(st.sampled_from(list(cli._BALL_NORMS)))),
+                  ("--resolution", draw(st.sampled_from(["4", "0"]))), ("--radial", "4")]
+        exponents = ["--p", "--q", "--alpha", "--t"]
+    if command != "ball functional":
+        exponents += _REGION_FLAGS
+    for flag in draw(st.lists(st.sampled_from(exponents), unique=True)):
+        flags.append((flag, draw(edge)))
+    if command != "ball functional" and not any(f == "--x-max" for f, _ in flags):
+        flags.append(("--x-max", "1"))  # a small region unless an edge is drawn
+    argv = command.split()
+    for flag, value in flags:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    keys = [f[2:].replace("-", "_") for f, _ in flags]
+    config = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(_CONFIG_VALUES),
+                                  max_size=2))
+    return argv, config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_argv())
+def test_fuzzed_argv_exits_zero_one_or_two(drawn):
+    argv, config = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"file": os.path.join(tmp, "f.json"), "measure": os.path.join(tmp, "m.json")}
+        with open(files["file"], "w") as fh:
+            json.dump(bl.Expansion.random(2, 2, seed=0).to_json(), fh)
+        with open(files["measure"], "w") as fh:
+            json.dump({"atoms": [{"x": [0.25], "t": 0.5, "w": 1.0}]}, fh)
+        argv = [a.format(**files) for a in argv] + ["--out", os.path.join(tmp, "out")]
+        if config:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv += ["--config", path]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # argparse's usage error
+                code = e.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            assert not os.path.exists(os.path.join(tmp, "out")), argv

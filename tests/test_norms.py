@@ -90,6 +90,17 @@ def test_sup_norm_power_field_is_one():
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fields_reject_non_finite_parameters():
+    for w in ([0.0, np.nan], [0.0, np.inf], [np.nan, 1.0], [-np.inf, 1.0]):
+        for make in (lambda w: PoissonField(1, w), lambda w: BergmanField(1, 1, w),
+                     lambda w: fl.TestField(1, 2, np.r_[0.0, w])):
+            with pytest.raises(ValueError, match="finite"):
+                make(np.array(w))
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PowerField(2, lam)
+
+
 def test_exponent_validation():
     f = _poisson(2)
     for bad in (math.nan, math.inf):
