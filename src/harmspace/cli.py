@@ -372,6 +372,8 @@ def _cmd_carleson(args):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{args.measure} is not a valid measure file: {e}")
     region = Region(args.x_max, args.t_min, args.t_max)
+    if region.degenerate:  # no boxes: a constant of 0.0 would be no finding
+        raise UsageError("degenerate t range")
     # the boxes' arrays and corners, and the report's mass, gauge and ratio
     # columns with the CSV cells made from them: about 220, 290 and 370
     # bytes a box at n = 1, 2, 3 (ru_maxrss with a 400-atom measure at 0.26

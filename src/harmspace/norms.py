@@ -219,55 +219,74 @@ def whitney_discrete_norm(
 ) -> float:
     """Discrete Bergman norm: sum_k eta_k^(alpha p - 1) max_{box}|f|^p |box|.
 
-    The max runs over a per-box tensor sample grid including the corners.
-    Comparable to bergman_norm with weight t^(alpha p - 1) within
-    two-sided constants on positive smooth fields.
+    The max runs over a per-box tensor sample grid including the corners;
+    the terms are added in box order.  Comparable to bergman_norm with
+    weight t^(alpha p - 1) within two-sided constants on positive smooth
+    fields.
     """
     _check_finite(p=p, alpha=alpha)
     if p <= 0:
         raise ValueError("exponent must be positive")
     cubes = whitney_cubes(region, f.n)
     lo, hi = box_corners(cubes)
+    maxima = _box_grid_maxima(f, lo, hi, samples)
     etas, volumes = (1.5 * cubes.side).tolist(), box_volumes(lo, hi).tolist()
     total = 0.0
-    for blo, bhi, eta, volume in zip(lo.tolist(), hi.tolist(), etas, volumes):
-        m = _box_grid_max(f, blo, bhi, samples)
+    for m, eta, volume in zip(maxima, etas, volumes):
         total += eta ** (alpha * p - 1) * m**p * volume
     return total ** (1.0 / p)
 
 
-def _box_grid_max(f, lo, hi, samples):
+def _box_grid_maxima(f, lo, hi, samples):
     """max |f| over the tensor grid of `samples` points per axis, corners
-    included, on the box [lo, hi]: one field evaluation."""
-    axes = [np.linspace(a, b, samples) for a, b in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    return float(np.max(np.abs(f.values(pts))))
+    included, on each box [lo, hi] (corner arrays (B, d)), as a list.
+
+    The field is evaluated on chunks of boxes holding at most
+    _CUBE_CHUNK_POINTS points, as on the cubes path of bergman_norm.
+    """
+    axes = np.linspace(lo, hi, samples, axis=0)  # (samples, B, d)
+    step = max(1, _CUBE_CHUNK_POINTS // samples ** lo.shape[1])
+    maxima = []
+    for a in range(0, lo.shape[0], step):
+        grid = axes[:, a : a + step].T  # (d, boxes, samples)
+        pts, _ = quad.tensor_rule([(x, np.ones_like(x)) for x in grid])
+        maxima += np.max(np.abs(f.values(pts)), axis=1).tolist()
+    return maxima
 
 
 def lemma2_ratio(
-    f, p: float, alpha: float, cube: WhitneyBoxes, spec: QuadSpec, enlarge: float = 1.25
-) -> float:
-    """Pointwise-vs-average ratio on one Whitney box.
+    f, ps, alpha: float, cube: WhitneyBoxes, spec: QuadSpec, enlarge: float = 1.25
+) -> np.ndarray:
+    """Pointwise-vs-average ratios on one Whitney box, one per exponent p
+    of the sequence ps.
 
     cube is a one-box WhitneyBoxes record, such as cubes[[i]] or
     cubes[i:i + 1].
     ratio = eta^(alpha p - 1) max_{box}|f|^p
             / ( (1/|box*|) int_{box*} |f|^p t^(alpha p - 1) dz )
-    with box* the box enlarged by `enlarge` about its centre.  Bounded by
-    a constant independent of the box for harmonic f; callers fit and
-    report the constant.
+    with box* the box enlarged by `enlarge` about its centre.  The field
+    is evaluated once on the box's sample grid and once on box*'s Gauss
+    nodes for all exponents.  Bounded by a constant independent of the box
+    for harmonic f; callers fit and report the constant.
     """
     if len(cube) != 1:
         raise ValueError(f"lemma2_ratio takes one box, got {len(cube)}")
-    lo, hi = box_corners(cube)
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1:
+        raise ValueError("lemma2_ratio takes a sequence of exponents")
     eta = (1.5 * cube.side).tolist()[0]
-    lhs = eta ** (alpha * p - 1) * _box_grid_max(f, lo[0].tolist(), hi[0].tolist(), 4) ** p
+    (m,) = _box_grid_maxima(f, *box_corners(cube), 4)
     big_lo, big_hi = enlarged_corners(cube, enlarge)
     qpts, qw = quad.box_tensor_rule(big_lo, big_hi, spec.cube_order)
     qpts, qw = qpts[0], qw[0]
-    integral = float(qw @ (np.abs(f.values(qpts)) ** p * qpts[:, -1] ** (alpha * p - 1)))
-    return lhs * box_volumes(big_lo, big_hi)[0] / integral
+    vals, t = np.abs(f.values(qpts)), qpts[:, -1]
+    volume = box_volumes(big_lo, big_hi)[0]
+    ratios = []
+    for p in ps.tolist():
+        lhs = eta ** (alpha * p - 1) * m**p
+        integral = float(qw @ (vals**p * t ** (alpha * p - 1)))
+        ratios.append(lhs * volume / integral)
+    return np.array(ratios)
 
 
 def discrete_vs_integral(f, p: float, alpha: float, region: Region, spec: QuadSpec):

@@ -536,7 +536,10 @@ def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
     """int int |E((z1+z2)/2)|^p dm_{s1}(z1) dm_{s2}(z2), n <= 2.
 
     The x-integrals collapse: with u = (x1+x2)/2 the slot box [-X, X]^n
-    pairs contribute the overlap volume prod_i (2X - 2|u_i|).
+    pairs contribute the overlap volume prod_i (2X - 2|u_i|).  The mean
+    heights of the t-pairs repeat (the pair table is symmetric), and so
+    do the axis distances |u| of the radial layout, so E is evaluated once
+    per distinct (|u| or u, height) and the value table indexed back.
     """
     n = E.n
     X = region.x_max
@@ -544,16 +547,18 @@ def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
     taus = 0.5 * (t[:, None] + t[None, :])  # mean heights over t-pairs
     U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * n)
     overlap = np.prod(2 * X - 2 * np.abs(U), axis=1)
-    taus_flat = taus.ravel()
+    tau, tau_of = np.unique(taus.ravel(), return_inverse=True)
     tpair = np.outer(wt * t ** s_vec[0], wt * t ** s_vec[1]).ravel()
     if E._ax is not None:
-        d = np.linalg.norm(U, axis=1)
-        vals = np.abs(E.radial_values(d[:, None], taus_flat[None, :])) ** p
+        d, d_of = np.unique(np.linalg.norm(U, axis=1), return_inverse=True)
+        vals = (np.abs(E.radial_values(d[:, None], tau[None, :])) ** p)[d_of]
     else:
         # flat layout (n = 1): evaluate on the (u, tau) product directly
-        P, _ = quad.tensor_rule([(U[:, 0], wU), (taus_flat, tpair)])
-        vals = np.abs(E.values(P)).reshape(U.shape[0], taus_flat.size) ** p
-    return float((wU * overlap) @ vals @ tpair)
+        P, _ = quad.tensor_rule([(U[:, 0], wU), (tau, np.ones_like(tau))])
+        vals = np.abs(E.values(P)).reshape(U.shape[0], tau.size) ** p
+    # np.take keeps the table C-ordered: the products below add in an order
+    # that depends on the layout, and the all-pairs table was C-ordered
+    return float((wU * overlap) @ np.take(vals, tau_of, axis=1) @ tpair)
 
 
 def sup_product_ratio(multi: MeanExtension, s_vec, g_sup: float, pairs) -> float:

@@ -166,6 +166,40 @@ def test_carleson_command_matches_library(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_carleson_over_a_degenerate_t_range_exits_two(tmp_path, capsys):
+    # no boxes to test: the same rejection as the norm over that region
+    mpath = tmp_path / "mu.json"
+    mpath.write_text(json.dumps(
+        ca.AtomicMeasure([[0.5]], [1.0], [1.0], "one").to_json()))
+    out = tmp_path / "out"
+    region = ["--t-min", "8", "--t-max", "1", "--out", str(out)]
+    assert cli.main(["norm", "--space", "bergman", "--field", "poisson", "--n", "1",
+                     *region]) == 2
+    norm_err = capsys.readouterr().err
+    for t_max in ("1", "8"):
+        region[3] = t_max
+        assert cli.main(["carleson", "--measure", str(mpath), "--condition", "single",
+                         "--alpha", "1", *region]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == norm_err == "error: degenerate t range\n"
+        assert "constant" not in captured.out
+    assert not out.exists()
+
+
+def test_verify_config_int_override_must_be_integral(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"overrides": {"n": 2.7}}))
+    assert run(tmp_path, "verify", "lemma6", "--budget", "smoke", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'n'" in err and "integer" in err
+    assert not (tmp_path / "verify-summary.json").exists()
+    cfg.write_text(json.dumps({"overrides": {"n": 2.0}}))
+    assert run(tmp_path, "verify", "lemma6", "--budget", "smoke", "--config", str(cfg)) == 0
+    [report] = read_summary(tmp_path, "verify")["reports"]
+    assert report["params"]["n"] == 2 and type(report["params"]["n"]) is int
+    capsys.readouterr()
+
+
 def test_ball_convolve_round_trips_expansion(tmp_path, capsys):
     f = bl.Expansion.random(2, 4, seed=5)
     g = bl.Expansion.random(2, 4, seed=6)

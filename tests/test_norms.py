@@ -10,7 +10,9 @@ from harmspace import norms as no
 from harmspace import fields as fl
 from harmspace import quadrature as quad
 from harmspace.fields import BergmanField, PoissonField, PowerField
-from harmspace.geometry import Region, box_corners, whitney_cubes
+from harmspace.geometry import (
+    Region, box_corners, box_volumes, enlarged_corners, whitney_cubes,
+)
 from harmspace.quadrature import QuadSpec
 
 SPEC = QuadSpec(order=8, t_order=6)
@@ -160,11 +162,32 @@ def test_discrete_vs_integral_comparable():
 def test_lemma2_ratio_bounded_over_levels():
     f = _poisson(2)
     cubes = whitney_cubes(Region(2.0, 0.25, 2.0), 2)
-    ratios = [no.lemma2_ratio(f, 2.0, 1.0, cubes[[i]], SPEC)
+    ratios = [no.lemma2_ratio(f, (2.0,), 1.0, cubes[[i]], SPEC)[0]
               for i in range(0, len(cubes), 7)]
     assert all(0.0 < r < 50.0 for r in ratios)
     with pytest.raises(ValueError, match="one box"):
-        no.lemma2_ratio(f, 2.0, 1.0, cubes[:2], SPEC)
+        no.lemma2_ratio(f, (2.0,), 1.0, cubes[:2], SPEC)
+    with pytest.raises(ValueError, match="sequence"):
+        no.lemma2_ratio(f, 2.0, 1.0, cubes[:1], SPEC)
+
+
+def _grid_max(f, lo, hi, samples):
+    """max |f| over one box's corner grid, one field call: the per-box form."""
+    axes = [np.linspace(a, b, samples) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+    return float(np.max(np.abs(f.values(grid))))
+
+
+def _lemma2_one_exponent(f, p, alpha, cube, spec, enlarge):
+    """The ratio for one exponent, from one box's own field calls."""
+    lo, hi = box_corners(cube)
+    eta = (1.5 * cube.side).tolist()[0]
+    lhs = eta ** (alpha * p - 1) * _grid_max(f, lo[0].tolist(), hi[0].tolist(), 4) ** p
+    big_lo, big_hi = enlarged_corners(cube, enlarge)
+    qpts, qw = quad.box_tensor_rule(big_lo, big_hi, spec.cube_order)
+    qpts, qw = qpts[0], qw[0]
+    integral = float(qw @ (np.abs(f.values(qpts)) ** p * qpts[:, -1] ** (alpha * p - 1)))
+    return lhs * box_volumes(big_lo, big_hi)[0] / integral
 
 
 def test_lemma2_ratio_equals_the_per_box_formula():
@@ -173,29 +196,45 @@ def test_lemma2_ratio_equals_the_per_box_formula():
     # on it; the box and its enlargement from the closed forms
     # the field peaks at x = (0.3, -0.2), inside the boxes above it and off
     # their sample grids, so the grid's size shows in the max
-    f, p, alpha, enlarge = PoissonField(2, np.array([0.3, -0.2, 1.0])), 1.5, 0.8, 1.2
+    f, alpha, enlarge = PoissonField(2, np.array([0.3, -0.2, 1.0])), 0.8, 1.2
+    ps = (0.7, 1.5, 2.0)
     cubes = whitney_cubes(Region(2.0, 0.25, 2.0), 2)
     lo, hi = box_corners(cubes)
     above = np.flatnonzero(np.all((lo[:, :2] < [0.3, -0.2]) & (hi[:, :2] > [0.3, -0.2]), axis=1))
     assert len(above) == 3  # one box per level
     for i in [0, 17, len(cubes) - 1, *above]:
+        got = no.lemma2_ratio(f, ps, alpha, cubes[i:i + 1], SPEC, enlarge)
+        assert got.shape == (len(ps),)
         j, k = int(cubes.level[i]), cubes.index[i].tolist()
         s = 2.0 ** j
         axes = [np.linspace(a * s, (a + 1) * s, 4) for a in k] + [np.linspace(s, 2 * s, 4)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        lhs = (1.5 * s) ** (alpha * p - 1) * float(np.max(np.abs(f.values(grid)))) ** p
         center = [(a + 0.5) * s for a in k] + [1.5 * s]
         half = 0.5 * s * enlarge
         pts, w = quad.box_tensor_rule([[c - half for c in center]],
                                       [[c + half for c in center]], SPEC.cube_order)
-        integral = float(w[0] @ (np.abs(f.values(pts[0])) ** p
-                                 * pts[0][:, -1] ** (alpha * p - 1)))
-        want = lhs * (2.0 * half) ** 3 / integral
-        got = no.lemma2_ratio(f, p, alpha, cubes[i:i + 1], SPEC, enlarge)
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        for p, ratio in zip(ps, got):
+            lhs = (1.5 * s) ** (alpha * p - 1) * float(np.max(np.abs(f.values(grid)))) ** p
+            integral = float(w[0] @ (np.abs(f.values(pts[0])) ** p
+                                     * pts[0][:, -1] ** (alpha * p - 1)))
+            want = lhs * (2.0 * half) ** 3 / integral
+            assert ratio == pytest.approx(want, rel=1e-13, abs=0.0)
+            # and bit for bit the ratio of that exponent alone, on its own field calls
+            assert ratio == _lemma2_one_exponent(f, p, alpha, cubes[i:i + 1], SPEC, enlarge)
 
 
-def test_whitney_discrete_norm_equals_the_per_box_sum():
+def _discrete_norm_per_box(f, p, alpha, region, samples=3):
+    """whitney_discrete_norm with one field call per box."""
+    cubes = whitney_cubes(region, f.n)
+    lo, hi = box_corners(cubes)
+    etas, volumes = (1.5 * cubes.side).tolist(), box_volumes(lo, hi).tolist()
+    total = 0.0
+    for blo, bhi, eta, volume in zip(lo.tolist(), hi.tolist(), etas, volumes):
+        total += eta ** (alpha * p - 1) * _grid_max(f, blo, bhi, samples) ** p * volume
+    return total ** (1.0 / p)
+
+
+def test_whitney_discrete_norm_equals_the_per_box_sum(monkeypatch):
     # sum over the boxes of eta^(alpha p - 1) max|f|^p |box|, the max over a
     # 3^(n+1) corner grid, from the closed forms
     f, p, alpha = _poisson(2), 2.0, 1.0
@@ -210,6 +249,27 @@ def test_whitney_discrete_norm_equals_the_per_box_sum():
         total += (1.5 * s) ** (alpha * p - 1) * m ** p * s ** 3
     got = no.whitney_discrete_norm(f, p, alpha, region)
     assert got == pytest.approx(total ** (1.0 / p), rel=1e-13, abs=0.0)
+    # bit for bit the per-box loop, n = 1 and 2, in one chunk and in chunks
+    # of 100 points: 11 boxes a chunk at n = 1, 3 and 1 at n = 2
+    cases = [(PoissonField(1, np.array([0.3, 1.0])), 1.5, 0.8, 3),
+             (BergmanField(1, 2, np.array([0.3, -0.2, 0.5])), 0.7, 1.0, 3),
+             (_poisson(2), 2.0, 1.0, 5)]
+    for chunk in (no._CUBE_CHUNK_POINTS, 100):
+        monkeypatch.setattr(no, "_CUBE_CHUNK_POINTS", chunk)
+        for f, p, alpha, samples in cases:
+            want = _discrete_norm_per_box(f, p, alpha, region, samples)
+            asked, values = [], f.values
+
+            def counted(pts, values=values, asked=asked):
+                asked.append(np.shape(pts)[:-1])
+                return values(pts)
+
+            monkeypatch.setattr(f, "values", counted)
+            assert no.whitney_discrete_norm(f, p, alpha, region, samples) == want
+            # whole boxes a call, at most the chunk's points unless one box is more
+            per_box = samples ** (f.n + 1)
+            assert all(k == per_box and b * k <= max(chunk, k) for b, k in asked)
+            assert sum(b for b, _ in asked) == len(whitney_cubes(region, f.n))
 
 
 def test_norm_row_contract():

@@ -250,6 +250,59 @@ def test_trace_product_norm_guards():
         op.trace_product_norm_p(Wrong(), 1.0, (0.5,), region, spec)
 
 
+def _all_pairs_slot_integral(E, p, s_vec, region, spec):
+    """The mean-slot integral with E evaluated at every (u, t_i, t_j)
+    triple, mean heights repeated: the brute-force form."""
+    X = region.x_max
+    t, wt = quad.t_quadrature(region, spec)
+    taus = (0.5 * (t[:, None] + t[None, :])).ravel()
+    U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * E.n)
+    overlap = np.prod(2 * X - 2 * np.abs(U), axis=1)
+    tpair = np.outer(wt * t ** s_vec[0], wt * t ** s_vec[1]).ravel()
+    if E.n == 1:
+        P, _ = quad.tensor_rule([(U[:, 0], wU), (taus, tpair)])
+        vals = np.abs(E.values(P)).reshape(U.shape[0], taus.size) ** p
+    else:
+        d = np.linalg.norm(U, axis=1)
+        vals = np.abs(E.radial_values(d[:, None], taus[None, :])) ** p
+    return float((wU * overlap) @ vals @ tpair), U, t
+
+
+def test_mean_slot_integral_equals_all_pairs_with_one_value_per_point(monkeypatch):
+    # the slot side of trace_product_norm_p, bit for bit, from a field asked
+    # once per distinct mean height (and, radially, per distinct |u|)
+    # the n = 2 all-pairs table costs one axial evaluation per entry: keep it small
+    for g, p, s_vec, region, spec in (
+            (fl.BergmanField(2, 1, (0.0, 1.0)), 1.5, (0.25, 0.25), Region(4.0, 0.25, 4.0),
+             QuadSpec(order=4, t_order=3, cube_order=3)),
+            (_testfield(0, 2), 1.5, (0.25, 0.5), Region(1.0, 0.5, 2.0),
+             QuadSpec(order=2, t_order=2, cube_order=3))):
+        ext = op.MeanExtension(g, 2, 2, region, spec)
+        want, U, t = _all_pairs_slot_integral(ext.field, p, s_vec, region, spec)
+        _, rhs = op.trace_product_norm_p(ext, p, s_vec, region, spec)
+        assert rhs == want
+        heights = np.unique(0.5 * (t[:, None] + t[None, :]))
+        # symmetric in the pair, and dyadic panels share more mean heights
+        assert heights.size <= t.size * (t.size + 1) // 2
+        if g.n == 1:
+            method, spatial = "values", U.shape[0]
+        else:
+            method, spatial = "radial_values", np.unique(np.linalg.norm(U, axis=1)).size
+            assert spatial < U.shape[0]  # |u| repeats under the grid's symmetries
+        asked = []
+        inner = getattr(ext.field, method)
+
+        def counted(*args):
+            out = inner(*args)
+            asked.append(out.size)
+            return out
+
+        monkeypatch.setattr(ext.field, method, counted)
+        assert op._mean_slot_integral_m2(ext.field, p, s_vec, region, spec) == want
+        assert asked == [spatial * heights.size]
+        monkeypatch.undo()
+
+
 # ------------------------------------------- blocked and shared kernel loops
 
 

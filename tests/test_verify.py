@@ -56,6 +56,34 @@ def test_override_coercion_echoed_in_params():
     assert rep["params"]["seed"] == 0
 
 
+def test_int_override_rejects_a_fractional_float():
+    # a float for an int parameter is taken only when it is integral: 2.7
+    # once ran as n = 2 while the summary echoed 2.7
+    for bad in (2.7, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer"):
+            vf.run_experiment("lemma6", budget="smoke", overrides={"n": bad})
+    assert vf._coerce("n", 2, 2.0) == 2 and type(vf._coerce("n", 2, 2.0)) is int
+    assert vf._coerce("n", 2, "3") == 3
+    with pytest.raises(ValueError):
+        vf._coerce("n", 2, "2.7")
+
+
+def test_box_condition_norm_takes_each_distinct_slot_exponent_once(monkeypatch):
+    # thm2's product norm: one cubes-path norm per test field and distinct s
+    real, calls = vf.no.bergman_norm, {}
+
+    def counted(f, p, alpha, *args, **kw):
+        calls.setdefault(tuple(f.w), []).append(alpha)
+        return real(f, p, alpha, *args, **kw)
+
+    monkeypatch.setattr(vf.no, "bergman_norm", counted)
+    for s2, per_field in ((0.5, [0.5]), (0.75, [0.5, 0.75])):
+        calls.clear()
+        rep = vf.run_experiment("thm2-equivalence", budget="smoke", overrides={"s2": s2})
+        assert rep["params"]["s2"] == s2
+        assert calls and all(alphas == per_field for alphas in calls.values())
+
+
 def test_lemma4_source_rule_memory_is_bounded_at_n2(monkeypatch):
     # at n = 2 the refined smoke rule has 16.6M nodes (133 MB per float
     # array); two fit points keep the run short
