@@ -26,17 +26,8 @@ import math
 import numpy as np
 from scipy.special import gammaln, lpmv, roots_jacobi
 
-from .norms import _check_finite
 from .quadrature import gauss_rule
-from .util import gamma_ratio
-
-
-def _check_positive(**params):
-    """Reject parameters, by name, that are not finite and positive."""
-    _check_finite(**params)
-    for name, v in params.items():
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+from .util import check_finite, check_positive, gamma_ratio
 
 
 def dim_harmonics(n: int, k: int) -> int:
@@ -325,7 +316,7 @@ def fractional_derivative(t: float, f: Expansion) -> Expansion:
 
 
 def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
-    _check_positive(order=t)
+    check_positive(order=t)
     try:
         vals = [gamma_ratio(k + n / 2, t) / math.gamma(t) for k in range(cap + 1)]
     except OverflowError:  # a gamma past the float64 range
@@ -365,19 +356,23 @@ def conv_poisson_matrix(c: Multiplier, rhos, xpts, ypts) -> list:
 MAX_WEIGHT_EXPONENT = 1021.0
 
 
-def radial_jacobi_quadrature(a_exp: float, n: int, count: int):
+def check_weight_exponent(a_exp: float, what: str) -> None:
+    """The one check of a radial weight exponent a: (-1, MAX_WEIGHT_EXPONENT]."""
+    if not -1 < a_exp <= MAX_WEIGHT_EXPONENT:  # NaN fails too
+        raise ValueError(f"{what}, the radial weight exponent, must lie in"
+                         f" (-1, {MAX_WEIGHT_EXPONENT:g}], got {a_exp:g}")
+
+
+def radial_jacobi_quadrature(a_exp: float, n: int, count: int, what: str = "a"):
     """Nodes/weights for int_0^1 g(r) (1-r)^a r^(n-1) dr, a > -1.
 
     Gauss-Jacobi in xi = 2r - 1 with weight (1-xi)^a; the r^(n-1) factor
     and the remaining smooth parts belong to g and are folded into the
     returned weights as (1+...) terms evaluated at the nodes.
-    Returned weights include r^(n-1) and the (1-r)^a factor.
+    Returned weights include r^(n-1) and the (1-r)^a factor.  A
+    rejected a is named `what`.
     """
-    if a_exp <= -1:
-        raise ValueError("weight exponent must exceed -1")
-    if a_exp > MAX_WEIGHT_EXPONENT:
-        raise ValueError(f"weight exponent must be at most {MAX_WEIGHT_EXPONENT:g},"
-                         f" got {a_exp:g}")
+    check_weight_exponent(a_exp, what)
     xi, w = roots_jacobi(count, a_exp, 0.0)
     r = 0.5 * (xi + 1.0)
     # (1 - xi)^a dxi = (2(1-r))^a 2 dr
@@ -406,34 +401,31 @@ def _power_mean(vals, w, p):
     return m[..., 0] * ((vals / m) ** p @ w) ** (1.0 / p)
 
 
-def _radial_mean(f, values, p, q, a_exp, resolution, radial) -> float:
+def _radial_mean(f, values, p, q, a_exp, what, resolution, radial) -> float:
     """(int_0^1 M_q^p (1-r)^a (1+r)^a r^(n-1) dr)^(1/p), where M_q is the
     q-mean of values(f, r, x') over the sphere: the Gauss-Jacobi rule
-    takes the (1-r)^a endpoint factor, so a in (-1, 0) costs nothing."""
+    takes the (1-r)^a endpoint factor, so a in (-1, 0) costs nothing.  The
+    rule, which checks a (named `what`), is built before the sphere grid."""
+    r, wr = radial_jacobi_quadrature(a_exp, f.n, radial, what)
     pts, w = _sphere(f.n, resolution)
-    r, wr = radial_jacobi_quadrature(a_exp, f.n, radial)
     mq = _power_mean(values(f, r[:, None], pts), w, q)
     return float(_power_mean(mq, wr * (1.0 + r) ** a_exp, p))
 
 
 def _volume_integral(f, values, p, alpha, resolution, radial) -> float:
     """(int_B values(f, r, x')^p (1-|x|^2)^alpha dx)^(1/p), normalized sigma:
-    the mixed integral with q = p, volume element r^(n-1) dr dsigma(x')."""
-    _check_positive(p=p)
-    _check_finite(alpha=alpha)
-    if alpha <= -1:
-        raise ValueError("weight must have alpha > -1")
-    return _radial_mean(f, values, p, p, alpha, resolution, radial)
+    the mixed integral with q = p, volume element r^(n-1) dr dsigma(x');
+    the rule checks the weight exponent alpha."""
+    check_positive(p=p)
+    return _radial_mean(f, values, p, p, alpha, "alpha", resolution, radial)
 
 
 def _mixed_integral(f, values, p, q, alpha, resolution, radial) -> float:
     """(int_0^1 M_q^p (1-r^2)^(alpha p - 1) r^(n-1) dr)^(1/p), where M_q
-    is the q-mean of values(f, r, x') over the sphere."""
-    _check_positive(p=p, q=q)
-    _check_finite(alpha=alpha)
-    if alpha * p - 1 <= -1:
-        raise ValueError("need alpha p > 0")
-    return _radial_mean(f, values, p, q, alpha * p - 1, resolution, radial)
+    is the q-mean of values(f, r, x') over the sphere; the rule checks the
+    weight exponent alpha p - 1."""
+    check_positive(p=p, q=q)
+    return _radial_mean(f, values, p, q, alpha * p - 1, "alpha p - 1", resolution, radial)
 
 
 def volume_norm(
@@ -445,8 +437,8 @@ def volume_norm(
 
 def slice_norm_ball(f: Expansion, q: float, r: float, resolution: int = 24) -> float:
     """M_q(f, r) under the normalized measure."""
-    _check_positive(q=q)
-    _check_finite(r=r)
+    check_positive(q=q)
+    check_finite(r=r)
     pts, w = _sphere(f.n, resolution)
     return float(_power_mean(np.abs(f.values(np.asarray(r), pts)), w, q))
 
@@ -462,7 +454,7 @@ def sup_mixed_norm_ball(
     f: Expansion, q: float, alpha: float, resolution: int = 24, rho_count: int = 24
 ) -> float:
     """||f||_{infty,q,alpha} = sup_r (1-r^2)^alpha M_q(f, r) on a rho grid."""
-    _check_finite(alpha=alpha)
+    check_finite(alpha=alpha)
     rhos = 1.0 - 2.0 ** (-np.arange(rho_count) / 2.0)
     grid = resolution if isinstance(resolution, SphereGrid) else SphereGrid(f.n, resolution)
     best = 0.0

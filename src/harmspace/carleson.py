@@ -16,21 +16,23 @@ a threshold, and the finite-cover mass transfer) lives here too.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import kernels
 from .geometry import (
     MASK_PAIRS, Region, WhitneyBoxes, box_centers, box_corners, box_volumes,
-    in_boxes, weighted_measures, whitney_cubes,
+    half_space_points, in_boxes, weighted_measures, whitney_cubes,
 )
 from .quadrature import QuadSpec
 from .norms import bergman_norm
+from .util import check_finite, check_positive
 
 
 class AtomicMeasure:
-    """Finite positive atomic measure sum_i w_i delta_{(x_i, t_i)}."""
+    """Finite positive atomic measure sum_i w_i delta_{(x_i, t_i)}.
+
+    points holds the atoms' (x, t) rows, (m, n+1), read-only.
+    """
 
     def __init__(self, x, t, weight, label="measure"):
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -39,24 +41,14 @@ class AtomicMeasure:
         self.label = label
         if self.x.shape[0] != self.t.size or self.t.size != self.weight.size:
             raise ValueError("atom arrays disagree in length")
-        for name, arr in (("x", self.x), ("t", self.t), ("weight", self.weight)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"atom {name} values must be finite")
-        if np.any(self.t <= 0):
-            raise ValueError("atoms must lie in the open half-space")
-        if np.any(self.weight < 0):
-            raise ValueError("weights must be nonnegative")
+        self.points = half_space_points(np.column_stack([self.x, self.t]), what="atoms")
+        self.points.flags.writeable = False
+        if not np.all((self.weight >= 0) & (self.weight < np.inf)):  # NaN fails too
+            raise ValueError("atom weights must be finite and nonnegative")
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The atoms' (x, t) rows, (m, n+1); built once, read-only."""
-        pts = np.column_stack([self.x, self.t])
-        pts.flags.writeable = False
-        return pts
 
     def total_mass(self) -> float:
         return float(self.weight.sum())
@@ -116,10 +108,8 @@ class AtomicMeasure:
     @classmethod
     def discretized_weight(cls, region: Region, n: int, lam: float, label=None):
         """Cube-center atoms carrying m_lam(box): the discrete stand-in
-        for the weight t^lam dz."""
+        for the weight t^lam dz (no atoms for a degenerate region)."""
         cubes = whitney_cubes(region, n)
-        if not len(cubes):
-            raise ValueError("degenerate region: no boxes to carry the weight")
         ctr = box_centers(cubes)
         return cls(ctr[:, :-1], ctr[:, -1], weighted_measures(*box_corners(cubes), lam),
                    label or f"m_lambda-{lam:g}")
@@ -128,7 +118,7 @@ class AtomicMeasure:
 class CubeConditionReport:
     """Per-box ratios mass/gauge and their sup for one condition, as
     columns: the boxes' level (B,) and index (B, n) arrays, and float64
-    mass, gauge and ratio = mass / gauge, all in box order."""
+    mass, gauge and ratio = mass / gauge, all in box order; B >= 1."""
 
     def __init__(self, condition, params, level, index, mass, gauge, n):
         self.condition = condition
@@ -145,20 +135,17 @@ class CubeConditionReport:
         return len(self.level)
 
     @property
-    def argmax(self):
-        """Position of the first box with the largest ratio; None if none."""
-        return int(np.argmax(self.ratio)) if len(self) else None
+    def argmax(self) -> int:
+        """Position of the first box with the largest ratio."""
+        return int(np.argmax(self.ratio))
 
     @property
     def constant(self) -> float:
-        i = self.argmax
-        return 0.0 if i is None else float(self.ratio[i])
+        return float(self.ratio[self.argmax])
 
     def level_maxima(self) -> dict:
         """{level: max(0.0, the largest ratio of the level's boxes)}, in
         increasing level."""
-        if not len(self):
-            return {}
         low = int(self.level.min())
         slot = self.level - low
         top = np.zeros(int(slot.max()) + 1)
@@ -180,7 +167,7 @@ class CubeConditionReport:
             "condition": self.condition,
             "params": self.params,
             "constant": self.constant,
-            "argmax_level": None if i is None else int(self.level[i]),
+            "argmax_level": int(self.level[i]),
             "boxes": len(self),
         }
 
@@ -204,7 +191,10 @@ def _cube_report(condition, params, mu: AtomicMeasure, cubes: WhitneyBoxes, lo, 
                  base, e):
     """The report over the boxes, whose corners are (lo, hi), with gauge =
     base^e per box, base an array: the box volumes, or the etas (the centre
-    heights, 3/2 side)."""
+    heights, 3/2 side).  No boxes is a degenerate t range: a non-degenerate
+    region has at least one box."""
+    if not len(cubes):
+        raise ValueError("degenerate t range")
     if not np.isfinite(e):
         raise ValueError(f"the {condition} gauge exponent must be finite, got {e}")
     gauge = np.array(_gauges(base.tolist(), e))
@@ -225,6 +215,7 @@ def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionRe
     s_vec = list(s_vec)
     if len(s_vec) != m:
         raise ValueError("s_vec must have length m")
+    check_finite(**{f"s_{j}": s for j, s in enumerate(s_vec, 1)})
     n = mu.n
     e = m + sum(s_vec) / (n + 1)
     lo, hi = box_corners(cubes)
@@ -235,6 +226,7 @@ def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionRe
 def condition_single(mu: AtomicMeasure, cubes, alpha: float) -> CubeConditionReport:
     """mass / |box|^(1 + alpha/(n+1)) over the boxes of the WhitneyBoxes
     record cubes; the single-weight corollary."""
+    check_finite(alpha=alpha)
     n = mu.n
     e = 1 + alpha / (n + 1)
     lo, hi = box_corners(cubes)
@@ -245,10 +237,9 @@ def condition_single(mu: AtomicMeasure, cubes, alpha: float) -> CubeConditionRep
 def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditionReport:
     """mass / eta^(n q/p + alpha q) over the boxes of the WhitneyBoxes
     record cubes, eta = 3/2 side; the mixed-norm embedding."""
-    if not (0 < p <= q):
-        raise ValueError("need 0 < p <= q")
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
+    check_positive(p=p, q=q, alpha=alpha)
+    if p > q:
+        raise ValueError(f"need p <= q, got p = {p}, q = {q}")
     e = mu.n * q / p + alpha * q
     lo, hi = box_corners(cubes)
     return _cube_report("mixed", {"p": p, "q": q, "alpha": alpha, "exponent": e},
@@ -258,10 +249,9 @@ def condition_mixed(mu, cubes, p: float, q: float, alpha: float) -> CubeConditio
 def condition_tent(mu, cubes, p: float, alpha: float, tau=None) -> CubeConditionReport:
     """mass / eta^(n + alpha p) over the boxes of the WhitneyBoxes record
     cubes, eta = 3/2 side; the tent-space embedding."""
-    if p <= 0 or alpha <= 0:
-        raise ValueError("need p > 0 and alpha > 0")
-    if tau is not None and not (0 < tau <= p):
-        raise ValueError("need 0 < tau <= p")
+    check_positive(p=p, alpha=alpha)
+    if tau is not None and not 0 < tau <= p:  # NaN fails too
+        raise ValueError(f"need 0 < tau <= p, got tau = {tau}")
     e = mu.n + alpha * p
     lo, hi = box_corners(cubes)
     return _cube_report("tent", {"p": p, "alpha": alpha, "tau": tau, "exponent": e},
@@ -272,10 +262,8 @@ def qw_box(w):
     """Corners (lo, hi) of the closed cube Q_w centered at w = (y, s) with
     side s on all n+1 axes: each (n+1,) for one center, (k, n+1) for an
     array of k centers."""
-    w = np.asarray(w, dtype=float)
+    w = half_space_points(w, what="box centres")
     s = w[..., -1:]
-    if np.any(s <= 0):
-        raise ValueError("center must lie in the open half-space")
     return w - s / 2, w + s / 2
 
 

@@ -29,8 +29,8 @@ from . import carleson as ca
 from . import norms as no
 from . import util, verify
 from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
-from .geometry import (Region, box_centers, box_corners, cubes_to_json, weighted_measures,
-                       whitney_count, whitney_cubes)
+from .geometry import (Region, box_centers, box_corners, cubes_to_json, overlap_counts,
+                       weighted_measures, whitney_count, whitney_cubes)
 from .quadrature import QuadSpec
 
 
@@ -271,13 +271,11 @@ def _finite_norm(kind, norm, *params):
 
 def _ball_norm(kind, f, args, res):
     if kind in _RADIAL_KINDS:
-        # the radial Gauss-Jacobi rule's weight exponent
-        mixed = kind.endswith("mixed")
-        a_exp = args.alpha * args.p - 1 if mixed else args.alpha
-        if a_exp > bl.MAX_WEIGHT_EXPONENT:
-            flags = "--alpha times --p, less 1," if mixed else "--alpha"
-            raise UsageError(f"{flags} is the radial weight exponent and must be at"
-                             f" most {bl.MAX_WEIGHT_EXPONENT:g}, got {a_exp:g}")
+        # the radial rule's weight exponent, checked here to name its flags
+        if kind.endswith("mixed"):
+            bl.check_weight_exponent(args.alpha * args.p - 1, "--alpha times --p, less 1")
+        else:
+            bl.check_weight_exponent(args.alpha, "--alpha")
     # complex128 values on (radial nodes) x (sphere grid: res points on
     # the circle, res x 2 res on the 2-sphere); the sup kind, which takes
     # its slices at 24 radii, also keeps every degree's float64 basis rows
@@ -372,8 +370,6 @@ def _cmd_carleson(args):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{args.measure} is not a valid measure file: {e}")
     region = Region(args.x_max, args.t_min, args.t_max)
-    if region.degenerate:  # no boxes: a constant of 0.0 would be no finding
-        raise UsageError("degenerate t range")
     # the boxes' arrays and corners, and the report's mass, gauge and ratio
     # columns with the CSV cells made from them: about 220, 290 and 370
     # bytes a box at n = 1, 2, 3 (ru_maxrss with a 400-atom measure at 0.26
@@ -389,6 +385,10 @@ def _cmd_carleson(args):
         rep = ca.condition_mixed(mu, cubes, args.p, args.q, args.alpha)
     else:
         rep = ca.condition_tent(mu, cubes, args.p, args.alpha, args.tau)
+    lost = int(np.count_nonzero(overlap_counts(mu.points, *box_corners(cubes)) == 0))
+    if lost:
+        print(f"warning: {lost} of {len(mu.t)} atoms lie outside the region and are"
+              " not counted", file=sys.stderr)
     summary = _resolved_config(args)
     summary.update(rep.summary())
     summary["level_maxima"] = {str(k): v for k, v in rep.level_maxima().items()}

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .geometry import half_space_points
+from .util import check_finite
 
 
 class Field:
@@ -43,13 +45,9 @@ class _Centered(Field):
     """Common code for fields radial about a source point w = (y, s)."""
 
     def __init__(self, n, w):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n + 1,):
-            raise ValueError("source point must have shape (n+1,)")
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"source point must be finite, got {w.tolist()}")
-        if w[-1] <= 0:
-            raise ValueError("source must lie in the open half-space")
+        w = half_space_points(w, n, "source point")
+        if w.ndim != 1:
+            raise ValueError(f"source point must have shape ({n + 1},), got {w.shape}")
         self.n = n
         self.w = w
         self.radial_center = w[:-1]
@@ -119,8 +117,7 @@ class PowerField(Field):
     def __init__(self, n, lam):
         self.n = n
         self.lam = float(lam)
-        if not np.isfinite(self.lam):
-            raise ValueError(f"power exponent must be finite, got {self.lam}")
+        check_finite(power_exponent=self.lam)
         self.radial_center = np.zeros(n)
         self.label = f"power-n{n}-lam{lam:g}"
 
@@ -160,6 +157,8 @@ class ProductField(Field):
 
 def dilated(field_cls, l, n, s, **kw):
     """Convenience: the family member centered on the axis at height s."""
+    if n < 1:
+        raise ValueError(f"spatial dimension must be >= 1, got {n}")
     w = np.zeros(n + 1)
     w[-1] = s
     if field_cls is PoissonField:

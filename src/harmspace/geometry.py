@@ -35,13 +35,19 @@ class Region:
     t_max: float
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.x_max > 0 and self.t_min > 0 and self.t_max > 0):
-            raise ValueError("region extents must be positive")
+        extents = (self.x_max, self.t_min, self.t_max)
+        if not all(0 < v < math.inf for v in extents):  # NaN fails too
+            raise ValueError(f"region extents must be finite and positive, got {extents}")
 
     @property
     def degenerate(self) -> bool:
         return self.t_min >= self.t_max
+
+    def check_t_range(self) -> None:
+        """Reject a degenerate t range, for the paths that integrate or
+        search over it: the t layers, the boxes and the sup grid."""
+        if self.degenerate:
+            raise ValueError("degenerate t range")
 
     def scaled(self, factor: float) -> "Region":
         """Doubled-style growth: x_max * factor, t range widened by factor."""
@@ -49,6 +55,18 @@ class Region:
 
     def key(self) -> str:
         return f"x{self.x_max:g}-t{self.t_min:g}-{self.t_max:g}"
+
+
+def half_space_points(points, n=None, what="points") -> np.ndarray:
+    """points as a float array, once each is known to lie in the open
+    half-space: finite coordinates, t > 0 on the last axis, and, when n is
+    given, n + 1 coordinates a point."""
+    pts = np.asarray(points, dtype=float)
+    if n is not None and pts.shape[-1:] != (n + 1,):
+        raise ValueError(f"{what} must have shape (..., {n + 1}), got {pts.shape}")
+    if not (np.isfinite(pts).all() and (pts[..., -1] > 0).all()):
+        raise ValueError(f"{what} must be finite with t > 0 (the open half-space)")
+    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +144,7 @@ def whitney_count(region: Region, n: int) -> float:
     """len(whitney_cubes(region, n)), counted without building a box.
 
     A float, exact below 2**53, and inf where the count or one layer's
-    index range overflows (a huge or unbounded region, a large n).
+    index range overflows (a huge region, a large n).
     """
     if n < 1:
         raise ValueError("spatial dimension must be >= 1")

@@ -23,6 +23,19 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import half_space_points
+
+
+# Largest order of R_m and P_l: from about m, l = 146 on, their integer
+# coefficients pass the float64 range at n <= 3, so no kernel value there
+# is finite, and a far larger order would only keep the builders busy.
+MAX_ORDER = 128
+
+
+def _check_order(what, m, top=MAX_ORDER):
+    if not 0 <= m <= top:
+        raise ValueError(f"{what} must be in 0..{top}, got {m}")
+
 
 def poisson_constant(n: int) -> float:
     """Normalizer making the Poisson kernel integrate to 1 over R^n."""
@@ -35,12 +48,9 @@ def poisson(n: int, x, t):
     x has shape (..., n); t broadcasts against the leading shape.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("Poisson kernel needs t > 0")
-    sq = np.sum(x * x, axis=-1)
-    out = poisson_from_sq(n, sq, t)
-    return out if out.shape else float(out)
+    x, t = np.broadcast_arrays(x, np.asarray(t, dtype=float)[..., None])
+    z = half_space_points(np.concatenate([x, t[..., :1]], axis=-1), n, "Poisson kernel points")
+    return poisson_from_sq(n, np.sum(x * x, axis=-1), z[..., -1])
 
 
 def poisson_from_sq(n: int, sq, t):
@@ -53,8 +63,7 @@ def poisson_from_sq(n: int, sq, t):
 @lru_cache(maxsize=None)
 def poisson_deriv_poly(m: int, n: int) -> tuple:
     """Integer coefficients of R_m as ((a, b, coeff), ...) for tau^a D^b."""
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_order("derivative order", m)
     coeffs = {(1, 0): 1}  # R_0 = tau
     for k in range(m):
         nxt: dict = {}
@@ -92,9 +101,12 @@ def _eval_poly(terms, tau, D):
     return acc
 
 
+@lru_cache(maxsize=None)
 def _bergman_factors(l: int, n: int):
     """(terms of R_{l+1}, scale, exponent) of
-    Q_l = scale R_{l+1}(tau, D) (D + tau^2)^exponent."""
+    Q_l = scale R_{l+1}(tau, D) (D + tau^2)^exponent.  Q_l takes R_{l+1},
+    so its order l stops one below MAX_ORDER."""
+    _check_order("Bergman order", l, MAX_ORDER - 1)
     scale = (-2.0) ** (l + 1) / math.factorial(l) * poisson_constant(n)
     return poisson_deriv_poly(l + 1, n), scale, -(n + 1) / 2 - (l + 1)
 
@@ -176,12 +188,8 @@ def bergman_q(l: int, n: int, z, w):
     Symmetric in z, w; the reflection wbar = (y, -s) never lies in the
     domain, so the kernel is smooth on (half-space)^2.
     """
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if z.shape[-1] != w.shape[-1]:
-        raise ValueError("points must share a dimension")
-    if np.any(z[..., -1] <= 0) or np.any(w[..., -1] <= 0):
-        raise ValueError("points must lie in the open half-space")
+    z = half_space_points(z, n, "kernel points")
+    w = half_space_points(w, n, "kernel points")
     diff = z[..., :-1] - w[..., :-1]
     sq = np.sum(diff * diff, axis=-1)
     out = bergman_from_sq(l, n, sq, z[..., -1] + w[..., -1])
@@ -199,8 +207,7 @@ def reflected_distance_sq(z, w):
 @lru_cache(maxsize=None)
 def deriv_polynomial(l: int, n: int) -> tuple:
     """Coefficients of P_l, ascending powers of u.  Integers."""
-    if l < 0:
-        raise ValueError("order must be >= 0")
+    _check_order("profile order", l)
     p = [1]
     for k in range(l):
         # (1 - u^2) p' - (n - 1 + k) u p

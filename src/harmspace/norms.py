@@ -10,11 +10,16 @@ Conventions, fixed across the toolkit:
                   int_x ( int_t |f|^q t^(alpha q - 1) dt )^(p/q) dx
 * sup norm        ||f||_{oo,lambda} = sup t^lambda |f(z)|
 
-All integrals are truncated to a Region.  Radial fields integrate over
-the ball |x - center| <= x_max crossed with [t_min, t_max]; non-radial
-fields use the box |x_i| <= x_max and are limited to n <= 2 (the tensor
-grid would not be desk-scale beyond that).  Identity checks must compare
-like with like, which they do by fixing the field type.
+All integrals are truncated to a Region.  The slice, mixed, Triebel and
+sup norms and the layers path of bergman_norm take radial fields only and
+integrate over the ball |x - center| <= x_max crossed with [t_min, t_max].
+The Whitney-box paths (the cubes path of bergman_norm, the discrete norm
+and lemma2_ratio) take any field with n <= 2 (the tensor grid would not be
+desk-scale beyond that) and use the box |x_i| <= x_max.  Identity checks
+must compare like with like, which they do by fixing the field type.
+
+Each exponent is checked once, on entry, with util.check_finite and
+util.check_positive.
 
 Exponents p, q below 1 are legal (quasi-norm regime); rows emitted by
 norm_row carry a flag for them.
@@ -30,37 +35,30 @@ from .geometry import (
     whitney_cubes,
 )
 from .quadrature import QuadSpec, sphere_area
+from .util import check_finite, check_positive
 
 
-def _check_finite(**params):
-    """Reject NaN and infinite parameters by name.  Tests such as p <= 0
-    are false for NaN, which would otherwise reach the quadrature."""
-    for name, v in params.items():
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+def _require_radial(f):
+    if not f.is_radial:
+        raise ValueError(f"this norm needs a radial field, got {f.label}")
 
 
 def _slice_values_radial(f, region: Region, spec: QuadSpec):
+    """Radial nodes r on [0, x_max] and their weights times the sphere
+    area at r; radial fields only."""
+    _require_radial(f)
     r, wr = quad.radial_quadrature(f.scale, region.x_max, spec)
     surf = sphere_area(f.n) * r ** (f.n - 1)
     return r, wr * surf
 
 
 def slice_norm(f, q: float, t: float, region: Region, spec: QuadSpec) -> float:
-    """M_q(f, t) over the truncated slice."""
-    if not q > 0:  # NaN included
-        raise ValueError("exponent must be positive")
-    if not np.isfinite(q):
+    """M_q(f, t) over the truncated slice of a radial field."""
+    if q == np.inf:
         raise NotImplementedError("sup slice norms are not provided")
-    if f.is_radial:
-        r, w = _slice_values_radial(f, region, spec)
-        vals = np.abs(f.radial_values(r, np.full_like(r, t)))
-        return float((w @ vals**q) ** (1.0 / q))
-    if f.n > 2:
-        raise ValueError("non-radial slice norms limited to n <= 2")
-    X, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * f.n)
-    pts = np.column_stack([X, np.full(X.shape[0], t)])
-    vals = np.abs(f.values(pts))
+    check_positive(q=q)
+    r, w = _slice_values_radial(f, region, spec)
+    vals = np.abs(f.radial_values(r, np.full_like(r, t)))
     return float((w @ vals**q) ** (1.0 / q))
 
 
@@ -82,9 +80,8 @@ def bergman_norm(
     (radial fields, any n).  "auto" picks layers for
     radial fields with n >= 3, cubes otherwise.
     """
-    _check_finite(p=p, alpha=alpha)
-    if p <= 0:
-        raise ValueError("exponent must be positive")
+    check_positive(p=p)
+    check_finite(alpha=alpha)
     if alpha <= -1:
         raise ValueError("Bergman weight needs alpha > -1")
     if method == "auto":
@@ -92,8 +89,7 @@ def bergman_norm(
     if method == "cubes":
         if f.n > 2:
             raise ValueError("cube path limited to n <= 2")
-        if region.degenerate:
-            raise ValueError("degenerate t range")
+        region.check_t_range()
         lo, hi = clipped_corners(*box_corners(whitney_cubes(region, f.n)), region)
         k = spec.cube_order ** (f.n + 1)
         step = max(1, _CUBE_CHUNK_POINTS // k)
@@ -106,8 +102,6 @@ def bergman_norm(
             for v in np.matmul(w[:, None, :], g[:, :, None]).ravel().tolist():
                 total += v
         return total ** (1.0 / p)
-    if not f.is_radial:
-        raise ValueError("layer path needs a radial field")
     t, wt = quad.t_quadrature(region, spec)
     r, wr = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
@@ -118,21 +112,15 @@ def bergman_norm(
 def mixed_norm(
     f, outer_p: float, inner_q: float, alpha: float, region: Region, spec: QuadSpec
 ) -> float:
-    """||f||_{B(outer_p, inner_q, alpha)} over the region."""
-    if not (outer_p > 0 and inner_q > 0):  # NaN included
-        raise ValueError("exponents must be positive")
-    if not (np.isfinite(outer_p) and np.isfinite(inner_q)):
+    """||f||_{B(outer_p, inner_q, alpha)} over the region, f radial."""
+    if np.inf in (outer_p, inner_q):
         raise NotImplementedError("infinite exponents: only the sup norm is provided")
-    _check_finite(alpha=alpha)
+    check_positive(outer_p=outer_p, inner_q=inner_q)
+    check_finite(alpha=alpha)
     t, wt = quad.t_quadrature(region, spec)
-    if f.is_radial:
-        r, wr = _slice_values_radial(f, region, spec)
-        vals = np.abs(f.radial_values(r[:, None], t[None, :]))
-        slices = (wr @ vals**inner_q) ** (1.0 / inner_q)
-    else:
-        slices = np.array(
-            [slice_norm(f, inner_q, ti, region, spec) for ti in t]
-        )
+    r, wr = _slice_values_radial(f, region, spec)
+    vals = np.abs(f.radial_values(r[:, None], t[None, :]))
+    slices = (wr @ vals**inner_q) ** (1.0 / inner_q)
     return float(
         (wt @ (slices**outer_p * t ** (alpha * outer_p - 1))) ** (1.0 / outer_p)
     )
@@ -141,55 +129,36 @@ def mixed_norm(
 def triebel_norm(
     f, p: float, q: float, alpha: float, region: Region, spec: QuadSpec
 ) -> float:
-    """||f||_{F(p, q, alpha)} over the region (inner t integral first)."""
-    _check_finite(p=p, q=q, alpha=alpha)
-    if p <= 0 or q <= 0:
-        raise ValueError("exponents must be positive")
+    """||f||_{F(p, q, alpha)} over the region (inner t integral first), f
+    radial."""
+    check_positive(p=p, q=q)
+    check_finite(alpha=alpha)
     t, wt = quad.t_quadrature(region, spec)
-    if f.is_radial:
-        r, wr = _slice_values_radial(f, region, spec)
-        vals = np.abs(f.radial_values(r[:, None], t[None, :]))
-        inner = (vals**q * t ** (alpha * q - 1)) @ wt
-        return float((wr @ inner ** (p / q)) ** (1.0 / p))
-    if f.n > 2:
-        raise ValueError("non-radial Triebel norms limited to n <= 2")
-    x_axes = [quad.box_axis_quadrature(region, spec)] * f.n
-    _, wx = quad.tensor_rule(x_axes)
-    pts, _ = quad.tensor_rule(x_axes + [(t, wt)])
-    vals = np.abs(f.values(pts)).reshape(wx.size, t.size)
+    r, wr = _slice_values_radial(f, region, spec)
+    vals = np.abs(f.radial_values(r[:, None], t[None, :]))
     inner = (vals**q * t ** (alpha * q - 1)) @ wt
-    return float((wx @ inner ** (p / q)) ** (1.0 / p))
+    return float((wr @ inner ** (p / q)) ** (1.0 / p))
 
 
 def sup_norm(f, lam: float, region: Region, rounds: int = 4, grid: int = 48):
-    """sup over the region of t^lambda |f|, by grid search plus refinement.
+    """sup over the region of t^lambda |f| for a radial f, by grid search
+    plus refinement.
 
-    Deterministic: geometric t grid crossed with a radial (or per-axis)
-    grid, then `rounds` of local refinement around the argmax.  Returns
-    (value, argmax point as (x..., t) array).
+    Deterministic: geometric t grid crossed with a radial grid, then
+    `rounds` of local refinement around the argmax.  Returns (value,
+    argmax point as (x..., t) array).
     """
-    _check_finite(lam=lam)
-    if not f.is_radial and f.n > 2:
-        raise ValueError("sup norm sampling limited to radial fields for n > 2")
-
-    def eval_rt(r, t):
-        R, T = np.meshgrid(r, t, indexing="ij")
-        vals = np.abs(f.radial_values(R, T)) * T**lam
-        return R, T, vals
-
+    check_finite(lam=lam)
+    _require_radial(f)
+    region.check_t_range()
     t_lo, t_hi = region.t_min, region.t_max
     r_lo, r_hi = 0.0, region.x_max
     best = (-np.inf, 0.0, t_lo)
     for _ in range(rounds + 1):
         t = np.exp(np.linspace(np.log(t_lo), np.log(t_hi), grid))
         r = np.linspace(r_lo, r_hi, grid)
-        if f.is_radial:
-            R, T, vals = eval_rt(r, t)
-        else:
-            # n <= 2 non-radial: search along each axis and the diagonal
-            R, T = np.meshgrid(r, t, indexing="ij")
-            pts = np.stack([R.ravel()] * f.n + [T.ravel()], axis=-1)
-            vals = (np.abs(f.values(pts)) * T.ravel() ** lam).reshape(R.shape)
+        R, T = np.meshgrid(r, t, indexing="ij")
+        vals = np.abs(f.radial_values(R, T)) * T**lam
         k = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[k] > best[0]:
             best = (float(vals[k]), float(R[k]), float(T[k]))
@@ -205,11 +174,8 @@ def sup_norm(f, lam: float, region: Region, rounds: int = 4, grid: int = 48):
             t_hi = t_lo * (1 + 1e-9)
     value, r_star, t_star = best
     point = np.zeros(f.n + 1)
-    if f.is_radial:
-        point[: f.n] = f.radial_center
-        point[0] += r_star
-    else:
-        point[: f.n] = r_star
+    point[: f.n] = f.radial_center
+    point[0] += r_star
     point[-1] = t_star
     return value, point
 
@@ -224,9 +190,9 @@ def whitney_discrete_norm(
     weight t^(alpha p - 1) within two-sided constants on positive smooth
     fields.
     """
-    _check_finite(p=p, alpha=alpha)
-    if p <= 0:
-        raise ValueError("exponent must be positive")
+    check_positive(p=p)
+    check_finite(alpha=alpha)
+    region.check_t_range()
     cubes = whitney_cubes(region, f.n)
     lo, hi = box_corners(cubes)
     maxima = _box_grid_maxima(f, lo, hi, samples)

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from . import quadrature as quad
 from .fields import Field
-from .geometry import Region
+from .geometry import Region, half_space_points
 from .norms import bergman_norm
 from .quadrature import AxisymmetricNodes, QuadSpec
 
@@ -117,11 +117,8 @@ class KernelIntegralField(Field):
         return out.reshape(out.shape[:1] + shape) if self.stacked else out[0].reshape(shape)
 
     def values(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1:] != (self.n + 1,):
-            raise ValueError(f"points must have shape (..., {self.n + 1})")
+        pts = half_space_points(points, self.n, "evaluation points")
         flat = pts.reshape(-1, pts.shape[-1])
-        _check_points(flat[:, :-1], flat[:, -1])
         if self._ax is not None:
             d = np.linalg.norm(flat[:, :-1], axis=1)
             out = self._eval_axial(d, flat[:, -1])
@@ -133,8 +130,8 @@ class KernelIntegralField(Field):
         if self._ax is None:
             raise NotImplementedError("radial path needs axisym nodes")
         R, T = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-        _check_points(R, T)
-        out = self._eval_axial(R.ravel(), T.ravel())
+        rt = half_space_points(np.column_stack([R.ravel(), T.ravel()]), what="evaluation points")
+        out = self._eval_axial(rt[:, 0], rt[:, 1])
         return self._shaped(out, R.shape)
 
     def _eval_axial(self, d, t):
@@ -193,12 +190,6 @@ class KernelIntegralField(Field):
             for j, w in enumerate(wpay):
                 out[j, a : a + chunk] = K @ w
         return out
-
-
-def _check_points(coords, t):
-    """Reject evaluation points that are not finite or have t <= 0."""
-    if not (np.isfinite(coords).all() and np.isfinite(t).all() and (t > 0).all()):
-        raise ValueError("evaluation points must be finite with t > 0")
 
 
 def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,

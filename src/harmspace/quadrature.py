@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Region
+from .util import check_positive
 
 
 def sphere_area(n: int) -> float:
@@ -34,13 +35,22 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Budget knobs shared by all node builders."""
+    """Budget knobs shared by all node builders: integer orders and splits
+    of at least 1 and a finite min_panel > 0, checked when a spec is made
+    (refined() included)."""
 
     order: int = 8  # Gauss-Legendre order per spatial panel
     t_order: int = 6  # order per t panel
     t_splits: int = 1  # extra equal-log splits of each dyadic t layer
     min_panel: float = 0.125  # finest panel width at a field center
     cube_order: int = 4  # per-dim order on Whitney boxes
+
+    def __post_init__(self):
+        for name in ("order", "t_order", "t_splits", "cube_order"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, np.integer)) and v >= 1):
+                raise ValueError(f"QuadSpec {name} must be an integer >= 1, got {v!r}")
+        check_positive(min_panel=self.min_panel)
 
     def refined(self, factor: int = 2) -> "QuadSpec":
         return replace(
@@ -170,10 +180,7 @@ def merge_breaks(groups, lo: float, hi: float) -> np.ndarray:
 def t_breaks(region: Region, splits: int = 1) -> np.ndarray:
     """Dyadic-layer breakpoints of [t_min, t_max], each layer split in
     `splits` log-equal parts.  Aligned with the Whitney layers."""
-    if region.degenerate:
-        raise ValueError("degenerate t range")
-    if region.t_max == math.inf:
-        raise ValueError("the t layers need a finite t_max")
+    region.check_t_range()
     j_lo = math.floor(math.log2(region.t_min))
     j_hi = math.ceil(math.log2(region.t_max))
     dyadic = 2.0 ** np.arange(j_lo, j_hi + 1)

@@ -1,5 +1,5 @@
-"""Shared numerical helpers: gamma ratios, finite differences, log-log fits,
-and the deterministic report writers.
+"""Shared numerical helpers: the scalar parameter checks, gamma ratios,
+finite differences, log-log fits, and the deterministic report writers.
 
 ``dump_json``/``dumps_json`` write exactly what ``json.dumps(obj,
 sort_keys=True, indent=2, allow_nan=False)`` writes, and ``dump_csv``
@@ -19,6 +19,21 @@ from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
+
+
+def check_finite(**params) -> None:
+    """Reject, by name, parameters that are not finite.  A test such as
+    alpha <= -1 is false for NaN, so it needs this one first."""
+    for name, v in params.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+def check_positive(**params) -> None:
+    """Reject, by name, parameters that are not finite and positive."""
+    for name, v in params.items():
+        if not (v > 0 and np.isfinite(v)):  # NaN fails v > 0
+            raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 def gamma_ratio(a: float, t: float) -> float:

@@ -368,14 +368,13 @@ def _report_rows(rep):
 def _row_statistics(condition, params, rows):
     """(constant, argmax position, level maxima, summary) from row tuples,
     as the report computed them when it kept one tuple per box."""
-    constant = max((r[4] for r in rows), default=0.0)
-    arg = max(range(len(rows)), key=lambda i: rows[i][4], default=None)
+    constant = max(r[4] for r in rows)
+    arg = max(range(len(rows)), key=lambda i: rows[i][4])
     maxima: dict = {}
     for lev, _, _, _, ratio in rows:
         maxima[lev] = max(maxima.get(lev, 0.0), ratio)
     summary = {"condition": condition, "params": params, "constant": constant,
-               "argmax_level": None if arg is None else rows[arg][0],
-               "boxes": len(rows)}
+               "argmax_level": rows[arg][0], "boxes": len(rows)}
     return constant, arg, maxima, summary
 
 
@@ -394,8 +393,6 @@ def test_report_statistics_equal_the_row_reference():
         (ca.AtomicMeasure([[-2.5], [2.5]], [1.5, 1.5], [1.0, 1.0]), small),
         # a -0.0 weight in the first box: its ratio -0.0 is the first maximum
         (ca.AtomicMeasure([[-3.9], [2.5]], [0.3, 1.5], [-0.0, 0.0]), small),
-        (ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0),
-         whitney_cubes(Region(1.0, 2.0, 1.0), 1)),  # no boxes
     ]
     # a seeded 400-atom measure on the region of the benchmark's carleson calls
     rng = np.random.default_rng(400)
@@ -422,6 +419,15 @@ def test_report_statistics_equal_the_row_reference():
             assert list(got) == list(maxima)
             assert [repr(v) for v in got.values()] == [repr(v) for v in maxima.values()]
             assert repr(rep.summary()) == repr(summary)
+    # no boxes: a degenerate t range, rejected rather than reported as 0.0
+    mu, none = ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0), whitney_cubes(
+        Region(1.0, 2.0, 1.0), 1)
+    for condition in (lambda: ca.condition_vector(mu, none, 2, (0.5, 0.5)),
+                      lambda: ca.condition_single(mu, none, 1.5),
+                      lambda: ca.condition_mixed(mu, none, 2.0, 3.0, 0.5),
+                      lambda: ca.condition_tent(mu, none, 2.0, 0.5, 1.0)):
+        with pytest.raises(ValueError, match="degenerate t range"):
+            condition()
 
 
 def test_cube_report_rows_equal_the_per_box_reference():
@@ -452,5 +458,8 @@ def test_discretized_weight_atoms_are_the_cube_centers():
     # the closed form side^2 (t1^e - t0^e) / e, e = lambda + 1, box by box
     e = 2.5
     assert mu.weight.tolist() == [s * s * ((2.0 * s) ** e - s ** e) / e for s in sides]
-    with pytest.raises(ValueError):
-        ca.AtomicMeasure.discretized_weight(Region(1.0, 4.0, 2.0), 1, 0.0)
+    # a degenerate region carries no atoms, and a condition over it is rejected
+    empty = ca.AtomicMeasure.discretized_weight(Region(1.0, 4.0, 2.0), 1, 0.0)
+    assert empty.points.shape == (0, 2)
+    with pytest.raises(ValueError, match="degenerate t range"):
+        ca.condition_single(empty, whitney_cubes(Region(1.0, 4.0, 2.0), 1), 1.0)

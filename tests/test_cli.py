@@ -15,7 +15,9 @@ from harmspace import ball as bl
 from harmspace import carleson as ca
 from harmspace import cli, verify
 from harmspace import norms as no
-from harmspace.geometry import Region, cubes_to_json, whitney_count, whitney_cubes
+from harmspace.geometry import (
+    Region, box_corners, cubes_to_json, overlap_counts, whitney_count, whitney_cubes,
+)
 
 
 def run(tmp_path, *argv):
@@ -186,6 +188,68 @@ def test_carleson_over_a_degenerate_t_range_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_carleson_warns_of_atoms_outside_the_region(tmp_path, capsys):
+    # atoms in no box of the region: one below it, one beside it past every
+    # box; an atom past x_max inside a box that overhangs the region counts
+    mpath = tmp_path / "mu.json"
+    atoms = ca.AtomicMeasure([[0.5], [9.0], [1.5], [0.25]], [1.0, 5.0, 5.0, 6.0],
+                             [1.0, 1.0, 1.0, 1.0], "mixed")
+    mpath.write_text(json.dumps(atoms.to_json()))
+    argv = ["carleson", "--measure", str(mpath), "--condition", "single", "--alpha", "1",
+            "--x-max", "1", "--t-min", "4", "--t-max", "8"]
+    assert run(tmp_path / "a", *argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: 2 of 4 atoms lie outside the region and are"
+                            " not counted\n")
+    summary = read_summary(tmp_path / "a", "carleson")
+    assert summary["constant"] > 0.0 and not any("atom" in key for key in summary)
+    # the one atom of a measure at x = 0.5, t = 1, under the region 4 <= t <= 8
+    mpath.write_text(json.dumps(ca.AtomicMeasure([[0.5]], [1.0], [1.0]).to_json()))
+    assert run(tmp_path / "b", *argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: 1 of 1 atoms lie outside the region and are"
+                            " not counted\n")
+    assert "constant=0.0" in captured.out
+    # no warning when every atom is counted
+    mpath.write_text(json.dumps(ca.AtomicMeasure([[0.5]], [5.0], [1.0]).to_json()))
+    assert run(tmp_path / "c", *argv) == 0
+    assert capsys.readouterr().err == ""
+    # the count equals that of the atoms no box holds, box by box, for a
+    # seeded measure over and around a region at n = 2
+    rng = np.random.default_rng(7)
+    mu = ca.AtomicMeasure(rng.uniform(-3.0, 3.0, (300, 2)),
+                          np.exp(rng.uniform(np.log(0.02), np.log(12.0), 300)),
+                          np.ones(300))
+    mpath.write_text(json.dumps(mu.to_json()))
+    region = Region(1.3, 0.1, 5.0)
+    held = overlap_counts(mu.points, *box_corners(whitney_cubes(region, 2)))
+    lost = int(np.count_nonzero(held == 0))
+    assert run(tmp_path / "d", "carleson", "--measure", str(mpath), "--condition",
+               "single", "--x-max", "1.3", "--t-min", "0.1", "--t-max", "5") == 0
+    assert 0 < lost < 300
+    assert capsys.readouterr().err == (f"warning: {lost} of 300 atoms lie outside the"
+                                       " region and are not counted\n")
+
+
+def test_verify_overrides_past_the_kernel_orders_exit_two(tmp_path, capsys):
+    # a kernel order past kernels.MAX_ORDER is a usage error, before any
+    # polynomial is built (l = 1e308 used to keep the profile builder busy
+    # for good); the Bergman kernel Q_l takes R_{l+1}, so its order stops
+    # at 127.  So is a dimension below 1
+    cfg = tmp_path / "c.json"
+    for exp_id, overrides, says in (("eq14-scaling", {"l": 1e308}, "0..128"),
+                                    ("eq14-scaling", {"l": 129}, "0..128"),
+                                    ("thm3-carleson", {"l": 128}, "Bergman order"),
+                                    ("thm4-scaling", {"n": -1, "l": 3}, "spatial dimension")):
+        cfg.write_text(json.dumps({"overrides": overrides}))
+        assert run(tmp_path, "verify", exp_id, "--budget", "smoke",
+                   "--config", str(cfg)) == 2, overrides
+        assert says in capsys.readouterr().err, overrides
+    assert not (tmp_path / "verify-summary.json").exists()
+    assert run(tmp_path, "norm", "--space", "bergman", "--field", "bergman-q:128") == 2
+    assert "Bergman order must be in 0..127, got 128" in capsys.readouterr().err
+
+
 def test_verify_config_int_override_must_be_integral(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"overrides": {"n": 2.7}}))
@@ -329,7 +393,6 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
         ["whitney", "--n", "3"],  # 2.4 million boxes
         ["whitney", "--n", "40"],
         ["whitney", "--n", "1", "--t-min", "1e-300"],
-        ["whitney", "--n", "1", "--x-max", "inf"],
         # complex (radial, resolution) tables on n = 2, (radial, 2 res^2) on n = 3
         ["norm", "--space", "volume", "--field", f"expansion-file:{f2}",
          "--resolution", str(10**8)],
@@ -348,8 +411,9 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
         assert cli.main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "MiB" in err, argv
-    assert cli.main(["whitney", "--n", "1", "--x-max", "nan", "--out", str(out)]) == 2
-    assert "extents" in capsys.readouterr().err
+    for x_max in ("nan", "inf"):  # Region rejects them before any count
+        assert cli.main(["whitney", "--n", "1", "--x-max", x_max, "--out", str(out)]) == 2
+        assert "extents" in capsys.readouterr().err
     assert not out.exists()
     # whitney's budget is 1792 bytes a box at n = 2
     count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (10.25, 10.5)]
@@ -383,9 +447,7 @@ def test_oversized_carleson_and_cubes_norm_requests_exit_two(tmp_path, capsys,
     cases = [
         carleson + ["--x-max", "1e4"],  # 1.4e11 boxes
         carleson + ["--x-max", "1", "--t-min", "1e-300"],
-        carleson + ["--x-max", "inf"],
         bergman + ["--x-max", "1e4"],
-        bergman + ["--x-max", "inf"],
         ["norm", "--space", "bergman", "--field", "poisson", "--n", "1", "--p", "2",
          "--alpha", "0.5", "--t-min", "1e-300"],
     ]
@@ -393,6 +455,9 @@ def test_oversized_carleson_and_cubes_norm_requests_exit_two(tmp_path, capsys,
         assert cli.main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "boxes" in err and "MiB" in err, argv
+    for argv in (carleson, bergman):  # an unbounded region is never counted
+        assert cli.main(argv + ["--x-max", "inf", "--out", str(out)]) == 2
+        assert "region extents must be finite" in capsys.readouterr().err
     assert not out.exists()
     # the budget is 384 bytes a box for carleson at n = 2, 192 for the cubes
     # path: a region just within it passes the guard and reaches whitney_cubes
@@ -654,17 +719,24 @@ def test_non_finite_field_parameters_exit_two(tmp_path, capsys):
 # guards let through runs in milliseconds.  The test is derandomized, so
 # that every run of the suite draws the same examples.
 _EDGES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e308", "0.5", "1.5", "2"]
+_INT_EDGES = ["-1", "0", "1", "2", "3"]
 _REGION_FLAGS = ["--x-max", "--t-min", "--t-max"]
 _FIELDS = ["poisson", "poisson:{}", "bergman-q:1:{}", "test-fn:1:{}", "power:{}",
            "bergman-q:x", "power", "expansion-file:{file}"]
+_SYMBOLS = ["decay:{}", "growth:{}", "identity", "zero", "file:{symbol}", "decay"]
 _CONFIG_VALUES = [None, "x", [1.0], True, {}, 0, -1, 1e-300, 1e308, float("nan"), 2.0]
+# verify ids whose smoke run takes well under 0.1 s, at their defaults
+_FAST_IDS = ["lemma2", "eq14-scaling", "eq15-scaling", "thm4-scaling", "thm2-equivalence",
+             "thm3-carleson", "thm4-carleson"]
+_COMMANDS = ["norm", "whitney", "carleson", "ball functional", "verify", "ball convolve",
+             "ball lambda", "ball multiplier-check"]
 
 
 @st.composite
 def _fuzz_argv(draw):
-    command = draw(st.sampled_from(["norm", "whitney", "carleson", "ball functional"]))
+    command = draw(st.sampled_from(_COMMANDS))
     edge = st.sampled_from(_EDGES)
-    flags = []
+    flags, exponents = [], []
     if command == "norm":
         spaces = sorted(set(cli._HALF_SPACES) | set(cli._BALL_SPACES))
         field = draw(st.sampled_from(_FIELDS)).replace("{}", draw(edge))
@@ -684,16 +756,38 @@ def _fuzz_argv(draw):
                                                         "tent"]))),
                   ("--s", f"{draw(edge)},{draw(edge)}")]
         exponents = ["--p", "--q", "--alpha", "--tau"]
-    else:
+    elif command == "ball functional":
         flags += [("--expansion", "{file}"),
                   ("--kind", draw(st.sampled_from(list(cli._BALL_NORMS)))),
                   ("--resolution", draw(st.sampled_from(["4", "0"]))), ("--radial", "4")]
         exponents = ["--p", "--q", "--alpha", "--t"]
-    if command != "ball functional":
+    elif command == "verify":
+        # overrides are the leftover --key value pairs; an int parameter
+        # draws small integers, a float one the edge values
+        exp_id = draw(st.sampled_from(_FAST_IDS))
+        defaults = verify.EXPERIMENTS[exp_id].defaults
+        command = f"verify {exp_id}"
+        flags += [("--budget", "smoke")]
+        for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True)):
+            ints = isinstance(defaults[key], int)
+            flags.append((f"--{key}", draw(st.sampled_from(_INT_EDGES if ints else _EDGES))))
+    elif command == "ball convolve":
+        flags += [("--left", "{file}"), ("--right", draw(st.sampled_from(["{file}",
+                                                                         "{file3}"])))]
+    elif command == "ball lambda":
+        flags += [("--expansion", draw(st.sampled_from(["{file}", "{file3}"])))]
+        exponents = ["--t"]
+    else:
+        flags += [("--symbol", draw(st.sampled_from(_SYMBOLS)).replace("{}", draw(edge))),
+                  ("--cap", draw(st.sampled_from(["0", "1", "2", "-1"]))),
+                  ("--rho-levels", draw(st.sampled_from(["1", "3", "0", "53", "54"]))),
+                  ("--resolution", draw(st.sampled_from(["4", "0"])))]
+        exponents = ["--s", "--beta", "--lam-order"]
+    if command.split()[0] in ("norm", "whitney", "carleson"):
         exponents += _REGION_FLAGS
-    for flag in draw(st.lists(st.sampled_from(exponents), unique=True)):
+    for flag in draw(st.lists(st.sampled_from(exponents), unique=True)) if exponents else []:
         flags.append((flag, draw(edge)))
-    if command != "ball functional" and not any(f == "--x-max" for f, _ in flags):
+    if "--x-max" in exponents and not any(f == "--x-max" for f, _ in flags):
         flags.append(("--x-max", "1"))  # a small region unless an edge is drawn
     argv = command.split()
     for flag, value in flags:
@@ -702,21 +796,31 @@ def _fuzz_argv(draw):
         else:
             argv += [flag, value]
     keys = [f[2:].replace("-", "_") for f, _ in flags]
-    config = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(_CONFIG_VALUES),
-                                  max_size=2))
+    if command.startswith("verify"):
+        # the config's overrides object reaches the same parameters
+        keys = ["overrides"]
+        values = st.dictionaries(st.sampled_from(sorted(defaults)),
+                                 st.sampled_from(_CONFIG_VALUES), max_size=2)
+    else:
+        values = st.sampled_from(_CONFIG_VALUES)
+    config = draw(st.dictionaries(st.sampled_from(keys), values, max_size=2)) if keys else {}
     return argv, config
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(_fuzz_argv())
 def test_fuzzed_argv_exits_zero_one_or_two(drawn):
     argv, config = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"file": os.path.join(tmp, "f.json"), "measure": os.path.join(tmp, "m.json")}
-        with open(files["file"], "w") as fh:
-            json.dump(bl.Expansion.random(2, 2, seed=0).to_json(), fh)
-        with open(files["measure"], "w") as fh:
-            json.dump({"atoms": [{"x": [0.25], "t": 0.5, "w": 1.0}]}, fh)
+        files = {name: os.path.join(tmp, f"{name}.json")
+                 for name in ("file", "file3", "measure", "symbol")}
+        contents = {"file": bl.Expansion.random(2, 2, seed=0).to_json(),
+                    "file3": bl.Expansion.random(3, 1, seed=0).to_json(),
+                    "measure": {"atoms": [{"x": [0.25], "t": 0.5, "w": 1.0}]},
+                    "symbol": [1.0, 0.5, 0.25]}
+        for name, obj in contents.items():
+            with open(files[name], "w") as fh:
+                json.dump(obj, fh)
         argv = [a.format(**files) for a in argv] + ["--out", os.path.join(tmp, "out")]
         if config:
             path = os.path.join(tmp, "c.json")

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from harmspace import ball as bl
+from harmspace import carleson as ca
 from harmspace import norms as no
 from harmspace import fields as fl
 from harmspace import quadrature as quad
 from harmspace.fields import BergmanField, PoissonField, PowerField
 from harmspace.geometry import (
-    Region, box_corners, box_volumes, enlarged_corners, whitney_cubes,
+    Region, box_corners, box_volumes, enlarged_corners, half_space_points, whitney_cubes,
 )
 from harmspace.quadrature import QuadSpec
 
@@ -101,45 +103,172 @@ def test_fields_reject_non_finite_parameters():
     for lam in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             PowerField(2, lam)
+    # a source is one point of exactly n + 1 coordinates, not n + 1 numbers
+    for w in ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0, 0.0, 1.0]], [[0.0], [0.0], [0.0], [1.0]]):
+        for make in (lambda w: PoissonField(3, w), lambda w: BergmanField(1, 3, w)):
+            with pytest.raises(ValueError, match="shape"):
+                make(w)
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = (NAN, INF, -INF)
+
+
+def _validation_rows():
+    """(entry point and parameter, call taking the one bad value, values it
+    must reject with ValueError, values it must reject otherwise as
+    {value: exception type}).  Every other argument is valid, so each row
+    tests the one check of its parameter."""
+    f = _poisson(2)
+    e = bl.Expansion.random(2, 3, seed=5)
+    mu = ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0)
+    cubes = whitney_cubes(Region(4.0, 0.25, 4.0), 1)
+    unbounded = {INF: NotImplementedError}
+    rows = [
+        ("slice_norm q", lambda v: no.slice_norm(f, v, 1.0, REGION, SPEC),
+         (NAN, -INF, 0.0, -1.0), unbounded),
+        ("bergman_norm p", lambda v: no.bergman_norm(f, v, 0.5, REGION, SPEC),
+         NON_FINITE + (0.0, -1.0), {}),
+        ("bergman_norm alpha", lambda v: no.bergman_norm(f, 2.0, v, REGION, SPEC),
+         NON_FINITE + (-1.0, -2.0), {}),
+        ("mixed_norm outer_p", lambda v: no.mixed_norm(f, v, 2.0, 1.0, REGION, SPEC),
+         (NAN, -INF, 0.0, -1.0), unbounded),
+        ("mixed_norm inner_q", lambda v: no.mixed_norm(f, 2.0, v, 1.0, REGION, SPEC),
+         (NAN, -INF, 0.0, -1.0), unbounded),
+        ("mixed_norm alpha", lambda v: no.mixed_norm(f, 2.0, 2.0, v, REGION, SPEC),
+         NON_FINITE, {}),
+        ("triebel_norm p", lambda v: no.triebel_norm(f, v, 2.0, 1.0, REGION, SPEC),
+         NON_FINITE + (0.0, -1.0), {}),
+        ("triebel_norm q", lambda v: no.triebel_norm(f, 2.0, v, 1.0, REGION, SPEC),
+         NON_FINITE + (0.0, -1.0), {}),
+        ("triebel_norm alpha", lambda v: no.triebel_norm(f, 2.0, 2.0, v, REGION, SPEC),
+         NON_FINITE, {}),
+        ("sup_norm lam", lambda v: no.sup_norm(f, v, REGION), NON_FINITE, {}),
+        ("whitney_discrete_norm p", lambda v: no.whitney_discrete_norm(f, v, 1.0, REGION),
+         NON_FINITE + (0.0, -1.0), {}),
+        ("whitney_discrete_norm alpha",
+         lambda v: no.whitney_discrete_norm(f, 2.0, v, REGION), NON_FINITE, {}),
+        # the ball norms
+        ("volume_norm p", lambda v: bl.volume_norm(e, v, 0.5), NON_FINITE + (0.0,), {}),
+        ("volume_norm alpha", lambda v: bl.volume_norm(e, 2.0, v),
+         NON_FINITE + (-1.0, 2000.0), {}),
+        ("grad_volume_norm p", lambda v: bl.grad_volume_norm(e, v, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("grad_volume_norm alpha", lambda v: bl.grad_volume_norm(e, 2.0, v),
+         NON_FINITE + (-1.0,), {}),
+        ("mixed_norm_ball p", lambda v: bl.mixed_norm_ball(e, v, 2.0, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("mixed_norm_ball q", lambda v: bl.mixed_norm_ball(e, 2.0, v, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("mixed_norm_ball alpha", lambda v: bl.mixed_norm_ball(e, 2.0, 2.0, v),
+         NON_FINITE + (0.0, -1.0, 600.0), {}),
+        ("grad_mixed_norm q", lambda v: bl.grad_mixed_norm(e, 2.0, v, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("grad_mixed_norm alpha", lambda v: bl.grad_mixed_norm(e, 2.0, 2.0, v),
+         NON_FINITE + (0.0,), {}),
+        ("slice_norm_ball q", lambda v: bl.slice_norm_ball(e, v, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("slice_norm_ball r", lambda v: bl.slice_norm_ball(e, 2.0, v), NON_FINITE, {}),
+        ("hardy_norm s", lambda v: bl.hardy_norm(e, v), NON_FINITE + (0.0,), {}),
+        ("sup_mixed_norm_ball q", lambda v: bl.sup_mixed_norm_ball(e, v, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("sup_mixed_norm_ball alpha", lambda v: bl.sup_mixed_norm_ball(e, 2.0, v),
+         NON_FINITE, {}),
+        ("multiplier_lambda t", lambda v: bl.multiplier_lambda(2, 3, v),
+         NON_FINITE + (0.0, -1.0), {}),
+        ("fractional_derivative t", lambda v: bl.fractional_derivative(v, e),
+         NON_FINITE + (0.0,), {}),
+        # the carleson conditions
+        ("condition_vector s", lambda v: ca.condition_vector(mu, cubes, 2, (0.5, v)),
+         NON_FINITE, {}),
+        ("condition_single alpha", lambda v: ca.condition_single(mu, cubes, v),
+         NON_FINITE, {}),
+        ("condition_mixed p", lambda v: ca.condition_mixed(mu, cubes, v, 3.0, 0.5),
+         NON_FINITE + (0.0, 4.0), {}),  # 4 > q
+        ("condition_mixed q", lambda v: ca.condition_mixed(mu, cubes, 2.0, v, 0.5),
+         NON_FINITE + (0.0, 1.0), {}),  # 1 < p
+        ("condition_mixed alpha", lambda v: ca.condition_mixed(mu, cubes, 2.0, 3.0, v),
+         NON_FINITE + (0.0, -1.0), {}),
+        ("condition_tent p", lambda v: ca.condition_tent(mu, cubes, v, 0.5),
+         NON_FINITE + (0.0,), {}),
+        ("condition_tent alpha", lambda v: ca.condition_tent(mu, cubes, 2.0, v),
+         NON_FINITE + (0.0,), {}),
+        ("condition_tent tau", lambda v: ca.condition_tent(mu, cubes, 2.0, 0.5, v),
+         NON_FINITE + (0.0, 3.0), {}),  # 3 > p
+    ]
+    # the constructors: QuadSpec is only made, so no builder can loop on it
+    for i, name in enumerate(("x_max", "t_min", "t_max")):
+        def region(v, i=i):
+            extents = [4.0, 0.25, 4.0]
+            extents[i] = v
+            return Region(*extents)
+        rows.append((f"Region {name}", region, NON_FINITE + (0.0, -1.0), {}))
+    for name in ("order", "t_order", "t_splits", "cube_order"):
+        rows.append((f"QuadSpec {name}", lambda v, name=name: QuadSpec(**{name: v}),
+                     (0, -1, 1.5, 2.0, NAN, INF), {}))
+    rows.append(("QuadSpec min_panel", lambda v: QuadSpec(min_panel=v),
+                 NON_FINITE + (0.0, -0.125), {}))
+    # the point helper, on the t and the x coordinate of a point of R^3_+
+    rows.append(("half_space_points t", lambda v: half_space_points([0.0, 0.0, v], 2),
+                 NON_FINITE + (0.0, -1.0), {}))
+    rows.append(("half_space_points x", lambda v: half_space_points([[0.0, 0.0, 1.0],
+                                                                     [v, 0.0, 1.0]]),
+                 NON_FINITE, {}))
+    return rows
 
 
 def test_exponent_validation():
-    f = _poisson(2)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            no.bergman_norm(f, bad, 0.5, REGION, SPEC)
-        with pytest.raises(ValueError):
-            no.bergman_norm(f, 2.0, bad, REGION, SPEC)
-        with pytest.raises(ValueError):
-            no.mixed_norm(f, 2.0, 2.0, bad, REGION, SPEC)
-        with pytest.raises(ValueError):
-            no.triebel_norm(f, bad, 2.0, 1.0, REGION, SPEC)
-        with pytest.raises(ValueError):
-            no.triebel_norm(f, 2.0, bad, 1.0, REGION, SPEC)
-        with pytest.raises(ValueError):
-            no.triebel_norm(f, 2.0, 2.0, bad, REGION, SPEC)
-        with pytest.raises(ValueError):
-            no.sup_norm(f, bad, REGION)
+    for name, call, rejected, others in _validation_rows():
+        for v, exc in [(v, ValueError) for v in rejected] + list(others.items()):
+            with pytest.raises(exc):
+                call(v)
+                pytest.fail(f"{name} accepted {v!r}")
+    # the point helper: finite is in its message, and the point's length is
+    # checked when n is given
+    with pytest.raises(ValueError, match="finite"):
+        half_space_points([0.0, NAN, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        half_space_points([0.0, 1.0], 2)
+    # and what the checks let through is a valid spec, region or point
+    assert QuadSpec(t_splits=1, min_panel=1e-300).refined(2).t_splits == 2
     with pytest.raises(ValueError):
-        no.slice_norm(f, math.nan, 1.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.mixed_norm(f, math.nan, 2.0, 1.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.mixed_norm(f, 2.0, math.nan, 1.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.slice_norm(f, 0.0, 1.0, REGION, SPEC)
-    with pytest.raises(NotImplementedError):
-        no.slice_norm(f, math.inf, 1.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.bergman_norm(f, -1.0, 0.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.bergman_norm(f, 2.0, -1.0, REGION, SPEC)
-    with pytest.raises(NotImplementedError):
-        no.mixed_norm(f, math.inf, 2.0, 1.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.triebel_norm(f, 2.0, 0.0, 1.0, REGION, SPEC)
-    with pytest.raises(ValueError):
-        no.whitney_discrete_norm(f, 0.0, 1.0, REGION)
+        QuadSpec(min_panel=1e-300).refined(INF)
+    assert half_space_points([[0.0, 1e-300]], 1).shape == (1, 2)
+    # a ball norm's rejected radial weight exponent is named by its parameters
+    e = bl.Expansion.random(2, 3, seed=5)
+    with pytest.raises(ValueError, match="^alpha p - 1, the radial weight exponent,"):
+        bl.mixed_norm_ball(e, 2.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="^alpha, the radial weight exponent,"):
+        bl.grad_volume_norm(e, 2.0, -1.0)
+
+
+def test_degenerate_t_range_is_rejected_on_every_t_path():
+    f, f3 = _poisson(2), _poisson(3)
+    for region in (Region(4.0, 2.0, 2.0), Region(4.0, 8.0, 1.0)):
+        for call in (lambda: no.bergman_norm(f, 2.0, 0.5, region, SPEC),  # cubes
+                     lambda: no.bergman_norm(f3, 2.0, 0.5, region, SPEC),  # layers
+                     lambda: no.mixed_norm(f, 2.0, 2.0, 1.0, region, SPEC),
+                     lambda: no.triebel_norm(f, 2.0, 2.0, 1.0, region, SPEC),
+                     lambda: no.sup_norm(f, 1.0, region),
+                     lambda: no.whitney_discrete_norm(f, 2.0, 1.0, region)):
+            with pytest.raises(ValueError, match="degenerate t range"):
+                call()
+    # a slice norm takes one height, not a t range
+    assert no.slice_norm(f, 2.0, 1.0, Region(4.0, 8.0, 1.0), SPEC) > 0
+
+
+def test_radial_norms_reject_non_radial_fields():
+    # two sources at different centres: a non-radial product
+    g = fl.ProductField(PoissonField(2, [0.0, 0.0, 1.0]), PoissonField(2, [1.0, 0.0, 1.0]))
+    for call in (lambda: no.slice_norm(g, 2.0, 1.0, REGION, SPEC),
+                 lambda: no.mixed_norm(g, 2.0, 2.0, 1.0, REGION, SPEC),
+                 lambda: no.triebel_norm(g, 2.0, 2.0, 1.0, REGION, SPEC),
+                 lambda: no.sup_norm(g, 1.0, REGION),
+                 lambda: no.bergman_norm(g, 2.0, 0.5, REGION, SPEC, method="layers")):
+        with pytest.raises(ValueError, match="radial"):
+            call()
+    # the Whitney-box paths take it
+    assert no.bergman_norm(g, 2.0, 0.5, Region(1.0, 0.5, 2.0), QuadSpec(cube_order=2)) > 0
 
 
 def test_cube_path_rejects_high_dimension():
