@@ -192,15 +192,23 @@ def poisson_ball(x, yprime) -> np.ndarray:
     return (1 - np.sum(x * x, axis=-1)) / np.sum(diff * diff, axis=-1) ** (n / 2)
 
 
+def _degree_blocks(n: int, blocks, what: str) -> list:
+    """blocks as flat complex arrays, degree k's of size d_k, all finite."""
+    out = [np.asarray(b, dtype=complex).ravel() for b in blocks]
+    for k, b in enumerate(out):
+        if b.size != dim_harmonics(n, k):
+            raise ValueError(f"degree {k} block has wrong size {b.size}")
+    if out and not np.isfinite(np.concatenate(out)).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 class Expansion:
     """Finite spherical expansion sum_k r^k sum_j b_k^j Y_j^(k)."""
 
     def __init__(self, n: int, coeffs):
         self.n = n
-        self.coeffs = [np.asarray(c, dtype=complex).ravel() for c in coeffs]
-        for k, c in enumerate(self.coeffs):
-            if c.size != dim_harmonics(n, k):
-                raise ValueError(f"degree {k} block has wrong size {c.size}")
+        self.coeffs = _degree_blocks(n, coeffs, "expansion coefficients")
 
     @property
     def cap(self) -> int:
@@ -260,10 +268,7 @@ class Multiplier:
 
     def __init__(self, n: int, blocks):
         self.n = n
-        self.blocks = [np.asarray(b, dtype=complex).ravel() for b in blocks]
-        for k, b in enumerate(self.blocks):
-            if b.size != dim_harmonics(n, k):
-                raise ValueError(f"degree {k} block has wrong size")
+        self.blocks = _degree_blocks(n, blocks, "multiplier values")
 
     @property
     def cap(self) -> int:
@@ -274,8 +279,6 @@ class Multiplier:
         vals = np.asarray(values, dtype=complex).ravel()
         if vals.size != cap + 1:
             raise ValueError("need one value per degree")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("multiplier values must be finite")
         return cls(
             n, [np.full(dim_harmonics(n, k), vals[k]) for k in range(cap + 1)]
         )

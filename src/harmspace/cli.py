@@ -194,12 +194,7 @@ def _cmd_verify(args, extras):
     if args.overrides:
         if len(ids) != 1 or ids[0] == "all":
             raise UsageError("parameter overrides need exactly one experiment id")
-        legal = set(verify.EXPERIMENTS[ids[0]].defaults)
-        bad_keys = set(args.overrides) - legal
-        if bad_keys:
-            raise UsageError(
-                f"unknown parameters for {ids[0]}: {sorted(bad_keys)}"
-                f" (accepts {sorted(legal)})")
+        verify.check_params(ids[0], args.overrides)  # so a dry run rejects what a run does
     if args.dry_run:
         return _dry_run(args, {"ids": ids})
 
@@ -550,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments, norms, Carleson reports, ball operators")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    v = subs.add_parser("verify", help="run registered experiments")
+    # no abbreviations: a leftover --key is always an override (--s, not --seed)
+    v = subs.add_parser("verify", help="run registered experiments", allow_abbrev=False)
     v.add_argument("ids", nargs="*",
                    help="experiment ids, or 'all' (extra --key value pairs "
                         "override the experiment's parameters)")

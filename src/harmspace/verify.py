@@ -132,14 +132,16 @@ class Experiment:
     summary: str
     fn: object
     defaults: dict
+    needs: tuple
 
 
 EXPERIMENTS: dict = {}
 
 
-def _experiment(exp_id, summary, **defaults):
+def _experiment(exp_id, summary, needs=(), **defaults):
+    """Register fn; needs holds (text, predicate of the parameters it names)."""
     def wrap(fn):
-        EXPERIMENTS[exp_id] = Experiment(exp_id, summary, fn, defaults)
+        EXPERIMENTS[exp_id] = Experiment(exp_id, summary, fn, defaults, needs)
         return fn
     return wrap
 
@@ -148,34 +150,61 @@ def experiment_ids():
     return list(EXPERIMENTS)
 
 
+# The inclusive range of each experiment parameter, the same in every
+# experiment: the widest powers-of-two range (|x| <= 2^6 for a float) whose
+# ends and corners ran every experiment at smoke with no float warning.
+_RANGES = {
+    "n": (1, 4),
+    "m": (1, 2),
+    **dict.fromkeys(("l", "m_order", "k_order"), (0, 16)),
+    **dict.fromkeys(("beta", "delta", "gamma", "s"), (-2.0 ** 6, 2.0 ** 6)),
+    **dict.fromkeys(("a1", "a2", "alpha", "b1", "b2", "s1", "s2"), (-2.0 ** 4, 2.0 ** 4)),
+    "p_exp": (2.0 ** -3, 2.0 ** 2),
+    "q": (-2.0 ** 6, 2.0 ** 4),
+    "q_exp": (-2.0 ** 6, 2.0 ** 3),
+}
+
+
 def _coerce(key, default, value):
-    if isinstance(default, bool):
-        return bool(value)
-    if isinstance(default, (int, float)) and not isinstance(value, (str, int, float)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
-    if isinstance(default, int) and not isinstance(value, bool):
+    if isinstance(default, int):
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"parameter {key!r} must be an integer, got {value}")
         return int(value)
-    if isinstance(default, float):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"parameter {key!r} must be finite, got {value}")
-    return value
+    return float(value)  # the range check rejects a NaN or an infinity
+
+
+def check_params(exp_id, overrides=None):
+    """exp_id's defaults under the overrides, each of its default's type, in its
+    _RANGES range and meeting the needs; else a ValueError naming the parameter."""
+    if exp_id not in EXPERIMENTS:
+        raise KeyError(f"unknown experiment {exp_id!r}")
+    exp = EXPERIMENTS[exp_id]
+    params = dict(exp.defaults)
+    unknown = sorted(set(overrides or {}) - set(params))
+    if unknown:
+        raise ValueError(f"unknown parameters for {exp_id}: {unknown} (accepts {sorted(params)})")
+    params.update((k, _coerce(k, params[k], v)) for k, v in (overrides or {}).items())
+    for key, val in params.items():
+        lo, hi = _RANGES[key]
+        if not lo <= val <= hi:
+            raise ValueError(f"{exp_id} needs {key} in {lo}..{hi}, got {key} = {val}")
+    for text, holds in exp.needs:
+        names = holds.__code__.co_varnames[:holds.__code__.co_argcount]
+        args = {k: params[k] for k in names}
+        if not holds(**args):
+            got = ", ".join(f"{k} = {v}" for k, v in args.items())
+            raise ValueError(f"{exp_id} needs {text}, got {got}")
+    return params
 
 
 def run_experiment(exp_id, budget="standard", seed=0, overrides=None):
     """Run one experiment and return its sanitized report dict."""
-    if exp_id not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {exp_id!r}")
+    params = check_params(exp_id, overrides)
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}")
     exp = EXPERIMENTS[exp_id]
-    params = dict(exp.defaults)
-    for key, val in (overrides or {}).items():
-        if key not in params:
-            raise ValueError(f"unknown parameter {key!r} for {exp_id}")
-        params[key] = _coerce(key, params[key], val)
     rng = np.random.default_rng([seed, zlib.crc32(exp_id.encode())])
     checks, consts, arts = exp.fn(BUDGETS[budget], rng, params)
     verdict = "pass" if all(c["ok"] for c in checks) else "fail"
@@ -520,18 +549,12 @@ def _scaling_fit(b, series, target, name, shift=0.0, extra=()):
     return checks, {"slope": slope}, arts, icept
 
 
-def _lemma4_guard(n, gamma, delta):
-    if delta <= -1.0:
-        raise ValueError("need delta > -1")
-    if gamma <= n + 1 + delta:
-        raise ValueError("need gamma > n + 1 + delta for a convergent integral")
-
-
 @_experiment("lemma4", "kernel power integral: scaling in the evaluation height",
+             needs=(("delta > -1", lambda delta: delta > -1.0),
+                    ("gamma > n + 1 + delta", lambda gamma, n, delta: gamma > n + 1 + delta)),
              n=1, m_order=0, gamma=3.0, delta=0.0)
 def _exp_lemma4(b, rng, p):
     n, m, gamma, delta = p["n"], p["m_order"], p["gamma"], p["delta"]
-    _lemma4_guard(n, gamma, delta)
     region = Region(4096.0, 2.0 ** -12, 4096.0)
 
     def integrand(t, dsq, s):
@@ -542,25 +565,20 @@ def _exp_lemma4(b, rng, p):
         return _source_series(n, region, spec, tg, integrand)
 
     reject = _raises("precondition-reject",
-                     lambda: _lemma4_guard(n, n + 1 + delta, delta))
+                     lambda: check_params("lemma4", {**p, "gamma": n + 1 + delta}))
     checks, consts, arts, icept = _scaling_fit(
         b, series, delta - gamma + n + 1, "t", extra=(reject,))
     consts["prefactor"] = math.exp(icept)
     return checks, consts, arts
 
 
-def _lemma5_guard(n, alpha, gamma):
-    if alpha <= -1.0:
-        raise ValueError("need alpha > -1")
-    if n + alpha >= 2.0 * gamma - 1.0:
-        raise ValueError("need n + alpha < 2*gamma - 1 for a convergent integral")
-
-
 @_experiment("lemma5", "reflected-distance power integral: scaling in the source height",
+             needs=(("alpha > -1", lambda alpha: alpha > -1.0),
+                    ("n + alpha < 2 * gamma - 1",
+                     lambda n, alpha, gamma: n + alpha < 2.0 * gamma - 1.0)),
              n=1, alpha=0.0, gamma=2.0)
 def _exp_lemma5(b, rng, p):
     n, alpha, gamma = p["n"], p["alpha"], p["gamma"]
-    _lemma5_guard(n, alpha, gamma)
     region = Region(4096.0, 2.0 ** -12, 4096.0)
 
     def integrand(s, dsq, t):
@@ -570,7 +588,7 @@ def _exp_lemma5(b, rng, p):
         return _source_series(n, region, spec, sg, integrand)
 
     reject = _raises("precondition-reject",
-                     lambda: _lemma5_guard(n, alpha, (n + alpha + 1.0) / 2.0))
+                     lambda: check_params("lemma5", {**p, "gamma": (n + alpha + 1.0) / 2.0}))
     checks, consts, arts, icept = _scaling_fit(
         b, series, alpha + n + 1 - 2.0 * gamma, "s", extra=(reject,))
     consts["prefactor"] = math.exp(icept)
@@ -583,8 +601,6 @@ def _exp_lemma5(b, rng, p):
 @_experiment("lemma6", "excursion sets of nearby boxes cover a full box", l=1, n=2)
 def _exp_lemma6(b, rng, p):
     n, l0 = p["n"], p["l"]
-    if n < 1:
-        raise ValueError(f"lemma6 needs n >= 1, got n = {n}")
     checks, consts, arts = [], {}, {}
     rows = []
     for li in (l0, l0 + 1):
@@ -632,11 +648,10 @@ def _exp_lemma6(b, rng, p):
 
 
 @_experiment("eq14-scaling", "slice-norm scaling of the dilated decaying family",
+             needs=(("p_exp * (n - 1 + l) > n", lambda p_exp, n, l: p_exp * (n - 1 + l) > n),),
              n=3, l=1, p_exp=2.0, s=1.0)
 def _exp_eq14(b, rng, p):
     n, l, pe, s = p["n"], p["l"], p["p_exp"], p["s"]
-    if pe * (n - 1 + l) <= n:
-        raise ValueError("slice integral diverges for these exponents")
     f = dilated(TestField, l, n, s)
     region = Region(512.0, 2.0 ** -10, 1024.0)
 
@@ -647,16 +662,15 @@ def _exp_eq14(b, rng, p):
 
 
 @_experiment("eq15-scaling", "mixed-norm scaling of the dilated decaying family",
+             needs=(("q_exp * (n - 1 + l) > n", lambda q_exp, n, l: q_exp * (n - 1 + l) > n),
+                    ("alpha * p_exp > 0", lambda alpha, p_exp: alpha * p_exp > 0),
+                    ("(n / q_exp - (n - 1 + l) + alpha) * p_exp < 0",
+                     lambda n, q_exp, l, alpha, p_exp:
+                     (n / q_exp - (n - 1 + l) + alpha) * p_exp < 0)),
              n=3, l=1, p_exp=2.0, q_exp=2.0, alpha=0.5)
 def _exp_eq15(b, rng, p):
     n, l, pe, qe, alpha = p["n"], p["l"], p["p_exp"], p["q_exp"], p["alpha"]
-    if qe * (n - 1 + l) <= n:
-        raise ValueError("inner slice integral diverges")
-    if alpha * pe <= 0:
-        raise ValueError("outer height weight must be integrable at zero")
     e1 = n / qe - (n - 1 + l)
-    if (e1 + alpha) * pe >= 0:
-        raise ValueError("outer height integral diverges at infinity")
     region = Region(512.0, 2.0 ** -10, 2.0 ** 10)
 
     def series(sg, spec):
@@ -669,14 +683,13 @@ def _exp_eq15(b, rng, p):
 
 
 @_experiment("thm4-scaling", "weighted volume-norm scaling of the dilated family",
+             needs=(("alpha * p_exp - 1 > -1", lambda alpha, p_exp: alpha * p_exp - 1.0 > -1.0),
+                    ("p_exp * (n - 1 + l - alpha) > n",
+                     lambda p_exp, n, l, alpha: p_exp * (n - 1 + l - alpha) > n)),
              n=3, l=1, p_exp=2.0, alpha=0.5)
 def _exp_thm4_scaling(b, rng, p):
     n, l, pe, alpha = p["n"], p["l"], p["p_exp"], p["alpha"]
     weight = alpha * pe - 1.0
-    if weight <= -1.0:
-        raise ValueError("volume weight must be integrable at zero")
-    if pe * (n - 1 + l - alpha) <= n:
-        raise ValueError("volume integral diverges for these exponents")
     region = Region(512.0, 2.0 ** -10, 2.0 ** 10)
 
     def series(sg, spec):
@@ -866,35 +879,32 @@ def _box_condition_panel(b, l, pe, s_vec, condition):
 
 
 @_experiment("thm2-equivalence", "vector box condition vs product-family mass ratios",
+             needs=(("p_exp * (2 + l) > 2 + max((s1, s2)[:m])",
+                     lambda p_exp, l, s1, s2, m: p_exp * (2 + l) > 2 + max((s1, s2)[:m])),),
              m=2, p_exp=1.0, s1=0.5, s2=0.5, l=3)
 def _exp_thm2(b, rng, p):
-    n = 1
     m, pe, l = p["m"], p["p_exp"], p["l"]
     s_vec = (p["s1"], p["s2"])[:m]
-    if pe * (n + 1 + l) <= n + 1 + max(s_vec):
-        raise ValueError("test family falls outside the product space")
     return _box_condition_panel(
         b, l, pe, s_vec, lambda mu, cubes: ca.condition_vector(mu, cubes, m, s_vec))
 
 
 @_experiment("thm3-carleson", "single-function box condition vs mass ratios",
+             needs=(("1 + alpha < p_exp * (2 + l) - 1",
+                     lambda alpha, p_exp, l: 1 + alpha < p_exp * (2 + l) - 1),),
              p_exp=1.0, alpha=0.5, l=3)
 def _exp_thm3(b, rng, p):
-    n = 1
     pe, alpha, l = p["p_exp"], p["alpha"], p["l"]
-    if n + alpha >= pe * (n + 1 + l) - 1:
-        raise ValueError("test family falls outside the weighted volume space")
     return _box_condition_panel(
         b, l, pe, (alpha,), lambda mu, cubes: ca.condition_single(mu, cubes, alpha))
 
 
 @_experiment("thm4-carleson", "mixed and tent box conditions vs mass ratios",
+             needs=(("p_exp * (2 + l) > 1 + alpha * p_exp",
+                     lambda p_exp, l, alpha: p_exp * (2 + l) > 1 + alpha * p_exp),),
              p_exp=1.0, q_exp=2.0, alpha=0.5, l=3)
 def _exp_thm4_carleson(b, rng, p):
-    n = 1
     pe, qe, alpha, l = p["p_exp"], p["q_exp"], p["alpha"], p["l"]
-    if pe * (n + 1 + l) <= n + alpha * pe:
-        raise ValueError("test family falls outside the tent space")
     region, spec, panel, cubes, levels = _carleson_panel(b)
     # (tag, condition report, mass, norm, norm cache) per condition
     conditions = (
@@ -969,18 +979,13 @@ def _exp_thm5(b, rng, p):
 
 
 @_experiment("thm6-trace", "diagonal-norm vs slot-norm comparability",
+             needs=(("k_order > 1 + s1 + s2", lambda k_order, s1, s2: k_order > 1 + s1 + s2),),
              k_order=2, s1=0.25, s2=0.25, p_exp=1.0)
 def _exp_thm6(b, rng, p):
     n, m = 1, 2
     s_vec = (p["s1"], p["s2"])
     pe = p["p_exp"]
     lam = (m - 1) * (n + 1) + sum(s_vec)
-
-    def guard(k):
-        if k <= lam - 1:
-            raise ValueError("kernel order too low for the diagonal weight")
-
-    guard(p["k_order"])
     region = Region(8.0, 2.0 ** -4, 8.0)
     spec = QuadSpec(order=b.order, t_order=b.t_order,
                     cube_order=max(3, b.cube_order))
@@ -1011,7 +1016,8 @@ def _exp_thm6(b, rng, p):
 
     lhs4, rhs4 = op.trace_product_norm_p(prod, 1.5, s_vec, region, spec)
     consts["product_ratio_p1.5"] = lhs4 / rhs4
-    checks.append(_raises("kernel-order-reject", lambda: guard(1)))
+    checks.append(_raises("kernel-order-reject",
+                          lambda: check_params("thm6-trace", {**p, "k_order": 1})))
     return checks, consts, arts
 
 
@@ -1019,6 +1025,10 @@ def _exp_thm6(b, rng, p):
 
 
 @_experiment("prop1", "product-kernel operator bounded by the weighted source norm",
+             needs=(("p_exp * a_i > -1 - s_i for i = 1, 2", lambda p_exp, a1, a2, s1, s2:
+                     p_exp * a1 > -1.0 - s1 and p_exp * a2 > -1.0 - s2),
+                    ("p_exp * b_i > 2 + s_i for i = 1, 2", lambda p_exp, b1, b2, s1, s2:
+                     p_exp * b1 > 2 + s1 and p_exp * b2 > 2 + s2)),
              a1=0.0, a2=0.0, b1=5.0, b2=5.0, s1=0.5, s2=0.5, p_exp=1.0, l=9)
 def _exp_prop1(b, rng, p):
     n, m = 1, 2
@@ -1026,13 +1036,6 @@ def _exp_prop1(b, rng, p):
     b_vec = (p["b1"], p["b2"])
     s_vec = (p["s1"], p["s2"])
     pe = p["p_exp"]
-
-    def guard(a_vec, b_vec):
-        for a, bb, s in zip(a_vec, b_vec, s_vec):
-            if pe * a <= -1.0 - s or pe * bb <= n + 1 + s:
-                raise ValueError("slot exponents outside the bounded range")
-
-    guard(a_vec, b_vec)
     lam = (m - 1) * (n + 1) + sum(s_vec)
     inner = Region(8.0, 2.0 ** -4, 8.0)
     # slot tail decays like a small negative power, so start the doubling
@@ -1060,7 +1063,7 @@ def _exp_prop1(b, rng, p):
     checks.append(_below("slot-region-growth", g_slot, 1.2))
     g_inner = lhs_value(slot, inner.scaled(2.0)) / L
     checks.append(_below("inner-region-growth", g_inner, 1.2))
-    checks.append(_raises("exponent-reject", lambda: guard(a_vec, (2.4, p["b2"]))))
+    checks.append(_raises("exponent-reject", lambda: check_params("prop1", {**p, "b1": 2.4})))
     consts["slot_growth"] = g_slot
     consts["inner_growth"] = g_inner
     return checks, consts, {}
@@ -1070,15 +1073,16 @@ def _exp_prop1(b, rng, p):
 
 
 @_experiment("thm7-distance", "weighted-sup distance: split, bound, grid estimate",
+             needs=(("p_exp * (2 + l) > 4 + alpha",
+                     lambda p_exp, l, alpha: p_exp * (2 + l) > 4 + alpha),
+                    ("m_order > max((alpha + 4) / p_exp - 1, alpha / p_exp)",
+                     lambda m_order, alpha, p_exp: m_order > max((alpha + 4) / p_exp - 1.0,
+                                                                 alpha / p_exp))),
              p_exp=1.0, alpha=-0.5, m_order=4, l=4)
 def _exp_thm7(b, rng, p):
     n = 3
     pe, alpha, mo, l = p["p_exp"], p["alpha"], p["m_order"], p["l"]
     lam = (alpha + n + 1) / pe
-    if pe * (n - 1 + l) <= n + 1 + alpha:
-        raise ValueError("field falls outside the weighted volume space")
-    if mo <= max(lam - 1.0, alpha / pe):
-        raise ValueError("need a higher kernel order for this weight")
     f = TestField(l, n, _axis_point(n, 1.0))
     checks, consts, arts = [], {}, {}
 
@@ -1389,12 +1393,11 @@ def _ball_weighted_sup(f, beta, grid, levels):
 
 
 @_experiment("thm8-multiplier", "boundary-slice functional for sup-weighted targets",
+             needs=(("s > 1 and beta > 0", lambda s, beta: s > 1.0 and beta > 0.0),),
              s=2.0, beta=1.0)
 def _exp_thm8(b, rng, p):
     n = 2
     s, beta = p["s"], p["beta"]
-    if s <= 1.0 or beta <= 0.0:
-        raise ValueError("need s > 1 and beta > 0")
     sp = s / (s - 1.0)
     K = 16
     res = 4 * (2 * K) + 8
@@ -1440,14 +1443,13 @@ def _exp_thm8(b, rng, p):
 
 
 @_experiment("thm9-multiplier", "derivative-weighted slice functional, mixed-norm sources",
+             needs=(("q > 1", lambda q: q > 1.0),
+                    ("m_order > max(alpha - beta - 1, beta - 1)",
+                     lambda m_order, alpha, beta: m_order > max(alpha - beta - 1.0, beta - 1.0))),
              q=2.0, alpha=1.0, beta=0.5, m_order=2, p_exp=1.0)
 def _exp_thm9(b, rng, p):
     n = 2
     q, al, be, mo, pe = p["q"], p["alpha"], p["beta"], p["m_order"], p["p_exp"]
-    if q <= 1.0:
-        raise ValueError("need q > 1")
-    if mo <= max(al - be - 1.0, be - 1.0):
-        raise ValueError("derivative order too low for these weights")
     qp = q / (q - 1.0)
     e9 = mo + 1.0 + be - al
     K = 16
@@ -1492,12 +1494,11 @@ def _exp_thm9(b, rng, p):
 
 
 @_experiment("thm10-functionals", "derivative-slice functionals for gradient-norm sources",
+             needs=(("s > 1", lambda s: s > 1.0),),
              s=2.0, alpha=1.0, beta=0.5, m_order=2)
 def _exp_thm10(b, rng, p):
     n = 2
     s, al, be, mo = p["s"], p["alpha"], p["beta"], p["m_order"]
-    if s <= 1.0:
-        raise ValueError("need s > 1")
     sp = s / (s - 1.0)
     K = 16
     res = 4 * (2 * K) + 8

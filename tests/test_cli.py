@@ -1,6 +1,7 @@
 """In-process CLI runs: exit codes, artifacts, config precedence."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -53,6 +54,12 @@ def test_argparse_rejects_unknown_command_and_budget():
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
+    # an expansion file with a NaN coefficient (json writes the NaN token)
+    f = bl.Expansion.random(2, 2, seed=5).to_json()
+    (tmp_path / "g.json").write_text(json.dumps(f))
+    f["coeffs"][1][0][0] = float("nan")
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(f))
     cases = [
         ["verify", "no-such-experiment"],
         ["verify", "whitney", "--bogus", "3"],
@@ -70,13 +77,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
          "--condition", "single"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "0"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "-1"],
+        ["ball", "convolve", "--left", str(nan), "--right", str(tmp_path / "g.json")],
+        ["ball", "lambda", "--expansion", str(nan)],
     ]
     for argv in cases:
-        assert run(tmp_path, *argv) == 2, argv
+        assert run(tmp_path / "out", *argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:")
         if "lemma6" in argv:
-            assert "lemma6 needs n >= 1" in err, err
+            assert "lemma6 needs n in 1..4" in err, err
+        if str(nan) in argv:
+            assert f"{nan} is not a valid expansion file" in err and "finite" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_norm_exponents_exit_two(tmp_path, capsys):
@@ -232,15 +244,15 @@ def test_carleson_warns_of_atoms_outside_the_region(tmp_path, capsys):
 
 
 def test_verify_overrides_past_the_kernel_orders_exit_two(tmp_path, capsys):
-    # a kernel order past kernels.MAX_ORDER is a usage error, before any
-    # polynomial is built (l = 1e308 used to keep the profile builder busy
-    # for good); the Bergman kernel Q_l takes R_{l+1}, so its order stops
-    # at 127.  So is a dimension below 1
+    # a kernel order past the parameter table's is a usage error, before
+    # any polynomial is built (l = 1e308 used to keep the profile builder
+    # busy for good); so is a dimension below 1.  The library's own limit
+    # for the Bergman kernel Q_l, which takes R_{l+1}, is 127
     cfg = tmp_path / "c.json"
-    for exp_id, overrides, says in (("eq14-scaling", {"l": 1e308}, "0..128"),
-                                    ("eq14-scaling", {"l": 129}, "0..128"),
-                                    ("thm3-carleson", {"l": 128}, "Bergman order"),
-                                    ("thm4-scaling", {"n": -1, "l": 3}, "spatial dimension")):
+    for exp_id, overrides, says in (("eq14-scaling", {"l": 1e308}, "needs l in 0..16"),
+                                    ("eq14-scaling", {"l": 129}, "needs l in 0..16"),
+                                    ("thm3-carleson", {"l": 128}, "needs l in 0..16"),
+                                    ("thm4-scaling", {"n": -1, "l": 3}, "needs n in 1..4")):
         cfg.write_text(json.dumps({"overrides": overrides}))
         assert run(tmp_path, "verify", exp_id, "--budget", "smoke",
                    "--config", str(cfg)) == 2, overrides
@@ -262,6 +274,42 @@ def test_verify_config_int_override_must_be_integral(tmp_path, capsys):
     [report] = read_summary(tmp_path, "verify")["reports"]
     assert report["params"]["n"] == 2 and type(report["params"]["n"]) is int
     capsys.readouterr()
+
+
+def test_verify_overrides_outside_the_table_exit_two_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the table must reject the override before this")
+
+    for exp_id, key, value in (("thm2-equivalence", "m", "0"), ("eq14-scaling", "n", "-1"),
+                               ("lemma2", "alpha", "1e308"),
+                               ("eq15-scaling", "p-exp", "1e-300"),
+                               ("thm2-equivalence", "p-exp", "1e308"),
+                               ("lemma5", "gamma", "1e308")):
+        exp = verify.EXPERIMENTS[exp_id]
+        monkeypatch.setitem(verify.EXPERIMENTS, exp_id,
+                            dataclasses.replace(exp, fn=unreachable))
+        name = key.replace("-", "_")
+        assert run(tmp_path, "verify", exp_id, "--budget", "smoke", f"--{key}", value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {exp_id} needs {name} in "), err
+        assert f"got {name} = " in err, err
+        # a dry run rejects what a run does
+        assert run(tmp_path, "verify", exp_id, f"--{key}", value, "--dry-run") == 2
+        assert capsys.readouterr().err == err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_never_abbreviates_an_override(tmp_path, capsys):
+    # --s is thm10's s, not a prefix of --seed
+    assert run(tmp_path, "verify", "thm10-functionals", "--s", "3", "--dry-run") == 0
+    cfg = json.loads(capsys.readouterr().out)
+    assert cfg["overrides"] == {"s": "3"} and cfg["seed"] == 0
+    assert run(tmp_path, "verify", "thm10-functionals", "--s=2.0", "--dry-run") == 0
+    assert json.loads(capsys.readouterr().out)["overrides"] == {"s": "2.0"}
+    assert run(tmp_path, "verify", "thm10-functionals", "--s", "1", "--dry-run") == 2
+    assert "thm10-functionals needs s > 1, got s = 1.0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_ball_convolve_round_trips_expansion(tmp_path, capsys):
@@ -322,7 +370,7 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys):
         assert run(tmp_path, "verify", "lemma4", "--budget", "smoke",
                    "--gamma", value) == 2, value
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "finite" in err
+        assert err.startswith("error: lemma4 needs gamma in "), err
 
 
 def test_lemma6_over_its_cover_limit_exits_two(tmp_path, capsys, monkeypatch):
@@ -719,7 +767,6 @@ def test_non_finite_field_parameters_exit_two(tmp_path, capsys):
 # guards let through runs in milliseconds.  The test is derandomized, so
 # that every run of the suite draws the same examples.
 _EDGES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e308", "0.5", "1.5", "2"]
-_INT_EDGES = ["-1", "0", "1", "2", "3"]
 _REGION_FLAGS = ["--x-max", "--t-min", "--t-max"]
 _FIELDS = ["poisson", "poisson:{}", "bergman-q:1:{}", "test-fn:1:{}", "power:{}",
            "bergman-q:x", "power", "expansion-file:{file}"]
@@ -730,6 +777,15 @@ _FAST_IDS = ["lemma2", "eq14-scaling", "eq15-scaling", "thm4-scaling", "thm2-equ
              "thm3-carleson", "thm4-carleson"]
 _COMMANDS = ["norm", "whitney", "carleson", "ball functional", "verify", "ball convolve",
              "ball lambda", "ball multiplier-check"]
+
+
+def _range_edges(key):
+    """The ends of a parameter's range and the first values past them."""
+    lo, hi = verify._RANGES[key]
+    if isinstance(lo, int):
+        return [str(v) for v in (lo - 1, lo, hi, hi + 1)]
+    return [repr(v) for v in (math.nextafter(lo, -math.inf), lo, hi,
+                              math.nextafter(hi, math.inf))]
 
 
 @st.composite
@@ -762,15 +818,15 @@ def _fuzz_argv(draw):
                   ("--resolution", draw(st.sampled_from(["4", "0"]))), ("--radial", "4")]
         exponents = ["--p", "--q", "--alpha", "--t"]
     elif command == "verify":
-        # overrides are the leftover --key value pairs; an int parameter
-        # draws small integers, a float one the edge values
+        # overrides are the leftover --key value pairs, each drawn from the
+        # ends of its range in the parameter table and the first values
+        # past them, so the runs that the table lets through are at its ends
         exp_id = draw(st.sampled_from(_FAST_IDS))
         defaults = verify.EXPERIMENTS[exp_id].defaults
         command = f"verify {exp_id}"
         flags += [("--budget", "smoke")]
         for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True)):
-            ints = isinstance(defaults[key], int)
-            flags.append((f"--{key}", draw(st.sampled_from(_INT_EDGES if ints else _EDGES))))
+            flags.append((f"--{key}", draw(st.sampled_from(_range_edges(key)))))
     elif command == "ball convolve":
         flags += [("--left", "{file}"), ("--right", draw(st.sampled_from(["{file}",
                                                                          "{file3}"])))]

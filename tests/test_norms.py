@@ -178,6 +178,11 @@ def _validation_rows():
          NON_FINITE + (0.0, -1.0), {}),
         ("fractional_derivative t", lambda v: bl.fractional_derivative(v, e),
          NON_FINITE + (0.0,), {}),
+        # the expansion and multiplier constructors, in either part of a coefficient
+        ("Expansion coeffs", lambda v: bl.Expansion(2, [[1.0], [v, 0.5]]),
+         NON_FINITE + (complex(0.0, NAN), complex(1.0, -INF)), {}),
+        ("Multiplier blocks", lambda v: bl.Multiplier(2, [[0.5], [1.0, v]]),
+         NON_FINITE + (complex(0.0, NAN),), {}),
         # the carleson conditions
         ("condition_vector s", lambda v: ca.condition_vector(mu, cubes, 2, (0.5, v)),
          NON_FINITE, {}),

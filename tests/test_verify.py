@@ -1,6 +1,7 @@
 """Harness contracts: registry, budgets, determinism, report shape."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -41,8 +42,8 @@ def test_run_experiment_rejects_unknowns():
         vf.run_experiment("whitney", budget="huge")
     with pytest.raises(ValueError):
         vf.run_experiment("whitney", budget="smoke", overrides={"bogus": 1})
-    for bad in ("nan", float("inf"), "-inf"):
-        with pytest.raises(ValueError, match="finite"):
+    for bad in ("nan", float("inf"), "-inf"):  # outside every range
+        with pytest.raises(ValueError, match="^lemma4 needs gamma in "):
             vf.run_experiment("lemma4", budget="smoke", overrides={"gamma": bad})
 
 
@@ -66,6 +67,51 @@ def test_int_override_rejects_a_fractional_float():
     assert vf._coerce("n", 2, "3") == 3
     with pytest.raises(ValueError):
         vf._coerce("n", 2, "2.7")
+
+
+def test_every_default_is_inside_the_table():
+    for exp_id, exp in vf.EXPERIMENTS.items():
+        assert vf.check_params(exp_id) == exp.defaults
+        assert all(key in vf._RANGES for key in exp.defaults), exp_id
+
+
+def test_each_range_rejects_the_first_value_past_either_end():
+    for exp_id, exp in vf.EXPERIMENTS.items():
+        for key, default in exp.defaults.items():
+            lo, hi = vf._RANGES[key]
+            if isinstance(default, int):
+                ends, past = (lo, hi), (lo - 1, hi + 1)
+            else:
+                ends = (lo, hi)
+                past = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+            for v in past:
+                with pytest.raises(ValueError, match=f"^{exp_id} needs {key} in "):
+                    vf.check_params(exp_id, {key: v})
+            for v in ends:  # an end passes the range, if perhaps not a need
+                try:
+                    vf.check_params(exp_id, {key: v})
+                except ValueError as e:
+                    assert not str(e).startswith(f"{exp_id} needs {key} in "), e
+
+
+def test_needs_answer_everywhere_in_the_ranges():
+    # at every corner of the box of ranges (and the defaults), each need is
+    # decided: no predicate divides by zero or leaves the float range
+    for exp_id, exp in vf.EXPERIMENTS.items():
+        keys = sorted(exp.defaults)
+        for point in itertools.product(*((*vf._RANGES[k], exp.defaults[k]) for k in keys)):
+            try:
+                vf.check_params(exp_id, dict(zip(keys, point)))
+            except ValueError as e:
+                assert str(e).startswith(f"{exp_id} needs "), e
+
+
+def test_reject_rows_alter_a_parameter_past_its_need():
+    # the precondition-reject, kernel-order-reject and exponent-reject rows
+    for exp_id, key, value in (("lemma4", "gamma", 2.0), ("lemma5", "gamma", 1.0),
+                               ("thm6-trace", "k_order", 1), ("prop1", "b1", 2.4)):
+        with pytest.raises(ValueError, match=f"^{exp_id} needs .*{key} = {value}"):
+            vf.check_params(exp_id, {key: value})
 
 
 def test_box_condition_norm_takes_each_distinct_slot_exponent_once(monkeypatch):
