@@ -453,12 +453,11 @@ def mixed_norm_ball(
     return _mixed_integral(f, _abs_values, p, q, alpha, resolution, radial)
 
 
-def sup_mixed_norm_ball(
-    f: Expansion, q: float, alpha: float, resolution: int = 24, rho_count: int = 24
-) -> float:
-    """||f||_{infty,q,alpha} = sup_r (1-r^2)^alpha M_q(f, r) on a rho grid."""
+def sup_mixed_norm_ball(f: Expansion, q: float, alpha: float, resolution: int = 24) -> float:
+    """||f||_{infty,q,alpha} = sup_r (1-r^2)^alpha M_q(f, r) on the 24 radii
+    1 - 2^(-i/2)."""
     check_finite(alpha=alpha)
-    rhos = 1.0 - 2.0 ** (-np.arange(rho_count) / 2.0)
+    rhos = 1.0 - 2.0 ** (-np.arange(24) / 2.0)
     grid = resolution if isinstance(resolution, SphereGrid) else SphereGrid(f.n, resolution)
     best = 0.0
     for rho in rhos:

@@ -274,13 +274,9 @@ def cubes_to_json(cubes: WhitneyBoxes) -> list:
                    box_centers(cubes).tolist(), cubes.side.tolist())]
 
 
-def sample_region(region: Region, n: int, count: int, seed: int, margin: float = 0.0):
-    """Deterministic uniform samples of the region (log-uniform in t).
-
-    margin shrinks the box so samples stay away from the truncation
-    boundary; t stays within [t_min, t_max] regardless.
-    """
+def sample_region(region: Region, n: int, count: int, seed: int):
+    """Deterministic uniform samples of the region (log-uniform in t)."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-region.x_max * (1 - margin), region.x_max * (1 - margin), size=(count, n))
+    x = rng.uniform(-region.x_max, region.x_max, size=(count, n))
     lt = rng.uniform(math.log(region.t_min), math.log(region.t_max), size=count)
     return np.column_stack([x, np.exp(lt)])

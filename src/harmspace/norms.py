@@ -34,7 +34,7 @@ from .geometry import (
     Region, WhitneyBoxes, box_corners, box_volumes, clipped_corners, enlarged_corners,
     whitney_cubes,
 )
-from .quadrature import QuadSpec, sphere_area
+from .quadrature import QuadSpec
 from .util import check_finite, check_positive
 
 
@@ -44,12 +44,10 @@ def _require_radial(f):
 
 
 def _slice_values_radial(f, region: Region, spec: QuadSpec):
-    """Radial nodes r on [0, x_max] and their weights times the sphere
-    area at r; radial fields only."""
+    """Radial nodes r on [0, x_max] and their weights over the slice;
+    radial fields only."""
     _require_radial(f)
-    r, wr = quad.radial_quadrature(f.scale, region.x_max, spec)
-    surf = sphere_area(f.n) * r ** (f.n - 1)
-    return r, wr * surf
+    return quad.radial_quadrature(f.n, f.scale, region.x_max, spec)
 
 
 def slice_norm(f, q: float, t: float, region: Region, spec: QuadSpec) -> float:
@@ -101,12 +99,25 @@ def bergman_norm(
             # per-box dot products, added in box order
             for v in np.matmul(w[:, None, :], g[:, :, None]).ravel().tolist():
                 total += v
-        return total ** (1.0 / p)
+        return _root(total, p)
     t, wt = quad.t_quadrature(region, spec)
     r, wr = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
     inner = wr @ vals**p  # spatial integral per t node
-    return float((wt @ (inner * t**alpha)) ** (1.0 / p))
+    return _root(wt @ (inner * t**alpha), p)
+
+
+def _root(total, p):
+    """total ** (1/p) in total's own float type; a ValueError past float64."""
+    with np.errstate(over="ignore"):
+        try:
+            value = float(total ** (1.0 / p))
+        except OverflowError:  # a Python float power past the float64 range
+            value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"the Bergman norm is not finite in float64 at these"
+                         f" parameters (got {value})")
+    return value
 
 
 def mixed_norm(
@@ -140,14 +151,15 @@ def triebel_norm(
     return float((wr @ inner ** (p / q)) ** (1.0 / p))
 
 
-def sup_norm(f, lam: float, region: Region, rounds: int = 4, grid: int = 48):
+def sup_norm(f, lam: float, region: Region):
     """sup over the region of t^lambda |f| for a radial f, by grid search
     plus refinement.
 
-    Deterministic: geometric t grid crossed with a radial grid, then
-    `rounds` of local refinement around the argmax.  Returns (value,
-    argmax point as (x..., t) array).
+    Deterministic: geometric t grid crossed with a radial grid, 48 points
+    each, then 4 rounds of local refinement around the argmax.  Returns
+    (value, argmax point as (x..., t) array).
     """
+    rounds, grid = 4, 48
     check_finite(lam=lam)
     _require_radial(f)
     region.check_t_range()

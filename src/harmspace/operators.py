@@ -384,8 +384,7 @@ def divergence_proxy(
         A = (masks * wgt).reshape(masks.shape[0], -1)
         # outer grid: radial x layered t over the same region
         t, wt = quad.t_quadrature(reg, spec)
-        r, wr = quad.radial_quadrature(scale, reg.x_max, spec)
-        surf = quad.sphere_area(n) * r ** (n - 1)
+        r, wr = quad.radial_quadrature(n, scale, reg.x_max, spec)
         n_s = svals.size
         rows = max(1, _BLOCK_VALUES // (n_s * t.size))
         # one kernel row per (u, v) node: all (s, t) pairs, s slowest
@@ -396,7 +395,7 @@ def divergence_proxy(
             for a in range(0, D.size, rows):
                 kern = np.abs(q.block(D[a : a + rows]))
                 inner[:, i, :] += A[:, a * n_s : (a + rows) * n_s] @ kern.reshape(-1, t.size)
-        table[:, si] = ((wr * surf) @ inner**p) @ (wt * t**alpha)
+        table[:, si] = (wr @ inner**p) @ (wt * t**alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = table[:, 1:] / table[:, :-1]
     growth[table[:, :-1] == 0] = 1.0
@@ -407,8 +406,7 @@ def divergence_proxy(
 
 def d2_estimate(
     fields, eps_values, p: float, alpha: float, m_order: int,
-    region: Region, spec: QuadSpec, threshold: float = 1.2,
-    scales=(1.0, 2.0, 4.0),
+    region: Region, spec: QuadSpec, scales=(1.0, 2.0, 4.0),
 ):
     """Per field, the smallest grid eps whose truncated integral stops
     growing.
@@ -416,7 +414,7 @@ def d2_estimate(
     Like divergence_proxy, takes a sequence of fields with one eps grid
     each, which share the kernel evaluation.  lam is pinned to
     (alpha + n + 1)/p.  An eps is classified divergent when the last
-    region-doubling growth factor is >= threshold.  Returns a list with
+    region-doubling growth factor is >= 1.2.  Returns a list with
     one (d2, per-eps classification, I table, growth table) per field.
     """
     lam = (alpha + fields[0].n + 1) / p
@@ -428,7 +426,7 @@ def d2_estimate(
     )
     out = []
     for e, (table, growth) in zip(grids, parts):
-        divergent = growth[:, -1] >= threshold
+        divergent = growth[:, -1] >= 1.2
         finite = np.nonzero(~divergent)[0]
         d2 = float(e[finite[0]]) if finite.size else float("inf")
         out.append((d2, divergent, table, growth))

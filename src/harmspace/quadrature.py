@@ -198,13 +198,14 @@ def t_quadrature(region: Region, spec: QuadSpec):
     return composite_nodes(t_breaks(region, spec.t_splits), spec.t_order)
 
 
-def radial_quadrature(scale: float, r_max: float, spec: QuadSpec):
-    """Nodes/weights on [0, r_max], refined toward 0 at `scale`.
-
-    Bare line measure: callers multiply by omega_{n-1} r^(n-1) themselves.
+def radial_quadrature(n: int, scale: float, r_max: float, spec: QuadSpec):
+    """Nodes r on [0, r_max], refined toward 0 at `scale`, and weights for
+    integrals over the ball |y| <= r_max in R^n of radial integrands: the
+    weights carry omega_{n-1} r^(n-1) (2.0 at n = 1, the two half-lines).
     """
     width0 = max(min(spec.min_panel * scale, r_max), 1e-12)
-    return composite_nodes(outward_breaks(width0, r_max), spec.order)
+    r, w = composite_nodes(outward_breaks(width0, r_max), spec.order)
+    return r, w * (sphere_area(n) * r ** (n - 1))
 
 
 def box_axis_quadrature(region: Region, spec: QuadSpec, centers=(0.0,)):

@@ -166,13 +166,15 @@ _RANGES = {
 
 
 def _coerce(key, default, value):
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
-    if isinstance(default, int):
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"parameter {key!r} must be an integer, got {value}")
-        return int(value)
-    return float(value)  # the range check rejects a NaN or an infinity
+    kind = int if isinstance(default, int) else float
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)  # the range check rejects a NaN or an infinity
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"parameter {key!r} must be {what}, got {value!r}") from None
 
 
 def check_params(exp_id, overrides=None):
@@ -288,35 +290,19 @@ def _coeff_gap(xs, ys):
     return max(float(np.max(np.abs(a - c))) for a, c in zip(xs, ys))
 
 
-# Values per block of the source rule in lemma4 and lemma5.  Every n = 1
-# rule is one block (the largest, deep's refined rule, has 391,680 nodes);
-# at n = 2 the rules reach 132.9M nodes.
-SOURCE_BLOCK = 1 << 19
-
-
 def _source_series(n, region, spec, xs, integrand):
     """[sum over the source rule of w * integrand(x, dsq, s) for x in xs].
 
-    The rule is the tensor product of (squared distance to the axis origin,
-    weight) and (height, weight) node axes; integrand sees dsq as a column
-    (rows, 1) and s as a row, and each block of rows holds at most
-    SOURCE_BLOCK values.  The block sums add up in row order.
+    The integrands see a source point only through dsq = |y|^2, so the
+    rule is the radial rule of the ball |y| <= x_max tensored with the
+    height rule; integrand sees dsq as a column (radial nodes, 1) and s as
+    a row.
     """
-    if n == 1:
-        x, w_d = quad.box_axis_quadrature(region, spec)
-        dsq = x**2
-        s, w_s = quad.t_quadrature(region, spec)
-    else:
-        nd = quad.AxisymmetricNodes(region, n, spec)
-        dsq, w_d, s, w_s = nd.dist_sq_to(0.0), nd.w_uv, nd.s, nd.w_s
-    out = [0.0] * len(xs)
-    step = max(1, SOURCE_BLOCK // len(s))
-    for a in range(0, len(dsq), step):
-        w = (w_d[a : a + step, None] * w_s).ravel()
-        col = dsq[a : a + step, None]
-        for i, x in enumerate(xs):
-            out[i] += float(w @ integrand(x, col, s).ravel())
-    return np.array(out)
+    r, w_r = quad.radial_quadrature(n, 1.0, region.x_max, spec)
+    s, w_s = quad.t_quadrature(region, spec)
+    w = (w_r[:, None] * w_s).ravel()
+    dsq = r[:, None] ** 2
+    return np.array([float(w @ integrand(x, dsq, s).ravel()) for x in xs])
 
 
 def _sup_on_grid(fld, lam, region, grid):
@@ -465,9 +451,8 @@ def _exp_kernels(b, rng, p):
     # boundary kernel integrates to one
     spec = QuadSpec(order=max(8, b.order), t_order=b.t_order)
     for n in (1, 2, 3):
-        r, wr = quad.radial_quadrature(1.0, 1e5, spec)
-        area = quad.sphere_area(n) if n > 1 else 2.0
-        mass = float(wr @ (area * r ** (n - 1) * kernels.poisson_from_sq(n, r * r, 1.0)))
+        r, wr = quad.radial_quadrature(n, 1.0, 1e5, spec)
+        mass = float(wr @ kernels.poisson_from_sq(n, r * r, 1.0))
         checks.append(_close(f"poisson-mass-n{n}", mass, 1.0, 1e-4))
         consts[f"poisson_mass_n{n}"] = mass
 

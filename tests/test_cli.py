@@ -75,6 +75,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["ball", "multiplier-check", "--symbol", "wiggle:2"],
         ["carleson", "--measure", str(tmp_path / "absent.json"),
          "--condition", "single"],
+        ["verify", "lemma6", "--n", "2.7", "--dry-run"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "0"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "-1"],
         ["ball", "convolve", "--left", str(nan), "--right", str(tmp_path / "g.json")],
@@ -84,7 +85,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert run(tmp_path / "out", *argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        if "lemma6" in argv:
+        if "abc" in argv:
+            assert "parameter 'gamma' must be a number, got 'abc'" in err, err
+        elif "2.7" in argv:
+            assert "parameter 'n' must be an integer, got '2.7'" in err, err
+        elif "lemma6" in argv:
             assert "lemma6 needs n in 1..4" in err, err
         if str(nan) in argv:
             assert f"{nan} is not a valid expansion file" in err and "finite" in err, err

@@ -131,6 +131,10 @@ def _validation_rows():
          NON_FINITE + (0.0, -1.0), {}),
         ("bergman_norm alpha", lambda v: no.bergman_norm(f, 2.0, v, REGION, SPEC),
          NON_FINITE + (-1.0, -2.0), {}),
+        # a finite p at which the norm itself is past the float64 range
+        *((f"bergman_norm p, {m} path", lambda v, m=m: no.bergman_norm(
+            BergmanField(2, 1, (0, 1)), v, 8.0, Region(8, 2**-4, 8), QuadSpec(), method=m),
+           (2.0**-6,), {}) for m in ("cubes", "layers")),
         ("mixed_norm outer_p", lambda v: no.mixed_norm(f, v, 2.0, 1.0, REGION, SPEC),
          (NAN, -INF, 0.0, -1.0), unbounded),
         ("mixed_norm inner_q", lambda v: no.mixed_norm(f, 2.0, v, 1.0, REGION, SPEC),
@@ -228,6 +232,11 @@ def test_exponent_validation():
             with pytest.raises(exc):
                 call(v)
                 pytest.fail(f"{name} accepted {v!r}")
+    # a norm past the float64 range says so, on either path
+    for name, call, rejected, _ in _validation_rows():
+        if name.startswith("bergman_norm p, "):
+            with pytest.raises(ValueError, match="not finite in float64"):
+                call(*rejected)
     # the point helper: finite is in its message, and the point's length is
     # checked when n is given
     with pytest.raises(ValueError, match="finite"):

@@ -416,8 +416,7 @@ def _old_divergence_proxy(f, eps_values, lam, p, alpha, m_order, region, spec, s
         masks = (svals[None, :] ** lam * fv)[None, :, :] >= eps_values[:, None, None]
         wgt = nodes.w_uv[:, None] * nodes.w_s[None, :] * svals[None, :] ** (m_order - lam)
         t, wt = quad.t_quadrature(reg, spec)
-        r, wr = quad.radial_quadrature(f.scale, reg.x_max, spec)
-        surf = quad.sphere_area(f.n) * r ** (f.n - 1)
+        r, wr = quad.radial_quadrature(f.n, f.scale, reg.x_max, spec)
         inner = np.zeros((eps_values.size, r.size, t.size))
         for i, ri in enumerate(r):
             D = nodes.dist_sq_to(ri)[:, None, None]
@@ -426,7 +425,7 @@ def _old_divergence_proxy(f, eps_values, lam, p, alpha, m_order, region, spec, s
             for ei in range(eps_values.size):
                 inner[ei, i, :] = np.sum(kern * masks[ei][:, :, None], axis=(0, 1))
         for ei in range(eps_values.size):
-            table[ei, si] = (wr * surf) @ (inner[ei] ** p) @ (wt * t**alpha)
+            table[ei, si] = wr @ (inner[ei] ** p) @ (wt * t**alpha)
     return table
 
 

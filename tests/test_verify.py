@@ -1,6 +1,5 @@
 """Harness contracts: registry, budgets, determinism, report shape."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from harmspace import ball as bl
+from harmspace import kernels
 from harmspace import quadrature as quad
 from harmspace import util
 from harmspace import verify as vf
@@ -130,29 +130,53 @@ def test_box_condition_norm_takes_each_distinct_slot_exponent_once(monkeypatch):
         assert calls and all(alphas == per_field for alphas in calls.values())
 
 
-def test_lemma4_source_rule_memory_is_bounded_at_n2(monkeypatch):
-    # at n = 2 the refined smoke rule has 16.6M nodes (133 MB per float
-    # array); two fit points keep the run short
-    smoke = dataclasses.replace(vf.BUDGETS["smoke"], fit_points=2)
-    monkeypatch.setitem(vf.BUDGETS, "smoke", smoke)
+def test_lemma4_source_rule_memory_is_bounded_at_n2():
+    # the radial source rule is one small table: 1.7 MB peak at smoke
     tracemalloc.start()
     try:
         vf.run_experiment("lemma4", budget="smoke", overrides={"n": 2, "gamma": 4.5})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 8 * vf.SOURCE_BLOCK  # a dozen float blocks, 50 MB
+    assert peak < 4_000_000
 
 
-def test_every_n1_source_rule_is_one_block():
-    # the n = 1 lemma4/lemma5 reports rely on it: one dot per fit point
+def _source_integrands(n):
+    """lemma4's integrand (m = 0, gamma = n + 2.5) and lemma5's (alpha = 0,
+    gamma = n/2 + 1.5)."""
+    g4, g5 = n + 2.5, n / 2 + 1.5
+    return (lambda t, dsq, s: np.abs(kernels.bergman_from_sq(0, n, dsq, t + s)) ** (g4 / (n + 1)),
+            lambda s, dsq, t: (dsq + (t + s) ** 2) ** -g5)
+
+
+def test_source_series_is_the_radial_rule_of_the_ball():
+    xs = 2.0 ** np.arange(-3, 4)
+    # the radial weights carry the sphere factor: they sum to the ball's volume
+    for n in (1, 2, 3):
+        w = quad.radial_quadrature(n, 1.0, 4.0, quad.QuadSpec())[1]
+        assert w.sum() == pytest.approx(quad.sphere_area(n) * 4.0 ** n / n, rel=1e-14)
+    # n = 1: the nodes of the line rule on [-x_max, x_max], summed over one
+    # half-line with weight 2
     region = Region(4096.0, 2.0 ** -12, 4096.0)
-    for b in vf.BUDGETS.values():
-        spec = quad.QuadSpec(order=b.order, t_order=b.t_order)
-        for sp in (spec, spec.refined(2)):
-            size = (len(quad.box_axis_quadrature(region, sp)[0])
-                    * len(quad.t_quadrature(region, sp)[0]))
-            assert size <= vf.SOURCE_BLOCK
+    spec = quad.QuadSpec(order=5, t_order=3)
+    x, w_x = quad.box_axis_quadrature(region, spec)
+    s, w_s = quad.t_quadrature(region, spec)
+    w = (w_x[:, None] * w_s).ravel()
+    for f in _source_integrands(1):
+        line = [w @ f(v, x[:, None] ** 2, s).ravel() for v in xs]
+        np.testing.assert_allclose(vf._source_series(1, region, spec, xs, f), line,
+                                   rtol=1e-14, atol=0)
+    # n = 2, 3: the axisymmetric (u, v) grid of the ball, on a small region;
+    # at this spec the two rules were measured 8.7e-5 apart at most (n = 2)
+    region = Region(4.0, 2.0 ** -3, 4.0)
+    spec = quad.QuadSpec(order=8, t_order=5)
+    for n in (2, 3):
+        nd = quad.AxisymmetricNodes(region, n, spec)
+        w = (nd.w_uv[:, None] * nd.w_s).ravel()
+        for f in _source_integrands(n):
+            grid = [w @ f(v, nd.dist_sq_to(0.0)[:, None], nd.s).ravel() for v in xs]
+            np.testing.assert_allclose(vf._source_series(n, region, spec, xs, f), grid,
+                                       rtol=1.5e-4, atol=0)
 
 
 def test_report_schema_and_verdict():
