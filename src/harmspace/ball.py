@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, lpmv, roots_jacobi
 
 from .quadrature import gauss_rule
 from .util import check_finite, check_positive, gamma_ratio
@@ -85,6 +84,8 @@ def _angles(points):
 
 def _assoc_norm(l: int, m: int) -> float:
     # orthonormal under the normalized measure on S^2
+    from scipy.special import gammaln
+
     if m == 0:
         return math.sqrt(2 * l + 1)
     return math.sqrt(
@@ -100,6 +101,8 @@ def basis_matrix(n: int, k: int, points) -> np.ndarray:
             return np.ones((1,) + ang.shape)
         return np.stack([math.sqrt(2) * np.cos(k * ang), math.sqrt(2) * np.sin(k * ang)])
     if n == 3:
+        from scipy.special import lpmv
+
         theta, phi = _angles(points)
         c = np.cos(theta)
         rows = [_assoc_norm(k, 0) * lpmv(0, k, c)]
@@ -375,6 +378,8 @@ def radial_jacobi_quadrature(a_exp: float, n: int, count: int, what: str = "a"):
     Returned weights include r^(n-1) and the (1-r)^a factor.  A
     rejected a is named `what`.
     """
+    from scipy.special import roots_jacobi
+
     check_weight_exponent(a_exp, what)
     xi, w = roots_jacobi(count, a_exp, 0.0)
     r = 0.5 * (xi + 1.0)
@@ -495,6 +500,8 @@ def gradient_values(f: Expansion, r, points) -> np.ndarray:
             gy = gy + k * rk * (-A * sin1 + B * cos1)
         return np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
     if f.n == 3:
+        from scipy.special import lpmv
+
         theta, phi = _angles(pts)
         ct, st = np.cos(theta), np.sin(theta)
         st = np.where(np.abs(st) < 1e-12, 1e-12, st)

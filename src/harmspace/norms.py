@@ -57,7 +57,10 @@ def slice_norm(f, q: float, t: float, region: Region, spec: QuadSpec) -> float:
     check_positive(q=q)
     r, w = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r, np.full_like(r, t)))
-    return float((w @ vals**q) ** (1.0 / q))
+    # an overflow or an inf * 0 leaves a total that _root rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w @ vals**q
+    return _root(total, q, "slice")
 
 
 # Points per field evaluation on the cubes path (a chunk always holds at
@@ -99,23 +102,24 @@ def bergman_norm(
             # per-box dot products, added in box order
             for v in np.matmul(w[:, None, :], g[:, :, None]).ravel().tolist():
                 total += v
-        return _root(total, p)
+        return _root(total, p, "Bergman")
     t, wt = quad.t_quadrature(region, spec)
     r, wr = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
     inner = wr @ vals**p  # spatial integral per t node
-    return _root(wt @ (inner * t**alpha), p)
+    return _root(wt @ (inner * t**alpha), p, "Bergman")
 
 
-def _root(total, p):
-    """total ** (1/p) in total's own float type; a ValueError past float64."""
+def _root(total, p, name):
+    """total ** (1/p) in total's own float type, as a float; a ValueError
+    naming the `name` norm past float64."""
     with np.errstate(over="ignore"):
         try:
             value = float(total ** (1.0 / p))
         except OverflowError:  # a Python float power past the float64 range
             value = np.inf
     if not np.isfinite(value):
-        raise ValueError(f"the Bergman norm is not finite in float64 at these"
+        raise ValueError(f"the {name} norm is not finite in float64 at these"
                          f" parameters (got {value})")
     return value
 
@@ -131,10 +135,11 @@ def mixed_norm(
     t, wt = quad.t_quadrature(region, spec)
     r, wr = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
-    slices = (wr @ vals**inner_q) ** (1.0 / inner_q)
-    return float(
-        (wt @ (slices**outer_p * t ** (alpha * outer_p - 1))) ** (1.0 / outer_p)
-    )
+    # an overflow or an inf * 0 leaves a total that _root rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        slices = (wr @ vals**inner_q) ** (1.0 / inner_q)
+        total = wt @ (slices**outer_p * t ** (alpha * outer_p - 1))
+    return _root(total, outer_p, "mixed")
 
 
 def triebel_norm(
@@ -147,8 +152,11 @@ def triebel_norm(
     t, wt = quad.t_quadrature(region, spec)
     r, wr = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
-    inner = (vals**q * t ** (alpha * q - 1)) @ wt
-    return float((wr @ inner ** (p / q)) ** (1.0 / p))
+    # an overflow or an inf * 0 leaves a total that _root rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = (vals**q * t ** (alpha * q - 1)) @ wt
+        total = wr @ inner ** (p / q)
+    return _root(total, p, "Triebel-Lizorkin")
 
 
 def sup_norm(f, lam: float, region: Region):
@@ -210,9 +218,12 @@ def whitney_discrete_norm(
     maxima = _box_grid_maxima(f, lo, hi, samples)
     etas, volumes = (1.5 * cubes.side).tolist(), box_volumes(lo, hi).tolist()
     total = 0.0
-    for m, eta, volume in zip(maxima, etas, volumes):
-        total += eta ** (alpha * p - 1) * m**p * volume
-    return total ** (1.0 / p)
+    try:
+        for m, eta, volume in zip(maxima, etas, volumes):
+            total += eta ** (alpha * p - 1) * m**p * volume
+    except OverflowError:  # a term past the float64 range
+        total = np.inf
+    return _root(total, p, "discrete Whitney")
 
 
 def _box_grid_maxima(f, lo, hi, samples):

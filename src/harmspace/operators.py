@@ -141,10 +141,11 @@ class KernelIntegralField(Field):
         are never stored at full size.  np.sum of the full table would add
         them by pairwise summation; the table is cut into the leaves of
         that summation tree (_pairwise_leaves), each leaf's products are
-        made from the kernel rows that cover it and added by np.sum, and
-        the leaf sums are added back in tree order.  Every payload of a
-        stack shares a leaf's kernel values, and each value equals the
-        np.sum of the full table bit for bit, whatever the block size.
+        made from the kernel rows that cover it and added by np.add.reduce
+        (the reduce np.sum makes, without its Python wrapper), and the leaf
+        sums are added back in tree order.  Every payload of a stack shares
+        a leaf's kernel values, and each value equals the np.sum of the
+        full table bit for bit, whatever the block size.
         """
         nodes, wpay = self._ax
         n_pay, n_uv, n_s = wpay.shape
@@ -164,7 +165,7 @@ class KernelIntegralField(Field):
                 part = prod[: hi - lo]
                 for j in range(n_pay):
                     np.multiply(K, wflat[j, lo:hi], out=part)
-                    sums[li, j] = np.sum(part)
+                    sums[li, j] = np.add.reduce(part)
             out[:, i] = _tree_add(tree, sums)
         return out
 

@@ -18,7 +18,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def check_finite(**params) -> None:
@@ -44,6 +43,8 @@ def gamma_ratio(a: float, t: float) -> float:
     """
     if a <= 0 or a + t <= 0:
         raise ValueError("gamma_ratio needs a > 0 and a + t > 0")
+    from scipy.special import gammaln
+
     return float(math.exp(gammaln(a + t) - gammaln(a)))
 
 

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -765,6 +767,34 @@ def test_non_finite_field_parameters_exit_two(tmp_path, capsys):
                "--lam", "1e308") == 2
     assert "not finite in float64" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+_SPECIAL_ON_FIRST_USE = """
+import contextlib, io, sys
+from harmspace import cli
+out, expansion = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "kernels", "--budget", "smoke", "--threads", "1",
+                     "--out", out]) == 0
+    assert cli.main(["norm", "--space", "bergman", "--field", "poisson",
+                     "--out", out]) == 0
+    assert "scipy.special" not in sys.modules
+    assert cli.main(["ball", "lambda", "--expansion", expansion, "--out", out]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_half_space_commands_run_without_scipy_special(tmp_path):
+    # a fresh interpreter, since this one has imported scipy.special already
+    expansion = tmp_path / "e.json"
+    expansion.write_text(json.dumps(bl.Expansion.random(2, 2, seed=5).to_json()))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPECIAL_ON_FIRST_USE, str(tmp_path / "out"),
+         str(expansion)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # The argv grammar of the fuzz below: every exponent and region extent comes

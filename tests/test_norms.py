@@ -123,6 +123,7 @@ def _validation_rows():
     e = bl.Expansion.random(2, 3, seed=5)
     mu = ca.AtomicMeasure.point_mass([0.1], 1.5, 2.0)
     cubes = whitney_cubes(Region(4.0, 0.25, 4.0), 1)
+    big, wide = BergmanField(2, 1, (0, 1)), Region(8, 2**-4, 8)
     unbounded = {INF: NotImplementedError}
     rows = [
         ("slice_norm q", lambda v: no.slice_norm(f, v, 1.0, REGION, SPEC),
@@ -132,9 +133,28 @@ def _validation_rows():
         ("bergman_norm alpha", lambda v: no.bergman_norm(f, 2.0, v, REGION, SPEC),
          NON_FINITE + (-1.0, -2.0), {}),
         # a finite p at which the norm itself is past the float64 range
-        *((f"bergman_norm p, {m} path", lambda v, m=m: no.bergman_norm(
-            BergmanField(2, 1, (0, 1)), v, 8.0, Region(8, 2**-4, 8), QuadSpec(), method=m),
+        *((f"bergman_norm p, {m} path, past float64", lambda v, m=m: no.bergman_norm(
+            big, v, 8.0, wide, QuadSpec(), method=m),
            (2.0**-6,), {}) for m in ("cubes", "layers")),
+        ("slice_norm q, past float64",
+         lambda v: no.slice_norm(big, v, 1.0, wide, QuadSpec()),
+         (2.0**-9,), {}),
+        ("mixed_norm p = q, past float64",
+         lambda v: no.mixed_norm(big, v, v, 8.0, wide, QuadSpec()),
+         (2.0**-9,), {}),
+        ("triebel_norm p, past float64",
+         lambda v: no.triebel_norm(big, v, 2.0, 8.0, wide, QuadSpec()),
+         (2.0**-9,), {}),
+        ("whitney_discrete_norm p, past float64",
+         lambda v: no.whitney_discrete_norm(big, v, 8.0, Region(2, 2**-4, 2)),
+         (2.0**-9,), {}),
+        # a term past the float64 range, and an inf * 0 in the mixed norm
+        ("whitney_discrete_norm alpha, past float64",
+         lambda v: no.whitney_discrete_norm(big, 2.0, v, Region(2, 2**-4, 2)),
+         (1e300,), {}),
+        ("mixed_norm outer_p, past float64",
+         lambda v: no.mixed_norm(big, v, 1.0, 1.0, wide, QuadSpec()),
+         (1e300,), {}),
         ("mixed_norm outer_p", lambda v: no.mixed_norm(f, v, 2.0, 1.0, REGION, SPEC),
          (NAN, -INF, 0.0, -1.0), unbounded),
         ("mixed_norm inner_q", lambda v: no.mixed_norm(f, 2.0, v, 1.0, REGION, SPEC),
@@ -232,9 +252,9 @@ def test_exponent_validation():
             with pytest.raises(exc):
                 call(v)
                 pytest.fail(f"{name} accepted {v!r}")
-    # a norm past the float64 range says so, on either path
+    # a norm past the float64 range says so, on every path
     for name, call, rejected, _ in _validation_rows():
-        if name.startswith("bergman_norm p, "):
+        if name.endswith(", past float64"):
             with pytest.raises(ValueError, match="not finite in float64"):
                 call(*rejected)
     # the point helper: finite is in its message, and the point's length is
