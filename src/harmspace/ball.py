@@ -22,6 +22,7 @@ whose basis rows they then share with the grid's other users.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,8 +83,10 @@ def _angles(points):
     return theta, phi
 
 
+@lru_cache(maxsize=None)
 def _assoc_norm(l: int, m: int) -> float:
-    # orthonormal under the normalized measure on S^2
+    # orthonormal under the normalized measure on S^2; each (l, m) is
+    # built once, though every basis_matrix and gradient_values call reads it
     from scipy.special import gammaln
 
     if m == 0:
@@ -307,8 +310,8 @@ def convolve(f: Expansion, g: Expansion) -> Expansion:
 
     This is the multiplier action of g's coefficients on f; it is
     commutative and linear in each argument, which the property tests
-    assert.  The Poisson slices used by the multiplier functionals go
-    through conv_poisson_matrix instead.
+    assert.  The multiplier functionals (verify.slice_functional) take
+    the Poisson slice of a diagonal symbol as one zonal row instead.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
@@ -338,7 +341,9 @@ def conv_poisson_matrix(c: Multiplier, rhos, xpts, ypts) -> list:
     symbol.  Symmetric in x' and y' for any blocks; for diagonal blocks it
     is zonal: h = sum_k rho^k c_k Z_k(x'.y').  Each degree's term
     E_k = sum_j c_k^j Y_j Y_j is built once and added, as rho^k E_k, to
-    one running sum per radius, in degree order.
+    one running sum per radius, in degree order.  The matrix itself is
+    what ball-norms' slice-convolution-identity and conv-matrix-symmetry
+    rows test; the multiplier functionals use only the zonal row.
     """
     rhos = [float(rho) for rho in rhos]
     _, rows_x = _basis_on(c.n, xpts)

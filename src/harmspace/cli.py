@@ -437,16 +437,16 @@ def _cmd_ball(args):
         if not 1 <= args.rho_levels <= sys.float_info.mant_dig:
             raise UsageError(f"--rho-levels must be in 1..{sys.float_info.mant_dig}")
         res = args.resolution or 4 * args.cap + 8
-        levels, coeffs = args.rho_levels, 2 * args.cap + 1
-        # held at once: the symbol's coefficients on the circle and its
-        # Lambda-scaled copy (complex128); the grid's points, weights and
-        # basis rows (float64); and the (res, res) complex128 Poisson-slice
-        # tables: one running sum per level, a degree's term and its rho^k
-        # multiple
+        levels, degrees = args.rho_levels, args.cap + 1
+        # held at once: the symbol's coefficients on the circle and the
+        # Lambda multiplier's (complex128); the grid's points and weights
+        # and the (degrees, res) zonal table (float64); the (levels,
+        # degrees) rho^k c_k coefficients and two (levels, res) rows, the
+        # running sum and a degree's term (complex128)
         _check_array_bytes(
-            f"a degree-{args.cap} symbol with {levels} levels of {res} x {res}"
-            " slice matrices",
-            2 * 16 * coeffs + 24 * res + 8 * coeffs * res + 16 * (levels + 2) * res * res)
+            f"a degree-{args.cap} symbol on {levels} levels of {res}-point slice rows",
+            2 * 16 * (2 * degrees - 1) + 24 * res + 8 * degrees * res
+            + 16 * levels * degrees + 2 * 16 * levels * res)
         c = _parse_symbol(args.symbol, args.cap)
         if not 1.0 < args.s < math.inf:
             raise UsageError("need a finite s > 1 for the dual exponent")

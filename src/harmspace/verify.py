@@ -1301,11 +1301,6 @@ def _exp_ball_norms(b, rng, p):
 # ==================================================== multiplier functionals
 
 
-def _lambda_scaled(c, order):
-    lv = bl.multiplier_lambda(c.n, c.cap, order).diagonal_values()
-    return bl.Multiplier(c.n, [lv[k] * blk for k, blk in enumerate(c.blocks)])
-
-
 FINITE_TREND = -0.05
 DIVERGENT_TREND = -0.2
 
@@ -1321,22 +1316,40 @@ def trend_class(slope):
 
 
 def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, grid):
-    """Weighted boundary-slice functional of a coefficient symbol.
+    """Weighted boundary-slice functional of a diagonal n = 2 symbol.
 
-    Per radius 1 - 2^-i: sup over the outer point of
-    (1-rho)^weight_exp (int |D(g*P_x)(rho y)|^s' dx)^(1/s'), where D is an
-    optional fractional derivative of the stated order and the integral
-    runs over the SphereGrid grid.  Returns the sup, the log-log trend
-    slope in (1-rho) over the last rows unaffected by the symbol's degree
-    cap, and the trace rows.  Negative trend means the value still climbs
-    as rho -> 1.
+    Per radius 1 - 2^-i: sup over the outer point x' of
+    (1-rho)^weight_exp (int |D(g*P_x')(rho y')|^s' dy')^(1/s'), where D is
+    an optional fractional derivative of the stated order and the integral
+    runs over the n = 2 SphereGrid grid.  Returns the sup, the log-log
+    trend slope in (1-rho) over the last rows unaffected by the symbol's
+    degree cap, and the trace rows.  Negative trend means the value still
+    climbs as rho -> 1.
+
+    For a diagonal symbol the Poisson slice is zonal (the addition
+    theorem): h_rho(x', y') = sum_k rho^k c_k Z_k(x'.y').  The grid is
+    uniform in angle, so each outer point's row is a rotation of the
+    first point's, and every row has the same integral: the sup is that
+    one row's.  The row is summed in degree order with elementwise
+    products, so no value depends on BLAS threading.  Any other symbol or
+    grid raises ValueError.
     """
-    cc = c if lam_order is None else _lambda_scaled(c, lam_order)
-    rhos = [1.0 - 2.0 ** -i for i in range(1, rho_levels + 1)]
-    rows = []
-    for rho, M in zip(rhos, bl.conv_poisson_matrix(cc, rhos, grid, grid)):
-        integ = (grid.weights @ np.abs(M) ** s_prime) ** (1.0 / s_prime)
-        rows.append((rho, (1.0 - rho) ** weight_exp * float(integ.max())))
+    if not (c.n == 2 and all(np.all(b == b[0]) for b in c.blocks)):
+        raise ValueError("slice_functional takes a diagonal n = 2 symbol")
+    if not (isinstance(grid, bl.SphereGrid) and grid.n == 2):
+        raise ValueError("slice_functional takes an n = 2 SphereGrid")
+    coef = c.diagonal_values()
+    if lam_order is not None:
+        coef = bl.multiplier_lambda(2, c.cap, lam_order).diagonal_values() * coef
+    rhos = 1.0 - 2.0 ** -np.arange(1.0, rho_levels + 1)
+    Z = bl.zonal_values(2, c.cap, grid.points @ grid.points[0])
+    terms = rhos[:, None] ** np.arange(c.cap + 1) * coef  # (levels, cap + 1)
+    row = terms[:, :1] * Z[0]  # (levels, res): the first point's row per level
+    for k in range(1, c.cap + 1):
+        row += terms[:, k:k + 1] * Z[k]
+    integ = (np.abs(row) ** s_prime @ grid.weights) ** (1.0 / s_prime)
+    rows = [(rho, (1.0 - rho) ** weight_exp * v)
+            for rho, v in zip(rhos.tolist(), integ.tolist())]
     vals = np.array([v for _, v in rows])
     sup = float(vals.max())
     usable = [i for i in range(1, rho_levels + 1) if 2.0 ** i <= c.cap / 2]

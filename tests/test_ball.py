@@ -1,6 +1,7 @@
 """Ball expansions: scipy special-function oracles and exact algebra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ def test_radial_jacobi_beta_moments():
         assert np.sum(w * r**2) == pytest.approx(beta_fn(n + 2, a + 1), rel=1e-13)
     with pytest.raises(ValueError):
         bl.radial_jacobi_quadrature(-1.0, 2, 10)
+
+
+def test_assoc_norm_is_built_once_and_keeps_every_bit():
+    # the closed form sqrt((2 - [m = 0]) (2l + 1) (l - m)! / (l + m)!), and
+    # bit for bit the gammaln expression the basis rows have always used
+    bl._assoc_norm.cache_clear()
+    for l in range(41):
+        for m in range(l + 1):
+            got = bl._assoc_norm(l, m)
+            ratio = Fraction(math.factorial(l - m), math.factorial(l + m))
+            assert got == pytest.approx(math.sqrt((2 - (m == 0)) * (2 * l + 1) * ratio),
+                                        rel=1e-13, abs=0)
+            old = math.sqrt(2 * l + 1) if m == 0 else math.sqrt(
+                2 * (2 * l + 1) * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1)))
+            assert got == old, (l, m)
+    built = bl._assoc_norm.cache_info().misses
+    assert built == 41 * 42 // 2
+    bl.basis_matrix(3, 40, bl.sphere_grid(3, 4)[0])
+    assert bl._assoc_norm.cache_info().misses == built
 
 
 def test_conv_poisson_matrix_zonal_reduction():

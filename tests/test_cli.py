@@ -399,12 +399,13 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bl, "sphere_grid", unreachable)
     monkeypatch.setattr(bl.Multiplier, "diagonal", unreachable)
     cases = [
-        ["ball", "multiplier-check", "--cap", "100000"],  # 2.33 TiB matrix
-        ["ball", "multiplier-check", "--cap", "1", "--resolution", "5000"],
+        ["ball", "multiplier-check", "--cap", "100000"],  # 298 GiB zonal table
+        ["ball", "multiplier-check", "--cap", "1", "--resolution", str(5 * 10**6)],
         ["ball", "multiplier-check", "--cap", str(10**8), "--resolution", "8"],
-        # one slice matrix of exactly the budget, but 8 levels hold 10 at once
-        ["ball", "multiplier-check", "--cap", "1", "--resolution", "4096"],
-        # a 160 MB symbol: with its scaled copy and basis rows, 960 MB
+        # 69 MiB at one level, but the default 8 levels hold 8 pairs of rows
+        ["ball", "multiplier-check", "--cap", "1", "--resolution", str(10**6)],
+        # a 160 MB symbol: with the Lambda multiplier, the zonal table and
+        # the per-level coefficients, 1.2 GiB
         ["ball", "multiplier-check", "--cap", str(5 * 10**6), "--resolution", "8"],
         ["ball", "multiplier-check", "--cap", "-1"],
         ["ball", "multiplier-check", "--resolution", "-5"],
@@ -420,19 +421,22 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
         if "--n" in argv:
             assert err.startswith("error: --n must be >= 1"), err
     assert not list(tmp_path.iterdir())
-    # the guard counts what is held at once: the symbol and its scaled copy
-    # (complex), the grid's points, weights and basis rows (float), and
-    # levels + 2 complex (res, res) slice matrices
+    # the guard counts what is held at once: the symbol and the Lambda
+    # multiplier (complex), the grid's points and weights and the
+    # (cap + 1, res) zonal table (float), the (levels, cap + 1) coefficients
+    # and two (levels, res) rows (complex); no (res, res) matrix is built
     def predicted(cap, res, levels):
-        coeffs = 2 * cap + 1
-        return 32 * coeffs + 24 * res + 8 * coeffs * res + 16 * (levels + 2) * res * res
+        degrees = cap + 1
+        return (32 * (2 * degrees - 1) + 24 * res + 8 * degrees * res
+                + 16 * levels * degrees + 32 * levels * res)
 
-    # a request just within the budget passes the guard and reaches sphere_grid
-    assert predicted(1, 2047, 2) <= cli.MAX_ARRAY_BYTES < predicted(1, 2048, 2)
+    # a request just within the budget passes the guard and reaches the
+    # symbol; one more point is rejected
+    assert predicted(1, 2581108, 2) <= cli.MAX_ARRAY_BYTES < predicted(1, 2581109, 2)
     argv = ["ball", "multiplier-check", "--cap", "1", "--rho-levels", "2"]
     with pytest.raises(AssertionError, match="guard"):
-        run(tmp_path, *argv, "--resolution", "2047")
-    assert run(tmp_path, *argv, "--resolution", "2048") == 2
+        run(tmp_path, *argv, "--resolution", "2581108")
+    assert run(tmp_path, *argv, "--resolution", "2581109") == 2
 
 
 def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, monkeypatch):

@@ -268,20 +268,50 @@ def test_trend_class_matches_the_check_rows():
     assert vf._below("divergent-trend", -0.2, vf.DIVERGENT_TREND)["ok"]
 
 
-def test_slice_functional_builds_one_term_per_degree(monkeypatch):
-    calls = []
-    einsum = np.einsum
+def _slice_functional_by_matrix(c, s_prime, levels, lam_order, grid):
+    # the route slice_functional replaced: each outer point's integral over
+    # the rows of the (res, res) Poisson-slice matrix, then the max
+    if lam_order is not None:
+        lv = bl.multiplier_lambda(2, c.cap, lam_order).diagonal_values()
+        c = bl.Multiplier(2, [lv[k] * b for k, b in enumerate(c.blocks)])
+    rhos = [1.0 - 2.0 ** -i for i in range(1, levels + 1)]
+    return [(1.0 - rho) * float(np.max((grid.weights @ np.abs(M) ** s_prime)
+                                       ** (1.0 / s_prime)))
+            for rho, M in zip(rhos, bl.conv_poisson_matrix(c, rhos, grid, grid))]
 
-    def counting(spec, *ops, **kw):
-        calls.append(spec)
-        return einsum(spec, *ops, **kw)
 
-    monkeypatch.setattr(np, "einsum", counting)
+def test_slice_functional_is_the_matrix_route_from_one_zonal_row(monkeypatch):
     cap = 12
-    c = bl.Multiplier.diagonal(2, cap, (1.0 + np.arange(cap + 1.0)) ** -2)
+    k = np.arange(cap + 1.0)
     grid = bl.SphereGrid(2, 4 * cap + 8)
-    for levels in (1, 3, 8):
-        calls.clear()
-        _, _, rows = vf.slice_functional(c, 2.0, 1.0, None, levels, grid)
-        assert len(rows) == levels
-        assert calls == ["j,jx,jy->xy"] * (cap + 1), levels
+    symbols = {"decay": (1.0 + k) ** -2, "growth": 1.0 + k, "identity": np.ones(cap + 1),
+               "zero": np.zeros(cap + 1),
+               "random": np.random.default_rng(3).standard_normal(cap + 1)}
+    cases = list(itertools.product(symbols, (1.5, 2.0, 3.0), (1, 3, 8), (None, 3.0)))
+    c = {name: bl.Multiplier.diagonal(2, cap, v) for name, v in symbols.items()}
+    want = {case: _slice_functional_by_matrix(c[case[0]], *case[1:], grid)
+            for case in cases}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("slice_functional must build no slice matrix")
+
+    monkeypatch.setattr(bl, "conv_poisson_matrix", unreachable)
+    for name, sp, levels, lam in cases:
+        sup, _, rows = vf.slice_functional(c[name], sp, 1.0, lam, levels, grid)
+        assert [r for r, _ in rows] == [1.0 - 2.0 ** -i for i in range(1, levels + 1)]
+        got = [v for _, v in rows]
+        assert sup == max(got)
+        if name == "zero":
+            assert got == [0.0] * levels
+        else:
+            np.testing.assert_allclose(got, want[name, sp, levels, lam], rtol=1e-13, atol=0)
+
+    grid3 = bl.SphereGrid(3, 6)
+    wrong = [  # an n = 3 symbol, a non-constant n = 2 block, an n = 3 grid
+        (bl.Multiplier.diagonal(3, 4, np.ones(5)), grid),
+        (bl.Multiplier(2, [[1.0], [1.0, 2.0], [0.5, 0.5]]), grid),
+        (c["decay"], grid3),
+    ]
+    for sym, g in wrong:
+        with pytest.raises(ValueError):
+            vf.slice_functional(sym, 2.0, 1.0, None, 3, g)
