@@ -333,32 +333,28 @@ def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
     return Multiplier.diagonal(n, cap, vals)
 
 
-def conv_poisson_matrix(c: Multiplier, rhos, xpts, ypts) -> list:
-    """[h_rho for rho in rhos], h_rho(x', y') = sum_k rho^k sum_j c_k^j
-    Y_j(x') Y_j(y') of shape (mx, my); the points may be SphereGrids.
+def conv_poisson_matrix(c: Multiplier, rho: float, grid) -> np.ndarray:
+    """h_rho(x', y') = sum_k rho^k sum_j c_k^j Y_j(x') Y_j(y') on the points
+    of grid (a SphereGrid or a point array), shape (m, m).
 
     h_rho is (g_c * P_{x'})(rho y'): the Poisson slice of the multiplier
-    symbol.  Symmetric in x' and y' for any blocks; for diagonal blocks it
-    is zonal: h = sum_k rho^k c_k Z_k(x'.y').  Each degree's term
-    E_k = sum_j c_k^j Y_j Y_j is built once and added, as rho^k E_k, to
-    one running sum per radius, in degree order.  The matrix itself is
-    what ball-norms' slice-convolution-identity and conv-matrix-symmetry
-    rows test; the multiplier functionals use only the zonal row.
+    symbol.  Symmetric for any blocks; for diagonal blocks it is zonal:
+    h = sum_k rho^k c_k Z_k(x'.y').  Each degree's term
+    E_k = sum_j c_k^j Y_j Y_j is added, as rho^k E_k, in degree order.  The
+    matrix itself is what ball-norms' slice-convolution-identity and
+    conv-matrix-symmetry rows test; the multiplier functionals use only the
+    zonal row.
     """
-    rhos = [float(rho) for rho in rhos]
-    _, rows_x = _basis_on(c.n, xpts)
-    _, rows_y = _basis_on(c.n, ypts)
-    sums = []
+    _, rows = _basis_on(c.n, grid)
+    rho = float(rho)
     for k, b in enumerate(c.blocks):
-        Yx = rows_x(k)
-        Yy = Yx if ypts is xpts else rows_y(k)
-        E = np.einsum("j,jx,jy->xy", b, Yx, Yy)
+        Y = rows(k)
+        E = np.einsum("j,jx,jy->xy", b, Y, Y)
         if k == 0:
-            sums = [rho**k * E for rho in rhos]
+            h = rho**k * E
         else:
-            for out, rho in zip(sums, rhos):
-                out += rho**k * E
-    return sums
+            h += rho**k * E
+    return h
 
 
 # Up to this weight exponent a, the Gauss-Jacobi rule's scale 2^-(a+1) is

@@ -29,7 +29,7 @@ from . import carleson as ca
 from . import norms as no
 from . import util, verify
 from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
-from .geometry import (Region, box_centers, box_corners, cubes_to_json, overlap_counts,
+from .geometry import (Region, box_centers, box_corners, overlap_counts,
                        weighted_measures, whitney_count, whitney_cubes)
 from .quadrature import QuadSpec
 
@@ -47,9 +47,11 @@ MAX_ARRAY_BYTES = 1 << 28
 
 def _check_array_bytes(what, nbytes):
     if nbytes > MAX_ARRAY_BYTES:
-        raise UsageError(
-            f"{what} would take {nbytes / 2**20:.4g} MiB, over the"
-            f" {MAX_ARRAY_BYTES / 2**20:g} MiB array budget")
+        asked, budget = f"{nbytes / 2**20:.4g} MiB", f"{MAX_ARRAY_BYTES / 2**20:g} MiB"
+        if asked == budget:  # just over: only the bytes tell them apart
+            asked += f" ({nbytes:.0f} bytes)"
+            budget += f" ({MAX_ARRAY_BYTES} bytes)"
+        raise UsageError(f"{what} would take {asked}, over the {budget} array budget")
 
 
 def _check_whitney_bytes(region, n, per_box):
@@ -495,15 +497,15 @@ def _cmd_whitney(args):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     region = Region(args.x_max, args.t_min, args.t_max)
-    # Peak memory is the summary's records with their JSON text, or with
-    # the CSV cells: about 1.2, 1.3 and 1.5 KB a box at n = 1, 2, 3
-    # (ru_maxrss at 37k to 350k boxes).
-    _check_whitney_bytes(region, args.n, 256 * (args.n + 5))
+    # Peak memory is the summary's JSON text with its formatted cells, or
+    # the CSV cells: 0.61-0.66, 0.73-0.76 and 0.93-0.97 KB a box at
+    # n = 1, 2, 3 (ru_maxrss over the pre-call mark, 22k to 350k boxes).
+    _check_whitney_bytes(region, args.n, 160 * (args.n + 5))
     cubes = whitney_cubes(region, args.n)
-    level = cubes.level
+    level, centers = cubes.level, box_centers(cubes)
     header = (["level", "side"] + [f"center_{i}" for i in range(args.n)]
               + ["center_t"])
-    cols = [level, cubes.side, *box_centers(cubes).T]
+    cols = [level, cubes.side, *centers.T]
     if args.lam is not None:
         header.append("weighted_measure")
         cols.append(weighted_measures(*box_corners(cubes), args.lam))
@@ -511,7 +513,8 @@ def _cmd_whitney(args):
     summary = _resolved_config(args)
     summary.update(count=len(level),
                    levels={str(j): k for j, k in zip(levels.tolist(), counts.tolist())},
-                   cubes=cubes_to_json(cubes))
+                   cubes=util.Records(level=level, index=cubes.index, center=centers,
+                                      side=cubes.side))
     paths = _emit(args, summary, [("whitney-cubes", header, cols)])
     print(f"{len(level)} boxes across levels "
           f"{levels[0]}..{levels[-1]}" if len(level) else "0 boxes")

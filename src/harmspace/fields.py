@@ -22,7 +22,6 @@ class Field:
     label: str
     radial_center = None  # np.ndarray (n,) when f(x,t) depends on |x - center| only
     scale: float = 1.0  # characteristic length for quadrature panel sizing
-    harmonic = False
 
     def values(self, points):
         """Evaluate at points of shape (..., n+1)."""
@@ -71,8 +70,6 @@ class _Centered(Field):
 class PoissonField(_Centered):
     """f(z) = P(x - y, t + s): the Poisson kernel seen from w = (y, s)."""
 
-    harmonic = True
-
     def __init__(self, n, w):
         super().__init__(n, w)
         self.label = f"poisson-n{n}-s{self.w[-1]:g}"
@@ -83,8 +80,6 @@ class PoissonField(_Centered):
 
 class BergmanField(_Centered):
     """f(z) = Q_l(z, w), the weighted Bergman kernel with one leg fixed."""
-
-    harmonic = True
 
     def __init__(self, l, n, w):
         super().__init__(n, w)
@@ -97,8 +92,6 @@ class BergmanField(_Centered):
 
 class TestField(_Centered):
     """f(z) = f_{w,l}(z) = |z - wbar|^(-(n-1+l)) P_l(u)."""
-
-    harmonic = True
 
     def __init__(self, l, n, w):
         if n < 2:
@@ -155,7 +148,7 @@ class ProductField(Field):
         return self.a.radial_values(r, t) * self.b.radial_values(r, t)
 
 
-def dilated(field_cls, l, n, s, **kw):
+def dilated(field_cls, l, n, s):
     """Convenience: the family member centered on the axis at height s."""
     if n < 1:
         raise ValueError(f"spatial dimension must be >= 1, got {n}")
@@ -163,4 +156,4 @@ def dilated(field_cls, l, n, s, **kw):
     w[-1] = s
     if field_cls is PoissonField:
         return PoissonField(n, w)
-    return field_cls(l, n, w, **kw)
+    return field_cls(l, n, w)

@@ -267,13 +267,6 @@ def overlap_counts(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return counts
 
 
-def cubes_to_json(cubes: WhitneyBoxes) -> list:
-    """One record per box: level, index, center and side."""
-    return [{"level": j, "index": k, "center": c, "side": s} for j, k, c, s
-            in zip(cubes.level.tolist(), cubes.index.tolist(),
-                   box_centers(cubes).tolist(), cubes.side.tolist())]
-
-
 def sample_region(region: Region, n: int, count: int, seed: int):
     """Deterministic uniform samples of the region (log-uniform in t)."""
     rng = np.random.default_rng(seed)

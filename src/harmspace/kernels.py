@@ -286,6 +286,5 @@ def profile_excursion(l: int, n: int, delta: float, z, w):
     w = np.asarray(w, dtype=float)
     rho = np.sqrt(reflected_distance_sq(z, w))
     u = (z[..., -1] + w[..., -1]) / rho
-    n_sp = z.shape[-1] - 1
-    return np.abs(deriv_polynomial_eval(l, n_sp if n is None else n, u)) > delta
+    return np.abs(deriv_polynomial_eval(l, n, u)) > delta
 

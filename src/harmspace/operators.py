@@ -87,8 +87,6 @@ class KernelIntegralField(Field):
     blocks of _BLOCK_VALUES values beyond the payload.
     """
 
-    harmonic = True  # harmonic in z: finite combination of Q_k(., w_i)
-
     def __init__(self, n, k_order, label="kernel-integral"):
         self.n = n
         self.k = k_order

@@ -2,18 +2,18 @@
 finite differences, log-log fits, and the deterministic report writers.
 
 ``dump_json``/``dumps_json`` write exactly what ``json.dumps(obj,
-sort_keys=True, indent=2, allow_nan=False)`` writes, and ``dump_csv``
-writes a table given column by column.  Both format a column of floats
-at once, calling ``float.__repr__`` once per distinct value: a list of
-numbers in JSON, each key of a list of like records (``cubes_to_json``)
-through one per-record template, and each float column of a CSV.
+sort_keys=True, indent=2, allow_nan=False)`` writes, with a ``Records``
+(a list of like records given column by column) written as its list of
+dicts; ``dump_csv`` writes a table given column by column.  Both format a
+column of floats at once, calling ``float.__repr__`` once per distinct
+value: a list of numbers in JSON, each column of a ``Records`` through
+one per-record template, and each float column of a CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -173,43 +173,43 @@ def _json_numbers(values) -> list:
     return texts
 
 
-def _json_records(records, level):
-    """JSON texts of a list of dicts at indent level, through one template,
-    when every dict has the same str keys and each key's values are all
-    numbers or all lists of numbers of one length; None otherwise."""
-    if set(map(type, records)) != {dict}:
-        return None
-    keyset = records[0].keys()
-    keys = sorted(keyset) if set(map(type, keyset)) == {str} else None
-    if not keys or not all(map(keyset.__eq__, map(dict.keys, records))):
-        return None
-    # every value is checked before any is formatted, so that a record list
-    # json.dumps would reject with a TypeError never raises ValueError here
-    flat = []  # per key: (its values, flattened, and the list width or 0)
-    for key in keys:
-        values = [d[key] for d in records]
-        if _numbers(values):
-            flat.append((values, 0))
-            continue
-        if not set(map(type, values)) <= {list, tuple}:
-            return None
-        width = len(values[0])
-        if not width or set(map(len, values)) != {width}:
-            return None
-        values = list(chain.from_iterable(values))
-        if not _numbers(values):
-            return None
-        flat.append((values, width))
+class Records:
+    """A list of like records given column by column, for dumps_json, which
+    writes it as the list of dicts {key: column[i].tolist()}.  Each column
+    is a numpy int or float array (bool is rejected: it would print 1, not
+    true) with one entry per record, a number (1-d) or a non-empty number
+    list (2-d); all columns have one length.  Else ValueError."""
+
+    def __init__(self, **columns):
+        for key, col in columns.items():
+            if not (isinstance(col, np.ndarray) and col.dtype.kind in "iuf"
+                    and (col.ndim == 1 or col.ndim == 2 and col.shape[1])):
+                raise ValueError(f"record column {key!r} must be a 1-d or 2-d int or"
+                                 f" float array, got {col!r:.60}")
+        lengths = {len(col) for col in columns.values()}
+        if len(lengths) != 1:
+            raise ValueError(f"records need columns of one length, got {sorted(lengths)}")
+        self.columns = columns
+        [self.count] = lengths
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _records_texts(records: Records, level) -> list:
+    """JSON texts of the records at indent level, through one template."""
     inner, item = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
     pieces, columns, text = [], [], "{"
-    for key, (values, width) in zip(keys, flat):
-        text += ("," if columns else "") + inner + encode_basestring_ascii(key) + ": "
-        cells = _json_numbers(values)
-        if not width:
+    for i, key in enumerate(sorted(records.columns)):
+        col = records.columns[key]
+        text += ("," if i else "") + inner + encode_basestring_ascii(key) + ": "
+        cells = _json_numbers(col.ravel().tolist())
+        if col.ndim == 1:
             pieces.append(text)
             columns.append(cells)
             text = ""
             continue
+        width = col.shape[1]
         for j in range(width):
             pieces.append(text + ("," if j else "[") + item)
             columns.append(cells[j::width])
@@ -253,12 +253,15 @@ def _json_encode(o, level, out):
         out.append(int.__repr__(o))
     elif isinstance(o, float):
         out.append(_json_float(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
+    elif isinstance(o, (list, tuple, Records)):
+        if not len(o):
             out.append("[]")
             return
         inner = "\n" + _INDENT * (level + 1)
-        texts = _json_numbers(o) if _numbers(o) else _json_records(o, level + 1)
+        if isinstance(o, Records):
+            texts = _records_texts(o, level + 1)
+        else:
+            texts = _json_numbers(o) if _numbers(o) else None
         if texts is not None:
             out.append("[" + inner + ("," + inner).join(texts))
         else:
@@ -285,9 +288,10 @@ def _json_encode(o, level, out):
 
 def dumps_json(obj) -> str:
     """Canonical JSON text: exactly json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False), with the same ValueError on a non-finite float and
-    TypeError on a value or key JSON cannot hold (numpy integers included)
-    or keys that do not sort.  Circular structures are not detected."""
+    allow_nan=False), with a Records written as its list of dicts, and the
+    same ValueError on a non-finite float and TypeError on a value or key
+    JSON cannot hold (numpy integers included) or keys that do not sort.
+    Circular structures are not detected."""
     out: list = []
     _json_encode(obj, 0, out)
     return "".join(out)

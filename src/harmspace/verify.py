@@ -1287,7 +1287,7 @@ def _exp_ball_norms(b, rng, p):
     c2 = bl.Multiplier.diagonal(2, K, diag)
     fK = bl.Expansion.random(2, K, seed=int(rng.integers(2 ** 31)), decay=1.2)
     rho = 0.75
-    [M] = bl.conv_poisson_matrix(c2, [rho], grid2, grid2)
+    M = bl.conv_poisson_matrix(c2, rho, grid2)
     fv = fK.values(np.array(rho), grid2)
     lhs = M @ (grid2.weights * fv)
     rhs = c2.apply(fK).values(np.array(rho * rho), grid2)

@@ -193,7 +193,7 @@ def test_conv_poisson_matrix_zonal_reduction():
     c = bl.Multiplier.diagonal(2, cap, diag)
     pts, _ = bl.sphere_grid(2, 20)
     rho = 0.7
-    [M] = bl.conv_poisson_matrix(c, [rho], pts, pts)
+    M = bl.conv_poisson_matrix(c, rho, pts)
     assert np.abs(M - M.T).max() < 1e-12
     Z = bl.zonal_values(2, cap, pts @ pts.T)
     zonal = sum(rho**k * diag[k] * Z[k] for k in range(cap + 1))
@@ -261,19 +261,18 @@ def test_ball_norms_scale_without_underflow_at_large_exponents():
     assert bl.volume_norm(zero, 400.0, 0.5) == 0.0
 
 
-def _conv_poisson_per_level(c, rho, xpts, ypts):
-    # the one-radius formula conv_poisson_matrix replaced: both basis tables
-    # and the degree's term built afresh for every radius
+def _conv_poisson_per_level(c, rho, pts):
+    # the per-level formula: every degree's basis rows built afresh, then
+    # rho^k E_k summed in degree order
     out = None
     for k, b in enumerate(c.blocks):
-        Yx = bl.basis_matrix(c.n, k, xpts)
-        Yy = bl.basis_matrix(c.n, k, ypts)
-        term = rho**k * np.einsum("j,jx,jy->xy", b, Yx, Yy)
+        Y = bl.basis_matrix(c.n, k, pts)
+        term = rho**k * np.einsum("j,jx,jy->xy", b, Y, Y)
         out = term if out is None else out + term
     return out
 
 
-def test_multi_radius_conv_matrix_is_bit_identical_to_per_level():
+def test_conv_matrix_is_bit_identical_to_per_level_at_each_radius():
     rhos = [1.0 - 2.0 ** -i for i in range(1, 9)]
     rng = np.random.default_rng(5)
     for n, cap, res in ((2, 12, 56), (3, 6, 9)):
@@ -282,23 +281,18 @@ def test_multi_radius_conv_matrix_is_bit_identical_to_per_level():
         full = bl.Multiplier(n, [rng.standard_normal(d) + 1j * rng.standard_normal(d)
                                  for d in dims])
         grid = bl.SphereGrid(n, res)
-        other = bl.sphere_grid(n, res - 1)[0]
         for c in (diagonal, full):
-            for xpts, ypts in ((grid, grid), (grid.points, grid.points),
-                               (grid.points, other)):
-                got = bl.conv_poisson_matrix(c, rhos, xpts, ypts)
-                assert len(got) == len(rhos)
-                px = getattr(xpts, "points", xpts)
-                py = getattr(ypts, "points", ypts)
-                for rho, M in zip(rhos, got):
-                    assert np.array_equal(M, _conv_poisson_per_level(c, rho, px, py))
+            for rho in rhos:
+                want = _conv_poisson_per_level(c, rho, grid.points)
+                assert np.array_equal(bl.conv_poisson_matrix(c, rho, grid), want)
+                assert np.array_equal(bl.conv_poisson_matrix(c, rho, grid.points), want)
     # the single radius of the ball-norms slice-convolution identity
     K = 16
     diag = np.random.default_rng(0).normal(size=K + 1) * (1.0 + np.arange(K + 1.0)) ** -1.5
     c2 = bl.Multiplier.diagonal(2, K, diag)
     grid2 = bl.SphereGrid(2, 4 * K + 8)
-    [M] = bl.conv_poisson_matrix(c2, [0.75], grid2, grid2)
-    assert np.array_equal(M, _conv_poisson_per_level(c2, 0.75, grid2.points, grid2.points))
+    M = bl.conv_poisson_matrix(c2, 0.75, grid2)
+    assert np.array_equal(M, _conv_poisson_per_level(c2, 0.75, grid2.points))
 
 
 def test_values_on_a_shared_grid_are_bit_identical_to_fresh_ones():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from harmspace import carleson as ca
 from harmspace import cli, verify
 from harmspace import norms as no
 from harmspace.geometry import (
-    Region, box_corners, cubes_to_json, overlap_counts, whitney_count, whitney_cubes,
+    Region, box_centers, box_corners, overlap_counts, whitney_count, whitney_cubes,
 )
 
 
@@ -40,7 +41,12 @@ def test_whitney_command_writes_summary_and_csv(tmp_path, capsys):
     assert "timestamp" in summary
     cubes = whitney_cubes(Region(4.0, 2.0 ** -4, 4.0), 1)
     assert summary["count"] == len(cubes)
-    assert summary["cubes"] == json.loads(json.dumps(cubes_to_json(cubes)))
+    # the summary's text is json.dumps of it with one dict per box
+    dicts = [{"level": j, "index": k, "center": c, "side": s} for j, k, c, s
+             in zip(cubes.level.tolist(), cubes.index.tolist(),
+                    box_centers(cubes).tolist(), cubes.side.tolist())]
+    want = json.dumps({**summary, "cubes": dicts}, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "whitney-summary.json").read_text() == want
     lines = (tmp_path / "whitney-cubes.csv").read_text().strip().splitlines()
     assert len(lines) == len(cubes) + 1
     assert lines[0] == "level,side,center_0,center_t,weighted_measure"
@@ -437,6 +443,12 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
     with pytest.raises(AssertionError, match="guard"):
         run(tmp_path, *argv, "--resolution", "2581108")
     assert run(tmp_path, *argv, "--resolution", "2581109") == 2
+    # both round to 256 MiB, so the message gives the two byte counts
+    asked, budget = re.search(r"would take (.*), over the (.*) array budget",
+                              capsys.readouterr().err).groups()
+    assert asked != budget
+    assert (asked, budget) == (f"256 MiB ({predicted(1, 2581109, 2)} bytes)",
+                               f"256 MiB ({cli.MAX_ARRAY_BYTES} bytes)")
 
 
 def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, monkeypatch):
@@ -474,12 +486,12 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
         assert cli.main(["whitney", "--n", "1", "--x-max", x_max, "--out", str(out)]) == 2
         assert "extents" in capsys.readouterr().err
     assert not out.exists()
-    # whitney's budget is 1792 bytes a box at n = 2
-    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (10.25, 10.5)]
-    assert count[0] * 1792 <= cli.MAX_ARRAY_BYTES < count[1] * 1792
+    # whitney's budget is 1120 bytes a box at n = 2
+    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (13.125, 13.25)]
+    assert count[0] * 1120 <= cli.MAX_ARRAY_BYTES < count[1] * 1120
     with pytest.raises(AssertionError, match="guard"):
-        cli.main(["whitney", "--n", "2", "--x-max", "10.25", "--out", str(out)])
-    assert cli.main(["whitney", "--n", "2", "--x-max", "10.5", "--out", str(out)]) == 2
+        cli.main(["whitney", "--n", "2", "--x-max", "13.125", "--out", str(out)])
+    assert cli.main(["whitney", "--n", "2", "--x-max", "13.25", "--out", str(out)]) == 2
     # a table of exactly the budget passes the guard and reaches sphere_grid
     cols = cli.MAX_ARRAY_BYTES // 16 // 32
     assert 16 * 32 * cols == cli.MAX_ARRAY_BYTES

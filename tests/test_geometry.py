@@ -1,6 +1,7 @@
 """Whitney decomposition geometry: tiling, ratios, measures, records."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from harmspace.geometry import (
     box_corners,
     box_volumes,
     clipped_corners,
-    cubes_to_json,
     enlarged_corners,
     overlap_counts,
     sample_region,
@@ -23,6 +23,7 @@ from harmspace.geometry import (
     whitney_count,
     whitney_cubes,
 )
+from harmspace.util import Records, dumps_json
 
 
 # ------------------------------------------- per-box references, Python floats
@@ -158,9 +159,15 @@ def test_measure_scaling_constant_across_levels():
     assert max(ratios) - min(ratios) < 1e-13 * max(ratios)
 
 
+def _box_records(cubes):
+    """The per-box records of the whitney summary, built from the arrays."""
+    return Records(level=cubes.level, index=cubes.index, center=box_centers(cubes),
+                   side=cubes.side)
+
+
 def test_json_records_contract():
     cubes = whitney_cubes(Region(1.0, 0.5, 1.0), 2)
-    rec = cubes_to_json(cubes)[0]
+    rec = json.loads(dumps_json(_box_records(cubes)))[0]
     assert set(rec) == {"level", "index", "center", "side"}
     assert len(rec["index"]) == 2 and len(rec["center"]) == 3
 
@@ -257,8 +264,8 @@ def test_json_records_equal_the_scalar_properties():
     for cubes in _ARRAY_CUBES.values():
         want = [{"level": j, "index": list(k), "center": _closed_form(j, k)[2],
                  "side": 2.0 ** j} for j, k in _rows(cubes)]
-        assert cubes_to_json(cubes) == want
-    assert cubes_to_json(whitney_cubes(Region(1.0, 4.0, 2.0), 2)) == []
+        assert dumps_json(_box_records(cubes)) == json.dumps(want, sort_keys=True, indent=2)
+    assert dumps_json(_box_records(whitney_cubes(Region(1.0, 4.0, 2.0), 2))) == "[]"
 
 
 def test_cubes_come_sorted():

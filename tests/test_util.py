@@ -196,15 +196,70 @@ def test_dumps_json_equals_json_dumps_on_record_lists(records):
 
 
 def test_dumps_json_equals_json_dumps_on_a_whitney_summary():
-    from harmspace.geometry import Region, cubes_to_json, whitney_cubes
+    from harmspace.geometry import Region, box_centers, whitney_cubes
     cubes = whitney_cubes(Region(2.0, 2.0 ** -4, 4.0), 2)
-    obj = {"count": len(cubes), "cubes": cubes_to_json(cubes), "%key\"": [-0.0, 5e-324]}
-    assert util.dumps_json(obj) == _reference_json(obj)
+    centers = box_centers(cubes)
+    # the summary's records, one dict per box, as the reference writer takes them
+    dicts = [{"level": j, "index": k, "center": c, "side": s} for j, k, c, s
+             in zip(cubes.level.tolist(), cubes.index.tolist(), centers.tolist(),
+                    cubes.side.tolist())]
+    obj = {"count": len(cubes), "%key\"": [-0.0, 5e-324],
+           "cubes": util.Records(level=cubes.level, index=cubes.index, center=centers,
+                                 side=cubes.side)}
+    assert util.dumps_json(obj) == _reference_json({**obj, "cubes": dicts})
     # json.dumps meets the TypeError of the first record before the NaN
     # of the second
     for bad in (np.int64(1), [1.0, np.int64(1)], {"a": [{"x": 1.0}, {"x": np.nan}]},
                 [{"a": 1.0, "b": np.int64(1)}, {"a": np.nan, "b": 2}], {1: 1, "a": 2}):
         assert _outcome(util.dumps_json, bad) == _outcome(_reference_json, bad)
+
+
+_COLUMN_KINDS = {  # dtype: its values, NaN and infinities included for floats
+    np.int64: st.integers(-2**63, 2**63 - 1), np.uint8: st.integers(0, 255),
+    np.float64: _FLOAT, np.float32: st.floats(width=32)}
+
+
+@st.composite
+def _record_columns(draw):
+    """The columns of a Records: int and float arrays, 1-d or 2-d of width 1
+    to 3, of 0 to 150 records, each of a few values repeated so that the
+    writers' deduplicating path runs."""
+    count = draw(st.sampled_from([0, 1, 3, 63, 64, 65, 150]))
+    columns = {}
+    for key in draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True)):
+        width = draw(st.integers(0, 3))  # 0: a number a record
+        dtype = draw(st.sampled_from(list(_COLUMN_KINDS)))
+        size = count * max(width, 1)
+        values = draw(_repeated(_COLUMN_KINDS[dtype], length=st.just(size)))
+        columns[key] = np.array(values, dtype).reshape((count, width) if width else count)
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=_record_columns())
+def test_dumps_json_writes_records_as_their_dicts(columns):
+    records = util.Records(**columns)
+    assert len(records) == len(next(iter(columns.values())))
+    dicts = [{k: c[i].tolist() for k, c in columns.items()} for i in range(len(records))]
+    for obj, want in ((records, dicts), ({"r": records, "%s": [records]},
+                                         {"r": dicts, "%s": [dicts]})):
+        assert _outcome(util.dumps_json, obj) == _outcome(_reference_json, want)
+
+
+def test_records_reject_what_json_would_misprint():
+    good = np.arange(3.0)
+    for bad in (np.array([True, False, True]), np.arange(3) + 0j, np.array(["a"] * 3),
+                np.array([1, None, 2], dtype=object), [0.0, 1.0, 2.0], np.float64(1.0),
+                np.zeros((3, 2, 1)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="column 'b'"):
+            util.Records(a=good, b=bad)
+    for lengths in ((3, 2), ()):
+        with pytest.raises(ValueError, match="one length"):
+            util.Records(**{f"c{i}": np.zeros(n) for i, n in enumerate(lengths)})
+    for v in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            util.dumps_json(util.Records(a=np.array([[0.5, v]]), b=np.arange(1)))
+    assert util.dumps_json({"r": util.Records(a=np.zeros((0, 2)))}) == '{\n  "r": []\n}'
 
 
 def _csv_cell(v):

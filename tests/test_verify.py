@@ -274,10 +274,13 @@ def _slice_functional_by_matrix(c, s_prime, levels, lam_order, grid):
     if lam_order is not None:
         lv = bl.multiplier_lambda(2, c.cap, lam_order).diagonal_values()
         c = bl.Multiplier(2, [lv[k] * b for k, b in enumerate(c.blocks)])
-    rhos = [1.0 - 2.0 ** -i for i in range(1, levels + 1)]
-    return [(1.0 - rho) * float(np.max((grid.weights @ np.abs(M) ** s_prime)
-                                       ** (1.0 / s_prime)))
-            for rho, M in zip(rhos, bl.conv_poisson_matrix(c, rhos, grid, grid))]
+    out = []
+    for i in range(1, levels + 1):
+        rho = 1.0 - 2.0 ** -i
+        M = bl.conv_poisson_matrix(c, rho, grid)
+        out.append((1.0 - rho) * float(np.max((grid.weights @ np.abs(M) ** s_prime)
+                                              ** (1.0 / s_prime))))
+    return out
 
 
 def test_slice_functional_is_the_matrix_route_from_one_zonal_row(monkeypatch):
