@@ -221,10 +221,6 @@ class Expansion:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, n: int, cap: int) -> "Expansion":
-        return cls(n, [np.zeros(dim_harmonics(n, k)) for k in range(cap + 1)])
-
-    @classmethod
     def random(cls, n: int, cap: int, seed: int, decay: float = 1.0) -> "Expansion":
         rng = np.random.default_rng(seed)
         blocks = []

@@ -120,7 +120,7 @@ class CubeConditionReport:
     columns: the boxes' level (B,) and index (B, n) arrays, and float64
     mass, gauge and ratio = mass / gauge, all in box order; B >= 1."""
 
-    def __init__(self, condition, params, level, index, mass, gauge, n):
+    def __init__(self, condition, params, level, index, mass, gauge):
         self.condition = condition
         self.params = params
         self.level = level
@@ -129,7 +129,6 @@ class CubeConditionReport:
         self.gauge = gauge
         with np.errstate(over="ignore"):
             self.ratio = mass / gauge
-        self.n = n
 
     def __len__(self) -> int:
         return len(self.level)
@@ -206,7 +205,7 @@ def _cube_report(condition, params, mu: AtomicMeasure, cubes: WhitneyBoxes, lo, 
             f" to {hi[i, -1]:g}) has gauge {float(gauge[i])!r} at exponent {e:g}:"
             " its boxes are too small or too large for float64")
     return CubeConditionReport(condition, params, cubes.level, cubes.index,
-                               mu.masses_in_boxes(lo, hi), gauge, mu.n)
+                               mu.masses_in_boxes(lo, hi), gauge)
 
 
 def condition_vector(mu: AtomicMeasure, cubes, m: int, s_vec) -> CubeConditionReport:

@@ -125,27 +125,19 @@ class PowerField(Field):
 
 
 class ProductField(Field):
-    """Pointwise product; harmonic only by accident, used for integrands."""
+    """Pointwise product; harmonic only by accident, used for integrands.
+    Never radial, even when its factors share a centre."""
 
     def __init__(self, a: Field, b: Field):
         if a.n != b.n:
             raise ValueError("dimension mismatch")
         self.n = a.n
         self.a, self.b = a, b
-        same_center = (
-            a.is_radial
-            and b.is_radial
-            and np.array_equal(a.radial_center, b.radial_center)
-        )
-        self.radial_center = a.radial_center if same_center else None
         self.scale = min(a.scale, b.scale)
         self.label = f"prod({a.label},{b.label})"
 
     def values(self, points):
         return self.a.values(points) * self.b.values(points)
-
-    def radial_values(self, r, t):
-        return self.a.radial_values(r, t) * self.b.radial_values(r, t)
 
 
 def dilated(field_cls, l, n, s):

@@ -263,17 +263,17 @@ def profile_roots(l: int, n: int) -> np.ndarray:
     return np.sort(r[(r > 0) & (r < 1)])
 
 
-def default_delta(l: int, n: int, eps: float = 0.05) -> float:
+def default_delta(l: int, n: int) -> float:
     """Threshold separating |P_l(u)| from its zeros on the u-range of Q_w.
 
     Half the minimum of |P_l| over a coarse grid of (0, 1] that excludes
-    eps-neighbourhoods of the roots.  Inside the reference box Q_w the
+    0.05-neighbourhoods of the roots.  Inside the reference box Q_w the
     variable u stays in a compact subinterval of (0, 1], so |P_l| > delta
     on a definite fraction of the box.
     """
     grid = np.linspace(0.01, 1.0, 400)
     for r in profile_roots(l, n):
-        grid = grid[np.abs(grid - r) > eps]
+        grid = grid[np.abs(grid - r) > 0.05]
     if grid.size == 0:
         raise ValueError("no admissible grid points; widen the grid")
     vals = np.abs(deriv_polynomial_eval(l, n, grid))

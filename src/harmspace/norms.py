@@ -60,6 +60,7 @@ def slice_norm(f, q: float, t: float, region: Region, spec: QuadSpec) -> float:
     # an overflow or an inf * 0 leaves a total that _root rejects
     with np.errstate(over="ignore", invalid="ignore"):
         total = w @ vals**q
+    _reject_underflow(total, np.any(vals), "slice")
     return _root(total, q, "slice")
 
 
@@ -94,20 +95,35 @@ def bergman_norm(
         lo, hi = clipped_corners(*box_corners(whitney_cubes(region, f.n)), region)
         k = spec.cube_order ** (f.n + 1)
         step = max(1, _CUBE_CHUNK_POINTS // k)
-        total = 0.0
+        total, nonzero = 0.0, False
         for a in range(0, lo.shape[0], step):
             box = slice(a, a + step)
             pts, w = quad.box_tensor_rule(lo[box], hi[box], spec.cube_order)
-            g = np.abs(f.values(pts)) ** p * pts[..., -1] ** alpha
+            vals = np.abs(f.values(pts))
+            nonzero = nonzero or bool(vals.any())
+            g = vals**p * pts[..., -1] ** alpha
             # per-box dot products, added in box order
             for v in np.matmul(w[:, None, :], g[:, :, None]).ravel().tolist():
                 total += v
+        _reject_underflow(total, nonzero, "Bergman")
         return _root(total, p, "Bergman")
     t, wt = quad.t_quadrature(region, spec)
     r, wr = _slice_values_radial(f, region, spec)
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
     inner = wr @ vals**p  # spatial integral per t node
-    return _root(wt @ (inner * t**alpha), p, "Bergman")
+    total = wt @ (inner * t**alpha)
+    _reject_underflow(total, np.any(vals), "Bergman")
+    return _root(total, p, "Bergman")
+
+
+def _reject_underflow(sums, nonzero, name):
+    """A ValueError naming the `name` norm where a sum of powers reads 0.0
+    though the values it sums are nonzero (`nonzero`, a flag per sum):
+    every power underflowed, and the norm would read a plausible wrong
+    0.0, or too small a value."""
+    if np.any((np.asarray(sums) == 0.0) & nonzero):
+        raise ValueError(f"the {name} norm underflows in float64 at these parameters"
+                         " (a sum of powers of nonzero values reads 0.0)")
 
 
 def _root(total, p, name):
@@ -137,8 +153,11 @@ def mixed_norm(
     vals = np.abs(f.radial_values(r[:, None], t[None, :]))
     # an overflow or an inf * 0 leaves a total that _root rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        slices = (wr @ vals**inner_q) ** (1.0 / inner_q)
+        sums = wr @ vals**inner_q
+        _reject_underflow(sums, np.any(vals, axis=0), "mixed")
+        slices = sums ** (1.0 / inner_q)
         total = wt @ (slices**outer_p * t ** (alpha * outer_p - 1))
+    _reject_underflow(total, np.any(vals), "mixed")
     return _root(total, outer_p, "mixed")
 
 
@@ -155,7 +174,9 @@ def triebel_norm(
     # an overflow or an inf * 0 leaves a total that _root rejects
     with np.errstate(over="ignore", invalid="ignore"):
         inner = (vals**q * t ** (alpha * q - 1)) @ wt
+        _reject_underflow(inner, np.any(vals, axis=1), "Triebel-Lizorkin")
         total = wr @ inner ** (p / q)
+    _reject_underflow(total, np.any(vals), "Triebel-Lizorkin")
     return _root(total, p, "Triebel-Lizorkin")
 
 
@@ -200,22 +221,20 @@ def sup_norm(f, lam: float, region: Region):
     return value, point
 
 
-def whitney_discrete_norm(
-    f, p: float, alpha: float, region: Region, samples: int = 3
-) -> float:
+def whitney_discrete_norm(f, p: float, alpha: float, region: Region) -> float:
     """Discrete Bergman norm: sum_k eta_k^(alpha p - 1) max_{box}|f|^p |box|.
 
-    The max runs over a per-box tensor sample grid including the corners;
-    the terms are added in box order.  Comparable to bergman_norm with
-    weight t^(alpha p - 1) within two-sided constants on positive smooth
-    fields.
+    The max runs over a per-box tensor grid of 3 points per axis, corners
+    included; the terms are added in box order.  Comparable to
+    bergman_norm with weight t^(alpha p - 1) within two-sided constants on
+    positive smooth fields.
     """
     check_positive(p=p)
     check_finite(alpha=alpha)
     region.check_t_range()
     cubes = whitney_cubes(region, f.n)
     lo, hi = box_corners(cubes)
-    maxima = _box_grid_maxima(f, lo, hi, samples)
+    maxima = _box_grid_maxima(f, lo, hi, 3)
     etas, volumes = (1.5 * cubes.side).tolist(), box_volumes(lo, hi).tolist()
     total = 0.0
     try:
@@ -223,6 +242,7 @@ def whitney_discrete_norm(
             total += eta ** (alpha * p - 1) * m**p * volume
     except OverflowError:  # a term past the float64 range
         total = np.inf
+    _reject_underflow(total, any(maxima), "discrete Whitney")
     return _root(total, p, "discrete Whitney")
 
 
@@ -243,9 +263,7 @@ def _box_grid_maxima(f, lo, hi, samples):
     return maxima
 
 
-def lemma2_ratio(
-    f, ps, alpha: float, cube: WhitneyBoxes, spec: QuadSpec, enlarge: float = 1.25
-) -> np.ndarray:
+def lemma2_ratio(f, ps, alpha: float, cube: WhitneyBoxes, spec: QuadSpec) -> np.ndarray:
     """Pointwise-vs-average ratios on one Whitney box, one per exponent p
     of the sequence ps.
 
@@ -253,9 +271,9 @@ def lemma2_ratio(
     cubes[i:i + 1].
     ratio = eta^(alpha p - 1) max_{box}|f|^p
             / ( (1/|box*|) int_{box*} |f|^p t^(alpha p - 1) dz )
-    with box* the box enlarged by `enlarge` about its centre.  The field
-    is evaluated once on the box's sample grid and once on box*'s Gauss
-    nodes for all exponents.  Bounded by a constant independent of the box
+    with box* the box enlarged by geometry.DEFAULT_ENLARGE = 1.25 about its
+    centre.  The field is evaluated once on the box's sample grid and once
+    on box*'s Gauss nodes for all exponents.  Bounded by a constant independent of the box
     for harmonic f; callers fit and report the constant.
     """
     if len(cube) != 1:
@@ -265,7 +283,7 @@ def lemma2_ratio(
         raise ValueError("lemma2_ratio takes a sequence of exponents")
     eta = (1.5 * cube.side).tolist()[0]
     (m,) = _box_grid_maxima(f, *box_corners(cube), 4)
-    big_lo, big_hi = enlarged_corners(cube, enlarge)
+    big_lo, big_hi = enlarged_corners(cube)
     qpts, qw = quad.box_tensor_rule(big_lo, big_hi, spec.cube_order)
     qpts, qw = qpts[0], qw[0]
     vals, t = np.abs(f.values(qpts)), qpts[:, -1]

@@ -68,11 +68,11 @@ def _tree_add(tree, sums):
 class KernelIntegralField(Field):
     """z |-> sum_i W_i Q_k(z, w_i) payload_i over stored nodes.
 
-    Built by _weighted from payloads already multiplied by the node
-    weights W_i, in one of two layouts: "flat" (n = 1: node axes x (n_x,)
-    and s (n_s,), payload (n_x n_s,) over their tensor in "ij" order) and
-    "axisym" (AxisymmetricNodes, payload (n_uv, n_s)), radial about the
-    origin.  Both evaluate only at finite points with t > 0.
+    Built from payloads already multiplied by the node weights W_i, in
+    one of two layouts: "flat" (n = 1: node axes x (n_x,) and s (n_s,),
+    payload (n_x n_s,) over their tensor in "ij" order) and "axisym"
+    (AxisymmetricNodes, payload (n_uv, n_s)), radial about the origin.
+    Both evaluate only at finite points with t > 0.
 
     The payload may also be a stack, (P, n_x n_s) or (P, n_uv, n_s): the
     P fields then share every kernel value, and values() and
@@ -87,28 +87,20 @@ class KernelIntegralField(Field):
     blocks of _BLOCK_VALUES values beyond the payload.
     """
 
-    def __init__(self, n, k_order, label="kernel-integral"):
+    def __init__(self, n, k_order, nodes, wpay, stacked, label):
+        """nodes: AxisymmetricNodes, or the (x, s) node axes of the flat
+        layout; wpay: the weighted payload, or a stack of them."""
         self.n = n
         self.k = k_order
         self.label = label
-        self.stacked = False
+        self.stacked = stacked
         self._flat = None
         self._ax = None
-
-    @classmethod
-    def _weighted(cls, n, k_order, nodes, wpay, stacked, label):
-        """Field over payloads already multiplied by the node weights.
-
-        nodes: AxisymmetricNodes, or the (x, s) node axes of the flat layout.
-        """
-        f = cls(n, k_order, label)
-        f.stacked = stacked
         if isinstance(nodes, AxisymmetricNodes):
-            f.radial_center = np.zeros(n)
-            f._ax = (nodes, wpay.reshape((-1,) + wpay.shape[-2:]))
+            self.radial_center = np.zeros(n)
+            self._ax = (nodes, wpay.reshape((-1,) + wpay.shape[-2:]))
         else:
-            f._flat = (nodes, wpay.reshape(-1, nodes[0].size * nodes[1].size))
-        return f
+            self._flat = (nodes, wpay.reshape(-1, nodes[0].size * nodes[1].size))
 
     def _shaped(self, out, shape):
         """(P, m) results to (P, *shape), or to shape for a single payload."""
@@ -254,7 +246,7 @@ def extension_field(g, k_order: int, region: Region, spec: QuadSpec,
                     offsets=(0.0,)) -> KernelIntegralField:
     """The mean-slot representative E(zeta) = int Q_k(zeta, w) g(w) s^k dw."""
     nodes, stack = _payload_stack(g, k_order, region, spec, offsets)
-    return KernelIntegralField._weighted(
+    return KernelIntegralField(
         g.n, k_order, nodes, stack[0], False, f"extend{k_order}({g.label})"
     )
 
@@ -269,7 +261,6 @@ class MeanExtension:
         if k_order < 0:
             raise ValueError("kernel order must be >= 0")
         self.m = m
-        self.g = g
         self.field = extension_field(g, k_order, region, spec, offsets)
 
     def values_multi(self, z_list):
@@ -294,14 +285,6 @@ class ProductMultiField:
             raise ValueError("factors live on different half-spaces")
         self.factors = list(factors)
         self.m = len(factors)
-
-    def values_multi(self, z_list):
-        if len(z_list) != self.m:
-            raise ValueError("wrong number of slots")
-        out = 1.0
-        for f, z in zip(self.factors, z_list):
-            out = out * f.values(z)
-        return out
 
     def trace(self) -> Field:
         from .fields import ProductField
@@ -336,14 +319,14 @@ def distance_split(f, eps, lam: float, m_order: int, region: Region,
     if eps.ndim != 1:
         raise ValueError("eps must be a sequence of levels")
     nodes, stack = _payload_stack(f, m_order, region, spec, offsets, eps, lam, parts)
-    return KernelIntegralField._weighted(
+    return KernelIntegralField(
         f.n, m_order, nodes, stack, True, f"split({f.label})"
     )
 
 
 def divergence_proxy(
     fields, eps_values, lam: float, p: float, alpha: float, m_order: int,
-    region: Region, spec: QuadSpec, scales=(1.0, 2.0, 4.0),
+    region: Region, spec: QuadSpec, scales,
 ):
     """Truncated inner-outer integrals of the distance criterion.
 
@@ -405,7 +388,7 @@ def divergence_proxy(
 
 def d2_estimate(
     fields, eps_values, p: float, alpha: float, m_order: int,
-    region: Region, spec: QuadSpec, scales=(1.0, 2.0, 4.0),
+    region: Region, spec: QuadSpec, scales,
 ):
     """Per field, the smallest grid eps whose truncated integral stops
     growing.
@@ -433,18 +416,18 @@ def d2_estimate(
 
 
 def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
-    """Product-kernel operator on m slots, n = 1 only.
+    """Product-kernel operator on two slots, n = 1 only.
 
-    (S f)(z_1..z_m) = prod t_j^(a_j) *
-        int f(w) s^(-n-1+sum b) prod_j |z_j - wbar|^(-(a_j+b_j)) dw
-    z_slots: list of m arrays of points (P_j, 2).  Returns the tensor of
-    values with shape (P_1, .., P_m).
+    (S f)(z_1, z_2) = t_1^(a_1) t_2^(a_2) *
+        int f(w) s^(-n-1+b_1+b_2) prod_j |z_j - wbar|^(-(a_j+b_j)) dw
+    z_slots: two arrays of points (P_j, 2).  Returns the table of values
+    with shape (P_1, P_2).  Slot exponents (a_2, b_2) = (0, 0) give the
+    one-slot operator in slot 1, for every point of slot 2.
     """
     if f.n != 1:
         raise ValueError("product-kernel operator implemented for n = 1")
-    m = len(a_vec)
-    if len(b_vec) != m or len(z_slots) != m:
-        raise ValueError("slot count mismatch")
+    if not len(a_vec) == len(b_vec) == len(z_slots) == 2:
+        raise ValueError("the product-kernel operator takes two slots")
     pts, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec),
                                quad.t_quadrature(region, spec)])
     fv = f.values(pts)
@@ -453,12 +436,6 @@ def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
     rows = max(1, _BLOCK_VALUES // pts.shape[0])
     expo = [-(a + b) / 2 for a, b in zip(a_vec, b_vec)]
     t_pow = [z[:, 1] ** a for z, a in zip(z_slots, a_vec)]
-    if m == 1:
-        out = _slot_kernel(z_slots[0], pts, expo[0], rows) @ base
-        out *= t_pow[0]
-        return out
-    if m != 2:
-        raise ValueError("m <= 2 supported")
     z0, z1 = z_slots
     kern1 = _slot_kernel(z1, pts, expo[1], rows)
     shared = expo[0] == expo[1] and np.array_equal(z0, z1)
@@ -497,8 +474,8 @@ def trace_product_norm_p(multi, p: float, s_vec, region: Region, spec: QuadSpec)
 
     LHS = int |Tr f|^p dm_lam over the region, lam = (m-1)(n+1) + sum s.
     RHS = the product of slot integrals: exact factorization for product
-    fields; mean-variable reduction for mean extensions (n <= 2).
-    Returns (lhs, rhs).
+    fields; mean-variable reduction for two-slot mean extensions on the
+    n = 1 half-plane.  Returns (lhs, rhs).
     """
     m = multi.m
     s_vec = list(s_vec)
@@ -512,41 +489,31 @@ def trace_product_norm_p(multi, p: float, s_vec, region: Region, spec: QuadSpec)
             rhs *= bergman_norm(f, p, s, region, spec) ** p
         return lhs, rhs
     if isinstance(multi, MeanExtension):
-        if m == 1:
-            return lhs, bergman_norm(multi.field, p, s_vec[0], region, spec) ** p
-        if m != 2 or n > 2:
-            raise ValueError("mean-extension slot integral implemented for m=2, n<=2")
+        if m != 2 or n != 1:
+            raise ValueError("mean-extension slot integral implemented for m=2, n=1")
         return lhs, _mean_slot_integral_m2(multi.field, p, s_vec, region, spec)
     raise TypeError("unsupported multi-variable field")
 
 
 def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
-    """int int |E((z1+z2)/2)|^p dm_{s1}(z1) dm_{s2}(z2), n <= 2.
+    """int int |E((z1+z2)/2)|^p dm_{s1}(z1) dm_{s2}(z2), n = 1.
 
-    The x-integrals collapse: with u = (x1+x2)/2 the slot box [-X, X]^n
-    pairs contribute the overlap volume prod_i (2X - 2|u_i|).  The mean
-    heights of the t-pairs repeat (the pair table is symmetric), and so
-    do the axis distances |u| of the radial layout, so E is evaluated once
-    per distinct (|u| or u, height) and the value table indexed back.
+    The x-integrals collapse: with u = (x1+x2)/2 the slot pairs of
+    [-X, X] contribute the overlap length 2X - 2|u|.  The mean heights of
+    the t-pairs repeat (the pair table is symmetric), so E is evaluated
+    once per distinct (u, height) and the value table indexed back.
     """
-    n = E.n
     X = region.x_max
     t, wt = quad.t_quadrature(region, spec)
     taus = 0.5 * (t[:, None] + t[None, :])  # mean heights over t-pairs
-    U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * n)
-    overlap = np.prod(2 * X - 2 * np.abs(U), axis=1)
+    u, wu = quad.box_axis_quadrature(region, spec)
     tau, tau_of = np.unique(taus.ravel(), return_inverse=True)
     tpair = np.outer(wt * t ** s_vec[0], wt * t ** s_vec[1]).ravel()
-    if E._ax is not None:
-        d, d_of = np.unique(np.linalg.norm(U, axis=1), return_inverse=True)
-        vals = (np.abs(E.radial_values(d[:, None], tau[None, :])) ** p)[d_of]
-    else:
-        # flat layout (n = 1): evaluate on the (u, tau) product directly
-        P, _ = quad.tensor_rule([(U[:, 0], wU), (tau, np.ones_like(tau))])
-        vals = np.abs(E.values(P)).reshape(U.shape[0], tau.size) ** p
+    P, _ = quad.tensor_rule([(u, wu), (tau, np.ones_like(tau))])
+    vals = np.abs(E.values(P)).reshape(u.size, tau.size) ** p
     # np.take keeps the table C-ordered: the products below add in an order
     # that depends on the layout, and the all-pairs table was C-ordered
-    return float((wU * overlap) @ np.take(vals, tau_of, axis=1) @ tpair)
+    return float((wu * (2 * X - 2 * np.abs(u))) @ np.take(vals, tau_of, axis=1) @ tpair)
 
 
 def sup_product_ratio(multi: MeanExtension, s_vec, g_sup: float, pairs) -> float:

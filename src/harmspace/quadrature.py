@@ -52,14 +52,15 @@ class QuadSpec:
                 raise ValueError(f"QuadSpec {name} must be an integer >= 1, got {v!r}")
         check_positive(min_panel=self.min_panel)
 
-    def refined(self, factor: int = 2) -> "QuadSpec":
+    def refined(self) -> "QuadSpec":
+        """The spec with every order and split doubled and min_panel halved."""
         return replace(
             self,
-            order=self.order * factor,
-            t_order=self.t_order * factor,
-            t_splits=self.t_splits * factor,
-            min_panel=self.min_panel / factor,
-            cube_order=self.cube_order * factor,
+            order=self.order * 2,
+            t_order=self.t_order * 2,
+            t_splits=self.t_splits * 2,
+            min_panel=self.min_panel / 2,
+            cube_order=self.cube_order * 2,
         )
 
 
@@ -208,10 +209,10 @@ def radial_quadrature(n: int, scale: float, r_max: float, spec: QuadSpec):
     return r, w * (sphere_area(n) * r ** (n - 1))
 
 
-def box_axis_quadrature(region: Region, spec: QuadSpec, centers=(0.0,)):
-    """Composite nodes on [-x_max, x_max] refined toward each center."""
+def box_axis_quadrature(region: Region, spec: QuadSpec):
+    """Composite nodes on [-x_max, x_max] refined toward 0."""
     lo, hi = -region.x_max, region.x_max
-    groups = [line_breaks(c, spec.min_panel, lo, hi) for c in centers]
+    groups = [line_breaks(0.0, spec.min_panel, lo, hi)]
     return composite_nodes(merge_breaks(groups, lo, hi), spec.order)
 
 

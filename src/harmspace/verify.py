@@ -55,7 +55,6 @@ from .quadrature import QuadSpec
 class Budget:
     """Knobs that trade runtime for resolution, never correctness targets."""
 
-    name: str
     order: int          # quadrature points per panel
     t_order: int        # points per dyadic t-layer
     cube_order: int     # tensor order on single boxes
@@ -68,9 +67,9 @@ class Budget:
 
 
 BUDGETS = {
-    "smoke": Budget("smoke", 5, 3, 3, 7, 4, 16, 8, 12, (1.0, 2.0)),
-    "standard": Budget("standard", 8, 5, 4, 9, 6, 16, 10, 16, (1.0, 2.0, 4.0)),
-    "deep": Budget("deep", 10, 6, 5, 11, 10, 24, 12, 24, (1.0, 2.0, 4.0)),
+    "smoke": Budget(5, 3, 3, 7, 4, 16, 8, 12, (1.0, 2.0)),
+    "standard": Budget(8, 5, 4, 9, 6, 16, 10, 16, (1.0, 2.0, 4.0)),
+    "deep": Budget(10, 6, 5, 11, 10, 24, 12, 24, (1.0, 2.0, 4.0)),
 }
 
 
@@ -504,7 +503,7 @@ def _exp_lemma2(b, rng, p):
     cubes = whitney_cubes(region, 1)
     cube1 = cubes[np.flatnonzero(cubes.level == -2)[:1]]
     (r_a,) = no.lemma2_ratio(f0, (1.0,), alpha, cube1, spec)
-    (r_b,) = no.lemma2_ratio(f0, (1.0,), alpha, cube1, spec.refined(2))
+    (r_b,) = no.lemma2_ratio(f0, (1.0,), alpha, cube1, spec.refined())
     checks.append(_close("ratio-refinement-drift", r_a / r_b, 1.0, 5e-3))
     arts["ratios"] = {"header": ["n", "field", "p", "max_ratio"], "rows": rows}
     return checks, consts, arts
@@ -515,14 +514,14 @@ def _exp_lemma2(b, rng, p):
 
 def _scaling_fit(b, series, target, name, shift=0.0, extra=()):
     """Log-log slope of series(x, spec) against x + shift on a dyadic grid:
-    on target, stable under spec.refined(2), small residual; then `extra`.
+    on target, stable under spec.refined(), small residual; then `extra`.
     Returns (checks, consts, arts, intercept)."""
     half = b.fit_points // 2
     x = 2.0 ** np.arange(-half, b.fit_points - half)
     spec = QuadSpec(order=b.order, t_order=b.t_order)
     vals = series(x, spec)
     slope, icept, resid = util.fit_loglog(x + shift, vals)
-    slope2 = util.fit_loglog(x + shift, series(x, spec.refined(2)))[0]
+    slope2 = util.fit_loglog(x + shift, series(x, spec.refined()))[0]
     checks = [
         _close("slope", slope, target, 0.1),
         _below("slope-drift", abs(slope2 - slope), 0.05),
@@ -840,27 +839,41 @@ def _panel_checks(tag, mu, expect, rep, emb, levels, checks, consts, rows):
     rows.append([tag, *row] if tag else row)
 
 
-def _box_condition_panel(b, l, pe, s_vec, condition):
-    """condition(mu, cubes) against the mass ratios of the product of
-    len(s_vec) test fields over their weighted volume norms."""
-    region, spec, panel, cubes, levels = _carleson_panel(b)
+def _box_condition_panel(b, l, conditions):
+    """Box conditions against the embedding over the Carleson panel.
 
+    conditions lists (tag, condition, mass, norm) per condition: for each
+    measure mu, condition(mu, cubes) is checked against the mass ratios
+    mass(sub, f) / norm(f, region, spec) of the test fields (see
+    _embedding_ratios), with one norm cache per condition.  An empty tag
+    leaves the check names and panel rows untagged."""
+    region, spec, panel, cubes, levels = _carleson_panel(b)
+    caches = [{} for _ in conditions]
+    checks, consts, rows = [], {}, []
+    for mu, expect in panel:
+        seq = _mass_cube_sequence(mu, cubes, levels)
+        for (tag, condition, mass, norm), cache in zip(conditions, caches):
+            emb = _embedding_ratios(mu, seq, l, mass,
+                                    lambda f: norm(f, region, spec), cache)
+            _panel_checks(tag, mu, expect, condition(mu, cubes), emb, levels,
+                          checks, consts, rows)
+    header = ["condition", *_PANEL_HEADER] if conditions[0][0] else _PANEL_HEADER
+    return checks, consts, {"panel": {"header": header, "rows": rows}}
+
+
+def _product_embedding(pe, s_vec):
+    """(mass, norm) of _box_condition_panel for the product of len(s_vec)
+    test fields over their weighted volume norms."""
     def mass(sub, f):
         return sub.integrate(lambda pts: np.abs(f.values(pts)) ** (pe * len(s_vec)))
 
-    def norm(f):
+    def norm(f, region, spec):
         # one cubes-path norm per distinct slot exponent
         by_s = {s: no.bergman_norm(f, pe, s, region, spec, method="cubes") ** pe
                 for s in set(s_vec)}
         return float(np.prod([by_s[s] for s in s_vec]))
 
-    checks, consts, rows, cache = [], {}, [], {}
-    for mu, expect in panel:
-        seq = _mass_cube_sequence(mu, cubes, levels)
-        emb = _embedding_ratios(mu, seq, l, mass, norm, cache)
-        _panel_checks("", mu, expect, condition(mu, cubes), emb, levels,
-                      checks, consts, rows)
-    return checks, consts, {"panel": {"header": _PANEL_HEADER, "rows": rows}}
+    return mass, norm
 
 
 @_experiment("thm2-equivalence", "vector box condition vs product-family mass ratios",
@@ -870,8 +883,9 @@ def _box_condition_panel(b, l, pe, s_vec, condition):
 def _exp_thm2(b, rng, p):
     m, pe, l = p["m"], p["p_exp"], p["l"]
     s_vec = (p["s1"], p["s2"])[:m]
-    return _box_condition_panel(
-        b, l, pe, s_vec, lambda mu, cubes: ca.condition_vector(mu, cubes, m, s_vec))
+    return _box_condition_panel(b, l, [(
+        "", lambda mu, cubes: ca.condition_vector(mu, cubes, m, s_vec),
+        *_product_embedding(pe, s_vec))])
 
 
 @_experiment("thm3-carleson", "single-function box condition vs mass ratios",
@@ -880,8 +894,9 @@ def _exp_thm2(b, rng, p):
              p_exp=1.0, alpha=0.5, l=3)
 def _exp_thm3(b, rng, p):
     pe, alpha, l = p["p_exp"], p["alpha"], p["l"]
-    return _box_condition_panel(
-        b, l, pe, (alpha,), lambda mu, cubes: ca.condition_single(mu, cubes, alpha))
+    return _box_condition_panel(b, l, [(
+        "", lambda mu, cubes: ca.condition_single(mu, cubes, alpha),
+        *_product_embedding(pe, (alpha,)))])
 
 
 @_experiment("thm4-carleson", "mixed and tent box conditions vs mass ratios",
@@ -890,26 +905,14 @@ def _exp_thm3(b, rng, p):
              p_exp=1.0, q_exp=2.0, alpha=0.5, l=3)
 def _exp_thm4_carleson(b, rng, p):
     pe, qe, alpha, l = p["p_exp"], p["q_exp"], p["alpha"], p["l"]
-    region, spec, panel, cubes, levels = _carleson_panel(b)
-    # (tag, condition report, mass, norm, norm cache) per condition
-    conditions = (
-        ("mixed", lambda mu: ca.condition_mixed(mu, cubes, pe, qe, alpha),
+    return _box_condition_panel(b, l, [
+        ("mixed", lambda mu, cubes: ca.condition_mixed(mu, cubes, pe, qe, alpha),
          lambda sub, f: sub.integrate(lambda pts: np.abs(f.values(pts)) ** qe) ** (1.0 / qe),
-         lambda f: no.mixed_norm(f, qe, pe, alpha, region, spec), {}),
-        ("tent", lambda mu: ca.condition_tent(mu, cubes, pe, alpha),
+         lambda f, region, spec: no.mixed_norm(f, qe, pe, alpha, region, spec)),
+        ("tent", lambda mu, cubes: ca.condition_tent(mu, cubes, pe, alpha),
          lambda sub, f: sub.integrate(lambda pts: np.abs(f.values(pts)) ** pe),
-         lambda f: no.triebel_norm(f, pe, 2.0, alpha, region, spec) ** pe, {}),
-    )
-    checks, consts, rows = [], {}, []
-    for mu, expect in panel:
-        seq = _mass_cube_sequence(mu, cubes, levels)
-        for tag, condition, mass, norm, cache in conditions:
-            emb = _embedding_ratios(mu, seq, l, mass, norm, cache)
-            _panel_checks(tag, mu, expect, condition(mu), emb, levels,
-                          checks, consts, rows)
-    return checks, consts, {"panel": {"header": ["condition", *_PANEL_HEADER],
-                                      "rows": rows}}
-
+         lambda f, region, spec: no.triebel_norm(f, pe, 2.0, alpha, region, spec) ** pe),
+    ])
 
 
 # ======================================================= trace round trips
@@ -990,7 +993,7 @@ def _exp_thm6(b, rng, p):
     lhs2, rhs2 = op.trace_product_norm_p(prod, pe, s_vec, region, spec)
     checks.append(_true("product-sides-positive", lhs2 > 0 and rhs2 > 0))
     consts["product_ratio"] = lhs2 / rhs2
-    lhs3, rhs3 = op.trace_product_norm_p(prod, pe, s_vec, region, spec.refined(2))
+    lhs3, rhs3 = op.trace_product_norm_p(prod, pe, s_vec, region, spec.refined())
     checks.append(_close("product-ratio-drift",
                          (lhs3 / rhs3) / (lhs2 / rhs2), 1.0, 0.05))
 
@@ -1116,7 +1119,7 @@ def _exp_thm7(b, rng, p):
     # fields above are gone by now and only part 1 is built
     eps_mid = 0.2 * fsup
     g1r = op.distance_split(f, [eps_mid], lam, mo, sup_region,
-                            small_spec.refined(2), sup_offsets, parts=(1,))
+                            small_spec.refined(), sup_offsets, parts=(1,))
     v_ref = _sup_on_grid(g1r, lam, sup_region, b.grid)[0]
     del g1r
     checks.append(_close("sup-bound-stability", v_ref / (ratios[2] * eps_mid),

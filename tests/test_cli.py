@@ -120,6 +120,25 @@ def test_non_finite_norm_exponents_exit_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--space", "slice", "--q", "2000"], "slice"),
+    (["--space", "bergman", "--p", "2000", "--x-max", "2"], "Bergman"),
+    (["--space", "mixed", "--q", "2000"], "mixed"),
+    (["--space", "tl", "--p", "2000"], "Triebel-Lizorkin"),
+    # only some slices underflow: this read 0.1717, where the scaled sum
+    # gives 0.2573
+    (["--space", "mixed", "--q", "700", "--t-min", "0.6"], "mixed"),
+], ids=["slice", "bergman", "mixed", "tl", "mixed-some-slices"])
+def test_underflowed_norms_exit_two_without_a_summary(tmp_path, capsys, flags, name):
+    # the later --t-min wins
+    assert run(tmp_path, "norm", "--field", "bergman-q:1", "--n", "2", "--t-min", "1",
+               *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: the {name} norm underflows in float64")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_failure_exits_one(tmp_path, capsys):
     code = run(tmp_path, "verify", "thm5-trace", "--budget", "smoke",
                "--k-order", "0")

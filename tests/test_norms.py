@@ -49,8 +49,8 @@ def test_bergman_paths_agree_where_domains_match():
     # n = 1 is the one case where the cube box and the radial ball are the
     # same set, so the two quadrature paths compute the same integral
     f = _poisson(1)
-    cu = no.bergman_norm(f, 2.0, 0.5, REGION, SPEC.refined(2), method="cubes")
-    ly = no.bergman_norm(f, 2.0, 0.5, REGION, SPEC.refined(2), method="layers")
+    cu = no.bergman_norm(f, 2.0, 0.5, REGION, SPEC.refined(), method="cubes")
+    ly = no.bergman_norm(f, 2.0, 0.5, REGION, SPEC.refined(), method="layers")
     assert cu == pytest.approx(ly, rel=1e-12)
 
 
@@ -264,9 +264,7 @@ def test_exponent_validation():
     with pytest.raises(ValueError, match="shape"):
         half_space_points([0.0, 1.0], 2)
     # and what the checks let through is a valid spec, region or point
-    assert QuadSpec(t_splits=1, min_panel=1e-300).refined(2).t_splits == 2
-    with pytest.raises(ValueError):
-        QuadSpec(min_panel=1e-300).refined(INF)
+    assert QuadSpec(t_splits=1, min_panel=1e-300).refined().t_splits == 2
     assert half_space_points([[0.0, 1e-300]], 1).shape == (1, 2)
     # a ball norm's rejected radial weight exponent is named by its parameters
     e = bl.Expansion.random(2, 3, seed=5)
@@ -274,6 +272,36 @@ def test_exponent_validation():
         bl.mixed_norm_ball(e, 2.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="^alpha, the radial weight exponent,"):
         bl.grad_volume_norm(e, 2.0, -1.0)
+
+
+# Bergman kernels of order 1 at height 1: every value below 1 on these
+# regions, so each q-th power past about 1100 underflows; alpha = 5e-4
+# makes the weight t^(alpha 2000 - 1) equal 1 where it would overflow
+_Q1 = BergmanField(1, 2, (0.0, 0.0, 1.0))
+_Q1_N3 = BergmanField(1, 3, (0.0, 0.0, 0.0, 1.0))
+_HIGH = Region(8.0, 1.0, 8.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("slice", lambda: no.slice_norm(_Q1, 2000.0, 1.0, _HIGH, QuadSpec())),
+    ("Bergman", lambda: no.bergman_norm(_Q1, 2000.0, 1.0, Region(2.0, 1.0, 8.0),
+                                        QuadSpec(), method="cubes")),
+    ("Bergman", lambda: no.bergman_norm(_Q1_N3, 2000.0, 1.0, _HIGH, QuadSpec(),
+                                        method="layers")),
+    # every inner sum, some inner sums (it read 0.1717 where the scaled sum
+    # gives 0.2573), and the outer total alone
+    ("mixed", lambda: no.mixed_norm(_Q1, 2.0, 2000.0, 1.0, _HIGH, QuadSpec())),
+    ("mixed", lambda: no.mixed_norm(_Q1, 2.0, 700.0, 1.0, Region(8.0, 0.6, 8.0),
+                                    QuadSpec())),
+    ("mixed", lambda: no.mixed_norm(_Q1, 2000.0, 2.0, 5e-4, _HIGH, QuadSpec())),
+    ("Triebel-Lizorkin", lambda: no.triebel_norm(_Q1, 2000.0, 2.0, 1.0, _HIGH, QuadSpec())),
+    ("Triebel-Lizorkin", lambda: no.triebel_norm(_Q1, 2.0, 2000.0, 5e-4, _HIGH, QuadSpec())),
+    ("discrete Whitney", lambda: no.whitney_discrete_norm(_Q1, 2000.0, 5e-4, _HIGH)),
+], ids=["slice", "bergman-cubes", "bergman-layers", "mixed-every-slice",
+        "mixed-some-slices", "mixed-total", "tl-total", "tl-inner", "discrete-whitney"])
+def test_underflowed_powers_are_rejected_not_read_as_zero(name, call):
+    with pytest.raises(ValueError, match=f"^the {name} norm underflows in float64"):
+        call()
 
 
 def test_degenerate_t_range_is_rejected_on_every_t_path():
@@ -341,12 +369,12 @@ def _grid_max(f, lo, hi, samples):
     return float(np.max(np.abs(f.values(grid))))
 
 
-def _lemma2_one_exponent(f, p, alpha, cube, spec, enlarge):
+def _lemma2_one_exponent(f, p, alpha, cube, spec):
     """The ratio for one exponent, from one box's own field calls."""
     lo, hi = box_corners(cube)
     eta = (1.5 * cube.side).tolist()[0]
     lhs = eta ** (alpha * p - 1) * _grid_max(f, lo[0].tolist(), hi[0].tolist(), 4) ** p
-    big_lo, big_hi = enlarged_corners(cube, enlarge)
+    big_lo, big_hi = enlarged_corners(cube)
     qpts, qw = quad.box_tensor_rule(big_lo, big_hi, spec.cube_order)
     qpts, qw = qpts[0], qw[0]
     integral = float(qw @ (np.abs(f.values(qpts)) ** p * qpts[:, -1] ** (alpha * p - 1)))
@@ -355,25 +383,26 @@ def _lemma2_one_exponent(f, p, alpha, cube, spec, enlarge):
 
 def test_lemma2_ratio_equals_the_per_box_formula():
     # eta^(alpha p - 1) max|f|^p over a 4^(n+1) corner grid, times the
-    # enlarged box's volume over the Gauss integral of |f|^p t^(alpha p - 1)
-    # on it; the box and its enlargement from the closed forms
+    # box's volume, enlarged by 1.25, over the Gauss integral of
+    # |f|^p t^(alpha p - 1) on it; the box and its enlargement from the
+    # closed forms
     # the field peaks at x = (0.3, -0.2), inside the boxes above it and off
     # their sample grids, so the grid's size shows in the max
-    f, alpha, enlarge = PoissonField(2, np.array([0.3, -0.2, 1.0])), 0.8, 1.2
+    f, alpha = PoissonField(2, np.array([0.3, -0.2, 1.0])), 0.8
     ps = (0.7, 1.5, 2.0)
     cubes = whitney_cubes(Region(2.0, 0.25, 2.0), 2)
     lo, hi = box_corners(cubes)
     above = np.flatnonzero(np.all((lo[:, :2] < [0.3, -0.2]) & (hi[:, :2] > [0.3, -0.2]), axis=1))
     assert len(above) == 3  # one box per level
     for i in [0, 17, len(cubes) - 1, *above]:
-        got = no.lemma2_ratio(f, ps, alpha, cubes[i:i + 1], SPEC, enlarge)
+        got = no.lemma2_ratio(f, ps, alpha, cubes[i:i + 1], SPEC)
         assert got.shape == (len(ps),)
         j, k = int(cubes.level[i]), cubes.index[i].tolist()
         s = 2.0 ** j
         axes = [np.linspace(a * s, (a + 1) * s, 4) for a in k] + [np.linspace(s, 2 * s, 4)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         center = [(a + 0.5) * s for a in k] + [1.5 * s]
-        half = 0.5 * s * enlarge
+        half = 0.5 * s * 1.25
         pts, w = quad.box_tensor_rule([[c - half for c in center]],
                                       [[c + half for c in center]], SPEC.cube_order)
         for p, ratio in zip(ps, got):
@@ -383,17 +412,17 @@ def test_lemma2_ratio_equals_the_per_box_formula():
             want = lhs * (2.0 * half) ** 3 / integral
             assert ratio == pytest.approx(want, rel=1e-13, abs=0.0)
             # and bit for bit the ratio of that exponent alone, on its own field calls
-            assert ratio == _lemma2_one_exponent(f, p, alpha, cubes[i:i + 1], SPEC, enlarge)
+            assert ratio == _lemma2_one_exponent(f, p, alpha, cubes[i:i + 1], SPEC)
 
 
-def _discrete_norm_per_box(f, p, alpha, region, samples=3):
+def _discrete_norm_per_box(f, p, alpha, region):
     """whitney_discrete_norm with one field call per box."""
     cubes = whitney_cubes(region, f.n)
     lo, hi = box_corners(cubes)
     etas, volumes = (1.5 * cubes.side).tolist(), box_volumes(lo, hi).tolist()
     total = 0.0
     for blo, bhi, eta, volume in zip(lo.tolist(), hi.tolist(), etas, volumes):
-        total += eta ** (alpha * p - 1) * _grid_max(f, blo, bhi, samples) ** p * volume
+        total += eta ** (alpha * p - 1) * _grid_max(f, blo, bhi, 3) ** p * volume
     return total ** (1.0 / p)
 
 
@@ -413,14 +442,13 @@ def test_whitney_discrete_norm_equals_the_per_box_sum(monkeypatch):
     got = no.whitney_discrete_norm(f, p, alpha, region)
     assert got == pytest.approx(total ** (1.0 / p), rel=1e-13, abs=0.0)
     # bit for bit the per-box loop, n = 1 and 2, in one chunk and in chunks
-    # of 100 points: 11 boxes a chunk at n = 1, 3 and 1 at n = 2
-    cases = [(PoissonField(1, np.array([0.3, 1.0])), 1.5, 0.8, 3),
-             (BergmanField(1, 2, np.array([0.3, -0.2, 0.5])), 0.7, 1.0, 3),
-             (_poisson(2), 2.0, 1.0, 5)]
+    # of 100 points: 11 boxes a chunk at n = 1 and 3 at n = 2
+    cases = [(PoissonField(1, np.array([0.3, 1.0])), 1.5, 0.8),
+             (BergmanField(1, 2, np.array([0.3, -0.2, 0.5])), 0.7, 1.0)]
     for chunk in (no._CUBE_CHUNK_POINTS, 100):
         monkeypatch.setattr(no, "_CUBE_CHUNK_POINTS", chunk)
-        for f, p, alpha, samples in cases:
-            want = _discrete_norm_per_box(f, p, alpha, region, samples)
+        for f, p, alpha in cases:
+            want = _discrete_norm_per_box(f, p, alpha, region)
             asked, values = [], f.values
 
             def counted(pts, values=values, asked=asked):
@@ -428,9 +456,9 @@ def test_whitney_discrete_norm_equals_the_per_box_sum(monkeypatch):
                 return values(pts)
 
             monkeypatch.setattr(f, "values", counted)
-            assert no.whitney_discrete_norm(f, p, alpha, region, samples) == want
+            assert no.whitney_discrete_norm(f, p, alpha, region) == want
             # whole boxes a call, at most the chunk's points unless one box is more
-            per_box = samples ** (f.n + 1)
+            per_box = 3 ** (f.n + 1)
             assert all(k == per_box and b * k <= max(chunk, k) for b, k in asked)
             assert sum(b for b, _ in asked) == len(whitney_cubes(region, f.n))
 
@@ -530,6 +558,6 @@ def test_cubes_path_builds_each_gauss_rule_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     quad.gauss_rule.cache_clear()
     f = fl.dilated(fl.TestField, 1, 2, 1.0)
-    for spec in (SPEC, SPEC.refined(2)):
+    for spec in (SPEC, SPEC.refined()):
         no.bergman_norm(f, 2.0, 0.5, region, spec, method="cubes")
     assert sorted(calls) == [4, 8]

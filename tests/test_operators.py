@@ -27,7 +27,7 @@ def _field_from_flat(k, axes, payload):
     payload = np.asarray(payload, dtype=float)
     _, w = quad.tensor_rule(axes)
     nodes = tuple(np.asarray(x, dtype=float) for x, _ in axes)
-    return op.KernelIntegralField._weighted(
+    return op.KernelIntegralField(
         1, k, nodes, w * payload, payload.ndim == 2, "kernel-integral")
 
 
@@ -46,7 +46,7 @@ def _field_from_axisym(n, k, nodes, payload):
     payload = np.asarray(payload, dtype=float)
     wpay = nodes.w_uv[:, None] * payload
     wpay *= nodes.w_s
-    return op.KernelIntegralField._weighted(
+    return op.KernelIntegralField(
         n, k, nodes, wpay, payload.ndim == 3, "kernel-integral")
 
 
@@ -102,12 +102,8 @@ def test_product_multi_trace():
     fb = fl.BergmanField(1, 1, np.array([0.5, 2.0]))
     prod = op.ProductMultiField([fa, fb])
     z = np.array([[0.1, 0.5], [1.0, 2.0]])
-    assert np.allclose(prod.values_multi([z, z]), fa.values(z) * fb.values(z),
-                       rtol=1e-15)
     assert np.allclose(prod.trace().values(z), fa.values(z) * fb.values(z),
                        rtol=1e-15)
-    with pytest.raises(ValueError):
-        prod.values_multi([z])
     with pytest.raises(ValueError):
         op.ProductMultiField([])
 
@@ -167,12 +163,14 @@ def test_kernel_integral_field_rejects_points_off_the_half_space():
 
 
 def test_sab_apply_scipy_oracle():
+    # (a_2, b_2) = (0, 0) leaves the one-slot integral in slot 1, through
+    # the branch that builds each slot's kernel on its own
     f = fl.PowerField(1, 1.0)
     region = Region(2.0, 0.25, 2.0)
     z = np.array([[0.3, 1.2]])
     a, b = 0.5, 3.0
-    got = float(op.sab_apply(f, [a], [b], [z], region,
-                             QuadSpec(order=8, t_order=6))[0])
+    got = float(op.sab_apply(f, [a, 0.0], [b, 0.0], [z, z], region,
+                             QuadSpec(order=8, t_order=6))[0, 0])
 
     def integrand(y, s):
         return s ** (-1.0) * s ** (b - 2.0) * (
@@ -216,7 +214,7 @@ def test_d2_estimate_power_field_grid_step():
     assert table[2].max() == 0.0
     with pytest.raises(ValueError):
         op.d2_estimate([pw], [eps], pe, alpha, 1, Region(4.0, 0.125, 4.0),
-                       QuadSpec(order=5, t_order=4))
+                       QuadSpec(order=5, t_order=4), scales=(1.0, 2.0))
 
 
 def test_divergence_proxy_scales_outward_only():
@@ -239,6 +237,10 @@ def test_trace_product_norm_guards():
     ext3 = op.MeanExtension(g3, 2, 2, region, spec)
     with pytest.raises(ValueError):
         op.trace_product_norm_p(ext3, 1.0, (0.5, 0.5), region, spec)
+    # the slot integral is the two-slot one: one slot is rejected too
+    ext1 = op.MeanExtension(fl.BergmanField(2, 1, (0.0, 1.0)), 1, 2, region, spec)
+    with pytest.raises(ValueError):
+        op.trace_product_norm_p(ext1, 1.0, (0.5,), region, spec)
 
     class Wrong:
         m = 1
@@ -256,51 +258,37 @@ def _all_pairs_slot_integral(E, p, s_vec, region, spec):
     X = region.x_max
     t, wt = quad.t_quadrature(region, spec)
     taus = (0.5 * (t[:, None] + t[None, :])).ravel()
-    U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)] * E.n)
+    U, wU = quad.tensor_rule([quad.box_axis_quadrature(region, spec)])
     overlap = np.prod(2 * X - 2 * np.abs(U), axis=1)
     tpair = np.outer(wt * t ** s_vec[0], wt * t ** s_vec[1]).ravel()
-    if E.n == 1:
-        P, _ = quad.tensor_rule([(U[:, 0], wU), (taus, tpair)])
-        vals = np.abs(E.values(P)).reshape(U.shape[0], taus.size) ** p
-    else:
-        d = np.linalg.norm(U, axis=1)
-        vals = np.abs(E.radial_values(d[:, None], taus[None, :])) ** p
+    P, _ = quad.tensor_rule([(U[:, 0], wU), (taus, tpair)])
+    vals = np.abs(E.values(P)).reshape(U.shape[0], taus.size) ** p
     return float((wU * overlap) @ vals @ tpair), U, t
 
 
 def test_mean_slot_integral_equals_all_pairs_with_one_value_per_point(monkeypatch):
     # the slot side of trace_product_norm_p, bit for bit, from a field asked
-    # once per distinct mean height (and, radially, per distinct |u|)
-    # the n = 2 all-pairs table costs one axial evaluation per entry: keep it small
-    for g, p, s_vec, region, spec in (
-            (fl.BergmanField(2, 1, (0.0, 1.0)), 1.5, (0.25, 0.25), Region(4.0, 0.25, 4.0),
-             QuadSpec(order=4, t_order=3, cube_order=3)),
-            (_testfield(0, 2), 1.5, (0.25, 0.5), Region(1.0, 0.5, 2.0),
-             QuadSpec(order=2, t_order=2, cube_order=3))):
-        ext = op.MeanExtension(g, 2, 2, region, spec)
-        want, U, t = _all_pairs_slot_integral(ext.field, p, s_vec, region, spec)
-        _, rhs = op.trace_product_norm_p(ext, p, s_vec, region, spec)
-        assert rhs == want
-        heights = np.unique(0.5 * (t[:, None] + t[None, :]))
-        # symmetric in the pair, and dyadic panels share more mean heights
-        assert heights.size <= t.size * (t.size + 1) // 2
-        if g.n == 1:
-            method, spatial = "values", U.shape[0]
-        else:
-            method, spatial = "radial_values", np.unique(np.linalg.norm(U, axis=1)).size
-            assert spatial < U.shape[0]  # |u| repeats under the grid's symmetries
-        asked = []
-        inner = getattr(ext.field, method)
+    # once per distinct mean height
+    g, p, s_vec = fl.BergmanField(2, 1, (0.0, 1.0)), 1.5, (0.25, 0.25)
+    region, spec = Region(4.0, 0.25, 4.0), QuadSpec(order=4, t_order=3, cube_order=3)
+    ext = op.MeanExtension(g, 2, 2, region, spec)
+    want, U, t = _all_pairs_slot_integral(ext.field, p, s_vec, region, spec)
+    _, rhs = op.trace_product_norm_p(ext, p, s_vec, region, spec)
+    assert rhs == want
+    heights = np.unique(0.5 * (t[:, None] + t[None, :]))
+    # symmetric in the pair, and dyadic panels share more mean heights
+    assert heights.size <= t.size * (t.size + 1) // 2
+    asked = []
+    inner = ext.field.values
 
-        def counted(*args):
-            out = inner(*args)
-            asked.append(out.size)
-            return out
+    def counted(*args):
+        out = inner(*args)
+        asked.append(out.size)
+        return out
 
-        monkeypatch.setattr(ext.field, method, counted)
-        assert op._mean_slot_integral_m2(ext.field, p, s_vec, region, spec) == want
-        assert asked == [spatial * heights.size]
-        monkeypatch.undo()
+    monkeypatch.setattr(ext.field, "values", counted)
+    assert op._mean_slot_integral_m2(ext.field, p, s_vec, region, spec) == want
+    assert asked == [U.shape[0] * heights.size]
 
 
 # ------------------------------------------- blocked and shared kernel loops
