@@ -23,8 +23,6 @@ from .geometry import (
     MASK_PAIRS, Region, WhitneyBoxes, box_centers, box_corners, box_volumes,
     half_space_points, in_boxes, weighted_measures, whitney_cubes,
 )
-from .quadrature import QuadSpec
-from .norms import bergman_norm
 from .util import check_finite, check_positive
 
 
@@ -173,10 +171,6 @@ class CubeConditionReport:
 
 def _gauges(base, e):
     """[v**e for v in base] in Python floats, with inf where one overflows."""
-    try:
-        return [v**e for v in base]
-    except OverflowError:
-        pass
     out = []
     for v in base:
         try:
@@ -375,30 +369,3 @@ def lemma6_cover(w, l: int, n: int, delta: float, grid: int = 16, lattice: int =
     fraction = 1.0 - float(np.mean(uncovered))
     multiplicity = int(masks[chosen].sum(axis=0).max()) if chosen else 0
     return fraction, cands[chosen], multiplicity
-
-
-def embedding_ratio(
-    mu: AtomicMeasure,
-    factors,
-    p: float,
-    s_vec,
-    region: Region,
-    spec: QuadSpec,
-):
-    """Exact L^p(mu) mass of a product field over its Bergman norms.
-
-    factors: the fields f_1 .. f_m; the trace integrand is the pointwise
-    product prod_j |f_j|^p at the atoms.  Returns (ratio, lhs, rhs).
-    """
-    pts = mu.points
-    vals = np.ones(len(pts))
-    for f in factors:
-        vals *= np.abs(f.values(pts)) ** p
-    lhs = float(mu.weight @ vals)
-    rhs = 1.0
-    for f, s in zip(factors, s_vec):
-        nv = bergman_norm(f, p, s, region, spec)
-        if nv == 0:
-            raise ValueError("factor with zero norm")
-        rhs *= nv**p
-    return lhs / rhs, lhs, rhs

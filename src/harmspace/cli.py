@@ -197,6 +197,10 @@ def _cmd_verify(args, extras):
         if len(ids) != 1 or ids[0] == "all":
             raise UsageError("parameter overrides need exactly one experiment id")
         verify.check_params(ids[0], args.overrides)  # so a dry run rejects what a run does
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     if args.dry_run:
         return _dry_run(args, {"ids": ids})
 

@@ -1,12 +1,14 @@
-"""Trace and extension operators, kernel integral operators, and the
-distance machinery on the upper half-space.
+"""Extension operators, kernel integral operators, and the distance
+machinery on the upper half-space.
 
 The extension of a boundary-space function g to m slots is
     f(z_1, .., z_m) = integral Q_k((z_1 + .. + z_m)/m, w) g(w) s^k dw,
-which depends on the slots only through their mean, so it is represented
-by a single-variable kernel-integral field evaluated at the mean.  Slot
-symmetry is exact by construction and harmonicity in each slot follows
-from harmonicity of the represented field under the affine substitution.
+which depends on the slots only through their mean.  extension_field
+builds the single-variable field E(zeta) of that integral: f is E at the
+slots' mean, its trace f(z, .., z) is E, slot symmetry is exact by
+construction, and harmonicity in each slot follows from harmonicity of E
+under the affine substitution.  mean_slot_integral gives the slot side of
+the two-slot trace inequality on the half-plane.
 
 Truncated integrals use either flat tensor nodes (n = 1) or the
 axisymmetric (u, v, s) reduction (n >= 2, payload radial about a point
@@ -23,7 +25,6 @@ from . import kernels
 from . import quadrature as quad
 from .fields import Field
 from .geometry import Region, half_space_points
-from .norms import bergman_norm
 from .quadrature import AxisymmetricNodes, QuadSpec
 
 
@@ -244,55 +245,17 @@ def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
 
 def extension_field(g, k_order: int, region: Region, spec: QuadSpec,
                     offsets=(0.0,)) -> KernelIntegralField:
-    """The mean-slot representative E(zeta) = int Q_k(zeta, w) g(w) s^k dw."""
+    """The mean-slot representative E(zeta) = int Q_k(zeta, w) g(w) s^k dw.
+
+    The m-slot extension of g is f(z_1, .., z_m) = E((z_1 + .. + z_m)/m),
+    and its trace f(z, .., z) is E itself.
+    """
+    if k_order < 0:
+        raise ValueError("kernel order must be >= 0")
     nodes, stack = _payload_stack(g, k_order, region, spec, offsets)
     return KernelIntegralField(
         g.n, k_order, nodes, stack[0], False, f"extend{k_order}({g.label})"
     )
-
-
-class MeanExtension:
-    """m-slot extension of g; all slot structure factors through the mean."""
-
-    def __init__(self, g, m: int, k_order: int, region: Region, spec: QuadSpec,
-                 offsets=(0.0,)):
-        if m < 1:
-            raise ValueError("need at least one slot")
-        if k_order < 0:
-            raise ValueError("kernel order must be >= 0")
-        self.m = m
-        self.field = extension_field(g, k_order, region, spec, offsets)
-
-    def values_multi(self, z_list):
-        """Evaluate at m slot arrays, each (..., n+1)."""
-        if len(z_list) != self.m:
-            raise ValueError("wrong number of slots")
-        mean = sum(np.asarray(z, dtype=float) for z in z_list) / self.m
-        return self.field.values(mean)
-
-    def trace(self) -> Field:
-        """Tr f (z) = f(z, .., z): the mean collapses to z itself."""
-        return self.field
-
-
-class ProductMultiField:
-    """f(z_1, .., z_m) = prod_j f_j(z_j) for single-variable factors."""
-
-    def __init__(self, factors):
-        if not factors:
-            raise ValueError("need at least one factor")
-        if len({f.n for f in factors}) != 1:
-            raise ValueError("factors live on different half-spaces")
-        self.factors = list(factors)
-        self.m = len(factors)
-
-    def trace(self) -> Field:
-        from .fields import ProductField
-
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = ProductField(out, f)
-        return out
 
 
 def distance_split(f, eps, lam: float, m_order: int, region: Region,
@@ -469,40 +432,17 @@ def _slot_kernel(z, pts, expo, rows):
     return out
 
 
-def trace_product_norm_p(multi, p: float, s_vec, region: Region, spec: QuadSpec):
-    """Both sides of the trace inequality for an m-slot field.
-
-    LHS = int |Tr f|^p dm_lam over the region, lam = (m-1)(n+1) + sum s.
-    RHS = the product of slot integrals: exact factorization for product
-    fields; mean-variable reduction for two-slot mean extensions on the
-    n = 1 half-plane.  Returns (lhs, rhs).
-    """
-    m = multi.m
-    s_vec = list(s_vec)
-    tr = multi.trace()
-    n = tr.n
-    lam = (m - 1) * (n + 1) + float(np.sum(s_vec))
-    lhs = bergman_norm(tr, p, lam, region, spec) ** p
-    if isinstance(multi, ProductMultiField):
-        rhs = 1.0
-        for f, s in zip(multi.factors, s_vec):
-            rhs *= bergman_norm(f, p, s, region, spec) ** p
-        return lhs, rhs
-    if isinstance(multi, MeanExtension):
-        if m != 2 or n != 1:
-            raise ValueError("mean-extension slot integral implemented for m=2, n=1")
-        return lhs, _mean_slot_integral_m2(multi.field, p, s_vec, region, spec)
-    raise TypeError("unsupported multi-variable field")
-
-
-def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
-    """int int |E((z1+z2)/2)|^p dm_{s1}(z1) dm_{s2}(z2), n = 1.
+def mean_slot_integral(E, p: float, s_vec, region: Region, spec: QuadSpec):
+    """int int |E((z1+z2)/2)|^p dm_{s1}(z1) dm_{s2}(z2) for a field E on
+    the n = 1 half-plane: the slot side of the two-slot trace inequality.
 
     The x-integrals collapse: with u = (x1+x2)/2 the slot pairs of
     [-X, X] contribute the overlap length 2X - 2|u|.  The mean heights of
     the t-pairs repeat (the pair table is symmetric), so E is evaluated
     once per distinct (u, height) and the value table indexed back.
     """
+    if E.n != 1:
+        raise ValueError("the mean-slot integral is implemented for n = 1")
     X = region.x_max
     t, wt = quad.t_quadrature(region, spec)
     taus = 0.5 * (t[:, None] + t[None, :])  # mean heights over t-pairs
@@ -514,20 +454,3 @@ def _mean_slot_integral_m2(E, p: float, s_vec, region: Region, spec: QuadSpec):
     # np.take keeps the table C-ordered: the products below add in an order
     # that depends on the layout, and the all-pairs table was C-ordered
     return float((wu * (2 * X - 2 * np.abs(u))) @ np.take(vals, tau_of, axis=1) @ tpair)
-
-
-def sup_product_ratio(multi: MeanExtension, s_vec, g_sup: float, pairs) -> float:
-    """sup over slot samples of |f(z_1..z_m)| prod t_j^(s_j) / ||g||_sup.
-
-    pairs: the samples, each a list of m slot points; they are evaluated
-    together, one point per sample in each slot array.
-    """
-    pairs = [[np.asarray(z, dtype=float) for z in z_list] for z_list in pairs]
-    vals = multi.values_multi([np.stack(slot) for slot in zip(*pairs)])
-    best = 0.0
-    for val, z_list in zip(vals, pairs):
-        v = abs(float(val))
-        for z, s in zip(z_list, s_vec):
-            v *= float(np.asarray(z)[-1]) ** s
-        best = max(best, v)
-    return best / g_sup

@@ -32,7 +32,7 @@ from . import norms as no
 from . import operators as op
 from . import quadrature as quad
 from . import util
-from .fields import BergmanField, PoissonField, PowerField, TestField, dilated
+from .fields import BergmanField, PoissonField, PowerField, ProductField, TestField, dilated
 from .geometry import (
     Region,
     box_centers,
@@ -935,11 +935,10 @@ def _exp_thm5(b, rng, p):
     offsets = (0.0, 1.0, 2.0, 3.0, 4.0)
     checks, consts, arts = [], {}, {}
     rows = []
-    # the extension depends on the slots only through their mean, so one
-    # field is the trace for m = 1 and m = 2: build and evaluate it once
-    ext = op.MeanExtension(g, 2, p["k_order"], region, spec, offsets)
-    tr = ext.trace()
-    vals = tr.values(pts)
+    # the m-slot extension is one field at the slots' mean, so that field
+    # is the trace for m = 1 and m = 2: build and evaluate it once
+    ext = op.extension_field(g, p["k_order"], region, spec, offsets)
+    vals = ext.values(pts)
     rel = np.abs(vals / g.values(pts) - 1.0)
     for m in (1, 2):
         checks.append(_below(f"roundtrip-m{m}", float(rel.max()), 0.02))
@@ -949,18 +948,22 @@ def _exp_thm5(b, rng, p):
     shift = np.zeros_like(z)
     shift[:, 0] = 0.3
     base = vals[:4]
-    off = ext.values_multi([z + shift, z - shift])
-    diag = ext.values_multi([z, z])
-    swap = ext.values_multi([z - shift, z + shift])
+    off = ext.values((z + shift + (z - shift)) / 2)
+    diag = ext.values((z + z) / 2)
+    swap = ext.values((z - shift + (z + shift)) / 2)
     checks.append(_close("mean-slot-collapse",
                          float(np.max(np.abs(off / base - 1.0))), 0.0, 1e-12))
     checks.append(_close("diagonal-matches-trace",
                          float(np.max(np.abs(diag / base - 1.0))), 0.0, 1e-12))
     checks.append(_close("slot-symmetry",
                          float(np.max(np.abs(swap - off))), 0.0, 0.0))
-    g_sup = _sup_on_grid(g, sum((0.5, 0.5)), Region(16.0, 2.0 ** -5, 16.0), 32)
-    pairs = [(pts[i], pts[(i + 3) % 8]) for i in range(8)]
-    consts["sup_ratio"] = op.sup_product_ratio(ext, (0.5, 0.5), g_sup, pairs)
+    # sup over 8 slot pairs (z_i, z_{i+3 mod 8}) of |f(z1, z2)| (t1 t2)^(1/2)
+    g_sup = _sup_on_grid(g, 1.0, Region(16.0, 2.0 ** -5, 16.0), 32)
+    z1, z2 = pts[:8], np.roll(pts[:8], -3, axis=0)
+    best = 0.0
+    for val, t1, t2 in zip(ext.values((z1 + z2) / 2), z1[:, -1], z2[:, -1]):
+        best = max(best, abs(float(val)) * float(t1) ** 0.5 * float(t2) ** 0.5)
+    consts["sup_ratio"] = best / g_sup
     arts["roundtrip"] = {"header": ["m", "x1", "x2", "x3", "t", "rel_err"],
                          "rows": rows}
     return checks, consts, arts
@@ -981,31 +984,49 @@ def _exp_thm6(b, rng, p):
                      cube_order=max(3, b.cube_order))
     checks, consts, arts = [], {}, {}
 
+    # the two-slot extension of g is E((z1 + z2)/2) and its trace is E
     g = BergmanField(2, n, (0.0, 1.0))
-    ext = op.MeanExtension(g, m, p["k_order"], region, spec)
-    lhs, rhs = op.trace_product_norm_p(ext, pe, s_vec, region, outer)
+    ext = op.extension_field(g, p["k_order"], region, spec)
+    lhs = no.bergman_norm(ext, pe, lam, region, outer) ** pe
+    rhs = op.mean_slot_integral(ext, pe, s_vec, region, outer)
     checks.append(_true("extension-sides-positive", lhs > 0 and rhs > 0))
     consts["extension_ratio"] = lhs / rhs
 
     fa = BergmanField(2, n, (0.0, 1.0))
     fb = BergmanField(2, n, (0.5, 2.0))
-    prod = op.ProductMultiField([fa, fb])
-    lhs2, rhs2 = op.trace_product_norm_p(prod, pe, s_vec, region, spec)
+    trace = ProductField(fa, fb)  # the trace of fa(z1) fb(z2)
+
+    def product_sides(q, spec):
+        """The trace's L^q(m_lam) mass and the product of the slot masses."""
+        lhs = no.bergman_norm(trace, q, lam, region, spec) ** q
+        rhs = 1.0
+        for f, s in zip((fa, fb), s_vec):
+            rhs *= no.bergman_norm(f, q, s, region, spec) ** q
+        return lhs, rhs
+
+    lhs2, rhs2 = product_sides(pe, spec)
     checks.append(_true("product-sides-positive", lhs2 > 0 and rhs2 > 0))
     consts["product_ratio"] = lhs2 / rhs2
-    lhs3, rhs3 = op.trace_product_norm_p(prod, pe, s_vec, region, spec.refined())
+    lhs3, rhs3 = product_sides(pe, spec.refined())
     checks.append(_close("product-ratio-drift",
                          (lhs3 / rhs3) / (lhs2 / rhs2), 1.0, 0.05))
 
+    # the trace's exact mass on the atoms of the discretized weight m_lam
     mu = ca.AtomicMeasure.discretized_weight(region, n, lam)
-    ratio3, lhs_at, _ = ca.embedding_ratio(mu, [fa, fb], pe, s_vec, region, spec)
-    consts["atomic_ratio"] = ratio3
+    at = np.ones(len(mu.points))
+    for f in (fa, fb):
+        at *= np.abs(f.values(mu.points)) ** pe
+    lhs_at = float(mu.weight @ at)
+    consts["atomic_ratio"] = lhs_at / rhs2
     checks.append(_close("atomic-vs-integral-mass", lhs_at / lhs2, 1.0, 0.5))
 
-    lhs4, rhs4 = op.trace_product_norm_p(prod, 1.5, s_vec, region, spec)
+    lhs4, rhs4 = product_sides(1.5, spec)
     consts["product_ratio_p1.5"] = lhs4 / rhs4
+    # the largest kernel order that k_order > 1 + s1 + s2 refuses; one
+    # below 0 is refused by the range
+    k_bad = math.floor(1 + p["s1"] + p["s2"])
     checks.append(_raises("kernel-order-reject",
-                          lambda: check_params("thm6-trace", {**p, "k_order": 1})))
+                          lambda: check_params("thm6-trace", {**p, "k_order": k_bad})))
     return checks, consts, arts
 
 
@@ -1051,7 +1072,9 @@ def _exp_prop1(b, rng, p):
     checks.append(_below("slot-region-growth", g_slot, 1.2))
     g_inner = lhs_value(slot, inner.scaled(2.0)) / L
     checks.append(_below("inner-region-growth", g_inner, 1.2))
-    checks.append(_raises("exponent-reject", lambda: check_params("prop1", {**p, "b1": 2.4})))
+    # a b1 just inside the refused side of p_exp * b1 > 2 + s1
+    b_bad = (2 + p["s1"]) / pe - 0.1
+    checks.append(_raises("exponent-reject", lambda: check_params("prop1", {**p, "b1": b_bad})))
     consts["slot_growth"] = g_slot
     consts["inner_growth"] = g_inner
     return checks, consts, {}

@@ -292,19 +292,6 @@ def test_lemma6_cover_peak_memory_is_the_mask_matrix():
     assert peak < cells + 48 * MASK_PAIRS
 
 
-def test_embedding_ratio_lhs_exact():
-    from harmspace.fields import PoissonField
-
-    region = Region(2.0, 0.25, 2.0)
-    spec = QuadSpec(order=6, t_order=4)
-    mu = ca.AtomicMeasure([[0.0], [0.5]], [0.5, 1.0], [1.0, 2.0])
-    f = PoissonField(1, np.array([0.0, 1.0]))
-    ratio, lhs, rhs = ca.embedding_ratio(mu, [f], 2.0, (0.5,), region, spec)
-    expect = float(np.sum(mu.weight * np.abs(f.values(mu.points)) ** 2))
-    assert lhs == pytest.approx(expect, rel=1e-14)
-    assert ratio == pytest.approx(lhs / rhs, rel=1e-14)
-
-
 # ------------------------------------------- array paths, bit for bit
 
 def _lattice_measure(n, seed):

@@ -168,6 +168,17 @@ def test_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_rejects_a_negative_seed_and_no_threads(tmp_path, capsys):
+    # a usage error that names the flag, with or without --dry-run
+    for flag, value, least in (("--seed", "-1", 0), ("--threads", "0", 1),
+                               ("--threads", "-3", 1)):
+        for dry in ((), ("--dry-run",)):
+            assert run(tmp_path, "verify", "whitney", "--budget", "smoke",
+                       flag, value, *dry) == 2
+            assert capsys.readouterr().err == f"error: {flag} must be >= {least}, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_merges_under_explicit_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "lam": 3.0}))

@@ -321,7 +321,10 @@ def test_degenerate_t_range_is_rejected_on_every_t_path():
 
 def test_radial_norms_reject_non_radial_fields():
     # two sources at different centres: a non-radial product
-    g = fl.ProductField(PoissonField(2, [0.0, 0.0, 1.0]), PoissonField(2, [1.0, 0.0, 1.0]))
+    fa, fb = PoissonField(2, [0.0, 0.0, 1.0]), PoissonField(2, [1.0, 0.0, 1.0])
+    g = fl.ProductField(fa, fb)
+    z = np.array([[0.1, 0.2, 0.5], [1.0, -1.0, 2.0]])
+    assert np.array_equal(g.values(z), fa.values(z) * fb.values(z))
     for call in (lambda: no.slice_norm(g, 2.0, 1.0, REGION, SPEC),
                  lambda: no.mixed_norm(g, 2.0, 2.0, 1.0, REGION, SPEC),
                  lambda: no.triebel_norm(g, 2.0, 2.0, 1.0, REGION, SPEC),

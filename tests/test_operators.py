@@ -74,38 +74,28 @@ def test_extension_reproduces_source():
 
 
 def test_mean_extension_slot_structure():
+    # the two-slot extension is the field at the slots' mean
     g = _testfield(0, 2)
     region = Region(8.0, 0.125, 8.0)
     spec = QuadSpec(order=5, t_order=4)
-    ext = op.MeanExtension(g, 2, 2, region, spec)
-    z = np.array([[0.3, 0.0, 1.0], [0.0, 0.5, 2.0]])
-    shift = np.array([[0.2, -0.1, 0.1], [0.0, 0.3, -0.2]])
-    a, b = ext.values_multi([z + shift, z - shift]), ext.values_multi([z, z])
-    # the operator factors through the slot mean
-    assert np.allclose(a, b, rtol=1e-14, atol=0.0)
-    assert np.array_equal(ext.values_multi([z - shift, z + shift]), a)
-    assert np.array_equal(ext.trace().values(z), b)
-    with pytest.raises(ValueError):
-        ext.values_multi([z])
+    E = op.extension_field(g, 2, region, spec)
+    # dyadic points and shifts: z + shift and z - shift are exact, and so
+    # is their mean
+    z = np.array([[0.375, 0.0, 1.0], [0.0, 0.5, 2.0]])
+    shift = np.array([[0.25, -0.125, 0.5], [0.0, 0.375, -0.25]])
+    a = E.values((z + shift + (z - shift)) / 2)
+    assert np.array_equal(a, E.values((z + z) / 2))  # slot collapse
+    assert np.array_equal(a, E.values(z))  # the trace is E itself
+    assert np.array_equal(E.values((z - shift + (z + shift)) / 2), a)  # slot symmetry
     low = z.copy()
     low[:, -1] = -3.0
     with pytest.raises(ValueError):
-        ext.values_multi([z, low])
+        E.values((z + low) / 2)
     with pytest.raises(ValueError):
-        op.MeanExtension(g, 0, 2, region, spec)
+        op.extension_field(g, -1, region, spec)
+    # the slot integral is the half-plane one
     with pytest.raises(ValueError):
-        op.MeanExtension(g, 1, -1, region, spec)
-
-
-def test_product_multi_trace():
-    fa = fl.PoissonField(1, np.array([0.0, 1.0]))
-    fb = fl.BergmanField(1, 1, np.array([0.5, 2.0]))
-    prod = op.ProductMultiField([fa, fb])
-    z = np.array([[0.1, 0.5], [1.0, 2.0]])
-    assert np.allclose(prod.trace().values(z), fa.values(z) * fb.values(z),
-                       rtol=1e-15)
-    with pytest.raises(ValueError):
-        op.ProductMultiField([])
+        op.mean_slot_integral(E, 1.0, (0.5, 0.5), region, spec)
 
 
 def test_distance_split_partitions_the_integral():
@@ -230,28 +220,6 @@ def test_divergence_proxy_scales_outward_only():
     assert growth[0, -1] < 1.2
 
 
-def test_trace_product_norm_guards():
-    region = Region(4.0, 0.25, 4.0)
-    spec = QuadSpec(order=4, t_order=3)
-    g3 = _testfield(0, 3)
-    ext3 = op.MeanExtension(g3, 2, 2, region, spec)
-    with pytest.raises(ValueError):
-        op.trace_product_norm_p(ext3, 1.0, (0.5, 0.5), region, spec)
-    # the slot integral is the two-slot one: one slot is rejected too
-    ext1 = op.MeanExtension(fl.BergmanField(2, 1, (0.0, 1.0)), 1, 2, region, spec)
-    with pytest.raises(ValueError):
-        op.trace_product_norm_p(ext1, 1.0, (0.5,), region, spec)
-
-    class Wrong:
-        m = 1
-
-        def trace(self):
-            return _testfield(0, 2)
-
-    with pytest.raises(TypeError):
-        op.trace_product_norm_p(Wrong(), 1.0, (0.5,), region, spec)
-
-
 def _all_pairs_slot_integral(E, p, s_vec, region, spec):
     """The mean-slot integral with E evaluated at every (u, t_i, t_j)
     triple, mean heights repeated: the brute-force form."""
@@ -267,27 +235,25 @@ def _all_pairs_slot_integral(E, p, s_vec, region, spec):
 
 
 def test_mean_slot_integral_equals_all_pairs_with_one_value_per_point(monkeypatch):
-    # the slot side of trace_product_norm_p, bit for bit, from a field asked
+    # the slot side of the trace inequality, bit for bit, from a field asked
     # once per distinct mean height
     g, p, s_vec = fl.BergmanField(2, 1, (0.0, 1.0)), 1.5, (0.25, 0.25)
     region, spec = Region(4.0, 0.25, 4.0), QuadSpec(order=4, t_order=3, cube_order=3)
-    ext = op.MeanExtension(g, 2, 2, region, spec)
-    want, U, t = _all_pairs_slot_integral(ext.field, p, s_vec, region, spec)
-    _, rhs = op.trace_product_norm_p(ext, p, s_vec, region, spec)
-    assert rhs == want
+    E = op.extension_field(g, 2, region, spec)
+    want, U, t = _all_pairs_slot_integral(E, p, s_vec, region, spec)
     heights = np.unique(0.5 * (t[:, None] + t[None, :]))
     # symmetric in the pair, and dyadic panels share more mean heights
     assert heights.size <= t.size * (t.size + 1) // 2
     asked = []
-    inner = ext.field.values
+    inner = E.values
 
     def counted(*args):
         out = inner(*args)
         asked.append(out.size)
         return out
 
-    monkeypatch.setattr(ext.field, "values", counted)
-    assert op._mean_slot_integral_m2(ext.field, p, s_vec, region, spec) == want
+    monkeypatch.setattr(E, "values", counted)
+    assert op.mean_slot_integral(E, p, s_vec, region, spec) == want
     assert asked == [U.shape[0] * heights.size]
 
 
@@ -553,31 +519,6 @@ def test_split_peak_memory_stays_near_the_payload():
     payload = _payload(f1).nbytes
     assert payload > 4e6  # far above the block temporaries
     assert peak < 1.5 * payload
-
-
-def _old_sup_product_ratio(multi, s_vec, g_sup, pairs):
-    """The per-pair loop that sup_product_ratio replaced."""
-    best = 0.0
-    for z_list in pairs:
-        v = abs(float(multi.values_multi([np.asarray(z) for z in z_list])))
-        for z, s in zip(z_list, s_vec):
-            v *= float(np.asarray(z)[-1]) ** s
-        best = max(best, v)
-    return best / g_sup
-
-
-def test_batched_sup_product_ratio_matches_per_pair_loop():
-    g = _testfield(0, 2)
-    ext = op.MeanExtension(g, 2, 2, Region(8.0, 0.125, 8.0), QuadSpec(order=5, t_order=4))
-    rng = np.random.default_rng(7)
-    pts = np.column_stack([rng.uniform(-2.0, 2.0, (8, 2)), rng.uniform(0.3, 3.0, 8)])
-    pairs = [(pts[i], pts[(i + 3) % 8]) for i in range(8)]
-    s_vec = (0.5, 0.25)
-    assert op.sup_product_ratio(ext, s_vec, 1.7, pairs) == \
-        _old_sup_product_ratio(ext, s_vec, 1.7, pairs)
-    for pair in pairs:
-        assert op.sup_product_ratio(ext, s_vec, 1.0, [pair]) == \
-            _old_sup_product_ratio(ext, s_vec, 1.0, [pair])
 
 
 # ------------------------------------------------- streamed kernel reductions

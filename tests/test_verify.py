@@ -114,6 +114,23 @@ def test_reject_rows_alter_a_parameter_past_its_need():
             vf.check_params(exp_id, {key: value})
 
 
+@pytest.mark.parametrize("exp_id, overrides, row", [
+    ("thm6-trace", {"s1": 0.0, "s2": -0.1}, "kernel-order-reject"),
+    ("thm6-trace", {"s1": -0.5, "s2": -0.5}, "kernel-order-reject"),
+    ("prop1", {"s1": -0.5}, "exponent-reject"),
+    ("prop1", {"p_exp": 2.0}, "exponent-reject"),
+])
+def test_reject_rows_hold_inside_each_hypothesis(exp_id, overrides, row):
+    # at these parameters k_order = 1 and b1 = 2.4 meet the hypothesis: each
+    # row probes a value on the refused side of the run's own boundary
+    rep = vf.run_experiment(exp_id, budget="smoke", overrides=overrides)
+    [check] = [c for c in rep["checks"] if c["name"] == row]
+    assert check["ok"], check
+    # prop1 at s1 = -0.5 also fails slot-region-growth, which is not this row
+    if exp_id == "thm6-trace":
+        assert rep["verdict"] == "pass"
+
+
 def test_box_condition_norm_takes_each_distinct_slot_exponent_once(monkeypatch):
     # thm2's product norm: one cubes-path norm per test field and distinct s
     real, calls = vf.no.bergman_norm, {}
