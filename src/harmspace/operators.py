@@ -443,6 +443,8 @@ def mean_slot_integral(E, p: float, s_vec, region: Region, spec: QuadSpec):
     """
     if E.n != 1:
         raise ValueError("the mean-slot integral is implemented for n = 1")
+    if len(s_vec) != 2:
+        raise ValueError("the mean-slot integral takes two slot exponents")
     X = region.x_max
     t, wt = quad.t_quadrature(region, spec)
     taus = 0.5 * (t[:, None] + t[None, :])  # mean heights over t-pairs

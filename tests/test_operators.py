@@ -220,6 +220,20 @@ def test_divergence_proxy_scales_outward_only():
     assert growth[0, -1] < 1.2
 
 
+def test_trace_product_norm_guards():
+    region = Region(4.0, 0.25, 4.0)
+    spec = QuadSpec(order=4, t_order=3)
+    E3 = op.extension_field(_testfield(0, 3), 2, region, spec)
+    with pytest.raises(ValueError):
+        op.mean_slot_integral(E3, 1.0, (0.5, 0.5), region, spec)
+    # the slot integral is the two-slot one: one slot is rejected too
+    E1 = op.extension_field(fl.BergmanField(2, 1, (0.0, 1.0)), 2, region, spec)
+    with pytest.raises(ValueError):
+        op.mean_slot_integral(E1, 1.0, (0.5,), region, spec)
+    with pytest.raises(ValueError):
+        op.extension_field(_testfield(0, 3), -1, region, spec)
+
+
 def _all_pairs_slot_integral(E, p, s_vec, region, spec):
     """The mean-slot integral with E evaluated at every (u, t_i, t_j)
     triple, mean heights repeated: the brute-force form."""
