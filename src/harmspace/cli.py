@@ -16,6 +16,7 @@ working directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -635,9 +636,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser(out_default: str) -> argparse.ArgumentParser:
+    """build_parser() once per default of --out, the one value a build
+    reads from outside ($HARMSPACE_OUT): a build takes milliseconds, and
+    parsing (parse_known_args, _parse_with_config) never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser(os.environ.get("HARMSPACE_OUT", "."))
     args, extras = parser.parse_known_args(argv)
     try:
         if args.config:

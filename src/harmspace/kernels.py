@@ -133,10 +133,12 @@ class BergmanRows:
     order.  The D-free factors c tau^a and tau^2 are laid out once, as
     contiguous (rows, n_tau) tiles, so a block costs contiguous passes,
     passes that broadcast a column of D along the rows, and one np.power,
-    all in two buffers that every block reuses.
+    all in two buffers that every block reuses.  Instances whose blocks
+    are never alive at once may share those buffers: pass `buffers`, two
+    (rows, n_tau) float arrays.
     """
 
-    def __init__(self, l: int, n: int, tau, rows: int):
+    def __init__(self, l: int, n: int, tau, rows: int, buffers=None):
         tau = np.asarray(tau, dtype=float).reshape(1, -1)
         tile = (rows, tau.shape[1])
 
@@ -148,8 +150,7 @@ class BergmanRows:
         self._terms = [(b, c, None if a == 0 else laid_out(c * tau**a))
                        for a, b, c in terms]
         self._tau2 = laid_out(tau * tau)
-        self._acc = np.empty(tile)
-        self._tmp = np.empty(tile)
+        self._acc, self._tmp = buffers or (np.empty(tile), np.empty(tile))
 
     def block(self, D):
         """Q_l at r <= rows values of D against every tau: (r, n_tau).

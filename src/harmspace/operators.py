@@ -12,12 +12,17 @@ the two-slot trace inequality on the half-plane.
 
 Truncated integrals use either flat tensor nodes (n = 1) or the
 axisymmetric (u, v, s) reduction (n >= 2, payload radial about a point
-on the axis).  All operators take an explicit Region and QuadSpec.
+on the axis).  A flat field stores its payload table.  An axisymmetric
+field stores its nodes and a payload builder and makes the payload leaf
+by leaf at each evaluation: it holds no array of n_uv n_s values, but
+each call, and each group of _TAU_GROUP distinct heights in a call, makes
+the payload again, so evaluate such a field in as few calls as the
+caller allows.  All operators take an explicit Region and QuadSpec.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,10 @@ from .quadrature import AxisymmetricNodes, QuadSpec
 # Kernel values per block in every kernel loop: 32k float64 values, so
 # each temporary of a block (256 KB) stays in cache.
 _BLOCK_VALUES = 1 << 15
+
+# Distinct heights whose kernel tiles an axisym evaluation holds at once
+# (up to about 1 MB each at order 4 and 144 s nodes).
+_TAU_GROUP = 16
 
 
 def _pairwise_leaves(n):
@@ -66,31 +75,48 @@ def _tree_add(tree, sums):
     return _tree_add(tree[0], sums) + _tree_add(tree[1], sums)
 
 
+class PayloadRows(NamedTuple):
+    """The weighted payloads of the axisym layout, made on request.
+
+    rows(r0, r1) returns a fresh (count, r1 - r0, n_s) stack over the
+    (u, v) node rows r0:r1; every row has the same bits whichever block it
+    is made in.
+    """
+
+    count: int
+    rows: Callable
+
+
 class KernelIntegralField(Field):
     """z |-> sum_i W_i Q_k(z, w_i) payload_i over stored nodes.
 
     Built from payloads already multiplied by the node weights W_i, in
     one of two layouts: "flat" (n = 1: node axes x (n_x,) and s (n_s,),
     payload (n_x n_s,) over their tensor in "ij" order) and "axisym"
-    (AxisymmetricNodes, payload (n_uv, n_s)), radial about the origin.
+    (AxisymmetricNodes, payload rows (n_uv, n_s)), radial about the origin.
     Both evaluate only at finite points with t > 0.
 
-    The payload may also be a stack, (P, n_x n_s) or (P, n_uv, n_s): the
-    P fields then share every kernel value, and values() and
-    radial_values() carry a leading axis of length P.  Each stacked value
-    equals, bit for bit, the value of the field built from that payload
-    alone.
+    The flat layout stores its payload, or a stack (P, n_x n_s) of them.
+    The axisym layout stores only a PayloadRows, whose stack of P payloads
+    is made leaf by leaf at each evaluation (see _eval_axial): no array of
+    n_uv n_s values is ever held, but an evaluation makes the payload once
+    per group of up to _TAU_GROUP distinct point heights, so a field
+    evaluated in c calls makes it at least c times.  With P > 1 the payloads share every kernel value, and
+    values() and radial_values() carry a leading axis of length P.  Each
+    stacked value equals, bit for bit, the value of the field built from
+    that payload alone.
 
     No kernel table is built at full size.  The flat layout evaluates a
     block of points at a time; the axisym layout reduces each point's
     kernel-payload products as they are made, leaf by leaf of numpy's
-    pairwise summation (see _eval_axial), so an evaluation needs a few
-    blocks of _BLOCK_VALUES values beyond the payload.
+    pairwise summation, so an evaluation needs a kernel tile set per
+    distinct height and a few blocks of _BLOCK_VALUES values.
     """
 
     def __init__(self, n, k_order, nodes, wpay, stacked, label):
-        """nodes: AxisymmetricNodes, or the (x, s) node axes of the flat
-        layout; wpay: the weighted payload, or a stack of them."""
+        """nodes: AxisymmetricNodes with wpay a PayloadRows, or the (x, s)
+        node axes of the flat layout with wpay the weighted payload, or a
+        stack of them."""
         self.n = n
         self.k = k_order
         self.label = label
@@ -99,7 +125,7 @@ class KernelIntegralField(Field):
         self._ax = None
         if isinstance(nodes, AxisymmetricNodes):
             self.radial_center = np.zeros(n)
-            self._ax = (nodes, wpay.reshape((-1,) + wpay.shape[-2:]))
+            self._ax = (nodes, wpay)
         else:
             self._flat = (nodes, wpay.reshape(-1, nodes[0].size * nodes[1].size))
 
@@ -128,36 +154,53 @@ class KernelIntegralField(Field):
     def _eval_axial(self, d, t):
         """(P, m) values at axis distances d and heights t.
 
-        Per point, the kernel-payload products over all (u, v, s) nodes
-        are never stored at full size.  np.sum of the full table would add
+        Neither the payload nor a point's kernel-payload products are ever
+        stored at full size.  np.sum of the full product table would add
         them by pairwise summation; the table is cut into the leaves of
-        that summation tree (_pairwise_leaves), each leaf's products are
-        made from the kernel rows that cover it and added by np.add.reduce
-        (the reduce np.sum makes, without its Python wrapper), and the leaf
-        sums are added back in tree order.  Every payload of a stack shares
-        a leaf's kernel values, and each value equals the np.sum of the
-        full table bit for bit, whatever the block size.
+        that summation tree (_pairwise_leaves).  For each leaf the payload
+        rows it touches are made once; for each point the leaf's products
+        are made from the kernel rows that cover it and added by
+        np.add.reduce (the reduce np.sum makes, without its Python
+        wrapper), and at the end each point's leaf sums are added back in
+        tree order.  A point's kernel tiles depend only on its height, so
+        there is one BergmanRows per distinct height, all sharing two
+        buffers, and the points of a leaf are visited in height order.
+        At most _TAU_GROUP heights are held at once: more are evaluated in
+        groups, and each group makes the payload again.  Every payload of
+        a stack shares a leaf's kernel values, and each value equals the
+        np.sum of the full table bit for bit, whatever the block size.
         """
-        nodes, wpay = self._ax
-        n_pay, n_uv, n_s = wpay.shape
-        tree, leaves = _pairwise_leaves(n_uv * n_s)
+        nodes, pay = self._ax
+        n_s = nodes.s.size
+        tree, leaves = _pairwise_leaves(nodes.u.size * n_s)
         longest = max(hi - lo for lo, hi in leaves)
         rows = longest // n_s + 2  # most rows one leaf can touch
-        wflat = wpay.reshape(n_pay, -1)
+        heights, level = np.unique(t, return_inverse=True)
+        order = np.argsort(level, kind="stable")
+        # order[ends[g] : ends[g + 1]]: the points of height group g, by height
+        ends = np.searchsorted(level[order], np.arange(0, heights.size + _TAU_GROUP, _TAU_GROUP))
+        buffers = np.empty((rows, n_s)), np.empty((rows, n_s))
         prod = np.empty(longest)
-        sums = np.empty((len(leaves), n_pay))
-        out = np.empty((n_pay, d.size))
-        for i in range(d.size):
-            D = nodes.dist_sq_to(d[i])
-            q = kernels.BergmanRows(self.k, self.n, t[i] + nodes.s, rows)
+        out = np.empty((pay.count, d.size))
+        for g, h0 in enumerate(range(0, heights.size, _TAU_GROUP)):
+            q = [kernels.BergmanRows(self.k, self.n, h + nodes.s, rows, buffers)
+                 for h in heights[h0 : h0 + _TAU_GROUP]]
+            pts = order[ends[g] : ends[g + 1]]
+            tile = level[pts] - h0
+            sums = np.empty((len(leaves), pay.count, pts.size))
             for li, (lo, hi) in enumerate(leaves):
                 r0, r1 = lo // n_s, -(-hi // n_s)  # the rows the leaf touches
-                K = q.block(D[r0:r1]).ravel()[lo - r0 * n_s : hi - r0 * n_s]
+                cut = slice(lo - r0 * n_s, hi - r0 * n_s)
+                w = pay.rows(r0, r1).reshape(pay.count, -1)[:, cut]
+                D = nodes.dist_sq_to(d[pts, None], slice(r0, r1))
                 part = prod[: hi - lo]
-                for j in range(n_pay):
-                    np.multiply(K, wflat[j, lo:hi], out=part)
-                    sums[li, j] = np.add.reduce(part)
-            out[:, i] = _tree_add(tree, sums)
+                for i in range(pts.size):
+                    K = q[tile[i]].block(D[i]).ravel()[cut]
+                    for j in range(pay.count):
+                        np.multiply(K, w[j], out=part)
+                        sums[li, j, i] = np.add.reduce(part)
+            out[:, pts] = _tree_add(tree, sums)
+            del q  # the next group's tiles replace these, never join them
         return out
 
     def _eval_flat(self, pts):
@@ -192,46 +235,28 @@ def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
     eps it holds, for each eps in turn and each part in `parts`, g s^k on
     the complement (part 1) or on the superlevel set (part 2) of
     {s^lam |g| >= eps}.  Every payload is multiplied by the node weights.
-    The stack is filled one block of node rows at a time, so nothing else
-    is built at its size.
 
     n >= 2 uses AxisymmetricNodes, one row per (u, v) node and one column
     per s node, and needs g radial about the origin; `offsets` lists the
     axis positions where the spatial grid refines, so keep them near the
-    radii at which the field will be evaluated.  n = 1 uses the flat
-    layout: the node axes of box_axis_quadrature (rows) and t_quadrature
-    (columns), weighted by their tensor_rule weights.
+    radii at which the field will be evaluated.  Its stack is returned as
+    a PayloadRows that evaluates g on the rows asked for, so it is never
+    built at full size; every evaluation of the field makes it again.
+    n = 1 uses the flat layout: the node axes of box_axis_quadrature
+    (rows) and t_quadrature (columns), weighted by their tensor_rule
+    weights, and the stack is filled one block of node rows at a time, so
+    nothing else is built at its size.
     """
-    if g.n >= 2:
-        if not g.is_radial or np.any(np.asarray(g.radial_center) != 0):
-            raise ValueError("n >= 2 integration needs g radial about the origin")
-        nodes = AxisymmetricNodes(region, g.n, spec, offsets)
-        radius, s_row = nodes.center_radius()[:, None], nodes.s[None, :]
-        shape = (radius.size, s_row.size)
+    count = 1 if eps is None else len(eps) * len(parts)
 
-        def block(blk):
-            return g.radial_values(radius[blk], s_row), s_row, (nodes.w_uv[blk, None], nodes.w_s)
-    else:
-        axes = (quad.box_axis_quadrature(region, spec), quad.t_quadrature(region, spec))
-        nodes = tuple(x for x, _ in axes)
-        shape = tuple(x.size for x in nodes)
-        pts, w = quad.tensor_rule(axes)
-        pts, w = pts.reshape(shape + (2,)), w.reshape(shape)
-
-        def block(blk):
-            return g.values(pts[blk]), nodes[1], (w[blk],)
-    stack = np.empty((1 if eps is None else len(eps) * len(parts),) + shape)
-    rows = max(1, _BLOCK_VALUES // math.prod(shape[1:]))
-    for a in range(0, shape[0], rows):
-        blk = slice(a, a + rows)
-        gv, s, weights = block(blk)
-        out = stack[:, blk]
+    def weighted(gv, s, weights, out):
+        """out[:] = the payloads of the fresh g values gv (gv is reused)."""
         if eps is None:
             np.multiply(gv, s**k_order, out=out[0])
         else:
             level = np.abs(gv)
             level *= s**lam
-            gv *= s**k_order  # gv is a fresh evaluation: reuse it for g s^k
+            gv *= s**k_order
             k = 0
             for e in eps:
                 inside = level >= e
@@ -240,6 +265,29 @@ def _payload_stack(g, k_order: int, region: Region, spec: QuadSpec,
                     k += 1
         for wt in weights:
             out *= wt
+        return out
+
+    if g.n >= 2:
+        if not g.is_radial or np.any(np.asarray(g.radial_center) != 0):
+            raise ValueError("n >= 2 integration needs g radial about the origin")
+        nodes = AxisymmetricNodes(region, g.n, spec, offsets)
+        radius, s_row = nodes.center_radius()[:, None], nodes.s[None, :]
+
+        def rows(r0, r1):
+            return weighted(g.radial_values(radius[r0:r1], s_row), s_row,
+                            (nodes.w_uv[r0:r1, None], nodes.w_s),
+                            np.empty((count, r1 - r0, s_row.size)))
+        return nodes, PayloadRows(count, rows)
+    axes = (quad.box_axis_quadrature(region, spec), quad.t_quadrature(region, spec))
+    nodes = tuple(x for x, _ in axes)
+    shape = tuple(x.size for x in nodes)
+    pts, w = quad.tensor_rule(axes)
+    pts, w = pts.reshape(shape + (2,)), w.reshape(shape)
+    stack = np.empty((count,) + shape)
+    step = max(1, _BLOCK_VALUES // shape[1])
+    for a in range(0, shape[0], step):
+        blk = slice(a, a + step)
+        weighted(g.values(pts[blk]), nodes[1], (w[blk],), stack[:, blk])
     return nodes, stack
 
 
@@ -254,7 +302,7 @@ def extension_field(g, k_order: int, region: Region, spec: QuadSpec,
         raise ValueError("kernel order must be >= 0")
     nodes, stack = _payload_stack(g, k_order, region, spec, offsets)
     return KernelIntegralField(
-        g.n, k_order, nodes, stack[0], False, f"extend{k_order}({g.label})"
+        g.n, k_order, nodes, stack, False, f"extend{k_order}({g.label})"
     )
 
 

@@ -257,6 +257,8 @@ class AxisymmetricNodes:
         """|y| at the (u, v) nodes."""
         return np.hypot(self.u, self.v)
 
-    def dist_sq_to(self, d: float) -> np.ndarray:
-        """|y - x|^2 for the axis point at distance d from the origin."""
-        return (self.u - d) ** 2 + self.v**2
+    def dist_sq_to(self, d, rows=slice(None)) -> np.ndarray:
+        """|y - x|^2 at the (u, v) nodes `rows` for the axis point at
+        distance d from the origin; a column of distances d gives one row
+        per distance."""
+        return (self.u[rows] - d) ** 2 + self.v[rows] ** 2

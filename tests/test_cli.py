@@ -86,6 +86,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "lemma6", "--n", "2.7", "--dry-run"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "0"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "-1"],
+        ["verify", "thm5-trace", "--k_order", "3", "--dry-run"],
         ["ball", "convolve", "--left", str(nan), "--right", str(tmp_path / "g.json")],
         ["ball", "lambda", "--expansion", str(nan)],
     ]
@@ -99,6 +100,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             assert "parameter 'n' must be an integer, got '2.7'" in err, err
         elif "lemma6" in argv:
             assert "lemma6 needs n in 1..4" in err, err
+        elif "thm5-trace" in argv:
+            assert "thm5-trace needs 1 <= k_order <= 2" in err and "k_order = 3" in err, err
         if str(nan) in argv:
             assert f"{nan} is not a valid expansion file" in err and "finite" in err, err
     assert not (tmp_path / "out").exists()
@@ -139,7 +142,12 @@ def test_underflowed_norms_exit_two_without_a_summary(tmp_path, capsys, flags, n
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_failure_exits_one(tmp_path, capsys):
+def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # thm5's needs refuse k_order = 0, whose truncated round trip fails (see
+    # test_usage_errors_exit_two); with them lifted the run still ends as a
+    # failing verdict and exit 1
+    exp = verify.EXPERIMENTS["thm5-trace"]
+    monkeypatch.setitem(verify.EXPERIMENTS, "thm5-trace", dataclasses.replace(exp, needs=()))
     code = run(tmp_path, "verify", "thm5-trace", "--budget", "smoke",
                "--k-order", "0")
     assert code == 1
@@ -148,6 +156,24 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     summary = read_summary(tmp_path, "verify")
     assert summary["verdict"] == "fail"
     assert summary["overrides"] == {"k_order": "0"}
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    # parsing never changes the parser, so main builds it once; a new
+    # $HARMSPACE_OUT, which sets the default of --out, builds another
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["whitney", "--n", "1", "--dry-run"]) == 0
+        assert len(built) == 1
+        monkeypatch.setenv("HARMSPACE_OUT", str(tmp_path / "envdir"))
+        assert cli.main(["whitney", "--n", "1"]) == 0
+        assert len(built) == 2 and (tmp_path / "envdir" / "whitney-summary.json").exists()
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_verify_success_writes_traces(tmp_path, capsys):

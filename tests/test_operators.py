@@ -42,12 +42,16 @@ def _flat_nodes(region, spec):
 
 
 def _field_from_axisym(n, k, nodes, payload):
-    """KernelIntegralField over axisymmetric nodes from a payload not yet weighted."""
+    """KernelIntegralField over axisymmetric nodes from a payload not yet
+    weighted, (n_uv, n_s) or (P, n_uv, n_s), whose row blocks are views of
+    the weighted table."""
     payload = np.asarray(payload, dtype=float)
     wpay = nodes.w_uv[:, None] * payload
     wpay *= nodes.w_s
+    stack = wpay.reshape((-1,) + wpay.shape[-2:])
     return op.KernelIntegralField(
-        n, k, nodes, wpay, payload.ndim == 3, "kernel-integral")
+        n, k, nodes, op.PayloadRows(stack.shape[0], lambda r0, r1: stack[:, r0:r1]),
+        payload.ndim == 3, "kernel-integral")
 
 
 def test_extension_reproduces_source_n1():
@@ -276,7 +280,7 @@ def test_mean_slot_integral_equals_all_pairs_with_one_value_per_point(monkeypatc
 
 def _per_point_axial(fld, d, t):
     """Unblocked reference: one whole kernel table per point and payload."""
-    nodes, wpay = fld._ax
+    nodes, wpay = fld._ax[0], _payload(fld)
     out = np.empty((wpay.shape[0], d.size))
     for j, w in enumerate(wpay):
         for i in range(d.size):
@@ -318,8 +322,8 @@ def test_blocked_eval_axial_matches_per_point_reference(monkeypatch):
     region = Region(4.0, 0.125, 4.0)
     spec = QuadSpec(order=4, t_order=3)
     fld = op.distance_split(g, [0.01, 0.1], 2.0, 3, region, spec)
-    nodes, wpay = fld._ax
-    assert wpay.shape[0] == 4
+    nodes, pay = fld._ax
+    assert pay.count == 4
     d = np.array([0.0, 0.7, 2.5])
     t = np.array([0.3, 1.0, 2.2])
     want = _per_point_axial(fld, d, t)
@@ -454,7 +458,20 @@ def _same_bits(a, b):
 
 
 def _payload(fld):
-    return (fld._ax if fld._ax is not None else fld._flat)[1]
+    """The weighted payload stack: the flat layout's table, or the axisym
+    builder's row blocks stitched together, _BLOCK_VALUES // n_s rows each
+    (one row each when that is below one)."""
+    if fld._ax is None:
+        return fld._flat[1]
+    nodes, pay = fld._ax
+    n_uv, n_s = nodes.u.size, nodes.s.size
+    step = max(1, op._BLOCK_VALUES // n_s)
+    table = np.empty((pay.count, n_uv, n_s))
+    for a in range(0, n_uv, step):
+        block = pay.rows(a, min(a + step, n_uv))
+        assert block.shape == (pay.count, min(step, n_uv - a), n_s)
+        table[:, a : a + step] = block
+    return table
 
 
 def _old_split_stack(f, eps, lam, m, region, spec, offsets, parts):
@@ -516,23 +533,124 @@ def test_streamed_split_matches_full_table_construction(monkeypatch):
             assert _same_bits(_payload(E), want)
 
 
-def test_split_peak_memory_stays_near_the_payload():
+def _traced_peak(fn):
+    """(fn(), the peak bytes that fn allocated beyond what was live before)."""
     import tracemalloc
 
-    g = _testfield(4, 3)
-    region, spec = Region(16.0, 2.0 ** -5, 16.0), QuadSpec(order=8, t_order=6)
-    offsets = (0.0, 2.0, 4.0, 8.0)
-    op.distance_split(g, [0.01], 2.5, 4, region, spec, offsets, parts=(1,))  # warm caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        f1 = op.distance_split(g, [0.01], 2.5, 4, region, spec, offsets, parts=(1,))
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    payload = _payload(f1).nbytes
+    return out, peak
+
+
+def test_split_peak_memory_stays_near_the_payload():
+    g = _testfield(4, 3)
+    region, spec = Region(16.0, 2.0 ** -5, 16.0), QuadSpec(order=8, t_order=6)
+    offsets = (0.0, 2.0, 4.0, 8.0)
+
+    def stitched():
+        f1 = op.distance_split(g, [0.01], 2.5, 4, region, spec, offsets, parts=(1,))
+        return _payload(f1).nbytes
+
+    stitched()  # warm caches
+    payload, peak = _traced_peak(stitched)
     assert payload > 4e6  # far above the block temporaries
+    # the stitched table itself, and row blocks far below it
     assert peak < 1.5 * payload
+
+
+def _refined_split():
+    """thm7's refined split: part 1 over its largest node set."""
+    g = _testfield(4, 3)
+    region = Region(16.0, 2.0 ** -5, 16.0)
+    spec = QuadSpec(order=5, t_order=4, min_panel=0.25).refined()
+    return op.distance_split(g, [0.01], 2.5, 4, region, spec, (0.0, 2.0, 4.0, 8.0),
+                             parts=(1,))
+
+
+def test_refined_split_holds_no_payload_table():
+    # building stores the nodes and a payload builder, never the table
+    _refined_split()  # warm caches
+    fld, peak = _traced_peak(_refined_split)
+    nodes, pay = fld._ax
+    table = 8 * pay.count * nodes.u.size * nodes.s.size
+    assert table > 3.5e7  # the 38 MiB table the split once stored
+    assert peak < 0.1 * table
+    held = [c.cell_contents for c in pay.rows.__closure__] + list(vars(nodes).values())
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 5 and max(a.size for a in arrays) < nodes.u.size * nodes.s.size
+
+
+def test_lattice_evaluation_holds_one_tile_set_per_height():
+    fld = _refined_split()
+    nodes, pay = fld._ax
+    n_s = nodes.s.size
+    region = Region(16.0, 2.0 ** -5, 16.0)
+    # the 12 x 12 lattice of _sup_on_grid at the smoke budget
+    t = np.exp(np.linspace(math.log(region.t_min * 1.01), math.log(region.t_max * 0.99), 12))
+    r = np.linspace(0.0, region.x_max * 0.98, 12)
+    _, leaves = op._pairwise_leaves(nodes.u.size * n_s)
+    rows = max(hi - lo for lo, hi in leaves) // n_s + 2
+    tiles = 8 * rows * n_s
+    buffers = np.empty((rows, n_s)), np.empty((rows, n_s))
+    _, tile_set = _traced_peak(lambda: kernels.BergmanRows(4, 3, 1.0 + nodes.s, rows, buffers))
+    assert tile_set >= 2 * tiles  # c tau^a tiles and the tau^2 tile
+    pay.rows(0, rows)  # warm caches
+    _, leaf_rows = _traced_peak(lambda: pay.rows(0, rows))
+    got, peak = _traced_peak(lambda: fld.radial_values(r[:, None], t[None, :]))
+    assert got.shape == (1, 12, 12) and np.all(np.isfinite(got))
+    # 12 tile sets, one per height, and one leaf at a time: its payload
+    # rows, the two shared kernel buffers, the product buffer, and the
+    # lattice's distances and leaf sums; nothing near the 38 MiB table
+    bound = 12 * tile_set + leaf_rows + 3 * tiles + 8 * (rows + len(leaves)) * got.size
+    assert peak < 1.1 * bound, (peak, bound)
+    assert bound < 0.3 * 8 * nodes.u.size * n_s
+
+
+def test_eval_axial_groups_heights_bit_for_bit(monkeypatch):
+    import weakref
+
+    g = _testfield(2, 3)
+    region, spec = Region(4.0, 0.125, 4.0), QuadSpec(order=4, t_order=3)
+    fld = op.distance_split(g, [0.01, 0.1], 2.0, 3, region, spec)
+    # five distinct heights, unsorted, two of them at two distances each
+    d = np.array([2.5, 0.0, 0.7, 1.1, 0.0, 3.9, 0.2])
+    t = np.array([2.2, 0.3, 1.0, 0.3, 2.2, 0.6, 1.7])
+    want = _per_point_axial(fld, d, t)
+    nodes, pay = fld._ax
+    n_leaves = len(op._pairwise_leaves(nodes.u.size * nodes.s.size)[1])
+    built, live, most = [], [], [0]
+
+    def rows(r0, r1):
+        built.append((r0, r1))
+        return pay.rows(r0, r1)
+
+    class Counted(kernels.BergmanRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.append(weakref.ref(self))
+            most[0] = max(most[0], sum(ref() is not None for ref in live))
+
+    fld._ax = (nodes, op.PayloadRows(pay.count, rows))
+    monkeypatch.setattr(kernels, "BergmanRows", Counted)
+    # every height in one group, then groups of 1, 2 and 3 heights (the
+    # last group partial)
+    for group in (op._TAU_GROUP, 1, 2, 3):
+        monkeypatch.setattr(op, "_TAU_GROUP", group)
+        built.clear(), live.clear()
+        most[0] = 0
+        assert _same_bits(fld._eval_axial(d, t), want), group
+        # one tile set per height, at most one group's alive at once, and
+        # the payload made once per group
+        assert len(live) == 5 and most[0] == min(group, 5)
+        assert len(built) == -(-5 // group) * n_leaves
+    # each point's value is independent of the others in the call
+    for i in range(d.size):
+        assert _same_bits(fld._eval_axial(d[i : i + 1], t[i : i + 1]), want[:, i : i + 1])
 
 
 # ------------------------------------------------- streamed kernel reductions
@@ -562,22 +680,16 @@ def test_streamed_tree_sum_equals_np_sum(monkeypatch):
 
 
 def test_stacked_axial_evaluation_allocates_well_under_one_table():
-    import tracemalloc
-
     g = _testfield(4, 3)
     region, spec = Region(16.0, 2.0 ** -5, 16.0), QuadSpec(order=8, t_order=6)
     fld = op.distance_split(g, [0.01, 0.1], 2.5, 4, region, spec, (0.0, 2.0, 4.0, 8.0))
-    table = _payload(fld)[0].nbytes
-    assert _payload(fld).shape[0] == 4 and table > 8e6
+    stack = _payload(fld)
+    table = stack[0].nbytes
+    assert stack.shape[0] == 4 and table > 8e6
+    del stack
     d, t = np.array([0.5, 3.0]), np.array([1.0, 2.0])
     want = fld._eval_axial(d, t)  # warm caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        got = fld._eval_axial(d, t)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    got, peak = _traced_peak(lambda: fld._eval_axial(d, t))
     assert _same_bits(got, want)
     # a full kernel table and a full product table took 2.3 tables
     assert peak < 0.4 * table
