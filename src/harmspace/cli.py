@@ -502,9 +502,10 @@ def _cmd_whitney(args):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     region = Region(args.x_max, args.t_min, args.t_max)
-    # Peak memory is the summary's JSON text with its formatted cells, or
-    # the CSV cells: 0.61-0.66, 0.73-0.76 and 0.93-0.97 KB a box at
-    # n = 1, 2, 3 (ru_maxrss over the pre-call mark, 22k to 350k boxes).
+    # Peak memory is the box arrays, as the writers stream a chunk of
+    # records at a time: at most 60, 72 and 97 bytes a box at n = 1, 2, 3
+    # (ru_maxrss over the pre-call mark, 22k to 252k boxes).  The bound
+    # below still charges what the whole-text writers took, 0.6-0.97 KB.
     _check_whitney_bytes(region, args.n, 160 * (args.n + 5))
     cubes = whitney_cubes(region, args.n)
     level, centers = cubes.level, box_centers(cubes)

@@ -169,7 +169,11 @@ class KernelIntegralField(Field):
         groups, and each group makes the payload again.  Every payload of
         a stack shares a leaf's kernel values, and each value equals the
         np.sum of the full table bit for bit, whatever the block size.
+        A value depends on (d, t) alone, so each distinct pair is evaluated
+        once and the values are indexed back.
         """
+        pairs, where = np.unique(np.column_stack([d, t]), axis=0, return_inverse=True)
+        d, t = pairs[:, 0], pairs[:, 1]
         nodes, pay = self._ax
         n_s = nodes.s.size
         tree, leaves = _pairwise_leaves(nodes.u.size * n_s)
@@ -201,7 +205,7 @@ class KernelIntegralField(Field):
                         sums[li, j, i] = np.add.reduce(part)
             out[:, pts] = _tree_add(tree, sums)
             del q  # the next group's tiles replace these, never join them
-        return out
+        return out[:, where.ravel()]  # a 1-d inverse on numpy 1.23 and 2.x
 
     def _eval_flat(self, pts):
         """(P, m) values at points (m, 2), a chunk of points at a time.
@@ -380,13 +384,17 @@ def divergence_proxy(
         r, wr = quad.radial_quadrature(n, scale, reg.x_max, spec)
         n_s = svals.size
         rows = max(1, _BLOCK_VALUES // (n_s * t.size))
-        # one kernel row per (u, v) node: all (s, t) pairs, s slowest
-        q = kernels.BergmanRows(m_order, n, t[None, :] + svals[:, None], rows)
+        # one kernel row per (u, v) node over the distinct tau = t + s (s and
+        # t are one grid, so most pairs repeat), gathered back into all
+        # (s, t) pairs, s slowest
+        tau, tau_of = np.unique(t[None, :] + svals[:, None], return_inverse=True)
+        tau_of = tau_of.ravel()
+        q = kernels.BergmanRows(m_order, n, tau, rows)
         inner = np.zeros((A.shape[0], r.size, t.size))
         for i, ri in enumerate(r):
             D = nodes.dist_sq_to(ri)
             for a in range(0, D.size, rows):
-                kern = np.abs(q.block(D[a : a + rows]))
+                kern = np.abs(q.block(D[a : a + rows]))[:, tau_of]
                 inner[:, i, :] += A[:, a * n_s : (a + rows) * n_s] @ kern.reshape(-1, t.size)
         table[:, si] = (wr @ inner**p) @ (wt * t**alpha)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,15 +7,22 @@ sort_keys=True, indent=2, allow_nan=False)`` writes, with a ``Records``
 dicts; ``dump_csv`` writes a table given column by column.  Both format a
 column of floats at once, calling ``float.__repr__`` once per distinct
 value: a list of numbers in JSON, each column of a ``Records`` through
-one per-record template, and each float column of a CSV.
+one per-record template, and each float column of a CSV.  They format a
+``Records`` or a CSV table _RECORD_CHUNK records or rows at a time, and
+the file writers hand each piece of text to the file as it is made, so
+their memory does not grow with the table.  Each file writer writes a
+temporary file beside its target and moves it into place only when the
+whole text is written; on an error it leaves no file and the target as
+it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -136,6 +143,9 @@ _NON_FINITE = {"nan", "inf", "-inf"}  # float.__repr__ of the non-finite floats
 # Fewer values than this are formatted one by one: below it numpy's fixed
 # cost (about 20 us a call) exceeds the float.__repr__ calls it saves.
 _DEDUPE_MIN = 64
+# Records of a Records, or rows of a CSV table, that the writers format
+# at once: about 1 KB of cell and row text each at n = 2.
+_RECORD_CHUNK = 1 << 10
 
 
 def _float_texts(values) -> list:
@@ -196,28 +206,32 @@ class Records:
         return self.count
 
 
-def _records_texts(records: Records, level) -> list:
-    """JSON texts of the records at indent level, through one template."""
+def _record_chunks(records: Records, level):
+    """JSON texts of the records at indent level, through one template:
+    a list of texts per _RECORD_CHUNK records, made as it is asked for."""
     inner, item = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
     pieces, columns, text = [], [], "{"
     for i, key in enumerate(sorted(records.columns)):
         col = records.columns[key]
+        columns.append(col)
         text += ("," if i else "") + inner + encode_basestring_ascii(key) + ": "
-        cells = _json_numbers(col.ravel().tolist())
         if col.ndim == 1:
             pieces.append(text)
-            columns.append(cells)
             text = ""
             continue
-        width = col.shape[1]
-        for j in range(width):
+        for j in range(col.shape[1]):
             pieces.append(text + ("," if j else "[") + item)
-            columns.append(cells[j::width])
             text = ""
         text = inner + "]"
     template = "".join(p.replace("%", "%%") + "%s" for p in pieces)
     template += (text + "\n" + _INDENT * level + "}").replace("%", "%%")
-    return [template % row for row in zip(*columns)]
+    for a in range(0, records.count, _RECORD_CHUNK):
+        cells = []
+        for col in columns:
+            texts = _json_numbers(col[a : a + _RECORD_CHUNK].ravel().tolist())
+            width = 1 if col.ndim == 1 else col.shape[1]
+            cells.extend(texts[j::width] for j in range(width))
+        yield [template % row for row in zip(*cells)]
 
 
 def _json_key(key) -> str:
@@ -239,49 +253,49 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_encode(o, level, out):
-    """Append the JSON text of o at indent level to the list out."""
+def _json_encode(o, level, put):
+    """Pass the JSON text of o at indent level to put, piece by piece."""
     if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
+        put(encode_basestring_ascii(o))
     elif o is None:
-        out.append("null")
+        put("null")
     elif o is True:
-        out.append("true")
+        put("true")
     elif o is False:
-        out.append("false")
+        put("false")
     elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        put(int.__repr__(o))
     elif isinstance(o, float):
-        out.append(_json_float(o))
+        put(_json_float(o))
     elif isinstance(o, (list, tuple, Records)):
         if not len(o):
-            out.append("[]")
+            put("[]")
             return
         inner = "\n" + _INDENT * (level + 1)
+        sep = "[" + inner
         if isinstance(o, Records):
-            texts = _records_texts(o, level + 1)
-        else:
-            texts = _json_numbers(o) if _numbers(o) else None
-        if texts is not None:
-            out.append("[" + inner + ("," + inner).join(texts))
-        else:
-            sep = "[" + inner
-            for v in o:
-                out.append(sep)
-                _json_encode(v, level + 1, out)
+            for texts in _record_chunks(o, level + 1):
+                put(sep + ("," + inner).join(texts))
                 sep = "," + inner
-        out.append("\n" + _INDENT * level + "]")
+        elif _numbers(o):
+            put(sep + ("," + inner).join(_json_numbers(o)))
+        else:
+            for v in o:
+                put(sep)
+                _json_encode(v, level + 1, put)
+                sep = "," + inner
+        put("\n" + _INDENT * level + "]")
     elif isinstance(o, dict):
         if not o:
-            out.append("{}")
+            put("{}")
             return
         inner = "\n" + _INDENT * (level + 1)
         sep = "{" + inner
         for key, value in sorted(o.items()):
-            out.append(sep + _json_key(key) + ": ")
-            _json_encode(value, level + 1, out)
+            put(sep + _json_key(key) + ": ")
+            _json_encode(value, level + 1, put)
             sep = "," + inner
-        out.append("\n" + _INDENT * level + "}")
+        put("\n" + _INDENT * level + "}")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -293,21 +307,38 @@ def dumps_json(obj) -> str:
     JSON cannot hold (numpy integers included) or keys that do not sort.
     Circular structures are not detected."""
     out: list = []
-    _json_encode(obj, 0, out)
+    _json_encode(obj, 0, out.append)
     return "".join(out)
 
 
+@contextlib.contextmanager
+def _replacing(path, **open_args):
+    """A new text file beside path that replaces path when the block ends,
+    or is deleted, leaving path as it was, when the block raises."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", **open_args)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def dump_json(obj, path) -> None:
-    """Canonical JSON (see dumps_json) with a trailing newline."""
-    Path(path).write_text(dumps_json(obj) + "\n")
+    """Canonical JSON (see dumps_json) with a trailing newline, streamed to
+    path through a temporary file: on an error path is left as it was."""
+    with _replacing(path) as fh:
+        _json_encode(obj, 0, fh.write)
+        fh.write("\n")
 
 
 def _csv_cells(column) -> list:
     """The cells of one CSV column: floats as float.__repr__, numpy integers
     as ints, anything else as it is, for csv.writer to format and quote."""
     if isinstance(column, np.ndarray):
-        if column.ndim != 1:
-            raise ValueError(f"a CSV column must be 1-d, got shape {column.shape}")
         if column.dtype.kind == "f":
             return _float_texts(column)
         if column.dtype.kind != "O":
@@ -336,12 +367,16 @@ def row_columns(rows, width) -> list:
 
 def dump_csv(path, header, columns) -> None:
     """CSV of a table given column by column: one column per header name,
-    each a sequence or 1-d array, all of one length (else ValueError)."""
-    cells = [_csv_cells(c) for c in columns]
-    if len(cells) != len(header) or len({len(c) for c in cells}) > 1:
-        raise ValueError(f"{len(header)} header names for columns of lengths"
-                         f" {[len(c) for c in cells]}")
-    with open(path, "w", newline="") as fh:
+    each a sequence or 1-d array, all of one length (else ValueError),
+    streamed to path through a temporary file _RECORD_CHUNK rows at a time."""
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.ndim != 1:
+            raise ValueError(f"a CSV column must be 1-d, got shape {column.shape}")
+    lengths = [len(c) for c in columns]
+    if len(lengths) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"{len(header)} header names for columns of lengths {lengths}")
+    with _replacing(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(zip(*cells))
+        for a in range(0, max(lengths, default=0), _RECORD_CHUNK):
+            w.writerows(zip(*[_csv_cells(c[a : a + _RECORD_CHUNK]) for c in columns]))

@@ -632,7 +632,9 @@ def _exp_lemma6(b, rng, p):
 
 
 @_experiment("eq14-scaling", "slice-norm scaling of the dilated decaying family",
-             needs=(("p_exp * (n - 1 + l) > n", lambda p_exp, n, l: p_exp * (n - 1 + l) > n),),
+             needs=(("n >= 2 (the test fields are degenerate at n = 1)", lambda n: n >= 2),
+                    ("s > 0 (the dilation height of the source)", lambda s: s > 0.0),
+                    ("p_exp * (n - 1 + l) > n", lambda p_exp, n, l: p_exp * (n - 1 + l) > n)),
              n=3, l=1, p_exp=2.0, s=1.0)
 def _exp_eq14(b, rng, p):
     n, l, pe, s = p["n"], p["l"], p["p_exp"], p["s"]
@@ -667,7 +669,8 @@ def _exp_eq15(b, rng, p):
 
 
 @_experiment("thm4-scaling", "weighted volume-norm scaling of the dilated family",
-             needs=(("alpha * p_exp - 1 > -1", lambda alpha, p_exp: alpha * p_exp - 1.0 > -1.0),
+             needs=(("n >= 2 (the test fields are degenerate at n = 1)", lambda n: n >= 2),
+                    ("alpha * p_exp - 1 > -1", lambda alpha, p_exp: alpha * p_exp - 1.0 > -1.0),
                     ("p_exp * (n - 1 + l - alpha) > n",
                      lambda p_exp, n, l, alpha: p_exp * (n - 1 + l - alpha) > n)),
              n=3, l=1, p_exp=2.0, alpha=0.5)

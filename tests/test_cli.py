@@ -87,6 +87,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "lemma6", "--budget", "smoke", "--n", "0"],
         ["verify", "lemma6", "--budget", "smoke", "--n", "-1"],
         ["verify", "thm5-trace", "--k_order", "3", "--dry-run"],
+        ["verify", "eq14-scaling", "--budget", "smoke", "--s", "-1"],
+        ["verify", "eq14-scaling", "--budget", "smoke", "--n", "1"],
+        ["verify", "thm4-scaling", "--budget", "smoke", "--l", "3", "--n", "1"],
         ["ball", "convolve", "--left", str(nan), "--right", str(tmp_path / "g.json")],
         ["ball", "lambda", "--expansion", str(nan)],
     ]
@@ -102,6 +105,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             assert "lemma6 needs n in 1..4" in err, err
         elif "thm5-trace" in argv:
             assert "thm5-trace needs 1 <= k_order <= 2" in err and "k_order = 3" in err, err
+        elif argv[1] in ("eq14-scaling", "thm4-scaling"):
+            # the source's dilation height, and the dimension the test fields need
+            need, got = ("s > 0", "s = -1.0") if "--s" in argv else ("n >= 2", "n = 1")
+            assert f"{argv[1]} needs {need}" in err and got in err, err
         if str(nan) in argv:
             assert f"{nan} is not a valid expansion file" in err and "finite" in err, err
     assert not (tmp_path / "out").exists()

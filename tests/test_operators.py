@@ -771,3 +771,77 @@ def test_factored_eval_flat_matches_full_tables(monkeypatch):
                            rng.standard_normal((2, x.size * s.size)))
     assert x.size * s.size > op._BLOCK_VALUES
     assert _same_bits(big._eval_flat(pts[:4]), _old_eval_flat(big, pts[:4]))
+
+
+# ------------------------------------- one kernel evaluation per distinct argument
+
+
+def test_eval_axial_evaluates_each_distinct_point_once(monkeypatch):
+    g = _testfield(2, 3)
+    region, spec = Region(4.0, 0.125, 4.0), QuadSpec(order=4, t_order=3)
+    fld = op.distance_split(g, [0.01, 0.1], 2.0, 3, region, spec)
+    # 9 points, 5 distinct (d, t) pairs: repeats, a shared height at two
+    # distances and a shared distance at two heights
+    d = np.array([0.7, 0.0, 0.7, 2.5, 0.0, 0.7, 2.5, 0.7, 1.1])
+    t = np.array([1.0, 0.3, 1.0, 2.2, 0.3, 2.2, 2.2, 1.0, 1.0])
+    want = _per_point_axial(fld, d, t)  # the per-point loop, with no dedupe
+    blocks = []
+
+    class Counted(kernels.BergmanRows):
+        def block(self, D):
+            blocks.append(len(D))
+            return super().block(D)
+
+    monkeypatch.setattr(kernels, "BergmanRows", Counted)
+    assert _same_bits(fld._eval_axial(d, t), want)
+    nodes = fld._ax[0]
+    n_leaves = len(op._pairwise_leaves(nodes.u.size * nodes.s.size)[1])
+    assert len(blocks) == 5 * n_leaves
+    # through values(): the axis distance of each point, then the pairs
+    pts = np.column_stack([d, np.zeros_like(d), np.zeros_like(d), t])
+    assert _same_bits(fld.values(pts), want)
+
+
+def _all_tau_divergence_tables(fields, grids, lam, p, alpha, m_order, region, spec, scales):
+    """divergence_proxy's I tables by its loop before the distinct-tau
+    kernel rows: one kernel row over every (s, t) pair, s slowest."""
+    n, scale = fields[0].n, fields[0].scale
+    table = np.zeros((sum(e.size for e in grids), len(scales)))
+    for si, R in enumerate(scales):
+        reg = Region(region.x_max * R, region.t_min, region.t_max * R)
+        nodes = AxisymmetricNodes(reg, n, spec)
+        svals = nodes.s
+        masks = np.concatenate([
+            (svals[None, :] ** lam * np.abs(g.radial_values(
+                nodes.center_radius()[:, None], svals[None, :])))[None]
+            >= e[:, None, None]
+            for g, e in zip(fields, grids)
+        ])
+        wgt = nodes.w_uv[:, None] * nodes.w_s[None, :] * svals[None, :] ** (m_order - lam)
+        A = (masks * wgt).reshape(masks.shape[0], -1)
+        t, wt = quad.t_quadrature(reg, spec)
+        r, wr = quad.radial_quadrature(n, scale, reg.x_max, spec)
+        n_s = svals.size
+        rows = max(1, op._BLOCK_VALUES // (n_s * t.size))
+        q = kernels.BergmanRows(m_order, n, t[None, :] + svals[:, None], rows)
+        inner = np.zeros((A.shape[0], r.size, t.size))
+        for i, ri in enumerate(r):
+            D = nodes.dist_sq_to(ri)
+            for a in range(0, D.size, rows):
+                kern = np.abs(q.block(D[a : a + rows]))
+                inner[:, i, :] += A[:, a * n_s : (a + rows) * n_s] @ kern.reshape(-1, t.size)
+        table[:, si] = (wr @ inner**p) @ (wt * t**alpha)
+    return table
+
+
+def test_d2_estimate_on_distinct_tau_matches_the_all_pairs_loop():
+    n, pe, alpha, mo = 2, 1.0, -0.5, 4
+    lam = (alpha + n + 1) / pe
+    fields = [_testfield(4, n), fl.PowerField(n, lam)]
+    grids = [np.array([0.05, 0.2, 1e9]), np.array([0.5, 0.999, 2.0])]
+    region, spec, scales = Region(4.0, 0.125, 4.0), QuadSpec(order=4, t_order=3), (1.0, 2.0)
+    got = op.d2_estimate(fields, grids, pe, alpha, mo, region, spec, scales=scales)
+    want = np.split(_all_tau_divergence_tables(fields, grids, lam, pe, alpha, mo, region,
+                                               spec, scales), [3])
+    for (_, _, table, _), table_want in zip(got, want):
+        assert _same_bits(table, table_want)

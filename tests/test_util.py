@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,3 +344,106 @@ def test_dump_csv_quoting_and_ragged_tables(tmp_path):
     with pytest.raises(ValueError):
         util.row_columns([[1, 2], [3]], 2)
     assert util.row_columns([], 3) == [(), (), ()]
+
+
+# ------------------------------------------------ streamed file writers
+
+def _box_records(count, n=2, seed=0):
+    """A whitney-like Records of count boxes with distinct centres."""
+    rng = np.random.default_rng(seed)
+    return util.Records(level=rng.integers(-4, 2, count), index=rng.integers(0, 64, (count, n)),
+                        center=rng.random((count, n + 1)), side=rng.random(count))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_json_memory_does_not_grow_with_the_record_count(tmp_path):
+    # the whole-text writer took about 0.7 KB a box, 35 MB here; the
+    # streamed one holds one chunk of records' text
+    obj = {"count": 50_000, "cubes": _box_records(50_000)}
+    assert _traced_peak(util.dump_json, obj, tmp_path / "big.json") < 4 << 20
+    assert (tmp_path / "big.json").read_text() == util.dumps_json(obj) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.one_of(_JSON_OBJECTS, st.builds(lambda c: util.Records(**c), _record_columns())),
+       chunk=st.integers(1, 70))
+def test_dump_json_writes_dumps_json_across_chunks(tmp_path_factory, obj, chunk):
+    path = tmp_path_factory.mktemp("json") / "s.json"
+    with mock.patch.object(util, "_RECORD_CHUNK", chunk):
+        want = _outcome(util.dumps_json, obj)
+        if isinstance(want, str):
+            util.dump_json(obj, path)
+            assert path.read_bytes() == (want + "\n").encode()
+        else:
+            with pytest.raises(want):
+                util.dump_json(obj, path)
+            assert list(path.parent.iterdir()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables(), chunk=st.integers(1, 70))
+def test_dump_csv_writes_the_row_writer_across_chunks(tmp_path_factory, table, chunk):
+    header, cols, rows = table
+    d = tmp_path_factory.mktemp("csv")
+    _reference_csv(d / "old.csv", header, rows)
+    with mock.patch.object(util, "_RECORD_CHUNK", chunk):
+        util.dump_csv(d / "new.csv", header, cols)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def test_dump_csv_of_several_chunks_equals_the_row_writer(tmp_path):
+    rows = 2 * util._RECORD_CHUNK + 3
+    rng = np.random.default_rng(1)
+    cols = [rng.integers(-4, 2, rows), rng.random(rows), np.resize([0.5, -0.0, 1e-300], rows),
+            [f"r{i}" if i % 7 else None for i in range(rows)]]
+    util.dump_csv(tmp_path / "new.csv", list("abcd"), cols)
+    _reference_csv(tmp_path / "old.csv", list("abcd"), [list(r) for r in zip(*cols)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+def test_failed_writes_leave_no_file_and_the_old_file_as_it_was(tmp_path, monkeypatch):
+    removed = []  # the size of each temporary file deleted
+    remove = os.remove
+
+    def spy(path):
+        removed.append(os.path.getsize(path))
+        remove(path)
+    monkeypatch.setattr(util.os, "remove", spy)
+
+    records = _box_records(3 * util._RECORD_CHUNK)
+    records.columns["center"][-1, -1] = np.nan  # in the last record
+    cells = [1.5] * (3 * util._RECORD_CHUNK) + [_Unprintable()]
+    failures = [
+        ("s.json", lambda p: util.dump_json({"cubes": records}, p), ValueError,
+         "Out of range float values are not JSON compliant"),
+        ("t.csv", lambda p: util.dump_csv(p, ["a", "b"], [[1, 2], [3]]), ValueError,
+         r"2 header names for columns of lengths \[2, 1\]"),
+        ("t.csv", lambda p: util.dump_csv(p, ["a"], [cells]), RuntimeError, "no text"),
+    ]
+    for name, write, error, says in failures:
+        for old in (None, "old text\n"):
+            path = tmp_path / name
+            if old is not None:
+                path.write_text(old)
+            with pytest.raises(error, match=says):
+                write(path)
+            assert [f.name for f in tmp_path.iterdir()] == ([name] if old else [])
+            if old is not None:
+                assert path.read_text() == old
+                path.unlink()
+    # the NaN and the unprintable cell were met after text had gone to the
+    # temporary file, twice each; the ragged table is refused before any file
+    assert len(removed) == 4 and all(size > 0 for size in removed), removed
