@@ -503,10 +503,12 @@ def _cmd_whitney(args):
         raise UsageError("--n must be >= 1")
     region = Region(args.x_max, args.t_min, args.t_max)
     # Peak memory is the box arrays, as the writers stream a chunk of
-    # records at a time: at most 60, 72 and 97 bytes a box at n = 1, 2, 3
-    # (ru_maxrss over the pre-call mark, 22k to 252k boxes).  The bound
-    # below still charges what the whole-text writers took, 0.6-0.97 KB.
-    _check_whitney_bytes(region, args.n, 160 * (args.n + 5))
+    # records at a time.  ru_maxrss over the pre-call mark, at 0.3M to 4.1M
+    # boxes, read 56, 80, 102, 127 and 153 bytes a box at n = 1 to 5, at
+    # most 32 (n + 1); --lam adds the corner arrays and the measures, for
+    # 160, 192, 221, 253 and 287 bytes, about 32 (n + 4).  The check
+    # charges 1.5 times that.
+    _check_whitney_bytes(region, args.n, 48 * (args.n + (1 if args.lam is None else 4)))
     cubes = whitney_cubes(region, args.n)
     level, centers = cubes.level, box_centers(cubes)
     header = (["level", "side"] + [f"center_{i}" for i in range(args.n)]

@@ -100,9 +100,7 @@ def _within(name, value, lo, hi):
 
 
 def _true(name, flag, **info):
-    row = {"name": name, "ok": bool(flag)}
-    row.update(info)
-    return row
+    return {"name": name, "ok": bool(flag), **info}
 
 
 def _eq(name, value, target):
@@ -122,6 +120,19 @@ def _raises(name, fn, exc=ValueError):
     return _true(name, False, raised="nothing")
 
 
+def _reject_row(name, exp_id, p, key):
+    """A _raises row: check_params refuses p with key just past the zero of the
+    first need naming key (by 0.1 for a float, to the nearest integer for an int),
+    found by the secant through p[key] and p[key] + 1: a probed margin is affine."""
+    margin = next(m for _, m in EXPERIMENTS[exp_id].needs if key in _named(m))
+    args = {k: p[k] for k in _named(margin)}
+    m0, m1 = (margin(**{**args, key: p[key] + d}) for d in (0, 1))
+    zero = p[key] - m0 / (m1 - m0)
+    up = 1 if m1 > m0 else -1  # the refused side of the zero is -up
+    bad = up * math.floor(up * zero) if isinstance(p[key], int) else zero - 0.1 * up
+    return _raises(name, lambda: check_params(exp_id, {**p, key: bad}))
+
+
 # -------------------------------------------------------------- registry
 
 
@@ -138,7 +149,8 @@ EXPERIMENTS: dict = {}
 
 
 def _experiment(exp_id, summary, needs=(), **defaults):
-    """Register fn; needs holds (text, predicate of the parameters it names)."""
+    """Register fn.  needs holds (text, margin) pairs: the hypothesis in text
+    holds if and only if margin(the parameters it names) > 0."""
     def wrap(fn):
         EXPERIMENTS[exp_id] = Experiment(exp_id, summary, fn, defaults, needs)
         return fn
@@ -176,9 +188,14 @@ def _coerce(key, default, value):
         raise ValueError(f"parameter {key!r} must be {what}, got {value!r}") from None
 
 
+def _named(margin):
+    return margin.__code__.co_varnames[:margin.__code__.co_argcount]
+
+
 def check_params(exp_id, overrides=None):
     """exp_id's defaults under the overrides, each of its default's type, in its
-    _RANGES range and meeting the needs; else a ValueError naming the parameter."""
+    _RANGES range and with each need's margin > 0 (read in order, so a margin may
+    assume the needs before it); else a ValueError naming the parameter."""
     if exp_id not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {exp_id!r}")
     exp = EXPERIMENTS[exp_id]
@@ -191,12 +208,12 @@ def check_params(exp_id, overrides=None):
         lo, hi = _RANGES[key]
         if not lo <= val <= hi:
             raise ValueError(f"{exp_id} needs {key} in {lo}..{hi}, got {key} = {val}")
-    for text, holds in exp.needs:
-        names = holds.__code__.co_varnames[:holds.__code__.co_argcount]
-        args = {k: params[k] for k in names}
-        if not holds(**args):
+    for text, margin in exp.needs:
+        args = {k: params[k] for k in _named(margin)}
+        value = margin(**args)
+        if not value > 0:  # NaN fails too
             got = ", ".join(f"{k} = {v}" for k, v in args.items())
-            raise ValueError(f"{exp_id} needs {text}, got {got}")
+            raise ValueError(f"{exp_id} needs {text}, got {got} (margin {value})")
     return params
 
 
@@ -237,8 +254,7 @@ def run_suite(ids=None, budget="standard", seed=0, threads=1, overrides=None):
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            by_id = dict(zip(chosen, ex.map(one, chosen)))
-        reports = [by_id[i] for i in chosen]
+            reports = list(ex.map(one, chosen))  # in the order of chosen
     else:
         reports = [one(i) for i in chosen]
     n_fail = sum(r["verdict"] != "pass" for r in reports)
@@ -512,10 +528,9 @@ def _exp_lemma2(b, rng, p):
 # ===================================================== kernel decay fits
 
 
-def _scaling_fit(b, series, target, name, shift=0.0, extra=()):
-    """Log-log slope of series(x, spec) against x + shift on a dyadic grid:
-    on target, stable under spec.refined(), small residual; then `extra`.
-    Returns (checks, consts, arts, intercept)."""
+def _scaling_fit(b, series, target, name, shift=0.0):
+    """Log-log slope of series(x, spec) against x + shift on a dyadic grid, on target,
+    stable under spec.refined(), small residual: (checks, consts, arts, intercept)."""
     half = b.fit_points // 2
     x = 2.0 ** np.arange(-half, b.fit_points - half)
     spec = QuadSpec(order=b.order, t_order=b.t_order)
@@ -526,57 +541,52 @@ def _scaling_fit(b, series, target, name, shift=0.0, extra=()):
         _close("slope", slope, target, 0.1),
         _below("slope-drift", abs(slope2 - slope), 0.05),
         _below("fit-residual", resid, 0.05),
-        *extra,
     ]
     arts = {"fit": {"header": [name, "value"],
                     "rows": [[float(v + shift), float(y)] for v, y in zip(x, vals)]}}
     return checks, {"slope": slope}, arts, icept
 
 
+def _source_fit(b, p, exp_id, integrand, target, name):
+    """lemma4 and lemma5: the scaling fit of a _source_series over a wide
+    region, with a reject row on gamma and the fitted prefactor."""
+    region = Region(4096.0, 2.0 ** -12, 4096.0)
+
+    def series(xs, spec):
+        return _source_series(p["n"], region, spec, xs, integrand)
+
+    checks, consts, arts, icept = _scaling_fit(b, series, target, name)
+    checks.append(_reject_row("precondition-reject", exp_id, p, "gamma"))
+    consts["prefactor"] = math.exp(icept)
+    return checks, consts, arts
+
+
 @_experiment("lemma4", "kernel power integral: scaling in the evaluation height",
-             needs=(("delta > -1", lambda delta: delta > -1.0),
-                    ("gamma > n + 1 + delta", lambda gamma, n, delta: gamma > n + 1 + delta)),
+             needs=(("delta > -1", lambda delta: delta + 1.0),
+                    ("gamma > n + 1 + delta", lambda gamma, n, delta: gamma - (n + 1 + delta))),
              n=1, m_order=0, gamma=3.0, delta=0.0)
 def _exp_lemma4(b, rng, p):
     n, m, gamma, delta = p["n"], p["m_order"], p["gamma"], p["delta"]
-    region = Region(4096.0, 2.0 ** -12, 4096.0)
 
     def integrand(t, dsq, s):
         q = np.abs(kernels.bergman_from_sq(m, n, dsq, t + s))
         return q ** (gamma / (n + m + 1)) * s ** delta
 
-    def series(tg, spec):
-        return _source_series(n, region, spec, tg, integrand)
-
-    reject = _raises("precondition-reject",
-                     lambda: check_params("lemma4", {**p, "gamma": n + 1 + delta}))
-    checks, consts, arts, icept = _scaling_fit(
-        b, series, delta - gamma + n + 1, "t", extra=(reject,))
-    consts["prefactor"] = math.exp(icept)
-    return checks, consts, arts
+    return _source_fit(b, p, "lemma4", integrand, delta - gamma + n + 1, "t")
 
 
 @_experiment("lemma5", "reflected-distance power integral: scaling in the source height",
-             needs=(("alpha > -1", lambda alpha: alpha > -1.0),
+             needs=(("alpha > -1", lambda alpha: alpha + 1.0),
                     ("n + alpha < 2 * gamma - 1",
-                     lambda n, alpha, gamma: n + alpha < 2.0 * gamma - 1.0)),
+                     lambda n, alpha, gamma: (2.0 * gamma - 1.0) - (n + alpha))),
              n=1, alpha=0.0, gamma=2.0)
 def _exp_lemma5(b, rng, p):
     n, alpha, gamma = p["n"], p["alpha"], p["gamma"]
-    region = Region(4096.0, 2.0 ** -12, 4096.0)
 
     def integrand(s, dsq, t):
         return t ** alpha * (dsq + (t + s) ** 2) ** -gamma
 
-    def series(sg, spec):
-        return _source_series(n, region, spec, sg, integrand)
-
-    reject = _raises("precondition-reject",
-                     lambda: check_params("lemma5", {**p, "gamma": (n + alpha + 1.0) / 2.0}))
-    checks, consts, arts, icept = _scaling_fit(
-        b, series, alpha + n + 1 - 2.0 * gamma, "s", extra=(reject,))
-    consts["prefactor"] = math.exp(icept)
-    return checks, consts, arts
+    return _source_fit(b, p, "lemma5", integrand, alpha + n + 1 - 2.0 * gamma, "s")
 
 
 # ====================================================== excursion covering
@@ -632,9 +642,9 @@ def _exp_lemma6(b, rng, p):
 
 
 @_experiment("eq14-scaling", "slice-norm scaling of the dilated decaying family",
-             needs=(("n >= 2 (the test fields are degenerate at n = 1)", lambda n: n >= 2),
-                    ("s > 0 (the dilation height of the source)", lambda s: s > 0.0),
-                    ("p_exp * (n - 1 + l) > n", lambda p_exp, n, l: p_exp * (n - 1 + l) > n)),
+             needs=(("n >= 2 (the test fields are degenerate at n = 1)", lambda n: n - 1),
+                    ("s > 0 (the dilation height of the source)", lambda s: s),
+                    ("p_exp * (n - 1 + l) > n", lambda p_exp, n, l: p_exp * (n - 1 + l) - n)),
              n=3, l=1, p_exp=2.0, s=1.0)
 def _exp_eq14(b, rng, p):
     n, l, pe, s = p["n"], p["l"], p["p_exp"], p["s"]
@@ -648,11 +658,11 @@ def _exp_eq14(b, rng, p):
 
 
 @_experiment("eq15-scaling", "mixed-norm scaling of the dilated decaying family",
-             needs=(("q_exp * (n - 1 + l) > n", lambda q_exp, n, l: q_exp * (n - 1 + l) > n),
-                    ("alpha * p_exp > 0", lambda alpha, p_exp: alpha * p_exp > 0),
+             needs=(("q_exp * (n - 1 + l) > n", lambda q_exp, n, l: q_exp * (n - 1 + l) - n),
+                    ("alpha * p_exp > 0", lambda alpha, p_exp: alpha * p_exp),
                     ("(n / q_exp - (n - 1 + l) + alpha) * p_exp < 0",
                      lambda n, q_exp, l, alpha, p_exp:
-                     (n / q_exp - (n - 1 + l) + alpha) * p_exp < 0)),
+                     -((n / q_exp - (n - 1 + l) + alpha) * p_exp))),
              n=3, l=1, p_exp=2.0, q_exp=2.0, alpha=0.5)
 def _exp_eq15(b, rng, p):
     n, l, pe, qe, alpha = p["n"], p["l"], p["p_exp"], p["q_exp"], p["alpha"]
@@ -669,10 +679,10 @@ def _exp_eq15(b, rng, p):
 
 
 @_experiment("thm4-scaling", "weighted volume-norm scaling of the dilated family",
-             needs=(("n >= 2 (the test fields are degenerate at n = 1)", lambda n: n >= 2),
-                    ("alpha * p_exp - 1 > -1", lambda alpha, p_exp: alpha * p_exp - 1.0 > -1.0),
+             needs=(("n >= 2 (the test fields are degenerate at n = 1)", lambda n: n - 1),
+                    ("alpha * p_exp - 1 > -1", lambda alpha, p_exp: (alpha * p_exp - 1.0) + 1.0),
                     ("p_exp * (n - 1 + l - alpha) > n",
-                     lambda p_exp, n, l, alpha: p_exp * (n - 1 + l - alpha) > n)),
+                     lambda p_exp, n, l, alpha: p_exp * (n - 1 + l - alpha) - n)),
              n=3, l=1, p_exp=2.0, alpha=0.5)
 def _exp_thm4_scaling(b, rng, p):
     n, l, pe, alpha = p["n"], p["l"], p["p_exp"], p["alpha"]
@@ -743,15 +753,14 @@ def _carleson_panel(b):
     levels = list(range(0, -5, -1))
 
     def ray(x_target, label):
-        pts, ts, ws = [], [], []
+        pts, ts = [], []
         for j in levels:
             side = 2.0 ** j
             k = math.floor(x_target / side)
             x = (k + 0.5) * side
             pts.append(np.full(n, x))
             ts.append(1.5 * side)
-            ws.append(1.0)
-        return ca.AtomicMeasure(np.array(pts), ts, ws, label=label)
+        return ca.AtomicMeasure(np.array(pts), ts, np.ones(len(ts)), label=label)
 
     zero = ca.AtomicMeasure(np.zeros((1, n)), [1.0], [0.0], label="zero")
     atom = ca.AtomicMeasure.point_mass(np.full(n, 0.1), 1.0, 1.0, label="single-atom")
@@ -880,8 +889,9 @@ def _product_embedding(pe, s_vec):
 
 
 @_experiment("thm2-equivalence", "vector box condition vs product-family mass ratios",
-             needs=(("p_exp * (2 + l) > 2 + max((s1, s2)[:m])",
-                     lambda p_exp, l, s1, s2, m: p_exp * (2 + l) > 2 + max((s1, s2)[:m])),),
+             needs=(("min((s1, s2)[:m]) > -1", lambda s1, s2, m: min((s1, s2)[:m]) + 1.0),
+                    ("p_exp * (2 + l) > 2 + max((s1, s2)[:m])",
+                     lambda p_exp, l, s1, s2, m: p_exp * (2 + l) - (2 + max((s1, s2)[:m])))),
              m=2, p_exp=1.0, s1=0.5, s2=0.5, l=3)
 def _exp_thm2(b, rng, p):
     m, pe, l = p["m"], p["p_exp"], p["l"]
@@ -892,8 +902,9 @@ def _exp_thm2(b, rng, p):
 
 
 @_experiment("thm3-carleson", "single-function box condition vs mass ratios",
-             needs=(("1 + alpha < p_exp * (2 + l) - 1",
-                     lambda alpha, p_exp, l: 1 + alpha < p_exp * (2 + l) - 1),),
+             needs=(("alpha > -1", lambda alpha: alpha + 1.0),
+                    ("1 + alpha < p_exp * (2 + l) - 1",
+                     lambda alpha, p_exp, l: (p_exp * (2 + l) - 1) - (1 + alpha))),
              p_exp=1.0, alpha=0.5, l=3)
 def _exp_thm3(b, rng, p):
     pe, alpha, l = p["p_exp"], p["alpha"], p["l"]
@@ -903,8 +914,12 @@ def _exp_thm3(b, rng, p):
 
 
 @_experiment("thm4-carleson", "mixed and tent box conditions vs mass ratios",
-             needs=(("p_exp * (2 + l) > 1 + alpha * p_exp",
-                     lambda p_exp, l, alpha: p_exp * (2 + l) > 1 + alpha * p_exp),),
+             needs=(("alpha > 0", lambda alpha: alpha),
+                    # non-strict: positive while p_exp is below q_exp's next float
+                    ("p_exp <= q_exp",
+                     lambda p_exp, q_exp: math.nextafter(q_exp, math.inf) - p_exp),
+                    ("p_exp * (2 + l) > 1 + alpha * p_exp",
+                     lambda p_exp, l, alpha: p_exp * (2 + l) - (1 + alpha * p_exp))),
              p_exp=1.0, q_exp=2.0, alpha=0.5, l=3)
 def _exp_thm4_carleson(b, rng, p):
     pe, qe, alpha, l = p["p_exp"], p["q_exp"], p["alpha"], p["l"]
@@ -923,7 +938,7 @@ def _exp_thm4_carleson(b, rng, p):
 
 @_experiment("thm5-trace", "mean-extension trace round trip and slot collapse",
              needs=(("1 <= k_order <= 2 (the truncated region resolves the round trip "
-                     "only at those kernel orders)", lambda k_order: 1 <= k_order <= 2),),
+                     "only at those kernel orders)", lambda k_order: min(k_order, 3 - k_order)),),
              k_order=2, l=0)
 def _exp_thm5(b, rng, p):
     n = 3
@@ -976,7 +991,8 @@ def _exp_thm5(b, rng, p):
 
 
 @_experiment("thm6-trace", "diagonal-norm vs slot-norm comparability",
-             needs=(("k_order > 1 + s1 + s2", lambda k_order, s1, s2: k_order > 1 + s1 + s2),),
+             needs=(("s1 > -1", lambda s1: s1 + 1.0), ("s2 > -1", lambda s2: s2 + 1.0),
+                    ("k_order > 1 + s1 + s2", lambda k_order, s1, s2: k_order - (1 + s1 + s2))),
              k_order=2, s1=0.25, s2=0.25, p_exp=1.0)
 def _exp_thm6(b, rng, p):
     n, m = 1, 2
@@ -1028,11 +1044,7 @@ def _exp_thm6(b, rng, p):
 
     lhs4, rhs4 = product_sides(1.5, spec)
     consts["product_ratio_p1.5"] = lhs4 / rhs4
-    # the largest kernel order that k_order > 1 + s1 + s2 refuses; one
-    # below 0 is refused by the range
-    k_bad = math.floor(1 + p["s1"] + p["s2"])
-    checks.append(_raises("kernel-order-reject",
-                          lambda: check_params("thm6-trace", {**p, "k_order": k_bad})))
+    checks.append(_reject_row("kernel-order-reject", "thm6-trace", p, "k_order"))
     return checks, consts, arts
 
 
@@ -1040,10 +1052,10 @@ def _exp_thm6(b, rng, p):
 
 
 @_experiment("prop1", "product-kernel operator bounded by the weighted source norm",
-             needs=(("p_exp * a_i > -1 - s_i for i = 1, 2", lambda p_exp, a1, a2, s1, s2:
-                     p_exp * a1 > -1.0 - s1 and p_exp * a2 > -1.0 - s2),
-                    ("p_exp * b_i > 2 + s_i for i = 1, 2", lambda p_exp, b1, b2, s1, s2:
-                     p_exp * b1 > 2 + s1 and p_exp * b2 > 2 + s2)),
+             needs=(("p_exp * a1 > -1 - s1", lambda p_exp, a1, s1: p_exp * a1 - (-1.0 - s1)),
+                    ("p_exp * a2 > -1 - s2", lambda p_exp, a2, s2: p_exp * a2 - (-1.0 - s2)),
+                    ("p_exp * b1 > 2 + s1", lambda p_exp, b1, s1: p_exp * b1 - (2 + s1)),
+                    ("p_exp * b2 > 2 + s2", lambda p_exp, b2, s2: p_exp * b2 - (2 + s2))),
              a1=0.0, a2=0.0, b1=5.0, b2=5.0, s1=0.5, s2=0.5, p_exp=1.0, l=9)
 def _exp_prop1(b, rng, p):
     n, m = 1, 2
@@ -1078,9 +1090,7 @@ def _exp_prop1(b, rng, p):
     checks.append(_below("slot-region-growth", g_slot, 1.2))
     g_inner = lhs_value(slot, inner.scaled(2.0)) / L
     checks.append(_below("inner-region-growth", g_inner, 1.2))
-    # a b1 just inside the refused side of p_exp * b1 > 2 + s1
-    b_bad = (2 + p["s1"]) / pe - 0.1
-    checks.append(_raises("exponent-reject", lambda: check_params("prop1", {**p, "b1": b_bad})))
+    checks.append(_reject_row("exponent-reject", "prop1", p, "b1"))
     consts["slot_growth"] = g_slot
     consts["inner_growth"] = g_inner
     return checks, consts, {}
@@ -1091,9 +1101,9 @@ def _exp_prop1(b, rng, p):
 
 @_experiment("thm7-distance", "weighted-sup distance: split, bound, grid estimate",
              needs=(("p_exp * (2 + l) > 4 + alpha",
-                     lambda p_exp, l, alpha: p_exp * (2 + l) > 4 + alpha),
+                     lambda p_exp, l, alpha: p_exp * (2 + l) - (4 + alpha)),
                     ("m_order > max((alpha + 4) / p_exp - 1, alpha / p_exp)",
-                     lambda m_order, alpha, p_exp: m_order > max((alpha + 4) / p_exp - 1.0,
+                     lambda m_order, alpha, p_exp: m_order - max((alpha + 4) / p_exp - 1.0,
                                                                  alpha / p_exp))),
              p_exp=1.0, alpha=-0.5, m_order=4, l=4)
 def _exp_thm7(b, rng, p):
@@ -1241,7 +1251,7 @@ def _exp_ball_basis(b, rng, p):
 
 
 @_experiment("ball-norms", "ball norm identities and coefficient-multiplier algebra",
-             alpha=0.7)
+             needs=(("alpha > -1", lambda alpha: alpha + 1.0),), alpha=0.7)
 def _exp_ball_norms(b, rng, p):
     al = p["alpha"]
     checks, consts, arts = [], {}, {}
@@ -1423,7 +1433,7 @@ def _ball_weighted_sup(f, beta, grid, levels):
 
 
 @_experiment("thm8-multiplier", "boundary-slice functional for sup-weighted targets",
-             needs=(("s > 1 and beta > 0", lambda s, beta: s > 1.0 and beta > 0.0),),
+             needs=(("s > 1", lambda s: s - 1.0), ("beta > 0", lambda beta: beta)),
              s=2.0, beta=1.0)
 def _exp_thm8(b, rng, p):
     n = 2
@@ -1457,25 +1467,24 @@ def _exp_thm8(b, rng, p):
         ratios.append(ratio)
         rrows.append([i, lhs, rhs, ratio])
         if worst is None or ratio >= max(ratios):
-            worst = (fE, cf)
+            worst = cf
     checks.append(_true("ratio-table-finite",
                         bool(np.all(np.isfinite(ratios)))))
     consts["sufficiency_constant"] = float(max(ratios))
     arts["ratio_table"] = {"header": ["panel", "weighted_sup", "bound", "ratio"],
                            "rows": rrows}
 
-    fE, cf = worst
-    lhs_fine = _ball_weighted_sup(cf, beta, bl.SphereGrid(n, res + res // 2),
+    lhs_fine = _ball_weighted_sup(worst, beta, bl.SphereGrid(n, res + res // 2),
                                   b.rho_levels + 2)
-    lhs_base = _ball_weighted_sup(cf, beta, grid, b.rho_levels)
+    lhs_base = _ball_weighted_sup(worst, beta, grid, b.rho_levels)
     checks.append(_close("sup-grid-stability", lhs_fine / lhs_base, 1.0, 0.05))
     return checks, consts, arts
 
 
 @_experiment("thm9-multiplier", "derivative-weighted slice functional, mixed-norm sources",
-             needs=(("q > 1", lambda q: q > 1.0),
+             needs=(("q > 1", lambda q: q - 1.0),
                     ("m_order > max(alpha - beta - 1, beta - 1)",
-                     lambda m_order, alpha, beta: m_order > max(alpha - beta - 1.0, beta - 1.0))),
+                     lambda m_order, alpha, beta: m_order - max(alpha - beta - 1.0, beta - 1.0))),
              q=2.0, alpha=1.0, beta=0.5, m_order=2, p_exp=1.0)
 def _exp_thm9(b, rng, p):
     n = 2
@@ -1495,9 +1504,7 @@ def _exp_thm9(b, rng, p):
     Mq = slice_functional(c_full, q, e9, mo + 1.0, b.rho_levels, grid)[0]
     consts["functional_at_q"] = Mq
 
-    rows = []
-    fits = []
-    end_ratios = []
+    rows, fits, end_ratios = [], [], []
     for i in range(b.panel):
         fE = bl.Expansion.random(n, K, seed=int(rng.integers(2 ** 31)), decay=1.3)
         cf = c_half.apply(fE)
@@ -1524,7 +1531,9 @@ def _exp_thm9(b, rng, p):
 
 
 @_experiment("thm10-functionals", "derivative-slice functionals for gradient-norm sources",
-             needs=(("s > 1", lambda s: s > 1.0),),
+             needs=(("s > 1", lambda s: s - 1.0),
+                    ("alpha - 1 > -1 (the weight of the gradient mixed norm)",
+                     lambda alpha: (alpha - 1.0) + 1.0)),
              s=2.0, alpha=1.0, beta=0.5, m_order=2)
 def _exp_thm10(b, rng, p):
     n = 2

@@ -549,12 +549,7 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
         assert cli.main(["whitney", "--n", "1", "--x-max", x_max, "--out", str(out)]) == 2
         assert "extents" in capsys.readouterr().err
     assert not out.exists()
-    # whitney's budget is 1120 bytes a box at n = 2
-    count = [whitney_count(Region(x, 2.0 ** -4, 4.0), 2) for x in (13.125, 13.25)]
-    assert count[0] * 1120 <= cli.MAX_ARRAY_BYTES < count[1] * 1120
-    with pytest.raises(AssertionError, match="guard"):
-        cli.main(["whitney", "--n", "2", "--x-max", "13.125", "--out", str(out)])
-    assert cli.main(["whitney", "--n", "2", "--x-max", "13.25", "--out", str(out)]) == 2
+    # whitney's per-box charge: test_whitney_budget_charges_its_measured_peak_a_box
     # a table of exactly the budget passes the guard and reaches sphere_grid
     cols = cli.MAX_ARRAY_BYTES // 16 // 32
     assert 16 * 32 * cols == cli.MAX_ARRAY_BYTES
@@ -563,6 +558,33 @@ def test_oversized_whitney_and_ball_norm_requests_exit_two(tmp_path, capsys, mon
     with pytest.raises(AssertionError, match="guard"):
         cli.main(argv + ["--resolution", str(cols)])
     assert cli.main(argv + ["--resolution", str(cols + 1)]) == 2
+
+
+def test_whitney_budget_charges_its_measured_peak_a_box(tmp_path, capsys, monkeypatch):
+    # whitney charges 48 (n + 1) bytes a box, and 48 (n + 4) with --lam: 1.5
+    # times the ru_maxrss peak measured at n = 1 to 5.  Under a 1 MiB budget
+    # the largest region within it runs and writes every box; a region
+    # 2^-40 wider holds more boxes and exits 2 before any is built
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 1 << 20)
+    for n in (1, 2, 3):
+        for lam in ([], ["--lam", "0.5"]):
+            per_box = 48 * (n + (4 if lam else 1))
+
+            def fits(x, n=n, per_box=per_box):
+                return whitney_count(Region(x, 2.0 ** -4, 4.0), n) * per_box <= 1 << 20
+
+            lo, hi = 0.125, 2048.0
+            while hi - lo > 2.0 ** -40:
+                lo, hi = ((lo + hi) / 2, hi) if fits((lo + hi) / 2) else (lo, (lo + hi) / 2)
+            assert fits(lo) and not fits(hi)
+            argv = ["whitney", "--n", str(n), *lam, "--out", str(tmp_path)]
+            assert cli.main(argv + ["--x-max", repr(hi)]) == 2, (n, lam)
+            err = capsys.readouterr().err
+            assert "boxes would take" in err and "array budget" in err, err
+            assert cli.main(argv + ["--x-max", repr(lo)]) == 0, (n, lam)
+            capsys.readouterr()
+            count = read_summary(tmp_path, "whitney")["count"]
+            assert count == whitney_count(Region(lo, 2.0 ** -4, 4.0), n) > 1000
 
 
 def test_oversized_carleson_and_cubes_norm_requests_exit_two(tmp_path, capsys,

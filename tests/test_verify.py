@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import zlib
 
@@ -107,20 +108,96 @@ def test_needs_answer_everywhere_in_the_ranges():
                 assert str(e).startswith(f"{exp_id} needs "), e
 
 
+_UP, _DOWN = math.inf, -math.inf
+
+# Each need's boundary, pinned: (id, need text, key, accepted, refused, other
+# overrides), where refused is the next float past accepted (the next integer
+# for an int), so the margin changes sign between the two.
+NEED_BOUNDARIES = [
+    ("lemma4", "delta > -1", "delta", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("lemma4", "gamma > n + 1 + delta", "gamma", math.nextafter(2.0, _UP), 2.0, {}),
+    ("lemma5", "alpha > -1", "alpha", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("lemma5", "n + alpha < 2 * gamma - 1", "gamma", math.nextafter(1.0, _UP), 1.0, {}),
+    ("eq14-scaling", "n >= 2", "n", 2, 1, {}),
+    ("eq14-scaling", "s > 0", "s", 5e-324, 0.0, {}),
+    ("eq14-scaling", "p_exp * (n - 1 + l) > n", "p_exp", math.nextafter(1.0, _UP), 1.0, {}),
+    # at q_exp's boundary the third need admits only alpha below about 4e-16
+    ("eq15-scaling", "q_exp * (n - 1 + l) > n", "q_exp", math.nextafter(1.0, _UP), 1.0,
+     {"alpha": 1e-16}),
+    ("eq15-scaling", "alpha * p_exp > 0", "alpha", 5e-324, 0.0, {}),
+    ("eq15-scaling", "(n / q_exp - (n - 1 + l) + alpha) * p_exp < 0", "alpha",
+     math.nextafter(1.5, _DOWN), 1.5, {}),
+    ("thm4-scaling", "n >= 2", "n", 2, 1, {}),
+    # 2 alpha - 1 rounds to -1 up to alpha = 2^-55 (a tie, to even)
+    ("thm4-scaling", "alpha * p_exp - 1 > -1", "alpha", math.nextafter(2.0 ** -55, _UP),
+     2.0 ** -55, {}),
+    ("thm4-scaling", "p_exp * (n - 1 + l - alpha) > n", "alpha", math.nextafter(1.5, _DOWN),
+     1.5, {}),
+    ("thm2-equivalence", "min((s1, s2)[:m]) > -1", "s1", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("thm2-equivalence", "p_exp * (2 + l) > 2 + max((s1, s2)[:m])", "p_exp",
+     math.nextafter(0.5, _UP), 0.5, {}),
+    ("thm3-carleson", "alpha > -1", "alpha", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("thm3-carleson", "1 + alpha < p_exp * (2 + l) - 1", "p_exp", math.nextafter(0.5, _UP),
+     0.5, {}),
+    ("thm4-carleson", "alpha > 0", "alpha", 5e-324, 0.0, {}),
+    ("thm4-carleson", "p_exp <= q_exp", "p_exp", 2.0, math.nextafter(2.0, _UP), {}),
+    ("thm4-carleson", "p_exp * (2 + l) > 1 + alpha * p_exp", "l", 4, 3, {"alpha": 4.0}),
+    ("thm5-trace", "1 <= k_order <= 2", "k_order", 1, 0, {}),
+    ("thm5-trace", "1 <= k_order <= 2", "k_order", 2, 3, {}),
+    ("thm6-trace", "s1 > -1", "s1", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("thm6-trace", "s2 > -1", "s2", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("thm6-trace", "k_order > 1 + s1 + s2", "k_order", 2, 1, {}),
+    ("prop1", "p_exp * a1 > -1 - s1", "a1", math.nextafter(-1.5, _UP), -1.5, {}),
+    ("prop1", "p_exp * a2 > -1 - s2", "a2", math.nextafter(-1.5, _UP), -1.5, {}),
+    ("prop1", "p_exp * b1 > 2 + s1", "b1", math.nextafter(2.5, _UP), 2.5, {}),
+    ("prop1", "p_exp * b2 > 2 + s2", "b2", math.nextafter(2.5, _UP), 2.5, {}),
+    ("thm7-distance", "p_exp * (2 + l) > 4 + alpha", "l", 3, 2, {"alpha": 0.0}),
+    ("thm7-distance", "m_order > max((alpha + 4) / p_exp - 1, alpha / p_exp)", "m_order",
+     3, 2, {}),
+    ("ball-norms", "alpha > -1", "alpha", math.nextafter(-1.0, _UP), -1.0, {}),
+    ("thm8-multiplier", "s > 1", "s", math.nextafter(1.0, _UP), 1.0, {}),
+    ("thm8-multiplier", "beta > 0", "beta", 5e-324, 0.0, {}),
+    ("thm9-multiplier", "q > 1", "q", math.nextafter(1.0, _UP), 1.0, {}),
+    ("thm9-multiplier", "m_order > max(alpha - beta - 1, beta - 1)", "m_order", 2, 1,
+     {"alpha": 2.5}),
+    ("thm10-functionals", "s > 1", "s", math.nextafter(1.0, _UP), 1.0, {}),
+    # alpha - 1 rounds to -1 up to alpha = 2^-54 (a tie, to even)
+    ("thm10-functionals", "alpha - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
+     2.0 ** -54, {}),
+]
+
+
 def test_reject_rows_alter_a_parameter_past_its_need():
     # the precondition-reject, kernel-order-reject and exponent-reject rows
     for exp_id, key, value in (("lemma4", "gamma", 2.0), ("lemma5", "gamma", 1.0),
                                ("thm6-trace", "k_order", 1), ("prop1", "b1", 2.4)):
         with pytest.raises(ValueError, match=f"^{exp_id} needs .*{key} = {value}"):
             vf.check_params(exp_id, {key: value})
+    # every need's boundary, between neighbouring values of one parameter
+    for exp_id, text, key, good, bad, others in NEED_BOUNDARIES:
+        if isinstance(good, int):
+            assert abs(good - bad) == 1
+        else:
+            assert math.nextafter(good, bad) == bad, (exp_id, text)
+        assert vf.check_params(exp_id, {**others, key: good})[key] == good
+        with pytest.raises(ValueError, match="^" + re.escape(f"{exp_id} needs {text}") + ".*"
+                           + re.escape(f"{key} = {bad}") + r".* \(margin -?[0-9.e-]+\)$"):
+            vf.check_params(exp_id, {**others, key: bad})
+    pinned = {(exp_id, text) for exp_id, text, *_ in NEED_BOUNDARIES}
+    for exp_id, exp in vf.EXPERIMENTS.items():
+        for text, _ in exp.needs:
+            assert any(exp_id == i and text.startswith(t) for i, t in pinned), (exp_id, text)
 
 
-@pytest.mark.parametrize("exp_id, overrides, row", [
+REJECT_ROW_POINTS = [
     ("thm6-trace", {"s1": 0.0, "s2": -0.1}, "kernel-order-reject"),
     ("thm6-trace", {"s1": -0.5, "s2": -0.5}, "kernel-order-reject"),
     ("prop1", {"s1": -0.5}, "exponent-reject"),
     ("prop1", {"p_exp": 2.0}, "exponent-reject"),
-])
+]
+
+
+@pytest.mark.parametrize("exp_id, overrides, row", REJECT_ROW_POINTS)
 def test_reject_rows_hold_inside_each_hypothesis(exp_id, overrides, row):
     # at these parameters k_order = 1 and b1 = 2.4 meet the hypothesis: each
     # row probes a value on the refused side of the run's own boundary
@@ -130,6 +207,39 @@ def test_reject_rows_hold_inside_each_hypothesis(exp_id, overrides, row):
     # prop1 at s1 = -0.5 also fails slot-region-growth, which is not this row
     if exp_id == "thm6-trace":
         assert rep["verdict"] == "pass"
+
+
+# the key each experiment's reject row moves, and the need that must refuse it
+REJECT_ROW_NEEDS = {"lemma4": ("gamma", "gamma > n + 1 + delta"),
+                    "lemma5": ("gamma", "n + alpha < 2 * gamma - 1"),
+                    "thm6-trace": ("k_order", "k_order > 1 + s1 + s2"),
+                    "prop1": ("b1", "p_exp * b1 > 2 + s1")}
+
+
+@pytest.mark.parametrize("exp_id, overrides, probe", [
+    ("lemma4", {}, 1.9), ("lemma5", {}, 0.9), ("thm6-trace", {}, 1), ("prop1", {}, 2.4),
+    *((i, o, probe) for (i, o, _), probe in zip(REJECT_ROW_POINTS, (0, 0, 1.4, 1.15))),
+])
+def test_reject_row_probe_is_refused_by_its_need(monkeypatch, exp_id, overrides, probe):
+    # the row steps 0.1 (a float) or to the next integer past the zero of the
+    # first need naming its key; at the defaults it probes prop1's b1 = 2.4 and
+    # thm6's k_order = 1, and the range never refuses the probe
+    key, need = REJECT_ROW_NEEDS[exp_id]
+    real, refused = vf.check_params, []
+
+    def recorded(i, over):
+        try:
+            return real(i, over)
+        except ValueError as e:
+            refused.append((over[key], str(e)))
+            raise
+
+    p = real(exp_id, overrides)
+    monkeypatch.setattr(vf, "check_params", recorded)
+    assert vf._reject_row("row", exp_id, p, key) == {"name": "row", "ok": True}
+    [(value, message)] = refused
+    assert type(value) is type(probe) and value == pytest.approx(probe, rel=1e-15)
+    assert message.startswith(f"{exp_id} needs {need}, got "), message
 
 
 def test_box_condition_norm_takes_each_distinct_slot_exponent_once(monkeypatch):
