@@ -15,6 +15,11 @@ Note Lambda_t Lambda_u != Lambda_{t+u}: gamma ratios at shifted bases do
 not telescope, so this family is not a semigroup in t; linearity and
 injectivity are what the property tests assert.
 
+A coefficient multiplier c = {c_k^j} is held as its symbol: the Expansion
+of its g-function g_c, whose coefficients are the c_k^j.  It acts on f as
+the coefficient product convolve(f, g_c); diagonal_symbol builds the
+symbol that scales each degree by one value, as Lambda_t does.
+
 The norms take a sphere-grid resolution, or a SphereGrid built already,
 whose basis rows they then share with the grid's other users.
 """
@@ -198,23 +203,18 @@ def poisson_ball(x, yprime) -> np.ndarray:
     return (1 - np.sum(x * x, axis=-1)) / np.sum(diff * diff, axis=-1) ** (n / 2)
 
 
-def _degree_blocks(n: int, blocks, what: str) -> list:
-    """blocks as flat complex arrays, degree k's of size d_k, all finite."""
-    out = [np.asarray(b, dtype=complex).ravel() for b in blocks]
-    for k, b in enumerate(out):
-        if b.size != dim_harmonics(n, k):
-            raise ValueError(f"degree {k} block has wrong size {b.size}")
-    if out and not np.isfinite(np.concatenate(out)).all():
-        raise ValueError(f"{what} must be finite")
-    return out
-
-
 class Expansion:
     """Finite spherical expansion sum_k r^k sum_j b_k^j Y_j^(k)."""
 
     def __init__(self, n: int, coeffs):
+        """coeffs: degree k's block of d_k values for k = 0..cap, all finite."""
         self.n = n
-        self.coeffs = _degree_blocks(n, coeffs, "expansion coefficients")
+        self.coeffs = [np.asarray(b, dtype=complex).ravel() for b in coeffs]
+        for k, b in enumerate(self.coeffs):
+            if b.size != dim_harmonics(n, k):
+                raise ValueError(f"degree {k} block has wrong size {b.size}")
+        if self.coeffs and not np.isfinite(np.concatenate(self.coeffs)).all():
+            raise ValueError("expansion coefficients must be finite")
 
     @property
     def cap(self) -> int:
@@ -265,49 +265,22 @@ class Expansion:
         return cls(obj["n"], blocks)
 
 
-class Multiplier:
-    """Coefficient multiplier c = {c_k^j}; acts blockwise on expansions."""
-
-    def __init__(self, n: int, blocks):
-        self.n = n
-        self.blocks = _degree_blocks(n, blocks, "multiplier values")
-
-    @property
-    def cap(self) -> int:
-        return len(self.blocks) - 1
-
-    @classmethod
-    def diagonal(cls, n: int, cap: int, values) -> "Multiplier":
-        vals = np.asarray(values, dtype=complex).ravel()
-        if vals.size != cap + 1:
-            raise ValueError("need one value per degree")
-        return cls(
-            n, [np.full(dim_harmonics(n, k), vals[k]) for k in range(cap + 1)]
-        )
-
-    def diagonal_values(self) -> np.ndarray:
-        return np.array([b[0] for b in self.blocks])
-
-    def apply(self, f: Expansion) -> Expansion:
-        if f.n != self.n:
-            raise ValueError("dimension mismatch")
-        cap = min(self.cap, f.cap)
-        return Expansion(
-            self.n, [self.blocks[k] * f.coeffs[k] for k in range(cap + 1)]
-        )
-
-    def g_function(self) -> Expansion:
-        """The expansion g_c with coefficients c_k^j (the symbol itself)."""
-        return Expansion(self.n, self.blocks)
+def diagonal_symbol(n: int, values) -> Expansion:
+    """The symbol whose degree-k block is values[k] repeated d_k times: the
+    multiplier that scales degree k of an expansion by values[k]."""
+    return Expansion(n, [np.full(dim_harmonics(n, k), v, dtype=complex)
+                         for k, v in enumerate(values)])
 
 
 def convolve(f: Expansion, g: Expansion) -> Expansion:
     """Blockwise coefficient product, truncated to the smaller cap.
 
-    This is the multiplier action of g's coefficients on f; it is
-    commutative and linear in each argument, which the property tests
-    assert.  The multiplier functionals (verify.slice_functional) take
-    the Poisson slice of a diagonal symbol as one zonal row instead.
+    With g a multiplier symbol (diagonal_symbol, multiplier_lambda) this is
+    the multiplier's action on f; callers pass the expansion first and the
+    symbol second.  It is commutative and linear in each argument, which
+    the property tests assert.  The multiplier functionals
+    (verify.slice_functional) take the Poisson slice of a diagonal symbol
+    as one zonal row instead.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
@@ -317,24 +290,25 @@ def convolve(f: Expansion, g: Expansion) -> Expansion:
 
 def fractional_derivative(t: float, f: Expansion) -> Expansion:
     """Lambda_t f: diagonal gamma-ratio multiplier of order t > 0."""
-    return multiplier_lambda(f.n, f.cap, t).apply(f)
+    return convolve(f, multiplier_lambda(f.n, f.cap, t))
 
 
-def multiplier_lambda(n: int, cap: int, t: float) -> Multiplier:
+def multiplier_lambda(n: int, cap: int, t: float) -> Expansion:
+    """The diagonal symbol of Lambda_t through degree cap."""
     check_positive(order=t)
     try:
         vals = [gamma_ratio(k + n / 2, t) / math.gamma(t) for k in range(cap + 1)]
     except OverflowError:  # a gamma past the float64 range
         raise ValueError(f"the order-{t:g} multiplier overflows float64")
-    return Multiplier.diagonal(n, cap, vals)
+    return diagonal_symbol(n, vals)
 
 
-def conv_poisson_matrix(c: Multiplier, rho: float, grid) -> np.ndarray:
+def conv_poisson_matrix(c: Expansion, rho: float, grid) -> np.ndarray:
     """h_rho(x', y') = sum_k rho^k sum_j c_k^j Y_j(x') Y_j(y') on the points
-    of grid (a SphereGrid or a point array), shape (m, m).
+    of grid (a SphereGrid or a point array), shape (m, m), for the symbol c.
 
     h_rho is (g_c * P_{x'})(rho y'): the Poisson slice of the multiplier
-    symbol.  Symmetric for any blocks; for diagonal blocks it is zonal:
+    symbol.  Symmetric for any symbol; for a diagonal one it is zonal:
     h = sum_k rho^k c_k Z_k(x'.y').  Each degree's term
     E_k = sum_j c_k^j Y_j Y_j is added, as rho^k E_k, in degree order.  The
     matrix itself is what ball-norms' slice-convolution-identity and
@@ -343,7 +317,7 @@ def conv_poisson_matrix(c: Multiplier, rho: float, grid) -> np.ndarray:
     """
     _, rows = _basis_on(c.n, grid)
     rho = float(rho)
-    for k, b in enumerate(c.blocks):
+    for k, b in enumerate(c.coeffs):
         Y = rows(k)
         E = np.einsum("j,jx,jy->xy", b, Y, Y)
         if k == 0:
@@ -373,12 +347,18 @@ def radial_jacobi_quadrature(a_exp: float, n: int, count: int, what: str = "a"):
     and the remaining smooth parts belong to g and are folded into the
     returned weights as (1+...) terms evaluated at the nodes.
     Returned weights include r^(n-1) and the (1-r)^a factor.  A
-    rejected a is named `what`.
+    rejected a is named `what`: one outside (-1, MAX_WEIGHT_EXPONENT], or
+    one so close to -1 that scipy's rule comes back with a non-finite node
+    or weight (from about 4e-15 above -1 at 40 nodes).
     """
     from scipy.special import roots_jacobi
 
     check_weight_exponent(a_exp, what)
-    xi, w = roots_jacobi(count, a_exp, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused below instead
+        xi, w = roots_jacobi(count, a_exp, 0.0)
+    if not (np.isfinite(xi).all() and np.isfinite(w).all()):
+        raise ValueError(f"{what}, the radial weight exponent, is too close to -1 for"
+                         f" a {count}-node Gauss-Jacobi rule, got {a_exp!r}")
     r = 0.5 * (xi + 1.0)
     # (1 - xi)^a dxi = (2(1-r))^a 2 dr
     scale = 2.0 ** (-(a_exp + 1))

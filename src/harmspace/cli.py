@@ -411,15 +411,18 @@ def _parse_symbol(spec, cap):
     vals = _load_json(rest) if name == "file" else None
     try:
         if name in ("decay", "growth"):
-            with np.errstate(over="ignore"):  # Multiplier rejects an inf value
+            with np.errstate(over="ignore"):  # the symbol rejects an inf value
                 power = float(rest) if name == "growth" else -float(rest)
-                return bl.Multiplier.diagonal(2, cap, (1.0 + k) ** power)
+                return bl.diagonal_symbol(2, (1.0 + k) ** power)
         if name == "identity":
-            return bl.Multiplier.diagonal(2, cap, np.ones(cap + 1))
+            return bl.diagonal_symbol(2, np.ones(cap + 1))
         if name == "zero":
-            return bl.Multiplier.diagonal(2, cap, np.zeros(cap + 1))
+            return bl.diagonal_symbol(2, np.zeros(cap + 1))
         if name == "file":
-            return bl.Multiplier.diagonal(2, cap, np.asarray(vals, dtype=complex))
+            vals = np.asarray(vals, dtype=complex).ravel()
+            if vals.size != cap + 1:
+                raise ValueError("need one value per degree")
+            return bl.diagonal_symbol(2, vals)
     except (TypeError, ValueError) as e:
         raise UsageError(f"malformed symbol spec {spec!r}: {e}")
     raise UsageError(
@@ -477,7 +480,7 @@ def _cmd_ball(args):
         print(repr(value))
     elif args.operation == "lambda":
         f = _load_expansion(args.expansion)
-        out = bl.multiplier_lambda(f.n, f.cap, args.t).apply(f)
+        out = bl.fractional_derivative(args.t, f)
         summary["expansion"] = out.to_json()
         traces.append(_expansion_trace("ball-lambda-trace", out))
         print(f"applied order-{args.t:g} derivative multiplier"

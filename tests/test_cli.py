@@ -453,10 +453,14 @@ def test_lemma6_over_its_cover_limit_exits_two(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the limit must reject the request before this")
 
-    monkeypatch.setattr(ca, "excursion_masks", unreachable)
-    assert run(tmp_path, "verify", "lemma6", "--budget", "smoke", "--n", "4") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "mask matrix" in err and "Traceback" not in err
+    # n = 4 needs a 1.4e9-boolean mask matrix at smoke: lemma6's need refuses
+    # it, dry run or not, before any experiment code runs
+    monkeypatch.setattr(ca, "lemma6_cover", unreachable)
+    for extra in (["--budget", "smoke"], ["--budget", "deep", "--dry-run"]):
+        assert run(tmp_path, "verify", "lemma6", *extra, "--n", "4") == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: lemma6 needs n <= 3") and "n = 4" in err, err
+        assert "mask matrix" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -466,7 +470,7 @@ def test_size_and_range_guards_exit_two(tmp_path, capsys, monkeypatch):
 
     # nothing may be built: the guard reads the sizes off the command line
     monkeypatch.setattr(bl, "sphere_grid", unreachable)
-    monkeypatch.setattr(bl.Multiplier, "diagonal", unreachable)
+    monkeypatch.setattr(bl, "diagonal_symbol", unreachable)
     cases = [
         ["ball", "multiplier-check", "--cap", "100000"],  # 298 GiB zonal table
         ["ball", "multiplier-check", "--cap", "1", "--resolution", str(5 * 10**6)],
@@ -798,6 +802,49 @@ def test_carleson_gauge_out_of_float_range_exits_two(tmp_path, capsys):
                      "--p", "2", "--alpha", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "region" in err and "inf" in err
+    assert not out.exists()
+
+
+def test_multiplier_check_file_symbol_needs_one_value_per_degree(tmp_path, capsys):
+    sym = tmp_path / "sym.json"
+    out = tmp_path / "out"
+    for values in ([1.0, 0.5, 0.25], [1.0] * 6, []):  # --cap 4 takes five
+        sym.write_text(json.dumps(values))
+        assert run(out, "ball", "multiplier-check", "--cap", "4",
+                   "--symbol", f"file:{sym}") == 2, values
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed symbol spec") and \
+            "need one value per degree" in err, err
+    assert not out.exists()
+    sym.write_text(json.dumps([1.0, 0.5, 0.25, 0.125, 0.0625]))
+    assert run(out, "ball", "multiplier-check", "--cap", "4",
+               "--symbol", f"file:{sym}") == 0
+
+
+def test_ball_weight_exponent_just_above_minus_one_exits_two(tmp_path, capsys):
+    # scipy's Gauss-Jacobi rule has NaN weights at the float just above
+    # -1: each route refuses it, naming the exponent, and writes no NaN row
+    f2 = tmp_path / "f2.json"
+    f2.write_text(json.dumps(bl.Expansion.random(2, 3, seed=1).to_json()))
+    out = tmp_path / "out"
+    a = repr(-1.0 + 1e-15)
+    cases = [
+        (["norm", "--space", "volume", "--field", f"expansion-file:{f2}", "--alpha", a],
+         "alpha"),
+        (["norm", "--space", "mixed", "--field", f"expansion-file:{f2}", "--p", "2",
+          "--alpha", repr(2.0 ** -54)], "alpha p - 1"),  # alpha p - 1 = -1 + 2^-53
+        (["ball", "functional", "--expansion", str(f2), "--kind", "volume", "--alpha", a],
+         "alpha"),
+        (["ball", "functional", "--expansion", str(f2), "--kind", "grad-volume",
+          "--alpha", a], "alpha"),
+        (["verify", "ball-norms", "--budget", "smoke", "--alpha", a], "alpha"),
+    ]
+    for argv, name in cases:
+        assert run(out, *argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}, the radial weight exponent, is too close"
+                              " to -1"), (argv, err)
+        assert "Warning" not in err
     assert not out.exists()
 
 

@@ -174,8 +174,9 @@ def _validation_rows():
          lambda v: no.whitney_discrete_norm(f, 2.0, v, REGION), NON_FINITE, {}),
         # the ball norms
         ("volume_norm p", lambda v: bl.volume_norm(e, v, 0.5), NON_FINITE + (0.0,), {}),
+        # just above -1, scipy's Gauss-Jacobi rule is not finite
         ("volume_norm alpha", lambda v: bl.volume_norm(e, 2.0, v),
-         NON_FINITE + (-1.0, 2000.0), {}),
+         NON_FINITE + (-1.0, math.nextafter(-1.0, 0.0), 2000.0), {}),
         ("grad_volume_norm p", lambda v: bl.grad_volume_norm(e, v, 0.5),
          NON_FINITE + (0.0,), {}),
         ("grad_volume_norm alpha", lambda v: bl.grad_volume_norm(e, 2.0, v),
@@ -202,10 +203,11 @@ def _validation_rows():
          NON_FINITE + (0.0, -1.0), {}),
         ("fractional_derivative t", lambda v: bl.fractional_derivative(v, e),
          NON_FINITE + (0.0,), {}),
-        # the expansion and multiplier constructors, in either part of a coefficient
+        # the expansion constructor, in either part of a coefficient, and the
+        # diagonal symbol built on it
         ("Expansion coeffs", lambda v: bl.Expansion(2, [[1.0], [v, 0.5]]),
          NON_FINITE + (complex(0.0, NAN), complex(1.0, -INF)), {}),
-        ("Multiplier blocks", lambda v: bl.Multiplier(2, [[0.5], [1.0, v]]),
+        ("diagonal_symbol values", lambda v: bl.diagonal_symbol(2, [0.5, v]),
          NON_FINITE + (complex(0.0, NAN),), {}),
         # the carleson conditions
         ("condition_vector s", lambda v: ca.condition_vector(mu, cubes, 2, (0.5, v)),

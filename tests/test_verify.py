@@ -154,6 +154,8 @@ NEED_BOUNDARIES = [
     ("thm7-distance", "p_exp * (2 + l) > 4 + alpha", "l", 3, 2, {"alpha": 0.0}),
     ("thm7-distance", "m_order > max((alpha + 4) / p_exp - 1, alpha / p_exp)", "m_order",
      3, 2, {}),
+    # n = 3 fits the cover's mask limit at deep; n = 4 exceeds it at smoke
+    ("lemma6", "n <= 3", "n", 3, 4, {}),
     ("ball-norms", "alpha > -1", "alpha", math.nextafter(-1.0, _UP), -1.0, {}),
     ("thm8-multiplier", "s > 1", "s", math.nextafter(1.0, _UP), 1.0, {}),
     ("thm8-multiplier", "beta > 0", "beta", 5e-324, 0.0, {}),
@@ -403,8 +405,7 @@ def _slice_functional_by_matrix(c, s_prime, levels, lam_order, grid):
     # the route slice_functional replaced: each outer point's integral over
     # the rows of the (res, res) Poisson-slice matrix, then the max
     if lam_order is not None:
-        lv = bl.multiplier_lambda(2, c.cap, lam_order).diagonal_values()
-        c = bl.Multiplier(2, [lv[k] * b for k, b in enumerate(c.blocks)])
+        c = bl.convolve(c, bl.multiplier_lambda(2, c.cap, lam_order))
     out = []
     for i in range(1, levels + 1):
         rho = 1.0 - 2.0 ** -i
@@ -422,7 +423,7 @@ def test_slice_functional_is_the_matrix_route_from_one_zonal_row(monkeypatch):
                "zero": np.zeros(cap + 1),
                "random": np.random.default_rng(3).standard_normal(cap + 1)}
     cases = list(itertools.product(symbols, (1.5, 2.0, 3.0), (1, 3, 8), (None, 3.0)))
-    c = {name: bl.Multiplier.diagonal(2, cap, v) for name, v in symbols.items()}
+    c = {name: bl.diagonal_symbol(2, v) for name, v in symbols.items()}
     want = {case: _slice_functional_by_matrix(c[case[0]], *case[1:], grid)
             for case in cases}
 
@@ -442,8 +443,8 @@ def test_slice_functional_is_the_matrix_route_from_one_zonal_row(monkeypatch):
 
     grid3 = bl.SphereGrid(3, 6)
     wrong = [  # an n = 3 symbol, a non-constant n = 2 block, an n = 3 grid
-        (bl.Multiplier.diagonal(3, 4, np.ones(5)), grid),
-        (bl.Multiplier(2, [[1.0], [1.0, 2.0], [0.5, 0.5]]), grid),
+        (bl.diagonal_symbol(3, np.ones(5)), grid),
+        (bl.Expansion(2, [[1.0], [1.0, 2.0], [0.5, 0.5]]), grid),
         (c["decay"], grid3),
     ]
     for sym, g in wrong:
