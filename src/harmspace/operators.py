@@ -8,7 +8,10 @@ builds the single-variable field E(zeta) of that integral: f is E at the
 slots' mean, its trace f(z, .., z) is E, slot symmetry is exact by
 construction, and harmonicity in each slot follows from harmonicity of E
 under the affine substitution.  mean_slot_integral gives the slot side of
-the two-slot trace inequality on the half-plane.
+the two-slot trace inequality on the half-plane.  sab_form reduces the
+two-slot product-kernel operator S to its weighted form
+sum_ij w_1i |S_ij|^p w_2j one block of slot-0 rows at a time, never
+holding the (P_1, P_2) table of S.
 
 Truncated integrals use either flat tensor nodes (n = 1) or the
 axisymmetric (u, v, s) reduction (n >= 2, payload radial about a point
@@ -31,6 +34,7 @@ from . import quadrature as quad
 from .fields import Field
 from .geometry import Region, half_space_points
 from .quadrature import AxisymmetricNodes, QuadSpec
+from .util import check_positive
 
 
 # Kernel values per block in every kernel loop: 32k float64 values, so
@@ -434,52 +438,79 @@ def d2_estimate(
     return out
 
 
-def sab_apply(f, a_vec, b_vec, z_slots, region: Region, spec: QuadSpec):
-    """Product-kernel operator on two slots, n = 1 only.
+def sab_form(f, a_vec, b_vec, z_slots, w_slots, p: float, region: Region,
+             spec: QuadSpec) -> float:
+    """Weighted form of the product-kernel operator on two slots, n = 1 only.
 
     (S f)(z_1, z_2) = t_1^(a_1) t_2^(a_2) *
         int f(w) s^(-n-1+b_1+b_2) prod_j |z_j - wbar|^(-(a_j+b_j)) dw
-    z_slots: two arrays of points (P_j, 2).  Returns the table of values
-    with shape (P_1, P_2).  Slot exponents (a_2, b_2) = (0, 0) give the
-    one-slot operator in slot 1, for every point of slot 2.
+    z_slots: two arrays of points (P_j, 2); w_slots: their weights, one
+    1-D array of P_j each.  Returns sum_ij w_1i |S(z_1i, z_2j)|^p w_2j,
+    made one block of slot-0 rows at a time in one reused (rows, P_2)
+    buffer, so no (P_1, P_2) table of S is ever held.  Slot exponents
+    (a_2, b_2) = (0, 0) give the one-slot operator in slot 1, for every
+    point of slot 2.
     """
     if f.n != 1:
         raise ValueError("product-kernel operator implemented for n = 1")
-    if not len(a_vec) == len(b_vec) == len(z_slots) == 2:
+    if not len(a_vec) == len(b_vec) == len(z_slots) == len(w_slots) == 2:
         raise ValueError("the product-kernel operator takes two slots")
+    check_positive(p=p)
+    z_slots = [np.asarray(z, dtype=float) for z in z_slots]
+    w_slots = [_slot_weights(w, z, f"w_slots[{j}]")
+               for j, (w, z) in enumerate(zip(w_slots, z_slots))]
     pts, w = quad.tensor_rule([quad.box_axis_quadrature(region, spec),
                                quad.t_quadrature(region, spec)])
     fv = f.values(pts)
     base = w * fv * pts[:, -1] ** (-2 + float(np.sum(b_vec)))
-    z_slots = [np.asarray(z, dtype=float) for z in z_slots]
     rows = max(1, _BLOCK_VALUES // pts.shape[0])
     expo = [-(a + b) / 2 for a, b in zip(a_vec, b_vec)]
     t_pow = [z[:, 1] ** a for z, a in zip(z_slots, a_vec)]
     z0, z1 = z_slots
+    w0, w1 = w_slots
     kern1 = _slot_kernel(z1, pts, expo[1], rows)
     shared = expo[0] == expo[1] and np.array_equal(z0, z1)
-    out = np.empty((z0.shape[0], z1.shape[0]))
     # every matmul packs kern1 anew: blocks of at least 128 slot-0 rows
     # keep that packing a small share of the matmul's arithmetic
     prows = max(rows, 128)
+    kbuf = np.empty((min(prows, z0.shape[0]), pts.shape[0]))
+    buf = np.empty((kbuf.shape[0], z1.shape[0]))
+    acc = np.zeros(z1.shape[0])
     for a in range(0, z0.shape[0], prows):
         blk = slice(a, a + prows)
+        k0 = kbuf[: min(prows, z0.shape[0] - a)]
+        sb = buf[: k0.shape[0]]
         if shared:
-            k0 = kern1[blk] * base
+            np.multiply(kern1[blk], base, out=k0)
         else:
-            k0 = _slot_kernel(z0[blk], pts, expo[0], rows)
+            _slot_kernel(z0[blk], pts, expo[0], rows, out=k0)
             k0 *= base
-        np.matmul(k0, kern1.T, out=out[blk])
-    out *= t_pow[0][:, None]
-    out *= t_pow[1][None, :]
-    return out
+        np.matmul(k0, kern1.T, out=sb)
+        sb *= t_pow[0][blk, None]
+        sb *= t_pow[1][None, :]
+        np.abs(sb, out=sb)
+        sb **= p
+        acc += w0[blk] @ sb
+    return float(acc @ w1)
 
 
-def _slot_kernel(z, pts, expo, rows):
+def _slot_weights(w, z, name):
+    """w as a 1-D finite float array with one entry per point of z."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (z.shape[0],):
+        raise ValueError(f"{name} must be 1-D with one weight per slot point "
+                         f"({z.shape[0]}), got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
+    return w
+
+
+def _slot_kernel(z, pts, expo, rows, out=None):
     """|z_i - wbar_k|^(2 expo) for slot points z (P, 2) and nodes pts (N, 2),
-    made `rows` slot points at a time; equal, bit for bit, to the one
-    broadcast expression over all of z."""
-    out = np.empty((z.shape[0], pts.shape[0]))
+    made `rows` slot points at a time into out (a new array if None);
+    equal, bit for bit, to the one broadcast expression over all of z."""
+    if out is None:
+        out = np.empty((z.shape[0], pts.shape[0]))
     for a in range(0, z.shape[0], rows):
         blk = z[a : a + rows]
         dsq = (blk[:, None, 0] - pts[None, :, 0]) ** 2

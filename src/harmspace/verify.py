@@ -1079,12 +1079,9 @@ def _exp_prop1(b, rng, p):
     def lhs_value(slot_region, inner_region):
         zpts, zw = quad.tensor_rule([quad.box_axis_quadrature(slot_region, slot_spec),
                                      quad.t_quadrature(slot_region, slot_spec)])
-        S = op.sab_apply(f, a_vec, b_vec, [zpts, zpts], inner_region, spec_in)
-        w1 = zw * zpts[:, -1] ** s_vec[0]
-        w2 = zw * zpts[:, -1] ** s_vec[1]
-        np.abs(S, out=S)
-        S **= pe
-        return float(w1 @ S @ w2)
+        w_slots = [zw * zpts[:, -1] ** s for s in s_vec]
+        return op.sab_form(f, a_vec, b_vec, [zpts, zpts], w_slots, pe,
+                           inner_region, spec_in)
 
     L = lhs_value(slot, inner)
     R = no.bergman_norm(f, pe, lam, inner, spec_in, method="cubes") ** pe

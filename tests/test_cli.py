@@ -192,6 +192,20 @@ def test_verify_success_writes_traces(tmp_path, capsys):
     assert any(n.startswith("whitney-") and n.endswith(".csv") for n in names)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the Carleson panels misclassify the ray measures near the"
+                   " low end of their weight: 6 rows fail inside every need")
+@pytest.mark.parametrize("argv", [
+    ("thm3-carleson", "--alpha", "-0.9"),
+    ("thm2-equivalence", "--m", "1", "--s1", "-0.9"),
+    ("thm4-carleson", "--alpha", "0.1"),
+], ids=["thm3-alpha-0.9", "thm2-m1-s1-0.9", "thm4-alpha0.1"])
+def test_carleson_panels_pass_at_the_low_end_of_the_ray_weight(tmp_path, capsys, argv):
+    # accepted by every need, so a correct harness exits 0; a fix to the
+    # ray classes flips this strict xfail
+    assert run(tmp_path, "verify", *argv, "--budget", "smoke") == 0
+
+
 def test_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
     code = run(tmp_path, "verify", "whitney", "--budget", "smoke", "--dry-run")
     assert code == 0

@@ -156,15 +156,16 @@ def test_kernel_integral_field_rejects_points_off_the_half_space():
             axial.radial_values(np.array([0.0, r]), np.array([1.0, t]))
 
 
-def test_sab_apply_scipy_oracle():
+def test_sab_form_scipy_oracle():
     # (a_2, b_2) = (0, 0) leaves the one-slot integral in slot 1, through
-    # the branch that builds each slot's kernel on its own
+    # the branch that builds each slot's kernel on its own; one point per
+    # slot with weight 1 and p = 1 make the form |S(z, z)|
     f = fl.PowerField(1, 1.0)
     region = Region(2.0, 0.25, 2.0)
     z = np.array([[0.3, 1.2]])
     a, b = 0.5, 3.0
-    got = float(op.sab_apply(f, [a, 0.0], [b, 0.0], [z, z], region,
-                             QuadSpec(order=8, t_order=6))[0, 0])
+    got = op.sab_form(f, [a, 0.0], [b, 0.0], [z, z], [np.ones(1), np.ones(1)], 1.0,
+                      region, QuadSpec(order=8, t_order=6))
 
     def integrand(y, s):
         return s ** (-1.0) * s ** (b - 2.0) * (
@@ -175,22 +176,47 @@ def test_sab_apply_scipy_oracle():
     assert got == pytest.approx(oracle, rel=1e-9)
 
 
-def test_sab_apply_two_slots_and_guards():
+def test_sab_form_two_slots_and_guards():
     f = fl.PoissonField(1, np.array([0.0, 1.0]))
     region = Region(2.0, 0.25, 2.0)
     spec = QuadSpec(order=5, t_order=4)
     z1 = np.array([[0.0, 1.0], [0.5, 2.0]])
     z2 = np.array([[1.0, 0.5]])
-    out = op.sab_apply(f, [0.5, 0.5], [2.0, 2.0], [z1, z2], region, spec)
-    assert out.shape == (2, 1)
-    assert np.all(np.isfinite(out))
+    w = [np.ones(2), np.ones(1)]
+    got = op.sab_form(f, [0.5, 0.5], [2.0, 2.0], [z1, z2], w, 1.5, region, spec)
+    assert isinstance(got, float) and math.isfinite(got) and got > 0
     with pytest.raises(ValueError):
-        op.sab_apply(fl.PoissonField(2, np.array([0.0, 0.0, 1.0])),
-                     [0.5], [2.0], [z2], region, spec)
+        op.sab_form(fl.PoissonField(2, np.array([0.0, 0.0, 1.0])),
+                    [0.5], [2.0], [z2], [np.ones(1)], 1.0, region, spec)
     with pytest.raises(ValueError):
-        op.sab_apply(f, [0.5, 0.5], [2.0], [z1, z2], region, spec)
+        op.sab_form(f, [0.5, 0.5], [2.0], [z1, z2], w, 1.0, region, spec)
     with pytest.raises(ValueError):
-        op.sab_apply(f, [0.5] * 3, [2.0] * 3, [z1, z1, z1], region, spec)
+        op.sab_form(f, [0.5] * 3, [2.0] * 3, [z1, z1, z1], w + [np.ones(2)], 1.0,
+                    region, spec)
+    with pytest.raises(ValueError):
+        op.sab_form(f, [0.5, 0.5], [2.0, 2.0], [z1, z2], w[:1], 1.0, region, spec)
+
+
+_SLOT_ARGS = dict(a_vec=[0.5, 0.5], b_vec=[2.0, 2.0],
+                  z_slots=[np.array([[0.0, 1.0], [0.5, 2.0]]), np.array([[1.0, 0.5]])])
+
+
+@pytest.mark.parametrize("p, w_slots, message", [
+    (0.0, [np.ones(2), np.ones(1)], "p must be finite and positive"),
+    (-1.0, [np.ones(2), np.ones(1)], "p must be finite and positive"),
+    (math.inf, [np.ones(2), np.ones(1)], "p must be finite and positive"),
+    (math.nan, [np.ones(2), np.ones(1)], "p must be finite and positive"),
+    (1.0, [np.ones((2, 1)), np.ones(1)], r"w_slots\[0\] must be 1-D"),
+    (1.0, [np.ones(2), np.ones(2)], r"w_slots\[1\] must be 1-D with one weight per slot point \(1\)"),
+    (1.0, [np.ones(2), np.array([math.nan])], r"w_slots\[1\] must be finite"),
+    (1.0, [np.array([1.0, math.inf]), np.ones(1)], r"w_slots\[0\] must be finite"),
+], ids=["p-zero", "p-negative", "p-inf", "p-nan", "w-2d", "w-length", "w-nan", "w-inf"])
+def test_sab_form_rejects_bad_exponent_and_weights(p, w_slots, message):
+    # |S|^0 would read 1 for every pair, a plausible number for no operator
+    f = fl.PoissonField(1, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match=message):
+        op.sab_form(f, w_slots=w_slots, p=p, region=Region(2.0, 0.25, 2.0),
+                    spec=QuadSpec(order=5, t_order=4), **_SLOT_ARGS)
 
 
 def test_d2_estimate_power_field_grid_step():
@@ -430,14 +456,16 @@ def test_divergence_proxy_matches_masked_loop():
                             alpha, mo, region, spec, scales)
 
 
-def test_sab_apply_two_slots_matches_einsum():
+def test_sab_form_two_slots_matches_einsum():
     f = fl.BergmanField(3, 1, np.array([0.0, 1.0]))
     region = Region(4.0, 0.125, 4.0)
     spec = QuadSpec(order=5, t_order=4)
     z1 = np.array([[0.0, 1.0], [0.5, 0.3], [2.0, 3.0]])
     z2 = np.array([[-1.0, 0.5], [0.2, 2.0]])
     a_vec, b_vec = [0.5, 0.0], [3.0, 4.0]
-    got = op.sab_apply(f, a_vec, b_vec, [z1, z2], region, spec)
+    # one-hot weights and p = 1 read the form at one entry |S_ij|
+    got = np.array([[op.sab_form(f, a_vec, b_vec, [z1, z2], [np.eye(3)[i], np.eye(2)[j]],
+                                 1.0, region, spec) for j in range(2)] for i in range(3)])
     pts, w = _flat_nodes(region, spec)
     base = w * f.values(pts) * pts[:, -1] ** (-2 + sum(b_vec))
     kern = [((z[:, None, 0] - pts[None, :, 0]) ** 2
@@ -445,7 +473,7 @@ def test_sab_apply_two_slots_matches_einsum():
             for z, a, b in zip((z1, z2), a_vec, b_vec)]
     want = (z1[:, 1:] ** a_vec[0]) * np.einsum("iw,jw,w->ij", *kern, base) \
         * (z2[:, 1] ** a_vec[1])[None, :]
-    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.allclose(got, np.abs(want), rtol=1e-13, atol=0.0)
 
 
 # -------------------------------------- streamed payloads and batched slots
@@ -695,29 +723,75 @@ def test_stacked_axial_evaluation_allocates_well_under_one_table():
     assert peak < 0.4 * table
 
 
-def test_shared_slot_sab_apply_allocates_well_under_one_table():
-    import tracemalloc
+def _old_sab_table(f, a_vec, b_vec, z_slots, region, spec):
+    """The (P_1, P_2) table of S that the form once reduced, built as it was:
+    slot-0 blocks of at least 128 rows against the whole slot-1 kernel."""
+    pts, w = _flat_nodes(region, spec)
+    base = w * f.values(pts) * pts[:, -1] ** (-2 + float(np.sum(b_vec)))
+    rows = max(1, op._BLOCK_VALUES // pts.shape[0])
+    expo = [-(a + b) / 2 for a, b in zip(a_vec, b_vec)]
+    z0, z1 = z_slots
+    kern1 = op._slot_kernel(z1, pts, expo[1], rows)
+    out = np.empty((z0.shape[0], z1.shape[0]))
+    prows = max(rows, 128)
+    for a in range(0, z0.shape[0], prows):
+        blk = slice(a, a + prows)
+        k0 = op._slot_kernel(z0[blk], pts, expo[0], rows)
+        k0 *= base
+        np.matmul(k0, kern1.T, out=out[blk])
+    out *= z0[:, 1:] ** a_vec[0]
+    out *= (z1[:, 1] ** a_vec[1])[None, :]
+    return out
 
+
+def _prop1_slot_rule(scale):
+    """prop1's slot points and weights on its slot region doubled `scale` times."""
+    slot = Region(32.0, 2.0 ** -6, 32.0).scaled(2.0 ** scale)
+    return _flat_nodes(slot, QuadSpec(order=3, t_order=2, min_panel=0.5))
+
+
+@pytest.mark.parametrize("slot_scale, inner_scale, shape", [
+    (0, 0, (924, 1470)), (1, 0, (1248, 1470)), (0, 1, (924, 2160))],
+    ids=["924x1470", "1248x1470", "924x2160"])
+@pytest.mark.parametrize("a_vec, p", [
+    ((0.0, 0.0), 1.0),     # prop1's defaults: one shared slot kernel
+    ((0.0, 0.0), 1.5),
+    ((-0.3, 0.2), 2.0),    # a kernel per slot
+], ids=["defaults", "p1.5", "a-split-p2"])
+def test_sab_form_matches_the_full_table_reduction(slot_scale, inner_scale, shape,
+                                                   a_vec, p, record_property):
+    # prop1's three calls at smoke: its slot and inner regions, each doubled once
     f = fl.BergmanField(9, 1, np.array([0.0, 1.0]))
-    z, _ = _flat_nodes(Region(32.0, 2.0 ** -6, 32.0),
-                       QuadSpec(order=3, t_order=2, min_panel=0.5))
+    z, zw = _prop1_slot_rule(slot_scale)
+    region = Region(8.0, 2.0 ** -4, 8.0).scaled(2.0 ** inner_scale)
+    spec = QuadSpec(order=5, t_order=3)
+    assert (z.shape[0], _flat_nodes(region, spec)[0].shape[0]) == shape
+    b_vec = (5.0, 5.0)
+    w1 = w2 = zw * z[:, -1] ** 0.5  # prop1's s1 = s2 = 0.5
+    table = _old_sab_table(f, a_vec, b_vec, [z, z], region, spec)
+    np.abs(table, out=table)
+    table **= p
+    want = float(w1 @ table @ w2)
+    got = op.sab_form(f, a_vec, b_vec, [z, z], [w1, w2], p, region, spec)
+    record_property("bit_for_bit", got == want)  # in the junit XML
+    assert abs(got - want) <= 4 * np.spacing(want), (got, want)
+
+
+def test_shared_slot_sab_form_allocates_under_half_a_table():
+    f = fl.BergmanField(9, 1, np.array([0.0, 1.0]))
+    z, zw = _prop1_slot_rule(0)
     region, spec = Region(8.0, 2.0 ** -4, 8.0), QuadSpec(order=5, t_order=3)
-    args = ([0.0, 0.0], [5.0, 5.0], [z, z], region, spec)
+    args = ([0.0, 0.0], [5.0, 5.0], [z, z], [zw, zw], 1.0, region, spec)
     pts, _ = _flat_nodes(region, spec)
-    table = 8 * z.shape[0] * pts.shape[0]
-    assert table > 8e6
-    want = op.sab_apply(f, *args)  # warm caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        got = op.sab_apply(f, *args)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert _same_bits(got, want)
-    # beyond the result and the one slot kernel both slots share, where
-    # six full tables were built before
-    assert peak - got.nbytes - table < 0.5 * table
+    kernel = 8 * z.shape[0] * pts.shape[0]
+    table = 8 * z.shape[0] ** 2
+    assert table > 6e6
+    want = op.sab_form(f, *args)  # warm caches
+    got, peak = _traced_peak(lambda: op.sab_form(f, *args))
+    assert got == want
+    # beyond the one slot kernel both slots share: the (P, P) table of S
+    # and its reduction took more than a table
+    assert peak - kernel < 0.5 * table
 
 
 # ------------------------------------------- factored flat-layout kernel tables
