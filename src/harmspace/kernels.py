@@ -1,10 +1,12 @@
-"""Poisson-type kernels on the upper half-space and the harmonic test fields.
+"""Poisson-type kernels on the upper half-space, in (D, tau) form.
 
-Everything is expressed through two integer-coefficient polynomial
-families, so kernel values are exact up to floating point:
+Every kernel here takes D = |x - y|^2 and tau = t + s, never points:
+the point API is the field classes in fields.py, which form D and tau
+and call these.  Everything is expressed through two integer-coefficient
+polynomial families, so kernel values are exact up to floating point:
 
 * R_m(tau, D), the numerator of the m-th tau-derivative of the Poisson
-  kernel written with D = |x - y|^2 and tau = t + s,
+  kernel,
       d^m/dtau^m P = c_n R_m(tau, D) (D + tau^2)^(-(n+1)/2 - m),
   built from R_0 = tau and
       R_{m+1} = dR_m/dtau (D + tau^2) - (n + 1 + 2m) tau R_m.
@@ -23,8 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import half_space_points
-
 
 # Largest order of R_m and P_l: from about m, l = 146 on, their integer
 # coefficients pass the float64 range at n <= 3, so no kernel value there
@@ -42,19 +42,8 @@ def poisson_constant(n: int) -> float:
     return math.gamma((n + 1) / 2) / math.pi ** ((n + 1) / 2)
 
 
-def poisson(n: int, x, t):
-    """Poisson kernel P(x, t) = c_n t / (|x|^2 + t^2)^((n+1)/2), t > 0.
-
-    x has shape (..., n); t broadcasts against the leading shape.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x, t = np.broadcast_arrays(x, np.asarray(t, dtype=float)[..., None])
-    z = half_space_points(np.concatenate([x, t[..., :1]], axis=-1), n, "Poisson kernel points")
-    return poisson_from_sq(n, np.sum(x * x, axis=-1), z[..., -1])
-
-
 def poisson_from_sq(n: int, sq, t):
-    """Poisson kernel from |x|^2; the vectorization workhorse."""
+    """Poisson kernel P = c_n t / (|x|^2 + t^2)^((n+1)/2) from sq = |x|^2."""
     sq = np.asarray(sq, dtype=float)
     t = np.asarray(t, dtype=float)
     return poisson_constant(n) * t * (sq + t * t) ** (-(n + 1) / 2)
@@ -183,28 +172,6 @@ class BergmanRows:
         return acc
 
 
-def bergman_q(l: int, n: int, z, w):
-    """Q_l(z, w) for half-space points z = (x, t), w = (y, s).
-
-    Symmetric in z, w; the reflection wbar = (y, -s) never lies in the
-    domain, so the kernel is smooth on (half-space)^2.
-    """
-    z = half_space_points(z, n, "kernel points")
-    w = half_space_points(w, n, "kernel points")
-    diff = z[..., :-1] - w[..., :-1]
-    sq = np.sum(diff * diff, axis=-1)
-    out = bergman_from_sq(l, n, sq, z[..., -1] + w[..., -1])
-    return out if np.ndim(out) else float(out)
-
-
-def reflected_distance_sq(z, w):
-    """|z - wbar|^2 = |x - y|^2 + (t + s)^2."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    diff = z[..., :-1] - w[..., :-1]
-    return np.sum(diff * diff, axis=-1) + (z[..., -1] + w[..., -1]) ** 2
-
-
 @lru_cache(maxsize=None)
 def deriv_polynomial(l: int, n: int) -> tuple:
     """Coefficients of P_l, ascending powers of u.  Integers."""
@@ -234,24 +201,12 @@ def deriv_polynomial_eval(l: int, n: int, u):
 
 
 def test_fn_from_sq(l: int, n: int, sq, tau):
-    """f_{w,l} from D = |x - y|^2 and tau = t + s.  Needs n >= 2."""
-    if n < 2:
-        raise ValueError("test fields are degenerate for n = 1")
+    """f_{w,l} from D = |x - y|^2 and tau = t + s.  Harmonic for n >= 2."""
     sq = np.asarray(sq, dtype=float)
     tau = np.asarray(tau, dtype=float)
     rho = np.sqrt(sq + tau * tau)
     u = tau / rho
     return rho ** (-(n - 1 + l)) * deriv_polynomial_eval(l, n, u)
-
-
-def test_fn(l: int, n: int, w, z):
-    """Harmonic test field f_{w,l}(z), w = (y, s) fixed, z = (x, t)."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    diff = z[..., :-1] - w[..., :-1]
-    sq = np.sum(diff * diff, axis=-1)
-    out = test_fn_from_sq(l, n, sq, z[..., -1] + w[..., -1])
-    return out if np.ndim(out) else float(out)
 
 
 def profile_roots(l: int, n: int) -> np.ndarray:
@@ -285,7 +240,10 @@ def profile_excursion(l: int, n: int, delta: float, z, w):
     """Indicator of |P_l(u)| > delta at z (u built from the w-reflection)."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    rho = np.sqrt(reflected_distance_sq(z, w))
-    u = (z[..., -1] + w[..., -1]) / rho
+    diff = z[..., :-1] - w[..., :-1]
+    tau = z[..., -1] + w[..., -1]
+    # rho = |z - wbar|, wbar = (y, -s) the reflection of w
+    rho = np.sqrt(np.sum(diff * diff, axis=-1) + tau**2)
+    u = tau / rho
     return np.abs(deriv_polynomial_eval(l, n, u)) > delta
 

@@ -409,16 +409,16 @@ def _exp_kernels(b, rng, p):
     checks, consts, arts = [], {}, {}
 
     checks.append(_close("q0-point-n1",
-                         kernels.bergman_q(0, 1, (0.0, 1.0), (0.0, 1.0)),
+                         BergmanField(0, 1, (0.0, 1.0)).values((0.0, 1.0)),
                          1.0 / (2.0 * math.pi), 1e-12))
     w3 = _axis_point(3, 1.0)
-    checks.append(_close("testfn0-point-n3", kernels.test_fn(0, 3, w3, w3), 0.25, 1e-12))
-    checks.append(_close("testfn1-point-n3", kernels.test_fn(1, 3, w3, w3), -0.25, 1e-12))
+    checks.append(_close("testfn0-point-n3", TestField(0, 3, w3).values(w3), 0.25, 1e-12))
+    checks.append(_close("testfn1-point-n3", TestField(1, 3, w3).values(w3), -0.25, 1e-12))
     checks.append(_eq("profile-poly-2-n3",
                       list(kernels.deriv_polynomial(2, 3)), [-2, 0, 8]))
     za, wa = (0.3, -0.2, 0.9), (0.1, 0.4, 1.7)
     checks.append(_close("q-argument-symmetry",
-                         kernels.bergman_q(2, 2, za, wa) - kernels.bergman_q(2, 2, wa, za),
+                         BergmanField(2, 2, wa).values(za) - BergmanField(2, 2, za).values(wa),
                          0.0, 1e-15))
 
     # derivative ladders against centered finite differences; the step
@@ -438,36 +438,36 @@ def _exp_kernels(b, rng, p):
         x0 = np.zeros(n)
         x0[0] = 0.7
         t0 = 1.3
+        f0 = TestField(0, n, w)
         for j in range(1, 5):
-            fd = util.fd_derivative(
-                lambda t, n=n, w=w, x0=x0: kernels.test_fn(0, n, w, np.r_[x0, t]),
-                t0, j, h)
-            got = kernels.test_fn(j, n, w, np.r_[x0, t0])
+            fd = util.fd_derivative(lambda t, x0=x0: f0.values(np.r_[x0, t]), t0, j, h)
+            got = TestField(j, n, w).values(np.r_[x0, t0])
             checks.append(_close(f"testfn-ladder-{j}-n{n}", fd / got - 1.0, 0.0, 1e-6))
 
-    # Laplacian residual decays at second order: halving h quarters it
+    # Laplacian residual decays at second order: halving h quarters it.
+    # P(x, t) has its source on the boundary, which no PoissonField has
     probes = []
     for n in (1, 2, 3):
         w = _axis_point(n, 1.0)
         z0 = np.zeros(n + 1)
         z0[0], z0[-1] = 0.3, 1.1
         probes.append((f"poisson-n{n}",
-                       lambda q, n=n: kernels.poisson(n, q[:-1], q[-1]), z0))
+                       lambda q, n=n: kernels.poisson_from_sq(n, np.sum(q[:-1] * q[:-1]), q[-1]),
+                       z0))
         for l in (0, 2):
-            probes.append((f"q{l}-n{n}",
-                           lambda q, n=n, l=l, w=w: kernels.bergman_q(l, n, q, w), z0))
+            probes.append((f"q{l}-n{n}", BergmanField(l, n, w).values, z0))
         if n >= 2:
             for l in (0, 2):
-                probes.append((f"testfn{l}-n{n}",
-                               lambda q, n=n, l=l, w=w: kernels.test_fn(l, n, w, q), z0))
+                probes.append((f"testfn{l}-n{n}", TestField(l, n, w).values, z0))
     for name, fn, z0 in probes:
         checks.append(_laplacian_decay(f"laplacian-{name}", fn, z0, 0.04, 1e-12, 1e-11))
 
-    # boundary kernel integrates to one
+    # boundary kernel integrates to one: P(x, 1) is the field of the
+    # source at height 0.5, seen at height 0.5
     spec = QuadSpec(order=max(8, b.order), t_order=b.t_order)
     for n in (1, 2, 3):
         r, wr = quad.radial_quadrature(n, 1.0, 1e5, spec)
-        mass = float(wr @ kernels.poisson_from_sq(n, r * r, 1.0))
+        mass = float(wr @ PoissonField(n, _axis_point(n, 0.5)).radial_values(r, 0.5))
         checks.append(_close(f"poisson-mass-n{n}", mass, 1.0, 1e-4))
         consts[f"poisson_mass_n{n}"] = mass
 

@@ -15,40 +15,41 @@ from harmspace.fields import BergmanField, PoissonField
 
 
 def test_poisson_closed_form_values():
-    # c_1 t/(x^2+t^2); at (0,1) this is 1/pi
-    got = kr.poisson(1, np.array([[0.0]]), np.array([1.0]))[0]
+    # c_1 t/(x^2+t^2); at (0,1) this is 1/pi.  P(x, t) is the field of the
+    # source at height t/2, seen at height t/2
+    got = PoissonField(1, np.array([0.0, 0.5])).values(np.array([[0.0, 0.5]]))[0]
     assert got == pytest.approx(1.0 / math.pi, rel=1e-14)
-    got = kr.poisson(2, np.array([[0.5, 0.0]]), np.array([1.0]))[0]
+    got = PoissonField(2, np.array([0.0, 0.0, 0.5])).values(np.array([[0.5, 0.0, 0.5]]))[0]
     assert got == pytest.approx(0.11388200694674833, rel=1e-14)
 
 
 def test_poisson_unit_mass_on_the_boundary():
     for n, t in ((1, 0.7), (1, 2.0)):
+        fld = PoissonField(n, np.array([0.0, t / 2]))
         val, err = integrate.quad(
-            lambda x: kr.poisson(n, np.array([[x]]), np.array([t]))[0],
-            -np.inf, np.inf)
+            lambda x: fld.values(np.array([[x, t / 2]]))[0], -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bergman_q_matches_tau_derivative_definition():
     # ((-2)^(l+1)/l!) d^(l+1)/dtau^(l+1) P at z=(0.3,1.2), w=(0,0.7)
     z, w = np.array([0.3, 1.2]), np.array([0.0, 0.7])
-    assert kr.bergman_q(0, 1, z, w) == pytest.approx(
+    assert BergmanField(0, 1, w).values(z) == pytest.approx(
         0.16368894074024005, rel=1e-13)
-    assert kr.bergman_q(2, 1, z, w) == pytest.approx(
+    assert BergmanField(2, 1, w).values(z) == pytest.approx(
         0.45208213625452911, rel=1e-13)
     diag = np.array([0.0, 1.0])
-    assert kr.bergman_q(0, 1, diag, diag) == pytest.approx(
+    assert BergmanField(0, 1, diag).values(diag) == pytest.approx(
         1.0 / (2.0 * math.pi), rel=1e-14)
 
 
 def test_bergman_matches_numeric_tau_derivative():
     # independent route: Fornberg differences of P in the tau slot
     for n in (1, 2, 3):
-        x = np.array([[0.4] + [0.1] * (n - 1)])
+        x = np.array([0.4] + [0.1] * (n - 1))
         for l in (1, 3):
             num = util.fd_derivative(
-                lambda tau: kr.poisson(n, x, np.array([tau]))[0],
+                lambda tau: kr.poisson_from_sq(n, np.sum(x * x), tau),
                 1.7, l + 1, 0.04)
             want = (-2.0) ** (l + 1) / math.factorial(l) * num
             got = kr.bergman_from_sq(l, n, np.array([0.16 + 0.01 * (n - 1)]),
@@ -60,7 +61,7 @@ def test_diagonal_scaling_is_exact_power_law():
     # |Q_l(z,z)| (2t)^(n+1+l) is one constant along the diagonal
     for n, l in ((1, 3), (2, 2), (3, 4)):
         z = lambda t: np.array([0.0] * n + [t])
-        vals = [abs(kr.bergman_q(l, n, z(t), z(t))) * (2 * t) ** (n + 1 + l)
+        vals = [abs(BergmanField(l, n, z(t)).values(z(t))) * (2 * t) ** (n + 1 + l)
                 for t in (0.25, 1.0, 5.0)]
         assert max(vals) / min(vals) == pytest.approx(1.0, rel=1e-12)
 
@@ -130,11 +131,17 @@ def test_t_derivative_ladder():
         assert got == pytest.approx(num, rel=1e-8)
 
 
-def test_reflected_distance():
+def test_profile_excursion_uses_the_reflected_distance():
+    # u = (t + s) / |z - wbar|, |z - wbar|^2 = |x - y|^2 + (t + s)^2; at
+    # n = 2, P_1(u) = -u exactly, so the excursion at delta holds iff u > delta
     z = np.array([1.0, 2.0])
     w = np.array([0.5, 0.25])
-    assert kr.reflected_distance_sq(z, w) == pytest.approx(
-        0.25 + 2.25 ** 2, rel=1e-15)
+    u = 2.25 / math.sqrt(0.25 + 2.25 ** 2)
+    assert kr.profile_excursion(1, 2, np.nextafter(u, 0.0), z, w)
+    assert not kr.profile_excursion(1, 2, u, z, w)
+    # vectorized over z; the mirror point x = 0 has the same u
+    zs = np.array([z, [0.0, 2.0], [1.0, 0.5]])
+    assert kr.profile_excursion(1, 2, np.nextafter(u, 0.0), zs, w).tolist() == [True, True, False]
 
 
 # ----------------------------------- shape-aware and per-row kernel evaluation

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from harmspace import ball as bl
+from harmspace import fields
 from harmspace import kernels
 from harmspace import quadrature as quad
 from harmspace import util
@@ -389,6 +390,25 @@ def test_failure_is_an_honest_verdict():
     checks, _, _ = exp.fn(vf.BUDGETS["smoke"], rng, {**exp.defaults, "k_order": 0})
     bad = [c for c in checks if not c["ok"]]
     assert bad and all(c["name"].startswith("roundtrip") for c in bad)
+
+
+# Named faults and the experiments that must catch them: each fault scales
+# one kernel family's point path, the path every norm, panel and trace runs
+FAULTS = [
+    (fields.PoissonField, ["kernels"]),
+    (fields.BergmanField, ["kernels"]),
+    (fields.TestField, ["kernels"]),
+]
+
+
+@pytest.mark.parametrize("cls, catchers", FAULTS, ids=[cls.__name__ for cls, _ in FAULTS])
+def test_field_scale_faults_are_caught(monkeypatch, cls, catchers):
+    for exp_id in catchers:
+        assert vf.run_experiment(exp_id, "smoke")["verdict"] == "pass"
+    from_sq = cls._from_sq
+    monkeypatch.setattr(cls, "_from_sq", lambda self, sq, tau: 1.01 * from_sq(self, sq, tau))
+    for exp_id in catchers:
+        assert vf.run_experiment(exp_id, "smoke")["verdict"] == "fail"
 
 
 def test_trend_class_matches_the_check_rows():
