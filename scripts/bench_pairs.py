@@ -21,7 +21,11 @@ parent's interquartile range, and every run of the comparison correct
 with no failed operation.  ``setup_s`` runs the same set-up
 code in every workload, so it is also pooled over all workloads' pairs,
 where a workload's ten pairs alone cannot resolve a change of a few
-percent.
+percent.  Each run also keeps every operation's median raw wall time over
+its passes (perfbench's ``pass N <op> exit R <t> s`` lines), and the
+record gives, per workload and operation, the parent's and the change's
+median of those, so a change in ``wall_s`` can be traced to the
+operations that moved.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -39,6 +44,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(ROOT, ".bench-pairs")
 METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
 MIN_PAIRS = 10           # fewer pairs never resolve a gain
+SIDES = ("parent", "change")
+# perfbench's per-operation line: "  pass 1  thm7-distance   exit 0     5.1234 s"
+OP_LINE = re.compile(r"\s*pass \d+\s+(\S+)\s+exit -?\d+\s+(\S+) s")
 
 
 def _git(*args):
@@ -69,7 +77,29 @@ def _run(tree, command):
                  f"{proc.stderr[-2000:]}")
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            **{m: result["metrics"][m]["value"] for m in METRICS}}
+            **{m: result["metrics"][m]["value"] for m in METRICS},
+            "ops": _op_medians(proc.stdout)}
+
+
+def _op_medians(stdout):
+    """Each operation's median wall time over the passes of one run."""
+    walls = {}
+    for line in stdout.splitlines():
+        m = OP_LINE.fullmatch(line)
+        if m:
+            walls.setdefault(m.group(1), []).append(float(m.group(2)))
+    return {op: statistics.median(t) for op, t in walls.items()}
+
+
+def _compare_ops(pairs):
+    """Per operation timed in every run of pairs, the median over each side's
+    runs of the per-run medians, and the change's relative to the parent's."""
+    runs = [p[side].get("ops", {}) for p in pairs for side in SIDES]
+    out = {}
+    for op in sorted(set.intersection(*(set(r) for r in runs))):
+        med = {side: statistics.median(p[side]["ops"][op] for p in pairs) for side in SIDES}
+        out[op] = {**med, "median_change_rel": med["change"] / med["parent"] - 1.0}
+    return out
 
 
 def _stats(values):
@@ -81,7 +111,7 @@ def _stats(values):
 def _all_correct(pairs):
     """Whether every run of pairs, on both sides, was correct with no failure."""
     return all(p[side]["correct"] is True and p[side]["failed"] == 0
-               for p in pairs for side in ("parent", "change"))
+               for p in pairs for side in SIDES)
 
 
 def _compare(pairs, metric):
@@ -103,6 +133,7 @@ def _summary(record):
     for entry in record["workloads"]:
         if len(entry["pairs"]) >= 2:
             entry["metrics"] = {m: _compare(entry["pairs"], m) for m in METRICS}
+            entry["ops"] = _compare_ops(entry["pairs"])
             entry["all_correct"] = _all_correct(entry["pairs"])
     pooled = [p for entry in record["workloads"] for p in entry["pairs"]]
     if len(pooled) >= 2:
@@ -145,7 +176,9 @@ def main(argv=None):
                   " each, in new processes, alternating which runs first; a win is a"
                   " lower value for the change. Times are perfbench's speed-normalised"
                   " pass medians; setup_s is the median of perfbench's setup probes per"
-                  " run, and setup_s_pooled pools it over every workload's pairs.",
+                  " run, and setup_s_pooled pools it over every workload's pairs. ops"
+                  " holds each operation's median raw wall time over a run's passes,"
+                  " and per workload the median of those over each side's runs.",
         "workloads": [],
     }
     trees = {"parent": parent_tree, "change": ROOT}

@@ -114,17 +114,38 @@ def bergman_from_sq(l: int, n: int, sq, tau):
     return out
 
 
+# Byte boundary of every array BergmanRows owns: one cache line, and one
+# AVX-512 vector, so no full-size load or store spans two lines.
+_ALIGN = 64
+
+
+def _aligned(shape):
+    """An uninitialised float64 array of shape whose data starts on an
+    _ALIGN-byte boundary: numpy allocations are only 16-byte aligned, so
+    over-allocate one line and slice."""
+    size = math.prod(shape)
+    raw = np.empty(size + _ALIGN // 8)
+    skip = -raw.ctypes.data % _ALIGN // 8
+    return raw[skip : skip + size].reshape(shape)
+
+
 class BergmanRows:
     """Q_l against one fixed tau, for one block of D rows at a time.
 
     block(D) equals bergman_from_sq(l, n, D[:, None], tau.ravel()[None, :])
     bit for bit: the same operations on the same operands, in the same
     order.  The D-free factors c tau^a and tau^2 are laid out once, as
-    contiguous (rows, n_tau) tiles, so a block costs contiguous passes,
-    passes that broadcast a column of D along the rows, and one np.power,
-    all in two buffers that every block reuses.  Instances whose blocks
-    are never alive at once may share those buffers: pass `buffers`, two
-    (rows, n_tau) float arrays.
+    contiguous (rows, n_tau) tiles, and each block lays its D column out
+    once as a third tile, so a block costs contiguous full-size passes,
+    one np.power, and a broadcast only for a power D^b with b >= 3 (which
+    stays libm's pow of the column).  It all runs in three buffers that
+    every block reuses.  Every tile and buffer starts on a 64-byte
+    boundary: numpy's own 16-byte alignment lets a tile start mid-line,
+    and then every AVX-512 load and store of a pass is split over two
+    cache lines (about 20% slower per value, with the same bits).
+    Instances whose blocks are never alive at once may share the buffers:
+    pass `buffers`, three (rows, n_tau) float arrays, best made aligned
+    the same way.
     """
 
     def __init__(self, l: int, n: int, tau, rows: int, buffers=None):
@@ -132,14 +153,16 @@ class BergmanRows:
         tile = (rows, tau.shape[1])
 
         def laid_out(row):
-            return np.ascontiguousarray(np.broadcast_to(row, tile))
+            out = _aligned(tile)
+            out[...] = row
+            return out
 
         terms, self._scale, self._expo = _bergman_factors(l, n)
         # (b, c, tile of c tau^a, or None for a = 0: a term c D^b)
         self._terms = [(b, c, None if a == 0 else laid_out(c * tau**a))
                        for a, b, c in terms]
         self._tau2 = laid_out(tau * tau)
-        self._acc, self._tmp = buffers or (np.empty(tile), np.empty(tile))
+        self._acc, self._tmp, self._D = buffers or [_aligned(tile) for _ in range(3)]
 
     def block(self, D):
         """Q_l at r <= rows values of D against every tau: (r, n_tau).
@@ -148,25 +171,39 @@ class BergmanRows:
         """
         D = np.asarray(D, dtype=float).reshape(-1, 1)
         r = D.shape[0]
-        buf, tmp = self._acc[:r], self._tmp[:r]
-        # acc starts as 0.0 and stays a column while only D-terms came;
-        # the tau^(l+2) term, which every R_{l+1} has, makes it full
+        buf, tmp, Dt = self._acc[:r], self._tmp[:r], self._D[:r]
+        Dt[...] = D
+        # acc is 0.0, then a column while only D-terms came, then buf.  The
+        # first full-size term is made in buf itself, and a column of
+        # D-terms added to it: 0.0 + x is x but at x = -0.0, and the
+        # tau^(l+2) term that every R_{l+1} has comes last and is nonzero,
+        # so the sum keeps its bits
         acc = 0.0
         for b, c, ct in self._terms:
+            out = tmp if acc is buf else buf
             if ct is None:
                 term = c * D**b
             elif b == 0:
                 term = ct[:r]
+            elif b == 1:
+                term = np.multiply(ct[:r], Dt, out=out)
+            elif b == 2:  # D**2 is np.square(D), the bits of Dt * Dt
+                term = np.multiply(Dt, Dt, out=out)
+                term *= ct[:r]
             else:
-                term = np.multiply(ct[:r], D**b, out=tmp)
+                term = np.multiply(ct[:r], D**b, out=out)
             if acc is buf:
                 acc += term
+            elif term is buf:
+                if np.ndim(acc):
+                    buf += acc
+                acc = buf
             elif term.shape == buf.shape:
                 acc = np.add(acc, term, out=buf)
             else:
                 acc = acc + term
         acc *= self._scale
-        np.add(D, self._tau2[:r], out=tmp)
+        np.add(Dt, self._tau2[:r], out=tmp)
         np.power(tmp, self._expo, out=tmp)
         acc *= tmp
         return acc

@@ -167,8 +167,11 @@ class KernelIntegralField(Field):
         np.add.reduce (the reduce np.sum makes, without its Python
         wrapper), and at the end each point's leaf sums are added back in
         tree order.  A point's kernel tiles depend only on its height, so
-        there is one BergmanRows per distinct height, all sharing two
-        buffers, and the points of a leaf are visited in height order.
+        there is one BergmanRows per distinct height, all sharing three
+        cache-line-aligned buffers, and the points of a leaf are visited in
+        height order.  The last payload of a stack multiplies into the
+        kernel block in place and is reduced there; only the others of a
+        stacked field go through a product buffer.
         At most _TAU_GROUP heights are held at once: more are evaluated in
         groups, and each group makes the payload again.  Every payload of
         a stack shares a leaf's kernel values, and each value equals the
@@ -187,8 +190,8 @@ class KernelIntegralField(Field):
         order = np.argsort(level, kind="stable")
         # order[ends[g] : ends[g + 1]]: the points of height group g, by height
         ends = np.searchsorted(level[order], np.arange(0, heights.size + _TAU_GROUP, _TAU_GROUP))
-        buffers = np.empty((rows, n_s)), np.empty((rows, n_s))
-        prod = np.empty(longest)
+        buffers = [kernels._aligned((rows, n_s)) for _ in range(3)]
+        prod = kernels._aligned((longest,)) if pay.count > 1 else None
         out = np.empty((pay.count, d.size))
         for g, h0 in enumerate(range(0, heights.size, _TAU_GROUP)):
             q = [kernels.BergmanRows(self.k, self.n, h + nodes.s, rows, buffers)
@@ -201,12 +204,13 @@ class KernelIntegralField(Field):
                 cut = slice(lo - r0 * n_s, hi - r0 * n_s)
                 w = pay.rows(r0, r1).reshape(pay.count, -1)[:, cut]
                 D = nodes.dist_sq_to(d[pts, None], slice(r0, r1))
-                part = prod[: hi - lo]
                 for i in range(pts.size):
                     K = q[tile[i]].block(D[i]).ravel()[cut]
-                    for j in range(pay.count):
-                        np.multiply(K, w[j], out=part)
+                    for j in range(pay.count - 1):
+                        part = np.multiply(K, w[j], out=prod[: hi - lo])
                         sums[li, j, i] = np.add.reduce(part)
+                    K *= w[-1]  # the last payload in the kernel block itself
+                    sums[li, -1, i] = np.add.reduce(K)
             out[:, pts] = _tree_add(tree, sums)
             del q  # the next group's tiles replace these, never join them
         return out[:, where.ravel()]  # a 1-d inverse on numpy 1.23 and 2.x

@@ -1486,7 +1486,9 @@ def _exp_thm8(b, rng, p):
 @_experiment("thm9-multiplier", "derivative-weighted slice functional, mixed-norm sources",
              needs=(("q > 1", lambda q: q - 1.0),
                     ("m_order > max(alpha - beta - 1, beta - 1)",
-                     lambda m_order, alpha, beta: m_order - max(alpha - beta - 1.0, beta - 1.0))),
+                     lambda m_order, alpha, beta: m_order - max(alpha - beta - 1.0, beta - 1.0)),
+                    ("alpha * p_exp - 1 > -1 (the weight of the source mixed norm)",
+                     lambda alpha, p_exp: (alpha * p_exp - 1.0) + 1.0)),
              q=2.0, alpha=1.0, beta=0.5, m_order=2, p_exp=1.0)
 def _exp_thm9(b, rng, p):
     n = 2

@@ -1,7 +1,9 @@
 """The pair statistics of scripts/bench_pairs.py."""
 
 import importlib.util
+import json
 import os
+import sys
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "scripts", "bench_pairs.py")
@@ -70,3 +72,51 @@ def test_summary_pools_setup_over_workloads():
     assert (pooled["change_wins"], pooled["change_losses"]) == (3, 2)
     assert all(entry["all_correct"] for entry in record["workloads"])
     assert record["workloads"][0]["metrics"]["setup_s"]["pairs"] == 3
+
+
+# perfbench's stdout for one run of two passes, one of them with a failed op
+_STDOUT = """env {"nproc": 2}
+workload kernel-operators  seed 0  passes 2
+  pass 1  thm5-trace               exit 0     0.3100 s
+  pass 1  prop1                    exit 0     0.1600 s
+  pass 1  thm7-distance            exit 0     5.5000 s
+  pass 2  thm5-trace               exit 0     0.2900 s
+  pass 2  prop1                    exit 1     0.2000 s
+  pass 2  thm7-distance            exit 0     5.3000 s
+  pass 3  thm5-trace               exit 0     0.3000 s
+FAILED pass 2 prop1: exit 1
+metric                value unit  samples
+wall_s              5.80000 s     2 passes
+"""
+
+
+def test_op_medians_read_every_pass_line():
+    got = bench_pairs._op_medians(_STDOUT)
+    assert got == {"thm5-trace": 0.3, "prop1": 0.18, "thm7-distance": 5.4}
+    assert bench_pairs._op_medians("wall_s 5.8 s\nFAILED pass 2 prop1: exit 1\n") == {}
+
+
+def test_run_keeps_each_ops_median(tmp_path):
+    result = {"correct": True, "attempted": 7, "failed": 1,
+              "metrics": {m: {"value": 1.0} for m in bench_pairs.METRICS}}
+    stub = tmp_path / "stub.py"
+    stub.write_text(f"import sys\nsys.stdout.write({_STDOUT!r})\nprint({json.dumps(result)!r})\n")
+    got = bench_pairs._run(str(tmp_path), [sys.executable, str(stub)])
+    assert got["ops"] == {"thm5-trace": 0.3, "prop1": 0.18, "thm7-distance": 5.4}
+    assert (got["failed"], got["wall_s"]) == (1, 1.0)
+
+
+def test_summary_compares_ops_timed_in_every_run():
+    pairs = [_pair(1.0, 0.8) for _ in range(3)]
+    for i, p in enumerate(pairs):
+        p["parent"]["ops"] = {"thm7": 6.0 + i, "prop1": 0.2}
+        p["change"]["ops"] = {"thm7": 5.0 + i, "prop1": 0.2, "thm5": 0.3}
+    pairs[1]["change"]["ops"]["prop1"] = 0.3
+    record = {"workloads": [{"pairs": pairs}]}
+    bench_pairs._summary(record)
+    ops = record["workloads"][0]["ops"]
+    # thm5 is missing from the parent's runs, so it is not compared
+    assert sorted(ops) == ["prop1", "thm7"]
+    assert (ops["thm7"]["parent"], ops["thm7"]["change"]) == (7.0, 6.0)
+    assert abs(ops["thm7"]["median_change_rel"] - (6.0 / 7.0 - 1.0)) < 1e-15
+    assert (ops["prop1"]["parent"], ops["prop1"]["change"]) == (0.2, 0.2)

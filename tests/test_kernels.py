@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from harmspace import fields as fl, kernels as kr, util
+from harmspace import fields as fl, kernels as kr, operators as op, util
 from harmspace.fields import BergmanField, PoissonField
+from harmspace.geometry import Region
+from harmspace.quadrature import QuadSpec
 
 
 def test_poisson_closed_form_values():
@@ -187,9 +189,23 @@ def test_eval_poly_matches_full_shape_loop():
     assert _same_bits(kr._eval_poly(terms, tau, D), _old_eval_poly(terms, tau, D))
 
 
+def _buffers_at(offset, tile):
+    """Three (rows, n_tau) float arrays whose data start `offset` bytes past
+    a 64-byte boundary."""
+    out = []
+    for _ in range(3):
+        raw = np.empty(np.prod(tile) + 8)
+        skip = (offset - raw.ctypes.data) % 64 // 8
+        out.append(raw[skip : skip + np.prod(tile)].reshape(tile))
+        assert out[-1].ctypes.data % 64 == offset
+    return out
+
+
 def test_bergman_rows_match_bergman_from_sq():
     D, tau = _kernel_operands()
-    for l in range(6):
+    assert np.any(D == 0.0)
+    # l <= 8: from l = 5 on a term tau^a D^b has b >= 3 (a column power)
+    for l in range(9):
         for n in (1, 2, 3):
             # one-row blocks, a partial last block (37 = 2 * 16 + 5), and
             # one block larger than the rows it gets
@@ -199,8 +215,41 @@ def test_bergman_rows_match_bergman_from_sq():
                     blk = D[a : a + rows]
                     assert _same_bits(q.block(blk[:, 0]),
                                       kr.bergman_from_sq(l, n, blk, tau))
+            # caller buffers off the 64-byte boundary change no bit
+            for offset in (16, 32, 48):
+                q = kr.BergmanRows(l, n, tau, 16, _buffers_at(offset, (16, tau.size)))
+                for a in range(0, D.shape[0], 16):
+                    blk = D[a : a + 16]
+                    assert _same_bits(q.block(blk[:, 0]),
+                                      kr.bergman_from_sq(l, n, blk, tau))
     # a 2-D tau is one flattened row of the table
     tau2 = tau.reshape(1, 23)[:, :20].reshape(4, 5)
     q = kr.BergmanRows(4, 3, tau2, 8)
     assert _same_bits(q.block(D[:8]),
                       kr.bergman_from_sq(4, 3, D[:8, :, None], tau2[None]).reshape(8, 20))
+
+
+def test_bergman_rows_tiles_and_buffers_start_on_a_cache_line(monkeypatch):
+    def aligned(q):
+        arrays = [ct for _, _, ct in q._terms if ct is not None]
+        arrays += [q._tau2, q._acc, q._tmp, q._D]
+        return all(x.ctypes.data % 64 == 0 for x in arrays)
+
+    _, tau = _kernel_operands()
+    for l, n, rows in ((0, 1, 1), (3, 2, 5), (4, 3, 16), (7, 3, 33)):
+        assert aligned(kr.BergmanRows(l, n, tau, rows)), (l, n, rows)
+    # _eval_axial's shared buffers, and the tiles of every height
+    made = []
+
+    class Recorded(kr.BergmanRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(kr, "BergmanRows", Recorded)
+    g = fl.TestField(2, 3, np.array([0.0, 0.0, 0.0, 1.0]))
+    fld = op.distance_split(g, [0.01], 2.0, 3, Region(4.0, 0.125, 4.0),
+                            QuadSpec(order=4, t_order=3))
+    fld.radial_values(np.array([0.0, 1.3, 2.1]), np.array([0.3, 0.3, 1.7]))
+    assert len(made) == 2 and all(aligned(q) for q in made)
+    assert all(q._acc is made[0]._acc and q._D is made[0]._D for q in made)

@@ -163,6 +163,9 @@ NEED_BOUNDARIES = [
     ("thm9-multiplier", "q > 1", "q", math.nextafter(1.0, _UP), 1.0, {}),
     ("thm9-multiplier", "m_order > max(alpha - beta - 1, beta - 1)", "m_order", 2, 1,
      {"alpha": 2.5}),
+    # alpha p_exp - 1 rounds to -1 up to alpha p_exp = 2^-54 (a tie, to even)
+    ("thm9-multiplier", "alpha * p_exp - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
+     2.0 ** -54, {}),
     ("thm10-functionals", "s > 1", "s", math.nextafter(1.0, _UP), 1.0, {}),
     # alpha - 1 rounds to -1 up to alpha = 2^-54 (a tie, to even)
     ("thm10-functionals", "alpha - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
