@@ -22,10 +22,12 @@ with no failed operation.  ``setup_s`` runs the same set-up
 code in every workload, so it is also pooled over all workloads' pairs,
 where a workload's ten pairs alone cannot resolve a change of a few
 percent.  Each run also keeps every operation's median raw wall time over
-its passes (perfbench's ``pass N <op> exit R <t> s`` lines), and the
-record gives, per workload and operation, the parent's and the change's
-median of those, so a change in ``wall_s`` can be traced to the
-operations that moved.
+its passes (perfbench's ``pass N <op> exit R <t> s`` lines), and its
+median share of a pass: its time over the summed times of that pass's
+operations.  The record gives, per workload and operation, the parent's
+and the change's median of each, so a change in ``wall_s`` can be traced
+to the operations that moved.  Raw seconds follow the host's speed mode;
+shares, taken within one pass, do not.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
 MIN_PAIRS = 10           # fewer pairs never resolve a gain
 SIDES = ("parent", "change")
 # perfbench's per-operation line: "  pass 1  thm7-distance   exit 0     5.1234 s"
-OP_LINE = re.compile(r"\s*pass \d+\s+(\S+)\s+exit -?\d+\s+(\S+) s")
+OP_LINE = re.compile(r"\s*pass (\d+)\s+(\S+)\s+exit -?\d+\s+(\S+) s")
 
 
 def _git(*args):
@@ -78,26 +80,47 @@ def _run(tree, command):
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             **{m: result["metrics"][m]["value"] for m in METRICS},
-            "ops": _op_medians(proc.stdout)}
+            "ops": _op_medians(proc.stdout), "op_shares": _op_shares(proc.stdout)}
+
+
+def _passes(stdout):
+    """Each pass's {operation: wall seconds}, in pass order, from one run's output."""
+    passes = {}
+    for line in stdout.splitlines():
+        m = OP_LINE.fullmatch(line)
+        if m:
+            passes.setdefault(m.group(1), {})[m.group(2)] = float(m.group(3))
+    return list(passes.values())
+
+
+def _medians(per_pass):
+    """Each operation's median over the passes that hold it."""
+    values = {}
+    for times in per_pass:
+        for op, t in times.items():
+            values.setdefault(op, []).append(t)
+    return {op: statistics.median(v) for op, v in values.items()}
 
 
 def _op_medians(stdout):
     """Each operation's median wall time over the passes of one run."""
-    walls = {}
-    for line in stdout.splitlines():
-        m = OP_LINE.fullmatch(line)
-        if m:
-            walls.setdefault(m.group(1), []).append(float(m.group(2)))
-    return {op: statistics.median(t) for op, t in walls.items()}
+    return _medians(_passes(stdout))
 
 
-def _compare_ops(pairs):
-    """Per operation timed in every run of pairs, the median over each side's
-    runs of the per-run medians, and the change's relative to the parent's."""
-    runs = [p[side].get("ops", {}) for p in pairs for side in SIDES]
+def _op_shares(stdout):
+    """Each operation's median share of a pass over the passes of one run: its
+    time over the summed times of that pass's operations."""
+    return _medians({op: t / sum(times.values()) for op, t in times.items()}
+                    for times in _passes(stdout))
+
+
+def _compare_ops(pairs, key):
+    """Per operation in every run's pairs[i][side][key], the median over each
+    side's runs, and the change's relative to the parent's."""
+    runs = [p[side].get(key, {}) for p in pairs for side in SIDES]
     out = {}
     for op in sorted(set.intersection(*(set(r) for r in runs))):
-        med = {side: statistics.median(p[side]["ops"][op] for p in pairs) for side in SIDES}
+        med = {side: statistics.median(p[side][key][op] for p in pairs) for side in SIDES}
         out[op] = {**med, "median_change_rel": med["change"] / med["parent"] - 1.0}
     return out
 
@@ -133,7 +156,8 @@ def _summary(record):
     for entry in record["workloads"]:
         if len(entry["pairs"]) >= 2:
             entry["metrics"] = {m: _compare(entry["pairs"], m) for m in METRICS}
-            entry["ops"] = _compare_ops(entry["pairs"])
+            entry["ops"] = _compare_ops(entry["pairs"], "ops")
+            entry["op_shares"] = _compare_ops(entry["pairs"], "op_shares")
             entry["all_correct"] = _all_correct(entry["pairs"])
     pooled = [p for entry in record["workloads"] for p in entry["pairs"]]
     if len(pooled) >= 2:
@@ -178,7 +202,11 @@ def main(argv=None):
                   " pass medians; setup_s is the median of perfbench's setup probes per"
                   " run, and setup_s_pooled pools it over every workload's pairs. ops"
                   " holds each operation's median raw wall time over a run's passes,"
-                  " and per workload the median of those over each side's runs.",
+                  " and op_shares its median share of a pass (its time over the"
+                  " pass's summed op times); per workload each gives the median of"
+                  " those over each side's runs. Raw seconds follow the host's speed"
+                  " mode, which can differ between runs and sides; shares, taken"
+                  " within one pass, do not.",
         "workloads": [],
     }
     trees = {"parent": parent_tree, "change": ROOT}

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_rule
-from .util import check_finite, check_positive, gamma_ratio
+from .util import check_finite, check_positive, fit_loglog, gamma_ratio
 
 
 def dim_harmonics(n: int, k: int) -> int:
@@ -278,9 +278,9 @@ def convolve(f: Expansion, g: Expansion) -> Expansion:
     With g a multiplier symbol (diagonal_symbol, multiplier_lambda) this is
     the multiplier's action on f; callers pass the expansion first and the
     symbol second.  It is commutative and linear in each argument, which
-    the property tests assert.  The multiplier functionals
-    (verify.slice_functional) take the Poisson slice of a diagonal symbol
-    as one zonal row instead.
+    the property tests assert.  The multiplier functional
+    (slice_functional) takes the Poisson slice of a diagonal symbol as one
+    zonal row instead.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
@@ -325,6 +325,68 @@ def conv_poisson_matrix(c: Expansion, rho: float, grid) -> np.ndarray:
         else:
             h += rho**k * E
     return h
+
+
+FINITE_TREND = -0.05
+DIVERGENT_TREND = -0.2
+
+
+def trend_class(slope):
+    """A slice_functional trend at or above FINITE_TREND has settled as
+    rho -> 1; one at or below DIVERGENT_TREND still climbs."""
+    if slope >= FINITE_TREND:
+        return "finite"
+    if slope <= DIVERGENT_TREND:
+        return "divergent"
+    return "inconclusive"
+
+
+def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, grid):
+    """Weighted boundary-slice functional of a diagonal n = 2 symbol.
+
+    Per radius 1 - 2^-i: sup over the outer point x' of
+    (1-rho)^weight_exp (int |D(g*P_x')(rho y')|^s' dy')^(1/s'), where D is
+    an optional fractional derivative of the stated order and the integral
+    runs over the n = 2 SphereGrid grid.  Returns the sup, the log-log
+    trend slope in (1-rho) over the last rows unaffected by the symbol's
+    degree cap, and the trace rows.  Negative trend means the value still
+    climbs as rho -> 1.
+
+    For a diagonal symbol the Poisson slice is zonal (the addition
+    theorem): h_rho(x', y') = sum_k rho^k c_k Z_k(x'.y').  The grid is
+    uniform in angle, so each outer point's row is a rotation of the
+    first point's, and every row has the same integral: the sup is that
+    one row's.  The row is summed in degree order with elementwise
+    products, so no value depends on BLAS threading.  Any other symbol or
+    grid raises ValueError.
+    """
+    if not (c.n == 2 and all(np.all(b == b[0]) for b in c.coeffs)):
+        raise ValueError("slice_functional takes a diagonal n = 2 symbol")
+    if not (isinstance(grid, SphereGrid) and grid.n == 2):
+        raise ValueError("slice_functional takes an n = 2 SphereGrid")
+    coef = np.array([b[0] for b in c.coeffs])
+    if lam_order is not None:
+        lam = multiplier_lambda(2, c.cap, lam_order)
+        coef = np.array([b[0] for b in lam.coeffs]) * coef
+    rhos = 1.0 - 2.0 ** -np.arange(1.0, rho_levels + 1)
+    Z = zonal_values(2, c.cap, grid.points @ grid.points[0])
+    terms = rhos[:, None] ** np.arange(c.cap + 1) * coef  # (levels, cap + 1)
+    row = terms[:, :1] * Z[0]  # (levels, res): the first point's row per level
+    for k in range(1, c.cap + 1):
+        row += terms[:, k:k + 1] * Z[k]
+    integ = (np.abs(row) ** s_prime @ grid.weights) ** (1.0 / s_prime)
+    rows = [(rho, (1.0 - rho) ** weight_exp * v)
+            for rho, v in zip(rhos.tolist(), integ.tolist())]
+    vals = np.array([v for _, v in rows])
+    sup = float(vals.max())
+    usable = [i for i in range(1, rho_levels + 1) if 2.0 ** i <= c.cap / 2]
+    usable = usable[-4:]
+    if len(usable) >= 3 and all(vals[i - 1] > 0 for i in usable):
+        onem = np.array([2.0 ** -i for i in usable])
+        slope = fit_loglog(onem, vals[[i - 1 for i in usable]])[0]
+    else:
+        slope = 0.0
+    return sup, slope, [[float(r), float(v)] for r, v in rows]
 
 
 # Up to this weight exponent a, the Gauss-Jacobi rule's scale 2^-(a+1) is

@@ -4,8 +4,9 @@ One invocation resolves one run configuration and produces one JSON
 summary plus zero or more CSV traces in the output directory.  A JSON
 config file supplies defaults that explicit flags override: its values
 are parsed as flags ahead of the command line's; unknown config keys are
-rejected.  Every command honors --dry-run, which prints the resolved
-configuration and writes nothing.
+rejected.  Every command checks its flag ranges, input files and array
+budgets, then honors --dry-run, which prints the resolved configuration
+and writes nothing; the library's own rejections come only in a run.
 
 Exit codes: 0 success, 1 verification check failure, 2 usage error (main
 maps every ValueError and NotImplementedError to it).
@@ -79,12 +80,13 @@ def _load_json(path):
         raise UsageError(f"{path} is not valid JSON: {e}")
 
 
-def _load_expansion(path):
+def _load_file(path, cls=bl.Expansion, what="expansion"):
+    """cls.from_json of the JSON file at path: an expansion, or a measure."""
     data = _load_json(path)
     try:
-        return bl.Expansion.from_json(data)
+        return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"{path} is not a valid expansion file: {e}")
+        raise UsageError(f"{path} is not a valid {what} file: {e}")
 
 
 # ----------------------------------------------------------- run config
@@ -141,9 +143,10 @@ def _parse_with_config(parser, argv, args):
     return args, extras
 
 
-def _parse_override_tokens(extras):
-    """Leftover `--key value` (or `--key=value`) pairs as a dict."""
-    out = {}
+def _with_overrides(overrides, extras):
+    """overrides under the leftover `--key value` (or `--key=value`) pairs;
+    overrides itself if there are none."""
+    out = dict(overrides or {})
     toks = list(extras)
     while toks:
         tok = toks.pop(0)
@@ -157,7 +160,7 @@ def _parse_override_tokens(extras):
         else:
             raise UsageError(f"missing value for {tok}")
         out[key.replace("-", "_")] = val
-    return out
+    return out if extras else overrides
 
 
 def _emit(args, summary, traces=()):
@@ -177,33 +180,23 @@ def _emit(args, summary, traces=()):
     return paths
 
 
-def _dry_run(args, extra=None):
-    print(util.dumps_json(_resolved_config(args, extra)))
+def _dry_run(config):
+    print(util.dumps_json(config))
     return 0
 
 
 # ------------------------------------------------------------ verify
 
 
-def _cmd_verify(args, extras):
-    cli_over = _parse_override_tokens(extras)
-    if cli_over:
-        args.overrides = {**(args.overrides or {}), **cli_over}
+def _cmd_verify(args):
     ids = list(args.ids) or ["all"]
-    known = set(verify.experiment_ids())
-    bad = [i for i in ids if i != "all" and i not in known]
-    if bad:
-        raise UsageError(f"unknown experiment ids: {bad}")
-    if args.overrides:
-        if len(ids) != 1 or ids[0] == "all":
-            raise UsageError("parameter overrides need exactly one experiment id")
-        verify.check_params(ids[0], args.overrides)  # so a dry run rejects what a run does
+    verify.resolve_suite(ids, args.overrides)  # refuses what run_suite refuses
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     if args.dry_run:
-        return _dry_run(args, {"ids": ids})
+        return _dry_run(_resolved_config(args, {"ids": ids}))
 
     summary = verify.run_suite(ids, budget=args.budget, seed=args.seed,
                                threads=args.threads, overrides=args.overrides)
@@ -271,7 +264,8 @@ def _finite_norm(kind, norm, *params):
     return value
 
 
-def _ball_norm(kind, f, args, res):
+def _check_ball_norm(kind, f, args, res):
+    """A ball norm's radial weight exponent, named by its flags, and value table."""
     if kind in _RADIAL_KINDS:
         # the radial rule's weight exponent, checked here to name its flags
         if kind.endswith("mixed"):
@@ -287,7 +281,6 @@ def _ball_norm(kind, f, args, res):
     kept = f" and {basis} basis rows" if basis else ""
     _check_array_bytes(f"the {rows} x {cols} value table{kept}",
                        16 * rows * cols + 8 * basis * cols)
-    return _finite_norm(kind, _BALL_NORMS[kind], f, args, res)
 
 
 _FIELD_NEEDS = {"bergman-q": "an order, e.g. bergman-q:2",
@@ -303,7 +296,7 @@ def _parse_field(spec, n):
     if name in _FIELD_NEEDS and not parts:
         raise UsageError(f"{name} needs {_FIELD_NEEDS[name]}")
     if name == "expansion-file":
-        return _load_expansion(rest)
+        return _load_file(rest)
     try:
         if name == "poisson":
             height = float(parts[0]) if parts else 1.0
@@ -328,15 +321,14 @@ def _cmd_norm(args):
     f = _parse_field(args.field, args.n)
     if isinstance(f, bl.Expansion):
         if args.space not in _BALL_SPACES:
-            raise UsageError(
-                f"space {args.space!r} undefined on the ball"
-                f" (use one of {_BALL_SPACES})")
-        value = _ball_norm(args.space, f, args, args.resolution)
+            raise UsageError(f"space {args.space!r} undefined on the ball"
+                             f" (use one of {_BALL_SPACES})")
+        _check_ball_norm(args.space, f, args, args.resolution)
+        norm, params = _BALL_NORMS[args.space], (f, args, args.resolution)
     else:
         if args.space not in _HALF_SPACES:
-            raise UsageError(
-                f"space {args.space!r} undefined on the half-space"
-                f" (use one of {_HALF_SPACES})")
+            raise UsageError(f"space {args.space!r} undefined on the half-space"
+                             f" (use one of {_HALF_SPACES})")
         region = Region(args.x_max, args.t_min, args.t_max)
         # leggauss builds an order x order float64 companion matrix per order
         for flag, order in (("--order", args.order), ("--t-order", args.t_order)):
@@ -349,10 +341,11 @@ def _cmd_norm(args):
             # (ru_maxrss at 0.25 to 1 million boxes)
             _check_whitney_bytes(region, f.n, 48 * (f.n + 2))
         spec = QuadSpec(order=args.order, t_order=args.t_order)
-        value = _finite_norm(args.space, _HALF_SPACE_NORMS[args.space], f, args,
-                             region, spec)
+        norm, params = _HALF_SPACE_NORMS[args.space], (f, args, region, spec)
     summary = _resolved_config(args)
-    summary["value"] = value
+    if args.dry_run:
+        return _dry_run(summary)
+    value = summary["value"] = _finite_norm(args.space, norm, *params)
     header = ["space", "field", "n", "p", "q", "alpha", "lam", "t", "value"]
     row = [args.space, args.field, args.n, args.p, args.q, args.alpha,
            args.lam, args.t, value]
@@ -366,20 +359,19 @@ def _cmd_norm(args):
 
 
 def _cmd_carleson(args):
-    data = _load_json(args.measure)
-    try:
-        mu = ca.AtomicMeasure.from_json(data)
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"{args.measure} is not a valid measure file: {e}")
+    mu = _load_file(args.measure, ca.AtomicMeasure, "measure")
     region = Region(args.x_max, args.t_min, args.t_max)
     # the boxes' arrays and corners, and the report's mass, gauge and ratio
     # columns with the CSV cells made from them: about 220, 290 and 370
     # bytes a box at n = 1, 2, 3 (ru_maxrss with a 400-atom measure at 0.26
     # to 1.4 million boxes)
     _check_whitney_bytes(region, mu.n, 64 * (mu.n + 4))
+    s_vec = _floats_csv(args.s) if args.condition == "vector" else None
+    summary = _resolved_config(args)
+    if args.dry_run:
+        return _dry_run(summary)
     cubes = whitney_cubes(region, mu.n)
     if args.condition == "vector":
-        s_vec = _floats_csv(args.s)
         rep = ca.condition_vector(mu, cubes, len(s_vec), s_vec)
     elif args.condition == "single":
         rep = ca.condition_single(mu, cubes, args.alpha)
@@ -391,7 +383,6 @@ def _cmd_carleson(args):
     if lost:
         print(f"warning: {lost} of {len(mu.t)} atoms lie outside the region and are"
               " not counted", file=sys.stderr)
-    summary = _resolved_config(args)
     summary.update(rep.summary())
     summary["level_maxima"] = {str(k): v for k, v in rep.level_maxima().items()}
     header = ["condition", "level", "index", "mass", "gauge", "ratio"]
@@ -429,17 +420,9 @@ def _parse_symbol(spec, cap):
         f"unknown symbol family {name!r} (decay, growth, identity, zero, file)")
 
 
-def _expansion_trace(name, f):
-    top = [float(np.max(np.abs(c))) for c in f.coeffs]
-    return (name, ["degree", "max_abs_coeff"], [range(len(top)), top])
-
-
 def _cmd_ball(args):
     if args.resolution < 0:
         raise UsageError("--resolution must be >= 0 (0 picks the default)")
-    summary = _resolved_config(args)
-    traces = []
-
     if args.operation == "multiplier-check":
         if args.cap < 0:
             raise UsageError("--cap must be >= 0")
@@ -460,38 +443,49 @@ def _cmd_ball(args):
         c = _parse_symbol(args.symbol, args.cap)
         if not 1.0 < args.s < math.inf:
             raise UsageError("need a finite s > 1 for the dual exponent")
-        grid = bl.SphereGrid(2, res)
-        sup, slope, rows = verify.slice_functional(
+    elif args.operation == "convolve":
+        if not (args.left and args.right):
+            raise UsageError("convolve needs --left and --right files")
+        f, g = _load_file(args.left), _load_file(args.right)
+    else:
+        if not args.expansion:
+            raise UsageError(f"{args.operation} needs --expansion FILE")
+        f = _load_file(args.expansion)
+        if args.operation == "functional":
+            res = args.resolution or 24
+            _check_ball_norm(args.kind, f, args, res)
+    summary = _resolved_config(args)
+    if args.dry_run:
+        return _dry_run(summary)
+
+    traces = []
+    if args.operation == "multiplier-check":
+        sup, slope, rows = bl.slice_functional(
             c, args.s / (args.s - 1.0), args.beta, args.lam_order,
-            args.rho_levels, grid)
-        kind = verify.trend_class(slope)
+            args.rho_levels, bl.SphereGrid(2, res))
+        kind = bl.trend_class(slope)
         summary.update(functional=sup, trend=slope, classification=kind)
         traces.append(("ball-multiplier-trace", ["rho", "value"],
                        util.row_columns(rows, 2)))
         print(f"functional={sup!r} trend={slope:+.4f} -> {kind}")
     elif args.operation == "functional":
-        f = _load_expansion(args.expansion)
-        value = _ball_norm(args.kind, f, args, args.resolution or 24)
-        summary["value"] = value
+        value = summary["value"] = _finite_norm(args.kind, _BALL_NORMS[args.kind], f, args, res)
         traces.append(("ball-functional-trace",
                        ["kind", "p", "q", "alpha", "t", "value"],
                        [[v] for v in (args.kind, args.p, args.q, args.alpha, args.t,
                                       value)]))
         print(repr(value))
-    elif args.operation == "lambda":
-        f = _load_expansion(args.expansion)
-        out = bl.fractional_derivative(args.t, f)
+    else:  # lambda or convolve: a new expansion, traced by its largest coefficient a degree
+        if args.operation == "lambda":
+            out = bl.fractional_derivative(args.t, f)
+            done = f"applied order-{args.t:g} derivative multiplier"
+        else:
+            out, done = bl.convolve(f, g), "convolved"
         summary["expansion"] = out.to_json()
-        traces.append(_expansion_trace("ball-lambda-trace", out))
-        print(f"applied order-{args.t:g} derivative multiplier"
-              f" through degree {out.cap}")
-    else:
-        f = _load_expansion(args.left)
-        g = _load_expansion(args.right)
-        out = bl.convolve(f, g)
-        summary["expansion"] = out.to_json()
-        traces.append(_expansion_trace("ball-convolve-trace", out))
-        print(f"convolved through degree {out.cap}")
+        top = [float(np.max(np.abs(c))) for c in out.coeffs]
+        traces.append((f"ball-{args.operation}-trace", ["degree", "max_abs_coeff"],
+                       [range(len(top)), top]))
+        print(f"{done} through degree {out.cap}")
 
     paths = _emit(args, summary, traces)
     print(f"wrote {paths[0]}")
@@ -512,6 +506,9 @@ def _cmd_whitney(args):
     # 160, 192, 221, 253 and 287 bytes, about 32 (n + 4).  The check
     # charges 1.5 times that.
     _check_whitney_bytes(region, args.n, 48 * (args.n + (1 if args.lam is None else 4)))
+    summary = _resolved_config(args)
+    if args.dry_run:
+        return _dry_run(summary)
     cubes = whitney_cubes(region, args.n)
     level, centers = cubes.level, box_centers(cubes)
     header = (["level", "side"] + [f"center_{i}" for i in range(args.n)]
@@ -521,7 +518,6 @@ def _cmd_whitney(args):
         header.append("weighted_measure")
         cols.append(weighted_measures(*box_corners(cubes), args.lam))
     levels, counts = np.unique(level, return_counts=True)
-    summary = _resolved_config(args)
     summary.update(count=len(level),
                    levels={str(j): k for j, k in zip(levels.tolist(), counts.tolist())},
                    cubes=util.Records(level=level, index=cubes.index, center=centers,
@@ -567,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget", choices=sorted(verify.BUDGETS), default="standard")
     v.add_argument("--threads", type=int, default=1)
     _add_common(v)
-    v.set_defaults(overrides=None)
+    v.set_defaults(overrides=None, func=_cmd_verify)
 
     m = subs.add_parser("norm", help="compute one norm of one field")
     m.add_argument("--space", required=True,
@@ -657,16 +653,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args, extras = _parse_with_config(parser, argv, args)
-        if args.command == "ball":
-            if args.operation in ("functional", "lambda") and not args.expansion:
-                raise UsageError(f"{args.operation} needs --expansion FILE")
-            if args.operation == "convolve" and not (args.left and args.right):
-                raise UsageError("convolve needs --left and --right files")
         if args.command == "verify":  # the one command that reads leftover --key value
-            return _cmd_verify(args, extras)
-        if extras:
+            args.overrides = _with_overrides(args.overrides, extras)
+        elif extras:
             raise UsageError(f"unrecognized arguments: {extras}")
-        return _dry_run(args) if args.dry_run else args.func(args)
+        return args.func(args)
     except (ValueError, NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -197,7 +197,7 @@ def check_params(exp_id, overrides=None):
     _RANGES range and with each need's margin > 0 (read in order, so a margin may
     assume the needs before it); else a ValueError naming the parameter."""
     if exp_id not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {exp_id!r}")
+        raise ValueError(f"unknown experiment {exp_id!r}")
     exp = EXPERIMENTS[exp_id]
     params = dict(exp.defaults)
     unknown = sorted(set(overrides or {}) - set(params))
@@ -237,17 +237,24 @@ def run_experiment(exp_id, budget="standard", seed=0, overrides=None):
     })
 
 
+def resolve_suite(ids=None, overrides=None):
+    """The named ids in registry order, or all ids if none is named ("all" names
+    none); a ValueError for an unknown id, or for overrides not for one id."""
+    ids = list(ids or ["all"])
+    named = [i for i in ids if i != "all"]
+    unknown = [i for i in named if i not in EXPERIMENTS]
+    if unknown:
+        raise ValueError(f"unknown experiment ids: {unknown}")
+    if overrides:
+        if len(ids) != 1 or not named:
+            raise ValueError("parameter overrides need exactly one experiment id")
+        check_params(ids[0], overrides)
+    return [i for i in EXPERIMENTS if i in named or not named]
+
+
 def run_suite(ids=None, budget="standard", seed=0, threads=1, overrides=None):
-    """Run several experiments; reports come back in registry order."""
-    if not ids or list(ids) == ["all"]:
-        chosen = list(EXPERIMENTS)
-    else:
-        chosen = [i for i in EXPERIMENTS if i in set(ids)]
-        missing = set(ids) - set(chosen) - {"all"}
-        if missing:
-            raise KeyError(f"unknown experiment ids: {sorted(missing)}")
-    if overrides and len(chosen) != 1:
-        raise ValueError("parameter overrides require a single experiment")
+    """Run the experiments resolve_suite gives; reports come back in registry order."""
+    chosen = resolve_suite(ids, overrides)
 
     def one(i):
         return run_experiment(i, budget, seed, overrides)
@@ -1344,68 +1351,6 @@ def _exp_ball_norms(b, rng, p):
 # ==================================================== multiplier functionals
 
 
-FINITE_TREND = -0.05
-DIVERGENT_TREND = -0.2
-
-
-def trend_class(slope):
-    """A slice_functional trend at or above FINITE_TREND has settled as
-    rho -> 1; one at or below DIVERGENT_TREND still climbs."""
-    if slope >= FINITE_TREND:
-        return "finite"
-    if slope <= DIVERGENT_TREND:
-        return "divergent"
-    return "inconclusive"
-
-
-def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, grid):
-    """Weighted boundary-slice functional of a diagonal n = 2 symbol.
-
-    Per radius 1 - 2^-i: sup over the outer point x' of
-    (1-rho)^weight_exp (int |D(g*P_x')(rho y')|^s' dy')^(1/s'), where D is
-    an optional fractional derivative of the stated order and the integral
-    runs over the n = 2 SphereGrid grid.  Returns the sup, the log-log
-    trend slope in (1-rho) over the last rows unaffected by the symbol's
-    degree cap, and the trace rows.  Negative trend means the value still
-    climbs as rho -> 1.
-
-    For a diagonal symbol the Poisson slice is zonal (the addition
-    theorem): h_rho(x', y') = sum_k rho^k c_k Z_k(x'.y').  The grid is
-    uniform in angle, so each outer point's row is a rotation of the
-    first point's, and every row has the same integral: the sup is that
-    one row's.  The row is summed in degree order with elementwise
-    products, so no value depends on BLAS threading.  Any other symbol or
-    grid raises ValueError.
-    """
-    if not (c.n == 2 and all(np.all(b == b[0]) for b in c.coeffs)):
-        raise ValueError("slice_functional takes a diagonal n = 2 symbol")
-    if not (isinstance(grid, bl.SphereGrid) and grid.n == 2):
-        raise ValueError("slice_functional takes an n = 2 SphereGrid")
-    coef = np.array([b[0] for b in c.coeffs])
-    if lam_order is not None:
-        lam = bl.multiplier_lambda(2, c.cap, lam_order)
-        coef = np.array([b[0] for b in lam.coeffs]) * coef
-    rhos = 1.0 - 2.0 ** -np.arange(1.0, rho_levels + 1)
-    Z = bl.zonal_values(2, c.cap, grid.points @ grid.points[0])
-    terms = rhos[:, None] ** np.arange(c.cap + 1) * coef  # (levels, cap + 1)
-    row = terms[:, :1] * Z[0]  # (levels, res): the first point's row per level
-    for k in range(1, c.cap + 1):
-        row += terms[:, k:k + 1] * Z[k]
-    integ = (np.abs(row) ** s_prime @ grid.weights) ** (1.0 / s_prime)
-    rows = [(rho, (1.0 - rho) ** weight_exp * v)
-            for rho, v in zip(rhos.tolist(), integ.tolist())]
-    vals = np.array([v for _, v in rows])
-    sup = float(vals.max())
-    usable = [i for i in range(1, rho_levels + 1) if 2.0 ** i <= c.cap / 2]
-    usable = usable[-4:]
-    if len(usable) >= 3 and all(vals[i - 1] > 0 for i in usable):
-        onem = np.array([2.0 ** -i for i in usable])
-        slope = util.fit_loglog(onem, vals[[i - 1 for i in usable]])[0]
-    else:
-        slope = 0.0
-    return sup, slope, [[float(r), float(v)] for r, v in rows]
-
-
 def _symbol_trends(n, K, decay_exp, functional, checks, consts, arts):
     """The functional of (1 + k)^decay_exp is stable from cap K to 2K and
     trends finite; that of 1 + k trends divergent.  Returns the symbol at
@@ -1418,8 +1363,8 @@ def _symbol_trends(n, K, decay_exp, functional, checks, consts, arts):
     _, slope_bad, rows_bad = functional(
         bl.diagonal_symbol(n, 1.0 + np.arange(2 * K + 1.0)))
     checks.append(_close("functional-cap-stable", N_half / N, 1.0, 0.05))
-    checks.append(_above("finite-trend", slope, FINITE_TREND))
-    checks.append(_below("divergent-trend", slope_bad, DIVERGENT_TREND))
+    checks.append(_above("finite-trend", slope, bl.FINITE_TREND))
+    checks.append(_below("divergent-trend", slope_bad, bl.DIVERGENT_TREND))
     consts["functional"] = N
     arts["trace"] = {"header": ["rho", "value"], "rows": rows}
     return c_half, c_full, N, rows_bad
@@ -1447,7 +1392,7 @@ def _exp_thm8(b, rng, p):
     checks, consts, arts = [], {}, {}
 
     def functional(c):
-        return slice_functional(c, sp, beta, None, b.rho_levels, grid)
+        return bl.slice_functional(c, sp, beta, None, b.rho_levels, grid)
 
     c_half, _, N2, rows_bad = _symbol_trends(n, K, -2.0, functional, checks, consts, arts)
     arts["trace_divergent"] = {"header": ["rho", "value"], "rows": rows_bad}
@@ -1455,7 +1400,7 @@ def _exp_thm8(b, rng, p):
     N0 = functional(bl.diagonal_symbol(n, np.zeros(K + 1)))[0]
     checks.append(_close("zero-symbol", N0, 0.0, 0.0))
     sl1 = functional(bl.diagonal_symbol(n, np.ones(2 * K + 1)))[1]
-    checks.append(_above("identity-trend", sl1, FINITE_TREND))
+    checks.append(_above("identity-trend", sl1, bl.FINITE_TREND))
 
     ratios = []
     rrows = []
@@ -1487,8 +1432,9 @@ def _exp_thm8(b, rng, p):
              needs=(("q > 1", lambda q: q - 1.0),
                     ("m_order > max(alpha - beta - 1, beta - 1)",
                      lambda m_order, alpha, beta: m_order - max(alpha - beta - 1.0, beta - 1.0)),
-                    ("alpha * p_exp - 1 > -1 (the weight of the source mixed norm)",
-                     lambda alpha, p_exp: (alpha * p_exp - 1.0) + 1.0)),
+                    ("alpha * p_exp - 1 > -1 + 2^-48 (the source norm's weight > -1, and a"
+                     " harness limit: its 40-node Gauss-Jacobi rule is not finite closer)",
+                     lambda alpha, p_exp: (alpha * p_exp - 1.0) + 1.0 - 2.0 ** -48)),
              q=2.0, alpha=1.0, beta=0.5, m_order=2, p_exp=1.0)
 def _exp_thm9(b, rng, p):
     n = 2
@@ -1501,11 +1447,11 @@ def _exp_thm9(b, rng, p):
     checks, consts, arts = [], {}, {}
 
     c_half, c_full, M2, _ = _symbol_trends(
-        n, K, -2.5, lambda c: slice_functional(c, qp, e9, mo + 1.0, b.rho_levels, grid),
+        n, K, -2.5, lambda c: bl.slice_functional(c, qp, e9, mo + 1.0, b.rho_levels, grid),
         checks, consts, arts)
 
     # conjugate-exponent sensitivity, reported only
-    Mq = slice_functional(c_full, q, e9, mo + 1.0, b.rho_levels, grid)[0]
+    Mq = bl.slice_functional(c_full, q, e9, mo + 1.0, b.rho_levels, grid)[0]
     consts["functional_at_q"] = Mq
 
     rows, fits, end_ratios = [], [], []
@@ -1536,8 +1482,9 @@ def _exp_thm9(b, rng, p):
 
 @_experiment("thm10-functionals", "derivative-slice functionals for gradient-norm sources",
              needs=(("s > 1", lambda s: s - 1.0),
-                    ("alpha - 1 > -1 (the weight of the gradient mixed norm)",
-                     lambda alpha: (alpha - 1.0) + 1.0)),
+                    ("alpha - 1 > -1 + 2^-49 (the gradient norm's weight > -1, and a harness"
+                     " limit: its 32-node Gauss-Jacobi rule is not finite closer)",
+                     lambda alpha: (alpha - 1.0) + 1.0 - 2.0 ** -49)),
              s=2.0, alpha=1.0, beta=0.5, m_order=2)
 def _exp_thm10(b, rng, p):
     n = 2
@@ -1552,23 +1499,23 @@ def _exp_thm10(b, rng, p):
     c = bl.diagonal_symbol(n, decay)
     eL = mo + 2.0 + be - al
     eK = mo + 1.0 + be - al
-    Lv, slL, rowsL = slice_functional(c, sp, eL, mo + 1.0, b.rho_levels, grid)
-    Kv, slKv, rowsK = slice_functional(c, sp, eK, mo + 1.0, b.rho_levels, grid)
+    Lv, slL, rowsL = bl.slice_functional(c, sp, eL, mo + 1.0, b.rho_levels, grid)
+    Kv, slKv, rowsK = bl.slice_functional(c, sp, eK, mo + 1.0, b.rho_levels, grid)
     consts["gradient_functional"] = Lv
     consts["volume_functional"] = Kv
-    checks.append(_above("gradient-finite-trend", slL, FINITE_TREND))
-    checks.append(_above("volume-finite-trend", slKv, FINITE_TREND))
+    checks.append(_above("gradient-finite-trend", slL, bl.FINITE_TREND))
+    checks.append(_above("volume-finite-trend", slKv, bl.FINITE_TREND))
     arts["trace_gradient"] = {"header": ["rho", "value"], "rows": rowsL}
     arts["trace_volume"] = {"header": ["rho", "value"], "rows": rowsK}
 
     # the two functionals agree exactly across the weight shift
     eL_shift = mo + 2.0 + be - (al + 1.0)
-    Lshift = slice_functional(c, sp, eL_shift, mo + 1.0, b.rho_levels, grid)[0]
+    Lshift = bl.slice_functional(c, sp, eL_shift, mo + 1.0, b.rho_levels, grid)[0]
     checks.append(_close("weight-shift-coherence", Kv / Lshift, 1.0, 1e-12))
 
     c_bad = bl.diagonal_symbol(n, 1.0 + np.arange(2 * K + 1.0))
-    sl_bad = slice_functional(c_bad, sp, eL, mo + 1.0, b.rho_levels, grid)[1]
-    checks.append(_below("divergent-trend", sl_bad, DIVERGENT_TREND))
+    sl_bad = bl.slice_functional(c_bad, sp, eL, mo + 1.0, b.rho_levels, grid)[1]
+    checks.append(_below("divergent-trend", sl_bad, bl.DIVERGENT_TREND))
 
     ratios = []
     for i in range(b.panel):

@@ -1,5 +1,6 @@
 """Ball expansions: scipy special-function oracles and exact algebra."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import eval_chebyt, eval_chebyu, eval_legendre, gammaln
 
 from harmspace import ball as bl
+from harmspace import verify as vf
 
 
 def test_dim_harmonics_frozen():
@@ -382,3 +384,64 @@ def test_volume_norm_of_one_degree_closed_form():
             b2 = float(np.sum(np.abs(blocks[k]) ** 2))
             exact = math.sqrt(b2 * beta_fn(k + n / 2, alpha + 1) / 2)
             assert bl.volume_norm(f, 2.0, alpha) == pytest.approx(exact, rel=1e-12)
+
+
+def test_trend_class_matches_the_check_rows():
+    # thm8's finite-trend row passes at slope >= FINITE_TREND and its
+    # divergent-trend row at slope <= DIVERGENT_TREND: same boundaries here
+    assert bl.trend_class(-0.05) == "finite"
+    assert bl.trend_class(-0.2) == "divergent"
+    assert bl.trend_class(-0.1) == "inconclusive"
+    assert vf._above("finite-trend", -0.05, bl.FINITE_TREND)["ok"]
+    assert vf._below("divergent-trend", -0.2, bl.DIVERGENT_TREND)["ok"]
+
+
+def _slice_functional_by_matrix(c, s_prime, levels, lam_order, grid):
+    # the route slice_functional replaced: each outer point's integral over
+    # the rows of the (res, res) Poisson-slice matrix, then the max
+    if lam_order is not None:
+        c = bl.convolve(c, bl.multiplier_lambda(2, c.cap, lam_order))
+    out = []
+    for i in range(1, levels + 1):
+        rho = 1.0 - 2.0 ** -i
+        M = bl.conv_poisson_matrix(c, rho, grid)
+        out.append((1.0 - rho) * float(np.max((grid.weights @ np.abs(M) ** s_prime)
+                                              ** (1.0 / s_prime))))
+    return out
+
+
+def test_slice_functional_is_the_matrix_route_from_one_zonal_row(monkeypatch):
+    cap = 12
+    k = np.arange(cap + 1.0)
+    grid = bl.SphereGrid(2, 4 * cap + 8)
+    symbols = {"decay": (1.0 + k) ** -2, "growth": 1.0 + k, "identity": np.ones(cap + 1),
+               "zero": np.zeros(cap + 1),
+               "random": np.random.default_rng(3).standard_normal(cap + 1)}
+    cases = list(itertools.product(symbols, (1.5, 2.0, 3.0), (1, 3, 8), (None, 3.0)))
+    c = {name: bl.diagonal_symbol(2, v) for name, v in symbols.items()}
+    want = {case: _slice_functional_by_matrix(c[case[0]], *case[1:], grid)
+            for case in cases}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("slice_functional must build no slice matrix")
+
+    monkeypatch.setattr(bl, "conv_poisson_matrix", unreachable)
+    for name, sp, levels, lam in cases:
+        sup, _, rows = bl.slice_functional(c[name], sp, 1.0, lam, levels, grid)
+        assert [r for r, _ in rows] == [1.0 - 2.0 ** -i for i in range(1, levels + 1)]
+        got = [v for _, v in rows]
+        assert sup == max(got)
+        if name == "zero":
+            assert got == [0.0] * levels
+        else:
+            np.testing.assert_allclose(got, want[name, sp, levels, lam], rtol=1e-13, atol=0)
+
+    grid3 = bl.SphereGrid(3, 6)
+    wrong = [  # an n = 3 symbol, a non-constant n = 2 block, an n = 3 grid
+        (bl.diagonal_symbol(3, np.ones(5)), grid),
+        (bl.Expansion(2, [[1.0], [1.0, 2.0], [0.5, 0.5]]), grid),
+        (c["decay"], grid3),
+    ]
+    for sym, g in wrong:
+        with pytest.raises(ValueError):
+            bl.slice_functional(sym, 2.0, 1.0, None, 3, g)

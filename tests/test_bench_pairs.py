@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import re
+import statistics
 import sys
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -120,3 +122,31 @@ def test_summary_compares_ops_timed_in_every_run():
     assert (ops["thm7"]["parent"], ops["thm7"]["change"]) == (7.0, 6.0)
     assert abs(ops["thm7"]["median_change_rel"] - (6.0 / 7.0 - 1.0)) < 1e-15
     assert (ops["prop1"]["parent"], ops["prop1"]["change"]) == (0.2, 0.2)
+
+
+def test_op_shares_do_not_follow_the_hosts_speed():
+    # a pass's share of an op is its time over the pass's summed op times
+    got = bench_pairs._op_shares(_STDOUT)
+    assert got["thm7-distance"] == statistics.median([5.5 / 5.97, 5.3 / 5.79])
+    assert got["prop1"] == statistics.median([0.16 / 5.97, 0.2 / 5.79])
+    # pass 3 timed thm5 alone, so its share there is the whole pass
+    assert got["thm5-trace"] == statistics.median([0.31 / 5.97, 0.29 / 5.79, 1.0])
+    # a run at half the speed takes twice as long for every op: its raw
+    # medians double, and its shares read the same
+    slow = re.sub(r"(\d+\.\d+) s$", lambda m: f"{2 * float(m.group(1)):.4f} s", _STDOUT,
+                  flags=re.M)
+    assert "11.0000 s" in slow
+    assert bench_pairs._op_medians(slow) == {"thm5-trace": 0.6, "prop1": 0.36,
+                                             "thm7-distance": 10.8}
+    assert bench_pairs._op_shares(slow) == got
+    pairs = [_pair(1.0, 2.0) for _ in range(3)]
+    for p in pairs:
+        for side, out in (("parent", _STDOUT), ("change", slow)):
+            p[side].update(ops=bench_pairs._op_medians(out), op_shares=bench_pairs._op_shares(out))
+    record = {"workloads": [{"pairs": pairs}]}
+    bench_pairs._summary(record)
+    entry = record["workloads"][0]
+    assert entry["ops"]["thm7-distance"]["median_change_rel"] == 1.0
+    for op, row in entry["op_shares"].items():
+        assert row["parent"] == row["change"] == got[op]
+        assert row["median_change_rel"] == 0.0

@@ -215,6 +215,51 @@ def test_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# Invalid argv for every command, each refused by a check the command makes
+# before its dry run: a flag's range, an input file or its format, an array
+# budget, an experiment id or a need
+_REFUSED = {
+    "whitney-n0": ["whitney", "--n", "0"],
+    "whitney-over-budget": ["whitney", "--n", "2", "--x-max", "1e9"],
+    "multiplier-cap": ["ball", "multiplier-check", "--cap", "-1"],
+    "multiplier-rho-levels": ["ball", "multiplier-check", "--rho-levels", "100000"],
+    "multiplier-s": ["ball", "multiplier-check", "--s", "1"],
+    "functional-no-expansion": ["ball", "functional"],
+    "lambda-no-expansion": ["ball", "lambda", "--t", "2"],
+    "convolve-one-file": ["ball", "convolve", "--left", "{file}"],
+    "functional-over-budget": ["ball", "functional", "--expansion", "{file}",
+                               "--radial", "100000000"],
+    "functional-weight": ["ball", "functional", "--expansion", "{file}", "--alpha", "-1"],
+    "norm-order": ["norm", "--space", "slice", "--field", "poisson", "--order", "0"],
+    "norm-absent-file": ["norm", "--space", "volume", "--field", "expansion-file:{absent}"],
+    "norm-non-finite": ["norm", "--space", "mixed", "--field", "poisson", "--p", "nan"],
+    "carleson-absent-file": ["carleson", "--measure", "{absent}", "--condition", "single"],
+    "carleson-s": ["carleson", "--measure", "{measure}", "--condition", "vector",
+                   "--s", "a,b"],
+    "verify-unknown-id": ["verify", "nope"],
+    "verify-thm9-band": ["verify", "thm9-multiplier", "--alpha", "5.551115123125784e-17"],
+    "verify-thm10-band": ["verify", "thm10-functionals", "--alpha", "5.551115123125784e-17"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_dry_run_refuses_what_the_run_refuses(tmp_path, capsys, argv):
+    files = {"file": tmp_path / "f.json", "measure": tmp_path / "m.json",
+             "absent": tmp_path / "absent.json"}
+    files["file"].write_text(json.dumps(bl.Expansion.random(2, 2, seed=0).to_json()))
+    files["measure"].write_text(json.dumps({"atoms": [{"x": [0.25], "t": 0.5, "w": 1.0}]}))
+    argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]
+    errs = []
+    for dry in ([], ["--dry-run"]):
+        assert cli.main(argv + dry) == 2, dry
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1], errs
+    assert errs[0].startswith("error:") and errs[0].count("\n") == 1, errs[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_rejects_a_negative_seed_and_no_threads(tmp_path, capsys):
     # a usage error that names the flag, with or without --dry-run
     for flag, value, least in (("--seed", "-1", 0), ("--threads", "0", 1),
@@ -758,7 +803,7 @@ def test_rho_levels_guard_exits_two(tmp_path, capsys, monkeypatch):
 
     # past level 53 the radius 1 - 2**-i rounds to 1.0; 100000 levels would
     # run until killed, so the functional must never be reached
-    monkeypatch.setattr(verify, "slice_functional", unreachable)
+    monkeypatch.setattr(bl, "slice_functional", unreachable)
     for levels in ("-1", "0", "54", "100000"):
         assert run(tmp_path, "ball", "multiplier-check", "--rho-levels", levels) == 2
         err = capsys.readouterr().err
@@ -770,10 +815,10 @@ def test_rho_levels_guard_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_multiplier_check_classifies_like_the_check_rows(tmp_path, monkeypatch):
-    for slope, kind in ((verify.FINITE_TREND, "finite"),
-                        (verify.DIVERGENT_TREND, "divergent"),
+    for slope, kind in ((bl.FINITE_TREND, "finite"),
+                        (bl.DIVERGENT_TREND, "divergent"),
                         (-0.1, "inconclusive")):
-        monkeypatch.setattr(verify, "slice_functional",
+        monkeypatch.setattr(bl, "slice_functional",
                             lambda *args, slope=slope: (1.0, slope, [[0.5, 1.0]]))
         assert run(tmp_path, "ball", "multiplier-check", "--cap", "2") == 0
         assert read_summary(tmp_path, "ball")["classification"] == kind
@@ -957,6 +1002,28 @@ def test_half_space_commands_run_without_scipy_special(tmp_path):
         [sys.executable, "-c", _SPECIAL_ON_FIRST_USE, str(tmp_path / "out"),
          str(expansion)], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+_LIBRARY = ["geometry", "kernels", "fields", "quadrature", "norms", "carleson", "operators",
+            "ball", "util"]
+
+
+def test_library_modules_import_neither_the_registry_nor_the_cli():
+    # the layering: the experiment registry and the CLI sit on the library,
+    # and no library module reaches back up into them
+    code = ("import importlib, json, sys\n"
+            f"for name in {_LIBRARY!r}:\n"
+            "    importlib.import_module('harmspace.' + name)\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {f"harmspace.{m}" for m in _LIBRARY} <= loaded
+    assert "harmspace.verify" not in loaded and "harmspace.cli" not in loaded
 
 
 # The argv grammar of the fuzz below: every exponent and region extent comes

@@ -39,7 +39,7 @@ def test_budget_names():
 
 
 def test_run_experiment_rejects_unknowns():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         vf.run_experiment("no-such-id", budget="smoke")
     with pytest.raises(ValueError):
         vf.run_experiment("whitney", budget="huge")
@@ -163,13 +163,15 @@ NEED_BOUNDARIES = [
     ("thm9-multiplier", "q > 1", "q", math.nextafter(1.0, _UP), 1.0, {}),
     ("thm9-multiplier", "m_order > max(alpha - beta - 1, beta - 1)", "m_order", 2, 1,
      {"alpha": 2.5}),
-    # alpha p_exp - 1 rounds to -1 up to alpha p_exp = 2^-54 (a tie, to even)
-    ("thm9-multiplier", "alpha * p_exp - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
-     2.0 ** -54, {}),
+    # alpha p_exp - 1 rounds to -1 + 2^-48 up to alpha p_exp = 65 * 2^-54 (a tie,
+    # to even); the 40-node Gauss-Jacobi rule is finite from -1 + 33 * 2^-53
+    ("thm9-multiplier", "alpha * p_exp - 1 > -1 + 2^-48", "alpha",
+     math.nextafter(65 * 2.0 ** -54, _UP), 65 * 2.0 ** -54, {}),
     ("thm10-functionals", "s > 1", "s", math.nextafter(1.0, _UP), 1.0, {}),
-    # alpha - 1 rounds to -1 up to alpha = 2^-54 (a tie, to even)
-    ("thm10-functionals", "alpha - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
-     2.0 ** -54, {}),
+    # alpha - 1 rounds to -1 + 2^-49 up to alpha = 33 * 2^-54 (a tie, to even);
+    # the 32-node rule is finite from -1 + 17 * 2^-53
+    ("thm10-functionals", "alpha - 1 > -1 + 2^-49", "alpha",
+     math.nextafter(33 * 2.0 ** -54, _UP), 33 * 2.0 ** -54, {}),
 ]
 
 
@@ -193,6 +195,16 @@ def test_reject_rows_alter_a_parameter_past_its_need():
     for exp_id, exp in vf.EXPERIMENTS.items():
         for text, _ in exp.needs:
             assert any(exp_id == i and text.startswith(t) for i, t in pinned), (exp_id, text)
+
+
+def test_weight_needs_of_thm9_and_thm10_stop_where_their_rules_do():
+    # the limit of the harness in those needs: the source norms' Gauss-Jacobi
+    # rules (40 nodes in thm9, 32 in thm10) are finite at the first weight
+    # exponent each need accepts, and not at the last one it refuses
+    for count, gap in ((40, 2.0 ** -48), (32, 2.0 ** -49)):
+        bl.radial_jacobi_quadrature(-1.0 + gap + 2.0 ** -53, 2, count)
+        with pytest.raises(ValueError, match=f"for a {count}-node Gauss-Jacobi rule"):
+            bl.radial_jacobi_quadrature(-1.0 + gap, 2, count)
 
 
 REJECT_ROW_POINTS = [
@@ -345,7 +357,7 @@ def test_run_suite_on_two_threads_equals_one_thread():
 
 
 def test_run_suite_rejects_bad_input():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         vf.run_suite(["whitney", "nope"], budget="smoke")
     with pytest.raises(ValueError):
         vf.run_suite(["whitney", "kernels"], budget="smoke",
@@ -414,62 +426,17 @@ def test_field_scale_faults_are_caught(monkeypatch, cls, catchers):
         assert vf.run_experiment(exp_id, "smoke")["verdict"] == "fail"
 
 
-def test_trend_class_matches_the_check_rows():
-    # thm8's finite-trend row passes at slope >= FINITE_TREND and its
-    # divergent-trend row at slope <= DIVERGENT_TREND: same boundaries here
-    assert vf.trend_class(-0.05) == "finite"
-    assert vf.trend_class(-0.2) == "divergent"
-    assert vf.trend_class(-0.1) == "inconclusive"
-    assert vf._above("finite-trend", -0.05, vf.FINITE_TREND)["ok"]
-    assert vf._below("divergent-trend", -0.2, vf.DIVERGENT_TREND)["ok"]
-
-
-def _slice_functional_by_matrix(c, s_prime, levels, lam_order, grid):
-    # the route slice_functional replaced: each outer point's integral over
-    # the rows of the (res, res) Poisson-slice matrix, then the max
-    if lam_order is not None:
-        c = bl.convolve(c, bl.multiplier_lambda(2, c.cap, lam_order))
-    out = []
-    for i in range(1, levels + 1):
-        rho = 1.0 - 2.0 ** -i
-        M = bl.conv_poisson_matrix(c, rho, grid)
-        out.append((1.0 - rho) * float(np.max((grid.weights @ np.abs(M) ** s_prime)
-                                              ** (1.0 / s_prime))))
-    return out
-
-
-def test_slice_functional_is_the_matrix_route_from_one_zonal_row(monkeypatch):
-    cap = 12
-    k = np.arange(cap + 1.0)
-    grid = bl.SphereGrid(2, 4 * cap + 8)
-    symbols = {"decay": (1.0 + k) ** -2, "growth": 1.0 + k, "identity": np.ones(cap + 1),
-               "zero": np.zeros(cap + 1),
-               "random": np.random.default_rng(3).standard_normal(cap + 1)}
-    cases = list(itertools.product(symbols, (1.5, 2.0, 3.0), (1, 3, 8), (None, 3.0)))
-    c = {name: bl.diagonal_symbol(2, v) for name, v in symbols.items()}
-    want = {case: _slice_functional_by_matrix(c[case[0]], *case[1:], grid)
-            for case in cases}
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("slice_functional must build no slice matrix")
-
-    monkeypatch.setattr(bl, "conv_poisson_matrix", unreachable)
-    for name, sp, levels, lam in cases:
-        sup, _, rows = vf.slice_functional(c[name], sp, 1.0, lam, levels, grid)
-        assert [r for r, _ in rows] == [1.0 - 2.0 ** -i for i in range(1, levels + 1)]
-        got = [v for _, v in rows]
-        assert sup == max(got)
-        if name == "zero":
-            assert got == [0.0] * levels
-        else:
-            np.testing.assert_allclose(got, want[name, sp, levels, lam], rtol=1e-13, atol=0)
-
-    grid3 = bl.SphereGrid(3, 6)
-    wrong = [  # an n = 3 symbol, a non-constant n = 2 block, an n = 3 grid
-        (bl.diagonal_symbol(3, np.ones(5)), grid),
-        (bl.Expansion(2, [[1.0], [1.0, 2.0], [0.5, 0.5]]), grid),
-        (c["decay"], grid3),
-    ]
-    for sym, g in wrong:
-        with pytest.raises(ValueError):
-            vf.slice_functional(sym, 2.0, 1.0, None, 3, g)
+def test_resolve_suite_gives_registry_order_and_refuses_by_value_error():
+    assert vf.resolve_suite(None) == vf.resolve_suite(["all"]) == REGISTRY
+    # "all" names no experiment: beside ids it adds none, and alone, however
+    # often, it runs every one (["all", "all"] used to run none, and pass)
+    assert vf.resolve_suite(["all", "all"]) == REGISTRY
+    assert vf.resolve_suite(["kernels", "all", "whitney", "kernels"]) == ["whitney", "kernels"]
+    assert vf.resolve_suite(["lemma4"], {"gamma": "4.5"}) == ["lemma4"]
+    for ids, overrides, says in ((["nope", "whitney", "gone"], None,
+                                  "unknown experiment ids: ['nope', 'gone']"),
+                                 (["all"], {"n": 2}, "need exactly one experiment id"),
+                                 (["whitney", "whitney"], {"n": 2}, "exactly one"),
+                                 (["lemma4"], {"gamma": 2.0}, "lemma4 needs gamma > n + 1")):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            vf.resolve_suite(ids, overrides)
