@@ -26,6 +26,7 @@ whose basis rows they then share with the grid's other users.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -88,46 +89,171 @@ def _angles(points):
     return theta, phi
 
 
+# Cephes' Stirling-series coefficients for ln Gamma(x), x >= 13
+_LGAM_SERIES = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                8.33333333333331927722e-2)
+
+
+def _log_factorial(n: int) -> float:
+    """ln n! as Cephes' lgam(n + 1) forms it for n < 999, bit for bit: the
+    log of the exact product below 12!, its Stirling series from there."""
+    x = n + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(n))
+    p = 1.0 / (x * x)
+    series = _LGAM_SERIES[0]
+    for c in _LGAM_SERIES[1:]:
+        series = series * p + c
+    return (x - 0.5) * math.log(x) - x + 0.91893853320467274178 + series / x
+
+
 @lru_cache(maxsize=None)
 def _assoc_norm(l: int, m: int) -> float:
-    # orthonormal under the normalized measure on S^2; each (l, m) is
-    # built once, though every basis_matrix and gradient_values call reads it
-    from scipy.special import gammaln
-
+    # orthonormal under the normalized measure on S^2:
+    # sqrt((2 - [m = 0]) (2l + 1) (l - m)! / (l + m)!), each (l, m) built once
     if m == 0:
         return math.sqrt(2 * l + 1)
-    return math.sqrt(
-        2 * (2 * l + 1) * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1))
-    )
+    return math.sqrt(2 * (2 * l + 1) * math.exp(_log_factorial(l - m) - _log_factorial(l + m)))
+
+
+@lru_cache(maxsize=None)
+def _classic_step(l: int):
+    """The step to degree l of the classical recurrence (see
+    _legendre_sweep): the norms (l + 1, 1), the seed factors of m = l - 1
+    and m = l, and the coefficients l - 1 + m and l - m, (l - 1, 1) over
+    m < l - 1; built once per degree."""
+    m = np.arange(l - 1.0)[:, None]
+    norms = np.array([_assoc_norm(l, j) for j in range(l + 1)])[:, None]
+    return norms, _seed_factor(l, l - 1), _seed_factor(l, l), l - 1.0 + m, l - m
+
+
+def _seed_factor(v: int, m: int) -> float:
+    """(-1)^v v (v + m) prod_{0<j<m} (v^2 - j^2), that is (-1)^v (v + m)! /
+    (v - m)!, multiplied out as Zhang & Jin's LPMV0 does (1 at m = 0)."""
+    if m == 0:
+        return (-1.0) ** v
+    rg = float(v) * (v + m)
+    for j in range(1, m):
+        rg *= v * v - j * j
+    return (-1.0) ** v * rg
+
+
+@lru_cache(maxsize=None)
+def _legendre_coefficients(l: int):
+    """The step to degree l of the fully normalized recurrences: (a, b, s)
+    with a (l, 1) over m < l, b (l - 1, 1) over m < l - 1 and the
+    sectoral factor s (see _legendre_sweep); built once per degree."""
+    m = np.arange(float(l))[:, None]
+    a = np.sqrt((2 * l - 1) * (2 * l + 1) / ((l - m) * (l + m)))
+    m = m[:l - 1]
+    b = np.sqrt((2 * l + 1) * (l + m - 1) * (l - m - 1) / ((l - m) * (l + m) * (2 * l - 3)))
+    return a, b, -math.sqrt((2 * l + 1) / (2 * l))
+
+
+# Through this degree every (l + m)! is a float64, and the sweep keeps the
+# classical recurrence, whose rows the stored ball reports were made from.
+CLASSIC_TOP = 85
+
+
+def _legendre_sweep(pts):
+    """(P_{k-1}, P_k, cos, sin) at the unit points pts (m, 3), for k = 0, 1, 2, ...
+
+    P_l holds the fully normalized P_l^m(cos theta), Condon-Shortley
+    phase included, for m = 0..l, shape (l + 1, m): the rows of unit mean
+    square over the sphere (P_{-1} is empty).  cos and sin hold cos(m phi)
+    and sin(m phi) for m = 0..k.  Each degree comes from the two before
+    it, all m at once.
+
+    Through CLASSIC_TOP, P_l^m is _assoc_norm(l, m) times the unnormalized
+    function of the upward recurrence
+        P_l^m = ((2l - 1) x P_{l-1}^m - (l - 1 + m) P_{l-2}^m) / (l - m),
+    x = cos(theta), seeded at m and m + 1 by the series of Zhang & Jin's
+    LPMV0 (Computation of Special Functions, 1996), step for step as
+    scipy's lpmv takes them, so every bit of the rows it gave is kept: the
+    Laplacian rows of ball-basis difference rounding noise, and one ulp
+    in f moves them by 3e-10.  That form overflows past CLASSIC_TOP, where
+    scipy's rows were NaN; there the fully normalized recurrences of
+    Holmes & Featherstone (J. Geodesy, 2002) take over,
+        P_ll = s_l sin(theta) P_{l-1,l-1},  s_l = -sqrt((2l + 1) / (2l)),
+        P_lm = a_lm x P_{l-1,m} - b_lm P_{l-2,m}  (m < l),
+    a_lm = sqrt((2l - 1)(2l + 1) / ((l - m)(l + m))) and
+    b_lm = sqrt((2l + 1)(l + m - 1)(l - m - 1) / ((l - m)(l + m)(2l - 3))),
+    which form no factorial, so no row overflows at any degree.
+    """
+    theta, phi = _angles(pts)
+    ct = np.cos(theta)
+    st = np.sqrt(1.0 - ct * ct)
+    one_minus = 1.0 - (1.0 + ct)  # LPMV0's two-term series at degree m + 1
+    prev, cur = np.empty((0,) + ct.shape), np.ones((1,) + ct.shape)
+    u_prev, u_cur = prev, cur  # the unnormalized P_{k-1}^m, P_k^m
+    r0_prev = r0 = 1.0  # ((sin theta) / 2)^m / m!, in LPMV0's order
+    cos_m = sin_m = np.empty((0,) + phi.shape)
+    for k in itertools.count():
+        if 0 < k <= CLASSIC_TOP:
+            norms, seed_below, seed_top, c_prev, c_div = _classic_step(k)
+            r0_prev, r0 = r0, 0.5 * r0 * st / k
+            nxt = np.empty((k + 1,) + ct.shape)
+            nxt[:k - 1] = ((2 * k - 1.0) * ct * u_cur[:k - 1] - c_prev * u_prev) / c_div
+            nxt[k - 1] = seed_below * r0_prev * one_minus
+            nxt[k] = seed_top * r0
+            u_prev, u_cur = u_cur, nxt
+            prev, cur = cur, norms * nxt
+            if k == 2:  # lpmv's own series at degree 2, m = 0
+                x1 = 1.0 + ct
+                r = -3.0 * x1
+                cur[0] = norms[0] * (1.0 + r + (0.5 * r * -1.0 * 4 / 4) * x1)
+        elif k:
+            a, b, s = _legendre_coefficients(k)
+            nxt = np.empty((k + 1,) + ct.shape)
+            nxt[:k] = a * (ct * cur)
+            nxt[:k - 1] -= b * prev
+            nxt[k] = s * st * cur[k - 1]
+            prev, cur = cur, nxt
+        if k == len(cos_m):  # the cos(m phi), sin(m phi) table grows by doubling
+            m_phi = np.multiply.outer(np.arange(2 * k + 8), phi)
+            cos_m, sin_m = np.cos(m_phi), np.sin(m_phi)
+        yield prev, cur, cos_m[:k + 1], sin_m[:k + 1]
+
+
+def _interleave(first, cos_rows, sin_rows):
+    """The rows first, cos_rows[0], sin_rows[0], cos_rows[1], ...: the
+    n = 3 basis order (m = 0, then the cos and sin row of each m > 0)."""
+    out = np.empty((1 + 2 * len(cos_rows),) + cos_rows.shape[1:])
+    out[0] = first
+    out[1::2] = cos_rows
+    out[2::2] = sin_rows
+    return out
+
+
+def _sweep(n: int, points):
+    """Each degree's orthonormal basis rows on points, (d_k,) + the points'
+    shape, for k = 0, 1, 2, ... in turn: n = 2 from cos(k phi) and
+    sin(k phi), n = 3 from one _legendre_sweep."""
+    pts = np.asarray(points, dtype=float)
+    if n == 2:
+        (ang,) = _angles(pts)
+        yield np.ones((1,) + ang.shape)
+        for k in itertools.count(1):
+            yield np.stack([math.sqrt(2) * np.cos(k * ang), math.sqrt(2) * np.sin(k * ang)])
+    if n == 3:
+        shape = (-1,) + pts.shape[:-1]
+        for _, p, cos_m, sin_m in _legendre_sweep(pts.reshape(-1, 3)):
+            yield _interleave(p[0], p[1:] * cos_m[1:], p[1:] * sin_m[1:]).reshape(shape)
+    raise NotImplementedError("basis provided for n in {2, 3}")
 
 
 def basis_matrix(n: int, k: int, points) -> np.ndarray:
     """Values of the d_k orthonormal degree-k basis functions: (d_k, m)."""
-    if n == 2:
-        (ang,) = _angles(points)
-        if k == 0:
-            return np.ones((1,) + ang.shape)
-        return np.stack([math.sqrt(2) * np.cos(k * ang), math.sqrt(2) * np.sin(k * ang)])
-    if n == 3:
-        from scipy.special import lpmv
-
-        theta, phi = _angles(points)
-        c = np.cos(theta)
-        rows = [_assoc_norm(k, 0) * lpmv(0, k, c)]
-        for m in range(1, k + 1):
-            nm = _assoc_norm(k, m)
-            pm = lpmv(m, k, c)
-            rows.append(nm * pm * np.cos(m * phi))
-            rows.append(nm * pm * np.sin(m * phi))
-        return np.stack(rows)
-    raise NotImplementedError("basis provided for n in {2, 3}")
+    return next(itertools.islice(_sweep(n, points), k, None))
 
 
 class SphereGrid:
     """The points and weights of sphere_grid(n, resolution), with each
     degree's basis rows on those points.
 
-    A degree's rows are built on first use and kept as long as the grid
+    The rows come from one sweep over the degrees, continued as far as
+    the highest degree requested so far, and are kept as long as the grid
     is, so a caller that evaluates several expansions, radii or symbols on
     one grid builds each degree once.  There is no module-level cache: a
     grid made inside a call is dropped with it.
@@ -136,24 +262,26 @@ class SphereGrid:
     def __init__(self, n: int, resolution: int):
         self.n = n
         self.points, self.weights = sphere_grid(n, resolution)
-        self._rows = {}
+        self._sweep = _sweep(n, self.points)
+        self._rows = []
 
     def rows(self, k: int) -> np.ndarray:
         """basis_matrix(n, k, points), built on the first request."""
-        if k not in self._rows:
-            self._rows[k] = basis_matrix(self.n, k, self.points)
+        while len(self._rows) <= k:
+            self._rows.append(next(self._sweep))
         return self._rows[k]
 
 
 def _basis_on(n: int, points):
-    """(point array, k -> degree-k basis rows on it): a SphereGrid serves
-    the rows it keeps; on a plain point array each degree is built anew."""
+    """(point array, each degree's basis rows on it in turn): a SphereGrid
+    serves the rows it keeps; on a plain point array one sweep builds them,
+    and keeps none."""
     if isinstance(points, SphereGrid):
         if points.n != n:
             raise ValueError("dimension mismatch")
-        return points.points, points.rows
+        return points.points, map(points.rows, itertools.count())
     pts = np.asarray(points, dtype=float)
-    return pts, lambda k: basis_matrix(n, k, pts)
+    return pts, _sweep(n, pts)
 
 
 def _sphere(n: int, resolution):
@@ -238,8 +366,8 @@ class Expansion:
         pts, rows = _basis_on(self.n, points)
         r = np.asarray(r, dtype=float)
         out = np.zeros(np.broadcast_shapes(r.shape, pts.shape[:-1]), dtype=complex)
-        for k, c in enumerate(self.coeffs):
-            out = out + r**k * np.tensordot(c, rows(k), axes=(0, 0))
+        for k, (c, Y) in enumerate(zip(self.coeffs, rows)):
+            out = out + r**k * np.tensordot(c, Y, axes=(0, 0))
         return out
 
     def l2_moment(self, r: float) -> float:
@@ -317,8 +445,7 @@ def conv_poisson_matrix(c: Expansion, rho: float, grid) -> np.ndarray:
     """
     _, rows = _basis_on(c.n, grid)
     rho = float(rho)
-    for k, b in enumerate(c.coeffs):
-        Y = rows(k)
+    for k, (b, Y) in enumerate(zip(c.coeffs, rows)):
         E = np.einsum("j,jx,jy->xy", b, Y, Y)
         if k == 0:
             h = rho**k * E
@@ -389,9 +516,11 @@ def slice_functional(c, s_prime, weight_exp, lam_order, rho_levels, grid):
     return sup, slope, [[float(r), float(v)] for r, v in rows]
 
 
-# Up to this weight exponent a, the Gauss-Jacobi rule's scale 2^-(a+1) is
-# a normal float64 and its total weight 2^(a+1) / (a+1) is finite; from
-# about a = 1034 on, scipy's weights overflow and the rule is NaN or fails.
+# The largest weight exponent a accepted.  At 40 nodes the rule of
+# _jacobi_rule matches a 40-digit one within 1e-16 in its nodes and 6e-14
+# in its weights here, and stays finite far beyond (to a = 1e8), but its
+# total weight drifts by 5e-13 at a = 1e4; 1021 keeps the accepted range
+# of the earlier rule, whose scale 2^-(a+1) left the normal range above it.
 MAX_WEIGHT_EXPONENT = 1021.0
 
 
@@ -402,29 +531,80 @@ def check_weight_exponent(a_exp: float, what: str) -> None:
                          f" (-1, {MAX_WEIGHT_EXPONENT:g}], got {a_exp:g}")
 
 
+def _jacobi_recurrence(x, diag, off):
+    """(q_N, q_N', sum_{k<N} q_k^2) at the points x, for the polynomials
+    q_k orthonormal under a probability measure: q_0 = 1 and
+    off[k] q_{k+1} = (x - diag[k]) q_k - off[k - 1] q_{k-1}, N = len(diag)."""
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    e = 0.0
+    for b, e_next in zip(diag, off):
+        total += q * q
+        q_prev, q, d_prev, d = (q, ((x - b) * q - e * q_prev) / e_next,
+                                d, (q + (x - b) * d - e * d_prev) / e_next)
+        e = e_next
+    return q, d, total
+
+
+@lru_cache(maxsize=256)
+def _jacobi_rule(a_exp: float, count: int):
+    """The count-node Gauss rule of int_0^1 g(r) (1 - r)^a dr, built once
+    per (a, count); the arrays are shared by every caller and therefore
+    read-only.
+
+    In xi = 2r - 1 the weight is (1 - xi)^a, the Jacobi weight with
+    beta = 0.  a = 0 is gauss_rule.  Otherwise the nodes are the
+    eigenvalues of the Jacobi matrix of the measure scaled to total 1
+    (Golub & Welsch, 1969), polished by one Newton step on the recurrence
+    of its orthonormal polynomials, and the weights are the Christoffel
+    numbers 1 / sum_k q_k(xi)^2, scaled to the total 1 / (a + 1).  Every
+    recurrence coefficient is written in a + 1, which is exact near
+    a = -1, so the rule stays finite as a -> -1; no 2^(a + 1) is formed.
+    Near a = -1 nearly all the weight sits on the last node, which rounds
+    to xi = 1; its Christoffel number moves with that rounding (3e-11 at
+    a = -1 + 2^-53, 40 nodes), and the scaling, which fixes the total,
+    takes that error out.
+    """
+    if a_exp == 0.0:
+        xi, w = gauss_rule(count)
+        w = w / 2.0
+    else:
+        ap1 = a_exp + 1.0
+        k = np.arange(1.0, count + 1.0)
+        s = 2 * k - 1 + ap1  # 2k + a
+        diag = np.concatenate(([-a_exp / (1.0 + ap1)], -a_exp * a_exp / (s * (s + 2))))[:count]
+        off = 2 * k * (k - 1 + ap1) / (s * np.sqrt((2 * k + ap1) * (2 * k - 2 + ap1)))
+        jac = np.diag(diag) + np.diag(off[:-1], -1)  # eigvalsh reads the lower triangle
+        xi = np.linalg.eigvalsh(jac)
+        q, d, _ = _jacobi_recurrence(xi, diag, off)
+        xi = xi - q / d
+        w = 1.0 / _jacobi_recurrence(xi, diag, off)[2]
+        w = w / (w.sum() * ap1)
+    r = 0.5 * (xi + 1.0)
+    r.flags.writeable = False
+    w.flags.writeable = False
+    return r, w
+
+
 def radial_jacobi_quadrature(a_exp: float, n: int, count: int, what: str = "a"):
     """Nodes/weights for int_0^1 g(r) (1-r)^a r^(n-1) dr, a > -1.
 
-    Gauss-Jacobi in xi = 2r - 1 with weight (1-xi)^a; the r^(n-1) factor
-    and the remaining smooth parts belong to g and are folded into the
-    returned weights as (1+...) terms evaluated at the nodes.
-    Returned weights include r^(n-1) and the (1-r)^a factor.  A
-    rejected a is named `what`: one outside (-1, MAX_WEIGHT_EXPONENT], or
-    one so close to -1 that scipy's rule comes back with a non-finite node
-    or weight (from about 4e-15 above -1 at 40 nodes).
+    Gauss-Jacobi in xi = 2r - 1 with weight (1-xi)^a (_jacobi_rule); the
+    r^(n-1) factor is folded into the returned weights, which therefore
+    carry r^(n-1) and the (1-r)^a factor.  A rejected a is named `what`:
+    one outside (-1, MAX_WEIGHT_EXPONENT], or one whose count-node rule
+    is not finite in float64.
     """
-    from scipy.special import roots_jacobi
-
     check_weight_exponent(a_exp, what)
-    with np.errstate(divide="ignore", invalid="ignore"):  # refused below instead
-        xi, w = roots_jacobi(count, a_exp, 0.0)
-    if not (np.isfinite(xi).all() and np.isfinite(w).all()):
-        raise ValueError(f"{what}, the radial weight exponent, is too close to -1 for"
-                         f" a {count}-node Gauss-Jacobi rule, got {a_exp!r}")
-    r = 0.5 * (xi + 1.0)
-    # (1 - xi)^a dxi = (2(1-r))^a 2 dr
-    scale = 2.0 ** (-(a_exp + 1))
-    return r, w * scale * r ** (n - 1)
+    if count < 1:
+        raise ValueError(f"a Gauss-Jacobi rule needs at least one node, got {count}")
+    with np.errstate(all="ignore"):  # a non-finite rule is refused below instead
+        r, w = _jacobi_rule(float(a_exp), count)
+    if not (np.isfinite(r).all() and np.isfinite(w).all()):
+        raise ValueError(f"{what}, the radial weight exponent, gives no finite {count}-node"
+                         f" Gauss-Jacobi rule in float64, got {a_exp!r}")
+    return r, w * r ** (n - 1)
 
 
 def _abs_values(f: Expansion, r, points) -> np.ndarray:
@@ -539,42 +719,34 @@ def gradient_values(f: Expansion, r, points) -> np.ndarray:
             gy = gy + k * rk * (-A * sin1 + B * cos1)
         return np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
     if f.n == 3:
-        from scipy.special import lpmv
-
-        theta, phi = _angles(pts)
+        flat = pts.reshape(-1, 3)
+        theta, _ = _angles(flat)
         ct, st = np.cos(theta), np.sin(theta)
         st = np.where(np.abs(st) < 1e-12, 1e-12, st)
         g_r = np.zeros(shape, dtype=complex)
         g_t = np.zeros(shape, dtype=complex)
         g_p = np.zeros(shape, dtype=complex)
-        for k in range(1, f.cap + 1):
+
+        def term(c, first, cos_rows, sin_rows):  # sum_j c_j (row j), on pts
+            rows = _interleave(first, cos_rows, sin_rows)
+            return np.tensordot(c, rows, axes=(0, 0)).reshape(pts.shape[:-1])
+
+        sweep = itertools.islice(_legendre_sweep(flat), 1, f.cap + 1)
+        for k, (p_prev, p, cos_m, sin_m) in enumerate(sweep, start=1):
             c = f.coeffs[k]
             rk1 = r ** (k - 1)
-            i = 0
-            for m in range(0, k + 1):
-                nm = _assoc_norm(k, m)
-                pm = lpmv(m, k, ct)
-                # d/dtheta P_k^m(cos theta) = -sin(theta) dP/dx with
-                # (x^2 - 1) dP/dx = k x P_k^m - (k + m) P_{k-1}^m; grid
-                # points avoid the poles so x^2 - 1 stays away from 0
-                pm_km1 = lpmv(m, k - 1, ct) if m <= k - 1 else np.zeros_like(ct)
-                dpm_dtheta = -st * (k * ct * pm - (k + m) * pm_km1) / (ct * ct - 1.0)
-                if m == 0:
-                    ylm = nm * pm
-                    dth = nm * dpm_dtheta
-                    b = c[0]
-                    g_r = g_r + b * k * rk1 * ylm
-                    g_t = g_t + b * rk1 * dth
-                    i = 1
-                else:
-                    bc, bs = c[i], c[i + 1]
-                    i += 2
-                    cosm, sinm = np.cos(m * phi), np.sin(m * phi)
-                    yc, ys = nm * pm * cosm, nm * pm * sinm
-                    dthc, dths = nm * dpm_dtheta * cosm, nm * dpm_dtheta * sinm
-                    g_r = g_r + k * rk1 * (bc * yc + bs * ys)
-                    g_t = g_t + rk1 * (bc * dthc + bs * dths)
-                    g_p = g_p + rk1 * (m / st) * nm * pm * (-bc * sinm + bs * cosm)
+            m = np.arange(k + 1.0)[:, None]
+            # d/dtheta P_k^m(cos theta) = -sin(theta) dP/dx with
+            # (x^2 - 1) dP/dx = k x P_k^m - g_km P_{k-1}^m for the normalized
+            # rows, g_km = sqrt((2k + 1)(k - m)(k + m) / (2k - 1)); grid
+            # points avoid the poles so x^2 - 1 stays away from 0
+            dp = k * ct * p
+            dp[:k] -= np.sqrt((2 * k + 1) * (k - m[:k]) * (k + m[:k]) / (2 * k - 1)) * p_prev
+            dp = -st * dp / (ct * ct - 1.0)
+            mp = m[1:] / st * p[1:]  # (1 / sin theta) d/dphi, up to the cos/sin swap
+            g_r = g_r + k * rk1 * term(c, p[0], p[1:] * cos_m[1:], p[1:] * sin_m[1:])
+            g_t = g_t + rk1 * term(c, dp[0], dp[1:] * cos_m[1:], dp[1:] * sin_m[1:])
+            g_p = g_p + rk1 * term(c, 0.0, -mp * sin_m[1:], mp * cos_m[1:])
         return np.sqrt(np.abs(g_r) ** 2 + np.abs(g_t) ** 2 + np.abs(g_p) ** 2)
     raise NotImplementedError
 

@@ -272,6 +272,11 @@ def _check_ball_norm(kind, f, args, res):
             bl.check_weight_exponent(args.alpha * args.p - 1, "--alpha times --p, less 1")
         else:
             bl.check_weight_exponent(args.alpha, "--alpha")
+        # the rule's nodes are the eigenvalues of a radial x radial matrix
+        if args.radial < 1:
+            raise UsageError(f"--radial must be >= 1, got {args.radial}")
+        _check_array_bytes(f"the --radial {args.radial} Gauss-Jacobi rule's matrix",
+                           8 * args.radial * args.radial)
     # complex128 values on (radial nodes) x (sphere grid: res points on
     # the circle, res x 2 res on the 2-sphere); the sup kind, which takes
     # its slices at 24 radii, also keeps every degree's float64 basis rows

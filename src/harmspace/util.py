@@ -43,16 +43,18 @@ def check_positive(**params) -> None:
 
 
 def gamma_ratio(a: float, t: float) -> float:
-    """Gamma(a + t) / Gamma(a), computed in log space.
+    """Gamma(a + t) / Gamma(a), for a > 0 and a + t > 0 (both gammas
+    positive).
 
-    Requires a > 0 and a + t > 0 so both gammas are positive and the
-    log-space form is exact.
+    While both gammas are finite in float64 it is their quotient, within a
+    few ulps; past that (math.gamma overflows above about 171.6) it is
+    taken in log space, where the error grows like eps * lgamma(a).
     """
     if a <= 0 or a + t <= 0:
         raise ValueError("gamma_ratio needs a > 0 and a + t > 0")
-    from scipy.special import gammaln
-
-    return float(math.exp(gammaln(a + t) - gammaln(a)))
+    if max(a, a + t) <= 171.0:
+        return math.gamma(a + t) / math.gamma(a)
+    return math.exp(math.lgamma(a + t) - math.lgamma(a))
 
 
 def fornberg_weights(m: int, offsets) -> np.ndarray:

@@ -1432,9 +1432,8 @@ def _exp_thm8(b, rng, p):
              needs=(("q > 1", lambda q: q - 1.0),
                     ("m_order > max(alpha - beta - 1, beta - 1)",
                      lambda m_order, alpha, beta: m_order - max(alpha - beta - 1.0, beta - 1.0)),
-                    ("alpha * p_exp - 1 > -1 + 2^-48 (the source norm's weight > -1, and a"
-                     " harness limit: its 40-node Gauss-Jacobi rule is not finite closer)",
-                     lambda alpha, p_exp: (alpha * p_exp - 1.0) + 1.0 - 2.0 ** -48)),
+                    ("alpha * p_exp - 1 > -1 (the weight of the source mixed norm)",
+                     lambda alpha, p_exp: (alpha * p_exp - 1.0) + 1.0)),
              q=2.0, alpha=1.0, beta=0.5, m_order=2, p_exp=1.0)
 def _exp_thm9(b, rng, p):
     n = 2
@@ -1482,9 +1481,8 @@ def _exp_thm9(b, rng, p):
 
 @_experiment("thm10-functionals", "derivative-slice functionals for gradient-norm sources",
              needs=(("s > 1", lambda s: s - 1.0),
-                    ("alpha - 1 > -1 + 2^-49 (the gradient norm's weight > -1, and a harness"
-                     " limit: its 32-node Gauss-Jacobi rule is not finite closer)",
-                     lambda alpha: (alpha - 1.0) + 1.0 - 2.0 ** -49)),
+                    ("alpha - 1 > -1 (the weight of the gradient mixed norm)",
+                     lambda alpha: (alpha - 1.0) + 1.0)),
              s=2.0, alpha=1.0, beta=0.5, m_order=2)
 def _exp_thm10(b, rng, p):
     n = 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
-from scipy.special import eval_chebyt, eval_chebyu, eval_legendre, gammaln
+from scipy.special import eval_chebyt, eval_chebyu, eval_legendre, gammaln, lpmv
 
 from harmspace import ball as bl
 from harmspace import verify as vf
@@ -180,28 +180,36 @@ def test_radial_jacobi_beta_moments():
 
 
 def test_radial_jacobi_refuses_a_non_finite_rule_just_above_minus_one():
-    # scipy's rule has non-finite weights from about 4e-15 above -1 at 40
-    # nodes; every a that check_weight_exponent admits is either a finite
-    # rule or a ValueError naming the parameter, never a NaN norm
+    # every a that check_weight_exponent admits is either a finite rule or a
+    # ValueError naming the parameter, never a NaN norm.  The rule writes its
+    # recurrence in a + 1, so it is finite at every float just above -1: its
+    # nodes lie in [0, 1] (the last one rounds to 1), its weights are
+    # positive and total 1 / (a + 1)
+    for count in (2, 32, 40):
+        for k in range(1, 120):
+            a = -1.0 + k * 2.0 ** -53
+            r, w = bl.radial_jacobi_quadrature(a, 1, count, "alpha")
+            assert np.isfinite(r).all() and np.isfinite(w).all(), (count, k)
+            assert (np.diff(r) > 0).all() and r[0] > 0 and r[-1] <= 1, (count, k)
+            assert (w > 0).all() and abs(w.sum() * (a + 1.0) - 1.0) < 1e-15, (count, k)
     a = math.nextafter(-1.0, 0.0)
-    with pytest.raises(ValueError, match="^alpha, the radial weight exponent, is too close"):
-        bl.radial_jacobi_quadrature(a, 2, 40, "alpha")
     f = bl.Expansion.random(2, 3, seed=5)
-    with pytest.raises(ValueError, match="^alpha, the radial weight exponent,"):
-        bl.volume_norm(f, 2.0, a)
-    with pytest.raises(ValueError, match="^alpha, the radial weight exponent,"):
-        bl.grad_volume_norm(f, 2.0, a)
-    with pytest.raises(ValueError, match="^alpha p - 1, the radial weight exponent,"):
-        bl.mixed_norm_ball(f, 2.0, 2.0, a / 2.0 + 0.5)  # alpha p - 1 = a
-    r, w = bl.radial_jacobi_quadrature(a, 2, 2)  # finite at two nodes: kept
-    assert np.isfinite(r).all() and np.isfinite(w).all()
-    r, w = bl.radial_jacobi_quadrature(-1.0 + 1e-13, 2, 40)
-    assert np.isfinite(r).all() and np.isfinite(w).all()
+    for value in (bl.volume_norm(f, 2.0, a), bl.grad_volume_norm(f, 2.0, a),
+                  bl.mixed_norm_ball(f, 2.0, 2.0, a / 2.0 + 0.5)):  # alpha p - 1 = a
+        assert math.isfinite(value) and value > 0
+    # where the rule itself is not finite (many nodes at a large a), the
+    # refusal names the parameter
+    with pytest.raises(ValueError, match="^alpha, the radial weight exponent, gives no finite"
+                                         " 1000-node Gauss-Jacobi rule"):
+        bl.radial_jacobi_quadrature(bl.MAX_WEIGHT_EXPONENT, 2, 1000, "alpha")
+    with pytest.raises(ValueError, match="at least one node"):
+        bl.radial_jacobi_quadrature(0.5, 2, 0)
 
 
 def test_assoc_norm_is_built_once_and_keeps_every_bit():
     # the closed form sqrt((2 - [m = 0]) (2l + 1) (l - m)! / (l + m)!), and
-    # bit for bit the gammaln expression the basis rows have always used
+    # bit for bit the gammaln expression the basis rows have always used (its
+    # Cephes lgam is ported, so the classical rows keep every bit)
     bl._assoc_norm.cache_clear()
     for l in range(41):
         for m in range(l + 1):
@@ -216,6 +224,116 @@ def test_assoc_norm_is_built_once_and_keeps_every_bit():
     assert built == 41 * 42 // 2
     bl.basis_matrix(3, 40, bl.sphere_grid(3, 4)[0])
     assert bl._assoc_norm.cache_info().misses == built
+
+
+def test_gauss_jacobi_rule_matches_40_digit_mpmath():
+    import mpmath
+
+    with mpmath.workdps(40):
+        for a in (-0.9, -0.5, 0.0, 0.7, 1.7, 40.0, 500.0):
+            for count in (2, 32, 40):
+                xs, ws = mpmath.gauss_quadrature(count, "jacobi", mpmath.mpf(a), 0)
+                # in r = (xi + 1) / 2 the weight (1 - xi)^a dxi is 2^(a + 1) (1 - r)^a dr
+                ref = sorted(((x + 1) / 2, wt / mpmath.mpf(2) ** (a + 1)) for x, wt in zip(xs, ws))
+                r, w = bl.radial_jacobi_quadrature(a, 1, count)
+                # a = 0 is gauss_rule, numpy's leggauss, whose weights are off by
+                # up to 7e-13 at 40 nodes; the Jacobi rule's by up to 1e-13
+                tol = 1e-12 if a == 0.0 else 2e-13
+                for i, (x_ref, w_ref) in enumerate(ref):
+                    assert abs(r[i] - float(x_ref)) <= 2e-16, (a, count, i)
+                    assert abs(w[i] / float(w_ref) - 1.0) <= tol, (a, count, i)
+
+
+def test_jacobi_rule_is_built_once_and_read_only():
+    bl._jacobi_rule.cache_clear()
+    r, w = bl.radial_jacobi_quadrature(0.7, 3, 40)
+    r2, w2 = bl.radial_jacobi_quadrature(0.7, 2, 40)
+    assert bl._jacobi_rule.cache_info().misses == 1
+    base_r, base_w = bl._jacobi_rule(0.7, 40)
+    assert r is base_r and r2 is base_r
+    assert np.array_equal(w, base_w * base_r ** 2) and np.array_equal(w2, base_w * base_r)
+    for arr in (base_r, base_w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_normalized_legendre_rows_match_40_digit_mpmath():
+    # the sweep's P_l^m against the unnormalized upward recurrence in 40-digit
+    # arithmetic times the exact norm sqrt((2 - [m = 0]) (2l + 1) (l - m)! / (l + m)!),
+    # through degree 120 (the rows scipy's lpmv made NaN from degree 86 on, which
+    # the fully normalized recurrence gives past CLASSIC_TOP)
+    import mpmath
+
+    top = 120
+    x, _ = bl.gauss_rule(5)
+    pts = np.column_stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x])
+    sweep = list(itertools.islice(bl._legendre_sweep(pts), top + 1))
+    ct = np.cos(np.arccos(x))
+    with mpmath.workdps(40):
+        for j, c in enumerate(ct.tolist()):
+            c = mpmath.mpf(c)
+            s = mpmath.sqrt(1 - c * c)
+            for m in range(top + 1):
+                p_prev, p = 0, (-1) ** m * mpmath.fac2(2 * m - 1) * s ** m
+                for l in range(m, top + 1):
+                    if l > m:
+                        p_prev, p = p, ((2 * l - 1) * c * p - (l + m - 1) * p_prev) / (l - m)
+                    norm = mpmath.sqrt((2 - (m == 0)) * (2 * l + 1) * mpmath.factorial(l - m)
+                                       / mpmath.factorial(l + m))
+                    # measured: 3e-13 through CLASSIC_TOP, 7e-13 past it,
+                    # where |P| reaches sqrt(2 (2l + 1)), 22 at degree 120
+                    assert abs(sweep[l][1][m, j] - float(norm * p)) <= 1e-12, (l, m, j)
+    # the recurrences' coefficients are built once per degree
+    built = (bl._classic_step.cache_info().misses,
+             bl._legendre_coefficients.cache_info().misses)
+    bl.basis_matrix(3, top, pts)
+    assert (bl._classic_step.cache_info().misses,
+            bl._legendre_coefficients.cache_info().misses) == built
+
+
+def test_rows_through_the_classic_top_are_scipys_bit_for_bit():
+    # through CLASSIC_TOP the sweep is scipy's lpmv times the gammaln norm,
+    # the rows every stored ball report was made from; past it lpmv overflows
+    rng = np.random.default_rng(8)
+    pts = rng.standard_normal((300, 3))
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1)[:, None], bl.sphere_grid(3, 9)[0]])
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    c, phi = np.cos(theta), np.arctan2(pts[:, 1], pts[:, 0])
+    for l, (_, p, cos_m, _) in enumerate(itertools.islice(bl._legendre_sweep(pts),
+                                                           bl.CLASSIC_TOP + 1)):
+        for m in range(l + 1):
+            assert np.array_equal(p[m], bl._assoc_norm(l, m) * lpmv(m, l, c)), (l, m)
+        assert np.array_equal(cos_m, np.cos(np.multiply.outer(np.arange(l + 1), phi)))
+    assert not np.isfinite(lpmv(bl.CLASSIC_TOP + 1, bl.CLASSIC_TOP + 1, c)).any()
+
+
+def test_parseval_holds_through_degree_120_on_the_two_sphere():
+    f = bl.Expansion.random(3, 120, seed=4, decay=2.0)
+    for r in (0.5, 0.7):
+        assert bl.slice_norm_ball(f, 2.0, r, resolution=64) == pytest.approx(
+            f.l2_moment(r), rel=1e-13)
+
+
+def test_an_evaluation_builds_one_sweep(monkeypatch):
+    calls = []
+    sweep = bl._legendre_sweep
+
+    def counted(pts):
+        calls.append(len(pts))
+        return sweep(pts)
+
+    monkeypatch.setattr(bl, "_legendre_sweep", counted)
+    f = bl.Expansion.random(3, 12, seed=2)
+    pts = bl.sphere_grid(3, 6)[0]
+    r = np.array([0.3, 0.8])[:, None]
+    f.values(r, pts)
+    bl.gradient_values(f, r, pts)
+    assert calls == [len(pts), len(pts)]
+    grid = bl.SphereGrid(3, 6)
+    for k in (3, 12, 5):
+        grid.rows(k)
+    f.values(r, grid)
+    assert calls == [len(pts)] * 3
 
 
 def test_conv_poisson_matrix_zonal_reduction():
@@ -343,12 +461,11 @@ def test_values_on_a_shared_grid_are_bit_identical_to_fresh_ones():
         bl.Expansion.random(2, 2, seed=0).values(0.5, bl.SphereGrid(3, 4))
 
 
-def _lambda_tol(a, t):
-    # gamma_ratio works in log space, exp(gammaln(a + t) - gammaln(a)), so its
-    # relative error grows like eps * gammaln: Lambda_1 is off 1.1e-14 at
-    # n = 3, k = 16, and Lambda_0.5 3.4e-14 at n = 2, k = 37.  A Lambda
-    # shifted by one degree is off by about 1/a.
-    return max(1e-14, 4 * np.finfo(float).eps * (abs(math.lgamma(a + t)) + abs(math.lgamma(a))))
+# gamma_ratio is Gamma(a + t) / Gamma(a) through math.gamma below its
+# overflow: through degree 40 Lambda_1 is off by at most 4 eps and
+# Lambda_0.5, Lambda_2.5 by 3 eps (the log-space form it replaced was off by
+# up to 3.4e-14 there).  A Lambda shifted by one degree is off by about 1/a.
+_LAMBDA_TOL = 8 * np.finfo(float).eps
 
 
 def test_lambda_of_order_one_is_the_degree_shift():
@@ -357,20 +474,20 @@ def test_lambda_of_order_one_is_the_degree_shift():
         vals = np.real([b[0] for b in bl.multiplier_lambda(n, 40, 1.0).coeffs])
         for k, v in enumerate(vals):
             a = k + n / 2
-            assert abs(v / a - 1.0) <= _lambda_tol(a, 1.0), (n, k)
+            assert abs(v / a - 1.0) <= _LAMBDA_TOL, (n, k)
 
 
 def test_lambda_matches_a_50_digit_gamma_ratio():
     import mpmath
 
-    mpmath.mp.dps = 50
-    for n in (2, 3):
-        for t in (0.5, 2.5):
-            vals = np.real([b[0] for b in bl.multiplier_lambda(n, 40, t).coeffs])
-            for k, v in enumerate(vals):
-                a = mpmath.mpf(k) + mpmath.mpf(n) / 2
-                ref = mpmath.gamma(a + t) / (mpmath.gamma(a) * mpmath.gamma(t))
-                assert abs(v / float(ref) - 1.0) <= _lambda_tol(k + n / 2, t), (n, t, k)
+    with mpmath.workdps(50):
+        for n in (2, 3):
+            for t in (0.5, 2.5):
+                vals = np.real([b[0] for b in bl.multiplier_lambda(n, 40, t).coeffs])
+                for k, v in enumerate(vals):
+                    a = mpmath.mpf(k) + mpmath.mpf(n) / 2
+                    ref = mpmath.gamma(a + t) / (mpmath.gamma(a) * mpmath.gamma(t))
+                    assert abs(v / float(ref) - 1.0) <= _LAMBDA_TOL, (n, t, k)
 
 
 def test_volume_norm_of_one_degree_closed_form():

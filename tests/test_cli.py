@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -236,9 +237,12 @@ _REFUSED = {
     "carleson-absent-file": ["carleson", "--measure", "{absent}", "--condition", "single"],
     "carleson-s": ["carleson", "--measure", "{measure}", "--condition", "vector",
                    "--s", "a,b"],
+    "functional-radial": ["ball", "functional", "--expansion", "{file}", "--kind", "volume",
+                          "--radial", "0"],
     "verify-unknown-id": ["verify", "nope"],
-    "verify-thm9-band": ["verify", "thm9-multiplier", "--alpha", "5.551115123125784e-17"],
-    "verify-thm10-band": ["verify", "thm10-functionals", "--alpha", "5.551115123125784e-17"],
+    # alpha = 2^-54, where the source norm's weight alpha - 1 rounds to -1
+    "verify-thm9-band": ["verify", "thm9-multiplier", "--alpha", "5.551115123125783e-17"],
+    "verify-thm10-band": ["verify", "thm10-functionals", "--alpha", "5.551115123125783e-17"],
 }
 
 
@@ -881,8 +885,10 @@ def test_multiplier_check_file_symbol_needs_one_value_per_degree(tmp_path, capsy
 
 
 def test_ball_weight_exponent_just_above_minus_one_exits_two(tmp_path, capsys):
-    # scipy's Gauss-Jacobi rule has NaN weights at the float just above
-    # -1: each route refuses it, naming the exponent, and writes no NaN row
+    # the Gauss-Jacobi rule is finite at every float above -1, so each route
+    # reports a finite norm there; where a rule is not finite (1000 nodes at
+    # the largest exponent) each route exits 2 naming the exponent, never
+    # with a NaN row
     f2 = tmp_path / "f2.json"
     f2.write_text(json.dumps(bl.Expansion.random(2, 3, seed=1).to_json()))
     out = tmp_path / "out"
@@ -896,15 +902,33 @@ def test_ball_weight_exponent_just_above_minus_one_exits_two(tmp_path, capsys):
          "alpha"),
         (["ball", "functional", "--expansion", str(f2), "--kind", "grad-volume",
           "--alpha", a], "alpha"),
-        (["verify", "ball-norms", "--budget", "smoke", "--alpha", a], "alpha"),
     ]
+    for argv, _ in cases:
+        assert run(out, *argv) == 0, argv
+        value = json.loads(next(out.glob("*-summary.json")).read_text())["value"]
+        assert math.isfinite(value) and value > 0, argv
+        shutil.rmtree(out)
+    assert run(out, "verify", "ball-norms", "--budget", "smoke", "--alpha", a) == 0
+    shutil.rmtree(out)
     for argv, name in cases:
-        assert run(out, *argv) == 2, argv
+        big = ["--alpha", "1021"] if name == "alpha" else ["--alpha", "511", "--p", "2"]
+        assert run(out, *argv[:-2], *big, "--radial", "1000") == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {name}, the radial weight exponent, is too close"
-                              " to -1"), (argv, err)
+        assert err.startswith(f"error: {name}, the radial weight exponent, gives no finite"
+                              " 1000-node Gauss-Jacobi rule"), (argv, err)
         assert "Warning" not in err
     assert not out.exists()
+
+
+def test_slice_norm_of_a_degree_120_expansion_exits_zero(tmp_path):
+    # n = 3 basis rows of degree 86 and up were NaN (scipy's lpmv times a
+    # gammaln norm), so this run exited 2 with "not finite (got nan)"
+    f3 = tmp_path / "f3.json"
+    f = bl.Expansion.random(3, 120, seed=1, decay=2.0)
+    f3.write_text(json.dumps(f.to_json()))
+    assert run(tmp_path, "norm", "--space", "slice", "--field", f"expansion-file:{f3}",
+               "--t", "0.5", "--resolution", "8") == 0
+    assert read_summary(tmp_path, "norm")["value"] == bl.slice_norm_ball(f, 2.0, 0.5, 8)
 
 
 def test_ball_weight_exponent_over_the_limit_exits_two(tmp_path, capsys):
@@ -976,31 +1000,46 @@ def test_non_finite_field_parameters_exit_two(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-_SPECIAL_ON_FIRST_USE = """
+_NO_SCIPY = """
 import contextlib, io, sys
 from harmspace import cli
-out, expansion = sys.argv[1:]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "kernels", "--budget", "smoke", "--threads", "1",
-                     "--out", out]) == 0
-    assert cli.main(["norm", "--space", "bergman", "--field", "poisson",
-                     "--out", out]) == 0
-    assert "scipy.special" not in sys.modules
-    assert cli.main(["ball", "lambda", "--expansion", expansion, "--out", out]) == 0
-assert "scipy.special" in sys.modules
+out, f2, f3, measure = sys.argv[1:]
+runs = [
+    ["whitney", "--n", "1"],
+    ["norm", "--space", "bergman", "--field", "poisson"],
+    ["norm", "--space", "volume", "--field", "expansion-file:" + f3],
+    ["norm", "--space", "sup", "--field", "expansion-file:" + f3, "--alpha", "0.5"],
+    ["carleson", "--measure", measure, "--condition", "single", "--t-min", "4",
+     "--t-max", "8"],
+    ["ball", "lambda", "--expansion", f3],
+    ["ball", "convolve", "--left", f2, "--right", f2],
+    ["ball", "functional", "--expansion", f3, "--kind", "grad-mixed", "--alpha", "0.7"],
+    ["ball", "functional", "--expansion", f2, "--kind", "volume", "--alpha", "0.5"],
+    ["ball", "multiplier-check", "--cap", "8"],
+    ["verify", "kernels", "ball-basis", "ball-norms", "thm8-multiplier", "thm9-multiplier",
+     "thm10-functionals", "--budget", "smoke", "--threads", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in runs:
+        assert cli.main(argv + ["--out", out]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
 def test_half_space_commands_run_without_scipy_special(tmp_path):
-    # a fresh interpreter, since this one has imported scipy.special already
-    expansion = tmp_path / "e.json"
-    expansion.write_text(json.dumps(bl.Expansion.random(2, 2, seed=5).to_json()))
+    # every command, the ball ones included, in a fresh interpreter (this one
+    # has imported scipy for the oracles): numpy is the only dependency
+    f2, f3, measure = tmp_path / "f2.json", tmp_path / "f3.json", tmp_path / "mu.json"
+    f2.write_text(json.dumps(bl.Expansion.random(2, 2, seed=5).to_json()))
+    f3.write_text(json.dumps(bl.Expansion.random(3, 6, seed=5).to_json()))
+    measure.write_text(json.dumps({"atoms": [{"x": [0.5], "t": 5.0, "w": 1.0}]}))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _SPECIAL_ON_FIRST_USE, str(tmp_path / "out"),
-         str(expansion)], env=env, capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "out"), str(f2), str(f3),
+         str(measure)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

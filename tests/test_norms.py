@@ -174,9 +174,8 @@ def _validation_rows():
          lambda v: no.whitney_discrete_norm(f, 2.0, v, REGION), NON_FINITE, {}),
         # the ball norms
         ("volume_norm p", lambda v: bl.volume_norm(e, v, 0.5), NON_FINITE + (0.0,), {}),
-        # just above -1, scipy's Gauss-Jacobi rule is not finite
         ("volume_norm alpha", lambda v: bl.volume_norm(e, 2.0, v),
-         NON_FINITE + (-1.0, math.nextafter(-1.0, 0.0), 2000.0), {}),
+         NON_FINITE + (-1.0, 2000.0), {}),
         ("grad_volume_norm p", lambda v: bl.grad_volume_norm(e, v, 0.5),
          NON_FINITE + (0.0,), {}),
         ("grad_volume_norm alpha", lambda v: bl.grad_volume_norm(e, 2.0, v),

@@ -163,15 +163,13 @@ NEED_BOUNDARIES = [
     ("thm9-multiplier", "q > 1", "q", math.nextafter(1.0, _UP), 1.0, {}),
     ("thm9-multiplier", "m_order > max(alpha - beta - 1, beta - 1)", "m_order", 2, 1,
      {"alpha": 2.5}),
-    # alpha p_exp - 1 rounds to -1 + 2^-48 up to alpha p_exp = 65 * 2^-54 (a tie,
-    # to even); the 40-node Gauss-Jacobi rule is finite from -1 + 33 * 2^-53
-    ("thm9-multiplier", "alpha * p_exp - 1 > -1 + 2^-48", "alpha",
-     math.nextafter(65 * 2.0 ** -54, _UP), 65 * 2.0 ** -54, {}),
+    # alpha p_exp - 1 rounds to -1 up to alpha p_exp = 2^-54 (a tie, to even)
+    ("thm9-multiplier", "alpha * p_exp - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
+     2.0 ** -54, {}),
     ("thm10-functionals", "s > 1", "s", math.nextafter(1.0, _UP), 1.0, {}),
-    # alpha - 1 rounds to -1 + 2^-49 up to alpha = 33 * 2^-54 (a tie, to even);
-    # the 32-node rule is finite from -1 + 17 * 2^-53
-    ("thm10-functionals", "alpha - 1 > -1 + 2^-49", "alpha",
-     math.nextafter(33 * 2.0 ** -54, _UP), 33 * 2.0 ** -54, {}),
+    # alpha - 1 rounds to -1 up to alpha = 2^-54 (a tie, to even)
+    ("thm10-functionals", "alpha - 1 > -1", "alpha", math.nextafter(2.0 ** -54, _UP),
+     2.0 ** -54, {}),
 ]
 
 
@@ -198,13 +196,18 @@ def test_reject_rows_alter_a_parameter_past_its_need():
 
 
 def test_weight_needs_of_thm9_and_thm10_stop_where_their_rules_do():
-    # the limit of the harness in those needs: the source norms' Gauss-Jacobi
-    # rules (40 nodes in thm9, 32 in thm10) are finite at the first weight
-    # exponent each need accepts, and not at the last one it refuses
-    for count, gap in ((40, 2.0 ** -48), (32, 2.0 ** -49)):
-        bl.radial_jacobi_quadrature(-1.0 + gap + 2.0 ** -53, 2, count)
-        with pytest.raises(ValueError, match=f"for a {count}-node Gauss-Jacobi rule"):
-            bl.radial_jacobi_quadrature(-1.0 + gap, 2, count)
+    # the source norms' Gauss-Jacobi rules (40 nodes in thm9, 32 in thm10)
+    # are finite at the first weight exponent each need accepts, -1 + 2^-53,
+    # so the needs are the hypotheses themselves; the last exponent they
+    # refuse, -1, the rules refuse too, naming the parameter
+    for exp_id, count in (("thm9-multiplier", 40), ("thm10-functionals", 32)):
+        alpha = math.nextafter(2.0 ** -54, _UP)
+        assert vf.check_params(exp_id, {"alpha": alpha})["alpha"] == alpha
+        r, w = bl.radial_jacobi_quadrature(alpha - 1.0, 2, count)
+        assert alpha - 1.0 == -1.0 + 2.0 ** -53
+        assert np.isfinite(r).all() and np.isfinite(w).all() and (w > 0).all()
+        with pytest.raises(ValueError, match="^alpha, the radial weight exponent, must lie"):
+            bl.radial_jacobi_quadrature(2.0 ** -54 - 1.0, 2, count, "alpha")
 
 
 REJECT_ROW_POINTS = [
